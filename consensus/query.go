@@ -166,8 +166,11 @@ type ValencyReport struct {
 	// Outer provably contains Y*(C) (convex combination algorithms only).
 	Outer      *Interval `json:"outer,omitempty"`
 	DeltaUpper float64   `json:"delta_upper,omitempty"`
-	// CacheHitRate is the shared engine's transposition-table hit rate
-	// after this query — the cross-query reuse the engine pool provides.
+	// CacheHitRate is the fraction of the shared engine's memo-table
+	// lookups that hit, over the engine's life up to and including this
+	// query — the cross-query reuse the engine pool provides. The tables
+	// evict when full, so looking up an evicted entry counts as a miss;
+	// the bounds are the same either way.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 

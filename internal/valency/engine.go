@@ -61,10 +61,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(hits) / float64(total)
 }
 
-// maxEntriesPerTable bounds each transposition table; past the cap the
-// engine keeps computing correctly but stops inserting new entries.
-const maxEntriesPerTable = 1 << 21
-
 // Engine is the memoized, zero-allocation, parallel valency exploration
 // engine. It computes the same certified Inner/Outer interval bounds as
 // the naive recursive walk (see Estimator.ReferenceInner) but
@@ -83,13 +79,17 @@ const maxEntriesPerTable = 1 << 21
 //     the per-branch intervals in model-index order, so results are
 //     bit-identical to the sequential walk.
 //
-// An Engine is safe for concurrent use. Its caches persist across calls,
-// which is what the greedy adversaries exploit: when the next round
-// re-explores the chosen successor's subtree (one level deeper), all of
-// its constant-graph settle loops — the dominant cost — hit the
-// depth-independent limit table. Identical repeated queries are answered
-// from the root entry of the inner/outer tables; deeper re-explorations
-// miss those, since their keys include the remaining depth.
+// An Engine is safe for concurrent use. Its three memo tables (inner,
+// outer, limits) persist across calls, which is what the greedy
+// adversaries exploit: when the next round re-explores the chosen
+// successor's subtree (one level deeper), all of its constant-graph
+// settle loops — the dominant cost — hit the depth-independent limit
+// table. Identical repeated queries are answered from the root entry of
+// the inner/outer tables; deeper re-explorations miss those, since their
+// keys include the remaining depth. Each table is bounded by memoBudget
+// bytes and, when full, evicts every entry and keeps memoizing. Every
+// memoized value is a pure function of its key, so eviction moves the
+// cache counters but never a bound.
 //
 // Caches are only keyed by agent state, round, and depth — NOT by
 // algorithm identity — so an Engine must only ever see configurations of
@@ -102,15 +102,12 @@ type Engine struct {
 	model  *model.Model
 	params Params
 
+	// mu guards the memo tables and the walker free list.
 	mu      sync.Mutex
-	inner   map[string]Interval
-	outer   map[string]Interval
-	limits  map[string]limitEntry
+	inner   memoTable[Interval]
+	outer   memoTable[Interval]
+	limits  memoTable[limitEntry]
 	walkers []*walker
-
-	innerHits, innerMisses uint64
-	outerHits, outerMisses uint64
-	limitHits, limitMisses uint64
 }
 
 type limitEntry struct {
@@ -119,13 +116,17 @@ type limitEntry struct {
 }
 
 // NewEngine returns an engine for the model with the given parameters.
-func NewEngine(m *model.Model, p Params) *Engine {
+// Its memo tables start empty and grow on demand up to memoBudget bytes
+// each.
+func NewEngine(m *model.Model, p Params) *Engine { return newEngine(m, p, memoBudget) }
+
+func newEngine(m *model.Model, p Params, budget int) *Engine {
 	return &Engine{
 		model:  m,
 		params: p,
-		inner:  make(map[string]Interval),
-		outer:  make(map[string]Interval),
-		limits: make(map[string]limitEntry),
+		inner:  memoTable[Interval]{budget: budget},
+		outer:  memoTable[Interval]{budget: budget},
+		limits: memoTable[limitEntry]{budget: budget},
 	}
 }
 
@@ -140,32 +141,40 @@ func (e *Engine) Stats() CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return CacheStats{
-		InnerHits:    atomic.LoadUint64(&e.innerHits),
-		InnerMisses:  atomic.LoadUint64(&e.innerMisses),
-		OuterHits:    atomic.LoadUint64(&e.outerHits),
-		OuterMisses:  atomic.LoadUint64(&e.outerMisses),
-		LimitHits:    atomic.LoadUint64(&e.limitHits),
-		LimitMisses:  atomic.LoadUint64(&e.limitMisses),
-		InnerEntries: len(e.inner),
-		OuterEntries: len(e.outer),
-		LimitEntries: len(e.limits),
+		InnerHits:    e.inner.hits,
+		InnerMisses:  e.inner.misses,
+		OuterHits:    e.outer.hits,
+		OuterMisses:  e.outer.misses,
+		LimitHits:    e.limits.hits,
+		LimitMisses:  e.limits.misses,
+		InnerEntries: e.inner.used,
+		OuterEntries: e.outer.used,
+		LimitEntries: e.limits.used,
 	}
 }
 
-// ResetCaches drops all memoized results and counters; the walker arenas
-// are kept.
+// ResetCaches drops all memoized results, their memory, and the
+// counters; the walker arenas are kept.
 func (e *Engine) ResetCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.inner = make(map[string]Interval)
-	e.outer = make(map[string]Interval)
-	e.limits = make(map[string]limitEntry)
-	atomic.StoreUint64(&e.innerHits, 0)
-	atomic.StoreUint64(&e.innerMisses, 0)
-	atomic.StoreUint64(&e.outerHits, 0)
-	atomic.StoreUint64(&e.outerMisses, 0)
-	atomic.StoreUint64(&e.limitHits, 0)
-	atomic.StoreUint64(&e.limitMisses, 0)
+	e.inner = memoTable[Interval]{budget: e.inner.budget}
+	e.outer = memoTable[Interval]{budget: e.outer.budget}
+	e.limits = memoTable[limitEntry]{budget: e.limits.budget}
+}
+
+// memoGet and memoPut access one of e's memo tables under its lock.
+func memoGet[V any](e *Engine, t *memoTable[V], key []byte) (V, bool) {
+	e.mu.Lock()
+	v, hit := t.get(key)
+	e.mu.Unlock()
+	return v, hit
+}
+
+func memoPut[V any](e *Engine, t *memoTable[V], key []byte, v V) {
+	e.mu.Lock()
+	t.put(key, v)
+	e.mu.Unlock()
 }
 
 // workerCount resolves the effective fan-out width for `branches`
@@ -187,7 +196,7 @@ func (e *Engine) workerCount(branches int) int {
 // Inner returns the inner valency bound: an interval spanned by genuine
 // members of Y*(C). Its diameter is a sound lower bound on δ(C).
 func (e *Engine) Inner(c *core.Config) Interval {
-	return e.explore(c, e.innerBranch, e.lookupInner, e.storeInner)
+	return e.explore(c, e.innerBranch, &e.inner)
 }
 
 // Outer returns the outer valency bound for convex combination
@@ -198,7 +207,7 @@ func (e *Engine) Outer(c *core.Config) Interval {
 	if !e.params.Convex {
 		panic("valency: Outer bound requires a convex combination algorithm")
 	}
-	return e.explore(c, e.outerBranch, e.lookupOuter, e.storeOuter)
+	return e.explore(c, e.outerBranch, &e.outer)
 }
 
 // DeltaLower returns a sound lower bound on δ(C) = diam(Y*(C)).
@@ -207,68 +216,62 @@ func (e *Engine) DeltaLower(c *core.Config) float64 { return e.Inner(c).Diameter
 // DeltaUpper returns a sound upper bound on δ(C) for convex algorithms.
 func (e *Engine) DeltaUpper(c *core.Config) float64 { return e.Outer(c).Diameter() }
 
-// explore runs one top-level walk: a root-memo check, then the per-branch
-// work (sequential or fanned out), then a model-index-order merge.
-func (e *Engine) explore(
-	c *core.Config,
-	branch func(w *walker, c *core.Config, k int) Interval,
-	lookup func(key []byte) (Interval, bool),
-	store func(key string, iv Interval),
-) Interval {
-	size := e.model.Size()
+// explore runs one top-level walk: a root-memo check in the given table,
+// then the per-branch work, then a model-index-order merge.
+func (e *Engine) explore(c *core.Config, branch func(w *walker, c *core.Config, k int) Interval, memo *memoTable[Interval]) Interval {
 	w := e.getWalker()
-	rootKey := ""
-	if fp, ok := c.AppendFingerprint(w.key[:0]); ok {
-		fp = appendDepth(fp, e.params.Depth)
-		w.key = fp
-		if iv, hit := lookup(fp); hit {
-			e.putWalker(w)
+	defer e.putWalker(w)
+	key, memoize := c.AppendFingerprint(w.key[:0])
+	key = appendDepth(key, e.params.Depth)
+	w.key = key
+	if memoize {
+		if iv, hit := memoGet(e, memo, key); hit {
 			return iv
 		}
-		rootKey = string(fp)
 	}
+	results := make([]Interval, e.model.Size())
+	e.forEachBranch(func(bw *walker, k int) { results[k] = branch(bw, c, k) })
+	iv := emptyInterval()
+	for _, r := range results {
+		iv = iv.Union(r)
+	}
+	if memoize {
+		memoPut(e, memo, key, iv)
+	}
+	return iv
+}
 
+// forEachBranch calls fn(w, k) once for every model index k, on pooled
+// walkers: sequentially, or fanned out over workerCount goroutines.
+func (e *Engine) forEachBranch(fn func(w *walker, k int)) {
+	size := e.model.Size()
 	nw := e.workerCount(size)
-	var iv Interval
 	if nw <= 1 {
-		iv = emptyInterval()
+		w := e.getWalker()
+		defer e.putWalker(w)
 		for k := 0; k < size; k++ {
-			iv = iv.Union(branch(w, c, k))
+			fn(w, k)
 		}
-	} else {
-		results := make([]Interval, size)
-		var next int64
-		var wg sync.WaitGroup
-		worker := func(w *walker) {
+		return
+	}
+	var next int64
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for i := 0; i < nw; i++ {
+		go func() {
 			defer wg.Done()
+			w := e.getWalker()
 			defer e.putWalker(w)
 			for {
 				k := int(atomic.AddInt64(&next, 1)) - 1
 				if k >= size {
 					return
 				}
-				results[k] = branch(w, c, k)
+				fn(w, k)
 			}
-		}
-		wg.Add(nw)
-		go worker(w)
-		for i := 1; i < nw; i++ {
-			go worker(e.getWalker())
-		}
-		wg.Wait()
-		w = nil // returned to the pool by its worker
-		iv = emptyInterval()
-		for _, r := range results {
-			iv = iv.Union(r)
-		}
+		}()
 	}
-	if rootKey != "" {
-		store(rootKey, iv)
-	}
-	if w != nil {
-		e.putWalker(w)
-	}
-	return iv
+	wg.Wait()
 }
 
 // innerBranch computes branch k's contribution to Inner(c): the limit of
@@ -317,39 +320,12 @@ func (e *Engine) LimitOfConstant(c *core.Config, k int) (limit float64, ok bool)
 // depth-independent limit table — the reuse that makes the adversary's
 // next round cheap.
 func (e *Engine) SuccessorInners(c *core.Config) []Interval {
-	size := e.model.Size()
-	out := make([]Interval, size)
-	nw := e.workerCount(size)
-	if nw <= 1 {
-		w := e.getWalker()
-		defer e.putWalker(w)
-		for k := 0; k < size; k++ {
-			child := w.level(0)
-			c.StepInto(child, e.model.Graph(k))
-			out[k] = w.inner(child, e.params.Depth, 1)
-		}
-		return out
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for i := 0; i < nw; i++ {
-		go func() {
-			defer wg.Done()
-			w := e.getWalker()
-			defer e.putWalker(w)
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k >= size {
-					return
-				}
-				child := w.level(0)
-				c.StepInto(child, e.model.Graph(k))
-				out[k] = w.inner(child, e.params.Depth, 1)
-			}
-		}()
-	}
-	wg.Wait()
+	out := make([]Interval, e.model.Size())
+	e.forEachBranch(func(w *walker, k int) {
+		child := w.level(0)
+		c.StepInto(child, e.model.Graph(k))
+		out[k] = w.inner(child, e.params.Depth, 1)
+	})
 	return out
 }
 
@@ -367,46 +343,6 @@ func (e *Engine) SuccessorValueDiameters(c *core.Config) []float64 {
 		out[k] = child.Diameter()
 	}
 	return out
-}
-
-func (e *Engine) lookupInner(key []byte) (Interval, bool) {
-	e.mu.Lock()
-	iv, hit := e.inner[string(key)]
-	e.mu.Unlock()
-	if hit {
-		atomic.AddUint64(&e.innerHits, 1)
-	} else {
-		atomic.AddUint64(&e.innerMisses, 1)
-	}
-	return iv, hit
-}
-
-func (e *Engine) storeInner(key string, iv Interval) {
-	e.mu.Lock()
-	if len(e.inner) < maxEntriesPerTable {
-		e.inner[key] = iv
-	}
-	e.mu.Unlock()
-}
-
-func (e *Engine) lookupOuter(key []byte) (Interval, bool) {
-	e.mu.Lock()
-	iv, hit := e.outer[string(key)]
-	e.mu.Unlock()
-	if hit {
-		atomic.AddUint64(&e.outerHits, 1)
-	} else {
-		atomic.AddUint64(&e.outerMisses, 1)
-	}
-	return iv, hit
-}
-
-func (e *Engine) storeOuter(key string, iv Interval) {
-	e.mu.Lock()
-	if len(e.outer) < maxEntriesPerTable {
-		e.outer[key] = iv
-	}
-	e.mu.Unlock()
 }
 
 // getWalker pops a walker arena from the free list, or builds one.
@@ -523,7 +459,7 @@ func (w *walker) inner(c *core.Config, depth, level int) Interval {
 	if memo {
 		key = appendDepth(key, depth)
 		w.levelKeys[level] = key
-		if iv, hit := e.lookupInner(key); hit {
+		if iv, hit := memoGet(e, &e.inner, key); hit {
 			return iv
 		}
 	}
@@ -541,7 +477,7 @@ func (w *walker) inner(c *core.Config, depth, level int) Interval {
 		}
 	}
 	if memo {
-		e.storeInner(string(w.levelKeys[level]), iv)
+		memoPut(e, &e.inner, w.levelKeys[level], iv)
 	}
 	return iv
 }
@@ -612,23 +548,13 @@ func (w *walker) batchLimits(c *core.Config, out []limitEntry) (handled bool) {
 	resolved := w.resolved[:size]
 	base := len(key)
 	if memo {
-		var hits, misses uint64
 		e.mu.Lock()
 		for k := 0; k < size; k++ {
 			key = appendGraph(key[:base], k)
-			if entry, hit := e.limits[string(key)]; hit {
-				out[k] = entry
-				resolved[k] = true
-				hits++
-			} else {
-				resolved[k] = false
-				misses++
-			}
+			out[k], resolved[k] = e.limits.get(key)
 		}
 		e.mu.Unlock()
 		w.key = key
-		atomic.AddUint64(&e.limitHits, hits)
-		atomic.AddUint64(&e.limitMisses, misses)
 	} else {
 		for k := 0; k < size; k++ {
 			resolved[k] = false
@@ -674,11 +600,8 @@ func (w *walker) batchLimits(c *core.Config, out []limitEntry) (handled bool) {
 		if memo {
 			e.mu.Lock()
 			for i := range w.settleRuns {
-				if len(e.limits) >= maxEntriesPerTable {
-					break
-				}
 				key = appendGraph(key[:base], w.settleRuns[i].k)
-				e.limits[string(key)] = entry
+				e.limits.put(key, entry)
 			}
 			e.mu.Unlock()
 			w.key = key
@@ -765,11 +688,11 @@ func (w *walker) batchLimits(c *core.Config, out []limitEntry) (handled bool) {
 			continue
 		}
 		if run.done {
-			for j := 0; j < run.chainLen && len(e.limits) < maxEntriesPerTable; j++ {
-				e.limits[string(run.chain[j])] = limitEntry{limit: run.limit, ok: true}
+			for j := 0; j < run.chainLen; j++ {
+				e.limits.put(run.chain[j], limitEntry{limit: run.limit, ok: true})
 			}
-		} else if run.chainLen > 0 && len(e.limits) < maxEntriesPerTable {
-			e.limits[string(run.chain[0])] = limitEntry{ok: false}
+		} else if run.chainLen > 0 {
+			e.limits.put(run.chain[0], limitEntry{ok: false})
 		}
 	}
 	e.mu.Unlock()
@@ -787,7 +710,7 @@ func (w *walker) outer(c *core.Config, depth, level int) Interval {
 	if memo {
 		key = appendDepth(key, depth)
 		w.levelKeys[level] = key
-		if iv, hit := e.lookupOuter(key); hit {
+		if iv, hit := memoGet(e, &e.outer, key); hit {
 			return iv
 		}
 	}
@@ -799,7 +722,7 @@ func (w *walker) outer(c *core.Config, depth, level int) Interval {
 		iv = iv.Union(w.outer(child, depth-1, level+1))
 	}
 	if memo {
-		e.storeOuter(string(w.levelKeys[level]), iv)
+		memoPut(e, &e.outer, w.levelKeys[level], iv)
 	}
 	return iv
 }
@@ -859,8 +782,8 @@ func (r *chainRecorder) fill(limit float64, ok bool) {
 	}
 	e := r.w.e
 	e.mu.Lock()
-	for i := 0; i < r.chainLen && len(e.limits) < maxEntriesPerTable; i++ {
-		e.limits[string(r.w.chain[i])] = limitEntry{limit: limit, ok: ok}
+	for i := 0; i < r.chainLen; i++ {
+		e.limits.put(r.w.chain[i], limitEntry{limit: limit, ok: ok})
 	}
 	e.mu.Unlock()
 }
@@ -872,12 +795,7 @@ func (r *chainRecorder) fillNotConverged() {
 	if !r.memo || r.chainLen == 0 {
 		return
 	}
-	e := r.w.e
-	e.mu.Lock()
-	if len(e.limits) < maxEntriesPerTable {
-		e.limits[string(r.w.chain[0])] = limitEntry{ok: false}
-	}
-	e.mu.Unlock()
+	memoPut(r.w.e, &r.w.e.limits, r.w.chain[0], limitEntry{ok: false})
 }
 
 // limit computes (memoized) the limit of the constant-graph-k
@@ -894,14 +812,9 @@ func (w *walker) limit(c *core.Config, k int) (float64, bool) {
 	if memo {
 		key = appendGraph(key, k)
 		w.key = key
-		e.mu.Lock()
-		entry, hit := e.limits[string(key)]
-		e.mu.Unlock()
-		if hit {
-			atomic.AddUint64(&e.limitHits, 1)
+		if entry, hit := memoGet(e, &e.limits, key); hit {
 			return entry.limit, entry.ok
 		}
-		atomic.AddUint64(&e.limitMisses, 1)
 	}
 
 	if limit, ok, handled := w.denseLimit(c, k, memo); handled {
