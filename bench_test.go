@@ -226,7 +226,7 @@ func BenchmarkVectorLift(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			runner, err := vector.NewRunnerBackend(algorithms.Midpoint{}, points, core.BackendDense)
+			runner, err := vector.NewRunner(algorithms.Midpoint{}, points)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -239,7 +239,7 @@ func BenchmarkVectorLift(b *testing.B) {
 	})
 }
 
-// BenchmarkContractionDense is the acceptance race of the dense backend:
+// BenchmarkContractionDense is the acceptance race of the dense kernel:
 // an n=16, 1000-round contraction race (the cmd/contraction measurement
 // loop) under the forking Agent path versus the dense kernel. The graphs
 // cycle through the deaf(K_16) model, the Table 1 non-split worst case.

@@ -12,9 +12,6 @@
 //	paperbench -list            list experiment IDs
 //	paperbench -run ID          run experiments whose ID contains the string
 //	paperbench -format csv      emit CSV instead of aligned tables
-//	paperbench -backend agents  force the interface-based reference backend
-//	                            (default "auto" uses the dense kernel where
-//	                            supported; tables are bit-identical)
 //	paperbench -bench           run the machine-readable throughput bench:
 //	                            the batch-plane sweep vs goroutine-per-run,
 //	                            on the oblivious deaf-model workload and on
@@ -65,7 +62,6 @@ func run(args []string, out io.Writer) error {
 	largenRounds := fs.Int("benchlargenrounds", 200, "with -bench: rounds per large-n kernel sample (0 disables the large-n series)")
 	largenN := fs.Int("benchlargenn", largeN, "with -bench: agents in the large-n kernel series (the multi-word regime needs > 64; 64 isolates the single-word fast path)")
 	distRequests := fs.Int("benchdist", 24, "with -bench: requests in the distributed series (0 disables it)")
-	backend := consensus.BackendFlag(fs)
 	batchPar := consensus.BatchParallelismFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,15 +69,12 @@ func run(args []string, out io.Writer) error {
 	if *format != "table" && *format != "csv" {
 		return fmt.Errorf("unknown format %q", *format)
 	}
-	if err := backend.Install(); err != nil {
-		return err
-	}
 	if err := batchPar.Install(); err != nil {
 		return err
 	}
 
 	if *bench {
-		return runBench(out, *jsonPath, *benchN, *benchSpecs, *benchRounds, *largenRounds, *largenN, *distRequests, string(backend.Value()))
+		return runBench(out, *jsonPath, *benchN, *benchSpecs, *benchRounds, *largenRounds, *largenN, *distRequests)
 	}
 
 	if *list {
@@ -137,7 +130,6 @@ type benchReport struct {
 	// equal GOMAXPROCS.
 	CPUs       int          `json:"cpus"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
-	Backend    string       `json:"backend"`
 	Specs      int          `json:"specs"`
 	Rounds     int          `json:"rounds"`
 	Samples    int          `json:"samples"`
@@ -183,7 +175,7 @@ type benchEntry struct {
 // benchRounds rounds over deaf(K16) midpoint, inputs varied per spec)
 // and the scenario grid (benchSpecs churn schedules, one per seed, so
 // every batched run follows its own per-round graph sequence).
-func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largenRounds, largenN, distRequests int, backend string) error {
+func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largenRounds, largenN, distRequests int) error {
 	if samples < 1 || specCount < 1 || rounds < 0 || largenRounds < 0 || distRequests < 0 {
 		return fmt.Errorf("bad bench parameters: n=%d specs=%d rounds=%d largen=%d dist=%d", samples, specCount, rounds, largenRounds, distRequests)
 	}
@@ -286,7 +278,6 @@ func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largen
 		GOARCH:      runtime.GOARCH,
 		CPUs:        runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Backend:     backend,
 		Specs:       specCount,
 		Rounds:      rounds,
 		Samples:     samples,

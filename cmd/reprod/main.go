@@ -11,7 +11,6 @@
 //	reprod                          serve on :8080
 //	reprod -addr 127.0.0.1:9090     choose the listen address
 //	reprod -query-timeout 10s       bound each query's computation
-//	reprod -backend agents          force the reference execution backend
 //	reprod -drain-timeout 10s       shutdown drain budget (then in-flight
 //	                                queries are context-cancelled)
 //	reprod -debug-addr :6060        also serve net/http/pprof on a second
@@ -104,16 +103,12 @@ func run(args []string, out io.Writer) error {
 	shardRetries := fs.Int("shard-retries", distributed.DefaultShardAttempts,
 		"coordinator: attempts per shard (reroutes across workers)")
 
-	backend := consensus.BackendFlag(fs)
 	batchPar := consensus.BatchParallelismFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *worker && *coordinator {
 		return fmt.Errorf("-worker and -coordinator are mutually exclusive")
-	}
-	if err := backend.Install(); err != nil {
-		return err
 	}
 	if err := batchPar.Install(); err != nil {
 		return err
@@ -201,7 +196,7 @@ func run(args []string, out io.Writer) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("serving", "mode", mode, "addr", *addr,
-		"backend", backend.Value(), "batch_parallelism", batchPar.Value(),
+		"batch_parallelism", batchPar.Value(),
 		"query_timeout", *queryTimeout)
 	logger.Info("cache counters", append([]any{"phase", "startup"}, cacheKVs()...)...)
 

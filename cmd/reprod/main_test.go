@@ -137,8 +137,14 @@ func TestReprodRegistryAndErrors(t *testing.T) {
 }
 
 func TestReprodFlagErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-backend", "bogus"}, &sb); err == nil {
-		t.Error("bad backend accepted")
+	for _, args := range [][]string{
+		{"-worker", "-coordinator"},
+		{"-batch-parallelism", "bogus"},
+		{"-backend", "agents"}, // the execution path is chosen by capability
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		}
 	}
 }

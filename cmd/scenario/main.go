@@ -18,8 +18,9 @@
 //	scenario replay  -in run.trace -algorithm midpoint -rounds 12 [-fingerprints]
 //
 // replay prints the per-round diameter series and, with -fingerprints,
-// the per-round configuration fingerprint digests — byte-identical
-// across backends (-backend agents | dense), which CI smokes.
+// the per-round configuration fingerprint digests, computed on the dense
+// state when the algorithm has a dense stepper and on the agent
+// configuration otherwise; the two paths give identical digests.
 package main
 
 import (
@@ -115,15 +116,11 @@ func runRecord(args []string, out io.Writer) error {
 	depth := fs.Int("depth", consensus.DefaultDepth, "valency depth for greedy adversaries")
 	inputsFlag := fs.String("inputs", "", "comma-separated initial values (default: spread)")
 	outPath := fs.String("o", "", "trace output file (required)")
-	backend := consensus.BackendFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *outPath == "" {
 		return fmt.Errorf("record needs -o FILE")
-	}
-	if err := backend.Install(); err != nil {
-		return err
 	}
 	opts := []consensus.Option{
 		consensus.WithAlgorithm(*algSpec),
@@ -238,11 +235,7 @@ func runReplay(args []string, out io.Writer) error {
 	rounds := fs.Int("rounds", 0, "rounds to replay (default: prefix + one loop)")
 	inputsFlag := fs.String("inputs", "", "comma-separated initial values (default: spread)")
 	fingerprints := fs.Bool("fingerprints", false, "print each round's configuration fingerprint digest")
-	backend := consensus.BackendFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := backend.Install(); err != nil {
 		return err
 	}
 	sch, err := load()
@@ -269,22 +262,17 @@ func runReplay(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The replay state stepped again on the *selected* backend and
-	// fingerprinted per round: dense state under -backend dense/auto,
-	// an agent configuration under -backend agents. The engines'
-	// bit-identity contract promises identical fingerprints either way,
-	// so diffing replay output between the two backends genuinely tests
-	// exact replay — digesting one fixed reference path would compare
-	// it with itself.
+	// The replay state stepped again, independently of the session, and
+	// fingerprinted per round.
 	var fpAt func(round int) string
 	if *fingerprints {
-		var err error
-		if fpAt, err = newFingerprintStepper(*algSpec, session.N(), session.Inputs(), sch); err != nil {
+		alg, err := consensus.Algorithms.New(*algSpec, session.N())
+		if err != nil {
 			return err
 		}
+		fpAt = newFingerprintStepper(alg, session.Inputs(), sch)
 	}
-	fmt.Fprintf(out, "replaying %s over %s (%d rounds, backend %s)\n",
-		session.Algorithm(), sch, R, backend.Value())
+	fmt.Fprintf(out, "replaying %s over %s (%d rounds)\n", session.Algorithm(), sch, R)
 	var diams []float64
 	for snap, err := range session.Rounds(context.Background()) {
 		if err != nil {
@@ -304,14 +292,9 @@ func runReplay(args []string, out io.Writer) error {
 
 // newFingerprintStepper returns a function yielding the short
 // configuration-fingerprint digest after each schedule round, computed
-// on the process's current backend (dense state when the backend and
-// algorithm allow, agent configuration otherwise). Rounds must be
-// requested in ascending order.
-func newFingerprintStepper(algSpec string, n int, inputs []float64, sch *scenario.Schedule) (func(round int) string, error) {
-	alg, err := consensus.Algorithms.New(algSpec, n)
-	if err != nil {
-		return nil, err
-	}
+// on the dense state when alg has a dense stepper and on an agent
+// configuration otherwise. Rounds must be requested in ascending order.
+func newFingerprintStepper(alg core.Algorithm, inputs []float64, sch *scenario.Schedule) func(round int) string {
 	digest := func(fp []byte, ok bool) string {
 		if !ok {
 			return "n/a"
@@ -319,16 +302,14 @@ func newFingerprintStepper(algSpec string, n int, inputs []float64, sch *scenari
 		sum := sha256.Sum256(fp)
 		return fmt.Sprintf("%x", sum[:8])
 	}
-	if core.CurrentBackend().DenseEnabled() {
-		if d, ok := core.AsDense(alg); ok {
-			r := core.NewDenseRunner(d, inputs)
-			return func(round int) string {
-				for r.Round() < round {
-					r.Step(sch.At(r.Round() + 1))
-				}
-				fp, ok := core.AppendDenseFingerprint(d, r.State(), nil)
-				return digest(fp, ok)
-			}, nil
+	if d, ok := core.AsDense(alg); ok {
+		r := core.NewDenseRunner(d, inputs)
+		return func(round int) string {
+			for r.Round() < round {
+				r.Step(sch.At(r.Round() + 1))
+			}
+			fp, ok := core.AppendDenseFingerprint(d, r.State(), nil)
+			return digest(fp, ok)
 		}
 	}
 	c := core.NewConfig(alg, inputs)
@@ -338,5 +319,5 @@ func newFingerprintStepper(algSpec string, n int, inputs []float64, sch *scenari
 		}
 		fp, ok := c.AppendFingerprint(nil)
 		return digest(fp, ok)
-	}, nil
+	}
 }

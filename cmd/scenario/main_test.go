@@ -5,6 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/consensus"
+	"repro/consensus/scenario"
+	"repro/internal/core"
 )
 
 func TestListAndErrors(t *testing.T) {
@@ -62,10 +66,10 @@ func TestGenInspectCertify(t *testing.T) {
 	}
 }
 
-// TestRecordReplayBackendsAgree records a greedy-adversary run and
-// replays its trace under both backends with per-round fingerprints;
-// the replay output (diameters and fingerprint digests alike) must be
-// identical — the CLI form of the exact-replay differential.
+// TestRecordReplayBackendsAgree records a greedy-adversary run, replays
+// its trace with per-round fingerprints, and steps a dense runner and an
+// AgentsOnly configuration over the recorded graphs in lockstep: both
+// must give the same per-round fingerprints, and so must the replay.
 func TestRecordReplayBackendsAgree(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "greedy.trace")
 	var sb strings.Builder
@@ -76,27 +80,40 @@ func TestRecordReplayBackendsAgree(t *testing.T) {
 	if !strings.Contains(sb.String(), "recorded 6 rounds") {
 		t.Fatalf("record output:\n%s", sb.String())
 	}
+	var out strings.Builder
+	if err := run([]string{"replay", "-in", trace, "-algorithm", "midpoint",
+		"-rounds", "6", "-fingerprints"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	replayed := strings.Split(strings.TrimSpace(out.String()), "\n")
 
-	replay := func(backend string) string {
-		var out strings.Builder
-		if err := run([]string{"replay", "-in", trace, "-algorithm", "midpoint",
-			"-rounds", "6", "-fingerprints", "-backend", backend}, &out); err != nil {
-			t.Fatal(err)
-		}
-		// Drop the header (it names the backend) and compare the rest.
-		_, rest, ok := strings.Cut(out.String(), "\n")
-		if !ok {
-			t.Fatalf("replay output too short:\n%s", out.String())
-		}
-		return rest
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
 	}
-	agents := replay("agents")
-	dense := replay("dense")
-	if agents != dense {
-		t.Fatalf("backends disagree on replay:\nagents:\n%s\ndense:\n%s", agents, dense)
+	sch, err := scenario.Decode(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(agents, "fp ") || strings.Contains(agents, "fp n/a") {
-		t.Fatalf("fingerprints missing:\n%s", agents)
+	alg, err := consensus.Algorithms.New("midpoint", sch.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := core.AsDense(alg); !ok {
+		t.Fatal("midpoint must be dense-capable")
+	}
+	inputs := consensus.SpreadInputs(sch.N())
+	dense := newFingerprintStepper(alg, inputs, sch)
+	agents := newFingerprintStepper(core.AgentsOnly(alg), inputs, sch)
+	for round := 0; round <= 6; round++ {
+		fpD, fpA := dense(round), agents(round)
+		if fpD != fpA || fpA == "n/a" {
+			t.Fatalf("round %d: dense fingerprint %s, agents %s", round, fpD, fpA)
+		}
+		// Line 0 is the header; round r is on line r+1.
+		if want := "fp " + fpA; !strings.HasSuffix(replayed[round+1], want) {
+			t.Fatalf("round %d: replay printed %q, want suffix %q", round, replayed[round+1], want)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // BenchmarkSessionVsCore is the facade-overhead acceptance race: the
 // n=16, 1000-round dense contraction race of BenchmarkContractionDense
 // (deaf(K_16) graphs in round-robin, midpoint), once driven directly
-// through core.RunConfigBackend and once through consensus.Session.Run.
+// through core.RunConfig and once through consensus.Session.Run.
 // The session must be within 5% of the direct path: its only additions
 // are the registry-resolved source construction and the context check,
 // which compiles to nothing for non-cancellable contexts.
@@ -24,13 +24,12 @@ func BenchmarkSessionVsCore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend := core.CurrentBackend()
 
 	b.Run("core", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src := core.Cycle{Graphs: m.Graphs()}
-			tr := core.RunConfigBackend(alg.Name(), core.NewConfig(alg, inputs), src, rounds, backend)
+			tr := core.RunConfig(alg.Name(), core.NewConfig(alg, inputs), src, rounds)
 			if tr.Rounds() != rounds {
 				b.Fatal("short race")
 			}

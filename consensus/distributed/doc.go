@@ -10,11 +10,11 @@
 // RunSpec resolves to a canonical content fingerprint (the hex SHA-256
 // of the session's registry-independent configuration key, which embeds
 // the schedule trace fingerprint for scenario runs), and two sessions
-// with equal fingerprints produce bit-identical results on any backend,
-// any worker, any machine running the same build. That makes the merge
-// trivial — results are position-independent values addressed by
-// fingerprint — and makes distributed execution differentially testable
-// against the single-process Sweep.
+// with equal fingerprints produce bit-identical results on either
+// execution path, any worker, any machine running the same build. That
+// makes the merge trivial — results are position-independent values
+// addressed by fingerprint — and makes distributed execution
+// differentially testable against the single-process Sweep.
 //
 // Topology:
 //

@@ -9,8 +9,8 @@
 // # Sessions
 //
 // A Session is one configured execution: a network model, an algorithm,
-// inputs, a pattern source (scheduler or adversary), a round budget, and
-// an execution backend, all supplied as functional options:
+// inputs, a pattern source (scheduler or adversary), and a round budget,
+// all supplied as functional options:
 //
 //	s, err := consensus.New(
 //		consensus.WithModel("deaf:4"),
@@ -25,7 +25,10 @@
 // Run materializes the whole execution; Rounds streams one Snapshot per
 // round without retaining history, so arbitrarily long executions run in
 // constant memory. Sessions are stateless between runs (every Run starts
-// from the initial inputs) and safe for concurrent use.
+// from the initial inputs) and safe for concurrent use. A session runs on
+// the dense struct-of-arrays kernel when its algorithm has one and its
+// pattern source is oblivious, and on the per-agent reference path
+// otherwise; the two are bit-identical, so there is nothing to select.
 //
 // # Registries
 //
@@ -39,14 +42,14 @@
 //
 // A scenario (package repro/consensus/scenario) is a first-class
 // round-by-round schedule of communication graphs. WithScenario pins a
-// session to one — the run becomes an exact, backend-independent
-// replay — and Session.RunRecorded captures any adversary-driven run as
-// one. Scenario specs resolve through the Scenarios registry
-// ("partitionheal:8,2,5", "churn:16,1,10,100,4", inline
-// "trace:BASE64URL", ...), ride Sweep via RunSpec.Scenario (grids via
-// ScenarioGrid, batched with per-run schedules, cached by trace
-// fingerprint), and serve over HTTP via RunScenario and the
-// /api/v1/scenario endpoint. cmd/scenario is the command-line face.
+// session to one — the run becomes an exact replay — and
+// Session.RunRecorded captures any adversary-driven run as one. Scenario
+// specs resolve through the Scenarios registry ("partitionheal:8,2,5",
+// "churn:16,1,10,100,4", inline "trace:BASE64URL", ...), ride Sweep via
+// RunSpec.Scenario (grids via ScenarioGrid, batched with per-run
+// schedules, cached by trace fingerprint), and serve over HTTP via
+// RunScenario and the /api/v1/scenario endpoint. cmd/scenario is the
+// command-line face.
 //
 // # Batch and query APIs
 //

@@ -354,7 +354,7 @@ func DecisionSweep(ctx context.Context, req DecisionRequest, opts ...QueryOption
 // when the request must take that path.
 func denseDecisionPoints(ctx context.Context, d approx.Decider, alg core.Algorithm, inputs []float64, src core.PatternSource, delta float64, epss []float64, lower func(eps float64) float64) ([]DecisionPoint, bool, error) {
 	da, denseOK := core.AsDense(alg)
-	if !denseOK || !core.CurrentBackend().DenseEnabled() || !core.IsOblivious(src) {
+	if !denseOK || !core.IsOblivious(src) {
 		return nil, false, nil
 	}
 	rounds := make([]int, len(epss))

@@ -478,10 +478,12 @@ func registerBuiltinAlgorithms() {
 	})
 }
 
+// parseN parses a node count in 1..graph.MaxNodes, the range every graph
+// constructor accepts.
 func parseN(arg string) (int, error) {
 	n, err := strconv.Atoi(strings.TrimSpace(arg))
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("consensus: bad node count %q", arg)
+	if err != nil || n < 1 || n > graph.MaxNodes {
+		return 0, fmt.Errorf("consensus: bad node count %q (want 1..%d)", arg, graph.MaxNodes)
 	}
 	return n, nil
 }

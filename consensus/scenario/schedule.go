@@ -5,7 +5,7 @@
 // compact deterministic binary trace, fingerprinted, certified against
 // the paper's solvability preconditions (rooted, non-split, model
 // membership; Függer, Nowak, Schwarz, PODC 2018, Sections 2 and 8), and
-// replayed exactly on any execution backend.
+// replayed exactly on either execution path.
 //
 // A Schedule is a lasso rho·lambda^omega: a finite prefix of per-round
 // graphs followed by a loop that repeats forever. Every ultimately
@@ -17,7 +17,7 @@
 // Recorded) build schedules; Encode/Decode round-trip them losslessly;
 // Certify checks their properties; Source lowers them to the execution
 // engines, where they are oblivious pattern sources and therefore run on
-// the dense backend and batch onto the batched execution plane.
+// the dense path and batch onto the batched execution plane.
 package scenario
 
 import (
@@ -121,7 +121,7 @@ func (s *Schedule) Graphs(rounds int) []graph.Graph {
 }
 
 // Source lowers the schedule to an execution-engine pattern source. The
-// source is oblivious, so schedule-driven runs use the dense backend and
+// source is oblivious, so schedule-driven runs use the dense path and
 // tile onto the batched execution plane.
 func (s *Schedule) Source() core.PatternSource {
 	return core.Schedule{Prefix: s.prefix, Loop: s.loop}
@@ -210,7 +210,7 @@ func (s *Schedule) String() string {
 // adversary — and captures every graph it plays, so the run can be
 // persisted and replayed exactly. It implements core.PatternSource and
 // declares itself oblivious exactly when the wrapped source is, so
-// recording never changes which backend a run takes.
+// recording never changes which execution path a run takes.
 type Recorder struct {
 	src    core.PatternSource
 	n      int

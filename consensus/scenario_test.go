@@ -17,7 +17,7 @@ import (
 // greedy-adversary run (adaptive, agent-path) is recorded, and its trace
 // replayed through WithScenario must reproduce the original run's
 // per-round outputs AND per-round configuration fingerprints exactly —
-// under both the agents and the dense backend.
+// on both the Agent path (an AgentsOnly library) and the dense path.
 func TestRecordedGreedyReplayExact(t *testing.T) {
 	const rounds = 8
 	ctx := context.Background()
@@ -53,10 +53,13 @@ func TestRecordedGreedyReplayExact(t *testing.T) {
 		wantFPs = append(wantFPs, fp)
 	}
 
-	for _, backend := range []Backend{BackendAgents, BackendDense} {
-		t.Run(string(backend), func(t *testing.T) {
-			replay, err := New(WithScenario(sch), WithAlgorithm("midpoint"),
-				WithRounds(rounds), WithBackend(backend))
+	for _, path := range []struct {
+		name string
+		lib  *Library
+	}{{"agents", agentsOnlyLibrary(t)}, {"dense", nil}} {
+		t.Run(path.name, func(t *testing.T) {
+			replay, err := New(WithLibrary(path.lib), WithScenario(sch),
+				WithAlgorithm("midpoint"), WithRounds(rounds))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,8 +77,8 @@ func TestRecordedGreedyReplayExact(t *testing.T) {
 			}
 
 			// Per-round fingerprints through the engine-level replay.
-			if backend == BackendAgents {
-				c := core.NewConfig(alg, rec.Inputs())
+			if path.lib != nil {
+				c := core.NewConfig(core.AgentsOnly(alg), rec.Inputs())
 				for round := 1; round <= rounds; round++ {
 					c = c.Step(sch.At(round))
 					fp, _ := c.AppendFingerprint(nil)

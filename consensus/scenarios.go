@@ -464,7 +464,7 @@ func registerBuiltinScenarios() {
 }
 
 // WithScenario pins the session's per-round communication graphs to the
-// given schedule — the run becomes an exact, backend-independent replay.
+// given schedule — the run becomes an exact, path-independent replay.
 // It replaces the adversary (setting both errors) and fixes the agent
 // count when no model or inputs do.
 func WithScenario(s *scenario.Schedule) Option {
@@ -490,7 +490,7 @@ func WithScenarioSpec(spec string) Option {
 // RunRecorded is Run plus capture: it returns the completed run together
 // with the recorded schedule of the graphs actually played — adaptive
 // adversaries (greedy, blockgreedy) included — replayable exactly via
-// WithScenario on any backend.
+// WithScenario.
 func (s *Session) RunRecorded(ctx context.Context) (*Result, *scenario.Schedule, error) {
 	res, err := s.Run(ctx)
 	if err != nil {

@@ -190,6 +190,48 @@ func TestServerErrorsAndTimeout(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedModels sends every oversized model through
+// the run and sweep endpoints: each gets its own error, the sweep still
+// serves the good spec, and the handler never panics.
+func TestServerRejectsOversizedModels(t *testing.T) {
+	ts := httptest.NewServer(NewServer(ServerTimeout(time.Minute)))
+	defer ts.Close()
+	specs := make([]RunSpec, 0, len(oversizedModels)+1)
+	for _, m := range oversizedModels {
+		resp, _ := postJSON(t, ts, "/api/v1/run", `{"model": "`+m+`"}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("run %s status %d, want 400", m, resp.StatusCode)
+		}
+		specs = append(specs, RunSpec{Model: m, Rounds: 3})
+	}
+	specs = append(specs, RunSpec{Model: "deaf:4", Rounds: 3})
+	body, err := json.Marshal(map[string]any{"specs": specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := postJSON(t, ts, "/api/v1/sweep", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, out)
+	}
+	var got struct {
+		Results []SweepResult `json:"results"`
+	}
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != len(specs) {
+		t.Fatalf("%d results, want %d", len(got.Results), len(specs))
+	}
+	for i, m := range oversizedModels {
+		if got.Results[i].Err == "" {
+			t.Errorf("sweep accepted model %s", m)
+		}
+	}
+	if last := got.Results[len(specs)-1]; last.Err != "" || last.Summary == nil {
+		t.Errorf("good spec not served: %+v", last)
+	}
+}
+
 func TestServerHealthz(t *testing.T) {
 	ts := httptest.NewServer(NewServer())
 	defer ts.Close()

@@ -266,9 +266,9 @@ func (c *SweepCache) Insert(key string, s RunSummary) { c.put(key, s) }
 // engine's transposition tables are keyed by) plus every run parameter
 // that can change the outcome — including the identity of the resolving
 // registries, because two libraries may map one spec name to different
-// engines. The execution backend is deliberately absent — the backends
-// are differentially tested to be bit-identical. ok is false for
-// non-fingerprintable algorithms; those runs are never cached.
+// engines. The execution path is deliberately absent — the dense and
+// Agent paths are differentially tested to be bit-identical. ok is false
+// for non-fingerprintable algorithms; those runs are never cached.
 func (s *Session) cacheKey() (string, bool) {
 	ck, ok := s.contentKey()
 	if !ok {
@@ -322,9 +322,10 @@ func (s *Session) contentKey() ([]byte, bool) {
 // Fingerprint returns the session's content address: the hex SHA-256 of
 // the canonical registry-independent configuration key (see contentKey).
 // Two sessions with equal fingerprints produce bit-identical results on
-// any backend and any machine running the same build, so the fingerprint
-// keys the distributed result store and names shards. ok is false for
-// non-fingerprintable algorithms, whose runs are never content-addressed.
+// either execution path and any machine running the same build, so the
+// fingerprint keys the distributed result store and names shards. ok is
+// false for non-fingerprintable algorithms, whose runs are never
+// content-addressed.
 func (s *Session) Fingerprint() (string, bool) {
 	ck, ok := s.contentKey()
 	if !ok {
@@ -362,7 +363,6 @@ type SweepResult struct {
 type sweepConfig struct {
 	workers  int
 	cache    *SweepCache
-	backend  Backend
 	lib      *Library
 	batch    int
 	cacheCap int
@@ -441,11 +441,6 @@ func WithSweepCache(cache *SweepCache) SweepOption {
 	return func(c *sweepConfig) { c.cache = cache }
 }
 
-// SweepBackend pins the execution backend of every swept session.
-func SweepBackend(b Backend) SweepOption {
-	return func(c *sweepConfig) { c.backend = b }
-}
-
 // SweepLibrary resolves every swept spec against lib.
 func SweepLibrary(lib *Library) SweepOption {
 	return func(c *sweepConfig) { c.lib = lib }
@@ -500,12 +495,12 @@ func SweepCacheCapacity(n int) SweepOption {
 // agent count, round budget) tile and can run densely under an
 // oblivious pattern source are stepped together as one core.BatchRunner
 // per tile — graphs still drawn per run, collapsing to one shared
-// segmentation when every run plays the same graph — while adaptive or
-// agent-backend specs keep the per-session path. Tiles and leftover
-// singles are then executed over a bounded worker pool. Per-run outputs,
-// summaries, and cache fingerprints are byte-identical either way
-// (SweepBatchSize(1) forces the unbatched path; the differential tests
-// compare the two).
+// segmentation when every run plays the same graph — while adaptive
+// sources and algorithms without a dense stepper keep the per-session
+// path. Tiles and leftover singles are then executed over a bounded
+// worker pool. Per-run outputs, summaries, and cache fingerprints are
+// byte-identical either way (SweepBatchSize(1) forces the unbatched
+// path; the differential tests compare the two).
 func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepResult, error) {
 	cfg := sweepConfig{workers: runtime.GOMAXPROCS(0), batch: DefaultSweepBatch}
 	for _, opt := range opts {
@@ -674,9 +669,6 @@ func (t *sweepTask) prepare(ctx context.Context, spec RunSpec, index int, cfg *s
 	if cfg.lib != nil {
 		extra = append(extra, WithLibrary(cfg.lib))
 	}
-	if cfg.backend != "" {
-		extra = append(extra, WithBackend(cfg.backend))
-	}
 	sessionSpec := spec
 	if spec.Scenario != "" {
 		// Resolve through the sweep-wide memo and hand the session the
@@ -713,8 +705,7 @@ func (t *sweepTask) prepare(ctx context.Context, spec RunSpec, index int, cfg *s
 		return
 	}
 	t.src = src
-	if _, denseOK := core.AsDense(session.alg); denseOK &&
-		session.resolveBackend().DenseEnabled() && core.IsOblivious(src) {
+	if _, denseOK := core.AsDense(session.alg); denseOK && core.IsOblivious(src) {
 		t.batchable = true
 	}
 }
@@ -782,7 +773,7 @@ func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 		return
 	}
 	s := t.session
-	tr, err := core.RunBackendCtx(ctx, s.alg, s.inputs, t.src, s.rounds, s.resolveBackend())
+	tr, err := core.RunCtx(ctx, s.alg, s.inputs, t.src, s.rounds)
 	if err != nil {
 		t.fail(err)
 		return

@@ -36,9 +36,9 @@ func batchSweepSpecs() []RunSpec {
 // differential at the sweep layer: the tiled execution must produce
 // results deep-equal (bit-identical floats included) to the
 // goroutine-per-run path, across shared-graph tiles, per-run-graph
-// tiles, adaptive fallbacks, and failures. It runs under whatever
-// backend the process is started with, so the agents-backend CI job
-// covers the all-fallback case.
+// tiles, adaptive fallbacks, and failures. The same specs resolved
+// against an AgentsOnly library, where every spec falls back to the
+// per-session Agent path, must give the same results too.
 func TestSweepBatchMatchesSingle(t *testing.T) {
 	specs := batchSweepSpecs()
 	ctx := context.Background()
@@ -50,13 +50,21 @@ func TestSweepBatchMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(single) != len(batched) {
-		t.Fatalf("result count differs: %d vs %d", len(single), len(batched))
+	agents, err := Sweep(ctx, specs, WithSweepCache(NewSweepCache()), SweepLibrary(agentsOnlyLibrary(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single) != len(batched) || len(single) != len(agents) {
+		t.Fatalf("result count differs: %d vs %d vs %d", len(single), len(batched), len(agents))
 	}
 	for i := range single {
 		if !reflect.DeepEqual(single[i], batched[i]) {
 			t.Errorf("spec %d: batched result differs\nsingle:  %+v %+v\nbatched: %+v %+v",
 				i, single[i], summaryOf(single[i]), batched[i], summaryOf(batched[i]))
+		}
+		if !reflect.DeepEqual(single[i], agents[i]) {
+			t.Errorf("spec %d: agent-path result differs\nsingle: %+v %+v\nagents: %+v %+v",
+				i, single[i], summaryOf(single[i]), agents[i], summaryOf(agents[i]))
 		}
 	}
 }
@@ -146,8 +154,8 @@ func TestSweepTileKeyDistinguishesParameterizations(t *testing.T) {
 
 // TestDecisionSweepBatchParity compares the batch-plane decision sweep
 // (one shared trajectory sampled at every decision round) against the
-// sequential per-ε path on the agents backend: every point must be
-// deep-equal.
+// sequential per-ε path on the Agent path (an AgentsOnly library): every
+// point must be deep-equal.
 func TestDecisionSweepBatchParity(t *testing.T) {
 	req := DecisionRequest{
 		Model:       "deaf:5",
@@ -161,12 +169,7 @@ func TestDecisionSweepBatchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := SetProcessBackend(BackendAgents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _, _ = SetProcessBackend(prev) }()
-	sequential, err := DecisionSweep(ctx, req)
+	sequential, err := DecisionSweep(ctx, req, QueryLibrary(agentsOnlyLibrary(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,3 +95,30 @@ func TestSweepSeedsDiffer(t *testing.T) {
 		t.Errorf("cache entries = %d, want 2", entries)
 	}
 }
+
+// oversizedModels are model specs whose construction used to panic (node
+// counts past graph.MaxNodes) or run without bound (the enumerated
+// asynchronous families).
+var oversizedModels = []string{"deaf:1025", "psi:1025", "na:63,1", "asyncchain:1000,1"}
+
+// TestSweepRejectsOversizedModels checks that each oversized model fails
+// its own spec with an error, while its neighbour in the same sweep is
+// still served.
+func TestSweepRejectsOversizedModels(t *testing.T) {
+	for _, m := range oversizedModels {
+		if _, err := NewSession(RunSpec{Model: m}); err == nil {
+			t.Errorf("NewSession accepted model %s", m)
+		}
+		specs := []RunSpec{{Model: m, Rounds: 3}, {Model: "deaf:4", Rounds: 3}}
+		results, err := Sweep(context.Background(), specs, WithSweepCache(NewSweepCache()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[0].Err == "" {
+			t.Errorf("sweep accepted model %s", m)
+		}
+		if results[1].Err != "" || results[1].Summary == nil {
+			t.Errorf("neighbour of %s not served: %+v", m, results[1])
+		}
+	}
+}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/graph"
 )
 
-// This file implements the dense struct-of-arrays backend
+// This file implements the dense struct-of-arrays path
 // (core.DenseAlgorithm) for every algorithm in the package, plus the
 // agent<->dense state bridges (core.DenseStateWriter/Reader) and the dense
 // fingerprints that keep the valency engine's transposition tables shared
-// between backends.
+// between the dense and Agent paths.
 //
 // Bit-identity contract: each stepper performs exactly the float
 // operations of the corresponding Agent's Deliver, visiting senders in

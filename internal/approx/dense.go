@@ -8,7 +8,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Dense backend support for the deciding wrapper. The wrapper adds one
+// Dense-path support for the deciding wrapper. The wrapper adds one
 // auxiliary plane — the write-once decision variable, NaN (⊥) until the
 // decision round — after the inner algorithm's planes; the inner stepper
 // runs on the same state and never touches the extra plane.

@@ -27,8 +27,8 @@ func TestDecidingDenseMatchesAgents(t *testing.T) {
 		mk := func() core.PatternSource {
 			return core.RandomFromModel{Model: m, Rng: rand.New(rand.NewSource(3))}
 		}
-		agents := core.RunBackend(alg, inputs, mk(), 15, core.BackendAgents)
-		dense := core.RunBackend(alg, inputs, mk(), 15, core.BackendDense)
+		agents := core.Run(core.AgentsOnly(alg), inputs, mk(), 15)
+		dense := core.Run(alg, inputs, mk(), 15)
 		for round := range agents.Outputs {
 			for i := range agents.Outputs[round] {
 				a, d := agents.Outputs[round][i], dense.Outputs[round][i]
@@ -38,7 +38,7 @@ func TestDecidingDenseMatchesAgents(t *testing.T) {
 			}
 		}
 		// The materialized final configuration must carry the decision state:
-		// Decisions and CheckRun see no difference between the backends.
+		// Decisions and CheckRun see no difference between the paths.
 		av, aok := approx.Decisions(agents.Final)
 		dv, dok := approx.Decisions(dense.Final)
 		for i := range av {
@@ -57,25 +57,12 @@ func TestDecidingDenseMatchesAgents(t *testing.T) {
 // plumbing: wrapping a non-dense inner algorithm yields no dense view and
 // Run silently stays on the Agent path.
 func TestDecidingDenseUnavailableForOpaqueInner(t *testing.T) {
-	opaque := opaqueAlgorithm{algorithms.Midpoint{}}
-	alg := approx.DecidingAlgorithm{Inner: opaque, DecisionRound: 2}
+	alg := approx.DecidingAlgorithm{Inner: core.AgentsOnly(algorithms.Midpoint{}), DecisionRound: 2}
 	if _, ok := core.AsDense(alg); ok {
 		t.Fatal("deciding wrapper claims dense support for an opaque inner algorithm")
 	}
-	tr := core.RunBackend(alg, []float64{0, 1}, core.Fixed{G: graph.Complete(2)}, 4, core.BackendDense)
+	tr := core.Run(alg, []float64{0, 1}, core.Fixed{G: graph.Complete(2)}, 4)
 	if err := approx.CheckRun(tr, 1.0); err != nil {
 		t.Fatalf("agent-path fallback broke the deciding run: %v", err)
 	}
-}
-
-// opaqueAlgorithm hides the dense capability of the algorithm it wraps
-// (no embedding: promoted methods would re-expose the capability).
-type opaqueAlgorithm struct{ inner algorithms.Midpoint }
-
-func (opaqueAlgorithm) Name() string { return "opaque-midpoint" }
-
-func (o opaqueAlgorithm) Convex() bool { return o.inner.Convex() }
-
-func (o opaqueAlgorithm) NewAgent(id, n int, initial float64) core.Agent {
-	return o.inner.NewAgent(id, n, initial)
 }

@@ -118,7 +118,7 @@ func NewConfig(alg Algorithm, inputs []float64) *Config {
 }
 
 // Algorithm returns the algorithm the configuration was created for, or
-// nil for hand-assembled configurations. The dense execution backend uses
+// nil for hand-assembled configurations. The dense execution path uses
 // it to locate the flat-state stepper matching the agents.
 func (c *Config) Algorithm() Algorithm { return c.alg }
 

@@ -2,23 +2,22 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
-// This file implements the dense struct-of-arrays execution backend: flat
+// This file implements the dense struct-of-arrays execution path: flat
 // float64 state stepped directly against the graph's in-neighbor bitmasks,
 // with no Message structs, no per-agent cloning, and no virtual dispatch
 // in the inner loop. The interface-based Agent path remains the reference
 // semantics; dense steppers are required to reproduce it bit-for-bit
-// (asserted by the differential tests in internal/algorithms and
-// internal/exp), so the two backends are interchangeable everywhere.
+// (asserted by the differential tests, which reach the Agent path through
+// AgentsOnly), so the runtime picks a path by capability alone: dense when
+// AsDense succeeds and the pattern source is oblivious, agents otherwise.
 
-// DenseState is the flat state of a configuration under the dense
-// backend: the value vector Y plus a fixed number of auxiliary planes,
-// each a []float64 with one entry per agent (struct-of-arrays layout).
+// DenseState is the flat state of a configuration on the dense path:
+// the value vector Y plus a fixed number of auxiliary planes, each a
+// []float64 with one entry per agent (struct-of-arrays layout).
 // Plane k of an n-agent state occupies Aux[k*n : (k+1)*n].
 //
 // A DenseState is trivially forkable: CopyFrom duplicates it with two
@@ -81,7 +80,7 @@ func (st *DenseState) CopyFrom(src *DenseState) {
 	copy(st.Aux, src.Aux)
 }
 
-// DenseAlgorithm is the dense-backend capability of an Algorithm: a
+// DenseAlgorithm is the dense-path capability of an Algorithm: a
 // stepper over flat state. Implementations must be bit-identical to the
 // algorithm's Agent path — same float operations in the same order per
 // agent, with senders visited in ascending index (the order Deliver
@@ -126,10 +125,23 @@ func AsDense(alg Algorithm) (DenseAlgorithm, bool) {
 	return nil, false
 }
 
+// AgentsOnly returns alg with its dense capability hidden: AsDense fails
+// on the result, so Run, RunConfig, the vector runner, the valency settle
+// loops and wrappers such as the deciding algorithm all step it on the
+// Agent path. Name, convexity and agents are alg's own, so fingerprints
+// and traces are directly comparable with the dense path's. Differential
+// tests use it to reach the reference oracle.
+func AgentsOnly(alg Algorithm) Algorithm { return agentsOnly{alg} }
+
+// agentsOnly embeds only the Algorithm interface, so none of the wrapped
+// value's optional capabilities (DenseAlgorithm, DenseProvider) are
+// promoted.
+type agentsOnly struct{ Algorithm }
+
 // DenseStateWriter is an optional Agent capability: the agent writes its
 // complete state into column i of a dense state shaped for its algorithm
 // and reports whether it could (wrappers return false when their inner
-// agent cannot). It bridges agent configurations into the dense backend
+// agent cannot). It bridges agent configurations into the dense path
 // (Config.WriteDense).
 type DenseStateWriter interface {
 	WriteDense(st *DenseState, i int) bool
@@ -319,77 +331,3 @@ func (r *DenseRunner) Fork() *DenseRunner {
 
 // Config materializes the runner's state as an agent configuration.
 func (r *DenseRunner) Config() *Config { return MaterializeDense(r.alg, r.cur) }
-
-// Backend selects the execution engine used by Run, RunConfig, the vector
-// runner, and the valency settle loops.
-type Backend uint32
-
-const (
-	// BackendAuto uses the dense kernel whenever the algorithm and pattern
-	// source support it and falls back to the Agent path otherwise. It is
-	// the default: the backends are differentially tested to be
-	// bit-identical, so auto-selection is observable only in speed.
-	BackendAuto Backend = iota
-	// BackendAgents forces the interface-based Agent path everywhere — the
-	// reference oracle.
-	BackendAgents
-	// BackendDense behaves like BackendAuto (dense where supported); it
-	// exists so command-line flags can state the intent explicitly.
-	BackendDense
-)
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendAgents:
-		return "agents"
-	case BackendDense:
-		return "dense"
-	default:
-		return fmt.Sprintf("backend(%d)", uint32(b))
-	}
-}
-
-// ParseBackend parses "auto", "agents", or "dense".
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "auto", "":
-		return BackendAuto, nil
-	case "agents":
-		return BackendAgents, nil
-	case "dense":
-		return BackendDense, nil
-	default:
-		return BackendAuto, fmt.Errorf("core: unknown backend %q (want auto|agents|dense)", s)
-	}
-}
-
-// DenseEnabled reports whether the backend permits the dense kernel.
-func (b Backend) DenseEnabled() bool { return b != BackendAgents }
-
-var defaultBackend atomic.Uint32
-
-func init() {
-	if s, ok := os.LookupEnv("REPRO_BACKEND"); ok {
-		b, err := ParseBackend(s)
-		if err != nil {
-			// Fail fast: silently ignoring a typo here would make backend-
-			// forcing CI jobs (REPRO_BACKEND=agents go test ...) re-run the
-			// default backend and pass vacuously.
-			panic(fmt.Sprintf("core: invalid REPRO_BACKEND: %v", err))
-		}
-		defaultBackend.Store(uint32(b))
-	}
-}
-
-// CurrentBackend returns the process-wide default backend.
-func CurrentBackend() Backend { return Backend(defaultBackend.Load()) }
-
-// SetDefaultBackend sets the process-wide default backend (also settable
-// via the REPRO_BACKEND environment variable before start-up) and returns
-// the previous value.
-func SetDefaultBackend(b Backend) Backend {
-	return Backend(defaultBackend.Swap(uint32(b)))
-}

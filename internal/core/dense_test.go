@@ -11,46 +11,6 @@ import (
 	"repro/internal/model"
 )
 
-func TestBackendParseAndString(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want core.Backend
-	}{
-		{"auto", core.BackendAuto},
-		{"", core.BackendAuto},
-		{"agents", core.BackendAgents},
-		{"dense", core.BackendDense},
-	} {
-		got, err := core.ParseBackend(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := core.ParseBackend("simd"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
-	}
-	if core.BackendAgents.DenseEnabled() {
-		t.Error("agents backend claims dense enabled")
-	}
-	if !core.BackendAuto.DenseEnabled() || !core.BackendDense.DenseEnabled() {
-		t.Error("auto/dense backends claim dense disabled")
-	}
-	if core.BackendAuto.String() != "auto" || core.BackendAgents.String() != "agents" || core.BackendDense.String() != "dense" {
-		t.Error("Backend String values wrong")
-	}
-}
-
-func TestSetDefaultBackendRoundTrip(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendAgents)
-	defer core.SetDefaultBackend(prev)
-	if core.CurrentBackend() != core.BackendAgents {
-		t.Fatal("SetDefaultBackend did not take effect")
-	}
-	if got := core.SetDefaultBackend(core.BackendDense); got != core.BackendAgents {
-		t.Fatalf("SetDefaultBackend returned %v, want agents", got)
-	}
-}
-
 func TestObliviousSources(t *testing.T) {
 	m := model.TwoAgent()
 	for _, src := range []core.PatternSource{
@@ -74,11 +34,23 @@ func TestObliviousSources(t *testing.T) {
 	}
 }
 
-// TestRunBackendsBitIdentical pins Run's two backends against each other
-// on every kind of oblivious source, and checks that an adaptive source
-// under the dense backend safely falls back to the Agent path instead of
-// receiving a nil configuration.
-func TestRunBackendsBitIdentical(t *testing.T) {
+// TestRunPathsBitIdentical pins Run's two paths against each other on
+// every kind of oblivious source — the Agent path reached through
+// AgentsOnly, the dense path by capability — and checks that an adaptive
+// source safely takes the Agent path instead of receiving a nil
+// configuration.
+func TestRunPathsBitIdentical(t *testing.T) {
+	var alg core.Algorithm = algorithms.Midpoint{}
+	oracle := core.AgentsOnly(alg)
+	if _, ok := core.AsDense(oracle); ok {
+		t.Fatal("AgentsOnly must hide the dense stepper")
+	}
+	if _, ok := core.DenseRunnerFromConfig(core.NewConfig(oracle, []float64{0, 1})); ok {
+		t.Fatal("an AgentsOnly configuration must not bridge into the dense path")
+	}
+	if oracle.Name() != alg.Name() || oracle.Convex() != alg.Convex() {
+		t.Fatal("AgentsOnly must keep the algorithm's name and convexity")
+	}
 	inputs := []float64{0, 1, 0.25, 0.75, 0.5}
 	m := model.DeafModel(graph.Complete(5))
 	newSources := func() []func() core.PatternSource {
@@ -91,11 +63,11 @@ func TestRunBackendsBitIdentical(t *testing.T) {
 		}
 	}
 	for _, mk := range newSources() {
-		agents := core.RunBackend(algorithms.Midpoint{}, inputs, mk(), 40, core.BackendAgents)
-		dense := core.RunBackend(algorithms.Midpoint{}, inputs, mk(), 40, core.BackendDense)
+		agents := core.Run(oracle, inputs, mk(), 40)
+		dense := core.Run(alg, inputs, mk(), 40)
 		assertTracesEqual(t, agents, dense)
 	}
-	// Adaptive source: both selections must take the Agent path and agree.
+	// Adaptive source: both must take the Agent path and agree.
 	adaptive := func() core.PatternSource {
 		return core.Func(func(round int, c *core.Config) graph.Graph {
 			if c.Output(0) < c.Output(4) {
@@ -104,8 +76,8 @@ func TestRunBackendsBitIdentical(t *testing.T) {
 			return graph.Complete(5)
 		})
 	}
-	agents := core.RunBackend(algorithms.Midpoint{}, inputs, adaptive(), 20, core.BackendAgents)
-	dense := core.RunBackend(algorithms.Midpoint{}, inputs, adaptive(), 20, core.BackendDense)
+	agents := core.Run(oracle, inputs, adaptive(), 20)
+	dense := core.Run(alg, inputs, adaptive(), 20)
 	assertTracesEqual(t, agents, dense)
 }
 
@@ -132,18 +104,23 @@ func assertTracesEqual(t *testing.T, a, b *core.Trace) {
 	}
 }
 
-// TestRunConfigBackendContinuation continues a half-run configuration
-// under both backends and pins the traces against each other.
-func TestRunConfigBackendContinuation(t *testing.T) {
+// TestRunConfigPathsContinuation continues a half-run configuration
+// on both paths and pins the traces against each other.
+func TestRunConfigPathsContinuation(t *testing.T) {
 	inputs := []float64{0, 1, 0.5, 0.25}
-	c := core.NewConfig(algorithms.AmortizedMidpoint{}, inputs)
 	pool := model.DeafModel(graph.Complete(4)).Graphs()
-	for _, g := range pool[:2] {
-		c = c.Step(g)
+	halfRun := func(alg core.Algorithm) *core.Config {
+		c := core.NewConfig(alg, inputs)
+		for _, g := range pool[:2] {
+			c = c.Step(g)
+		}
+		return c
 	}
+	var alg core.Algorithm = algorithms.AmortizedMidpoint{}
+	c := halfRun(alg)
 	src := func() core.PatternSource { return core.Cycle{Graphs: pool} }
-	agents := core.RunConfigBackend("amid", c, src(), 30, core.BackendAgents)
-	dense := core.RunConfigBackend("amid", c, src(), 30, core.BackendDense)
+	agents := core.RunConfig("amid", halfRun(core.AgentsOnly(alg)), src(), 30)
+	dense := core.RunConfig("amid", c, src(), 30)
 	assertTracesEqual(t, agents, dense)
 	if got := agents.Final.Round(); got != c.Round()+30 {
 		t.Fatalf("final round %d, want %d", got, c.Round()+30)

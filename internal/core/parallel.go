@@ -19,8 +19,8 @@ import (
 // goroutine itself.
 //
 // Determinism contract: a parallel step stores exactly the bytes the
-// sequential step stores, at every parallelism level, on both
-// backends. Three properties make worker scheduling unobservable:
+// sequential step stores, at every parallelism level, for every
+// stepper. Three properties make worker scheduling unobservable:
 //
 //  1. Disjoint writes. A run-range task writes only its own runs' rows
 //     of the back buffer (and hull slots); a segment-range task writes
@@ -58,8 +58,8 @@ func init() {
 		}
 		k, err := strconv.Atoi(s)
 		if err != nil || k < 1 {
-			// Fail fast, like REPRO_BACKEND: a typo silently falling back
-			// to sequential stepping would make parallel gates vacuous.
+			// Fail fast: a typo silently falling back to sequential
+			// stepping would make parallel gates vacuous.
 			panic(fmt.Sprintf("core: invalid REPRO_BATCH_PARALLELISM %q (want auto or an integer >= 1)", s))
 		}
 		rawBatchPar.Store(int32(k))

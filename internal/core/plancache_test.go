@@ -101,7 +101,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 // TestPlanCacheThrashParity steps per-run lasso schedules through a
 // deliberately tiny plan cache — every round churns builds, evictions,
 // and storage recycling — and checks the outputs stay bit-identical to
-// the single-run backends. This is the hostile many-distinct-graph case
+// single runs on both paths. This is the hostile many-distinct-graph case
 // the cache bound exists for.
 func TestPlanCacheThrashParity(t *testing.T) {
 	const n, B, rounds = 5, 6, 24
@@ -135,12 +135,12 @@ func TestPlanCacheThrashParity(t *testing.T) {
 	out := make([]float64, n)
 	for i := 0; i < B; i++ {
 		br.Outputs(i, out)
-		for _, backend := range []core.Backend{core.BackendAgents, core.BackendDense} {
-			tr := core.RunBackend(alg, inputs[i], srcs[i], rounds, backend)
+		for k, single := range []core.Algorithm{core.AgentsOnly(alg), alg} {
+			tr := core.Run(single, inputs[i], srcs[i], rounds)
 			got := tr.Outputs[rounds]
 			for j := range got {
 				if math.Float64bits(got[j]) != math.Float64bits(out[j]) {
-					t.Fatalf("run %d agent %d backend %v: single %v != batch %v", i, j, backend, got[j], out[j])
+					t.Fatalf("run %d agent %d (%s path): single %v != batch %v", i, j, [...]string{"agents", "dense"}[k], got[j], out[j])
 				}
 			}
 		}
@@ -186,7 +186,7 @@ func TestPlanCacheCompact(t *testing.T) {
 	for w, i := range []int{0, 2, 4} {
 		br.Outputs(w, out)
 		src := core.Schedule{Prefix: []graph.Graph{gs[i]}}
-		tr := core.RunBackend(alg, inputs[i], src, 4, core.BackendDense)
+		tr := core.Run(alg, inputs[i], src, 4)
 		got := tr.Outputs[4]
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(out[j]) {

@@ -23,7 +23,7 @@ type PatternSource interface {
 // Oblivious is an optional PatternSource capability marking sources whose
 // Next ignores the configuration argument (benign schedulers, in the
 // terminology of the paper's upper bounds). Only oblivious sources can
-// drive the dense backend, which has no *Config to offer and passes nil;
+// drive the dense path, which has no *Config to offer and passes nil;
 // adaptive adversaries keep the Agent path.
 type Oblivious interface {
 	// ObliviousSource reports that Next never reads its Config argument.
@@ -38,7 +38,7 @@ func obliviousSource(src PatternSource) bool {
 
 // IsOblivious reports whether src declares itself configuration-
 // independent (see Oblivious); only such sources can drive the dense
-// backend.
+// path.
 func IsOblivious(src PatternSource) bool { return obliviousSource(src) }
 
 // Fixed is a PatternSource that plays the same graph every round — the
@@ -106,7 +106,7 @@ func (f Func) Next(round int, c *Config) graph.Graph { return f(round, c) }
 
 // ObliviousFunc adapts a configuration-independent function to a
 // PatternSource that declares itself Oblivious, so it can drive the dense
-// backend (random schedulers drawing graphs from their own RNG, say).
+// path (random schedulers drawing graphs from their own RNG, say).
 type ObliviousFunc func(round int) graph.Graph
 
 // Next implements PatternSource.
@@ -128,26 +128,21 @@ type Trace struct {
 }
 
 // Run executes alg from the given inputs for the given number of rounds,
-// drawing graphs from src, and returns the trace. The execution backend
-// is CurrentBackend(): with the dense backend enabled (the default) and a
-// dense-capable algorithm under an oblivious source, the round loop runs
-// on flat struct-of-arrays state; the result is bit-identical either way.
+// drawing graphs from src, and returns the trace. A dense-capable
+// algorithm (AsDense) under an oblivious source runs on flat
+// struct-of-arrays state, anything else on the Agent path; the result is
+// bit-identical either way.
 func Run(alg Algorithm, inputs []float64, src PatternSource, rounds int) *Trace {
-	return RunBackend(alg, inputs, src, rounds, CurrentBackend())
-}
-
-// RunBackend is Run with an explicit backend selection.
-func RunBackend(alg Algorithm, inputs []float64, src PatternSource, rounds int, backend Backend) *Trace {
-	tr, _ := RunBackendCtx(context.Background(), alg, inputs, src, rounds, backend)
+	tr, _ := RunCtx(context.Background(), alg, inputs, src, rounds)
 	return tr
 }
 
-// RunBackendCtx is RunBackend with cooperative cancellation: the round
-// loop checks ctx between rounds and returns (nil, ctx.Err()) when the
-// context is done. A context that can never be cancelled (nil Done
-// channel, e.g. context.Background) adds no per-round work.
-func RunBackendCtx(ctx context.Context, alg Algorithm, inputs []float64, src PatternSource, rounds int, backend Backend) (*Trace, error) {
-	if backend.DenseEnabled() && obliviousSource(src) {
+// RunCtx is Run with cooperative cancellation: the round loop checks ctx
+// between rounds and returns (nil, ctx.Err()) when the context is done.
+// A context that can never be cancelled (nil Done channel, e.g.
+// context.Background) adds no per-round work.
+func RunCtx(ctx context.Context, alg Algorithm, inputs []float64, src PatternSource, rounds int) (*Trace, error) {
+	if obliviousSource(src) {
 		if d, ok := AsDense(alg); ok {
 			return runDense(ctx, alg.Name(), NewDenseRunner(d, inputs), src, rounds)
 		}
@@ -155,22 +150,17 @@ func RunBackendCtx(ctx context.Context, alg Algorithm, inputs []float64, src Pat
 	return runAgents(ctx, alg.Name(), NewConfig(alg, inputs), src, rounds)
 }
 
-// RunConfig continues an execution from an existing configuration, again
-// selecting the backend via CurrentBackend().
+// RunConfig continues an execution from an existing configuration,
+// choosing the path the same way Run does.
 func RunConfig(name string, c *Config, src PatternSource, rounds int) *Trace {
-	return RunConfigBackend(name, c, src, rounds, CurrentBackend())
-}
-
-// RunConfigBackend is RunConfig with an explicit backend selection.
-func RunConfigBackend(name string, c *Config, src PatternSource, rounds int, backend Backend) *Trace {
-	tr, _ := RunConfigBackendCtx(context.Background(), name, c, src, rounds, backend)
+	tr, _ := RunConfigCtx(context.Background(), name, c, src, rounds)
 	return tr
 }
 
-// RunConfigBackendCtx is RunConfigBackend with cooperative cancellation,
-// with the same contract as RunBackendCtx.
-func RunConfigBackendCtx(ctx context.Context, name string, c *Config, src PatternSource, rounds int, backend Backend) (*Trace, error) {
-	if backend.DenseEnabled() && obliviousSource(src) {
+// RunConfigCtx is RunConfig with cooperative cancellation, with the same
+// contract as RunCtx.
+func RunConfigCtx(ctx context.Context, name string, c *Config, src PatternSource, rounds int) (*Trace, error) {
+	if obliviousSource(src) {
 		if r, ok := DenseRunnerFromConfig(c); ok {
 			return runDense(ctx, name, r, src, rounds)
 		}
@@ -178,7 +168,7 @@ func RunConfigBackendCtx(ctx context.Context, name string, c *Config, src Patter
 	return runAgents(ctx, name, c, src, rounds)
 }
 
-// runAgents is the interface-based round loop — the reference backend.
+// runAgents is the interface-based round loop — the reference path.
 func runAgents(ctx context.Context, name string, c *Config, src PatternSource, rounds int) (*Trace, error) {
 	if rounds < 0 {
 		panic(fmt.Sprintf("core: negative round count %d", rounds))

@@ -15,7 +15,7 @@ import (
 // horizon deterministically.
 //
 // A Schedule is oblivious by construction — the graph of round t is a
-// pure function of t — so schedule-driven runs take the dense backend and
+// pure function of t — so schedule-driven runs take the dense path and
 // batch onto the batched execution plane (per-run schedules included).
 type Schedule struct {
 	Prefix []graph.Graph
@@ -52,7 +52,7 @@ func (Schedule) ObliviousSource() bool { return true }
 // the last round. Rounds in which every source plays the same graph take
 // the shared-segmentation fast path automatically.
 //
-// It is the batch counterpart of RunBackendCtx for schedule-driven
+// It is the batch counterpart of RunCtx for schedule-driven
 // workloads: a scenario sweep is one RunBatch call instead of B round
 // loops. Every source must be oblivious (it is handed a nil Config);
 // non-oblivious sources are a programmer error and panic.

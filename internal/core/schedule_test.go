@@ -39,8 +39,8 @@ func TestScheduleIsOblivious(t *testing.T) {
 }
 
 // TestRunBatchMatchesSingleRuns drives B runs with distinct per-run
-// schedules through RunBatch and through individual Run calls under both
-// backends; outputs must be bit-identical.
+// schedules through RunBatch and through individual Run calls on both
+// paths; outputs must be bit-identical.
 func TestRunBatchMatchesSingleRuns(t *testing.T) {
 	const n, B, rounds = 5, 7, 13
 	alg := algorithms.Midpoint{}
@@ -64,12 +64,12 @@ func TestRunBatchMatchesSingleRuns(t *testing.T) {
 	out := make([]float64, n)
 	for i := 0; i < B; i++ {
 		br.Outputs(i, out)
-		for _, backend := range []core.Backend{core.BackendAgents, core.BackendDense} {
-			tr := core.RunBackend(alg, inputs[i], srcs[i], rounds, backend)
+		for k, single := range []core.Algorithm{core.AgentsOnly(alg), alg} {
+			tr := core.Run(single, inputs[i], srcs[i], rounds)
 			got := tr.Outputs[rounds]
 			for j := range got {
 				if math.Float64bits(got[j]) != math.Float64bits(out[j]) {
-					t.Fatalf("run %d agent %d backend %v: single %v != batch %v", i, j, backend, got[j], out[j])
+					t.Fatalf("run %d agent %d (%s path): single %v != batch %v", i, j, [...]string{"agents", "dense"}[k], got[j], out[j])
 				}
 			}
 		}

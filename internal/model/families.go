@@ -66,11 +66,26 @@ func AllNonSplit(n int) (*Model, error) {
 // sub-model is a legal round-based asynchronous execution with up to f
 // crashes (Section 8.1), and contraction lower bounds computed for it
 // apply to round-based algorithms per Theorem 6's argument.
+//
+// The model has q²+1 members (q² for f = 1: the first chain's first
+// mixture is the complete graph again), so it is available only while
+// that is at most maxMembers (asyncchain:64,1 is exactly at the cap);
+// larger requests are refused before any graph is built.
 func AsyncChain(n, f int) (*Model, error) {
 	if f < 1 || 2*f >= n {
 		return nil, fmt.Errorf("model: AsyncChain requires 0 < f < n/2, got n=%d f=%d", n, f)
 	}
 	q := graph.NumBlocks(n, f)
+	// The q+1 anchors and the q-1 inner mixtures of each of the q chains
+	// are pairwise distinct, except the f = 1 duplicate noted above; the
+	// witnesses are the anchors again.
+	members := q*q + 1
+	if f == 1 {
+		members--
+	}
+	if members > maxMembers {
+		return nil, fmt.Errorf("model: AsyncChain(%d,%d) has %d members, more than %d", n, f, members, maxMembers)
+	}
 	anchors := make([]graph.Graph, 0, q+1)
 	anchors = append(anchors, graph.Complete(n))
 	for r := 0; r < q; r++ {
@@ -89,25 +104,40 @@ func AsyncChain(n, f int) (*Model, error) {
 	return New(all...)
 }
 
+// maxMembers caps the member count of the enumerated model families
+// (AsyncChain, FullAsyncRound).
+const maxMembers = 4096
+
 // FullAsyncRound returns the complete asynchronous-round model N_A(n, f):
 // every communication graph with minimum in-degree >= n-f. The member
 // count is (sum_{k<=f} C(n-1,k))^n, so this is only available when that
-// count is at most 4096 (e.g. n=4 f=1: 256 graphs; n=5 f=1: 3125). For
-// these models Lemma 24 gives alpha-diameter <= ⌈n/f⌉ and Theorem 6 the
-// 1/(⌈n/f⌉+1) round-based contraction bound; the exact diameter is
-// computed, not assumed.
+// count is at most maxMembers (e.g. n=4 f=1: 256 graphs; n=5 f=1: 3125);
+// the count is checked before anything is enumerated. For these models
+// Lemma 24 gives alpha-diameter <= ⌈n/f⌉ and Theorem 6 the 1/(⌈n/f⌉+1)
+// round-based contraction bound; the exact diameter is computed, not
+// assumed.
 func FullAsyncRound(n, f int) (*Model, error) {
 	if f < 1 || f >= n {
 		return nil, fmt.Errorf("model: FullAsyncRound requires 0 < f < n, got n=%d f=%d", n, f)
 	}
-	// The subset enumeration below shifts 1<<n, and the member count is
-	// astronomically over the 4096 cap long before n = 64 anyway; reject
-	// wide n up front instead of silently enumerating an empty range.
-	if n > 64 {
-		return nil, fmt.Errorf("model: FullAsyncRound supports n <= 64, got %d", n)
+	// Each node independently fails to hear at most f of the n-1 others:
+	// choices = sum_{k<=f} C(n-1,k) per node, choices^n members. Both
+	// loops stop as soon as a partial count passes the cap.
+	choices, binom := 0, 1 // binom = C(n-1, k)
+	for k := 0; k <= f && choices <= maxMembers; k++ {
+		choices += binom
+		binom = binom * (n - 1 - k) / (k + 1)
+	}
+	total := 1
+	for i := 0; i < n && total <= maxMembers; i++ {
+		total *= choices
+	}
+	if choices > maxMembers || total > maxMembers {
+		return nil, fmt.Errorf("model: FullAsyncRound(%d,%d) would enumerate more than %d graphs", n, f, maxMembers)
 	}
 	// Per node i: the legal sets of senders i may fail to hear — at most f
-	// of them, never i itself.
+	// of them, never i itself. choices^n <= maxMembers with choices >= n
+	// keeps n tiny here, so 1<<n cannot overflow.
 	perNode := make([][]uint64, n)
 	limit := uint64(1) << uint(n)
 	for i := 0; i < n; i++ {
@@ -115,13 +145,6 @@ func FullAsyncRound(n, f int) (*Model, error) {
 			if bits.OnesCount64(m) <= f && m&(1<<uint(i)) == 0 {
 				perNode[i] = append(perNode[i], m)
 			}
-		}
-	}
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= len(perNode[i])
-		if total > 4096 {
-			return nil, fmt.Errorf("model: FullAsyncRound(%d,%d) would enumerate more than 4096 graphs", n, f)
 		}
 	}
 	choice := make([]int, n)

@@ -397,6 +397,46 @@ func TestFullAsyncRoundModel(t *testing.T) {
 	}
 }
 
+// TestAsyncFamiliesBoundedWork pins the member counts the async model
+// families are capped by and checks that requests past the cap are
+// refused before any enumeration: before the closed-form checks,
+// FullAsyncRound(63,1) scanned 2^63 subsets per node and
+// AsyncChain(1000,1) built a million graphs.
+func TestAsyncFamiliesBoundedWork(t *testing.T) {
+	for n := 3; n <= 20; n++ {
+		for f := 1; 2*f < n; f++ {
+			m, err := AsyncChain(n, f)
+			if err != nil {
+				t.Fatalf("AsyncChain(%d,%d): %v", n, f, err)
+			}
+			q := graph.NumBlocks(n, f)
+			want := q*q + 1
+			if f == 1 {
+				want = q * q
+			}
+			if m.Size() != want {
+				t.Fatalf("AsyncChain(%d,%d) has %d members, want %d", n, f, m.Size(), want)
+			}
+		}
+	}
+	if m, err := AsyncChain(64, 1); err != nil || m.Size() != maxMembers {
+		t.Fatalf("AsyncChain(64,1) at the cap: %v", err)
+	}
+	for _, nf := range [][2]int{{65, 1}, {200, 1}, {1000, 1}, {1024, 2}} {
+		if _, err := AsyncChain(nf[0], nf[1]); err == nil {
+			t.Errorf("AsyncChain(%d,%d) accepted past the member cap", nf[0], nf[1])
+		}
+	}
+	if m, err := FullAsyncRound(5, 1); err != nil || m.Size() != 3125 {
+		t.Fatalf("FullAsyncRound(5,1) = 5^5 members: %v", err)
+	}
+	for _, nf := range [][2]int{{6, 1}, {26, 1}, {63, 1}, {64, 1}, {1000, 999}} {
+		if _, err := FullAsyncRound(nf[0], nf[1]); err == nil {
+			t.Errorf("FullAsyncRound(%d,%d) accepted past the member cap", nf[0], nf[1])
+		}
+	}
+}
+
 func TestSilencedBlocksModel(t *testing.T) {
 	m, err := SilencedBlocks(6, 2)
 	if err != nil {

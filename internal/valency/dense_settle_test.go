@@ -11,8 +11,9 @@ import (
 )
 
 // settleCases are model/algorithm/configuration triples covering dense
-// settle loops with and without auxiliary planes, plus the non-dense
-// fallback (opaque agents built by hand are exercised elsewhere).
+// settle loops with and without auxiliary planes; wrapped in
+// core.AgentsOnly they cover the non-dense fallback (opaque agents built
+// by hand are exercised elsewhere).
 func settleCases() []struct {
 	name   string
 	m      *model.Model
@@ -34,25 +35,23 @@ func settleCases() []struct {
 }
 
 // TestEngineDenseSettleMatchesAgents runs the full valency exploration
-// under both backends and requires bit-identical intervals: the dense
-// settle loop must be transparent, including its transposition-table
-// pre-fill (same entries from the shared fingerprint encoding).
+// on both paths — the Agent path through core.AgentsOnly, the dense path
+// by capability — and requires bit-identical intervals: the dense settle
+// loop must be transparent, including its transposition-table pre-fill
+// (same entries from the shared fingerprint encoding).
 func TestEngineDenseSettleMatchesAgents(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendAgents)
-	defer core.SetDefaultBackend(prev)
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			c := core.NewConfig(tc.alg, tc.inputs)
+			cA := core.NewConfig(core.AgentsOnly(tc.alg), tc.inputs)
+			cD := core.NewConfig(tc.alg, tc.inputs)
 			for _, depth := range []int{0, 1, 2} {
-				core.SetDefaultBackend(core.BackendAgents)
 				engA := valency.NewEngine(tc.m, valency.DefaultParams(depth, tc.convex))
-				innerA := engA.Inner(c)
-				outerA := engA.Outer(c)
+				innerA := engA.Inner(cA)
+				outerA := engA.Outer(cA)
 
-				core.SetDefaultBackend(core.BackendDense)
 				engD := valency.NewEngine(tc.m, valency.DefaultParams(depth, tc.convex))
-				innerD := engD.Inner(c)
-				outerD := engD.Outer(c)
+				innerD := engD.Inner(cD)
+				outerD := engD.Outer(cD)
 
 				if innerA != innerD {
 					t.Fatalf("depth %d: Inner differs: agents %v, dense %v", depth, innerA, innerD)
@@ -71,15 +70,15 @@ func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 }
 
 // TestEngineDenseSettleMatchesReference pins the dense-backed engine
-// against the retained naive recursion — the end-to-end oracle.
+// against the retained naive recursion over the Agent path — the
+// end-to-end oracle.
 func TestEngineDenseSettleMatchesReference(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendDense)
-	defer core.SetDefaultBackend(prev)
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			c := core.NewConfig(tc.alg, tc.inputs)
 			est := valency.NewEstimator(tc.m, 2, tc.convex)
-			if got, want := est.Inner(c), est.ReferenceInner(c); got != want {
+			got := est.Inner(core.NewConfig(tc.alg, tc.inputs))
+			want := est.ReferenceInner(core.NewConfig(core.AgentsOnly(tc.alg), tc.inputs))
+			if got != want {
 				t.Fatalf("dense engine Inner %v differs from naive reference %v", got, want)
 			}
 		})
@@ -87,18 +86,16 @@ func TestEngineDenseSettleMatchesReference(t *testing.T) {
 }
 
 // TestLimitOfConstantDenseParity compares memoized constant-graph limits
-// across backends graph by graph, including the cold (uncached) path.
+// across the two paths graph by graph, including the cold (uncached)
+// path.
 func TestLimitOfConstantDenseParity(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendAgents)
-	defer core.SetDefaultBackend(prev)
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			c := core.NewConfig(tc.alg, tc.inputs)
+			cA := core.NewConfig(core.AgentsOnly(tc.alg), tc.inputs)
+			cD := core.NewConfig(tc.alg, tc.inputs)
 			for k := 0; k < tc.m.Size(); k++ {
-				core.SetDefaultBackend(core.BackendAgents)
-				limA, okA := valency.NewEngine(tc.m, valency.DefaultParams(2, tc.convex)).LimitOfConstant(c, k)
-				core.SetDefaultBackend(core.BackendDense)
-				limD, okD := valency.NewEngine(tc.m, valency.DefaultParams(2, tc.convex)).LimitOfConstant(c, k)
+				limA, okA := valency.NewEngine(tc.m, valency.DefaultParams(2, tc.convex)).LimitOfConstant(cA, k)
+				limD, okD := valency.NewEngine(tc.m, valency.DefaultParams(2, tc.convex)).LimitOfConstant(cD, k)
 				if okA != okD || limA != limD {
 					t.Fatalf("graph %d: limit differs: agents (%v,%v), dense (%v,%v)", k, limA, okA, limD, okD)
 				}

@@ -196,6 +196,23 @@ func TestEngineCacheEffectiveness(t *testing.T) {
 	}
 }
 
+// TestEstimatorFromEngineReusesWorkersEngine checks that an estimator
+// bound to a pooled engine with an explicit worker count keeps using that
+// engine, so its transposition tables carry over between calls.
+func TestEstimatorFromEngineReusesWorkersEngine(t *testing.T) {
+	p := valency.DefaultParams(3, true)
+	p.Workers = 2
+	eng := valency.NewEngine(model.TwoAgent(), p)
+	est := valency.EstimatorFromEngine(eng)
+	if est.Engine() != eng {
+		t.Fatal("EstimatorFromEngine(eng).Engine() built a fresh engine for Workers = 2")
+	}
+	est.Depth++
+	if est.Engine() == eng {
+		t.Fatal("an estimator with a changed depth must not reuse the bound engine")
+	}
+}
+
 // TestEngineUnfingerprintableFallback checks that an algorithm without
 // fingerprint support is still explored correctly, just without caching.
 func TestEngineUnfingerprintableFallback(t *testing.T) {

@@ -157,12 +157,18 @@ func EstimatorFromEngine(eng *Engine) Estimator {
 }
 
 // Engine returns the engine backing the estimator. When the estimator was
-// built by NewEstimator and its fields were not mutated afterwards, the
-// bound persistent engine is returned; otherwise a fresh engine matching
-// the current field values is created.
+// built by NewEstimator or EstimatorFromEngine and its fields were not
+// mutated afterwards, the bound persistent engine is returned; otherwise a
+// fresh engine matching the current field values is created. The bound
+// engine's Workers is not compared: the estimator has no such field, and
+// results do not depend on it.
 func (e Estimator) Engine() *Engine {
-	if e.eng != nil && e.eng.model == e.Model && e.eng.params == e.params() {
-		return e.eng
+	if e.eng != nil && e.eng.model == e.Model {
+		p := e.eng.params
+		p.Workers = 0
+		if p == e.params() {
+			return e.eng
+		}
 	}
 	return NewEngine(e.Model, e.params())
 }

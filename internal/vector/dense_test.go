@@ -12,8 +12,8 @@ import (
 	"repro/internal/vector"
 )
 
-// TestRunnerBackendParity runs the d-dimensional lift under both backends
-// on the same pattern and requires bit-identical positions coordinate by
+// TestRunnerBackendParity runs the d-dimensional lift on both paths (the
+// Agent path through core.AgentsOnly) on the same pattern and requires bit-identical positions coordinate by
 // coordinate, for algorithms with and without auxiliary planes.
 func TestRunnerBackendParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -29,11 +29,11 @@ func TestRunnerBackendParity(t *testing.T) {
 	m := model.DeafModel(graph.Complete(n))
 	for _, alg := range []core.Algorithm{algorithms.Midpoint{}, algorithms.AmortizedMidpoint{}} {
 		t.Run(alg.Name(), func(t *testing.T) {
-			agents, err := vector.NewRunnerBackend(alg, inputs, core.BackendAgents)
+			agents, err := vector.NewRunner(core.AgentsOnly(alg), inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense, err := vector.NewRunnerBackend(alg, inputs, core.BackendDense)
+			dense, err := vector.NewRunner(alg, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +61,8 @@ func TestRunnerBackendParity(t *testing.T) {
 }
 
 // TestRunnerDenseAdaptiveSource checks that a configuration-inspecting
-// source still works on the dense backend: it receives a materialized
-// configuration, never nil, and the run matches the agents backend.
+// source still works on the dense path: it receives a materialized
+// configuration, never nil, and the run matches the Agent path.
 func TestRunnerDenseAdaptiveSource(t *testing.T) {
 	inputs := []vector.Point{{0, 1}, {1, 0}, {0.5, 0.5}}
 	adaptive := func() core.PatternSource {
@@ -76,11 +76,11 @@ func TestRunnerDenseAdaptiveSource(t *testing.T) {
 			return graph.Cycle(3)
 		})
 	}
-	agents, err := vector.NewRunnerBackend(algorithms.Midpoint{}, inputs, core.BackendAgents)
+	agents, err := vector.NewRunner(core.AgentsOnly(algorithms.Midpoint{}), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := vector.NewRunnerBackend(algorithms.Midpoint{}, inputs, core.BackendDense)
+	dense, err := vector.NewRunner(algorithms.Midpoint{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
