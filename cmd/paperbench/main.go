@@ -27,6 +27,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +35,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/consensus"
@@ -135,7 +138,12 @@ type benchReport struct {
 	Samples    int          `json:"samples"`
 	Benchmarks []benchEntry `json:"benchmarks"`
 	// SweepSpeedup is sweep/single median over sweep/batch median — the
-	// batch plane's throughput multiplier at equal worker count.
+	// batch plane's throughput multiplier at equal worker count. The
+	// …/single series are the goroutine-per-run sweep the batch plane
+	// replaced (NewSession, full-trace Session.Run and Summarize per
+	// spec on GOMAXPROCS goroutines), the reference these ratios and
+	// their CI gates document; the ungated …/unbatched series are Sweep
+	// with SweepBatchSize(1), every run alone on the trace-free path.
 	SweepSpeedup float64 `json:"sweep_speedup_batch_vs_single"`
 	// ScenarioSpeedup is the same ratio for the scenario grid, where
 	// every run follows its own schedule (per-run graphs in one batch,
@@ -161,6 +169,10 @@ type benchReport struct {
 	// workload with a live metrics registry bound vs detached. CI gates
 	// obs.overhead at 1.02.
 	Obs *obsReport `json:"obs,omitempty"`
+	// ObsSmall is the same pair on grid-narrow's tile shape (n=16, two
+	// runs, StepEachWithHulls), where rounds are cheapest and the
+	// overhead largest. CI gates obs_small.overhead at 1.02.
+	ObsSmall *obsReport `json:"obs_small,omitempty"`
 }
 
 // benchEntry is one measured configuration.
@@ -170,10 +182,11 @@ type benchEntry struct {
 	RunsPerSec float64 `json:"runs_per_sec"`
 }
 
-// runBench measures two acceptance sweeps through both sweep paths and
+// runBench measures the acceptance workloads through three paths — the
+// per-run reference, the batched sweep and the unbatched sweep — and
 // reports medians: the shared-model workload (benchSpecs specs, n = 16,
 // benchRounds rounds over deaf(K16) midpoint, inputs varied per spec)
-// and the scenario grid (benchSpecs churn schedules, one per seed, so
+// and two scenario grids (benchSpecs churn schedules, one per seed, so
 // every batched run follows its own per-round graph sequence).
 func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largenRounds, largenN, distRequests int) error {
 	if samples < 1 || specCount < 1 || rounds < 0 || largenRounds < 0 || distRequests < 0 {
@@ -212,6 +225,40 @@ func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largen
 			Algorithm: "midpoint", Rounds: rounds,
 		}
 	}
+	// perRunOnce is the reference the batch-plane speedups are measured
+	// against: the goroutine-per-run sweep the batch plane replaced, one
+	// NewSession, full-trace Session.Run and Summarize per spec on
+	// GOMAXPROCS goroutines.
+	perRunOnce := func(specs []consensus.RunSpec) (time.Duration, error) {
+		start := time.Now()
+		errs := make([]error, len(specs))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(specs); i = int(next.Add(1)) - 1 {
+					s, err := consensus.NewSession(specs[i])
+					if err != nil {
+						errs[i] = err
+						continue
+					}
+					res, err := s.Run(context.Background())
+					if err != nil {
+						errs[i] = err
+						continue
+					}
+					_ = consensus.Summarize(res)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return 0, err
+		}
+		return time.Since(start), nil
+	}
 	sweepOnce := func(specs []consensus.RunSpec, opts ...consensus.SweepOption) (time.Duration, error) {
 		all := append([]consensus.SweepOption{
 			consensus.WithSweepCache(consensus.NewSweepCache()),
@@ -232,35 +279,38 @@ func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largen
 		sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
 		return durations[len(durations)/2].Nanoseconds()
 	}
-	// Single and batch samples alternate within one workload, so slow
-	// drift in machine load lands on both sides of each speedup ratio
+	// The three paths' samples alternate within one workload, so slow
+	// drift in machine load lands on every side of each speedup ratio
 	// instead of skewing whichever path happened to run later.
-	measurePair := func(specs []consensus.RunSpec) (int64, int64, error) {
-		single := make([]time.Duration, 0, samples)
-		batch := make([]time.Duration, 0, samples)
+	measure := func(specs []consensus.RunSpec) (single, batch, unbatched int64, err error) {
+		var ss, bs, us []time.Duration
 		for s := 0; s < samples; s++ {
-			d, err := sweepOnce(specs, consensus.SweepBatchSize(1))
+			d, err := perRunOnce(specs)
 			if err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
-			single = append(single, d)
+			ss = append(ss, d)
 			if d, err = sweepOnce(specs); err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
-			batch = append(batch, d)
+			bs = append(bs, d)
+			if d, err = sweepOnce(specs, consensus.SweepBatchSize(1)); err != nil {
+				return 0, 0, 0, err
+			}
+			us = append(us, d)
 		}
-		return median(single), median(batch), nil
+		return median(ss), median(bs), median(us), nil
 	}
 
-	singleNs, batchNs, err := measurePair(modelSpecs)
+	singleNs, batchNs, unbatchedNs, err := measure(modelSpecs)
 	if err != nil {
 		return err
 	}
-	scenarioSingleNs, scenarioBatchNs, err := measurePair(scenarioSpecs)
+	scenarioSingleNs, scenarioBatchNs, scenarioUnbatchedNs, err := measure(scenarioSpecs)
 	if err != nil {
 		return err
 	}
-	diverseSingleNs, diverseBatchNs, err := measurePair(diverseSpecs)
+	diverseSingleNs, diverseBatchNs, diverseUnbatchedNs, err := measure(diverseSpecs)
 	if err != nil {
 		return err
 	}
@@ -284,10 +334,13 @@ func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largen
 		Benchmarks: []benchEntry{
 			{Name: "sweep/single", MedianNs: singleNs, RunsPerSec: perSec(singleNs)},
 			{Name: "sweep/batch", MedianNs: batchNs, RunsPerSec: perSec(batchNs)},
+			{Name: "sweep/unbatched", MedianNs: unbatchedNs, RunsPerSec: perSec(unbatchedNs)},
 			{Name: "scenario-sweep/single", MedianNs: scenarioSingleNs, RunsPerSec: perSec(scenarioSingleNs)},
 			{Name: "scenario-sweep/batch", MedianNs: scenarioBatchNs, RunsPerSec: perSec(scenarioBatchNs)},
+			{Name: "scenario-sweep/unbatched", MedianNs: scenarioUnbatchedNs, RunsPerSec: perSec(scenarioUnbatchedNs)},
 			{Name: "scenario-diverse/single", MedianNs: diverseSingleNs, RunsPerSec: perSec(diverseSingleNs)},
 			{Name: "scenario-diverse/batch", MedianNs: diverseBatchNs, RunsPerSec: perSec(diverseBatchNs)},
+			{Name: "scenario-diverse/unbatched", MedianNs: diverseUnbatchedNs, RunsPerSec: perSec(diverseUnbatchedNs)},
 		},
 	}
 	if batchNs > 0 {
@@ -314,18 +367,12 @@ func runBench(out io.Writer, jsonPath string, samples, specCount, rounds, largen
 		report.Distributed = dist
 	}
 	if largenRounds > 0 {
-		obsRep, err := benchObs(out, samples, largenRounds)
-		if err != nil {
-			return err
-		}
-		report.Obs = obsRep
+		report.Obs = benchObs(out, samples, largenRounds)
+		report.ObsSmall = benchObsSmall(out, samples, largenRounds)
 	}
-	fmt.Fprintf(out, "sweep/single             %12d ns/sweep  %8.0f runs/s\n", singleNs, perSec(singleNs))
-	fmt.Fprintf(out, "sweep/batch              %12d ns/sweep  %8.0f runs/s\n", batchNs, perSec(batchNs))
-	fmt.Fprintf(out, "scenario-sweep/single    %12d ns/sweep  %8.0f runs/s\n", scenarioSingleNs, perSec(scenarioSingleNs))
-	fmt.Fprintf(out, "scenario-sweep/batch     %12d ns/sweep  %8.0f runs/s\n", scenarioBatchNs, perSec(scenarioBatchNs))
-	fmt.Fprintf(out, "scenario-diverse/single  %12d ns/sweep  %8.0f runs/s\n", diverseSingleNs, perSec(diverseSingleNs))
-	fmt.Fprintf(out, "scenario-diverse/batch   %12d ns/sweep  %8.0f runs/s\n", diverseBatchNs, perSec(diverseBatchNs))
+	for _, e := range report.Benchmarks {
+		fmt.Fprintf(out, "%-27s %12d ns/sweep  %8.0f runs/s\n", e.Name, e.MedianNs, e.RunsPerSec)
+	}
 	fmt.Fprintf(out, "batch speedup %.2fx (model sweep), %.2fx (scenario sweep), %.2fx (diverse scenario sweep)\n",
 		report.SweepSpeedup, report.ScenarioSpeedup, report.ScenarioDiverseSpeedup)
 	if jsonPath == "" {

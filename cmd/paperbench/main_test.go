@@ -58,6 +58,8 @@ func TestRunBenchJSON(t *testing.T) {
 				ResubmitShards uint64  `json:"resubmit_shards_dispatched"`
 			} `json:"series"`
 		} `json:"distributed"`
+		Obs      *obsReport `json:"obs"`
+		ObsSmall *obsReport `json:"obs_small"`
 	}
 	if err := json.Unmarshal(body, &report); err != nil {
 		t.Fatalf("bad JSON artifact: %v\n%s", err, body)
@@ -69,9 +71,9 @@ func TestRunBenchJSON(t *testing.T) {
 		t.Errorf("artifact missing gomaxprocs: %+v", report)
 	}
 	wantNames := []string{
-		"sweep/single", "sweep/batch",
-		"scenario-sweep/single", "scenario-sweep/batch",
-		"scenario-diverse/single", "scenario-diverse/batch",
+		"sweep/single", "sweep/batch", "sweep/unbatched",
+		"scenario-sweep/single", "scenario-sweep/batch", "scenario-sweep/unbatched",
+		"scenario-diverse/single", "scenario-diverse/batch", "scenario-diverse/unbatched",
 	}
 	if len(report.Benchmarks) != len(wantNames) {
 		t.Fatalf("artifact benchmarks wrong: %+v", report.Benchmarks)
@@ -107,6 +109,18 @@ func TestRunBenchJSON(t *testing.T) {
 	for _, w := range []string{"largen-step/amortized", "largen-stepeach/churn"} {
 		if !seen[w] {
 			t.Errorf("series missing sequential entry for %s: %+v", w, report.Parallel.Series)
+		}
+	}
+	for _, o := range []struct {
+		name     string
+		rep      *obsReport
+		n, batch int
+	}{{"obs", report.Obs, obsN, obsBatch}, {"obs_small", report.ObsSmall, obsSmallN, obsSmallBatch}} {
+		if o.rep == nil {
+			t.Fatalf("artifact missing the %s section", o.name)
+		}
+		if o.rep.N != o.n || o.rep.Batch != o.batch || o.rep.Overhead <= 0 {
+			t.Errorf("%s section wrong: %+v", o.name, *o.rep)
 		}
 	}
 	if report.Distributed == nil {

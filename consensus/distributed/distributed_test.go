@@ -644,3 +644,33 @@ func TestWorkerStatusCounters(t *testing.T) {
 		t.Errorf("worker sweep cache recorded no hits: %+v", st.SweepCache)
 	}
 }
+
+// TestOverflowIsPerSpecErrorThroughCluster sends a run that overflows
+// the float range, next to a healthy spec in the same shard, through a
+// StartLocal cluster: the shard answers, the overflowing spec gets its
+// own error (on resubmission too, since it was never stored) and the
+// neighbour is served.
+func TestOverflowIsPerSpecErrorThroughCluster(t *testing.T) {
+	lc, err := distributed.StartLocal(1,
+		[]distributed.CoordinatorOption{distributed.CoordinatorHealthInterval(0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	specs := []consensus.RunSpec{
+		{Model: "deaf:3", Algorithm: "midpoint", Adversary: "cycle", Inputs: []float64{1.7e308, -1.7e308, 0}},
+		{Model: "deaf:3", Algorithm: "midpoint", Adversary: "cycle", Inputs: []float64{1, -1, 0}},
+	}
+	for pass := 0; pass < 2; pass++ {
+		sr, resp := postSweep(t, lc.BaseURL, distributed.SweepRequest{Specs: specs})
+		if sr == nil {
+			t.Fatalf("pass %d: status %d", pass, resp.StatusCode)
+		}
+		if r := sr.Results[0]; r.Err == "" || r.Summary != nil {
+			t.Errorf("pass %d: overflowing run not reported as an error: %+v", pass, r)
+		}
+		if r := sr.Results[1]; r.Err != "" || r.Summary == nil {
+			t.Errorf("pass %d: neighbour not served: %+v", pass, r)
+		}
+	}
+}

@@ -407,6 +407,7 @@ func denseDecisionPoints(ctx context.Context, d approx.Decider, alg core.Algorit
 		br.Step(src.Next(t, nil))
 		sample(t)
 	}
+	br.FlushMetrics()
 	return points, true, nil
 }
 

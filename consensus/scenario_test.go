@@ -119,8 +119,11 @@ func TestRecordedGreedyReplayExact(t *testing.T) {
 // TestScenarioSweepBatchParity runs a 64-scenario grid through the
 // batched sweep and the per-session sweep; summaries must be identical
 // (per-run schedules inside one BatchRunner tile vs. independent runs).
+// Every fourth run starts from inputs mixing -0 and +0 with hull
+// minimum exactly 0.
 func TestScenarioSweepBatchParity(t *testing.T) {
 	const B, rounds = 64, 50
+	negZero := math.Copysign(0, -1)
 	specs := make([]RunSpec, B)
 	for i := range specs {
 		specs[i] = RunSpec{
@@ -128,13 +131,27 @@ func TestScenarioSweepBatchParity(t *testing.T) {
 			Algorithm: "midpoint",
 			Rounds:    rounds,
 		}
+		if i%4 == 0 {
+			in := make([]float64, 16)
+			for j := range in {
+				switch j % 3 {
+				case 0:
+					in[j] = negZero
+				case 1:
+					in[j] = float64(j) / 16
+				}
+			}
+			specs[i].Inputs = in
+		}
 	}
 	assertSweepBatchParity(t, specs)
 }
 
 // assertSweepBatchParity sweeps specs through the batched path (with
-// any extra sweep options, e.g. SweepBatchParallelism) and the
-// per-session path and requires bit-identical summaries.
+// the given extra options), through SweepBatchSize(1), where every spec
+// runs alone, and one by one through Summarize(Session.Run), the path
+// neither sweep takes; every spec must succeed with bit-identical
+// summaries on all three.
 func assertSweepBatchParity(t *testing.T, specs []RunSpec, batchOpts ...SweepOption) {
 	t.Helper()
 	ctx := context.Background()
@@ -147,7 +164,7 @@ func assertSweepBatchParity(t *testing.T, specs []RunSpec, batchOpts ...SweepOpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range specs {
+	for i, spec := range specs {
 		b, s := batched[i], single[i]
 		if b.Err != "" || s.Err != "" {
 			t.Fatalf("spec %d errored: batch=%q single=%q", i, b.Err, s.Err)
@@ -155,20 +172,15 @@ func assertSweepBatchParity(t *testing.T, specs []RunSpec, batchOpts ...SweepOpt
 		if b.Summary == nil || s.Summary == nil {
 			t.Fatalf("spec %d missing summary", i)
 		}
-		if len(b.Summary.FinalOutputs) != len(s.Summary.FinalOutputs) {
-			t.Fatalf("spec %d output length mismatch", i)
+		if d := summaryDiff(b.Summary, s.Summary); d != "" {
+			t.Fatalf("spec %d: batch and single summaries differ: %s", i, d)
 		}
-		for j := range b.Summary.FinalOutputs {
-			if math.Float64bits(b.Summary.FinalOutputs[j]) != math.Float64bits(s.Summary.FinalOutputs[j]) {
-				t.Fatalf("spec %d agent %d: batch %v != single %v", i, j,
-					b.Summary.FinalOutputs[j], s.Summary.FinalOutputs[j])
-			}
+		want, ok := sessionSummary(t, spec)
+		if !ok {
+			t.Fatalf("spec %d does not resolve as a session", i)
 		}
-		if b.Summary.FinalDiameter != s.Summary.FinalDiameter ||
-			b.Summary.GeometricRate != s.Summary.GeometricRate ||
-			b.Summary.WorstRoundRatio != s.Summary.WorstRoundRatio ||
-			b.Summary.Validity != s.Summary.Validity {
-			t.Fatalf("spec %d summary mismatch:\nbatch:  %+v\nsingle: %+v", i, *b.Summary, *s.Summary)
+		if d := summaryDiff(want, s.Summary); d != "" {
+			t.Fatalf("spec %d: sweep summary differs from Summarize(Session.Run): %s", i, d)
 		}
 	}
 }

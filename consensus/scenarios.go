@@ -622,6 +622,9 @@ func runScenarioResolved(ctx context.Context, sch *scenario.Schedule, req Scenar
 	summary := Summarize(res)
 	rep.Summary = &summary
 	rep.Diameters = res.Diameters()
+	if err := summary.checkFinite(rep.Diameters...); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 

@@ -423,7 +423,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return runResponse{Spec: spec, Summary: Summarize(res), Diameters: res.Diameters()}, nil
+		resp := runResponse{Spec: spec, Summary: Summarize(res), Diameters: res.Diameters()}
+		if err := resp.Summary.checkFinite(resp.Diameters...); err != nil {
+			return nil, err
+		}
+		return resp, nil
 	})
 }
 

@@ -232,6 +232,55 @@ func TestServerRejectsOversizedModels(t *testing.T) {
 	}
 }
 
+// TestServerOverflowIsPerSpecError sends a run that overflows the
+// float range through the sweep, run and scenario endpoints: the sweep
+// answers 200 with a per-spec error and serves the neighbour, a repeat
+// of the spec alone still does (nothing non-finite was cached), and the
+// run and scenario-run endpoints answer 400.
+func TestServerOverflowIsPerSpecError(t *testing.T) {
+	ts := httptest.NewServer(NewServer(ServerTimeout(time.Minute)))
+	defer ts.Close()
+	specs := overflowSpecs()
+	for _, batch := range [][]RunSpec{specs, specs[:1]} {
+		body, err := json.Marshal(map[string]any{"specs": batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, out := postJSON(t, ts, "/api/v1/sweep", string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep of %d specs: status %d: %s", len(batch), resp.StatusCode, out)
+		}
+		var got struct {
+			Results []SweepResult `json:"results"`
+		}
+		if err := json.Unmarshal(out, &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Results) != len(batch) {
+			t.Fatalf("%d results, want %d", len(got.Results), len(batch))
+		}
+		if r := got.Results[0]; r.Err == "" || r.Summary != nil {
+			t.Errorf("overflowing run not reported as an error: %+v", r)
+		}
+		if len(batch) > 1 {
+			if r := got.Results[1]; r.Err != "" || r.Summary == nil {
+				t.Errorf("neighbour not served: %+v", r)
+			}
+		}
+	}
+	body, err := json.Marshal(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, out := postJSON(t, ts, "/api/v1/run", string(body)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("run status %d, want 400: %s", resp.StatusCode, out)
+	}
+	scen := `{"scenario": "eventuallyrooted:3,2", "run": true, "rounds": 6, "inputs": [1.7e308, -1.7e308, 0]}`
+	if resp, out := postJSON(t, ts, "/api/v1/scenario", scen); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("scenario run status %d, want 400: %s", resp.StatusCode, out)
+	}
+}
+
 func TestServerHealthz(t *testing.T) {
 	ts := httptest.NewServer(NewServer())
 	defer ts.Close()

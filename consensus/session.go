@@ -74,9 +74,15 @@ func WithAdversary(spec string) Option {
 }
 
 // WithInputs sets the initial values (one per agent). Without it the
-// session uses SpreadInputs.
+// session uses SpreadInputs. Inputs must be finite: an infinite or NaN
+// input has no place in a convex hull, and no summary could carry it.
 func WithInputs(inputs ...float64) Option {
 	return func(c *sessionConfig) error {
+		for i, v := range inputs {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return fmt.Errorf("consensus: input %d is %v; inputs must be finite", i, v)
+			}
+		}
 		c.inputs = append([]float64(nil), inputs...)
 		return nil
 	}
@@ -485,25 +491,14 @@ func (r *Result) GraphName(t int) string { return r.tr.Graphs[t-1].String() }
 // no round was run. It matches Result.GeometricRate by the same
 // convention.
 func GeometricRate(diameters []float64) float64 {
-	T := len(diameters) - 1
-	if T <= 0 || diameters[0] == 0 || diameters[T] == 0 {
-		return 0
-	}
-	return math.Pow(diameters[T]/diameters[0], 1/float64(T))
+	st := diameterStats(diameters)
+	return st.rate()
 }
 
 // WorstRoundRatio returns the largest single-round contraction ratio of a
 // streamed diameter series; rounds whose predecessor diameter is 0 count
 // as 0, matching Result.WorstRoundRatio.
-func WorstRoundRatio(diameters []float64) float64 {
-	worst := 0.0
-	for t := 1; t < len(diameters); t++ {
-		if diameters[t-1] != 0 && diameters[t]/diameters[t-1] > worst {
-			worst = diameters[t] / diameters[t-1]
-		}
-	}
-	return worst
-}
+func WorstRoundRatio(diameters []float64) float64 { return diameterStats(diameters).worst }
 
 // Snapshot is one streamed round of a session execution.
 type Snapshot struct {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -91,6 +92,24 @@ func Summarize(res *Result) RunSummary {
 		FinalOutputs:    res.FinalOutputs(),
 		Validity:        res.ValidityHolds(validityTol),
 	}
+}
+
+// checkFinite rejects a summary, or a diameter series served with it,
+// holding a non-finite float. Finite inputs can still overflow — the
+// midpoint of ±1.7e308 has an infinite diameter — and JSON cannot carry
+// ±Inf or NaN, so such a run is reported as an error rather than served
+// or cached.
+func (s *RunSummary) checkFinite(diameters ...float64) error {
+	for _, vs := range [][]float64{
+		{s.InitialDiameter, s.FinalDiameter, s.GeometricRate, s.WorstRoundRatio}, s.FinalOutputs, diameters,
+	} {
+		for _, v := range vs {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return fmt.Errorf("consensus: the run overflowed the float range (its result holds %v)", v)
+			}
+		}
+	}
+	return nil
 }
 
 // SweepCache memoizes run summaries by configuration fingerprint. It is
@@ -448,8 +467,11 @@ func SweepLibrary(lib *Library) SweepOption {
 
 // SweepBatchSize caps the runs stepped together per batch tile
 // (default DefaultSweepBatch). n <= 1 disables batching entirely — every
-// spec runs through its own Session.Run, the pre-batch-plane behavior
-// the differential tests compare against.
+// spec runs alone, as a leftover single of a batched sweep does: a
+// dense spec under an oblivious source steps its own trace-free
+// core.DenseRunner, anything else takes Session.Run's path. The
+// differential tests compare both against the tiles and against
+// Summarize(Session.Run).
 func SweepBatchSize(n int) SweepOption {
 	return func(c *sweepConfig) { c.batch = n }
 }
@@ -717,8 +739,15 @@ func (t *sweepTask) fail(err error) {
 	t.release()
 }
 
-// finish records the computed summary and feeds the cache.
+// finish records the computed summary and feeds the cache. A summary
+// holding a non-finite float (the run overflowed) becomes the task's
+// error instead: it is neither cached nor returned, since JSON cannot
+// carry it.
 func (t *sweepTask) finish(summary RunSummary, cfg *sweepConfig) {
+	if err := summary.checkFinite(); err != nil {
+		t.fail(err)
+		return
+	}
 	if t.cacheable {
 		cfg.cache.put(t.key, summary)
 	}
@@ -762,8 +791,12 @@ func (t *sweepTask) serveLate(cfg *sweepConfig) bool {
 	return true
 }
 
-// runSingle executes one task through the per-session path (the
-// pre-batch-plane behavior), reusing the already-built source.
+// runSingle executes one task on its own, reusing the already-built
+// source. A batchable task steps a core.DenseRunner and folds each
+// round's output hull into a runStats, so it keeps no trace and
+// allocates nothing per round; anything else (adaptive sources,
+// algorithms without a dense stepper) runs core.RunCtx and summarizes
+// the trace.
 func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 	if err := ctx.Err(); err != nil {
 		t.fail(err)
@@ -773,19 +806,109 @@ func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 		return
 	}
 	s := t.session
-	tr, err := core.RunCtx(ctx, s.alg, s.inputs, t.src, s.rounds)
-	if err != nil {
-		t.fail(err)
+	if !t.batchable {
+		tr, err := core.RunCtx(ctx, s.alg, s.inputs, t.src, s.rounds)
+		if err != nil {
+			t.fail(err)
+			return
+		}
+		t.finish(Summarize(&Result{tr: tr}), cfg)
 		return
 	}
-	t.finish(Summarize(&Result{tr: tr}), cfg)
+	d, _ := core.AsDense(s.alg)
+	r := core.NewDenseRunner(d, s.inputs)
+	st := newRunStats(r.Hull())
+	done := ctx.Done()
+	for round := 1; round <= s.rounds; round++ {
+		if done != nil {
+			select {
+			case <-done:
+				t.fail(ctx.Err())
+				return
+			default:
+			}
+		}
+		r.Step(t.src.Next(round, nil))
+		st.observe(r.Hull())
+	}
+	t.finish(st.summary(s.alg.Name(), r.Outputs()), cfg)
 }
 
-// runSweepTile steps every task of one tile together on the batch
-// plane, computing per-run summaries on the fly — no trace
-// materialization: only the diameter series (needed by GeometricRate
-// and WorstRoundRatio), the running validity flag, and the final
-// outputs are kept per run.
+// runStats is the streaming summarizer behind every batchable sweep
+// summary: it folds one run's per-round output hulls into a RunSummary
+// in O(1) state. GeometricRate and WorstRoundRatio fold a diameter
+// series through the same fold, and the validity test is
+// Result.ValidityHolds' tolerance test applied to each round's exact
+// hull, so its summaries equal Summarize's bit for bit.
+type runStats struct {
+	lo0, hi0 float64 // initial hull, the validity reference
+	d0, last float64 // initial and latest diameter
+	worst    float64
+	rounds   int
+	valid    bool
+}
+
+// newRunStats starts a run from its initial output hull.
+func newRunStats(lo, hi float64) runStats {
+	d := hi - lo
+	return runStats{lo0: lo, hi0: hi, d0: d, last: d, valid: true}
+}
+
+// observe folds in the output hull after one more round.
+func (st *runStats) observe(lo, hi float64) {
+	// Equivalent to checking every output against the initial hull,
+	// since lo/hi are exact selections from the outputs.
+	if lo < st.lo0-validityTol || hi > st.hi0+validityTol {
+		st.valid = false
+	}
+	st.fold(hi - lo)
+}
+
+// fold folds in the diameter after one more round; rounds whose
+// predecessor diameter is 0 have no contraction ratio.
+func (st *runStats) fold(d float64) {
+	if st.last != 0 && d/st.last > st.worst {
+		st.worst = d / st.last
+	}
+	st.last = d
+	st.rounds++
+}
+
+// rate is the fitted per-round contraction factor (Δ(T)/Δ(0))^(1/T); 0
+// when either end diameter is 0 or no round was run.
+func (st *runStats) rate() float64 {
+	if st.rounds == 0 || st.d0 == 0 || st.last == 0 {
+		return 0
+	}
+	return math.Pow(st.last/st.d0, 1/float64(st.rounds))
+}
+
+// summary closes the run with its algorithm name and final outputs.
+func (st *runStats) summary(alg string, final []float64) RunSummary {
+	return RunSummary{
+		Algorithm:       alg,
+		Rounds:          st.rounds,
+		InitialDiameter: st.d0,
+		FinalDiameter:   st.last,
+		GeometricRate:   st.rate(),
+		WorstRoundRatio: st.worst,
+		FinalOutputs:    final,
+		Validity:        st.valid,
+	}
+}
+
+// diameterStats folds a streamed diameter series (diameters[t] = Δ(y(t))).
+func diameterStats(diameters []float64) runStats {
+	var st runStats
+	if len(diameters) > 0 {
+		st.d0, st.last = diameters[0], diameters[0]
+		for _, d := range diameters[1:] {
+			st.fold(d)
+		}
+	}
+	return st
+}
+
 // sweepPlanCacheCap sizes a sweep runner's step-plan cache by a ~4 MiB
 // byte budget at roughly 40n+300 bytes per cached plan (segments, fold
 // scratch, and the mask key), never below the runner's flat default —
@@ -828,6 +951,9 @@ func PlanCacheTotals() PlanCacheCounters {
 	}
 }
 
+// runSweepTile steps every task of one tile together on the batch
+// plane, folding each round's per-run output hulls into one runStats
+// per run — no trace and no per-round series are kept.
 func runSweepTile(ctx context.Context, tile []*sweepTask, cfg *sweepConfig) {
 	if err := ctx.Err(); err != nil {
 		for _, t := range tile {
@@ -856,6 +982,7 @@ func runSweepTile(ctx context.Context, tile []*sweepTask, cfg *sweepConfig) {
 	br := core.NewBatchRunner(d, inputs)
 	tileStart := time.Now()
 	defer func() {
+		br.FlushMetrics()
 		h, m, e, df, _ := br.PlanCacheStats()
 		planCacheTotals.hits.Add(h)
 		planCacheTotals.misses.Add(m)
@@ -884,19 +1011,11 @@ func runSweepTile(ctx context.Context, tile []*sweepTask, cfg *sweepConfig) {
 	// lookup into a map hit instead of rebuild churn.
 	br.SetPlanCacheCap(sweepPlanCacheCap(n))
 
-	diams := make([][]float64, B)
-	valid := make([]bool, B)
-	lo0 := make([]float64, B)
-	hi0 := make([]float64, B)
+	stats := make([]runStats, B)
 	los := make([]float64, B)
 	his := make([]float64, B)
-	out := make([]float64, n)
-	for i := 0; i < B; i++ {
-		diams[i] = make([]float64, 0, rounds+1)
-		lo, hi := br.Hull(i)
-		lo0[i], hi0[i] = lo, hi
-		diams[i] = append(diams[i], hi-lo)
-		valid[i] = true
+	for i := range stats {
+		stats[i] = newRunStats(br.Hull(i))
 	}
 
 	// Schedule-driven sources (the scenario path — the common case) are
@@ -934,29 +1053,15 @@ func runSweepTile(ctx context.Context, tile []*sweepTask, cfg *sweepConfig) {
 			}
 		}
 		br.StepEachWithHulls(gs, los, his)
-		for i := 0; i < B; i++ {
-			diams[i] = append(diams[i], his[i]-los[i])
-			// Equivalent to checking every output against the initial
-			// hull, since lo/hi are exact selections from the outputs.
-			if los[i] < lo0[i]-validityTol || his[i] > hi0[i]+validityTol {
-				valid[i] = false
-			}
+		for i := range stats {
+			stats[i].observe(los[i], his[i])
 		}
 	}
 
 	for i, t := range tile {
-		br.Outputs(i, out)
-		final := append([]float64(nil), out...)
-		t.finish(RunSummary{
-			Algorithm:       t.session.alg.Name(),
-			Rounds:          rounds,
-			InitialDiameter: diams[i][0],
-			FinalDiameter:   diams[i][rounds],
-			GeometricRate:   GeometricRate(diams[i]),
-			WorstRoundRatio: WorstRoundRatio(diams[i]),
-			FinalOutputs:    final,
-			Validity:        valid[i],
-		}, cfg)
+		final := make([]float64, n)
+		br.Outputs(i, final)
+		t.finish(stats[i].summary(t.session.alg.Name(), final), cfg)
 	}
 }
 

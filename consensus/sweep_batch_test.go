@@ -3,6 +3,7 @@ package consensus
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,8 +12,9 @@ import (
 // batchSweepSpecs returns a spec mix exercising every sweep path: one
 // large tile with shared graphs (same model/adversary/seed, varying
 // inputs), a tile with per-run graph sequences (varying seeds under the
-// random scheduler), a second algorithm tile, a non-batchable adaptive
-// adversary, a model-free spec, and a broken spec.
+// random scheduler), a second algorithm tile, signed-zero inputs, a
+// non-batchable adaptive adversary, a model-free spec, and a broken
+// spec.
 func batchSweepSpecs() []RunSpec {
 	var specs []RunSpec
 	for i := 0; i < 6; i++ {
@@ -23,6 +25,7 @@ func batchSweepSpecs() []RunSpec {
 	for i := 0; i < 4; i++ {
 		specs = append(specs, RunSpec{Model: "deaf:8", Algorithm: "amortized", Adversary: "random", Rounds: 25, Seed: int64(i + 1)})
 	}
+	specs = append(specs, signedZeroSpecs("deaf:6", 20)...)
 	specs = append(specs,
 		RunSpec{Model: "psi:5", Algorithm: "mean", Adversary: "cycle", Rounds: 12},
 		RunSpec{Model: "twoagent", Algorithm: "twothirds", Adversary: "greedy", Rounds: 3, Depth: 2},
@@ -32,13 +35,93 @@ func batchSweepSpecs() []RunSpec {
 	return specs
 }
 
+// signedZeroSpecs returns specs on a 6-agent model whose inputs mix -0
+// and +0 and whose input hull has minimum exactly 0 — the values where a
+// comparison-based min/max can pick the wrong zero. Min/max and
+// averaging algorithms share each input pattern, and one pattern is all
+// zeros, so its diameter is 0 from the start.
+func signedZeroSpecs(model string, rounds int) []RunSpec {
+	negZero := math.Copysign(0, -1)
+	patterns := [][]float64{
+		{negZero, 0, 1, 0.5, negZero, 0.25},
+		{0, negZero, 0.75, negZero, 1, 0},
+		{negZero, negZero, negZero, 0, 0, 0},
+		{0, 0.125, negZero, 1, 0.5, negZero},
+	}
+	var specs []RunSpec
+	for _, alg := range []string{"midpoint", "amortized", "mean"} {
+		for _, in := range patterns {
+			specs = append(specs, RunSpec{Model: model, Algorithm: alg, Adversary: "cycle", Rounds: rounds, Inputs: in})
+		}
+	}
+	return specs
+}
+
+// summaryDiff describes the first difference between two summaries,
+// comparing every float by its bits — -0 and +0 differ — and returns ""
+// when they are identical.
+func summaryDiff(a, b *RunSummary) string {
+	if a == nil || b == nil {
+		if a != b {
+			return fmt.Sprintf("summary %v vs %v", a, b)
+		}
+		return ""
+	}
+	if a.Algorithm != b.Algorithm || a.Rounds != b.Rounds || a.Validity != b.Validity ||
+		len(a.FinalOutputs) != len(b.FinalOutputs) {
+		return fmt.Sprintf("%+v vs %+v", *a, *b)
+	}
+	x := append([]float64{a.InitialDiameter, a.FinalDiameter, a.GeometricRate, a.WorstRoundRatio}, a.FinalOutputs...)
+	y := append([]float64{b.InitialDiameter, b.FinalDiameter, b.GeometricRate, b.WorstRoundRatio}, b.FinalOutputs...)
+	names := []string{"initial diameter", "final diameter", "geometric rate", "worst round ratio"}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			name := fmt.Sprintf("final output %d", i-len(names))
+			if i < len(names) {
+				name = names[i]
+			}
+			return fmt.Sprintf("%s %v (bits %x) vs %v (bits %x)",
+				name, x[i], math.Float64bits(x[i]), y[i], math.Float64bits(y[i]))
+		}
+	}
+	return ""
+}
+
+// resultDiff is summaryDiff for whole sweep results: the identifying
+// fields must agree exactly too.
+func resultDiff(a, b SweepResult) string {
+	if a.Index != b.Index || a.Fingerprint != b.Fingerprint || a.Cached != b.Cached || a.Err != b.Err {
+		return fmt.Sprintf("result %+v vs %+v", a, b)
+	}
+	return summaryDiff(a.Summary, b.Summary)
+}
+
+// sessionSummary is the untouched reference every sweep path must
+// match: Summarize over a full Session.Run trace. ok is false when the
+// spec does not resolve.
+func sessionSummary(t *testing.T, spec RunSpec, opts ...Option) (*RunSummary, bool) {
+	t.Helper()
+	s, err := NewSession(spec, opts...)
+	if err != nil {
+		return nil, false
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := Summarize(res)
+	return &sum, true
+}
+
 // TestSweepBatchMatchesSingle is the batch plane's acceptance
-// differential at the sweep layer: the tiled execution must produce
-// results deep-equal (bit-identical floats included) to the
-// goroutine-per-run path, across shared-graph tiles, per-run-graph
-// tiles, adaptive fallbacks, and failures. The same specs resolved
-// against an AgentsOnly library, where every spec falls back to the
-// per-session Agent path, must give the same results too.
+// differential at the sweep layer: the tiled execution (at the default
+// worker count, and with one worker so every group fills whole tiles)
+// must produce results bit-identical to SweepBatchSize(1), where every
+// spec runs alone, across shared-graph tiles, per-run-graph tiles,
+// signed-zero inputs, adaptive fallbacks, and failures. The same specs
+// resolved against an AgentsOnly library, where every spec falls back to
+// the per-session Agent path, must give the same results too, and every
+// summary must equal Summarize over a full Session.Run trace.
 func TestSweepBatchMatchesSingle(t *testing.T) {
 	specs := batchSweepSpecs()
 	ctx := context.Background()
@@ -50,30 +133,35 @@ func TestSweepBatchMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wholeTiles, err := Sweep(ctx, specs, WithSweepCache(NewSweepCache()), SweepWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	agents, err := Sweep(ctx, specs, WithSweepCache(NewSweepCache()), SweepLibrary(agentsOnlyLibrary(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(single) != len(batched) || len(single) != len(agents) {
-		t.Fatalf("result count differs: %d vs %d vs %d", len(single), len(batched), len(agents))
+	for _, other := range [][]SweepResult{batched, wholeTiles, agents} {
+		if len(other) != len(single) {
+			t.Fatalf("result count differs: %d vs %d", len(other), len(single))
+		}
 	}
 	for i := range single {
-		if !reflect.DeepEqual(single[i], batched[i]) {
-			t.Errorf("spec %d: batched result differs\nsingle:  %+v %+v\nbatched: %+v %+v",
-				i, single[i], summaryOf(single[i]), batched[i], summaryOf(batched[i]))
+		if d := resultDiff(single[i], batched[i]); d != "" {
+			t.Errorf("spec %d: batched result differs: %s", i, d)
 		}
-		if !reflect.DeepEqual(single[i], agents[i]) {
-			t.Errorf("spec %d: agent-path result differs\nsingle: %+v %+v\nagents: %+v %+v",
-				i, single[i], summaryOf(single[i]), agents[i], summaryOf(agents[i]))
+		if d := resultDiff(single[i], wholeTiles[i]); d != "" {
+			t.Errorf("spec %d: one-worker batched result differs: %s", i, d)
+		}
+		if d := resultDiff(single[i], agents[i]); d != "" {
+			t.Errorf("spec %d: agent-path result differs: %s", i, d)
+		}
+		if want, ok := sessionSummary(t, specs[i]); ok {
+			if d := summaryDiff(want, single[i].Summary); d != "" {
+				t.Errorf("spec %d: sweep summary differs from Summarize(Session.Run): %s", i, d)
+			}
 		}
 	}
-}
-
-func summaryOf(r SweepResult) string {
-	if r.Summary == nil {
-		return "<nil>"
-	}
-	return fmt.Sprintf("%+v", *r.Summary)
 }
 
 // TestSweepBatchSharesCacheKeys proves the batched path writes and reads
@@ -142,12 +230,11 @@ func TestSweepTileKeyDistinguishesParameterizations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range single {
-		if !reflect.DeepEqual(single[i], batched[i]) {
-			t.Errorf("spec %d: batched result differs\nsingle:  %+v %s\nbatched: %+v %s",
-				i, single[i], summaryOf(single[i]), batched[i], summaryOf(batched[i]))
+		if d := resultDiff(single[i], batched[i]); d != "" {
+			t.Errorf("spec %d: batched result differs: %s", i, d)
 		}
 	}
-	if reflect.DeepEqual(single[0].Summary, single[1].Summary) {
+	if summaryDiff(single[0].Summary, single[1].Summary) == "" {
 		t.Fatal("test is vacuous: the two alphas produced identical summaries")
 	}
 }

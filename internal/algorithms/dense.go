@@ -34,70 +34,6 @@ const (
 	floodPlaneRoot     = 1
 )
 
-// fmin and fmax are inlinable replacements for math.Min and math.Max,
-// which are plain function calls on this toolchain and dominate the
-// dense stepper profile. They are pointwise bit-identical to the math
-// versions — same canonical NaN on NaN inputs, same -0/+0 tie-breaks —
-// which TestFminFmaxMatchMath pins over the special values. The ordered
-// comparisons and the nonzero-tie case (contracted states hit the tie
-// on every fold) stay on the inlined path; only zero ties and unordered
-// (NaN) inputs fall through to the outlined slow halves, keeping fmin
-// and fmax themselves within the inliner's budget so folds pay no call
-// per element.
-
-func fmin(x, y float64) float64 {
-	if x < y || (x == y && x != 0) {
-		return x
-	}
-	return fminSlow(x, y)
-}
-
-// fminSlow takes over when x is not the ordered-or-nonzero-tie winner:
-// a new running minimum (the common outlined case, one cheap branch),
-// zero ties (math.Min prefers -0), and unordered inputs (a NaN is
-// involved, but math.Min ranks -Inf above it).
-func fminSlow(x, y float64) float64 {
-	if y < x {
-		return y
-	}
-	if x == y {
-		if math.Signbit(x) {
-			return x
-		}
-		return y
-	}
-	if x == math.Inf(-1) || y == math.Inf(-1) {
-		return math.Inf(-1)
-	}
-	return math.NaN()
-}
-
-func fmax(x, y float64) float64 {
-	if x > y || (x == y && x != 0) {
-		return x
-	}
-	return fmaxSlow(x, y)
-}
-
-// fmaxSlow takes over when x is not the ordered-or-nonzero-tie winner:
-// a new running maximum, zero ties (math.Max prefers +0), and unordered
-// inputs (a NaN is involved, but math.Max ranks +Inf above it).
-func fmaxSlow(x, y float64) float64 {
-	if y > x {
-		return y
-	}
-	if x == y {
-		if !math.Signbit(x) {
-			return x
-		}
-		return y
-	}
-	if x == math.Inf(1) || y == math.Inf(1) {
-		return math.Inf(1)
-	}
-	return math.NaN()
-}
-
 // ---- Midpoint ----
 
 // DensePlanes implements core.DenseAlgorithm.
@@ -123,8 +59,8 @@ func foldMinMax(y []float64, m uint64) (lo, hi float64) {
 		if m&bit == 0 {
 			continue
 		}
-		lo = fmin(lo, v)
-		hi = fmax(hi, v)
+		lo = core.Fmin(lo, v)
+		hi = core.Fmax(hi, v)
 	}
 	return lo, hi
 }
@@ -132,14 +68,14 @@ func foldMinMax(y []float64, m uint64) (lo, hi float64) {
 // foldMinMaxDelta extends an already-computed fold (lo0, hi0) by the
 // values at delta's set bits — the subset-delta path of MaskSeg.Base.
 // Bit-identical to folding the union mask directly in index order:
-// fmin/fmax are exact multiset selections (NaN and signed-zero handling
+// core.Fmin/Fmax are exact multiset selections (NaN and signed-zero handling
 // included), so association order is free. delta must be non-empty.
 func foldMinMaxDelta(y []float64, delta uint64, lo0, hi0 float64) (lo, hi float64) {
 	lo, hi = lo0, hi0
 	for m := delta; m != 0; m &= m - 1 {
 		v := y[bits.TrailingZeros64(m)]
-		lo = fmin(lo, v)
-		hi = fmax(hi, v)
+		lo = core.Fmin(lo, v)
+		hi = core.Fmax(hi, v)
 	}
 	return lo, hi
 }
@@ -443,8 +379,8 @@ func foldInterval(loPlane, hiPlane []float64, m uint64) (lo, hi float64) {
 		if m&bit == 0 {
 			continue
 		}
-		lo = fmin(lo, loPlane[i])
-		hi = fmax(hi, hiPlane[i])
+		lo = core.Fmin(lo, loPlane[i])
+		hi = core.Fmax(hi, hiPlane[i])
 	}
 	return lo, hi
 }
@@ -456,8 +392,8 @@ func foldIntervalDelta(loPlane, hiPlane []float64, delta uint64, lo0, hi0 float6
 	lo, hi = lo0, hi0
 	for m := delta; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		lo = fmin(lo, loPlane[i])
-		hi = fmax(hi, hiPlane[i])
+		lo = core.Fmin(lo, loPlane[i])
+		hi = core.Fmax(hi, hiPlane[i])
 	}
 	return lo, hi
 }

@@ -19,7 +19,7 @@ import (
 // single-run last-mask memo: fold reuse across non-adjacent segments
 // with equal masks (seg.Fold), and subset-delta folds (seg.Base) that
 // extend an earlier fold by the mask difference. Both are transparent
-// for min/max folds because fmin/fmax are exact multiset selections —
+// for min/max folds because core.Fmin/Fmax are exact multiset selections —
 // the result does not depend on association order, NaN and signed-zero
 // cases included. Order-sensitive folds (Mean's sum, FlowSum) ignore
 // seg.Base and fold their masks in StepDense's index order. The
@@ -35,7 +35,7 @@ import (
 // is bit-identical to core.Hull over the full output vector as long as
 // every distinct output value is fed at least once in output order:
 // min/max are exact multiset selections, so repeated values (a segment's
-// shared fold result) need only one visit. fmin/fmax are pinned
+// shared fold result) need only one visit. core.Fmin/Fmax are pinned
 // bit-identical to the math.Min/Max that core.Hull uses.
 type hullAcc struct {
 	lo, hi float64
@@ -47,8 +47,8 @@ func (h *hullAcc) add(v float64) {
 		h.lo, h.hi, h.any = v, v, true
 		return
 	}
-	h.lo = fmin(h.lo, v)
-	h.hi = fmax(h.hi, v)
+	h.lo = core.Fmin(h.lo, v)
+	h.hi = core.Fmax(h.hi, v)
 }
 
 func (h *hullAcc) commit(plan *core.StepPlan, r int) {

@@ -45,8 +45,8 @@ func foldMinMaxW(y []float64, row []uint64) (lo, hi float64) {
 				lo, hi, first = v, v, false
 				continue
 			}
-			lo = fmin(lo, v)
-			hi = fmax(hi, v)
+			lo = core.Fmin(lo, v)
+			hi = core.Fmax(hi, v)
 		}
 	}
 	return lo, hi
@@ -54,15 +54,15 @@ func foldMinMaxW(y []float64, row []uint64) (lo, hi float64) {
 
 // foldMinMaxDeltaW extends an already-computed fold by the values at the
 // delta row's set bits; bit-identical to folding the union row directly
-// because fmin/fmax are exact multiset selections (see foldMinMaxDelta).
+// because core.Fmin/Fmax are exact multiset selections (see foldMinMaxDelta).
 func foldMinMaxDeltaW(y []float64, delta []uint64, lo0, hi0 float64) (lo, hi float64) {
 	lo, hi = lo0, hi0
 	for wi, m := range delta {
 		base := wi * 64
 		for ; m != 0; m &= m - 1 {
 			v := y[base+bits.TrailingZeros64(m)]
-			lo = fmin(lo, v)
-			hi = fmax(hi, v)
+			lo = core.Fmin(lo, v)
+			hi = core.Fmax(hi, v)
 		}
 	}
 	return lo, hi
@@ -79,8 +79,8 @@ func foldIntervalW(loPlane, hiPlane []float64, row []uint64) (lo, hi float64) {
 				lo, hi, first = loPlane[i], hiPlane[i], false
 				continue
 			}
-			lo = fmin(lo, loPlane[i])
-			hi = fmax(hi, hiPlane[i])
+			lo = core.Fmin(lo, loPlane[i])
+			hi = core.Fmax(hi, hiPlane[i])
 		}
 	}
 	return lo, hi
@@ -94,8 +94,8 @@ func foldIntervalDeltaW(loPlane, hiPlane []float64, delta []uint64, lo0, hi0 flo
 		base := wi * 64
 		for ; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			lo = fmin(lo, loPlane[i])
-			hi = fmax(hi, hiPlane[i])
+			lo = core.Fmin(lo, loPlane[i])
+			hi = core.Fmax(hi, hiPlane[i])
 		}
 	}
 	return lo, hi

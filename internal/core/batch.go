@@ -136,7 +136,7 @@ func (st *BatchState) copyRun(dst, src int) {
 // one: when Base >= 0, Segs[Base] is an earlier distinct fold whose mask
 // is a strict subset of Mask, and Delta = Mask &^ Segs[Base].Mask is the
 // non-empty remainder. A stepper whose fold is an exact multiset
-// selection (min/max: fmin/fmax results do not depend on association
+// selection (min/max: Fmin/Fmax results do not depend on association
 // order, including the NaN and signed-zero cases) may extend the base
 // fold by Delta's bits instead of refolding the whole mask —
 // bit-identical, and on churn-style graphs (each down agent's mask is
@@ -511,14 +511,16 @@ type BatchRunner struct {
 	// Intra-step parallelism (parallel.go): par is the configured worker
 	// count (0 = inherit the process default), segOK whether the stepper
 	// may be fold-sharded, job the pooled per-round task list, and arena
-	// the coordinator's own executor scratch. lastShards is the task
-	// count of the most recent parallel round, sampled by the obs
-	// wrappers (obs.go); sequential rounds leave it at the wrapper's 0.
+	// the coordinator's own executor scratch. shardTasks counts the tasks
+	// of every parallel round, for the obs series (obs.go).
 	par        int
 	segOK      bool
 	job        stepJob
 	arena      stepArena
-	lastShards int
+	shardTasks uint64
+
+	// tally holds the kernel metric counts not yet published (obs.go).
+	tally kernelTally
 }
 
 // NewBatchRunner builds a runner from per-run raw inputs (inputs[r] is
@@ -1247,5 +1249,3 @@ func (r *BatchRunner) Fork() *BatchRunner {
 	f.buildViews()
 	return f
 }
-
-

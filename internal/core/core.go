@@ -155,8 +155,8 @@ func (c *Config) Hull() (lo, hi float64) {
 	hi = lo
 	for _, a := range c.agents[1:] {
 		v := a.Output()
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
+		lo = Fmin(lo, v)
+		hi = Fmax(hi, v)
 	}
 	return lo, hi
 }
@@ -304,14 +304,7 @@ func (c *Config) IndistinguishableFor(i int, d *Config) bool {
 // Diameter returns max values minus min values (the 1-dimensional diameter
 // of the value set); 0 for empty input.
 func Diameter(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values[1:] {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
+	lo, hi := Hull(values)
 	return hi - lo
 }
 
@@ -322,8 +315,74 @@ func Hull(values []float64) (lo, hi float64) {
 	}
 	lo, hi = values[0], values[0]
 	for _, v := range values[1:] {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
+		lo = Fmin(lo, v)
+		hi = Fmax(hi, v)
 	}
 	return lo, hi
+}
+
+// Fmin and Fmax are inlinable replacements for math.Min and math.Max,
+// which are plain function calls on this toolchain and dominate the
+// dense stepper and hull profiles. They are pointwise bit-identical to
+// the math versions — same canonical NaN on NaN inputs, same -0/+0
+// tie-breaks — which TestFminFmaxMatchMath pins over the special values.
+// The ordered comparisons and the nonzero-tie case (contracted states
+// hit the tie on every fold) stay on the inlined path; only zero ties
+// and unordered (NaN) inputs fall through to the outlined slow halves,
+// keeping Fmin and Fmax themselves within the inliner's budget so folds
+// pay no call per element.
+
+// Fmin returns the smaller of x and y, exactly as math.Min does.
+func Fmin(x, y float64) float64 {
+	if x < y || (x == y && x != 0) {
+		return x
+	}
+	return fminSlow(x, y)
+}
+
+// fminSlow takes over when x is not the ordered-or-nonzero-tie winner:
+// a new running minimum (the common outlined case, one cheap branch),
+// zero ties (math.Min prefers -0), and unordered inputs (a NaN is
+// involved, but math.Min ranks -Inf above it).
+func fminSlow(x, y float64) float64 {
+	if y < x {
+		return y
+	}
+	if x == y {
+		if math.Signbit(x) {
+			return x
+		}
+		return y
+	}
+	if x == math.Inf(-1) || y == math.Inf(-1) {
+		return math.Inf(-1)
+	}
+	return math.NaN()
+}
+
+// Fmax returns the larger of x and y, exactly as math.Max does.
+func Fmax(x, y float64) float64 {
+	if x > y || (x == y && x != 0) {
+		return x
+	}
+	return fmaxSlow(x, y)
+}
+
+// fmaxSlow takes over when x is not the ordered-or-nonzero-tie winner:
+// a new running maximum, zero ties (math.Max prefers +0), and unordered
+// inputs (a NaN is involved, but math.Max ranks +Inf above it).
+func fmaxSlow(x, y float64) float64 {
+	if y > x {
+		return y
+	}
+	if x == y {
+		if !math.Signbit(x) {
+			return x
+		}
+		return y
+	}
+	if x == math.Inf(1) || y == math.Inf(1) {
+		return math.Inf(1)
+	}
+	return math.NaN()
 }

@@ -9,16 +9,22 @@ import (
 )
 
 // This file wires the batch kernel into the obs metrics plane under a
-// strict sampling contract: all instrumentation happens once per
-// Step/StepEach round on the coordinating goroutine — never per run,
-// never per fold — so the cost is one time.Now pair plus a handful of
-// atomic adds against a round that steps B runs. Plan-cache series are
-// flushed as deltas of the runner's plain (coordinator-owned) counters
-// around the round, which keeps the hot cache paths untouched.
+// strict sampling contract: nothing is published per run or per fold,
+// and nothing is published per round either. A round only bumps a
+// plain round count in the runner (the coordinating goroutine owns it,
+// so there are no atomics on the round path); the plan-cache and
+// shard-task series are deltas of the runner's own lifetime counters
+// against the values they had at the last publish. The runner
+// publishes every obsPublishEvery rounds and whenever its owner calls
+// FlushMetrics (a sweep tile does at tile end), so after a flush the
+// series hold exactly what was stepped. The round latency histogram
+// times one StepEach round in obsPublishEvery, chosen by the runner's
+// own StepEach count, so its observation count does not depend on the
+// worker count either.
 //
 // With REPRO_OBS=off (or SetObsRegistry(nil)) the kernel holds a nil
 // metrics bundle and every round skips straight to the raw step —
-// there is no clock read and no atomic traffic at all.
+// there is no clock read, no tally and no atomic traffic at all.
 
 // kernelMetrics bundles the kernel's process-wide instruments. One
 // bundle per registry; resolved once in SetObsRegistry so rounds pay a
@@ -69,49 +75,104 @@ func SetObsRegistry(r *obs.Registry) {
 	})
 }
 
-// step applies one shared-graph round, sampling kernel metrics around
-// the raw step when instrumentation is bound.
+// obsPublishEvery is how many instrumented rounds a runner tallies
+// before publishing them, and how many StepEach rounds share one timed
+// round: two clock reads, one histogram observe and seven counter adds
+// per 64 rounds stay inside the 2% overhead gate even on two-run n=16
+// tiles, the cheapest rounds sweeps step (paperbench's obs_small).
+const obsPublishEvery = 64
+
+// kernelTally is a runner's unpublished kernel counts: the rounds
+// stepped since the last publish, and the lifetime plan-cache and
+// shard-task counters as they stood then, so a publish adds their
+// movement since. eachSeen is the runner's lifetime StepEach count,
+// which picks the timed rounds. m is the bundle the counts belong to:
+// binding another (or detaching) publishes them there first and
+// restarts the baselines, so each count lands in the registry that was
+// bound when it was stepped and detached rounds count nowhere.
+type kernelTally struct {
+	m                      *kernelMetrics
+	eachSeen               uint64
+	stepRounds, eachRounds uint64
+	hits, misses           uint64
+	evicts, defers, shards uint64
+}
+
+// step applies one shared-graph round, tallying it when
+// instrumentation is bound.
 func (r *BatchRunner) step(g graph.Graph) (hullDone bool) {
 	m := kernelObs.Load()
+	if m != r.tally.m {
+		r.rebindMetrics(m)
+	}
 	if m == nil {
 		return r.stepRaw(g)
 	}
-	h0, mi0, e0, d0 := r.planHits, r.planMisses, r.planEvicts, r.planDefers
-	r.lastShards = 0
 	hullDone = r.stepRaw(g)
-	m.stepRounds.Inc()
-	r.flushPlanDeltas(m, h0, mi0, e0, d0)
+	r.tally.stepRounds++
+	r.endRound()
 	return hullDone
 }
 
-// stepEach applies one clustered per-run-graph round, sampling kernel
-// metrics (including the round latency histogram) around the raw step
-// when instrumentation is bound.
+// stepEach applies one clustered per-run-graph round, tallying it —
+// and timing it when it is the sampled round of its window — when
+// instrumentation is bound.
 func (r *BatchRunner) stepEach(gs []graph.Graph) (hullDone bool) {
 	m := kernelObs.Load()
+	if m != r.tally.m {
+		r.rebindMetrics(m)
+	}
 	if m == nil {
 		return r.stepEachRaw(gs)
 	}
-	h0, mi0, e0, d0 := r.planHits, r.planMisses, r.planEvicts, r.planDefers
-	r.lastShards = 0
-	start := time.Now()
-	hullDone = r.stepEachRaw(gs)
-	m.roundSeconds.Observe(time.Since(start).Seconds())
-	m.stepEachRounds.Inc()
-	r.flushPlanDeltas(m, h0, mi0, e0, d0)
+	r.tally.eachSeen++
+	if r.tally.eachSeen%obsPublishEvery == 1 {
+		start := time.Now()
+		hullDone = r.stepEachRaw(gs)
+		m.roundSeconds.Observe(time.Since(start).Seconds())
+	} else {
+		hullDone = r.stepEachRaw(gs)
+	}
+	r.tally.eachRounds++
+	r.endRound()
 	return hullDone
 }
 
-// flushPlanDeltas adds the round's plan-cache counter movement and
-// worker-shard count to the bound instruments. The runner's plain
-// counters are coordinator-owned, so the deltas are exact; since
-// clustering and admission are identical at every parallelism level
-// (the determinism contract in parallel.go), the flushed plan series
-// are parallelism-invariant too.
-func (r *BatchRunner) flushPlanDeltas(m *kernelMetrics, h0, mi0, e0, d0 uint64) {
-	m.shardTasks.Add(uint64(r.lastShards))
-	m.planHits.Add(r.planHits - h0)
-	m.planMisses.Add(r.planMisses - mi0)
-	m.planEvicts.Add(r.planEvicts - e0)
-	m.planDefers.Add(r.planDefers - d0)
+// endRound publishes the tally once its window is full.
+func (r *BatchRunner) endRound() {
+	if r.tally.stepRounds+r.tally.eachRounds == obsPublishEvery {
+		r.FlushMetrics()
+	}
+}
+
+// rebindMetrics publishes the tally to the bundle it was counted under
+// and restarts it under m (nil: detached).
+func (r *BatchRunner) rebindMetrics(m *kernelMetrics) {
+	r.FlushMetrics()
+	r.tally.m = m
+}
+
+// FlushMetrics publishes the kernel counts the runner has tallied since
+// its last publish to the registry they were counted under. Stepping
+// publishes every obsPublishEvery rounds on its own; owners that read
+// the series against a finished batch (a sweep tile does at tile end)
+// flush first. It never allocates. The plain counters are
+// coordinator-owned, so the deltas are exact; since clustering and
+// admission are identical at every parallelism level (the determinism
+// contract in parallel.go), the published plan series are
+// parallelism-invariant too.
+func (r *BatchRunner) FlushMetrics() {
+	t := &r.tally
+	if m := t.m; m != nil {
+		m.stepRounds.Add(t.stepRounds)
+		m.stepEachRounds.Add(t.eachRounds)
+		m.shardTasks.Add(r.shardTasks - t.shards)
+		m.planHits.Add(r.planHits - t.hits)
+		m.planMisses.Add(r.planMisses - t.misses)
+		m.planEvicts.Add(r.planEvicts - t.evicts)
+		m.planDefers.Add(r.planDefers - t.defers)
+	}
+	t.stepRounds, t.eachRounds = 0, 0
+	t.hits, t.misses, t.evicts, t.defers = r.planHits, r.planMisses, r.planEvicts, r.planDefers
+	t.shards = r.shardTasks
 }

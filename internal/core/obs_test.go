@@ -28,7 +28,8 @@ var kernelSeries = []string{
 // mixedWorkload steps a fresh runner through a mixed Step/StepEach
 // schedule designed to move every plan-cache counter: a tight cap
 // forces evictions, singleton first-sight graphs force deferrals, and
-// pool revisits force doorkeeper admissions and memo hits.
+// pool revisits force doorkeeper admissions and memo hits. It flushes
+// the runner's tally at the end, as a sweep tile does.
 func mixedWorkload(t *testing.T, par int) {
 	t.Helper()
 	const n, b, rounds = 32, 16, 40
@@ -70,6 +71,64 @@ func mixedWorkload(t *testing.T, par int) {
 			}
 			br.StepEach(gs)
 		}
+	}
+	br.FlushMetrics()
+}
+
+// TestKernelMetricsPublishedPerWindow pins the publication contract:
+// stepping publishes the tally once per obsPublishEvery (64) rounds,
+// FlushMetrics publishes the rest, and after the flush the round series
+// equals the rounds stepped, the plan-cache series equal the runner's
+// PlanCacheStats, and the latency histogram holds one timed round per
+// window of StepEach rounds.
+func TestKernelMetricsPublishedPerWindow(t *testing.T) {
+	defer core.SetObsRegistry(obs.Default())
+	r := obs.NewRegistry()
+	core.SetObsRegistry(r)
+	const n, b, rounds = 16, 2, 100
+	pool := make([]graph.Graph, 16)
+	for k := range pool {
+		pool[k] = deafVariant(t, n, k)
+	}
+	d, _ := core.AsDense(algorithms.Midpoint{})
+	br := core.NewBatchRunner(d, testInputs(n, b))
+	gs := make([]graph.Graph, b)
+	los, his := make([]float64, b), make([]float64, b)
+	for round := 0; round < rounds; round++ {
+		for i := range gs {
+			gs[i] = pool[(3*round+5*i)%len(pool)]
+		}
+		br.StepEachWithHulls(gs, los, his)
+		want := uint64(0)
+		if round+1 >= 64 {
+			want = 64
+		}
+		if got := r.CounterValue("repro_kernel_stepeach_rounds_total"); got != want {
+			t.Fatalf("after %d rounds the series reads %d, want %d", round+1, got, want)
+		}
+	}
+	br.FlushMetrics()
+	br.FlushMetrics() // nothing pending: must not double-publish
+	if got := r.CounterValue("repro_kernel_stepeach_rounds_total"); got != rounds {
+		t.Errorf("after the flush the series reads %d rounds, want %d", got, rounds)
+	}
+	hits, misses, evicts, defers, _ := br.PlanCacheStats()
+	for name, want := range map[string]uint64{
+		"repro_kernel_plan_cache_hits_total":      hits,
+		"repro_kernel_plan_cache_misses_total":    misses,
+		"repro_kernel_plan_cache_evictions_total": evicts,
+		"repro_kernel_plan_cache_deferrals_total": defers,
+	} {
+		if got := r.CounterValue(name); got != want {
+			t.Errorf("%s = %d, PlanCacheStats says %d", name, got, want)
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("workload did not exercise the plan cache: hits %d misses %d", hits, misses)
+	}
+	h := r.Histogram("repro_kernel_stepeach_round_seconds", "", obs.DurationBuckets())
+	if got := h.Count(); got != 2 {
+		t.Errorf("histogram timed %d rounds of %d, want 2 (rounds 1 and 65)", got, rounds)
 	}
 }
 

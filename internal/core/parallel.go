@@ -375,7 +375,7 @@ func (r *BatchRunner) expandWordShards(par int) {
 // requested hulls.
 func (r *BatchRunner) runTasks(par int) bool {
 	j := &r.job
-	r.lastShards = len(j.tasks)
+	r.shardTasks += uint64(len(j.tasks))
 	tokens := par - 1
 	if t := len(j.tasks) - 1; tokens > t {
 		tokens = t

@@ -84,5 +84,6 @@ func RunBatch(ctx context.Context, alg DenseAlgorithm, inputs [][]float64, srcs 
 		}
 		r.StepEach(gs)
 	}
+	r.FlushMetrics()
 	return r, nil
 }

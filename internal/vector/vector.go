@@ -198,6 +198,9 @@ func (r *Runner) Run(src core.PatternSource, rounds int) {
 		}
 		r.Step(g)
 	}
+	if r.batch != nil {
+		r.batch.FlushMetrics()
+	}
 }
 
 // Positions returns the agents' current d-dimensional values.
