@@ -16,8 +16,8 @@ import (
 // numbers isolate core.BatchRunner stepping. The dense plane encodes
 // in-neighbor sets as word-sliced bitmasks (W = ⌈n/64⌉ words per row),
 // so n is no longer capped at one machine word; the series runs at
-// n = 256 (four words per row) to exercise the multi-word folds and the
-// word-aligned receiver sharding, while B carries the batch scale.
+// n = 256 (four words per row) to exercise the folds over wide rows and
+// the word-aligned receiver sharding, while B carries the batch scale.
 const (
 	largeN     = 256
 	largeBatch = 1024

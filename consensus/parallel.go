@@ -11,11 +11,10 @@ import (
 
 // This file is the facade over the batch plane's intra-step
 // parallelism knob (core.BatchRunner.SetParallelism): the process-wide
-// default, the shared "-batch-parallelism" flag helper for the cmds,
-// and — in session.go / sweep.go — the WithBatchParallelism and
-// SweepBatchParallelism options. Parallel stepping is bit-identical to
-// sequential stepping at every setting, so the knob only trades
-// latency for cores, never results.
+// default, which every sweep tile inherits, and the shared
+// "-batch-parallelism" flag helper for the cmds. Parallel stepping is
+// bit-identical to sequential stepping at every setting, so the knob
+// only trades latency for cores, never results.
 
 // ProcessBatchParallelism returns the process-wide default intra-step
 // worker count for batched execution (1 = sequential unless

@@ -266,11 +266,10 @@ func TestScenarioSweepBatchParityBlended(t *testing.T) {
 
 // TestScenarioSweepBatchParityParallel exercises the intra-step
 // parallel path through the public sweep surface: the same blended
-// shared/per-run schedule mix as the Blended parity test, swept with
-// SweepBatchParallelism at several levels (including workers above the
-// tile sizes), plus the session-level WithBatchParallelism carrier via
-// the process default. Summaries must stay bit-identical to the
-// sequential per-session path at every level.
+// shared/per-run schedule mix as the Blended parity test, swept under
+// the process default pinned at several levels (including workers above
+// the tile sizes). Summaries must stay bit-identical to the sequential
+// per-session path at every level.
 func TestScenarioSweepBatchParityParallel(t *testing.T) {
 	const rounds = 40
 	shared, err := Scenarios.New("churn:16,5,5,8,4", ScenarioEnv{Models: Models, Scenarios: Scenarios})
@@ -293,7 +292,9 @@ func TestScenarioSweepBatchParityParallel(t *testing.T) {
 	}
 	for _, par := range []int{2, 3, 17} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			assertSweepBatchParity(t, specs, SweepBatchParallelism(par))
+			prev := SetProcessBatchParallelism(par)
+			defer SetProcessBatchParallelism(prev)
+			assertSweepBatchParity(t, specs)
 		})
 	}
 	t.Run("process-default", func(t *testing.T) {

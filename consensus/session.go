@@ -39,7 +39,6 @@ type sessionConfig struct {
 	rounds        int
 	seed          int64
 	depth         int
-	batchPar      int
 	floor         bool
 	trace         bool
 }
@@ -116,23 +115,6 @@ func WithDepth(d int) Option {
 	}
 }
 
-// WithBatchParallelism pins the intra-step worker count used when this
-// session's configuration executes on the batch plane (sweep tiles and
-// batched scenario grids): n >= 1 shards each batch round across n
-// workers (1 = sequential stepping), n == 0 — the default — inherits
-// the process default (REPRO_BATCH_PARALLELISM /
-// SetProcessBatchParallelism). Outputs are byte-identical at every
-// setting; single-run Run/Rounds executions are unaffected.
-func WithBatchParallelism(n int) Option {
-	return func(c *sessionConfig) error {
-		if n < 0 {
-			return fmt.Errorf("consensus: negative batch parallelism %d", n)
-		}
-		c.batchPar = n
-		return nil
-	}
-}
-
 // WithValencyFloor makes Rounds snapshots carry the certified valency
 // diameter floor δ(C_t) of every visited configuration, computed at the
 // session depth on the session's shared engine. Requires a model.
@@ -187,7 +169,6 @@ type Session struct {
 	rounds    int
 	seed      int64
 	depth     int
-	batchPar  int
 	floor     bool
 	trace     bool
 	engine    *valency.Engine
@@ -260,7 +241,6 @@ func New(opts ...Option) (*Session, error) {
 		rounds:    cfg.rounds,
 		seed:      cfg.seed,
 		depth:     cfg.depth,
-		batchPar:  cfg.batchPar,
 		floor:     cfg.floor,
 		trace:     cfg.trace,
 	}

@@ -385,11 +385,9 @@ type sweepConfig struct {
 	lib      *Library
 	batch    int
 	cacheCap int
-	// batchPar is the raw SweepBatchParallelism setting (0 inherit the
-	// process default, < 0 auto, >= 1 pinned); intra is its resolved
-	// per-tile worker count.
-	batchPar int
-	intra    int
+	// intra is the per-tile intra-step worker count: the process default
+	// (REPRO_BATCH_PARALLELISM / SetProcessBatchParallelism).
+	intra int
 
 	// scenMemo shares resolved schedules across the sweep's specs:
 	// schedules are immutable and content-addressed, so a grid of one
@@ -476,25 +474,6 @@ func SweepBatchSize(n int) SweepOption {
 	return func(c *sweepConfig) { c.batch = n }
 }
 
-// SweepBatchParallelism sets the intra-step worker count of every
-// batch tile: n >= 1 pins it (1 = sequential tiles), n <= 0 selects
-// auto (GOMAXPROCS); without the option tiles inherit the process
-// default (REPRO_BATCH_PARALLELISM / SetProcessBatchParallelism).
-// When the resolved count exceeds 1, the sweep divides its worker
-// budget between the two layers — tile-level workers shrink to about
-// workers/n — so tile fan-out times intra-tile stepping stays near the
-// machine size instead of oversubscribing it (the shared step pool
-// bounds the whole process as a backstop). Results are byte-identical
-// at every setting.
-func SweepBatchParallelism(n int) SweepOption {
-	return func(c *sweepConfig) {
-		if n <= 0 {
-			n = -1
-		}
-		c.batchPar = n
-	}
-}
-
 // SweepCacheCapacity bounds the entry count of the sweep's cache,
 // evicting oldest-first past the cap. With WithSweepCache it re-bounds
 // that cache (the bound persists on it); without, the sweep uses a
@@ -534,17 +513,13 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 	if cfg.workers > len(specs) {
 		cfg.workers = len(specs)
 	}
-	// Resolve the intra-tile worker count and split the budget: with
-	// n-way stepping inside each tile, about workers/n tile-level
-	// workers keep total parallelism near the configured budget.
-	switch {
-	case cfg.batchPar >= 1:
-		cfg.intra = cfg.batchPar
-	case cfg.batchPar < 0:
-		cfg.intra = runtime.GOMAXPROCS(0)
-	default:
-		cfg.intra = core.DefaultBatchParallelism()
-	}
+	// Split the worker budget: with n-way stepping inside each tile
+	// (the process default), about workers/n tile-level workers keep
+	// total parallelism near the configured budget — tile fan-out times
+	// intra-tile stepping stays near the machine size instead of
+	// oversubscribing it (the shared step pool bounds the whole process
+	// as a backstop).
+	cfg.intra = core.DefaultBatchParallelism()
 	execWorkers := cfg.workers
 	if cfg.intra > 1 {
 		execWorkers = cfg.workers / cfg.intra
@@ -993,17 +968,7 @@ func runSweepTile(ctx context.Context, tile []*sweepTask, cfg *sweepConfig) {
 			sweepObs.tileSeconds.Observe(time.Since(tileStart).Seconds())
 		}
 	}()
-	// Intra-tile parallelism: the sweep-resolved count, raised by any
-	// session in the tile that pinned a higher one via
-	// WithBatchParallelism (parallel stepping is bit-identical, so
-	// raising it for tile-mates only trades latency).
-	par := cfg.intra
-	for _, t := range tile {
-		if p := t.session.batchPar; p > par {
-			par = p
-		}
-	}
-	br.SetParallelism(par)
+	br.SetParallelism(cfg.intra)
 	// Scenario sweeps revisit graphs heavily (lassos, churn epochs, and
 	// generators drawing from small graph populations), so size the plan
 	// cache by a byte budget instead of the flat default: small-n plans

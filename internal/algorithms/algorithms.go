@@ -24,7 +24,8 @@
 //     combination property.
 //
 // All algorithms are deterministic and their agents clonable, as the core
-// contract requires.
+// contract requires. All but FlowSum also implement core.DenseAlgorithm
+// (dense.go, dense_batch.go); FlowSum runs on the Agent path only.
 package algorithms
 
 import (

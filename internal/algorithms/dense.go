@@ -10,10 +10,16 @@ import (
 )
 
 // This file implements the dense struct-of-arrays path
-// (core.DenseAlgorithm) for every algorithm in the package, plus the
-// agent<->dense state bridges (core.DenseStateWriter/Reader) and the dense
-// fingerprints that keep the valency engine's transposition tables shared
-// between the dense and Agent paths.
+// (core.DenseAlgorithm) for every algorithm in the package except
+// FlowSum, which runs on the Agent path only, plus the agent<->dense state
+// bridges (core.DenseStateWriter/Reader) and the dense fingerprints that
+// keep the valency engine's transposition tables shared between the dense
+// and Agent paths.
+//
+// Every stepper and fold reads the graph as mask rows (graph.InRow): one
+// word per receiver for n <= 64, ⌈n/64⌉ words beyond, with one body for
+// every width. Receivers whose rows are equal share one fold through a
+// last-row memo; the rows are compared with graph.SetsEqual.
 //
 // Bit-identity contract: each stepper performs exactly the float
 // operations of the corresponding Agent's Deliver, visiting senders in
@@ -22,8 +28,8 @@ import (
 // exact selections, so the result is order-independent); sums and
 // averaged updates replicate the Deliver expressions verbatim. The
 // differential tests in dense_test.go pin the equivalence on randomized
-// graph sequences, and TestDenseFingerprintParity pins the fingerprint
-// encodings.
+// graph sequences on both sides of the word boundary, and
+// TestDenseFingerprintParity pins the fingerprint encodings.
 
 // Plane indices of the algorithms with auxiliary state.
 const (
@@ -42,60 +48,71 @@ func (Midpoint) DensePlanes() int { return 0 }
 // InitDense implements core.DenseAlgorithm.
 func (Midpoint) InitDense(*core.DenseState) {}
 
-// foldMinMax returns the min and max of y over the mask's set bits. The
-// scan is range-based (no per-element bounds checks) in ascending index —
-// the Agent path's inbox order; the fold result is a pure function of the
-// value multiset anyway (math.Min/Max are exact selections with
-// multiset-determined NaN and -0 handling), which is what licenses the
-// per-mask memoization in the steppers: receivers sharing an in-mask
-// share the fold. m must be non-empty.
-func foldMinMax(y []float64, m uint64) (lo, hi float64) {
-	first := bits.TrailingZeros64(m)
-	lo = y[first]
-	hi = lo
-	bit := uint64(1) << uint(first)
-	for _, v := range y[first+1:] {
-		bit <<= 1
-		if m&bit == 0 {
-			continue
+// firstBit returns the index of the row's lowest set bit and the word
+// holding it, with that bit cleared. row must be non-empty.
+func firstBit(row []uint64) (i, wi int, rest uint64) {
+	for row[wi] == 0 {
+		wi++
+	}
+	m := row[wi]
+	return wi*64 + bits.TrailingZeros64(m), wi, m & (m - 1)
+}
+
+// foldMinMax returns the min and max of y over the row's set bits,
+// visited in ascending index — the Agent path's inbox order. It seeds
+// from the first set bit: seeding with ±Inf would be bit-exact too, but
+// would send every fold's first element through the outlined slow half
+// of core.Fmin/Fmax. The fold result is a pure function of the value
+// multiset (core.Fmin/Fmax are exact selections with multiset-determined
+// NaN and -0 handling), which is what licenses the per-row memoization in
+// the steppers: receivers sharing an in-row share the fold. row must be
+// non-empty (every row carries the self-loop).
+func foldMinMax(y []float64, row []uint64) (lo, hi float64) {
+	i, wi, m := firstBit(row)
+	lo, hi = y[i], y[i]
+	for {
+		base := wi * 64
+		for ; m != 0; m &= m - 1 {
+			v := y[base+bits.TrailingZeros64(m)]
+			lo = core.Fmin(lo, v)
+			hi = core.Fmax(hi, v)
 		}
-		lo = core.Fmin(lo, v)
-		hi = core.Fmax(hi, v)
+		if wi++; wi == len(row) {
+			return lo, hi
+		}
+		m = row[wi]
+	}
+}
+
+// foldMinMaxDelta extends an already-computed fold (lo, hi) by the
+// values at the delta row's set bits — the subset-delta path of
+// MaskSeg.Base. Bit-identical to folding the union row directly in index
+// order: core.Fmin/Fmax are exact multiset selections (NaN and
+// signed-zero handling included), so association order is free.
+func foldMinMaxDelta(y []float64, delta []uint64, lo, hi float64) (float64, float64) {
+	for wi, m := range delta {
+		base := wi * 64
+		for ; m != 0; m &= m - 1 {
+			v := y[base+bits.TrailingZeros64(m)]
+			lo = core.Fmin(lo, v)
+			hi = core.Fmax(hi, v)
+		}
 	}
 	return lo, hi
 }
 
-// foldMinMaxDelta extends an already-computed fold (lo0, hi0) by the
-// values at delta's set bits — the subset-delta path of MaskSeg.Base.
-// Bit-identical to folding the union mask directly in index order:
-// core.Fmin/Fmax are exact multiset selections (NaN and signed-zero handling
-// included), so association order is free. delta must be non-empty.
-func foldMinMaxDelta(y []float64, delta uint64, lo0, hi0 float64) (lo, hi float64) {
-	lo, hi = lo0, hi0
-	for m := delta; m != 0; m &= m - 1 {
-		v := y[bits.TrailingZeros64(m)]
-		lo = core.Fmin(lo, v)
-		hi = core.Fmax(hi, v)
-	}
-	return lo, hi
-}
-
-// StepDense implements core.DenseAlgorithm. Receivers with equal in-masks
+// StepDense implements core.DenseAlgorithm. Receivers with equal in-rows
 // (ubiquitous in the paper's families: complete, deaf, Psi, silence
-// blocks) share one fold via the last-mask memo.
+// blocks) share one fold via the last-row memo.
 func (Midpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		midpointStepDenseW(dst, src, g)
-		return
-	}
 	y, out := src.Y, dst.Y
-	var lastMask uint64 // 0 is impossible: every mask carries the self-loop
+	var last []uint64
 	var mid float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lo, hi := foldMinMax(y, m)
+	for j := range out {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			lo, hi := foldMinMax(y, row)
 			mid = (lo + hi) / 2
-			lastMask = m
+			last = row
 		}
 		out[j] = mid
 	}
@@ -173,37 +190,32 @@ func (Mean) DensePlanes() int { return 0 }
 // InitDense implements core.DenseAlgorithm.
 func (Mean) InitDense(*core.DenseState) {}
 
-// foldMean returns the mean of y over the mask's set bits. The fold
-// starts at 0.0 like the Agent path's Deliver: the leading zero addition
-// matters for -0 inputs. m must be non-empty.
-func foldMean(y []float64, m uint64) float64 {
-	count := bits.OnesCount64(m)
-	sum := 0.0
-	first := bits.TrailingZeros64(m)
-	bit := uint64(1) << uint(first)
-	for _, v := range y[first:] {
-		if m&bit != 0 {
-			sum += v
+// foldMean returns the mean of y over the row's set bits. The sum starts
+// at 0.0 and adds in ascending index, exactly the Agent path's Deliver
+// order: the leading zero addition matters for -0 inputs. row must be
+// non-empty.
+func foldMean(y []float64, row []uint64) float64 {
+	sum, count := 0.0, 0
+	for wi, m := range row {
+		base := wi * 64
+		for ; m != 0; m &= m - 1 {
+			sum += y[base+bits.TrailingZeros64(m)]
+			count++
 		}
-		bit <<= 1
 	}
 	return sum / float64(count)
 }
 
 // StepDense implements core.DenseAlgorithm. The received mean is a pure
-// function of the in-mask, so receivers sharing a mask share the fold.
+// function of the in-row, so receivers sharing a row share the fold.
 func (Mean) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		meanStepDenseW(dst, src, g)
-		return
-	}
 	y, out := src.Y, dst.Y
-	var lastMask uint64
+	var last []uint64
 	var mean float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			mean = foldMean(y, m)
+	for j := range out {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			mean = foldMean(y, row)
+			last = row
 		}
 		out[j] = mean
 	}
@@ -243,20 +255,17 @@ func (s SelfWeighted) InitDense(*core.DenseState) {
 
 // StepDense implements core.DenseAlgorithm.
 func (s SelfWeighted) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		s.stepDenseW(dst, src, g)
-		return
-	}
 	y, out := src.Y, dst.Y
-	for j := 0; j < src.N(); j++ {
+	for j := range out {
 		sum, count := 0.0, 0
-		for m := g.InMask(j); m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if i == j {
-				continue
+		for wi, m := range g.InRow(j) {
+			base := wi * 64
+			for ; m != 0; m &= m - 1 {
+				if i := base + bits.TrailingZeros64(m); i != j {
+					sum += y[i]
+					count++
+				}
 			}
-			sum += y[i]
-			count++
 		}
 		if count == 0 {
 			out[j] = y[j]
@@ -311,27 +320,20 @@ func (AmortizedMidpoint) InitDense(st *core.DenseState) {
 // StepDense implements core.DenseAlgorithm. The agent's fold starts at
 // its own running interval, but the self-loop puts that interval in the
 // received multiset anyway, so the result is a pure function of the
-// in-mask and receivers sharing a mask share the fold (min/max are exact
+// in-row and receivers sharing a row share the fold (min/max are exact
 // selections — see foldMinMax).
 func (AmortizedMidpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		amortizedStepDenseW(dst, src, g)
-		return
-	}
-	n := src.N()
-	phase := amortizedPhase(n)
-	round := dst.Round()
+	phaseEnd := dst.Round()%amortizedPhase(src.N()) == 0
 	y := src.Y
 	lo0, hi0 := src.Plane(amortizedPlaneLo), src.Plane(amortizedPlaneHi)
 	oy := dst.Y
 	olo, ohi := dst.Plane(amortizedPlaneLo), dst.Plane(amortizedPlaneHi)
-	phaseEnd := round%phase == 0
-	var lastMask uint64
+	var last []uint64
 	var lo, hi float64
-	for j := 0; j < n; j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			lo, hi = foldInterval(lo0, hi0, m)
+	for j := range oy {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			last = row
+			lo, hi = foldInterval(lo0, hi0, row)
 		}
 		if phaseEnd {
 			yj := (lo + hi) / 2
@@ -369,31 +371,36 @@ func (a *amortizedAgent) ReadDense(st *core.DenseState, i int) bool {
 }
 
 // foldInterval folds min over loPlane and max over hiPlane across the
-// mask's set bits, in ascending index. m must be non-empty.
-func foldInterval(loPlane, hiPlane []float64, m uint64) (lo, hi float64) {
-	first := bits.TrailingZeros64(m)
-	lo, hi = loPlane[first], hiPlane[first]
-	bit := uint64(1) << uint(first)
-	for i := first + 1; i < len(loPlane); i++ {
-		bit <<= 1
-		if m&bit == 0 {
-			continue
+// row's set bits, in ascending index, seeded from the first set bit like
+// foldMinMax. row must be non-empty.
+func foldInterval(loPlane, hiPlane []float64, row []uint64) (lo, hi float64) {
+	i, wi, m := firstBit(row)
+	lo, hi = loPlane[i], hiPlane[i]
+	for {
+		base := wi * 64
+		for ; m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)
+			lo = core.Fmin(lo, loPlane[i])
+			hi = core.Fmax(hi, hiPlane[i])
 		}
-		lo = core.Fmin(lo, loPlane[i])
-		hi = core.Fmax(hi, hiPlane[i])
+		if wi++; wi == len(row) {
+			return lo, hi
+		}
+		m = row[wi]
 	}
-	return lo, hi
 }
 
 // foldIntervalDelta extends an already-computed interval fold by the
-// plane values at delta's set bits; see foldMinMaxDelta for why this is
-// bit-identical to folding the union mask. delta must be non-empty.
-func foldIntervalDelta(loPlane, hiPlane []float64, delta uint64, lo0, hi0 float64) (lo, hi float64) {
-	lo, hi = lo0, hi0
-	for m := delta; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		lo = core.Fmin(lo, loPlane[i])
-		hi = core.Fmax(hi, hiPlane[i])
+// plane values at the delta row's set bits; see foldMinMaxDelta for why
+// this is bit-identical to folding the union row.
+func foldIntervalDelta(loPlane, hiPlane []float64, delta []uint64, lo, hi float64) (float64, float64) {
+	for wi, m := range delta {
+		base := wi * 64
+		for ; m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)
+			lo = core.Fmin(lo, loPlane[i])
+			hi = core.Fmax(hi, hiPlane[i])
+		}
 	}
 	return lo, hi
 }
@@ -415,19 +422,15 @@ func (a QuantizedMidpoint) InitDense(st *core.DenseState) {
 }
 
 // StepDense implements core.DenseAlgorithm, sharing folds across equal
-// in-masks like Midpoint.
+// in-rows like Midpoint.
 func (a QuantizedMidpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		a.stepDenseW(dst, src, g)
-		return
-	}
 	y, out := src.Y, dst.Y
-	var lastMask uint64
+	var last []uint64
 	var snapped float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			lo, hi := foldMinMax(y, m)
+	for j := range out {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			last = row
+			lo, hi := foldMinMax(y, row)
 			snapped = math.Floor((lo+hi)/(2*a.Q)) * a.Q
 		}
 		out[j] = snapped
@@ -475,30 +478,25 @@ func (f FloodRoot) InitDense(st *core.DenseState) {
 	rv[f.Root] = st.Y[f.Root]
 }
 
-// StepDense implements core.DenseAlgorithm. Whether a mask contains an
+// StepDense implements core.DenseAlgorithm. Whether a row contains an
 // informed sender (and which value the first one carries) is a pure
-// function of the mask, shared across receivers.
+// function of the row, shared across receivers.
 func (FloodRoot) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		floodRootStepDenseW(dst, src, g)
-		return
-	}
-	n := src.N()
 	y := src.Y
 	inf0, rv0 := src.Plane(floodPlaneInformed), src.Plane(floodPlaneRoot)
 	oy := dst.Y
 	oinf, orv := dst.Plane(floodPlaneInformed), dst.Plane(floodPlaneRoot)
-	var lastMask uint64
+	var last []uint64
 	heard := false
 	var heardValue float64
-	for j := 0; j < n; j++ {
+	for j := range oy {
 		oy[j], oinf[j], orv[j] = y[j], inf0[j], rv0[j]
 		if inf0[j] == 1 {
 			continue
 		}
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			heard, heardValue = scanInformed(inf0, rv0, m)
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			last = row
+			heard, heardValue = scanInformed(inf0, rv0, row)
 		}
 		if heard {
 			oy[j], oinf[j], orv[j] = heardValue, 1, heardValue
@@ -506,12 +504,15 @@ func (FloodRoot) StepDense(dst, src *core.DenseState, g graph.Graph) {
 	}
 }
 
-// scanInformed reports whether the mask contains an informed sender and
+// scanInformed reports whether the row contains an informed sender and
 // the root value carried by the first (lowest-index) one.
-func scanInformed(inf0, rv0 []float64, m uint64) (heard bool, value float64) {
-	for ; m != 0; m &= m - 1 {
-		if i := bits.TrailingZeros64(m); inf0[i] == 1 {
-			return true, rv0[i]
+func scanInformed(inf0, rv0 []float64, row []uint64) (heard bool, value float64) {
+	for wi, m := range row {
+		base := wi * 64
+		for ; m != 0; m &= m - 1 {
+			if i := base + bits.TrailingZeros64(m); inf0[i] == 1 {
+				return true, rv0[i]
+			}
 		}
 	}
 	return false, 0
@@ -547,71 +548,5 @@ func (a *floodRootAgent) ReadDense(st *core.DenseState, i int) bool {
 	a.y = st.Y[i]
 	a.informed = st.Plane(floodPlaneInformed)[i] == 1
 	a.rootValue = st.Plane(floodPlaneRoot)[i]
-	return true
-}
-
-// ---- FlowSum ----
-
-// DensePlanes implements core.DenseAlgorithm.
-func (FlowSum) DensePlanes() int { return 0 }
-
-// InitDense implements core.DenseAlgorithm. It panics when the out-degree
-// table does not cover every agent, mirroring NewAgent.
-func (f FlowSum) InitDense(st *core.DenseState) {
-	for i := 0; i < st.N(); i++ {
-		if i >= len(f.OutDegrees) || f.OutDegrees[i] < 1 {
-			panic(fmt.Sprintf("algorithms: FlowSum missing out-degree for agent %d", i))
-		}
-	}
-}
-
-// foldFlowSum returns the sum of y_i/deg_i over the mask's set bits.
-func foldFlowSum(y []float64, degs []int, m uint64) float64 {
-	sum := 0.0
-	for ; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		sum += y[i] / float64(degs[i])
-	}
-	return sum
-}
-
-// StepDense implements core.DenseAlgorithm. The per-sender share
-// y_i/deg_i is recomputed per receiver; IEEE division is deterministic,
-// so the result matches the Agent path that computes it once in
-// Broadcast.
-func (f FlowSum) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		f.stepDenseW(dst, src, g)
-		return
-	}
-	y, out := src.Y, dst.Y
-	var lastMask uint64
-	var sum float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			sum = foldFlowSum(y, f.OutDegrees, m)
-		}
-		out[j] = sum
-	}
-}
-
-// OutputsDense implements core.DenseAlgorithm.
-func (FlowSum) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
-
-// AppendDenseFingerprint implements core.DenseFingerprinter.
-func (f FlowSum) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {
-	dst = append(dst, tagFlowSum)
-	dst = core.AppendInt(dst, f.OutDegrees[i])
-	return core.AppendFloat(dst, st.Y[i]), true
-}
-
-func (a *flowSumAgent) WriteDense(st *core.DenseState, i int) bool {
-	st.Y[i] = a.y
-	return true
-}
-
-func (a *flowSumAgent) ReadDense(st *core.DenseState, i int) bool {
-	a.y = st.Y[i]
 	return true
 }

@@ -16,16 +16,17 @@ import (
 //
 // Bit-identity contract: within each run every stored float carries the
 // same bits StepDense would store. Two fold-sharing moves go beyond the
-// single-run last-mask memo: fold reuse across non-adjacent segments
+// single-run last-row memo: fold reuse across non-adjacent segments
 // with equal masks (seg.Fold), and subset-delta folds (seg.Base) that
 // extend an earlier fold by the mask difference. Both are transparent
 // for min/max folds because core.Fmin/Fmax are exact multiset selections —
 // the result does not depend on association order, NaN and signed-zero
-// cases included. Order-sensitive folds (Mean's sum, FlowSum) ignore
-// seg.Base and fold their masks in StepDense's index order. The
-// randomized differential tests in dense_batch_test.go pin
-// batch-vs-single equivalence for every dense algorithm, batched
-// stepper or not.
+// cases included. The order-sensitive fold (Mean's sum) ignores seg.Base
+// and folds its rows in StepDense's index order. Segment rows come from
+// the plan (StepPlan.MaskRow, StepPlan.DeltaRow), one body for every
+// width. The randomized differential tests in dense_batch_test.go pin
+// batch-vs-single equivalence for every dense algorithm, batched stepper
+// or not, on both sides of the word boundary.
 //
 // SelfWeighted and TwoThirds keep the generic per-view path: their
 // updates depend on the receiver index, so there is nothing
@@ -60,41 +61,65 @@ func (h *hullAcc) commit(plan *core.StepPlan, r int) {
 // out-of-shard fold from its mask with the same resulting bits.
 func (Midpoint) FoldShardable() bool { return true }
 
+// segRecvBounds intersects a segment's receiver range with a receiver
+// shard's bounds; an empty intersection means the shard skips the segment.
+func segRecvBounds(seg *core.MaskSeg, recvLo, recvHi int) (lo, hi int) {
+	lo, hi = seg.Start, seg.End
+	if lo < recvLo {
+		lo = recvLo
+	}
+	if hi > recvHi {
+		hi = recvHi
+	}
+	return lo, hi
+}
+
 // StepDenseBatch implements core.BatchStepper. Distinct folds carrying a
 // subset base (MaskSeg.Base) extend the base fold by the delta bits — an
 // exact multiset selection, so the midpoint bits match the full refold.
 // The segment loop honors plan.SegRange: fold reuse and subset-delta
 // extension apply when the referenced fold lies in the shard, and
 // anything owned before the shard is refolded from its mask —
-// bit-identical either way.
+// bit-identical either way. A receiver shard (plan.RecvRange) writes
+// only its receivers and refolds every segment it touches.
 func (Midpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
-	if plan.Words > 1 {
-		midpointStepDenseBatchW(dst, src, plan)
-		return
-	}
 	los, his := plan.F0, plan.F1
 	segLo, segHi := plan.SegRange()
+	recvLo, recvHi := plan.RecvRange(src.N())
+	recvShard := plan.RecvHi != 0
 	for _, r := range plan.Runs {
 		y, out := src.RunY(r), dst.RunY(r)
 		var hull hullAcc
 		for si := segLo; si < segHi; si++ {
 			seg := &plan.Segs[si]
+			jLo, jHi := seg.Start, seg.End
+			if recvShard {
+				if jLo, jHi = segRecvBounds(seg, recvLo, recvHi); jLo >= jHi {
+					continue
+				}
+			}
 			var lo, hi float64
 			switch {
+			case recvShard:
+				// Receiver shards refold every touched segment from its own
+				// mask: cross-segment reuse could read a fold slot owned by a
+				// segment this shard never visited. Bit-transparent — exact
+				// multiset selection, same value multiset.
+				lo, hi = foldMinMax(y, plan.MaskRow(seg))
 			case seg.Fold != si && seg.Fold >= segLo:
 				lo, hi = los[seg.Fold], his[seg.Fold]
 			case seg.Fold == si && seg.Base >= segLo:
-				lo, hi = foldMinMaxDelta(y, seg.Delta, los[seg.Base], his[seg.Base])
+				lo, hi = foldMinMaxDelta(y, plan.DeltaRow(seg), los[seg.Base], his[seg.Base])
 				los[si], his[si] = lo, hi
 			default:
-				lo, hi = foldMinMax(y, seg.Mask)
+				lo, hi = foldMinMax(y, plan.MaskRow(seg))
 				los[si], his[si] = lo, hi
 			}
 			mid := (lo + hi) / 2
 			if plan.WantHull {
 				hull.add(mid)
 			}
-			for j := seg.Start; j < seg.End; j++ {
+			for j := jLo; j < jHi; j++ {
 				out[j] = mid
 			}
 		}
@@ -107,10 +132,6 @@ func (Midpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 
 // StepDenseBatch implements core.BatchStepper.
 func (Mean) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
-	if plan.Words > 1 {
-		meanStepDenseBatchW(dst, src, plan)
-		return
-	}
 	means := plan.F0
 	for _, r := range plan.Runs {
 		y, out := src.RunY(r), dst.RunY(r)
@@ -119,7 +140,7 @@ func (Mean) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 			seg := &plan.Segs[si]
 			var mean float64
 			if seg.Fold == si {
-				mean = foldMean(y, seg.Mask)
+				mean = foldMean(y, plan.MaskRow(seg))
 				means[si] = mean
 			} else {
 				mean = means[seg.Fold]
@@ -142,35 +163,41 @@ func (Mean) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 func (QuantizedMidpoint) FoldShardable() bool { return true }
 
 // StepDenseBatch implements core.BatchStepper, honoring plan.SegRange
-// like Midpoint.
+// and plan.RecvRange like Midpoint.
 func (a QuantizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
-	if plan.Words > 1 {
-		a.stepDenseBatchW(dst, src, plan)
-		return
-	}
 	los, his := plan.F0, plan.F1
 	segLo, segHi := plan.SegRange()
+	recvLo, recvHi := plan.RecvRange(src.N())
+	recvShard := plan.RecvHi != 0
 	for _, r := range plan.Runs {
 		y, out := src.RunY(r), dst.RunY(r)
 		var hull hullAcc
 		for si := segLo; si < segHi; si++ {
 			seg := &plan.Segs[si]
+			jLo, jHi := seg.Start, seg.End
+			if recvShard {
+				if jLo, jHi = segRecvBounds(seg, recvLo, recvHi); jLo >= jHi {
+					continue
+				}
+			}
 			var lo, hi float64
 			switch {
+			case recvShard:
+				lo, hi = foldMinMax(y, plan.MaskRow(seg))
 			case seg.Fold != si && seg.Fold >= segLo:
 				lo, hi = los[seg.Fold], his[seg.Fold]
 			case seg.Fold == si && seg.Base >= segLo:
-				lo, hi = foldMinMaxDelta(y, seg.Delta, los[seg.Base], his[seg.Base])
+				lo, hi = foldMinMaxDelta(y, plan.DeltaRow(seg), los[seg.Base], his[seg.Base])
 				los[si], his[si] = lo, hi
 			default:
-				lo, hi = foldMinMax(y, seg.Mask)
+				lo, hi = foldMinMax(y, plan.MaskRow(seg))
 				los[si], his[si] = lo, hi
 			}
 			snapped := math.Floor((lo+hi)/(2*a.Q)) * a.Q
 			if plan.WantHull {
 				hull.add(snapped)
 			}
-			for j := seg.Start; j < seg.End; j++ {
+			for j := jLo; j < jHi; j++ {
 				out[j] = snapped
 			}
 		}
@@ -187,17 +214,15 @@ func (a QuantizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.
 func (AmortizedMidpoint) FoldShardable() bool { return true }
 
 // StepDenseBatch implements core.BatchStepper, honoring plan.SegRange
-// like Midpoint.
+// and plan.RecvRange like Midpoint.
 func (AmortizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
-	if plan.Words > 1 {
-		amortizedStepDenseBatchW(dst, src, plan)
-		return
-	}
 	n := src.N()
 	phase := amortizedPhase(n)
 	phaseEnd := dst.Round()%phase == 0
 	los, his := plan.F0, plan.F1
 	segLo, segHi := plan.SegRange()
+	recvLo, recvHi := plan.RecvRange(n)
+	recvShard := plan.RecvHi != 0
 	for _, r := range plan.Runs {
 		y := src.RunY(r)
 		lo0, hi0 := src.RunPlane(r, amortizedPlaneLo), src.RunPlane(r, amortizedPlaneHi)
@@ -206,15 +231,23 @@ func (AmortizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.St
 		var hull hullAcc
 		for si := segLo; si < segHi; si++ {
 			seg := &plan.Segs[si]
+			jLo, jHi := seg.Start, seg.End
+			if recvShard {
+				if jLo, jHi = segRecvBounds(seg, recvLo, recvHi); jLo >= jHi {
+					continue
+				}
+			}
 			var lo, hi float64
 			switch {
+			case recvShard:
+				lo, hi = foldInterval(lo0, hi0, plan.MaskRow(seg))
 			case seg.Fold != si && seg.Fold >= segLo:
 				lo, hi = los[seg.Fold], his[seg.Fold]
 			case seg.Fold == si && seg.Base >= segLo:
-				lo, hi = foldIntervalDelta(lo0, hi0, seg.Delta, los[seg.Base], his[seg.Base])
+				lo, hi = foldIntervalDelta(lo0, hi0, plan.DeltaRow(seg), los[seg.Base], his[seg.Base])
 				los[si], his[si] = lo, hi
 			default:
-				lo, hi = foldInterval(lo0, hi0, seg.Mask)
+				lo, hi = foldInterval(lo0, hi0, plan.MaskRow(seg))
 				los[si], his[si] = lo, hi
 			}
 			if phaseEnd {
@@ -222,11 +255,11 @@ func (AmortizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.St
 				if plan.WantHull {
 					hull.add(mid)
 				}
-				for j := seg.Start; j < seg.End; j++ {
+				for j := jLo; j < jHi; j++ {
 					oy[j], olo[j], ohi[j] = mid, mid, mid
 				}
 			} else {
-				for j := seg.Start; j < seg.End; j++ {
+				for j := jLo; j < jHi; j++ {
 					oy[j], olo[j], ohi[j] = y[j], lo, hi
 					if plan.WantHull {
 						hull.add(y[j])
@@ -241,48 +274,11 @@ func (AmortizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.St
 	plan.HullDone = plan.WantHull
 }
 
-// StepDenseBatch implements core.BatchStepper.
-func (f FlowSum) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
-	if plan.Words > 1 {
-		f.stepDenseBatchW(dst, src, plan)
-		return
-	}
-	sums := plan.F0
-	for _, r := range plan.Runs {
-		y, out := src.RunY(r), dst.RunY(r)
-		var hull hullAcc
-		for si := range plan.Segs {
-			seg := &plan.Segs[si]
-			var sum float64
-			if seg.Fold == si {
-				sum = foldFlowSum(y, f.OutDegrees, seg.Mask)
-				sums[si] = sum
-			} else {
-				sum = sums[seg.Fold]
-			}
-			if plan.WantHull {
-				hull.add(sum)
-			}
-			for j := seg.Start; j < seg.End; j++ {
-				out[j] = sum
-			}
-		}
-		if plan.WantHull {
-			hull.commit(plan, r)
-		}
-	}
-	plan.HullDone = plan.WantHull
-}
-
-// StepDenseBatch implements core.BatchStepper. Whether a mask contains
+// StepDenseBatch implements core.BatchStepper. Whether a row contains
 // an informed sender depends on the run's informed plane, so the scan is
 // per run per segment — but the segmentation itself, the dominant
 // per-receiver bookkeeping on mostly-uninformed rounds, is shared.
 func (FloodRoot) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
-	if plan.Words > 1 {
-		floodRootStepDenseBatchW(dst, src, plan)
-		return
-	}
 	heards, values := plan.F0, plan.F1
 	for _, r := range plan.Runs {
 		y := src.RunY(r)
@@ -301,7 +297,7 @@ func (FloodRoot) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) 
 						if seg.Fold != si && heards[seg.Fold] >= 0 {
 							heards[si], values[si] = heards[seg.Fold], values[seg.Fold]
 						} else {
-							heard, v := scanInformed(inf0, rv0, seg.Mask)
+							heard, v := scanInformed(inf0, rv0, plan.MaskRow(seg))
 							if heard {
 								heards[si], values[si] = 1, v
 							} else {

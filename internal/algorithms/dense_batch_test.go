@@ -108,9 +108,9 @@ func TestBatchMatchesSinglesRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for _, tc := range denseCases(rng) {
 		for _, perRun := range []bool{false, true} {
-			name := tc.alg.Name() + "/shared"
+			name := tc.name + "/shared"
 			if perRun {
-				name = tc.alg.Name() + "/per-run"
+				name = tc.name + "/per-run"
 			}
 			t.Run(name, func(t *testing.T) {
 				for trial := 0; trial < 8; trial++ {
@@ -174,10 +174,9 @@ func TestBatchCompact(t *testing.T) {
 	}
 }
 
-// TestBatchReplicatedAndFork checks NewBatchRunnerReplicated spreads one
-// mid-run state into identical runs (round preserved) and Fork yields an
-// independent copy.
-func TestBatchReplicatedAndFork(t *testing.T) {
+// TestBatchReplicated checks NewBatchRunnerReplicated spreads one mid-run
+// state into identical runs (round preserved) that step like the source.
+func TestBatchReplicated(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	alg := algorithms.Midpoint{}
 	d, _ := core.AsDense(alg)
@@ -194,7 +193,6 @@ func TestBatchReplicatedAndFork(t *testing.T) {
 	if batch.Round() != single.Round() {
 		t.Fatalf("replicated batch lost the round: %d != %d", batch.Round(), single.Round())
 	}
-	fork := batch.Fork()
 	g := graph.Deaf(graph.Complete(n), 1)
 	batch.Step(g)
 	single.Step(g)
@@ -207,19 +205,19 @@ func TestBatchReplicatedAndFork(t *testing.T) {
 			}
 		}
 	}
-	// The fork must still hold the pre-step state.
-	if fork.Round() != batch.Round()-1 {
-		t.Fatalf("fork advanced with its parent: round %d vs %d", fork.Round(), batch.Round())
-	}
 }
 
 // TestBatchStepperResolution pins which algorithms advertise the batched
-// stepper capability through core.AsBatchStepper.
+// stepper capability through core.AsBatchStepper, and that FlowSum runs
+// on the Agent path only.
 func TestBatchStepperResolution(t *testing.T) {
 	if _, ok := core.AsBatchStepper(algorithms.Midpoint{}); !ok {
 		t.Fatal("Midpoint lost its batched stepper")
 	}
 	if _, ok := core.AsBatchStepper(algorithms.SelfWeighted{Alpha: 0.5}); ok {
 		t.Fatal("SelfWeighted unexpectedly claims a batched stepper")
+	}
+	if _, ok := core.AsDense(algorithms.NewFlowSum([]int{1, 1})); ok {
+		t.Fatal("FlowSum unexpectedly claims a dense stepper")
 	}
 }

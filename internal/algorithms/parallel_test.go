@@ -22,7 +22,7 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 				if perRun {
 					mode = "per-run"
 				}
-				t.Run(fmt.Sprintf("%s/%s/par%d", tc.alg.Name(), mode, par), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/par%d", tc.name, mode, par), func(t *testing.T) {
 					for trial := 0; trial < 3; trial++ {
 						b := 1 + rng.Intn(7)
 						rounds := 1 + rng.Intn(12)

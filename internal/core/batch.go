@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -125,37 +124,29 @@ func (st *BatchState) copyRun(dst, src int) {
 }
 
 // MaskSeg is one receiver segment of a StepPlan: the maximal range of
-// consecutive receivers [Start, End) sharing the in-neighbor mask Mask.
-// Fold is the index of the first segment of the plan carrying the same
-// mask: min/max/sum folds are pure functions of the received multiset,
-// so a stepper may compute the fold once at segment Fold and reuse it
-// here — sharing across non-adjacent equal masks, which the per-run
-// last-mask memo cannot see.
+// consecutive receivers [Start, End) sharing one in-neighbor row, which
+// StepPlan.MaskRow returns. Fold is the index of the first segment of
+// the plan carrying the same row: min/max/sum folds are pure functions
+// of the received multiset, so a stepper may compute the fold once at
+// segment Fold and reuse it here — sharing across non-adjacent equal
+// rows, which the per-run last-row memo cannot see.
 //
 // Base/Delta factor a distinct fold (Fold == own index) over an earlier
-// one: when Base >= 0, Segs[Base] is an earlier distinct fold whose mask
-// is a strict subset of Mask, and Delta = Mask &^ Segs[Base].Mask is the
-// non-empty remainder. A stepper whose fold is an exact multiset
-// selection (min/max: Fmin/Fmax results do not depend on association
-// order, including the NaN and signed-zero cases) may extend the base
-// fold by Delta's bits instead of refolding the whole mask —
-// bit-identical, and on churn-style graphs (each down agent's mask is
-// the all-up mask plus its self bit) it turns O(n) refolds into O(1)
-// extensions. Order-sensitive folds (sums) must ignore Base and fold
-// Mask directly.
-// Multi-word plans (StepPlan.Words > 1) do not widen the struct — the
-// single-word batch kernel copies a MaskSeg per segment per run, so its
-// size is hot. Instead Mask stays zero, the segment's mask row is the
-// graph's in-row of any receiver in [Start, End) (equal by construction;
-// StepPlan.MaskRow), and Delta is reinterpreted as the word offset of the
-// segment's delta row in the plan's arena (StepPlan.DeltaRow), valid when
-// Base >= 0. Steppers dispatch on the plan's word count once per call.
+// one: when Base >= 0, Segs[Base] is an earlier distinct fold whose row
+// is a strict subset of this segment's, and Delta is the offset of the
+// non-empty remainder row in the plan's arena (StepPlan.DeltaRow). A
+// stepper whose fold is an exact multiset selection (min/max: Fmin/Fmax
+// results do not depend on association order, including the NaN and
+// signed-zero cases) may extend the base fold by the delta's bits
+// instead of refolding the whole row — bit-identical, and on
+// churn-style graphs (each down agent's row is the all-up row plus its
+// self bit) it turns O(n) refolds into O(1) extensions. Order-sensitive
+// folds (sums) must ignore Base and fold the row directly.
 type MaskSeg struct {
 	Start, End int
-	Mask       uint64
 	Fold       int
 	Base       int
-	Delta      uint64
+	Delta      int
 }
 
 // StepPlan is the run-independent precomputation of a batch step under
@@ -186,11 +177,6 @@ type StepPlan struct {
 	F0   []float64
 	F1   []float64
 
-	// Words is the graph's row width (graph.Words()): 1 for every n <= 64
-	// plan. Steppers dispatch once per call: single-word plans read
-	// MaskSeg.Mask/Delta directly, wider plans go through MaskRow/DeltaRow.
-	Words int
-
 	Runs []int
 
 	// SegLo/SegHi bound the segment range this call must step — set
@@ -199,13 +185,13 @@ type StepPlan struct {
 	SegLo, SegHi int
 
 	// RecvLo/RecvHi bound the receiver range this call must write — set
-	// only on word shards of multi-word plans handed to FoldShardCapable
-	// steppers (the fourth shard axis: word-aligned receiver ranges
-	// within a fold). A receiver shard intersects every segment with
-	// [RecvLo, RecvHi) and must compute each touched segment's fold
-	// shard-locally from its mask, without cross-segment reuse — the
-	// fold it reuses might belong to a segment the shard never touched.
-	// The zero value means all receivers (RecvRange).
+	// only on word shards of plans wider than one word handed to
+	// FoldShardCapable steppers (the fourth shard axis: word-aligned
+	// receiver ranges within a fold). A receiver shard intersects every
+	// segment with [RecvLo, RecvHi) and must compute each touched
+	// segment's fold shard-locally from its row, without cross-segment
+	// reuse — the fold it reuses might belong to a segment the shard never
+	// touched. The zero value means all receivers (RecvRange).
 	RecvLo, RecvHi int
 
 	WantHull bool
@@ -213,10 +199,10 @@ type StepPlan struct {
 	HullLo   []float64
 	HullHi   []float64
 
-	// deltaArena backs the multi-word segments' delta rows (DeltaRow): at
-	// most one Words-wide delta per distinct fold, so the arena is sized
-	// once per build (n*Words words) and appended into without
-	// reallocating — offsets into it stay valid for the plan's lifetime.
+	// deltaArena backs the segments' delta rows (DeltaRow): at most one
+	// row-wide delta per distinct fold, so the arena is sized once per
+	// build (n*G.Words() words) and appended into without reallocating —
+	// offsets into it stay valid for the plan's lifetime.
 	deltaArena []uint64
 }
 
@@ -240,29 +226,18 @@ func (p *StepPlan) RecvRange(n int) (lo, hi int) {
 	return p.RecvLo, p.RecvHi
 }
 
-// MaskRow returns a multi-word segment's in-mask row: the graph row of
-// any receiver in [Start, End) — equal across the segment by
-// construction. The slice aliases the graph's immutable storage.
+// MaskRow returns a segment's in-neighbor row: the graph row of any
+// receiver in [Start, End) — equal across the segment by construction.
+// The slice aliases the graph's immutable storage.
 func (p *StepPlan) MaskRow(seg *MaskSeg) []uint64 {
 	return p.G.InRow(seg.Start)
 }
 
-// DeltaRow returns a multi-word segment's subset-delta row — Words words
-// of the plan's arena at the offset carried in seg.Delta. Valid only
-// when seg.Base >= 0.
+// DeltaRow returns a segment's subset-delta row — one row's width of the
+// plan's arena at offset seg.Delta. Valid only when seg.Base >= 0.
 func (p *StepPlan) DeltaRow(seg *MaskSeg) []uint64 {
-	off := int(seg.Delta)
-	return p.deltaArena[off : off+p.Words : off+p.Words]
-}
-
-// rowsEq reports whether two equal-length mask rows hold the same bits.
-func rowsEq(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	off, end := seg.Delta, seg.Delta+p.G.Words()
+	return p.deltaArena[off:end:end]
 }
 
 // rowSubset reports whether mask row sub is contained in row super.
@@ -275,71 +250,15 @@ func rowSubset(sub, super []uint64) bool {
 	return true
 }
 
-// rowCount returns the popcount of a mask row.
-func rowCount(row []uint64) int {
-	c := 0
-	for _, m := range row {
-		c += bits.OnesCount64(m)
-	}
-	return c
-}
-
-// build computes the segmentation of g.
+// build computes the segmentation of g. Segment rows stay in the graph's
+// immutable storage (MaskRow derives them from Start); deltas are
+// materialized into the plan's arena, which is sized so appends never
+// reallocate (each distinct fold contributes at most one row-wide
+// delta), and referenced by offset through Delta.
 func (p *StepPlan) build(g graph.Graph) {
 	p.G = g
-	p.Words = g.Words()
 	p.Segs = p.Segs[:0]
-	n := g.N()
-	if p.Words == 1 {
-		for j := 0; j < n; {
-			m := g.InMask(j)
-			end := j + 1
-			for end < n && g.InMask(end) == m {
-				end++
-			}
-			fold := len(p.Segs)
-			// While scanning for an equal mask, also track the widest earlier
-			// distinct fold whose mask is a strict subset of m: a base of one
-			// bit saves nothing (the extension costs one combine per delta
-			// bit), so only bases of two or more count.
-			base, baseBits := -1, 1
-			for i, s := range p.Segs {
-				if s.Mask == m {
-					fold = i
-					break
-				}
-				if s.Fold == i && s.Mask&^m == 0 {
-					if pc := bits.OnesCount64(s.Mask); pc > baseBits {
-						base, baseBits = i, pc
-					}
-				}
-			}
-			seg := MaskSeg{Start: j, End: end, Mask: m, Fold: fold, Base: -1}
-			if fold == len(p.Segs) && base >= 0 {
-				seg.Base, seg.Delta = base, m&^p.Segs[base].Mask
-			}
-			p.Segs = append(p.Segs, seg)
-			j = end
-		}
-	} else {
-		p.buildW(g, n)
-	}
-	if cap(p.F0) < len(p.Segs) {
-		p.F0 = make([]float64, len(p.Segs))
-		p.F1 = make([]float64, len(p.Segs))
-	}
-	p.F0 = p.F0[:len(p.Segs)]
-	p.F1 = p.F1[:len(p.Segs)]
-}
-
-// buildW is the multi-word segmentation: the same fold-sharing and
-// subset-delta discovery as the single-word build, word-parallel. Segment
-// mask rows stay in the graph's immutable storage (MaskRow derives them
-// from Start); deltas are materialized into the plan's arena, which is
-// sized so appends never reallocate (each distinct fold contributes at
-// most one Words-wide delta), and referenced by offset through Delta.
-func (p *StepPlan) buildW(g graph.Graph, n int) {
-	w := p.Words
+	n, w := g.N(), g.Words()
 	if cap(p.deltaArena) < n*w {
 		p.deltaArena = make([]uint64, 0, n*w)
 	}
@@ -347,37 +266,44 @@ func (p *StepPlan) buildW(g graph.Graph, n int) {
 	for j := 0; j < n; {
 		row := g.InRow(j)
 		end := j + 1
-		for end < n && rowsEq(g.InRow(end), row) {
+		for end < n && graph.SetsEqual(g.InRow(end), row) {
 			end++
 		}
 		fold := len(p.Segs)
+		// While scanning for an equal row, also track the widest earlier
+		// distinct fold whose row is a strict subset of this one: a base
+		// of one bit saves nothing (the extension costs one combine per
+		// delta bit), so only bases of two or more count.
 		base, baseBits := -1, 1
 		for i := range p.Segs {
 			s := &p.Segs[i]
 			srow := g.InRow(s.Start)
-			if rowsEq(srow, row) {
+			if graph.SetsEqual(srow, row) {
 				fold = i
 				break
 			}
 			if s.Fold == i && rowSubset(srow, row) {
-				if pc := rowCount(srow); pc > baseBits {
+				if pc := graph.SetCount(srow); pc > baseBits {
 					base, baseBits = i, pc
 				}
 			}
 		}
 		seg := MaskSeg{Start: j, End: end, Fold: fold, Base: -1}
 		if fold == len(p.Segs) && base >= 0 {
-			seg.Base = base
-			off := len(p.deltaArena)
-			bm := g.InRow(p.Segs[base].Start)
-			for x := 0; x < w; x++ {
-				p.deltaArena = append(p.deltaArena, row[x]&^bm[x])
+			seg.Base, seg.Delta = base, len(p.deltaArena)
+			for x, bm := range g.InRow(p.Segs[base].Start) {
+				p.deltaArena = append(p.deltaArena, row[x]&^bm)
 			}
-			seg.Delta = uint64(off)
 		}
 		p.Segs = append(p.Segs, seg)
 		j = end
 	}
+	if cap(p.F0) < len(p.Segs) {
+		p.F0 = make([]float64, len(p.Segs))
+		p.F1 = make([]float64, len(p.Segs))
+	}
+	p.F0 = p.F0[:len(p.Segs)]
+	p.F1 = p.F1[:len(p.Segs)]
 }
 
 // BatchStepper is an optional DenseAlgorithm capability: step every run
@@ -451,9 +377,7 @@ const DefaultPlanCacheCap = 512
 // BatchRunner executes B runs of one dense algorithm in lock-step with
 // double-buffered batch state: Step computes every run's successor into
 // the back buffer and swaps, allocating nothing in steady state.
-// Decided runs can be dropped in place (Compact), and the whole batch
-// forked by copy (Fork) — the batch counterparts of DenseRunner's
-// step/fork surface.
+// Decided runs can be dropped in place (Compact).
 //
 // Rounds with per-run graphs (StepEach) are stepped clustered: runs are
 // grouped by graph identity — the raw mask bytes, with a constant-time
@@ -535,8 +459,8 @@ func NewBatchRunner(alg DenseAlgorithm, inputs [][]float64) *BatchRunner {
 }
 
 // NewBatchRunnerReplicated builds a runner whose b runs all start as
-// independent copies of the already-initialized dense state st —
-// the batch counterpart of forking one runner b times.
+// independent copies of the already-initialized dense state st — how the
+// valency engine fans one configuration out into its settle runs.
 func NewBatchRunnerReplicated(alg DenseAlgorithm, st *DenseState, b int) *BatchRunner {
 	r := &BatchRunner{}
 	r.ResetReplicated(alg, st, b)
@@ -860,9 +784,6 @@ func (r *BatchRunner) runView(i int) *DenseState {
 	v.round = r.cur.round
 	return v
 }
-
-// Alg returns the algorithm being run.
-func (r *BatchRunner) Alg() DenseAlgorithm { return r.alg }
 
 // B returns the current number of (surviving) runs.
 func (r *BatchRunner) B() int { return r.cur.b }
@@ -1230,22 +1151,4 @@ func (r *BatchRunner) Compact(keep []bool) int {
 	r.viewsCur = r.viewsCur[:w]
 	r.viewsNext = r.viewsNext[:w]
 	return w
-}
-
-// Fork returns an independent copy of the runner, the batch counterpart
-// of DenseRunner.Fork. The fork starts with an empty plan cache of its
-// own — cached plans are mutated per step (cluster stamps, run subsets),
-// so sharing them across runners would race under concurrent stepping.
-func (r *BatchRunner) Fork() *BatchRunner {
-	f := &BatchRunner{alg: r.alg, bs: r.bs, cur: &BatchState{}, next: &BatchState{}, planCap: r.planCap,
-		par: r.par, segOK: r.segOK}
-	f.cur.CopyFrom(r.cur)
-	f.next.Resize(r.cur.b, r.cur.n, r.cur.planes)
-	f.origin = append([]int(nil), r.origin...)
-	f.allRuns = append([]int(nil), r.allRuns...)
-	f.lastG = make([]graph.Graph, r.cur.b)
-	f.lastPlan = make([]*planEntry, r.cur.b)
-	f.outScratch = make([]float64, r.cur.n)
-	f.buildViews()
-	return f
 }

@@ -259,9 +259,6 @@ func DenseRunnerFromConfig(c *Config) (*DenseRunner, bool) {
 	return &DenseRunner{alg: d, cur: st, next: back, outScratch: make([]float64, st.n)}, true
 }
 
-// Alg returns the algorithm being run.
-func (r *DenseRunner) Alg() DenseAlgorithm { return r.alg }
-
 // N returns the number of agents.
 func (r *DenseRunner) N() int { return r.cur.n }
 
@@ -317,16 +314,6 @@ func (r *DenseRunner) Diameter() float64 {
 func (r *DenseRunner) Output(i int) float64 {
 	r.alg.OutputsDense(r.cur, r.outScratch)
 	return r.outScratch[i]
-}
-
-// Fork returns an independent copy of the runner, the dense counterpart
-// of Config.Clone: two copies and no per-agent work.
-func (r *DenseRunner) Fork() *DenseRunner {
-	cur := &DenseState{}
-	cur.CopyFrom(r.cur)
-	back := &DenseState{}
-	back.Resize(cur.n, cur.planes)
-	return &DenseRunner{alg: r.alg, cur: cur, next: back, outScratch: make([]float64, cur.n)}
 }
 
 // Config materializes the runner's state as an agent configuration.

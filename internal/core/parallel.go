@@ -344,7 +344,7 @@ func (r *BatchRunner) expandWordShards(par int) {
 	for _, t := range j.tasks {
 		s := 0
 		if t.e != nil && t.segHi == 0 {
-			s = t.e.plan.Words
+			s = t.e.plan.G.Words()
 		}
 		if s > per {
 			s = per
@@ -353,7 +353,7 @@ func (r *BatchRunner) expandWordShards(par int) {
 			split = append(split, t)
 			continue
 		}
-		words := t.e.plan.Words
+		words := t.e.plan.G.Words()
 		for k := 0; k < s; k++ {
 			t.recvLo = k * words / s * 64
 			t.recvHi = (k + 1) * words / s * 64
@@ -440,7 +440,6 @@ func (r *BatchRunner) runTask(t *stepTask, a *stepArena) {
 	p := &t.e.plan
 	sh := &a.shadow
 	sh.G = p.G
-	sh.Words = p.Words
 	sh.Segs = p.Segs
 	sh.deltaArena = p.deltaArena
 	if cap(sh.F0) < len(p.Segs) {

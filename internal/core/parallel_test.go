@@ -164,10 +164,9 @@ func TestParallelSegShardParity(t *testing.T) {
 	}
 }
 
-// TestParallelCompactAndFork checks the parallel runner through the
-// batch lifecycle: Fork inherits the parallelism setting, and stepping
-// keeps bit-parity across Compact on both runners.
-func TestParallelCompactAndFork(t *testing.T) {
+// TestParallelCompact checks the parallel runner through the batch
+// lifecycle: stepping keeps bit-parity across Compact on both runners.
+func TestParallelCompact(t *testing.T) {
 	const n, b = 8, 12
 	d, _ := core.AsDense(algorithms.Midpoint{})
 	seq := core.NewBatchRunner(d, testInputs(n, b))
@@ -182,12 +181,6 @@ func TestParallelCompactAndFork(t *testing.T) {
 	seq.Compact(keep)
 	prl.Compact(keep)
 	stepBothMixed(t, seq, prl, n, 5)
-	fork := prl.Fork()
-	if fork.Parallelism() != 5 {
-		t.Fatalf("fork parallelism = %d, want 5", fork.Parallelism())
-	}
-	seqFork := seq.Fork()
-	stepBothMixed(t, seqFork, fork, n, 5)
 }
 
 // TestParallelismKnobs pins the knob semantics: explicit settings

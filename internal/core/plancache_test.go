@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -191,62 +190,6 @@ func TestPlanCacheCompact(t *testing.T) {
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(out[j]) {
 				t.Fatalf("compacted run %d agent %d: single %v != batch %v", i, j, got[j], out[j])
-			}
-		}
-	}
-}
-
-// TestPlanCacheForkIsolation forks a runner and steps parent and fork
-// concurrently: the fork starts with an empty cache of its own, neither
-// runner's stepping shows up in the other's accounting, and the -race
-// build asserts the runners share no mutable plan state.
-func TestPlanCacheForkIsolation(t *testing.T) {
-	const n, B, rounds = 5, 4, 16
-	br := core.NewBatchRunner(algorithms.Midpoint{}, testInputs(n, B))
-	gs := make([]graph.Graph, B)
-	for i := range gs {
-		gs[i] = shiftGraph(t, n, i%n)
-	}
-	// Two rounds: the first defers the first-sight singletons, the second
-	// admits them, so the parent's memos hold built plans before forking.
-	br.StepEach(gs)
-	br.StepEach(gs)
-	f := br.Fork()
-	if h, m, e, d, entries := f.PlanCacheStats(); h != 0 || m != 0 || e != 0 || d != 0 || entries != 0 {
-		t.Fatalf("fork starts with stats (%d, %d, %d, %d, %d), want all zero", h, m, e, d, entries)
-	}
-	_, parentMisses0, _, _, _ := br.PlanCacheStats()
-
-	var wg sync.WaitGroup
-	for _, r := range []*core.BatchRunner{br, f} {
-		wg.Add(1)
-		go func(r *core.BatchRunner) {
-			defer wg.Done()
-			for round := 0; round < rounds; round++ {
-				r.StepEach(gs)
-			}
-		}(r)
-	}
-	wg.Wait()
-
-	_, parentMisses1, _, _, _ := br.PlanCacheStats()
-	if parentMisses1 != parentMisses0 {
-		t.Fatalf("parent rebuilt plans while stepping replayed graphs: misses %d -> %d", parentMisses0, parentMisses1)
-	}
-	// The fork saw each graph fresh: one deferred round, then admission.
-	if _, m, _, d, entries := f.PlanCacheStats(); m != uint64(B) || d != uint64(B) || entries != B {
-		t.Fatalf("fork stats (misses=%d, defers=%d, entries=%d), want (%d, %d, %d)", m, d, entries, B, B, B)
-	}
-
-	// Parent and fork stepped the same rounds from the same state, so
-	// their outputs must agree bit for bit.
-	a, b := make([]float64, n), make([]float64, n)
-	for i := 0; i < B; i++ {
-		br.Outputs(i, a)
-		f.Outputs(i, b)
-		for j := range a {
-			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-				t.Fatalf("run %d agent %d: parent %v != fork %v", i, j, a[j], b[j])
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -45,45 +44,3 @@ func (s Schedule) Next(round int, _ *Config) graph.Graph { return s.At(round) }
 
 // ObliviousSource implements Oblivious.
 func (Schedule) ObliviousSource() bool { return true }
-
-// RunBatch steps B runs of one dense algorithm in lock-step for the given
-// number of rounds, drawing per-run graphs from per-run oblivious pattern
-// sources (srcs[i] drives run i), and returns the runner positioned after
-// the last round. Rounds in which every source plays the same graph take
-// the shared-segmentation fast path automatically.
-//
-// It is the batch counterpart of RunCtx for schedule-driven
-// workloads: a scenario sweep is one RunBatch call instead of B round
-// loops. Every source must be oblivious (it is handed a nil Config);
-// non-oblivious sources are a programmer error and panic.
-func RunBatch(ctx context.Context, alg DenseAlgorithm, inputs [][]float64, srcs []PatternSource, rounds int) (*BatchRunner, error) {
-	if len(srcs) != len(inputs) {
-		panic(fmt.Sprintf("core: %d sources for %d batch runs", len(srcs), len(inputs)))
-	}
-	for i, src := range srcs {
-		if !obliviousSource(src) {
-			panic(fmt.Sprintf("core: RunBatch source %d is not oblivious", i))
-		}
-	}
-	if rounds < 0 {
-		panic(fmt.Sprintf("core: negative round count %d", rounds))
-	}
-	r := NewBatchRunner(alg, inputs)
-	gs := make([]graph.Graph, len(srcs))
-	done := ctx.Done()
-	for t := 1; t <= rounds; t++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		for i, src := range srcs {
-			gs[i] = src.Next(t, nil)
-		}
-		r.StepEach(gs)
-	}
-	r.FlushMetrics()
-	return r, nil
-}

@@ -168,7 +168,7 @@ func (g Graph) CorrectCount() int {
 		wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
 		heardByAll := true
 		for j := 0; j < g.n; j++ {
-			if g.in[j*g.w+wi]&bit == 0 {
+			if g.in[j*g.Words()+wi]&bit == 0 {
 				heardByAll = false
 				break
 			}

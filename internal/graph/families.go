@@ -43,12 +43,13 @@ func Deaf(g Graph, i int) Graph {
 	checkNode(g.n, i)
 	in := make([]uint64, len(g.in))
 	copy(in, g.in)
-	row := in[i*g.w : (i+1)*g.w]
+	w := g.Words()
+	row := in[i*w : (i+1)*w]
 	for wi := range row {
 		row[wi] = 0
 	}
 	row[i/wordBits] = 1 << uint(i%wordBits)
-	return Graph{n: g.n, w: g.w, in: in}
+	return Graph{n: g.n, in: in}
 }
 
 // IsDeaf reports whether agent i is deaf in g, i.e. hears only itself.

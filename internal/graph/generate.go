@@ -50,7 +50,7 @@ func EnumerateAll(n int) ([]Graph, error) {
 		}
 		in := make([]uint64, n)
 		copy(in, masks)
-		graphs = append(graphs, Graph{n: n, w: 1, in: in})
+		graphs = append(graphs, Graph{n: n, in: in})
 	}
 	return graphs, nil
 }

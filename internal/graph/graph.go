@@ -15,8 +15,8 @@
 // single word and the classic uint64 mask API (InMask, Roots, ReachMask,
 // ...) applies unchanged; for larger n those accessors panic and the
 // word-sliced API (InRow, RootsSet, ReachSet, ...) is the one to use.
-// Single-word graphs keep dedicated fast paths so the n <= 64 kernels run
-// the exact pre-multi-word code.
+// The dense kernels read every width through InRow; only this package's
+// storage and its uint64 accessors know that a row of n <= 64 is one word.
 //
 // A Graph value is immutable after construction. Use a Builder, one of the
 // named constructors (Complete, Cycle, ...), or the paper-specific families
@@ -46,8 +46,7 @@ func WordsFor(n int) int { return (n + wordBits - 1) / wordBits }
 // self-loops. The zero value is not a valid graph; use New or a Builder.
 type Graph struct {
 	n  int
-	w  int      // words per row, WordsFor(n)
-	in []uint64 // row-major: node j's in-row is in[j*w : (j+1)*w], bit j set
+	in []uint64 // row-major: node j's in-row is in[j*W : (j+1)*W], bit j set
 }
 
 // fullMask returns the single-word bitmask with bits 0..n-1 set (n <= 64).
@@ -86,14 +85,15 @@ func checkNode(n, i int) {
 // single panics unless the graph fits one mask word. It guards the legacy
 // uint64 accessors, which cannot express nodes >= 64.
 func (g Graph) single(op string) {
-	if g.w > 1 {
+	if g.Words() > 1 {
 		panic(fmt.Sprintf("graph: %s requires n <= 64, got n=%d; use the word-sliced API", op, g.n))
 	}
 }
 
 // row returns node j's in-row storage (not a copy).
 func (g Graph) row(j int) []uint64 {
-	return g.in[j*g.w : (j+1)*g.w : (j+1)*g.w]
+	w := g.Words()
+	return g.in[j*w : (j+1)*w : (j+1)*w]
 }
 
 // selfLoops returns a fresh row-major mask slab for n nodes with exactly
@@ -111,7 +111,7 @@ func selfLoops(n int) []uint64 {
 // dynamic-network model this is the round in which nobody hears anybody.
 func New(n int) Graph {
 	checkN(n)
-	return Graph{n: n, w: WordsFor(n), in: selfLoops(n)}
+	return Graph{n: n, in: selfLoops(n)}
 }
 
 // Complete returns the complete communication graph K_n: every agent hears
@@ -123,7 +123,7 @@ func Complete(n int) Graph {
 	for i := 0; i < n; i++ {
 		fillFull(in[i*w:(i+1)*w], n)
 	}
-	return Graph{n: n, w: w, in: in}
+	return Graph{n: n, in: in}
 }
 
 // Cycle returns the directed cycle 0 -> 1 -> ... -> n-1 -> 0 (plus
@@ -180,7 +180,7 @@ func FromInMasks(n int, masks []uint64) (Graph, error) {
 		}
 		in[i] = m
 	}
-	return Graph{n: n, w: 1, in: in}, nil
+	return Graph{n: n, in: in}, nil
 }
 
 // FromInWords constructs a graph from row-major word-sliced in-rows: node
@@ -206,7 +206,7 @@ func FromInWords(n int, words []uint64) (Graph, error) {
 			return Graph{}, fmt.Errorf("graph: node %d is missing its self-loop", i)
 		}
 	}
-	return Graph{n: n, w: w, in: in}, nil
+	return Graph{n: n, in: in}, nil
 }
 
 // FromEdges constructs a graph on n nodes from the given (from, to) edge
@@ -222,7 +222,7 @@ func FromEdges(n int, edges ...[2]int) (Graph, error) {
 		}
 		in[to*w+from/wordBits] |= 1 << uint(from%wordBits)
 	}
-	return Graph{n: n, w: w, in: in}, nil
+	return Graph{n: n, in: in}, nil
 }
 
 // MustFromEdges is FromEdges that panics on error; intended for statically
@@ -298,16 +298,18 @@ func (b *Builder) SetInRow(i int, row []uint64) *Builder {
 func (b *Builder) Graph() Graph {
 	in := make([]uint64, len(b.in))
 	copy(in, b.in)
-	return Graph{n: b.n, w: b.w, in: in}
+	return Graph{n: b.n, in: in}
 }
 
 // N returns the number of nodes.
 func (g Graph) N() int { return g.n }
 
-// Words returns W = ⌈n/64⌉, the number of mask words per node row. It is 1
-// for every n <= 64 graph; kernels dispatch their single-word fast path on
-// it once per graph.
-func (g Graph) Words() int { return g.w }
+// Words returns W = ⌈n/64⌉, the number of mask words per node row: the
+// length of every InRow. It is 1 for every n <= 64 graph. W is derived
+// from n rather than stored, which keeps a Graph at four machine words:
+// small enough for the compiler to hold a Graph value in registers, so
+// the inlined accessors in the kernels' loops copy nothing.
+func (g Graph) Words() int { return int(uint(g.n+wordBits-1) / wordBits) }
 
 // inMaskPanic reports why an InMask call was illegal. Kept out of line so
 // InMask itself stays within the inlining budget — it is the hottest
@@ -323,36 +325,40 @@ func (g Graph) inMaskPanic(i int) uint64 {
 // InMask returns the in-neighbor bitmask of node i (bit i always set) as a
 // single word. It panics for n > 64; use InRow there.
 func (g Graph) InMask(i int) uint64 {
-	if uint(i) >= uint(g.n) || g.w != 1 {
+	if uint(i) >= uint(g.n) || g.n > wordBits {
 		return g.inMaskPanic(i)
 	}
 	return g.in[i]
 }
 
-// rowPanic is InRow's out-of-line bounds report; see inMaskPanic.
-//
-//go:noinline
-func (g Graph) rowPanic(i int) {
-	checkNode(g.n, i)
-	panic("unreachable")
+// nodeRangeError is InRow's panic value for an out-of-range node. A
+// plain value, unlike checkNode's formatted string, keeps the range check
+// within the inliner's budget; the message is only built if recovered
+// and printed.
+type nodeRangeError struct{ node, n int }
+
+func (e nodeRangeError) Error() string {
+	return fmt.Sprintf("graph: node %d out of range [0,%d)", e.node, e.n)
 }
 
 // InRow returns node i's in-neighbor row: WordsFor(n) little-endian words,
 // bit i of word i/64 always set. The returned slice aliases the graph's
-// immutable storage — callers must not modify it.
+// immutable storage — callers must not modify it. InRow is the dense
+// kernels' row access at every width and inlines at every call site.
 func (g Graph) InRow(i int) []uint64 {
 	if uint(i) >= uint(g.n) {
-		g.rowPanic(i)
+		panic(nodeRangeError{i, g.n})
 	}
-	j := i * g.w
-	return g.in[j : j+g.w : j+g.w]
+	w := g.Words()
+	j := i * w
+	return g.in[j : j+w : j+w]
 }
 
 // HasEdge reports whether the edge from -> to is present.
 func (g Graph) HasEdge(from, to int) bool {
 	checkNode(g.n, from)
 	checkNode(g.n, to)
-	return g.in[to*g.w+from/wordBits]&(1<<uint(from%wordBits)) != 0
+	return g.in[to*g.Words()+from/wordBits]&(1<<uint(from%wordBits)) != 0
 }
 
 // In returns the sorted in-neighbors of node i (including i itself).
@@ -367,7 +373,7 @@ func (g Graph) Out(i int) []int {
 	var out []int
 	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
 	for j := 0; j < g.n; j++ {
-		if g.in[j*g.w+wi]&bit != 0 {
+		if g.in[j*g.Words()+wi]&bit != 0 {
 			out = append(out, j)
 		}
 	}
@@ -401,7 +407,7 @@ func (g Graph) OutDegree(i int) int {
 	d := 0
 	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
 	for j := 0; j < g.n; j++ {
-		if g.in[j*g.w+wi]&bit != 0 {
+		if g.in[j*g.Words()+wi]&bit != 0 {
 			d++
 		}
 	}
@@ -570,7 +576,7 @@ func Product(g, h Graph) Graph {
 	if g.n != h.n {
 		panic(fmt.Sprintf("graph: product of mismatched sizes %d and %d", g.n, h.n))
 	}
-	if g.w == 1 {
+	if g.Words() == 1 {
 		in := make([]uint64, g.n)
 		for j := 0; j < g.n; j++ {
 			var m uint64
@@ -582,9 +588,9 @@ func Product(g, h Graph) Graph {
 			}
 			in[j] = m
 		}
-		return Graph{n: g.n, w: 1, in: in}
+		return Graph{n: g.n, in: in}
 	}
-	w := g.w
+	w := g.Words()
 	in := make([]uint64, g.n*w)
 	for j := 0; j < g.n; j++ {
 		dst := in[j*w : (j+1)*w]
@@ -600,7 +606,7 @@ func Product(g, h Graph) Graph {
 			}
 		}
 	}
-	return Graph{n: g.n, w: w, in: in}
+	return Graph{n: g.n, in: in}
 }
 
 // ProductAll folds Product over the given graphs left to right. It panics
@@ -641,10 +647,10 @@ func (g Graph) ReachMask(i int) uint64 {
 // (including i itself) as a word-sliced node set of length WordsFor(n).
 func (g Graph) ReachSet(i int) []uint64 {
 	checkNode(g.n, i)
-	if g.w == 1 {
+	if g.Words() == 1 {
 		return []uint64{g.ReachMask(i)}
 	}
-	reach := make([]uint64, g.w)
+	reach := make([]uint64, g.Words())
 	reach[i/wordBits] = 1 << uint(i%wordBits)
 	for {
 		grew := false
@@ -687,7 +693,7 @@ func (g Graph) Roots() uint64 {
 // (RootsViaSCC's characterization), which stays near-linear instead of
 // running one reachability closure per node.
 func (g Graph) RootsSet() []uint64 {
-	if g.w == 1 {
+	if g.Words() == 1 {
 		return []uint64{g.Roots()}
 	}
 	return g.sccRootsSet()
@@ -697,7 +703,7 @@ func (g Graph) RootsSet() []uint64 {
 // has at least one root. Asymptotic consensus is solvable in a network
 // model iff all its graphs are rooted (paper, Theorem 1 of Section 2.2).
 func (g Graph) IsRooted() bool {
-	if g.w == 1 {
+	if g.Words() == 1 {
 		return g.Roots() != 0
 	}
 	for _, m := range g.sccRootsSet() {
@@ -712,7 +718,7 @@ func (g Graph) IsRooted() bool {
 // Non-split graphs arise as communication graphs of benign classical
 // failure models and admit the midpoint algorithm's 1/2 contraction.
 func (g Graph) IsNonSplit() bool {
-	if g.w == 1 {
+	if g.Words() == 1 {
 		for i := 0; i < g.n; i++ {
 			for j := i + 1; j < g.n; j++ {
 				if g.in[i]&g.in[j] == 0 {

@@ -18,7 +18,7 @@ import (
 // implements that characterization; the test suite cross-validates it
 // against the reachability-based Roots.
 func (g Graph) SCCs() [][]int {
-	n, w := g.n, g.w
+	n, w := g.n, g.Words()
 	index := make([]int, n)
 	low := make([]int, n)
 	onStack := make([]bool, n)
@@ -98,7 +98,7 @@ func (g Graph) SCCs() [][]int {
 // condensation and that component's reachable set covers everything.
 func (g Graph) sccRootsSet() []uint64 {
 	comps := g.SCCs()
-	empty := make([]uint64, g.w)
+	empty := make([]uint64, g.Words())
 	// Component id per node.
 	id := make([]int, g.n)
 	for ci, comp := range comps {
