@@ -16,8 +16,8 @@ import (
 // numbers isolate core.BatchRunner stepping. The dense plane encodes
 // in-neighbor sets as word-sliced bitmasks (W = ⌈n/64⌉ words per row),
 // so n is no longer capped at one machine word; the series runs at
-// n = 256 (four words per row) to exercise the folds over wide rows and
-// the word-aligned receiver sharding, while B carries the batch scale.
+// n = 256 (four words per row) to exercise the folds over wide rows,
+// while B carries the batch scale.
 const (
 	largeN     = 256
 	largeBatch = 1024
@@ -38,10 +38,10 @@ type parallelEntry struct {
 // always included when the machine has it) for the shared-graph
 // amortized workload and the churn-clustered StepEach workload.
 type parallelReport struct {
-	N       int             `json:"n"`
-	Batch   int             `json:"batch"`
-	Rounds  int             `json:"rounds"`
-	Series  []parallelEntry `json:"series"`
+	N      int             `json:"n"`
+	Batch  int             `json:"batch"`
+	Rounds int             `json:"rounds"`
+	Series []parallelEntry `json:"series"`
 	// StepEachSpeedup4W is the churn StepEach workload's sequential
 	// median over its 4-worker median — the multi-core CI gate. 0 when
 	// the machine has fewer than 4 schedulable CPUs (the series then
@@ -119,7 +119,8 @@ func workerSeries(maxProcs int) []int {
 //
 //   - step/amortized: every run steps under one shared per-round graph
 //     (cycling through the pool) with the 3-plane amortized-midpoint
-//     stepper — the shared-plan fast path, hulls included.
+//     stepper — Step rounds, one cluster through one plan, hulls
+//     included.
 //   - stepeach/churn: per-run graphs, 16 runs per graph and the
 //     assignment rotating every round — 64 clusters per round through
 //     cached plans, the scenario-grid regime.

@@ -63,7 +63,7 @@ func run(args []string, out io.Writer) error {
 	benchSpecs := fs.Int("benchspecs", 64, "with -bench: specs per sweep")
 	benchRounds := fs.Int("benchrounds", 1000, "with -bench: rounds per run")
 	largenRounds := fs.Int("benchlargenrounds", 200, "with -bench: rounds per large-n kernel sample (0 disables the large-n series)")
-	largenN := fs.Int("benchlargenn", largeN, "with -bench: agents in the large-n kernel series (> 64 gives rows of several words and word-aligned receiver shards; 64 runs the same kernel on one-word rows)")
+	largenN := fs.Int("benchlargenn", largeN, "with -bench: agents in the large-n kernel series (> 64 gives rows of several words; 64 runs the same kernel on one-word rows)")
 	distRequests := fs.Int("benchdist", 24, "with -bench: requests in the distributed series (0 disables it)")
 	batchPar := consensus.BatchParallelismFlag(fs)
 	if err := fs.Parse(args); err != nil {

@@ -31,11 +31,13 @@ import (
 const (
 	DefaultShardSpecs     = 16
 	DefaultQueueCapacity  = 64
-	DefaultWorkerInflight = 4
 	DefaultShardAttempts  = 3
 	DefaultRetryBase      = 200 * time.Millisecond
 	DefaultShardTimeout   = 60 * time.Second
 	DefaultHealthInterval = 5 * time.Second
+
+	// DefaultWorkerInflight caps the shards in flight to one worker.
+	DefaultWorkerInflight = 4
 
 	// MaxSweepSpecs bounds one distributed sweep request.
 	MaxSweepSpecs = 4096
@@ -68,18 +70,14 @@ type CoordinatorOption func(*coordConfig)
 
 type coordConfig struct {
 	lib            *consensus.Library
-	store          *Store
-	storeCapacity  int
 	workerURLs     []string
 	shardSpecs     int
 	queueCap       int
-	workerInflight int
 	attempts       int
 	retryBase      time.Duration
 	shardTimeout   time.Duration
 	healthInterval time.Duration
 	client         *http.Client
-	reg            *obs.Registry
 	logger         *slog.Logger
 }
 
@@ -87,17 +85,6 @@ type coordConfig struct {
 // run the same registry contents for fingerprints to agree.
 func CoordinatorLibrary(lib *consensus.Library) CoordinatorOption {
 	return func(c *coordConfig) { c.lib = lib }
-}
-
-// CoordinatorStore uses the given content-addressed store.
-func CoordinatorStore(s *Store) CoordinatorOption {
-	return func(c *coordConfig) { c.store = s }
-}
-
-// CoordinatorStoreCapacity bounds a store built by the coordinator
-// itself (ignored when CoordinatorStore is given).
-func CoordinatorStoreCapacity(n int) CoordinatorOption {
-	return func(c *coordConfig) { c.storeCapacity = n }
 }
 
 // CoordinatorWorkers pins worker base URLs at construction; more can
@@ -118,12 +105,6 @@ func CoordinatorShardSpecs(n int) CoordinatorOption {
 // deadlock itself.
 func CoordinatorQueueCapacity(n int) CoordinatorOption {
 	return func(c *coordConfig) { c.queueCap = n }
-}
-
-// CoordinatorWorkerInflight caps concurrent shards per worker
-// (default DefaultWorkerInflight).
-func CoordinatorWorkerInflight(n int) CoordinatorOption {
-	return func(c *coordConfig) { c.workerInflight = n }
 }
 
 // CoordinatorRetry sets the attempts per shard and the base backoff
@@ -148,14 +129,6 @@ func CoordinatorHealthInterval(d time.Duration) CoordinatorOption {
 // CoordinatorClient sets the HTTP client used for shards and probes.
 func CoordinatorClient(cl *http.Client) CoordinatorOption {
 	return func(c *coordConfig) { c.client = cl }
-}
-
-// CoordinatorObsRegistry registers the coordinator's metrics on r
-// instead of a fresh registry. The coordinator registry is always on
-// (it backs /api/v1/status), so this is for embedding several
-// components under one scrape, not for disabling.
-func CoordinatorObsRegistry(r *obs.Registry) CoordinatorOption {
-	return func(c *coordConfig) { c.reg = r }
 }
 
 // CoordinatorLogger emits structured dispatch logs (sweep admitted,
@@ -197,7 +170,6 @@ type Coordinator struct {
 
 	shardSpecs     int
 	queueCap       int
-	workerInflight int
 	attempts       int
 	retryBase      time.Duration
 	shardTimeout   time.Duration
@@ -228,7 +200,6 @@ func NewCoordinator(opts ...CoordinatorOption) *Coordinator {
 	cfg := coordConfig{
 		shardSpecs:     DefaultShardSpecs,
 		queueCap:       DefaultQueueCapacity,
-		workerInflight: DefaultWorkerInflight,
 		attempts:       DefaultShardAttempts,
 		retryBase:      DefaultRetryBase,
 		shardTimeout:   DefaultShardTimeout,
@@ -236,9 +207,6 @@ func NewCoordinator(opts ...CoordinatorOption) *Coordinator {
 	}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.store == nil {
-		cfg.store = NewStore(cfg.storeCapacity)
 	}
 	if cfg.client == nil {
 		cfg.client = &http.Client{}
@@ -249,29 +217,23 @@ func NewCoordinator(opts ...CoordinatorOption) *Coordinator {
 	if cfg.queueCap < 1 {
 		cfg.queueCap = 1
 	}
-	if cfg.workerInflight < 1 {
-		cfg.workerInflight = 1
-	}
 	if cfg.attempts < 1 {
 		cfg.attempts = 1
 	}
-	if cfg.reg == nil {
-		cfg.reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	c := &Coordinator{
 		lib:            cfg.lib,
-		store:          cfg.store,
+		store:          NewStore(),
 		client:         cfg.client,
 		shardSpecs:     cfg.shardSpecs,
 		queueCap:       cfg.queueCap,
-		workerInflight: cfg.workerInflight,
 		attempts:       cfg.attempts,
 		retryBase:      cfg.retryBase,
 		shardTimeout:   cfg.shardTimeout,
 		healthInterval: cfg.healthInterval,
 		fpMemo:         make(map[string]fpEntry),
-		reg:            cfg.reg,
-		met:            newCoordMetrics(cfg.reg),
+		reg:            reg,
+		met:            newCoordMetrics(reg),
 		tracer:         obs.NewTracer(coordTracerCapacity),
 		log:            cfg.logger,
 		stop:           make(chan struct{}),
@@ -303,10 +265,6 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 // Close stops the background health loop. In-flight sweeps finish.
 func (c *Coordinator) Close() { c.closeOnce.Do(func() { close(c.stop) }) }
 
-// ResultStore exposes the content-addressed store (shared with tests
-// and the bench harness).
-func (c *Coordinator) ResultStore() *Store { return c.store }
-
 // Registry exposes the coordinator's always-on metrics registry.
 func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 
@@ -329,7 +287,7 @@ func (c *Coordinator) AddWorker(rawURL string) (bool, error) {
 			return c.probe(w), nil
 		}
 	}
-	ws := &workerState{url: clean, sem: make(chan struct{}, c.workerInflight)}
+	ws := &workerState{url: clean, sem: make(chan struct{}, DefaultWorkerInflight)}
 	c.workers = append(c.workers, ws)
 	c.mu.Unlock()
 	return c.probe(ws), nil

@@ -22,17 +22,13 @@ type Store struct {
 	cache *consensus.SweepCache
 }
 
-// DefaultStoreCapacity bounds a coordinator store built without an
-// explicit capacity.
+// DefaultStoreCapacity bounds the coordinator's store.
 const DefaultStoreCapacity = 1 << 18
 
-// NewStore returns an empty store holding at most capacity summaries
-// (DefaultStoreCapacity for capacity <= 0).
-func NewStore(capacity int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultStoreCapacity
-	}
-	return &Store{cache: consensus.NewSweepCacheSize(capacity)}
+// NewStore returns an empty store holding at most DefaultStoreCapacity
+// summaries.
+func NewStore() *Store {
+	return &Store{cache: consensus.NewSweepCacheSize(DefaultStoreCapacity)}
 }
 
 // Lookup returns the summary stored under the given content

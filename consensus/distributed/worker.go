@@ -20,12 +20,8 @@ const DefaultMaxShardSpecs = 1024
 type WorkerOption func(*workerConfig)
 
 type workerConfig struct {
-	lib           *consensus.Library
-	cache         *consensus.SweepCache
-	timeout       time.Duration
-	maxShardSpecs int
-	serverOpts    []consensus.ServerOption
-	reg           *obs.Registry
+	lib     *consensus.Library
+	timeout time.Duration
 }
 
 // WorkerLibrary resolves every shard spec against lib.
@@ -33,28 +29,9 @@ func WorkerLibrary(lib *consensus.Library) WorkerOption {
 	return func(c *workerConfig) { c.lib = lib }
 }
 
-// WorkerSweepCache uses the given sweep cache for shard execution (and
-// the embedded server's sweep endpoint) instead of a fresh one.
-func WorkerSweepCache(cache *consensus.SweepCache) WorkerOption {
-	return func(c *workerConfig) { c.cache = cache }
-}
-
 // WorkerTimeout bounds each shard's computation (default 30s).
 func WorkerTimeout(d time.Duration) WorkerOption {
 	return func(c *workerConfig) { c.timeout = d }
-}
-
-// WorkerMaxShardSpecs bounds the specs accepted per shard request
-// (default DefaultMaxShardSpecs).
-func WorkerMaxShardSpecs(n int) WorkerOption {
-	return func(c *workerConfig) { c.maxShardSpecs = n }
-}
-
-// WorkerObsRegistry registers the worker's shard counters — and the
-// embedded server's request metrics — on r instead of a fresh
-// registry. Always on; see CoordinatorObsRegistry.
-func WorkerObsRegistry(r *obs.Registry) WorkerOption {
-	return func(c *workerConfig) { c.reg = r }
 }
 
 // Worker is the worker-side handler: the full single-process
@@ -74,7 +51,6 @@ type Worker struct {
 	lib     *consensus.Library
 	cache   *consensus.SweepCache
 	timeout time.Duration
-	maxSpec int
 
 	// reg is shared with the embedded server, so the server's GET
 	// /metrics (reached through the catch-all route) exposes the shard
@@ -86,32 +62,26 @@ type Worker struct {
 
 // NewWorker builds the worker handler.
 func NewWorker(opts ...WorkerOption) *Worker {
-	cfg := workerConfig{timeout: 30 * time.Second, maxShardSpecs: DefaultMaxShardSpecs}
+	cfg := workerConfig{timeout: 30 * time.Second}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.cache == nil {
-		cfg.cache = consensus.NewSweepCache()
-	}
-	if cfg.reg == nil {
-		cfg.reg = obs.NewRegistry()
-	}
-	serverOpts := append([]consensus.ServerOption{
+	cache, reg := consensus.NewSweepCache(), obs.NewRegistry()
+	serverOpts := []consensus.ServerOption{
 		consensus.ServerTimeout(cfg.timeout),
-		consensus.ServerSweepCache(cfg.cache),
-		consensus.ServerObsRegistry(cfg.reg),
-	}, cfg.serverOpts...)
+		consensus.ServerSweepCache(cache),
+		consensus.ServerObsRegistry(reg),
+	}
 	if cfg.lib != nil {
 		serverOpts = append(serverOpts, consensus.ServerLibrary(cfg.lib))
 	}
 	w := &Worker{
 		inner:   consensus.NewServer(serverOpts...),
 		lib:     cfg.lib,
-		cache:   cfg.cache,
+		cache:   cache,
 		timeout: cfg.timeout,
-		maxSpec: cfg.maxShardSpecs,
-		reg:     cfg.reg,
-		met:     newWorkerMetrics(cfg.reg),
+		reg:     reg,
+		met:     newWorkerMetrics(reg),
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", w.inner)
@@ -143,10 +113,10 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("distributed: shard needs at least one spec"))
 		return
 	}
-	if len(req.Specs) > w.maxSpec {
+	if len(req.Specs) > DefaultMaxShardSpecs {
 		w.met.shardErrors.Inc()
 		writeError(rw, http.StatusBadRequest,
-			fmt.Errorf("distributed: shard carries %d specs, worker cap is %d", len(req.Specs), w.maxSpec))
+			fmt.Errorf("distributed: shard carries %d specs, worker cap is %d", len(req.Specs), DefaultMaxShardSpecs))
 		return
 	}
 	for _, spec := range req.Specs {

@@ -114,9 +114,8 @@ func (s *RunSummary) checkFinite(diameters ...float64) error {
 
 // SweepCache memoizes run summaries by configuration fingerprint. It is
 // safe for concurrent use and shareable across Sweep calls and servers.
-// The cache is bounded: past its entry capacity (NewSweepCacheSize, or
-// SweepCacheCapacity as a sweep option) insertions evict the oldest
-// entries first, so a long-lived server facing unbounded distinct specs
+// The cache is bounded: past its entry capacity (NewSweepCacheSize)
+// insertions evict the oldest entries first, so a long-lived server facing unbounded distinct specs
 // holds at most Capacity summaries.
 type SweepCache struct {
 	mu        sync.Mutex
@@ -159,17 +158,6 @@ func (c *SweepCache) get(key string) (RunSummary, bool) {
 		c.misses++
 	}
 	return s, ok
-}
-
-// setCapacity bounds the entry count, evicting down to the new cap.
-func (c *SweepCache) setCapacity(max int) {
-	if max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = max
-	c.evictLocked(0)
 }
 
 // Capacity returns the entry bound.
@@ -380,11 +368,10 @@ type SweepResult struct {
 
 // sweepConfig collects sweep options.
 type sweepConfig struct {
-	workers  int
-	cache    *SweepCache
-	lib      *Library
-	batch    int
-	cacheCap int
+	workers int
+	cache   *SweepCache
+	lib     *Library
+	batch   int
 	// intra is the per-tile intra-step worker count: the process default
 	// (REPRO_BATCH_PARALLELISM / SetProcessBatchParallelism).
 	intra int
@@ -474,15 +461,6 @@ func SweepBatchSize(n int) SweepOption {
 	return func(c *sweepConfig) { c.batch = n }
 }
 
-// SweepCacheCapacity bounds the entry count of the sweep's cache,
-// evicting oldest-first past the cap. With WithSweepCache it re-bounds
-// that cache (the bound persists on it); without, the sweep uses a
-// private bounded cache — the process-wide shared default is never
-// shrunk by one caller's option.
-func SweepCacheCapacity(n int) SweepOption {
-	return func(c *sweepConfig) { c.cacheCap = n }
-}
-
 // Sweep runs every spec and returns one result per spec, in input
 // order. Individual failures land in the result's Err field; the
 // returned error is non-nil only when ctx is cancelled, in which case
@@ -527,12 +505,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 			execWorkers = 1
 		}
 	}
-	switch {
-	case cfg.cache != nil && cfg.cacheCap > 0:
-		cfg.cache.setCapacity(cfg.cacheCap)
-	case cfg.cache == nil && cfg.cacheCap > 0:
-		cfg.cache = NewSweepCacheSize(cfg.cacheCap)
-	case cfg.cache == nil:
+	if cfg.cache == nil {
 		cfg.cache = defaultSweepCache
 	}
 

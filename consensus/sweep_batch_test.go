@@ -283,21 +283,16 @@ func TestSweepCacheBounded(t *testing.T) {
 	if _, hit := cache.get("key-0"); hit {
 		t.Fatal("oldest entry survived eviction")
 	}
-	// Shrinking the capacity evicts down to the new bound.
-	cache.setCapacity(1)
-	if _, _, entries := cache.Stats(); entries != 1 {
-		t.Fatalf("setCapacity(1) left %d entries", entries)
-	}
-	if cache.Capacity() != 1 {
-		t.Fatalf("Capacity() = %d, want 1", cache.Capacity())
+	if cache.Capacity() != 3 {
+		t.Fatalf("Capacity() = %d, want 3", cache.Capacity())
 	}
 }
 
-// TestSweepCacheCapacityOption bounds the cache through the sweep
-// option and checks Stats accounting stays consistent under concurrent
-// sweeps sharing the bounded cache (run with -race).
+// TestSweepCacheCapacityOption hands concurrent sweeps one cache bounded
+// at construction and checks the bound holds and Stats accounting stays
+// consistent while they share it (run with -race).
 func TestSweepCacheCapacityOption(t *testing.T) {
-	cache := NewSweepCache()
+	cache := NewSweepCacheSize(4)
 	specs := make([]RunSpec, 6)
 	for i := range specs {
 		specs[i] = RunSpec{Model: "deaf:6", Algorithm: "midpoint", Adversary: "random", Rounds: 10, Seed: int64(i + 1)}
@@ -310,7 +305,7 @@ func TestSweepCacheCapacityOption(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				results, err := Sweep(context.Background(), specs,
-					WithSweepCache(cache), SweepCacheCapacity(4), SweepWorkers(2))
+					WithSweepCache(cache), SweepWorkers(2))
 				if err != nil {
 					t.Error(err)
 					return

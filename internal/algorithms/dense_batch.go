@@ -56,59 +56,21 @@ func (h *hullAcc) commit(plan *core.StepPlan, r int) {
 	plan.HullLo[r], plan.HullHi[r] = h.lo, h.hi
 }
 
-// FoldShardable implements core.FoldShardCapable: the midpoint folds
-// are exact min/max selections, so a segment shard may recompute an
-// out-of-shard fold from its mask with the same resulting bits.
-func (Midpoint) FoldShardable() bool { return true }
-
-// segRecvBounds intersects a segment's receiver range with a receiver
-// shard's bounds; an empty intersection means the shard skips the segment.
-func segRecvBounds(seg *core.MaskSeg, recvLo, recvHi int) (lo, hi int) {
-	lo, hi = seg.Start, seg.End
-	if lo < recvLo {
-		lo = recvLo
-	}
-	if hi > recvHi {
-		hi = recvHi
-	}
-	return lo, hi
-}
-
 // StepDenseBatch implements core.BatchStepper. Distinct folds carrying a
 // subset base (MaskSeg.Base) extend the base fold by the delta bits — an
 // exact multiset selection, so the midpoint bits match the full refold.
-// The segment loop honors plan.SegRange: fold reuse and subset-delta
-// extension apply when the referenced fold lies in the shard, and
-// anything owned before the shard is refolded from its mask —
-// bit-identical either way. A receiver shard (plan.RecvRange) writes
-// only its receivers and refolds every segment it touches.
 func (Midpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 	los, his := plan.F0, plan.F1
-	segLo, segHi := plan.SegRange()
-	recvLo, recvHi := plan.RecvRange(src.N())
-	recvShard := plan.RecvHi != 0
 	for _, r := range plan.Runs {
 		y, out := src.RunY(r), dst.RunY(r)
 		var hull hullAcc
-		for si := segLo; si < segHi; si++ {
+		for si := range plan.Segs {
 			seg := &plan.Segs[si]
-			jLo, jHi := seg.Start, seg.End
-			if recvShard {
-				if jLo, jHi = segRecvBounds(seg, recvLo, recvHi); jLo >= jHi {
-					continue
-				}
-			}
 			var lo, hi float64
 			switch {
-			case recvShard:
-				// Receiver shards refold every touched segment from its own
-				// mask: cross-segment reuse could read a fold slot owned by a
-				// segment this shard never visited. Bit-transparent — exact
-				// multiset selection, same value multiset.
-				lo, hi = foldMinMax(y, plan.MaskRow(seg))
-			case seg.Fold != si && seg.Fold >= segLo:
+			case seg.Fold != si:
 				lo, hi = los[seg.Fold], his[seg.Fold]
-			case seg.Fold == si && seg.Base >= segLo:
+			case seg.Base >= 0:
 				lo, hi = foldMinMaxDelta(y, plan.DeltaRow(seg), los[seg.Base], his[seg.Base])
 				los[si], his[si] = lo, hi
 			default:
@@ -119,7 +81,7 @@ func (Midpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 			if plan.WantHull {
 				hull.add(mid)
 			}
-			for j := jLo; j < jHi; j++ {
+			for j := seg.Start; j < seg.End; j++ {
 				out[j] = mid
 			}
 		}
@@ -159,34 +121,19 @@ func (Mean) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 	plan.HullDone = plan.WantHull
 }
 
-// FoldShardable implements core.FoldShardCapable (see Midpoint).
-func (QuantizedMidpoint) FoldShardable() bool { return true }
-
-// StepDenseBatch implements core.BatchStepper, honoring plan.SegRange
-// and plan.RecvRange like Midpoint.
+// StepDenseBatch implements core.BatchStepper, folding like Midpoint.
 func (a QuantizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 	los, his := plan.F0, plan.F1
-	segLo, segHi := plan.SegRange()
-	recvLo, recvHi := plan.RecvRange(src.N())
-	recvShard := plan.RecvHi != 0
 	for _, r := range plan.Runs {
 		y, out := src.RunY(r), dst.RunY(r)
 		var hull hullAcc
-		for si := segLo; si < segHi; si++ {
+		for si := range plan.Segs {
 			seg := &plan.Segs[si]
-			jLo, jHi := seg.Start, seg.End
-			if recvShard {
-				if jLo, jHi = segRecvBounds(seg, recvLo, recvHi); jLo >= jHi {
-					continue
-				}
-			}
 			var lo, hi float64
 			switch {
-			case recvShard:
-				lo, hi = foldMinMax(y, plan.MaskRow(seg))
-			case seg.Fold != si && seg.Fold >= segLo:
+			case seg.Fold != si:
 				lo, hi = los[seg.Fold], his[seg.Fold]
-			case seg.Fold == si && seg.Base >= segLo:
+			case seg.Base >= 0:
 				lo, hi = foldMinMaxDelta(y, plan.DeltaRow(seg), los[seg.Base], his[seg.Base])
 				los[si], his[si] = lo, hi
 			default:
@@ -197,7 +144,7 @@ func (a QuantizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.
 			if plan.WantHull {
 				hull.add(snapped)
 			}
-			for j := jLo; j < jHi; j++ {
+			for j := seg.Start; j < seg.End; j++ {
 				out[j] = snapped
 			}
 		}
@@ -208,42 +155,26 @@ func (a QuantizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.
 	plan.HullDone = plan.WantHull
 }
 
-// FoldShardable implements core.FoldShardCapable: the interval fold is
-// a pair of exact min/max selections, so segment shards stay
-// bit-transparent (see Midpoint).
-func (AmortizedMidpoint) FoldShardable() bool { return true }
-
-// StepDenseBatch implements core.BatchStepper, honoring plan.SegRange
-// and plan.RecvRange like Midpoint.
+// StepDenseBatch implements core.BatchStepper, folding the interval
+// planes like Midpoint folds values.
 func (AmortizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 	n := src.N()
 	phase := amortizedPhase(n)
 	phaseEnd := dst.Round()%phase == 0
 	los, his := plan.F0, plan.F1
-	segLo, segHi := plan.SegRange()
-	recvLo, recvHi := plan.RecvRange(n)
-	recvShard := plan.RecvHi != 0
 	for _, r := range plan.Runs {
 		y := src.RunY(r)
 		lo0, hi0 := src.RunPlane(r, amortizedPlaneLo), src.RunPlane(r, amortizedPlaneHi)
 		oy := dst.RunY(r)
 		olo, ohi := dst.RunPlane(r, amortizedPlaneLo), dst.RunPlane(r, amortizedPlaneHi)
 		var hull hullAcc
-		for si := segLo; si < segHi; si++ {
+		for si := range plan.Segs {
 			seg := &plan.Segs[si]
-			jLo, jHi := seg.Start, seg.End
-			if recvShard {
-				if jLo, jHi = segRecvBounds(seg, recvLo, recvHi); jLo >= jHi {
-					continue
-				}
-			}
 			var lo, hi float64
 			switch {
-			case recvShard:
-				lo, hi = foldInterval(lo0, hi0, plan.MaskRow(seg))
-			case seg.Fold != si && seg.Fold >= segLo:
+			case seg.Fold != si:
 				lo, hi = los[seg.Fold], his[seg.Fold]
-			case seg.Fold == si && seg.Base >= segLo:
+			case seg.Base >= 0:
 				lo, hi = foldIntervalDelta(lo0, hi0, plan.DeltaRow(seg), los[seg.Base], his[seg.Base])
 				los[si], his[si] = lo, hi
 			default:
@@ -255,11 +186,11 @@ func (AmortizedMidpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.St
 				if plan.WantHull {
 					hull.add(mid)
 				}
-				for j := jLo; j < jHi; j++ {
+				for j := seg.Start; j < seg.End; j++ {
 					oy[j], olo[j], ohi[j] = mid, mid, mid
 				}
 			} else {
-				for j := jLo; j < jHi; j++ {
+				for j := seg.Start; j < seg.End; j++ {
 					oy[j], olo[j], ohi[j] = y[j], lo, hi
 					if plan.WantHull {
 						hull.add(y[j])

@@ -126,29 +126,32 @@ func TestDenseBridgeRoundTrip(t *testing.T) {
 				prefix[i] = graph.Random(rng, tc.n, 0.5)
 				c = c.Step(prefix[i])
 			}
-			r, ok := core.DenseRunnerFromConfig(c)
-			if !ok {
+			var cur, next core.DenseState
+			if !c.WriteDense(&cur) {
 				t.Fatalf("%s: configuration did not bridge into dense state", tc.alg.Name())
 			}
-			if r.Round() != c.Round() {
-				t.Fatalf("bridge lost the round counter: %d != %d", r.Round(), c.Round())
+			if cur.Round() != c.Round() {
+				t.Fatalf("bridge lost the round counter: %d != %d", cur.Round(), c.Round())
 			}
+			d, _ := core.AsDense(tc.alg)
 			for round := 0; round < 12; round++ {
 				g := graph.Random(rng, tc.n, 0.5)
 				c = c.Step(g)
-				r.Step(g)
+				core.DenseStep(d, &next, &cur, g)
+				cur, next = next, cur
 			}
-			mat := r.Config()
+			mat := core.MaterializeDense(d, &cur)
+			out := make([]float64, tc.n)
+			d.OutputsDense(&cur, out)
 			for i := 0; i < tc.n; i++ {
-				if math.Float64bits(c.Output(i)) != math.Float64bits(r.Output(i)) {
+				if math.Float64bits(c.Output(i)) != math.Float64bits(out[i]) {
 					t.Fatalf("agent %d: dense continuation diverged", i)
 				}
 				if math.Float64bits(mat.Output(i)) != math.Float64bits(c.Output(i)) {
 					t.Fatalf("agent %d: materialized configuration diverged", i)
 				}
 			}
-			d, _ := core.AsDense(tc.alg)
-			assertSameFingerprint(t, c, d, r.State(), "post-continuation")
+			assertSameFingerprint(t, c, d, &cur, "post-continuation")
 			if fpA, okA := c.AppendFingerprint(nil); okA {
 				fpM, okM := mat.AppendFingerprint(nil)
 				if !okM || !bytes.Equal(fpA, fpM) {

@@ -74,7 +74,3 @@ func (a *floodRootAgent) Deliver(_ int, msgs []core.Message) {
 
 func (a *floodRootAgent) Output() float64   { return a.y }
 func (a *floodRootAgent) Clone() core.Agent { cp := *a; return &cp }
-
-// Informed reports whether the agent has heard the root's value; exported
-// for tests and experiments inspecting flooding progress.
-func (a *floodRootAgent) Informed() bool { return a.informed }

@@ -104,14 +104,6 @@ func (st *BatchState) View(r int, view *DenseState) {
 	view.Aux = st.Aux[lo:hi:hi]
 }
 
-// CopyFrom overwrites st with an independent copy of src.
-func (st *BatchState) CopyFrom(src *BatchState) {
-	st.Resize(src.b, src.n, src.planes)
-	st.round = src.round
-	copy(st.Y, src.Y)
-	copy(st.Aux, src.Aux)
-}
-
 // copyRun overwrites run dst with run src of the same batch (in-place
 // compaction move).
 func (st *BatchState) copyRun(dst, src int) {
@@ -179,21 +171,6 @@ type StepPlan struct {
 
 	Runs []int
 
-	// SegLo/SegHi bound the segment range this call must step — set
-	// only on fold shards handed to FoldShardCapable steppers. The zero
-	// value means the full segmentation (SegRange).
-	SegLo, SegHi int
-
-	// RecvLo/RecvHi bound the receiver range this call must write — set
-	// only on word shards of plans wider than one word handed to
-	// FoldShardCapable steppers (the fourth shard axis: word-aligned
-	// receiver ranges within a fold). A receiver shard intersects every
-	// segment with [RecvLo, RecvHi) and must compute each touched
-	// segment's fold shard-locally from its row, without cross-segment
-	// reuse — the fold it reuses might belong to a segment the shard never
-	// touched. The zero value means all receivers (RecvRange).
-	RecvLo, RecvHi int
-
 	WantHull bool
 	HullDone bool
 	HullLo   []float64
@@ -204,26 +181,6 @@ type StepPlan struct {
 	// build (n*G.Words() words) and appended into without reallocating —
 	// offsets into it stay valid for the plan's lifetime.
 	deltaArena []uint64
-}
-
-// SegRange returns the segment range the stepper must cover in this
-// call: the fold-shard bounds when the runner set them, the full
-// segmentation otherwise.
-func (p *StepPlan) SegRange() (lo, hi int) {
-	if p.SegHi == 0 {
-		return 0, len(p.Segs)
-	}
-	return p.SegLo, p.SegHi
-}
-
-// RecvRange returns the receiver range the stepper must write in this
-// call: the word-shard bounds when the runner set them, all n receivers
-// otherwise.
-func (p *StepPlan) RecvRange(n int) (lo, hi int) {
-	if p.RecvHi == 0 {
-		return 0, n
-	}
-	return p.RecvLo, p.RecvHi
 }
 
 // MaskRow returns a segment's in-neighbor row: the graph row of any
@@ -379,12 +336,12 @@ const DefaultPlanCacheCap = 512
 // the back buffer and swaps, allocating nothing in steady state.
 // Decided runs can be dropped in place (Compact).
 //
-// Rounds with per-run graphs (StepEach) are stepped clustered: runs are
-// grouped by graph identity — the raw mask bytes, with a constant-time
-// per-run fast path when a run replays the same graph.Graph value as
-// last round — and each cluster steps through one shared, cached
-// StepPlan. The plan cache is bounded (SetPlanCacheCap) and instrumented
-// (PlanCacheStats).
+// Every round is stepped clustered: runs are grouped by graph identity —
+// the raw mask bytes, with constant-time fast paths when a run replays
+// the same graph.Graph value as last round or as the run before it — and
+// each cluster steps through one shared, cached StepPlan. A shared-graph
+// round (Step) is the one-cluster case. The plan cache is bounded
+// (SetPlanCacheCap) and instrumented (PlanCacheStats).
 type BatchRunner struct {
 	alg       DenseAlgorithm
 	bs        BatchStepper
@@ -409,7 +366,8 @@ type BatchRunner struct {
 	// per-round clustering scratch. lastG/lastPlan are the per-run
 	// identity memo: run i stepping the same graph.Graph value as last
 	// round reuses its plan without touching the key buffer or the map.
-	// allRuns is the precomputed 0..B-1 subset for shared-graph rounds.
+	// allRuns is the precomputed 0..B-1 subset StepRuns shards, and
+	// shared the runner-owned graph slice a Step round fills.
 	plans      map[string]*planEntry
 	planOrder  []*planEntry
 	planHead   int
@@ -424,6 +382,7 @@ type BatchRunner struct {
 	stepSeq    uint64
 	clusters   []planCluster
 	allRuns    []int
+	shared     []graph.Graph
 	lastG      []graph.Graph
 	lastPlan   []*planEntry
 	// pending is the per-round list of first-sight entries awaiting the
@@ -433,12 +392,11 @@ type BatchRunner struct {
 	doorkeeper []uint64
 
 	// Intra-step parallelism (parallel.go): par is the configured worker
-	// count (0 = inherit the process default), segOK whether the stepper
-	// may be fold-sharded, job the pooled per-round task list, and arena
-	// the coordinator's own executor scratch. shardTasks counts the tasks
-	// of every parallel round, for the obs series (obs.go).
+	// count (0 = inherit the process default), job the pooled per-round
+	// task list, and arena the coordinator's own executor scratch.
+	// shardTasks counts the tasks of every parallel round, for the obs
+	// series (obs.go).
 	par        int
-	segOK      bool
 	job        stepJob
 	arena      stepArena
 	shardTasks uint64
@@ -503,10 +461,6 @@ func (r *BatchRunner) ResetReplicated(alg DenseAlgorithm, st *DenseState, b int)
 func (r *BatchRunner) reset(alg DenseAlgorithm, b, n int) {
 	r.alg = alg
 	r.bs, _ = AsBatchStepper(alg)
-	r.segOK = false
-	if fs, ok := r.bs.(FoldShardCapable); ok {
-		r.segOK = fs.FoldShardable()
-	}
 	if r.cur == nil {
 		r.cur, r.next = &BatchState{}, &BatchState{}
 	}
@@ -528,9 +482,11 @@ func (r *BatchRunner) reset(alg DenseAlgorithm, b, n int) {
 	if cap(r.lastG) < b {
 		r.lastG = make([]graph.Graph, b)
 		r.lastPlan = make([]*planEntry, b)
+		r.shared = make([]graph.Graph, b)
 	}
 	r.lastG = r.lastG[:b]
 	r.lastPlan = r.lastPlan[:b]
+	r.shared = r.shared[:b]
 	if cap(r.outScratch) < n {
 		r.outScratch = make([]float64, n)
 	}
@@ -613,24 +569,6 @@ func (r *BatchRunner) SetPlanCacheCap(n int) {
 // reuse rates.
 func (r *BatchRunner) PlanCacheStats() (hits, misses, evictions, deferrals uint64, entries int) {
 	return r.planHits, r.planMisses, r.planEvicts, r.planDefers, len(r.plans)
-}
-
-// lookupPlan returns the cached plan entry for g, building (and
-// inserting, evicting oldest past the cap) on miss — the shared-graph
-// path, where a plan always pays for itself across the whole batch.
-func (r *BatchRunner) lookupPlan(g graph.Graph) *planEntry {
-	r.initPlans()
-	r.keyBuf = g.AppendMaskKey(r.keyBuf[:0])
-	if e, ok := r.plans[string(r.keyBuf)]; ok {
-		r.planHits++
-		return e
-	}
-	e := r.takeEntry()
-	e.keyBytes = append(e.keyBytes[:0], r.keyBuf...)
-	e.hash = maskHash(g)
-	e.plan.G = g
-	r.admitPlan(e)
-	return e
 }
 
 // initPlans lazily readies the map and the cap.
@@ -811,55 +749,24 @@ func (r *BatchRunner) prep(n int) {
 }
 
 // Step applies one round with the shared communication graph g to every
-// run: through the algorithm's BatchStepper when it has one (one cached
-// plan covering the whole batch), per-run views otherwise.
+// run: a StepEach round in which every run plays g, so the batch steps as
+// one cluster through one cached plan.
 func (r *BatchRunner) Step(g graph.Graph) {
-	r.hull.want = false
-	r.step(g)
+	r.StepEach(r.fillShared(g))
 }
 
-// StepWithHulls applies one shared-graph round and reports every run's
-// post-round output hull into lo/hi (length B): computed inside the
-// batched stepper for free from the segment folds when possible, by
-// scanning the outputs otherwise. The hulls are bit-identical to
-// calling Hull(i) per run either way.
+// StepWithHulls is Step plus per-run output hulls, like
+// StepEachWithHulls.
 func (r *BatchRunner) StepWithHulls(g graph.Graph, lo, hi []float64) {
-	r.hull.want = true
-	r.hull.lo, r.hull.hi = lo, hi
-	if !r.step(g) {
-		r.scanHulls(lo, hi)
-	}
-	r.hull.want, r.hull.lo, r.hull.hi = false, nil, nil
+	r.StepEachWithHulls(r.fillShared(g), lo, hi)
 }
 
-// stepRaw applies one shared-graph round and reports whether the
-// stepper delivered the requested hulls. The step wrapper (obs.go)
-// samples kernel metrics around it.
-func (r *BatchRunner) stepRaw(g graph.Graph) (hullDone bool) {
-	r.prep(g.N())
-	par := r.Parallelism()
-	switch {
-	case r.bs != nil && par > 1 && (r.cur.b > 1 || r.segOK):
-		r.collectPlans()
-		e := r.lookupPlan(g)
-		r.beginTasks(nil, g, r.hull.want)
-		r.addClusterTasks(e, r.allRuns, par, len(r.allRuns))
-		r.expandSegShards(par)
-		hullDone = r.runTasks(par)
-	case r.bs != nil:
-		r.collectPlans()
-		hullDone = r.stepCluster(r.lookupPlan(g), r.allRuns)
-	case par > 1 && r.cur.b > 1:
-		r.beginTasks(nil, g, r.hull.want)
-		r.addRunShards(r.allRuns, par)
-		hullDone = r.runTasks(par)
-	default:
-		for i := 0; i < r.cur.b; i++ {
-			r.stepRun(i, g)
-		}
+// fillShared sets every run's slot of the runner-owned graph slice to g.
+func (r *BatchRunner) fillShared(g graph.Graph) []graph.Graph {
+	for i := range r.shared {
+		r.shared[i] = g
 	}
-	r.swap()
-	return hullDone
+	return r.shared
 }
 
 // stepCluster steps the given run subset through e's plan, relaying the
@@ -896,15 +803,17 @@ func (r *BatchRunner) scanHulls(lo, hi []float64) {
 // StepEach applies one round with per-run graphs (gs[i] drives run i),
 // clustered: runs sharing a graph share one cached plan, lasso loops
 // replaying a graph value reuse the run's last plan via the identity
-// memo, and a round in which every run plays the same graph degenerates
-// to exactly the shared-graph path — one cluster, one plan.
+// memo, and a round in which every run plays the same graph value (a
+// Step round) is one cluster stepping one plan, with one key built.
 func (r *BatchRunner) StepEach(gs []graph.Graph) {
 	r.hull.want = false
 	r.stepEach(gs)
 }
 
-// StepEachWithHulls is StepEach plus per-run output hulls, like
-// StepWithHulls.
+// StepEachWithHulls is StepEach plus every run's post-round output hull
+// in lo/hi (length B): computed inside the batched stepper from the
+// segment folds when possible, by scanning the outputs otherwise. The
+// hulls are bit-identical to calling Hull(i) per run either way.
 func (r *BatchRunner) StepEachWithHulls(gs []graph.Graph, lo, hi []float64) {
 	r.hull.want = true
 	r.hull.lo, r.hull.hi = lo, hi
@@ -939,10 +848,20 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 	r.stepSeq++
 	r.collectPlans()
 	clusters := r.clusters[:0]
+	var prev *planEntry
 	for i, g := range gs {
 		e := r.lastPlan[i]
 		if e == nil || !g.Same(r.lastG[i]) {
-			ne := r.findPlan(g)
+			var ne *planEntry
+			if prev != nil && g.Same(gs[i-1]) {
+				// The run plays the previous run's graph value, as every
+				// run of a Step round does: it joins that run's entry
+				// without building a key.
+				ne = prev
+				r.planHits++
+			} else {
+				ne = r.findPlan(g)
+			}
 			if e != nil {
 				e.refs--
 			}
@@ -952,6 +871,7 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 		} else {
 			r.planHits++
 		}
+		prev = e
 		if e.mark != r.stepSeq {
 			e.mark = r.stepSeq
 			e.slot = len(clusters)
@@ -999,22 +919,17 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 	}
 	r.pending = r.pending[:0]
 	hullDone = true
-	if par := r.Parallelism(); par > 1 && (r.cur.b > 1 || r.segOK) {
-		// Parallel round: shard the clusters (then, if the budget is not
-		// filled, their segment ranges) into tasks and fan out. The
-		// clustering and admission above stay coordinator-only, so the
-		// plan cache is never touched concurrently.
-		r.beginTasks(gs, graph.Graph{}, r.hull.want)
+	if par := r.Parallelism(); par > 1 && r.cur.b > 1 {
+		// Parallel round: shard every cluster into run-range tasks and
+		// fan out. The clustering and admission above stay
+		// coordinator-only, so the plan cache is never touched
+		// concurrently.
+		r.beginTasks(gs, r.hull.want)
 		for ci := range clusters {
 			c := &clusters[ci]
-			if c.e == nil {
-				r.job.tasks = append(r.job.tasks, stepTask{runs: c.runs})
-			} else {
-				r.addClusterTasks(c.e, c.runs, par, r.cur.b)
-			}
+			r.addClusterTasks(c.e, c.runs, par, r.cur.b)
 			c.e = nil
 		}
-		r.expandSegShards(par)
 		hullDone = r.runTasks(par)
 	} else {
 		for ci := range clusters {
@@ -1060,8 +975,8 @@ func (r *BatchRunner) StepRuns(gs []graph.Graph) {
 		}
 	}
 	if par := r.Parallelism(); par > 1 && r.cur.b > 1 {
-		r.beginTasks(gs, graph.Graph{}, false)
-		r.addRunShards(r.allRuns, par)
+		r.beginTasks(gs, false)
+		r.addClusterTasks(nil, r.allRuns, par, len(r.allRuns))
 		r.runTasks(par)
 	} else {
 		for i := 0; i < r.cur.b; i++ {
@@ -1143,6 +1058,7 @@ func (r *BatchRunner) Compact(keep []bool) int {
 	r.lastG = r.lastG[:w]
 	r.lastPlan = r.lastPlan[:w]
 	r.allRuns = r.allRuns[:w]
+	r.shared = r.shared[:w]
 	r.cur.b = w
 	r.cur.Y = r.cur.Y[:w*r.cur.n]
 	r.cur.Aux = r.cur.Aux[:w*r.cur.planes*r.cur.n]

@@ -148,14 +148,6 @@ func TestFrameworkDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunDoesNotMutateCaller(t *testing.T) {
-	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1})
-	_ = core.RunConfig("midpoint", c, core.Fixed{G: graph.Complete(2)}, 5)
-	if c.Round() != 0 || c.Output(0) != 0 || c.Output(1) != 1 {
-		t.Error("RunConfig mutated its input configuration")
-	}
-}
-
 func TestDiameterAndHull(t *testing.T) {
 	if core.Diameter(nil) != 0 {
 		t.Error("Diameter(nil) != 0")
@@ -259,17 +251,5 @@ func TestGeometricRateDegenerate(t *testing.T) {
 	tr2 := core.Run(algorithms.Midpoint{}, []float64{0, 1}, core.Fixed{G: graph.Complete(2)}, 3)
 	if tr2.GeometricRate() != 0 {
 		t.Error("GeometricRate after exact convergence should be 0")
-	}
-}
-
-func TestRunConfigContinues(t *testing.T) {
-	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1})
-	c = c.Step(graph.H(1))
-	tr := core.RunConfig("midpoint", c, core.Fixed{G: graph.H(0)}, 2)
-	if tr.Outputs[0][1] != 0.5 {
-		t.Errorf("continuation should start from stepped config, got %v", tr.Outputs[0])
-	}
-	if tr.Final.Round() != 3 {
-		t.Errorf("final round = %d, want 3", tr.Final.Round())
 	}
 }

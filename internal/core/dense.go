@@ -126,11 +126,11 @@ func AsDense(alg Algorithm) (DenseAlgorithm, bool) {
 }
 
 // AgentsOnly returns alg with its dense capability hidden: AsDense fails
-// on the result, so Run, RunConfig, the vector runner, the valency settle
-// loops and wrappers such as the deciding algorithm all step it on the
-// Agent path. Name, convexity and agents are alg's own, so fingerprints
-// and traces are directly comparable with the dense path's. Differential
-// tests use it to reach the reference oracle.
+// on the result, so Run, the vector runner, the valency settle loops and
+// wrappers such as the deciding algorithm all step it on the Agent path.
+// Name, convexity and agents are alg's own, so fingerprints and traces
+// are directly comparable with the dense path's. Differential tests use
+// it to reach the reference oracle.
 func AgentsOnly(alg Algorithm) Algorithm { return agentsOnly{alg} }
 
 // agentsOnly embeds only the Algorithm interface, so none of the wrapped
@@ -238,25 +238,6 @@ func NewDenseRunner(alg DenseAlgorithm, inputs []float64) *DenseRunner {
 	back := &DenseState{}
 	back.Resize(n, st.planes)
 	return &DenseRunner{alg: alg, cur: st, next: back, outScratch: make([]float64, n)}
-}
-
-// DenseRunnerFromConfig builds a runner that continues an existing agent
-// configuration; ok is false when the configuration cannot be bridged.
-func DenseRunnerFromConfig(c *Config) (*DenseRunner, bool) {
-	if c.alg == nil {
-		return nil, false
-	}
-	d, ok := AsDense(c.alg)
-	if !ok {
-		return nil, false
-	}
-	st := &DenseState{}
-	if !c.WriteDense(st) {
-		return nil, false
-	}
-	back := &DenseState{}
-	back.Resize(st.n, st.planes)
-	return &DenseRunner{alg: d, cur: st, next: back, outScratch: make([]float64, st.n)}, true
 }
 
 // N returns the number of agents.

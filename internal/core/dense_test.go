@@ -45,7 +45,8 @@ func TestRunPathsBitIdentical(t *testing.T) {
 	if _, ok := core.AsDense(oracle); ok {
 		t.Fatal("AgentsOnly must hide the dense stepper")
 	}
-	if _, ok := core.DenseRunnerFromConfig(core.NewConfig(oracle, []float64{0, 1})); ok {
+	var st core.DenseState
+	if core.NewConfig(oracle, []float64{0, 1}).WriteDense(&st) {
 		t.Fatal("an AgentsOnly configuration must not bridge into the dense path")
 	}
 	if oracle.Name() != alg.Name() || oracle.Convex() != alg.Convex() {
@@ -101,29 +102,6 @@ func assertTracesEqual(t *testing.T, a, b *core.Trace) {
 	}
 	if a.Final.Round() != b.Final.Round() {
 		t.Fatalf("final rounds differ: %d vs %d", a.Final.Round(), b.Final.Round())
-	}
-}
-
-// TestRunConfigPathsContinuation continues a half-run configuration
-// on both paths and pins the traces against each other.
-func TestRunConfigPathsContinuation(t *testing.T) {
-	inputs := []float64{0, 1, 0.5, 0.25}
-	pool := model.DeafModel(graph.Complete(4)).Graphs()
-	halfRun := func(alg core.Algorithm) *core.Config {
-		c := core.NewConfig(alg, inputs)
-		for _, g := range pool[:2] {
-			c = c.Step(g)
-		}
-		return c
-	}
-	var alg core.Algorithm = algorithms.AmortizedMidpoint{}
-	c := halfRun(alg)
-	src := func() core.PatternSource { return core.Cycle{Graphs: pool} }
-	agents := core.RunConfig("amid", halfRun(core.AgentsOnly(alg)), src(), 30)
-	dense := core.RunConfig("amid", c, src(), 30)
-	assertTracesEqual(t, agents, dense)
-	if got := agents.Final.Round(); got != c.Round()+30 {
-		t.Fatalf("final round %d, want %d", got, c.Round()+30)
 	}
 }
 

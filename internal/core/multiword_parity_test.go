@@ -12,10 +12,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Multi-word parity: the n > 64 kernels (word-sliced masks, word-aligned
-// receiver shards, delta-arena folds) must be bit-identical to both the
-// sequential batch path and the per-run dense path, at every worker
-// count. These are the wide-graph counterparts of TestParallelStepParity
+// Multi-word parity: the n > 64 kernels (word-sliced masks, delta-arena
+// folds) must be bit-identical to both the sequential batch path and the
+// per-run dense path, at every worker count. These are the wide-graph counterparts of TestParallelStepParity
 // and the batch-vs-single differential gates.
 
 // wideChurn is deafVariant for any width: everyone hears everyone except
@@ -47,8 +46,8 @@ func wideShift(n, s int) graph.Graph {
 
 // stepBothMixedWide mirrors stepBothMixed with word-safe generators, so
 // the same mixed round schedule (shared, hulls, clustered per-run,
-// per-run unclustered) exercises the multi-word plan builder, the
-// receiver-word shard axis, and the delta arena.
+// per-run unclustered) exercises the multi-word plan builder and the
+// delta arena.
 func stepBothMixedWide(t *testing.T, seq, par *core.BatchRunner, n, rounds int) {
 	t.Helper()
 	b := seq.B()
@@ -92,10 +91,10 @@ func stepBothMixedWide(t *testing.T, seq, par *core.BatchRunner, n, rounds int) 
 // TestMultiWordParallelParity pins worker-count invariance past the word
 // boundary: n = 128 at 3 and 8 workers (the issue's differential axis)
 // and n = 256 at 4 workers (the acceptance fingerprint axis), each
-// against the 1-worker runner, for a fold-shardable single-plane
-// stepper, the 3-plane amortized stepper, and an order-sensitive sum
-// stepper that must never be fold- or receiver-sharded. Small B forces
-// the run axis to starve so the word-aligned receiver shards engage.
+// against the 1-worker runner, for a min/max single-plane stepper, the
+// 3-plane amortized stepper, and an order-sensitive sum stepper. B = 1
+// steps sequentially at every worker count, and B = 6 shards into at
+// most six whole-run tasks.
 func TestMultiWordParallelParity(t *testing.T) {
 	cases := []struct {
 		n    int

@@ -17,7 +17,6 @@ import (
 // series cannot depend on the worker count. The shard-task counter is
 // deliberately absent — it measures the fan-out itself.
 var kernelSeries = []string{
-	"repro_kernel_step_rounds_total",
 	"repro_kernel_stepeach_rounds_total",
 	"repro_kernel_plan_cache_hits_total",
 	"repro_kernel_plan_cache_misses_total",

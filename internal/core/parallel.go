@@ -12,29 +12,22 @@ import (
 )
 
 // This file implements intra-step parallelism for BatchRunner: one
-// round's work — the graph clusters of a StepEach round, contiguous
-// run ranges within a large cluster, and (for fold-shardable steppers)
-// contiguous segment ranges of one plan — is sharded into tasks and
-// executed by a process-wide worker pool plus the coordinating
-// goroutine itself.
+// round's runs — each graph cluster split into contiguous run ranges —
+// are sharded into tasks and executed by a process-wide worker pool plus
+// the coordinating goroutine itself. A task always steps whole runs.
 //
 // Determinism contract: a parallel step stores exactly the bytes the
 // sequential step stores, at every parallelism level, for every
 // stepper. Three properties make worker scheduling unobservable:
 //
-//  1. Disjoint writes. A run-range task writes only its own runs' rows
-//     of the back buffer (and hull slots); a segment-range task writes
-//     only its own receivers' entries. No task reads another task's
+//  1. Disjoint writes. A task writes only its own runs' rows of the
+//     back buffer (and hull slots). No task reads another task's
 //     writes — every input lives in the front buffer.
-//  2. Scheduling-independent values. Each task's float operations are
-//     the sequential stepper's operations on the same inputs. Worker
-//     scratch (shadow fold arrays, output scratch) is fully rewritten
-//     before any slot is read, so arena reuse across tasks, jobs, and
-//     runners cannot leak state. Segment shards recompute any fold
-//     whose canonical owner lies outside the shard from its mask —
-//     bit-transparent because min/max folds are exact multiset
-//     selections (the BatchStepper reassociation contract), which is
-//     exactly why only FoldShardCapable steppers are segment-sharded.
+//  2. Scheduling-independent values. Each task steps its runs with the
+//     sequential stepper's operations on the same inputs, over the
+//     plan's full segmentation. Worker scratch (shadow fold arrays,
+//     output scratch) is fully rewritten before any slot is read, so
+//     arena reuse across tasks, jobs, and runners cannot leak state.
 //  3. A fixed join order. The coordinator waits for every task
 //     (stepJob.wg) before the buffer swap, so the round's results are
 //     complete and identical regardless of which worker ran what.
@@ -97,25 +90,9 @@ func SetDefaultBatchParallelism(n int) int {
 	return prev
 }
 
-// FoldShardCapable is an optional BatchStepper capability: a stepper
-// whose StepDenseBatch honors StepPlan.SegRange — stepping only that
-// segment range and recomputing any fold whose canonical owner lies
-// before the shard shard-locally — may have its per-plan segment loop
-// split across workers. Only steppers whose folds are exact multiset
-// selections (min/max) can claim this: a shard boundary reassociates
-// the fold, which is bit-transparent exactly for such folds and for
-// nothing order-sensitive (sums must not claim it).
-type FoldShardCapable interface {
-	FoldShardable() bool
-}
-
 // maxStepWorkers caps the shared pool; worker counts past the largest
 // real machine would only add parked goroutines.
 const maxStepWorkers = 64
-
-// minSegShard is the smallest segment-range shard worth creating:
-// below it the shard-local refolds at the boundary outweigh the split.
-const minSegShard = 8
 
 // stepPool is the process-wide worker pool every BatchRunner fans its
 // round tasks out on. One shared pool — instead of per-runner pools —
@@ -171,38 +148,28 @@ type stepArena struct {
 	out    []float64
 }
 
-// stepTask is one shard of a round. With a plan entry it is a cluster
-// shard: the run subset runs stepped through e's segmentation, over
-// segment range [segLo, segHi) when segHi > 0 (a fold shard), over the
-// word-aligned receiver range [recvLo, recvHi) when recvHi > 0 (a
-// receiver shard of a multi-word plan), or the full segmentation
-// otherwise. Without an entry it is a generic shard:
-// the runs stepped one by one through the runner's persistent views
-// (deferred singletons, and whole rounds of algorithms with no
-// BatchStepper). hullDone reports whether the task delivered the
-// round's requested hulls for its runs.
+// stepTask is one shard of a round: a contiguous range of whole runs.
+// With a plan entry it is a cluster shard, the runs stepped through e's
+// segmentation. Without an entry it is a generic shard: the runs stepped
+// one by one through the runner's persistent views (deferred singletons,
+// and whole rounds of algorithms with no BatchStepper). hullDone reports
+// whether the task delivered the round's requested hulls for its runs.
 type stepTask struct {
 	e        *planEntry
 	runs     []int
-	segLo    int
-	segHi    int
-	recvLo   int
-	recvHi   int
 	hullDone bool
 }
 
 // stepJob is one parallel round of one runner: the task list, the
-// graphs generic shards step under (gs per run, or the shared g), and
-// the join state. A runner owns exactly one job, reused round after
-// round; pool tokens reference it, and wg.Wait guarantees every token
-// is consumed before the job may be reused — the fixed join point that
-// makes the buffer swap safe.
+// per-run graphs generic shards step under, and the join state. A
+// runner owns exactly one job, reused round after round; pool tokens
+// reference it, and wg.Wait guarantees every token is consumed before
+// the job may be reused — the fixed join point that makes the buffer
+// swap safe.
 type stepJob struct {
 	r        *BatchRunner
 	tasks    []stepTask
-	spare    []stepTask
 	gs       []graph.Graph
-	g        graph.Graph
 	wantHull bool
 	next     atomic.Int64
 	wg       sync.WaitGroup
@@ -243,11 +210,11 @@ func (r *BatchRunner) Parallelism() int {
 }
 
 // beginTasks readies the runner's job for one parallel round.
-func (r *BatchRunner) beginTasks(gs []graph.Graph, g graph.Graph, wantHull bool) {
+func (r *BatchRunner) beginTasks(gs []graph.Graph, wantHull bool) {
 	j := &r.job
 	j.r = r
 	j.tasks = j.tasks[:0]
-	j.gs, j.g = gs, g
+	j.gs = gs
 	j.wantHull = wantHull
 	j.next.Store(0)
 }
@@ -256,7 +223,8 @@ func (r *BatchRunner) beginTasks(gs []graph.Graph, g graph.Graph, wantHull bool)
 // tasks, sized so the round yields about two tasks per worker in
 // proportion to the cluster's share of totalRuns — enough slack for
 // the shared-counter stealing to balance uneven clusters without
-// per-run dispatch overhead.
+// per-run dispatch overhead — and never more tasks than runs. A nil
+// entry makes generic shards.
 func (r *BatchRunner) addClusterTasks(e *planEntry, runs []int, par, totalRuns int) {
 	shards := (2*par*len(runs) + totalRuns - 1) / totalRuns
 	if shards < 1 {
@@ -269,102 +237,6 @@ func (r *BatchRunner) addClusterTasks(e *planEntry, runs []int, par, totalRuns i
 		lo, hi := k*len(runs)/shards, (k+1)*len(runs)/shards
 		r.job.tasks = append(r.job.tasks, stepTask{e: e, runs: runs[lo:hi]})
 	}
-}
-
-// addRunShards shards a generic (per-run views) round into contiguous
-// run-range tasks.
-func (r *BatchRunner) addRunShards(runs []int, par int) {
-	shards := 2 * par
-	if shards > len(runs) {
-		shards = len(runs)
-	}
-	for k := 0; k < shards; k++ {
-		lo, hi := k*len(runs)/shards, (k+1)*len(runs)/shards
-		r.job.tasks = append(r.job.tasks, stepTask{runs: runs[lo:hi]})
-	}
-}
-
-// expandSegShards splits cluster tasks along the segment axis when run
-// sharding alone cannot fill the worker budget — the large-n regime,
-// where one cluster holds few runs but many receiver segments. Only
-// fold-shardable steppers reach here (r.segOK); each split shard steps
-// its runs over its own segment range, and the shard boundaries form
-// the deterministic fold-combine tree: every fold is either reused
-// in-shard exactly as the sequential stepper would, or recombined
-// shard-locally from exact min/max selections.
-func (r *BatchRunner) expandSegShards(par int) {
-	j := &r.job
-	if !r.segOK || len(j.tasks) >= par {
-		return
-	}
-	per := (par + len(j.tasks) - 1) / len(j.tasks)
-	split := j.spare[:0]
-	for _, t := range j.tasks {
-		s := 0
-		if t.e != nil {
-			s = len(t.e.plan.Segs) / minSegShard
-		}
-		if s > per {
-			s = per
-		}
-		if s <= 1 {
-			split = append(split, t)
-			continue
-		}
-		segs := len(t.e.plan.Segs)
-		for k := 0; k < s; k++ {
-			t.segLo, t.segHi = k*segs/s, (k+1)*segs/s
-			split = append(split, t)
-		}
-	}
-	j.spare = j.tasks
-	j.tasks = split
-	r.expandWordShards(par)
-}
-
-// expandWordShards splits cluster tasks along the fourth shard axis —
-// word-aligned receiver ranges within a fold — when neither run nor
-// segment sharding could fill the worker budget: the very-large-n,
-// few-runs, few-segments regime (one wide graph stepping a handful of
-// runs), where a segment spans many mask words and its receiver writes
-// dominate. Only multi-word plans of fold-shardable steppers split here;
-// each receiver shard intersects every segment with its word-aligned
-// receiver range and computes the folds it needs shard-locally from their
-// masks (no cross-segment reuse — the canonical owner may lie outside the
-// shard's receivers), which is bit-transparent for exact min/max
-// selections exactly like segment shards' boundary refolds.
-func (r *BatchRunner) expandWordShards(par int) {
-	j := &r.job
-	if !r.segOK || len(j.tasks) >= par {
-		return
-	}
-	n := r.cur.n
-	per := (par + len(j.tasks) - 1) / len(j.tasks)
-	split := j.spare[:0]
-	for _, t := range j.tasks {
-		s := 0
-		if t.e != nil && t.segHi == 0 {
-			s = t.e.plan.G.Words()
-		}
-		if s > per {
-			s = per
-		}
-		if s <= 1 {
-			split = append(split, t)
-			continue
-		}
-		words := t.e.plan.G.Words()
-		for k := 0; k < s; k++ {
-			t.recvLo = k * words / s * 64
-			t.recvHi = (k + 1) * words / s * 64
-			if t.recvHi > n {
-				t.recvHi = n
-			}
-			split = append(split, t)
-		}
-	}
-	j.spare = j.tasks
-	j.tasks = split
 }
 
 // runTasks executes the round's task list: the coordinator always
@@ -416,11 +288,7 @@ func (r *BatchRunner) runTask(t *stepTask, a *stepArena) {
 		// with the per-run hull scan inlined (the same OutputsDense+Hull
 		// sequence the post-swap scan would run).
 		for _, i := range t.runs {
-			g := j.g
-			if j.gs != nil {
-				g = j.gs[i]
-			}
-			r.stepRun(i, g)
+			r.stepRun(i, j.gs[i])
 			if j.wantHull {
 				if cap(a.out) < r.cur.n {
 					a.out = make([]float64, r.cur.n)
@@ -434,9 +302,9 @@ func (r *BatchRunner) runTask(t *stepTask, a *stepArena) {
 		return
 	}
 	// Cluster shard: step through a shadow plan sharing only the cached
-	// plan's read-only segmentation. Runs, hull relay, fold scratch, and
-	// the segment range are task-local, so concurrent shards of one
-	// cluster never touch shared mutable state.
+	// plan's read-only segmentation. Runs, hull relay, and fold scratch
+	// are task-local, so concurrent shards of one cluster never touch
+	// shared mutable state.
 	p := &t.e.plan
 	sh := &a.shadow
 	sh.G = p.G
@@ -448,11 +316,7 @@ func (r *BatchRunner) runTask(t *stepTask, a *stepArena) {
 	}
 	sh.F0, sh.F1 = sh.F0[:len(p.Segs)], sh.F1[:len(p.Segs)]
 	sh.Runs = t.runs
-	sh.SegLo, sh.SegHi = t.segLo, t.segHi
-	sh.RecvLo, sh.RecvHi = t.recvLo, t.recvHi
-	// A fold or receiver shard covers only part of each run's output, so
-	// it cannot fold the hull; the round falls back to the post-swap scan.
-	sh.WantHull = j.wantHull && t.segHi == 0 && t.recvHi == 0
+	sh.WantHull = j.wantHull
 	sh.HullLo, sh.HullHi = r.hull.lo, r.hull.hi
 	sh.HullDone = false
 	r.bs.StepDenseBatch(r.next, r.cur, sh)
@@ -460,6 +324,4 @@ func (r *BatchRunner) runTask(t *stepTask, a *stepArena) {
 	sh.Runs, sh.Segs, sh.deltaArena = nil, nil, nil
 	sh.WantHull, sh.HullDone = false, false
 	sh.HullLo, sh.HullHi = nil, nil
-	sh.SegLo, sh.SegHi = 0, 0
-	sh.RecvLo, sh.RecvHi = 0, 0
 }

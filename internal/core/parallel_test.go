@@ -10,6 +10,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // deafVariant returns the n-node graph where everyone hears everyone
@@ -111,9 +112,8 @@ func stepBothMixed(t *testing.T, seq, par *core.BatchRunner, n, rounds int) {
 // runner stepping with 2, 3, 7, or 33 workers (including workers > B
 // and B = 1) is bit-identical to the sequential runner on every path —
 // shared graphs, clustered per-run graphs, hull delivery, and the
-// generic per-view path — for a fold-shardable stepper, an
-// order-sensitive batched stepper, and an algorithm with no batched
-// stepper at all.
+// generic per-view path — for a min/max stepper, an order-sensitive
+// batched stepper, and an algorithm with no batched stepper at all.
 func TestParallelStepParity(t *testing.T) {
 	algs := []core.Algorithm{
 		algorithms.Midpoint{},
@@ -140,12 +140,11 @@ func TestParallelStepParity(t *testing.T) {
 	}
 }
 
-// TestParallelSegShardParity forces the fold-shard path: B below the
-// worker count with a 64-node graph of all-distinct masks (64 segments)
-// makes expandSegShards split the segment axis, so the shard-local
-// refolds and the fold-combine boundaries are what this parity run
-// exercises — for each fold-shardable stepper.
-func TestParallelSegShardParity(t *testing.T) {
+// TestParallelWorkersExceedRunsParity steps two runs of 64 agents at 16
+// workers: far more workers than runs, with graphs of up to 64 distinct
+// rows, so most workers have nothing to claim and each task steps one
+// whole run over the full segmentation — for each min/max stepper.
+func TestParallelWorkersExceedRunsParity(t *testing.T) {
 	algs := []core.Algorithm{
 		algorithms.Midpoint{},
 		algorithms.QuantizedMidpoint{Q: 0.125},
@@ -161,6 +160,63 @@ func TestParallelSegShardParity(t *testing.T) {
 			prl.SetParallelism(16)
 			stepBothMixed(t, seq, prl, n, 15)
 		})
+	}
+}
+
+// TestParallelTasksNeverExceedRuns pins the one-axis sharding policy: a
+// parallel round splits its runs into contiguous whole-run ranges and
+// nothing finer, so it makes at most B tasks, and none at all for B = 1,
+// which steps sequentially however many workers are configured. It
+// reads the shard-task series as TestParallelKernelMetricsParity does,
+// on every stepping path and for steppers with and without a batched
+// form.
+func TestParallelTasksNeverExceedRuns(t *testing.T) {
+	defer core.SetObsRegistry(obs.Default())
+	reg := obs.NewRegistry()
+	core.SetObsRegistry(reg)
+	const n, par, rounds = 64, 16, 8
+	algs := []core.Algorithm{
+		algorithms.Midpoint{},
+		algorithms.AmortizedMidpoint{},
+		algorithms.SelfWeighted{Alpha: 0.25},
+	}
+	for _, alg := range algs {
+		d, _ := core.AsDense(alg)
+		for _, b := range []int{1, 2, 5} {
+			br := core.NewBatchRunner(d, testInputs(n, b))
+			br.SetParallelism(par)
+			gs := make([]graph.Graph, b)
+			lo, hi := make([]float64, b), make([]float64, b)
+			for round := 0; round < rounds; round++ {
+				before := reg.CounterValue("repro_kernel_step_shards_total")
+				switch round % 4 {
+				case 0:
+					br.Step(shiftGraph(t, n, 1+round))
+				case 1:
+					br.StepWithHulls(deafVariant(t, n, round), lo, hi)
+				case 2:
+					for i := range gs {
+						gs[i] = shiftGraph(t, n, 1+i%2)
+					}
+					br.StepEach(gs)
+				default:
+					for i := range gs {
+						gs[i] = shiftGraph(t, n, 1+i)
+					}
+					br.StepRuns(gs)
+				}
+				br.FlushMetrics()
+				tasks := reg.CounterValue("repro_kernel_step_shards_total") - before
+				minTasks, maxTasks := uint64(1), uint64(b)
+				if b == 1 {
+					minTasks, maxTasks = 0, 0
+				}
+				if tasks < minTasks || tasks > maxTasks {
+					t.Errorf("%s B=%d round %d: %d tasks at %d workers, want %d to %d",
+						alg.Name(), b, round, tasks, par, minTasks, maxTasks)
+				}
+			}
+		}
 	}
 }
 
@@ -210,10 +266,11 @@ func TestParallelismKnobs(t *testing.T) {
 }
 
 // TestParallelZeroAllocSteadyState is the arena-regression gate: after
-// warm-up, stepping the full-scale batch (B=1024 at the kernel's n=64
-// ceiling) allocates nothing per round — sequentially and with a
-// 4-worker parallel fan-out, on the clustered per-run path cycling
-// through a pool of graphs.
+// warm-up, stepping the full-scale batch (B=1024 at n=64) allocates
+// nothing per round — sequentially and with a 4-worker parallel
+// fan-out, on per-run graphs cycling through a pool of graphs and on
+// Step rounds, which fill the runner-owned graph slice and cluster like
+// any other round.
 func TestParallelZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale batch in -short mode")
@@ -224,6 +281,7 @@ func TestParallelZeroAllocSteadyState(t *testing.T) {
 		pool[k] = deafVariant(t, n, k)
 	}
 	gs := make([]graph.Graph, b)
+	lo, hi := make([]float64, b), make([]float64, b)
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			d, _ := core.AsDense(algorithms.Midpoint{})
@@ -231,10 +289,17 @@ func TestParallelZeroAllocSteadyState(t *testing.T) {
 			br.SetParallelism(par)
 			round := 0
 			stepOnce := func() {
-				for i := range gs {
-					gs[i] = pool[(i/128+round)%len(pool)]
+				switch round % 3 {
+				case 1:
+					br.Step(pool[round%len(pool)])
+				case 2:
+					br.StepWithHulls(pool[round%len(pool)], lo, hi)
+				default:
+					for i := range gs {
+						gs[i] = pool[(i/128+round)%len(pool)]
+					}
+					br.StepEach(gs)
 				}
-				br.StepEach(gs)
 				round++
 			}
 			// Warm-up: admit the graph pool's plans, grow the task list,
@@ -250,7 +315,7 @@ func TestParallelZeroAllocSteadyState(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
 			if allocs := testing.AllocsPerRun(20, stepOnce); allocs != 0 {
-				t.Fatalf("steady-state StepEach allocates %v times per round, want 0", allocs)
+				t.Fatalf("steady-state stepping allocates %v times per round, want 0", allocs)
 			}
 		})
 	}

@@ -47,11 +47,11 @@ func wantStats(t *testing.T, r *core.BatchRunner, hits, misses, evicts, defers u
 }
 
 // TestPlanCacheAccounting pins the exact hit/miss/eviction/deferral
-// accounting of the clustered stepping paths: a shared-graph round
-// costs one lookup, runs joining an existing plan count as hits,
-// replayed graph values hit the per-run identity memo, a first-sight
-// single-run graph is deferred (no plan built) and admitted on second
-// sight, and evicted plans keep serving the memos that still hold them.
+// accounting of the clustered stepping paths: runs joining an existing
+// plan count as hits, replayed graph values hit the per-run identity
+// memo, a first-sight single-run graph is deferred (no plan built) and
+// admitted on second sight, a shared-graph round counts one hit per
+// run, and evicted plans keep serving the memos that still hold them.
 func TestPlanCacheAccounting(t *testing.T) {
 	const n, B = 5, 4
 	br := core.NewBatchRunner(algorithms.Midpoint{}, testInputs(n, B))
@@ -83,18 +83,23 @@ func TestPlanCacheAccounting(t *testing.T) {
 	br.StepEach(each)
 	wantStats(t, br, 11, 5, 0, 4, 5)
 
-	// The shared-graph path looks up once per round, not once per run.
+	// A Step round is a StepEach round in which every run plays the same
+	// graph value: run 0 looks the plan up by key and runs 1-3 join it
+	// through the previous-run check without building a key, so the
+	// round counts one hit per run. It also moves every run's memo to
+	// the shared plan.
 	br.Step(shared)
-	wantStats(t, br, 12, 5, 0, 4, 5)
+	wantStats(t, br, 15, 5, 0, 4, 5)
 
-	// Shrinking the cap evicts oldest-first immediately...
+	// Shrinking the cap evicts oldest-first immediately, the shared plan
+	// first...
 	br.SetPlanCacheCap(2)
-	wantStats(t, br, 12, 5, 3, 4, 2)
+	wantStats(t, br, 15, 5, 3, 4, 2)
 
-	// ...but the per-run memos still hold their (now evicted) plans, so
-	// replaying the same graph values stays hit-only and rebuilds nothing.
-	br.StepEach(each)
-	wantStats(t, br, 16, 5, 3, 4, 2)
+	// ...but the per-run memos still hold the (now evicted) plan, so
+	// replaying the same graph value stays hit-only and rebuilds nothing.
+	br.Step(shared)
+	wantStats(t, br, 19, 5, 3, 4, 2)
 }
 
 // TestPlanCacheThrashParity steps per-run lasso schedules through a

@@ -150,25 +150,9 @@ func RunCtx(ctx context.Context, alg Algorithm, inputs []float64, src PatternSou
 	return runAgents(ctx, alg.Name(), NewConfig(alg, inputs), src, rounds)
 }
 
-// RunConfig continues an execution from an existing configuration,
-// choosing the path the same way Run does.
-func RunConfig(name string, c *Config, src PatternSource, rounds int) *Trace {
-	tr, _ := RunConfigCtx(context.Background(), name, c, src, rounds)
-	return tr
-}
-
-// RunConfigCtx is RunConfig with cooperative cancellation, with the same
-// contract as RunCtx.
-func RunConfigCtx(ctx context.Context, name string, c *Config, src PatternSource, rounds int) (*Trace, error) {
-	if obliviousSource(src) {
-		if r, ok := DenseRunnerFromConfig(c); ok {
-			return runDense(ctx, name, r, src, rounds)
-		}
-	}
-	return runAgents(ctx, name, c, src, rounds)
-}
-
-// runAgents is the interface-based round loop — the reference path.
+// runAgents is the interface-based round loop — the reference path. It
+// steps c in place; pattern sources observe the live configuration
+// (read-only, per the PatternSource contract).
 func runAgents(ctx context.Context, name string, c *Config, src PatternSource, rounds int) (*Trace, error) {
 	if rounds < 0 {
 		panic(fmt.Sprintf("core: negative round count %d", rounds))
@@ -181,10 +165,6 @@ func runAgents(ctx context.Context, name string, c *Config, src PatternSource, r
 	}
 	tr.Outputs = append(tr.Outputs, c.Outputs())
 	done := ctx.Done()
-	// Run on a private clone and step in place: one clone total instead of
-	// one per agent per round. Pattern sources still observe the live
-	// configuration (read-only, per the PatternSource contract).
-	cur := c.Clone()
 	for t := 1; t <= rounds; t++ {
 		if done != nil {
 			select {
@@ -193,12 +173,12 @@ func runAgents(ctx context.Context, name string, c *Config, src PatternSource, r
 			default:
 			}
 		}
-		g := src.Next(cur.round+1, cur)
-		cur.StepInPlace(g)
+		g := src.Next(c.round+1, c)
+		c.StepInPlace(g)
 		tr.Graphs = append(tr.Graphs, g)
-		tr.Outputs = append(tr.Outputs, cur.Outputs())
+		tr.Outputs = append(tr.Outputs, c.Outputs())
 	}
-	tr.Final = cur
+	tr.Final = c
 	return tr, nil
 }
 

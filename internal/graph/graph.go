@@ -877,12 +877,6 @@ func NodesToSet(n int, nodes []int) []uint64 {
 	return s
 }
 
-// SetHas reports whether node i is in the word-sliced set s.
-func SetHas(s []uint64, i int) bool {
-	wi := i / wordBits
-	return wi < len(s) && s[wi]&(1<<uint(i%wordBits)) != 0
-}
-
 // SetCount returns the number of nodes in the word-sliced set s.
 func SetCount(s []uint64) int {
 	c := 0

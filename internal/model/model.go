@@ -368,7 +368,7 @@ func (m *Model) SourceIncompatible(indices []int) bool {
 
 // CommonRoots returns the bitmask of agents that are roots of every graph
 // in the index set. Like every single-word mask API it is valid for
-// n <= 64 models; wider models use CommonRootsSet.
+// n <= 64 models only.
 func (m *Model) CommonRoots(indices []int) uint64 {
 	inter := ^uint64(0)
 	for _, i := range indices {
@@ -378,24 +378,6 @@ func (m *Model) CommonRoots(indices []int) uint64 {
 		return 0
 	}
 	return inter & rootUniverse(m.n)
-}
-
-// CommonRootsSet returns the word-sliced node set of agents that are
-// roots of every graph in the index set — CommonRoots at any width. An
-// empty index set yields the empty set.
-func (m *Model) CommonRootsSet(indices []int) []uint64 {
-	inter := make([]uint64, graph.WordsFor(m.n))
-	if len(indices) == 0 {
-		return inter
-	}
-	copy(inter, m.graphs[indices[0]].RootsSet())
-	for _, i := range indices[1:] {
-		r := m.graphs[i].RootsSet()
-		for w := range inter {
-			inter[w] &= r[w]
-		}
-	}
-	return inter
 }
 
 // ExactConsensusSolvable decides exact consensus solvability in the model

@@ -136,15 +136,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Bounds returns the bucket upper bounds (excluding +Inf); nil on a
-// nil receiver. The returned slice is shared — do not mutate.
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
 // BucketCounts returns a snapshot of the per-bucket counts, one per
 // bound plus a final +Inf bucket; nil on a nil receiver. The snapshot
 // is not atomic across buckets.
@@ -351,16 +342,7 @@ func init() {
 	}
 }
 
-// Default returns the process-wide registry, or nil when REPRO_OBS=off
-// (or after SetDefault(nil)).
+// Default returns the process-wide registry, or nil when REPRO_OBS=off.
 func Default() *Registry {
 	return defaultRegistry.Load()
-}
-
-// SetDefault replaces the process-wide registry and returns the
-// previous one. Benchmarks and tests use it to toggle hot-path
-// instrumentation in-process; packages that cache instruments from
-// Default() must re-resolve (e.g. core.SetObsRegistry) after a swap.
-func SetDefault(r *Registry) *Registry {
-	return defaultRegistry.Swap(r)
 }

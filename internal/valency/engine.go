@@ -153,16 +153,6 @@ func (e *Engine) Stats() CacheStats {
 	}
 }
 
-// ResetCaches drops all memoized results, their memory, and the
-// counters; the walker arenas are kept.
-func (e *Engine) ResetCaches() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.inner = memoTable[Interval]{budget: e.inner.budget}
-	e.outer = memoTable[Interval]{budget: e.outer.budget}
-	e.limits = memoTable[limitEntry]{budget: e.limits.budget}
-}
-
 // memoGet and memoPut access one of e's memo tables under its lock.
 func memoGet[V any](e *Engine, t *memoTable[V], key []byte) (V, bool) {
 	e.mu.Lock()
