@@ -462,9 +462,6 @@ func (r *Result) WorstRoundRatio() float64 { return r.tr.WorstRoundRatio() }
 // input hull, with the given absolute tolerance.
 func (r *Result) ValidityHolds(tol float64) bool { return r.tr.ValidityHolds(tol) }
 
-// GraphName renders the graph played in round t (1-based).
-func (r *Result) GraphName(t int) string { return r.tr.Graphs[t-1].String() }
-
 // GeometricRate returns the fitted per-round contraction factor
 // (Δ(T)/Δ(0))^(1/T) of a streamed diameter series (diameters[t] = Δ(y(t))
 // as Snapshot.Diameter yields them); 0 when either end diameter is 0 or

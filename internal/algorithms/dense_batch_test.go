@@ -58,6 +58,7 @@ func batchParityCheckPar(t *testing.T, alg core.Algorithm, n, b, rounds int, rng
 	}
 	out := make([]float64, n)
 	gs := make([]graph.Graph, b)
+	var view core.DenseState
 	for round := 1; round <= rounds; round++ {
 		if perRunGraphs {
 			for r := range gs {
@@ -82,7 +83,8 @@ func batchParityCheckPar(t *testing.T, alg core.Algorithm, n, b, rounds int, rng
 				}
 			}
 			wantFP, okW := core.AppendDenseFingerprint(d, singles[r].State(), nil)
-			gotFP, okG := batch.AppendRunFingerprint(nil, r)
+			batch.State().View(r, &view)
+			gotFP, okG := core.AppendDenseFingerprint(d, &view, nil)
 			if okW != okG {
 				t.Fatalf("round %d run %d: fingerprint support differs: single %v, batch %v", round, r, okW, okG)
 			}
@@ -119,90 +121,6 @@ func TestBatchMatchesSinglesRandomized(t *testing.T) {
 					batchParityCheck(t, tc.alg, tc.n, b, rounds, rng, perRun)
 				}
 			})
-		}
-	}
-}
-
-// TestBatchCompact drops random runs mid-execution and checks the
-// survivors keep stepping bit-identically to their reference runners,
-// with Origin tracking the original indices.
-func TestBatchCompact(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	alg := algorithms.AmortizedMidpoint{}
-	d, _ := core.AsDense(alg)
-	const n, b = 5, 8
-	inputs := make([][]float64, b)
-	singles := make([]*core.DenseRunner, b)
-	for r := range inputs {
-		inputs[r] = make([]float64, n)
-		for i := range inputs[r] {
-			inputs[r][i] = rng.Float64()
-		}
-		singles[r] = core.NewDenseRunner(d, inputs[r])
-	}
-	batch := core.NewBatchRunner(d, inputs)
-	out := make([]float64, n)
-	for round := 1; round <= 20; round++ {
-		g := randomBatchGraph(rng, n)
-		batch.Step(g)
-		for _, s := range singles {
-			s.Step(g)
-		}
-		if batch.B() > 1 && rng.Intn(3) == 0 {
-			keep := make([]bool, batch.B())
-			kept := 0
-			for i := range keep {
-				keep[i] = rng.Intn(4) != 0
-				if keep[i] {
-					kept++
-				}
-			}
-			if kept == 0 {
-				keep[rng.Intn(len(keep))] = true
-			}
-			batch.Compact(keep)
-		}
-		for i := 0; i < batch.B(); i++ {
-			ref := singles[batch.Origin(i)]
-			batch.Outputs(i, out)
-			for j := 0; j < n; j++ {
-				if math.Float64bits(ref.Output(j)) != math.Float64bits(out[j]) {
-					t.Fatalf("round %d: compacted run %d (origin %d) diverged", round, i, batch.Origin(i))
-				}
-			}
-		}
-	}
-}
-
-// TestBatchReplicated checks NewBatchRunnerReplicated spreads one mid-run
-// state into identical runs (round preserved) that step like the source.
-func TestBatchReplicated(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	alg := algorithms.Midpoint{}
-	d, _ := core.AsDense(alg)
-	const n = 6
-	in := make([]float64, n)
-	for i := range in {
-		in[i] = rng.Float64()
-	}
-	single := core.NewDenseRunner(d, in)
-	for i := 0; i < 5; i++ {
-		single.Step(randomBatchGraph(rng, n))
-	}
-	batch := core.NewBatchRunnerReplicated(d, single.State(), 4)
-	if batch.Round() != single.Round() {
-		t.Fatalf("replicated batch lost the round: %d != %d", batch.Round(), single.Round())
-	}
-	g := graph.Deaf(graph.Complete(n), 1)
-	batch.Step(g)
-	single.Step(g)
-	out := make([]float64, n)
-	for r := 0; r < batch.B(); r++ {
-		batch.Outputs(r, out)
-		for j := 0; j < n; j++ {
-			if math.Float64bits(single.Output(j)) != math.Float64bits(out[j]) {
-				t.Fatalf("replicated run %d agent %d diverged", r, j)
-			}
 		}
 	}
 }

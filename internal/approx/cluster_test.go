@@ -28,12 +28,12 @@ func clusterGraph(t *testing.T, n, k int) graph.Graph {
 
 // TestDecidingBatchClusteredParity steps a deciding batch through an
 // adversarial clustered workload — per-run graph sequences that blend
-// shared and distinct graphs under a plan cache too small to hold them,
-// with decided runs compacted away mid-run — and asserts per-round
-// parity against both single-run backends: bit-identical outputs and
-// configuration fingerprints every round, for every surviving run.
+// shared and distinct graphs under a plan cache too small to hold them —
+// and asserts per-round parity against both single-run backends:
+// bit-identical outputs and configuration fingerprints every round, for
+// every run.
 func TestDecidingBatchClusteredParity(t *testing.T) {
-	const n, B, rounds, decideAt, compactAt = 5, 6, 14, 4, 7
+	const n, B, rounds, decideAt = 5, 6, 14, 4
 	alg := approx.DecidingAlgorithm{Inner: algorithms.Midpoint{}, DecisionRound: decideAt}
 	d, ok := core.AsDense(alg)
 	if !ok {
@@ -70,54 +70,39 @@ func TestDecidingBatchClusteredParity(t *testing.T) {
 		agentRuns[i] = core.NewConfig(alg, inputs[i])
 	}
 
-	checkRun := func(round, batchIdx, runID int) {
+	var view core.DenseState
+	checkRun := func(round, i int) {
 		t.Helper()
 		out := make([]float64, n)
-		br.Outputs(batchIdx, out)
-		want := denseRuns[runID].Outputs()
+		br.Outputs(i, out)
+		want := denseRuns[i].Outputs()
 		for j := range want {
 			if math.Float64bits(out[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("round %d run %d agent %d: batch %v != dense %v", round, runID, j, out[j], want[j])
+				t.Fatalf("round %d run %d agent %d: batch %v != dense %v", round, i, j, out[j], want[j])
 			}
 		}
-		bfp, bok := br.AppendRunFingerprint(nil, batchIdx)
-		dfp, dok := core.AppendDenseFingerprint(d, denseRuns[runID].State(), nil)
-		afp, aok := agentRuns[runID].AppendFingerprint(nil)
+		br.State().View(i, &view)
+		bfp, bok := core.AppendDenseFingerprint(d, &view, nil)
+		dfp, dok := core.AppendDenseFingerprint(d, denseRuns[i].State(), nil)
+		afp, aok := agentRuns[i].AppendFingerprint(nil)
 		if !bok || !dok || !aok {
-			t.Fatalf("round %d run %d: fingerprint unavailable (batch %v dense %v agents %v)", round, runID, bok, dok, aok)
+			t.Fatalf("round %d run %d: fingerprint unavailable (batch %v dense %v agents %v)", round, i, bok, dok, aok)
 		}
 		if !bytes.Equal(bfp, dfp) || !bytes.Equal(bfp, afp) {
-			t.Fatalf("round %d run %d: fingerprints diverge across backends", round, runID)
+			t.Fatalf("round %d run %d: fingerprints diverge across backends", round, i)
 		}
 	}
 
-	// origin[b] maps the batch position to the original run identity
-	// across compaction.
-	gs := make([]graph.Graph, 0, B)
+	gs := make([]graph.Graph, B)
 	for round := 1; round <= rounds; round++ {
-		gs = gs[:0]
-		for b := 0; b < br.B(); b++ {
-			gs = append(gs, graphAt(br.Origin(b), round))
+		for i := range gs {
+			gs[i] = graphAt(i, round)
 		}
 		br.StepEach(gs)
 		for i := 0; i < B; i++ {
-			denseRuns[i].Step(graphAt(i, round))
-			agentRuns[i] = agentRuns[i].Step(graphAt(i, round))
-		}
-		for b := 0; b < br.B(); b++ {
-			checkRun(round, b, br.Origin(b))
-		}
-		if round == compactAt {
-			// Drop the decided even-index runs, as a deciding sweep
-			// would: survivors must keep stepping bit-identically from
-			// their compacted positions.
-			keep := make([]bool, br.B())
-			for b := range keep {
-				keep[b] = br.Origin(b)%2 == 1
-			}
-			if w := br.Compact(keep); w != B/2 {
-				t.Fatalf("Compact kept %d runs, want %d", w, B/2)
-			}
+			denseRuns[i].Step(gs[i])
+			agentRuns[i] = agentRuns[i].Step(gs[i])
+			checkRun(round, i)
 		}
 	}
 

@@ -9,15 +9,15 @@ import (
 // This file implements the batched execution plane: one flat
 // struct-of-arrays state holding B runs × n agents, stepped together.
 // Multi-run workloads — sweeps, the d-dimensional vector lift, decision
-// sweeps, valency settle fan-outs — are families of runs over one
-// algorithm, and stepping them as a batch amortizes everything that is
-// per-round but run-independent: the graph's in-mask scan, the
-// mask-segment plan, buffer traffic, and the double-buffer swap. Each
-// run's view into the batch is a plain DenseState aliasing the batch
-// planes, so the per-algorithm steppers (and their bit-identity contract
-// with the Agent oracle) are reused unchanged; batched steppers
-// (BatchStepper) additionally share the receiver segmentation across
-// runs without changing any per-run float operation.
+// sweeps — are families of runs over one algorithm, and stepping them as
+// a batch amortizes everything that is per-round but run-independent:
+// the graph's in-mask scan, the mask-segment plan, buffer traffic, and
+// the double-buffer swap. Each run's view into the batch is a plain
+// DenseState aliasing the batch planes, so the per-algorithm steppers
+// (and their bit-identity contract with the Agent oracle) are reused
+// unchanged; batched steppers (BatchStepper) additionally share the
+// receiver segmentation across runs without changing any per-run float
+// operation.
 
 // BatchState is the flat state of B same-shaped runs of one dense
 // algorithm: run-major struct-of-arrays planes. Run r's value vector
@@ -102,17 +102,6 @@ func (st *BatchState) View(r int, view *DenseState) {
 	view.Y = st.RunY(r)
 	lo, hi := r*st.planes*st.n, (r+1)*st.planes*st.n
 	view.Aux = st.Aux[lo:hi:hi]
-}
-
-// copyRun overwrites run dst with run src of the same batch (in-place
-// compaction move).
-func (st *BatchState) copyRun(dst, src int) {
-	if dst == src {
-		return
-	}
-	copy(st.RunY(dst), st.RunY(src))
-	n := st.planes * st.n
-	copy(st.Aux[dst*n:(dst+1)*n], st.Aux[src*n:(src+1)*n])
 }
 
 // MaskSeg is one receiver segment of a StepPlan: the maximal range of
@@ -334,7 +323,6 @@ const DefaultPlanCacheCap = 512
 // BatchRunner executes B runs of one dense algorithm in lock-step with
 // double-buffered batch state: Step computes every run's successor into
 // the back buffer and swaps, allocating nothing in steady state.
-// Decided runs can be dropped in place (Compact).
 //
 // Every round is stepped clustered: runs are grouped by graph identity —
 // the raw mask bytes, with constant-time fast paths when a run replays
@@ -355,18 +343,16 @@ type BatchRunner struct {
 	// viewsCur/viewsNext are persistent per-run views into cur/next,
 	// swapped alongside the buffers, so the per-run paths pay two round
 	// refreshes per step instead of rebuilding slice headers per use.
-	// They stay valid across steps and compaction because the backing
-	// arrays are stable and compaction moves data in place.
+	// They stay valid across steps because the backing arrays are stable.
 	viewsCur   []DenseState
 	viewsNext  []DenseState
-	origin     []int
 	outScratch []float64
 
 	// Plan cache: mask-byte key -> entry, FIFO-bounded, plus the pooled
 	// per-round clustering scratch. lastG/lastPlan are the per-run
 	// identity memo: run i stepping the same graph.Graph value as last
 	// round reuses its plan without touching the key buffer or the map.
-	// allRuns is the precomputed 0..B-1 subset StepRuns shards, and
+	// allRuns is the precomputed 0..B-1 subset stepRuns shards, and
 	// shared the runner-owned graph slice a Step round fills.
 	plans      map[string]*planEntry
 	planOrder  []*planEntry
@@ -406,32 +392,30 @@ type BatchRunner struct {
 }
 
 // NewBatchRunner builds a runner from per-run raw inputs (inputs[r] is
-// run r's initial value vector; all runs must share the agent count).
+// run r's initial value vector; all runs must share the agent count),
+// mirroring NewDenseRunner per run: Y is loaded and InitDense finalizes
+// each run's view at round 0.
 func NewBatchRunner(alg DenseAlgorithm, inputs [][]float64) *BatchRunner {
 	if len(inputs) == 0 {
 		panic("core: empty batch")
 	}
-	r := &BatchRunner{}
-	r.ResetInputs(alg, inputs)
-	return r
-}
-
-// NewBatchRunnerReplicated builds a runner whose b runs all start as
-// independent copies of the already-initialized dense state st — how the
-// valency engine fans one configuration out into its settle runs.
-func NewBatchRunnerReplicated(alg DenseAlgorithm, st *DenseState, b int) *BatchRunner {
-	r := &BatchRunner{}
-	r.ResetReplicated(alg, st, b)
-	return r
-}
-
-// ResetInputs re-initializes the runner (reusing its buffers) for fresh
-// runs from raw inputs, mirroring NewDenseRunner per run: Y is loaded
-// and InitDense finalizes each run's view at round 0.
-func (r *BatchRunner) ResetInputs(alg DenseAlgorithm, inputs [][]float64) {
-	n := len(inputs[0])
-	r.reset(alg, len(inputs), n)
-	r.cur.round = 0
+	b, n := len(inputs), len(inputs[0])
+	r := &BatchRunner{alg: alg, cur: &BatchState{}, next: &BatchState{}}
+	r.bs, _ = AsBatchStepper(alg)
+	r.cur.Resize(b, n, alg.DensePlanes())
+	r.next.Resize(b, n, alg.DensePlanes())
+	r.viewsCur = make([]DenseState, b)
+	r.viewsNext = make([]DenseState, b)
+	r.allRuns = make([]int, b)
+	for i := 0; i < b; i++ {
+		r.cur.View(i, &r.viewsCur[i])
+		r.next.View(i, &r.viewsNext[i])
+		r.allRuns[i] = i
+	}
+	r.lastG = make([]graph.Graph, b)
+	r.lastPlan = make([]*planEntry, b)
+	r.shared = make([]graph.Graph, b)
+	r.outScratch = make([]float64, n)
 	for i, in := range inputs {
 		if len(in) != n {
 			panic(fmt.Sprintf("core: batch run %d has %d agents, want %d", i, len(in), n))
@@ -439,92 +423,7 @@ func (r *BatchRunner) ResetInputs(alg DenseAlgorithm, inputs [][]float64) {
 		copy(r.cur.RunY(i), in)
 		alg.InitDense(r.runView(i))
 	}
-}
-
-// ResetReplicated re-initializes the runner (reusing its buffers) with b
-// copies of st, preserving st's round.
-func (r *BatchRunner) ResetReplicated(alg DenseAlgorithm, st *DenseState, b int) {
-	if st.planes != alg.DensePlanes() {
-		panic(fmt.Sprintf("core: state with %d planes for algorithm with %d", st.planes, alg.DensePlanes()))
-	}
-	r.reset(alg, b, st.n)
-	r.cur.round = st.round
-	for i := 0; i < b; i++ {
-		copy(r.cur.RunY(i), st.Y)
-		lo := i * st.planes * st.n
-		copy(r.cur.Aux[lo:lo+st.planes*st.n], st.Aux)
-	}
-}
-
-// reset shapes the buffers, rebuilds the persistent views, and resets
-// the origin map and the clustering state.
-func (r *BatchRunner) reset(alg DenseAlgorithm, b, n int) {
-	r.alg = alg
-	r.bs, _ = AsBatchStepper(alg)
-	if r.cur == nil {
-		r.cur, r.next = &BatchState{}, &BatchState{}
-	}
-	if r.cur.n != 0 && r.cur.n != n {
-		// Plans are keyed by mask bytes (node count implied by length),
-		// so stale-n plans can never be misapplied — but they would
-		// squat in the bounded cache, so drop them on reshape.
-		r.clearPlanCache()
-	}
-	r.cur.Resize(b, n, alg.DensePlanes())
-	r.next.Resize(b, n, alg.DensePlanes())
-	r.origin = r.origin[:0]
-	r.allRuns = r.allRuns[:0]
-	for i := 0; i < b; i++ {
-		r.origin = append(r.origin, i)
-		r.allRuns = append(r.allRuns, i)
-	}
-	r.releaseMemos()
-	if cap(r.lastG) < b {
-		r.lastG = make([]graph.Graph, b)
-		r.lastPlan = make([]*planEntry, b)
-		r.shared = make([]graph.Graph, b)
-	}
-	r.lastG = r.lastG[:b]
-	r.lastPlan = r.lastPlan[:b]
-	r.shared = r.shared[:b]
-	if cap(r.outScratch) < n {
-		r.outScratch = make([]float64, n)
-	}
-	r.outScratch = r.outScratch[:n]
-	r.buildViews()
-}
-
-// clearPlanCache drops every cached plan, the recycling pools, and the
-// per-run memos (the counters persist: they account the runner's
-// lifetime).
-func (r *BatchRunner) clearPlanCache() {
-	r.plans = nil
-	r.planOrder = r.planOrder[:0]
-	r.planHead = 0
-	for i := range r.planFree {
-		r.planFree[i] = nil
-	}
-	r.planFree = r.planFree[:0]
-	for i := range r.planDead {
-		r.planDead[i] = nil
-	}
-	r.planDead = r.planDead[:0]
-	for i := range r.doorkeeper {
-		r.doorkeeper[i] = 0
-	}
-	r.releaseMemos()
-}
-
-// releaseMemos clears every per-run plan memo, returning the refs the
-// memos held so dead entries become collectable.
-func (r *BatchRunner) releaseMemos() {
-	for i := range r.lastPlan {
-		if e := r.lastPlan[i]; e != nil {
-			e.refs--
-		}
-		r.lastG[i] = graph.Graph{}
-		r.lastPlan[i] = nil
-	}
+	return r
 }
 
 // collectPlans moves graveyard entries no memo references any more to
@@ -700,22 +599,6 @@ func (r *BatchRunner) evictPlans(room int) {
 	}
 }
 
-// buildViews (re)derives the persistent per-run views from the current
-// buffers.
-func (r *BatchRunner) buildViews() {
-	b := r.cur.b
-	if cap(r.viewsCur) < b {
-		r.viewsCur = make([]DenseState, b)
-		r.viewsNext = make([]DenseState, b)
-	}
-	r.viewsCur = r.viewsCur[:b]
-	r.viewsNext = r.viewsNext[:b]
-	for i := 0; i < b; i++ {
-		r.cur.View(i, &r.viewsCur[i])
-		r.next.View(i, &r.viewsNext[i])
-	}
-}
-
 // runView returns run i's current view with a fresh round stamp.
 func (r *BatchRunner) runView(i int) *DenseState {
 	v := &r.viewsCur[i]
@@ -723,7 +606,7 @@ func (r *BatchRunner) runView(i int) *DenseState {
 	return v
 }
 
-// B returns the current number of (surviving) runs.
+// B returns the number of runs.
 func (r *BatchRunner) B() int { return r.cur.b }
 
 // N returns the number of agents per run.
@@ -735,16 +618,12 @@ func (r *BatchRunner) Round() int { return r.cur.round }
 // State returns the current batch state. Callers must not mutate it.
 func (r *BatchRunner) State() *BatchState { return r.cur }
 
-// Origin returns the original batch index of current run i — the
-// identity Compact preserves while dropping decided runs.
-func (r *BatchRunner) Origin(i int) int { return r.origin[i] }
-
-// prep shapes the back buffer for one step.
+// prep checks a round's node count and stamps the back buffer's round.
+// Both buffers keep the shape NewBatchRunner gave them.
 func (r *BatchRunner) prep(n int) {
 	if n != r.cur.n {
 		panic(fmt.Sprintf("core: graph on %d nodes applied to batch of %d agents", n, r.cur.n))
 	}
-	r.next.Resize(r.cur.b, r.cur.n, r.cur.planes)
 	r.next.round = r.cur.round + 1
 }
 
@@ -832,7 +711,7 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 		panic(fmt.Sprintf("core: %d graphs for a batch of %d runs", len(gs), r.cur.b))
 	}
 	if r.bs == nil {
-		r.StepRuns(gs)
+		r.stepRuns(gs)
 		return false
 	}
 	r.prep(gs[0].N())
@@ -959,15 +838,10 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 	return hullDone
 }
 
-// StepRuns applies one round with per-run graphs through the per-run
+// stepRuns applies one round with per-run graphs through the per-run
 // views, without clustering — the generic path for algorithms with no
-// BatchStepper, and for callers that know the graphs are distinct and
-// transient (a settle fan-out repeating a different model graph per
-// run).
-func (r *BatchRunner) StepRuns(gs []graph.Graph) {
-	if len(gs) != r.cur.b {
-		panic(fmt.Sprintf("core: %d graphs for a batch of %d runs", len(gs), r.cur.b))
-	}
+// BatchStepper.
+func (r *BatchRunner) stepRuns(gs []graph.Graph) {
 	r.prep(gs[0].N())
 	for i := 0; i < r.cur.b; i++ {
 		if gs[i].N() != r.cur.n {
@@ -1012,59 +886,7 @@ func (r *BatchRunner) Diameter(i int) float64 {
 	return hi - lo
 }
 
-// AppendRunFingerprint appends run i's configuration fingerprint,
-// byte-identical to the equivalent DenseRunner's (and therefore to the
-// Agent path's) fingerprint. ok is false when the algorithm cannot
-// fingerprint dense states.
-func (r *BatchRunner) AppendRunFingerprint(dst []byte, i int) ([]byte, bool) {
-	return AppendDenseFingerprint(r.alg, r.runView(i), dst)
-}
-
 // MaterializeRun builds an agent configuration equivalent to run i.
 func (r *BatchRunner) MaterializeRun(i int) *Config {
 	return MaterializeDense(r.alg, r.runView(i))
-}
-
-// Compact drops every run whose keep entry is false, moving survivors
-// forward in place (two copies per surviving displaced run, no per-agent
-// work) and preserving their relative order and Origin identities. It
-// returns the new batch size.
-func (r *BatchRunner) Compact(keep []bool) int {
-	if len(keep) != r.cur.b {
-		panic(fmt.Sprintf("core: %d keep flags for a batch of %d runs", len(keep), r.cur.b))
-	}
-	w := 0
-	for i := 0; i < r.cur.b; i++ {
-		if !keep[i] {
-			// The dropped run's memo reference goes with it.
-			if e := r.lastPlan[i]; e != nil {
-				e.refs--
-			}
-			continue
-		}
-		r.cur.copyRun(w, i)
-		r.origin[w] = r.origin[i]
-		// The plan identity memo travels with the run, so a surviving
-		// run keeps its last-round plan at its new position.
-		r.lastG[w] = r.lastG[i]
-		r.lastPlan[w] = r.lastPlan[i]
-		w++
-	}
-	r.origin = r.origin[:w]
-	for i := w; i < r.cur.b; i++ {
-		r.lastG[i] = graph.Graph{}
-		r.lastPlan[i] = nil
-	}
-	r.lastG = r.lastG[:w]
-	r.lastPlan = r.lastPlan[:w]
-	r.allRuns = r.allRuns[:w]
-	r.shared = r.shared[:w]
-	r.cur.b = w
-	r.cur.Y = r.cur.Y[:w*r.cur.n]
-	r.cur.Aux = r.cur.Aux[:w*r.cur.planes*r.cur.n]
-	// The views alias positions, and survivors moved into the kept
-	// positions in place, so truncation suffices.
-	r.viewsCur = r.viewsCur[:w]
-	r.viewsNext = r.viewsNext[:w]
-	return w
 }

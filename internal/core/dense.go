@@ -19,9 +19,6 @@ import (
 // the value vector Y plus a fixed number of auxiliary planes, each a
 // []float64 with one entry per agent (struct-of-arrays layout).
 // Plane k of an n-agent state occupies Aux[k*n : (k+1)*n].
-//
-// A DenseState is trivially forkable: CopyFrom duplicates it with two
-// copy calls and no per-agent work.
 type DenseState struct {
 	n      int
 	round  int
@@ -70,14 +67,6 @@ func (st *DenseState) Resize(n, planes int) {
 		st.Aux = make([]float64, planes*n)
 	}
 	st.Aux = st.Aux[:planes*n]
-}
-
-// CopyFrom overwrites st with an independent copy of src.
-func (st *DenseState) CopyFrom(src *DenseState) {
-	st.Resize(src.n, src.planes)
-	st.round = src.round
-	copy(st.Y, src.Y)
-	copy(st.Aux, src.Aux)
 }
 
 // DenseAlgorithm is the dense-path capability of an Algorithm: a

@@ -46,9 +46,9 @@ func wideShift(n, s int) graph.Graph {
 
 // stepBothMixedWide mirrors stepBothMixed with word-safe generators, so
 // the same mixed round schedule (shared, hulls, clustered per-run,
-// per-run unclustered) exercises the multi-word plan builder and the
-// delta arena.
-func stepBothMixedWide(t *testing.T, seq, par *core.BatchRunner, n, rounds int) {
+// per-run with distinct graphs) exercises the multi-word plan builder
+// and the delta arena.
+func stepBothMixedWide(t *testing.T, d core.DenseAlgorithm, seq, par *core.BatchRunner, n, rounds int) {
 	t.Helper()
 	b := seq.B()
 	gs := make([]graph.Graph, b)
@@ -81,10 +81,10 @@ func stepBothMixedWide(t *testing.T, seq, par *core.BatchRunner, n, rounds int) 
 			for i := range gs {
 				gs[i] = wideShift(n, 1+(i+round)%(n-1))
 			}
-			seq.StepRuns(gs)
-			par.StepRuns(gs)
+			seq.StepEach(gs)
+			par.StepEach(gs)
 		}
-		assertRunnersEqual(t, fmt.Sprintf("round %d", round), seq, par)
+		assertRunnersEqual(t, fmt.Sprintf("round %d", round), d, seq, par)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestMultiWordParallelParity(t *testing.T) {
 						seq.SetParallelism(1)
 						prl := core.NewBatchRunner(d, testInputs(tc.n, b))
 						prl.SetParallelism(par)
-						stepBothMixedWide(t, seq, prl, tc.n, 8)
+						stepBothMixedWide(t, d, seq, prl, tc.n, 8)
 					})
 				}
 			}
@@ -219,7 +219,7 @@ func TestMultiWordBatchVsSingleDense(t *testing.T) {
 									round, i, j, out[j], st.Y[j])
 							}
 						}
-						bfp, okB := batch.AppendRunFingerprint(nil, i)
+						bfp, okB := runFingerprint(d, batch, i)
 						sfp, okS := core.AppendDenseFingerprint(d, st, nil)
 						if okB != okS || (okB && !bytes.Equal(bfp, sfp)) {
 							t.Fatalf("round %d run %d: batch and single fingerprints diverged", round, i)

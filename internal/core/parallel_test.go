@@ -31,9 +31,17 @@ func deafVariant(t *testing.T, n, k int) graph.Graph {
 	return g
 }
 
-// assertRunnersEqual asserts every run of the two runners carries
+// runFingerprint returns run i's configuration fingerprint, read through
+// a view of the batch state.
+func runFingerprint(d core.DenseAlgorithm, br *core.BatchRunner, i int) ([]byte, bool) {
+	var v core.DenseState
+	br.State().View(i, &v)
+	return core.AppendDenseFingerprint(d, &v, nil)
+}
+
+// assertRunnersEqual asserts every run of the two runners of d carries
 // bit-identical outputs and fingerprints.
-func assertRunnersEqual(t *testing.T, label string, a, b *core.BatchRunner) {
+func assertRunnersEqual(t *testing.T, label string, d core.DenseAlgorithm, a, b *core.BatchRunner) {
 	t.Helper()
 	if a.B() != b.B() {
 		t.Fatalf("%s: batch sizes diverged: %d vs %d", label, a.B(), b.B())
@@ -48,19 +56,20 @@ func assertRunnersEqual(t *testing.T, label string, a, b *core.BatchRunner) {
 				t.Fatalf("%s: run %d agent %d: outputs %v vs %v", label, r, j, outA[j], outB[j])
 			}
 		}
-		fpA, okA := a.AppendRunFingerprint(nil, r)
-		fpB, okB := b.AppendRunFingerprint(nil, r)
+		fpA, okA := runFingerprint(d, a, r)
+		fpB, okB := runFingerprint(d, b, r)
 		if okA != okB || (okA && !bytes.Equal(fpA, fpB)) {
 			t.Fatalf("%s: run %d: fingerprints diverged", label, r)
 		}
 	}
 }
 
-// stepBothMixed drives the two runners through an identical mixed round
-// sequence — shared-graph rounds, clustered per-run rounds, hull
-// variants, and the uncluttered StepRuns path — asserting bit equality
-// of outputs, fingerprints, and every delivered hull after each round.
-func stepBothMixed(t *testing.T, seq, par *core.BatchRunner, n, rounds int) {
+// stepBothMixed drives the two runners of d through an identical mixed
+// round sequence — shared-graph rounds, clustered per-run rounds, hull
+// variants, and per-run rounds of mostly distinct graphs — asserting bit
+// equality of outputs, fingerprints, and every delivered hull after each
+// round.
+func stepBothMixed(t *testing.T, d core.DenseAlgorithm, seq, par *core.BatchRunner, n, rounds int) {
 	t.Helper()
 	b := seq.B()
 	gs := make([]graph.Graph, b)
@@ -92,8 +101,8 @@ func stepBothMixed(t *testing.T, seq, par *core.BatchRunner, n, rounds int) {
 			for i := range gs {
 				gs[i] = shiftGraph(t, n, 1+(i+round)%(n-1))
 			}
-			seq.StepRuns(gs)
-			par.StepRuns(gs)
+			seq.StepEach(gs)
+			par.StepEach(gs)
 		}
 		if round%5 == 1 || round%5 == 3 {
 			for i := 0; i < b; i++ {
@@ -104,7 +113,7 @@ func stepBothMixed(t *testing.T, seq, par *core.BatchRunner, n, rounds int) {
 				}
 			}
 		}
-		assertRunnersEqual(t, fmt.Sprintf("round %d", round), seq, par)
+		assertRunnersEqual(t, fmt.Sprintf("round %d", round), d, seq, par)
 	}
 }
 
@@ -133,7 +142,7 @@ func TestParallelStepParity(t *testing.T) {
 					seq.SetParallelism(1)
 					prl := core.NewBatchRunner(d, testInputs(n, b))
 					prl.SetParallelism(par)
-					stepBothMixed(t, seq, prl, n, 20)
+					stepBothMixed(t, d, seq, prl, n, 20)
 				})
 			}
 		}
@@ -158,7 +167,7 @@ func TestParallelWorkersExceedRunsParity(t *testing.T) {
 			seq.SetParallelism(1)
 			prl := core.NewBatchRunner(d, testInputs(n, b))
 			prl.SetParallelism(16)
-			stepBothMixed(t, seq, prl, n, 15)
+			stepBothMixed(t, d, seq, prl, n, 15)
 		})
 	}
 }
@@ -203,7 +212,7 @@ func TestParallelTasksNeverExceedRuns(t *testing.T) {
 					for i := range gs {
 						gs[i] = shiftGraph(t, n, 1+i)
 					}
-					br.StepRuns(gs)
+					br.StepEach(gs)
 				}
 				br.FlushMetrics()
 				tasks := reg.CounterValue("repro_kernel_step_shards_total") - before
@@ -218,25 +227,6 @@ func TestParallelTasksNeverExceedRuns(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestParallelCompact checks the parallel runner through the batch
-// lifecycle: stepping keeps bit-parity across Compact on both runners.
-func TestParallelCompact(t *testing.T) {
-	const n, b = 8, 12
-	d, _ := core.AsDense(algorithms.Midpoint{})
-	seq := core.NewBatchRunner(d, testInputs(n, b))
-	seq.SetParallelism(1)
-	prl := core.NewBatchRunner(d, testInputs(n, b))
-	prl.SetParallelism(5)
-	stepBothMixed(t, seq, prl, n, 5)
-	keep := make([]bool, b)
-	for i := range keep {
-		keep[i] = i%3 != 0
-	}
-	seq.Compact(keep)
-	prl.Compact(keep)
-	stepBothMixed(t, seq, prl, n, 5)
 }
 
 // TestParallelismKnobs pins the knob semantics: explicit settings

@@ -150,52 +150,3 @@ func TestPlanCacheThrashParity(t *testing.T) {
 		}
 	}
 }
-
-// TestPlanCacheCompact drops decided runs mid-schedule and checks the
-// survivors' plan memos travel with them: stepping resumes hit-only on
-// replayed graph values, and outputs match uncompacted single runs.
-func TestPlanCacheCompact(t *testing.T) {
-	const n, B = 5, 5
-	alg := algorithms.Midpoint{}
-	inputs := testInputs(n, B)
-	br := core.NewBatchRunner(alg, inputs)
-
-	gs := make([]graph.Graph, B)
-	for i := range gs {
-		gs[i] = shiftGraph(t, n, i%n)
-	}
-	// Round 1 defers the first-sight singletons, round 2 admits them, so
-	// by round 3 every run's memo holds a built plan.
-	br.StepEach(gs)
-	br.StepEach(gs)
-	br.StepEach(gs)
-	hits0, misses0, _, _, _ := br.PlanCacheStats()
-
-	keep := []bool{true, false, true, false, true}
-	if w := br.Compact(keep); w != 3 {
-		t.Fatalf("Compact kept %d runs, want 3", w)
-	}
-	// Survivors kept their memos: replaying their graph values at the
-	// compacted positions is hit-only.
-	br.StepEach([]graph.Graph{gs[0], gs[2], gs[4]})
-	hits1, misses1, _, _, _ := br.PlanCacheStats()
-	if misses1 != misses0 {
-		t.Fatalf("post-compact replay rebuilt plans: misses %d -> %d", misses0, misses1)
-	}
-	if hits1 != hits0+3 {
-		t.Fatalf("post-compact replay got %d hits, want %d", hits1-hits0, 3)
-	}
-
-	out := make([]float64, n)
-	for w, i := range []int{0, 2, 4} {
-		br.Outputs(w, out)
-		src := core.Schedule{Prefix: []graph.Graph{gs[i]}}
-		tr := core.Run(alg, inputs[i], src, 4)
-		got := tr.Outputs[4]
-		for j := range got {
-			if math.Float64bits(got[j]) != math.Float64bits(out[j]) {
-				t.Fatalf("compacted run %d agent %d: single %v != batch %v", i, j, got[j], out[j])
-			}
-		}
-	}
-}

@@ -94,10 +94,10 @@ func TestDecodeRejectsOversizedHeader(t *testing.T) {
 	// Header declaring MaxRounds+1 prefix rounds must be rejected before
 	// any allocation of that size.
 	buf := []byte(magic)
-	buf = appendUvarint(buf, 2)            // n
-	buf = appendUvarint(buf, MaxRounds+1)  // prefixLen
-	buf = appendUvarint(buf, 0)            // loopLen
-	buf = appendUvarint(buf, 0)            // tableLen
+	buf = appendUvarint(buf, 2)           // n
+	buf = appendUvarint(buf, MaxRounds+1) // prefixLen
+	buf = appendUvarint(buf, 0)           // loopLen
+	buf = appendUvarint(buf, 0)           // tableLen
 	if _, _, _, err := Decode(buf); err == nil {
 		t.Fatal("oversized header accepted")
 	}

@@ -1,6 +1,7 @@
 package valency_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -11,9 +12,10 @@ import (
 )
 
 // settleCases are model/algorithm/configuration triples covering dense
-// settle loops with and without auxiliary planes; wrapped in
-// core.AgentsOnly they cover the non-dense fallback (opaque agents built
-// by hand are exercised elsewhere).
+// settle loops with and without auxiliary planes on every lower-bound
+// model (Theorems 1–3); wrapped in core.AgentsOnly they cover the
+// non-dense fallback (opaque agents built by hand are exercised
+// elsewhere).
 func settleCases() []struct {
 	name   string
 	m      *model.Model
@@ -31,27 +33,35 @@ func settleCases() []struct {
 		{"twoagent/twothirds", model.TwoAgent(), algorithms.TwoThirds{}, []float64{0, 1}, true},
 		{"deafK3/midpoint", model.DeafModel(graph.Complete(3)), algorithms.Midpoint{}, []float64{0, 1, 0.5}, true},
 		{"deafK3/amortized", model.DeafModel(graph.Complete(3)), algorithms.AmortizedMidpoint{}, []float64{0, 1, 0.5}, true},
+		{"deafK4/midpoint", model.DeafModel(graph.Complete(4)), algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25}, true},
+		{"psi5/midpoint", model.PsiModel(5), algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25, 0.75}, true},
 	}
 }
 
 // TestEngineDenseSettleMatchesAgents runs the full valency exploration
 // on both paths — the Agent path through core.AgentsOnly, the dense path
-// by capability — and requires bit-identical intervals: the dense settle
-// loop must be transparent, including its transposition-table pre-fill
-// (same entries from the shared fingerprint encoding).
+// by capability — and requires bit-identical intervals and successor
+// valencies: the dense settle loop must be transparent, including its
+// transposition-table pre-fill (same entries from the shared fingerprint
+// encoding) and every hit and miss of the three tables. One worker keeps
+// the counters independent of branch scheduling.
 func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			cA := core.NewConfig(core.AgentsOnly(tc.alg), tc.inputs)
 			cD := core.NewConfig(tc.alg, tc.inputs)
-			for _, depth := range []int{0, 1, 2} {
-				engA := valency.NewEngine(tc.m, valency.DefaultParams(depth, tc.convex))
+			for _, depth := range []int{0, 1, 2, 3} {
+				p := valency.DefaultParams(depth, tc.convex)
+				p.Workers = 1
+				engA := valency.NewEngine(tc.m, p)
 				innerA := engA.Inner(cA)
 				outerA := engA.Outer(cA)
+				succA := engA.SuccessorInners(cA)
 
-				engD := valency.NewEngine(tc.m, valency.DefaultParams(depth, tc.convex))
+				engD := valency.NewEngine(tc.m, p)
 				innerD := engD.Inner(cD)
 				outerD := engD.Outer(cD)
+				succD := engD.SuccessorInners(cD)
 
 				if innerA != innerD {
 					t.Fatalf("depth %d: Inner differs: agents %v, dense %v", depth, innerA, innerD)
@@ -59,10 +69,11 @@ func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 				if outerA != outerD {
 					t.Fatalf("depth %d: Outer differs: agents %v, dense %v", depth, outerA, outerD)
 				}
-				statsA, statsD := engA.Stats(), engD.Stats()
-				if statsA.LimitEntries != statsD.LimitEntries {
-					t.Fatalf("depth %d: limit-table pre-fill differs: agents %d entries, dense %d",
-						depth, statsA.LimitEntries, statsD.LimitEntries)
+				if !reflect.DeepEqual(succA, succD) {
+					t.Fatalf("depth %d: SuccessorInners differ: agents %v, dense %v", depth, succA, succD)
+				}
+				if statsA, statsD := engA.Stats(), engD.Stats(); statsA != statsD {
+					t.Fatalf("depth %d: cache accounting differs:\nagents %+v\ndense  %+v", depth, statsA, statsD)
 				}
 			}
 		})

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/model"
 )
 
@@ -386,38 +385,9 @@ type walker struct {
 	// observable-output scratch for their convergence checks.
 	denseA, denseB core.DenseState
 	denseOut       []float64
-	// batch is the batched-settle arena: one core.BatchRunner stepping
-	// every unresolved constant-graph continuation of a tree node
-	// together, with per-run chain recording (settleRuns) and the
-	// per-level result buffers (limitsLv) the recursion reads from.
-	batch      *core.BatchRunner
-	settleRuns []batchSettleRun
-	limitsLv   [][]limitEntry
-	resolved   []bool
-	keepBuf    []bool
-	gsBuf      []graph.Graph
-}
-
-// batchSettleRun is the per-run bookkeeping of a batched settle loop:
-// the model graph the run repeats, its recorded chain-key prefix, and
-// its verdict once resolved.
-type batchSettleRun struct {
-	k        int
-	g        graph.Graph
-	memo     bool
-	chain    [][]byte
-	chainLen int
-	limit    float64
-	ok       bool
-	done     bool
-}
-
-// chainBuf borrows the run's chain buffer i.
-func (r *batchSettleRun) chainBuf(i int) []byte {
-	for len(r.chain) <= i {
-		r.chain = append(r.chain, nil)
-	}
-	return r.chain[i][:0]
+	// limitsLv[i] holds tree level i's constant-graph limits across the
+	// recursion into its subtrees.
+	limitsLv [][]limitEntry
 }
 
 // level returns the scratch configuration of tree level i.
@@ -439,10 +409,9 @@ func (w *walker) levelKey(i int) []byte {
 // inner is the memoized recursion behind Inner: the union of every
 // constant-graph limit from c and, while depth remains, of the subtrees
 // below every successor. level indexes the walker's scratch arena. The
-// node's constant-graph limits are resolved up front as one batched
-// settle loop (allLimits) — the batch plane's replacement for the per-k
-// sequential settles, bit-identical in values, counters, and table
-// pre-fill.
+// node's constant-graph limits are all resolved (allLimits) before any
+// subtree is walked, so a child can hit the chain entries of every one
+// of its parent's settles.
 func (w *walker) inner(c *core.Config, depth, level int) Interval {
 	e := w.e
 	key, memo := c.AppendFingerprint(w.levelKey(level))
@@ -485,205 +454,14 @@ func (w *walker) limitsBuf(i int) []limitEntry {
 }
 
 // allLimits computes the constant-graph limit of every model graph from
-// c — the per-node settle fan-out — returning out[k] = limit(c, k). For
-// a dense-capable algorithm the unresolved continuations run as one
-// batched settle loop; otherwise each k takes the sequential path.
+// c — the per-node settle fan-out — returning out[k] = limit(c, k).
 func (w *walker) allLimits(c *core.Config, level int) []limitEntry {
 	out := w.limitsBuf(level)
-	if w.batchLimits(c, out) {
-		return out
-	}
 	for k := range out {
 		limit, ok := w.limit(c, k)
 		out[k] = limitEntry{limit: limit, ok: ok}
 	}
 	return out
-}
-
-// batchLimits is the batched counterpart of calling w.limit(c, k) for
-// every k: one fingerprint of c covers all lookups (single lock
-// acquisition), and the misses settle together as a core.BatchRunner —
-// every unresolved constant-graph continuation is one run, converged
-// runs are compacted out in place, and the chain pre-fill commits under
-// one lock at the end. Values, hit/miss accounting, and table contents
-// are identical to the sequential path; handled is false when the
-// configuration must take it (no dense support, or unusable dense
-// fingerprints while memoization is on).
-func (w *walker) batchLimits(c *core.Config, out []limitEntry) (handled bool) {
-	e := w.e
-	alg := c.Algorithm()
-	if alg == nil {
-		return false
-	}
-	d, ok := core.AsDense(alg)
-	if !ok {
-		return false
-	}
-	key, memo := c.AppendFingerprint(w.key[:0])
-	w.key = key
-	if _, fpOK := d.(core.DenseFingerprinter); memo && !fpOK {
-		return false
-	}
-	if !c.WriteDense(&w.denseA) {
-		return false
-	}
-
-	size := e.model.Size()
-	if cap(w.resolved) < size {
-		w.resolved = make([]bool, size)
-	}
-	resolved := w.resolved[:size]
-	base := len(key)
-	if memo {
-		e.mu.Lock()
-		for k := 0; k < size; k++ {
-			key = appendGraph(key[:base], k)
-			out[k], resolved[k] = e.limits.get(key)
-		}
-		e.mu.Unlock()
-		w.key = key
-	} else {
-		for k := 0; k < size; k++ {
-			resolved[k] = false
-		}
-	}
-
-	// Gather the misses into the batch (one run per unresolved graph).
-	w.settleRuns = w.settleRuns[:0]
-	for k := 0; k < size; k++ {
-		if resolved[k] {
-			continue
-		}
-		if len(w.settleRuns) == cap(w.settleRuns) {
-			w.settleRuns = append(w.settleRuns, batchSettleRun{})
-		} else {
-			w.settleRuns = w.settleRuns[:len(w.settleRuns)+1]
-		}
-		run := &w.settleRuns[len(w.settleRuns)-1]
-		run.k, run.g, run.memo, run.chainLen = k, e.model.Graph(k), memo, 0
-		run.limit, run.ok, run.done = 0, false, false
-	}
-	if len(w.settleRuns) == 0 {
-		return true
-	}
-	// Every missing continuation starts at c itself: when c is already
-	// within tolerance, they all settle at round 0 with the same limit —
-	// no stepping, no batch. This is the common case deep in the tree,
-	// where most configurations are contracted. The table entries match
-	// the per-k settle exactly: each chain records c as its first (and
-	// only) configuration.
-	n := c.N()
-	if cap(w.denseOut) < n {
-		w.denseOut = make([]float64, n)
-	}
-	dOut := w.denseOut[:n]
-	d.OutputsDense(&w.denseA, dOut)
-	if lo, hi := core.Hull(dOut); hi-lo <= e.params.Tol {
-		limit := (lo + hi) / 2
-		entry := limitEntry{limit: limit, ok: true}
-		for i := range w.settleRuns {
-			out[w.settleRuns[i].k] = entry
-		}
-		if memo {
-			e.mu.Lock()
-			for i := range w.settleRuns {
-				key = appendGraph(key[:base], w.settleRuns[i].k)
-				e.limits.put(key, entry)
-			}
-			e.mu.Unlock()
-			w.key = key
-		}
-		return true
-	}
-	if len(w.settleRuns) == 1 {
-		// A single unresolved continuation gains nothing from the batch
-		// machinery; settle it on the plain dense path (the lookup and
-		// its accounting already happened above).
-		k := w.settleRuns[0].k
-		limit, okLimit, h := w.denseLimit(c, k, memo)
-		if h {
-			out[k] = limitEntry{limit: limit, ok: okLimit}
-			return true
-		}
-	}
-	if w.batch == nil {
-		w.batch = core.NewBatchRunnerReplicated(d, &w.denseA, len(w.settleRuns))
-	} else {
-		w.batch.ResetReplicated(d, &w.denseA, len(w.settleRuns))
-	}
-	br := w.batch
-	settle, tol := e.params.Settle, e.params.Tol
-	maxChain := e.params.Depth + 1
-	if cap(w.keepBuf) < br.B() {
-		w.keepBuf = make([]bool, br.B())
-	}
-
-	gs := w.gsBuf[:0]
-	for i := 0; i < br.B(); i++ {
-		gs = append(gs, w.settleRuns[br.Origin(i)].g)
-	}
-	for r := 0; ; r++ {
-		anyDone := false
-		b := br.B()
-		keep := w.keepBuf[:b]
-		for i := 0; i < b; i++ {
-			run := &w.settleRuns[br.Origin(i)]
-			if run.memo && run.chainLen < maxChain {
-				fp, okFP := br.AppendRunFingerprint(run.chainBuf(run.chainLen), i)
-				if !okFP {
-					run.memo = false
-				} else {
-					run.chain[run.chainLen] = appendGraph(fp, run.k)
-					run.chainLen++
-				}
-			}
-			lo, hi := br.Hull(i)
-			keep[i] = true
-			if hi-lo <= tol {
-				run.limit, run.ok, run.done = (lo+hi)/2, true, true
-				keep[i] = false
-				anyDone = true
-			}
-		}
-		if anyDone {
-			if br.Compact(keep) == 0 {
-				break
-			}
-			gs = gs[:0]
-			for i := 0; i < br.B(); i++ {
-				gs = append(gs, w.settleRuns[br.Origin(i)].g)
-			}
-		}
-		if r == settle {
-			break
-		}
-		br.StepRuns(gs)
-	}
-	w.gsBuf = gs[:0]
-
-	// Commit results and the chain pre-fill in one lock acquisition:
-	// converged runs fill their whole recorded chain (repeating k from
-	// G_k^i.C converges to the same limit through the same
-	// configurations); unconverged runs record the failure verdict for
-	// their first configuration only — an intermediate configuration
-	// still has its full Settle budget ahead.
-	e.mu.Lock()
-	for i := range w.settleRuns {
-		run := &w.settleRuns[i]
-		out[run.k] = limitEntry{limit: run.limit, ok: run.done}
-		if !run.memo {
-			continue
-		}
-		if run.done {
-			for j := 0; j < run.chainLen; j++ {
-				e.limits.put(run.chain[j], limitEntry{limit: run.limit, ok: true})
-			}
-		} else if run.chainLen > 0 {
-			e.limits.put(run.chain[0], limitEntry{ok: false})
-		}
-	}
-	e.mu.Unlock()
-	return true
 }
 
 // outer is the memoized recursion behind Outer.
