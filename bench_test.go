@@ -304,8 +304,8 @@ func BenchmarkValencyInner(b *testing.B) {
 // BenchmarkValencyInnerCold measures a full exploration from an empty
 // transposition table: every iteration pays the entire tree walk. This is
 // the honest single-shot speedup over the naive recursive reference
-// (settle-chain pre-fill, within-walk memoization, arena stepping,
-// parallel fan-out — but no cross-call reuse).
+// (limits inherited down the walk, within-walk memoization, arena
+// stepping, parallel fan-out — but no cross-call reuse).
 func BenchmarkValencyInnerCold(b *testing.B) {
 	m := model.TwoAgent()
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
@@ -349,9 +349,10 @@ func BenchmarkGreedyAdversaryRound(b *testing.B) {
 
 // BenchmarkGreedyAdversaryRun plays a whole adversarial execution per
 // iteration on a cold engine and reports the transposition-table hit rate
-// of the cross-round reuse: the settle loops of the chosen successor's
-// subtree, resolved while ranking candidates, hit the depth-independent
-// limit table in the following round.
+// of the cross-round reuse: the next round's successors are this round's
+// level-2 nodes, so the settle loops that ranking the candidates ran in
+// the chosen successor's subtree hit the depth-independent limit table in
+// the following round. Limits inherited down the walk count as hits.
 func BenchmarkGreedyAdversaryRun(b *testing.B) {
 	m := model.DeafModel(graph.Complete(3))
 	inputs := []float64{0, 1, 0.5}

@@ -47,11 +47,13 @@ type Decision struct {
 }
 
 // Next implements core.PatternSource. The valency exploration runs on the
-// estimator's persistent engine, so when the next round's call re-explores
-// the chosen successor's subtree, every constant-graph settle loop — the
-// dominant cost, already resolved while ranking candidates here — is
-// served from the depth-independent limit table. (Inner-table entries are
-// keyed by remaining depth, so the deeper re-exploration misses those.)
+// estimator's persistent engine, and the next round's successors are this
+// round's level-2 nodes: when the next call re-explores the chosen
+// successor's subtree, the constant-graph settle loops — the dominant
+// cost — that ranking the candidates here ran are served from the
+// depth-independent limit table, and the limits passed down the walk are
+// passed down again. (Inner-table entries are keyed by remaining depth,
+// so the deeper re-exploration misses those.)
 func (a *Greedy) Next(round int, c *core.Config) graph.Graph {
 	m := a.Est.Model
 	eng := a.Est.Engine()

@@ -12,9 +12,9 @@ import (
 // This file implements the dense struct-of-arrays path
 // (core.DenseAlgorithm) for every algorithm in the package except
 // FlowSum, which runs on the Agent path only, plus the agent<->dense state
-// bridges (core.DenseStateWriter/Reader) and the dense fingerprints that
-// keep the valency engine's transposition tables shared between the dense
-// and Agent paths.
+// bridges (core.DenseStateWriter/Reader) and the dense fingerprints,
+// which encode a dense state exactly as the Agent path encodes the same
+// configuration.
 //
 // Every stepper and fold reads the graph as mask rows (graph.InRow): one
 // word per receiver for n <= 64, ⌈n/64⌉ words beyond, with one body for

@@ -145,8 +145,9 @@ type DenseStateReader interface {
 
 // DenseFingerprinter is an optional DenseAlgorithm capability: it appends
 // the canonical fingerprint of agent i's dense state, bit-identical to the
-// agent's core.Fingerprinter encoding, so dense and agent explorations
-// share memoization tables.
+// agent's core.Fingerprinter encoding, so a dense run reports the same
+// per-round fingerprints as the Agent path (cmd/scenario replay
+// -fingerprints).
 type DenseFingerprinter interface {
 	AppendDenseFingerprint(dst []byte, st *DenseState, i int) ([]byte, bool)
 }

@@ -41,10 +41,10 @@ func settleCases() []struct {
 // TestEngineDenseSettleMatchesAgents runs the full valency exploration
 // on both paths — the Agent path through core.AgentsOnly, the dense path
 // by capability — and requires bit-identical intervals and successor
-// valencies: the dense settle loop must be transparent, including its
-// transposition-table pre-fill (same entries from the shared fingerprint
-// encoding) and every hit and miss of the three tables. One worker keeps
-// the counters independent of branch scheduling.
+// valencies: the dense settle loop must be transparent, down to the
+// entries, hits and misses of the three tables and the limits inherited
+// down the walk. One worker keeps the counters independent of branch
+// scheduling.
 func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package valency
 
 import (
 	"encoding/binary"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,10 +69,10 @@ func (s CacheStats) HitRate() float64 {
 //     fingerprint, remaining depth) and constant-graph limits per
 //     (fingerprint, graph index), collapsing the many pattern prefixes
 //     that reach identical configurations;
-//   - pre-fills the limit table along every settle chain: repeating graph
-//     G from C visits exactly the configurations G.C, G².C, ... whose own
-//     constant-G limits coincide with C's, so one settle loop resolves the
-//     whole chain — the dominant cost of the naive walk;
+//   - passes each node's constant-G limit down to its child G.C: a settle
+//     from C that converges at round r ≥ 1 steps through G.C, so the
+//     child's own constant-G settle converges on the same configuration at
+//     round r−1, and the walk skips it;
 //   - steps through the tree with core.StepInto on a per-walker arena of
 //     scratch configurations, allocating nothing per node after warm-up;
 //   - fans the top-level model branches out over a worker pool and merges
@@ -80,15 +81,16 @@ func (s CacheStats) HitRate() float64 {
 //
 // An Engine is safe for concurrent use. Its three memo tables (inner,
 // outer, limits) persist across calls, which is what the greedy
-// adversaries exploit: when the next round re-explores the chosen
-// successor's subtree (one level deeper), all of its constant-graph
-// settle loops — the dominant cost — hit the depth-independent limit
-// table. Identical repeated queries are answered from the root entry of
-// the inner/outer tables; deeper re-explorations miss those, since their
-// keys include the remaining depth. Each table is bounded by memoBudget
-// bytes and, when full, evicts every entry and keeps memoizing. Every
-// memoized value is a pure function of its key, so eviction moves the
-// cache counters but never a bound.
+// adversaries exploit: the next round's successors are this round's
+// level-2 nodes, so when it re-explores the chosen successor's subtree
+// (one level deeper), the settle loops — the dominant cost — that this
+// round ran there hit the depth-independent limit table, which holds one
+// entry per settle. Identical repeated queries are answered from the
+// root entry of the inner/outer tables; deeper re-explorations miss
+// those, since their keys include the remaining depth. Each table is
+// bounded by memoBudget bytes and, when full, evicts every entry and
+// keeps memoizing. Every memoized value is a pure function of its key,
+// so eviction moves the cache counters but never a bound.
 //
 // Caches are only keyed by agent state, round, and depth — NOT by
 // algorithm identity — so an Engine must only ever see configurations of
@@ -109,9 +111,35 @@ type Engine struct {
 	walkers []*walker
 }
 
+// limitEntry is the outcome of one settle: the limit of the
+// constant-graph continuation and, when it converged (ok), the round at
+// which it did. The round saturates at MaxInt32, which can only stop
+// inheritance early.
 type limitEntry struct {
 	limit float64
+	round int32
 	ok    bool
+}
+
+// converged is the entry of a settle whose outputs span [lo, hi] at
+// round r.
+func converged(lo, hi float64, r int) limitEntry {
+	return limitEntry{limit: (lo + hi) / 2, round: int32(min(r, math.MaxInt32)), ok: true}
+}
+
+// passDown returns the entry that child G_k.C inherits from C's entry for
+// graph k, and whether there is one. Only a convergence at round r ≥ 1
+// passes down, as a convergence at round r−1: the child's own settle
+// under k visits the same configurations and converges on the same one.
+// A round-0 convergence does not, since the child's hull midpoint
+// differs; nor does a failed settle, since the child has its own full
+// Settle budget ahead.
+func (l limitEntry) passDown() (limitEntry, bool) {
+	if !l.ok || l.round < 1 {
+		return limitEntry{}, false
+	}
+	l.round--
+	return l, true
 }
 
 // NewEngine returns an engine for the model with the given parameters.
@@ -268,13 +296,14 @@ func (e *Engine) forEachBranch(fn func(w *walker, k int)) {
 // successor G_k.C when depth remains.
 func (e *Engine) innerBranch(w *walker, c *core.Config, k int) Interval {
 	iv := emptyInterval()
-	if limit, ok := w.limit(c, k); ok {
-		iv = iv.Union(Interval{Lo: limit, Hi: limit})
+	lim := w.limit(c, k)
+	if lim.ok {
+		iv = iv.Union(Interval{Lo: lim.limit, Hi: lim.limit})
 	}
 	if e.params.Depth > 0 {
 		child := w.level(0)
 		c.StepInto(child, e.model.Graph(k))
-		iv = iv.Union(w.inner(child, e.params.Depth-1, 1))
+		iv = iv.Union(w.inner(child, e.params.Depth-1, 1, k, lim))
 	}
 	return iv
 }
@@ -299,21 +328,24 @@ func (e *Engine) outerBranch(w *walker, c *core.Config, k int) Interval {
 func (e *Engine) LimitOfConstant(c *core.Config, k int) (limit float64, ok bool) {
 	w := e.getWalker()
 	defer e.putWalker(w)
-	return w.limit(c, k)
+	lim := w.limit(c, k)
+	return lim.limit, lim.ok
 }
 
 // SuccessorInners returns, for each model graph G, the inner valency
 // bound of the successor configuration G.C — the branching data the
 // paper's greedy adversaries act on. Each successor's subtree is explored
-// at full engine depth and its settle-loop limits land in the shared,
+// at full engine depth. C's own limit under G is resolved first, so G.C
+// can inherit it; the limits the subtree settles land in the shared,
 // depth-independent limit table — the reuse that makes the adversary's
-// next round cheap.
+// next round cheap, since its successors are this round's level-2 nodes.
 func (e *Engine) SuccessorInners(c *core.Config) []Interval {
 	out := make([]Interval, e.model.Size())
 	e.forEachBranch(func(w *walker, k int) {
+		lim := w.limit(c, k)
 		child := w.level(0)
 		c.StepInto(child, e.model.Graph(k))
-		out[k] = w.inner(child, e.params.Depth, 1)
+		out[k] = w.inner(child, e.params.Depth, 1, k, lim)
 	})
 	return out
 }
@@ -347,8 +379,12 @@ func (e *Engine) getWalker() *walker {
 	return &walker{e: e}
 }
 
+// putWalker returns w to the free list and adds its inherited limits to
+// the limit table's hits.
 func (e *Engine) putWalker(w *walker) {
 	e.mu.Lock()
+	e.limits.hits += w.inherited
+	w.inherited = 0
 	e.walkers = append(e.walkers, w)
 	e.mu.Unlock()
 }
@@ -366,8 +402,7 @@ func appendGraph(key []byte, k int) []byte {
 // walker is a per-goroutine exploration arena: scratch configurations for
 // every tree level and for the settle loop, plus reusable fingerprint
 // buffers. Walkers allocate only while warming up (growing to the depth
-// and chain lengths actually visited) and are recycled through the
-// engine's free list.
+// actually visited) and are recycled through the engine's free list.
 type walker struct {
 	e *Engine
 	// levels[i] is the scratch destination configuration of tree level i.
@@ -379,8 +414,6 @@ type walker struct {
 	// levelKeys[i] holds level i's memo key across the recursion into its
 	// subtree (the key is needed again for the store after the walk).
 	levelKeys [][]byte
-	// chain holds the settle-loop fingerprint keys for table pre-filling.
-	chain [][]byte
 	// denseA/denseB ping-pong through dense settle loops; denseOut is the
 	// observable-output scratch for their convergence checks.
 	denseA, denseB core.DenseState
@@ -388,6 +421,9 @@ type walker struct {
 	// limitsLv[i] holds tree level i's constant-graph limits across the
 	// recursion into its subtrees.
 	limitsLv [][]limitEntry
+	// inherited counts the limits answered by inheritance where a table
+	// lookup would have been counted; putWalker adds it to the hits.
+	inherited uint64
 }
 
 // level returns the scratch configuration of tree level i.
@@ -408,11 +444,12 @@ func (w *walker) levelKey(i int) []byte {
 
 // inner is the memoized recursion behind Inner: the union of every
 // constant-graph limit from c and, while depth remains, of the subtrees
-// below every successor. level indexes the walker's scratch arena. The
-// node's constant-graph limits are all resolved (allLimits) before any
-// subtree is walked, so a child can hit the chain entries of every one
-// of its parent's settles.
-func (w *walker) inner(c *core.Config, depth, level int) Interval {
+// below every successor. level indexes the walker's scratch arena; c was
+// reached by graph from, and parent is its parent's limit entry for that
+// graph. The node's constant-graph limits are all resolved (allLimits)
+// before any subtree is walked, so each child G_k.C can inherit c's
+// limit for k.
+func (w *walker) inner(c *core.Config, depth, level, from int, parent limitEntry) Interval {
 	e := w.e
 	key, memo := c.AppendFingerprint(w.levelKey(level))
 	if memo {
@@ -424,7 +461,7 @@ func (w *walker) inner(c *core.Config, depth, level int) Interval {
 	}
 	iv := emptyInterval()
 	size := e.model.Size()
-	lims := w.allLimits(c, level)
+	lims := w.allLimits(c, level, from, parent, memo)
 	for k := 0; k < size; k++ {
 		if lims[k].ok {
 			iv = iv.Union(Interval{Lo: lims[k].limit, Hi: lims[k].limit})
@@ -432,7 +469,7 @@ func (w *walker) inner(c *core.Config, depth, level int) Interval {
 		if depth > 0 {
 			child := w.level(level)
 			c.StepInto(child, e.model.Graph(k))
-			iv = iv.Union(w.inner(child, depth-1, level+1))
+			iv = iv.Union(w.inner(child, depth-1, level+1, k, lims[k]))
 		}
 	}
 	if memo {
@@ -454,12 +491,22 @@ func (w *walker) limitsBuf(i int) []limitEntry {
 }
 
 // allLimits computes the constant-graph limit of every model graph from
-// c — the per-node settle fan-out — returning out[k] = limit(c, k).
-func (w *walker) allLimits(c *core.Config, level int) []limitEntry {
+// c — the per-node settle fan-out — returning out[k] = limit(c, k). The
+// limit for graph from is inherited from parent when it passes down;
+// counted says whether that answer counts as a table hit, as a lookup
+// of a fingerprintable c would.
+func (w *walker) allLimits(c *core.Config, level, from int, parent limitEntry, counted bool) []limitEntry {
 	out := w.limitsBuf(level)
+	inh, inherits := parent.passDown()
 	for k := range out {
-		limit, ok := w.limit(c, k)
-		out[k] = limitEntry{limit: limit, ok: ok}
+		if k == from && inherits {
+			out[k] = inh
+			if counted {
+				w.inherited++
+			}
+			continue
+		}
+		out[k] = w.limit(c, k)
 	}
 	return out
 }
@@ -492,115 +539,43 @@ func (w *walker) outer(c *core.Config, depth, level int) Interval {
 	return iv
 }
 
-// chainKey borrows chain buffer i.
-func (w *walker) chainKey(i int) []byte {
-	for len(w.chain) <= i {
-		w.chain = append(w.chain, nil)
+// limit returns the memoized limit of the constant-graph-k continuation
+// from c. On a miss it runs the settle loop, dense when it can, and
+// stores the outcome: one table entry per settle.
+func (w *walker) limit(c *core.Config, k int) limitEntry {
+	e := w.e
+	key, memo := c.AppendFingerprint(w.key[:0])
+	w.key = appendGraph(key, k)
+	if memo {
+		if entry, hit := memoGet(e, &e.limits, w.key); hit {
+			return entry
+		}
 	}
-	return w.chain[i][:0]
-}
-
-// chainRecorder carries the settle-chain memoization policy of a limit
-// computation — which configurations get recorded, how many, and how the
-// resolved limit is committed to the engine's table. It is shared by the
-// agent and dense settle loops so their caching behavior cannot diverge
-// (the transposition table is common to both paths).
-type chainRecorder struct {
-	w        *walker
-	k        int
-	memo     bool
-	chainLen int
-	maxChain int
-}
-
-// newChainRecorder starts a recording for graph k. Pre-filling deeper
-// than Depth+1 configurations down the chain is pointless: the execution
-// tree can never reach them, so their entries would only bloat the table
-// and the insert cost.
-func (w *walker) newChainRecorder(k int, memo bool) chainRecorder {
-	return chainRecorder{w: w, k: k, memo: memo, maxChain: w.e.params.Depth + 1}
-}
-
-// active reports whether the next configuration should be fingerprinted;
-// buffer returns the scratch to fingerprint it into.
-func (r *chainRecorder) active() bool   { return r.memo && r.chainLen < r.maxChain }
-func (r *chainRecorder) buffer() []byte { return r.w.chainKey(r.chainLen) }
-
-// commit finishes recording one configuration from its fingerprint
-// (fp, ok as returned by the AppendFingerprint flavor in use); a
-// non-fingerprintable configuration turns the whole recording off.
-func (r *chainRecorder) commit(fp []byte, ok bool) {
-	if !ok {
-		r.memo = false
-		return
+	entry, handled := w.denseLimit(c, k)
+	if !handled {
+		entry = w.agentLimit(c, k)
 	}
-	r.w.chain[r.chainLen] = appendGraph(fp, r.k)
-	r.chainLen++
+	if memo {
+		memoPut(e, &e.limits, w.key, entry)
+	}
+	return entry
 }
 
-// fill stores the resolved limit for every recorded chain configuration:
-// repeating k from G_k^i.C converges to the same limit through the same
-// configurations, so one settle loop resolves its entire chain at once.
-func (r *chainRecorder) fill(limit float64, ok bool) {
-	if !r.memo {
-		return
-	}
-	e := r.w.e
-	e.mu.Lock()
-	for i := 0; i < r.chainLen; i++ {
-		e.limits.put(r.w.chain[i], limitEntry{limit: limit, ok: ok})
-	}
-	e.mu.Unlock()
-}
-
-// fillNotConverged stores the failure verdict for the chain's first
-// configuration only: the verdict holds just for c itself — an
-// intermediate configuration still has its full Settle budget ahead.
-func (r *chainRecorder) fillNotConverged() {
-	if !r.memo || r.chainLen == 0 {
-		return
-	}
-	memoPut(r.w.e, &r.w.e.limits, r.w.chain[0], limitEntry{ok: false})
-}
-
-// limit computes (memoized) the limit of the constant-graph-k
-// continuation from c. On a miss it runs the settle loop on the walker's
-// ping-pong scratch pair and then pre-fills the table for every
-// intermediate configuration of the chain: repeating k from G_k^i.C
-// converges to the same limit through the same configurations, so each
-// settle loop resolves its entire chain at once.
-func (w *walker) limit(c *core.Config, k int) (float64, bool) {
+// agentLimit is the Agent settle loop: it repeats graph k from c on the
+// walker's ping-pong scratch pair until the outputs agree within Tol, for
+// at most Settle rounds.
+func (w *walker) agentLimit(c *core.Config, k int) limitEntry {
 	e := w.e
 	g := e.model.Graph(k)
-	key, memo := c.AppendFingerprint(w.key[:0])
-	w.key = key
-	if memo {
-		key = appendGraph(key, k)
-		w.key = key
-		if entry, hit := memoGet(e, &e.limits, key); hit {
-			return entry.limit, entry.ok
-		}
-	}
-
-	if limit, ok, handled := w.denseLimit(c, k, memo); handled {
-		return limit, ok
-	}
-
 	settle, tol := e.params.Settle, e.params.Tol
 	cur := c
-	rec := w.newChainRecorder(k, memo)
 	for r := 0; ; r++ {
-		if rec.active() {
-			rec.commit(cur.AppendFingerprint(rec.buffer()))
-		}
 		if cur.Diameter() <= tol {
 			lo, hi := cur.Hull()
-			limit := (lo + hi) / 2
-			rec.fill(limit, true)
-			return limit, true
+			return converged(lo, hi, r)
 		}
 		if r == settle {
-			break
+			return limitEntry{}
 		}
 		next := &w.settleA
 		if cur == next {
@@ -609,31 +584,24 @@ func (w *walker) limit(c *core.Config, k int) (float64, bool) {
 		cur.StepInto(next, g)
 		cur = next
 	}
-	rec.fillNotConverged()
-	return 0, false
 }
 
-// denseLimit is the dense settle loop: the same chain recording,
-// convergence test, and table pre-fill as the agent loop below it in
-// limit, but stepping flat struct-of-arrays state instead of cloning and
-// delivering messages. handled is false when the configuration must take
-// the agent path: algorithm not dense-capable, no dense fingerprints
-// while memoization is on (the chain pre-fill would be lost), or agents
-// that cannot export their state.
-func (w *walker) denseLimit(c *core.Config, k int, memo bool) (limit float64, okLimit, handled bool) {
+// denseLimit is the dense settle loop: the same convergence test as
+// agentLimit, but stepping flat struct-of-arrays state instead of cloning
+// and delivering messages. handled is false when the configuration must
+// take the Agent path: algorithm not dense-capable, or agents that cannot
+// export their state.
+func (w *walker) denseLimit(c *core.Config, k int) (entry limitEntry, handled bool) {
 	alg := c.Algorithm()
 	if alg == nil {
-		return 0, false, false
+		return limitEntry{}, false
 	}
 	d, ok := core.AsDense(alg)
 	if !ok {
-		return 0, false, false
-	}
-	if _, fpOK := d.(core.DenseFingerprinter); memo && !fpOK {
-		return 0, false, false
+		return limitEntry{}, false
 	}
 	if !c.WriteDense(&w.denseA) {
-		return 0, false, false
+		return limitEntry{}, false
 	}
 	e := w.e
 	g := e.model.Graph(k)
@@ -645,24 +613,16 @@ func (w *walker) denseLimit(c *core.Config, k int, memo bool) (limit float64, ok
 
 	settle, tol := e.params.Settle, e.params.Tol
 	cur, next := &w.denseA, &w.denseB
-	rec := w.newChainRecorder(k, memo)
 	for r := 0; ; r++ {
-		if rec.active() {
-			rec.commit(core.AppendDenseFingerprint(d, cur, rec.buffer()))
-		}
 		d.OutputsDense(cur, out)
 		lo, hi := core.Hull(out)
 		if hi-lo <= tol {
-			limit := (lo + hi) / 2
-			rec.fill(limit, true)
-			return limit, true, true
+			return converged(lo, hi, r), true
 		}
 		if r == settle {
-			break
+			return limitEntry{}, true
 		}
 		core.DenseStep(d, next, cur, g)
 		cur, next = next, cur
 	}
-	rec.fillNotConverged()
-	return 0, false, true
 }

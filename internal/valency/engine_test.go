@@ -82,8 +82,8 @@ func TestEngineMatchesReferenceOuter(t *testing.T) {
 }
 
 // TestEngineLimitOfConstantMatchesReference checks the memoized settle
-// loop, including chain pre-filling, against the reference on every model
-// graph and several tree prefixes.
+// loop against the reference on every model graph and several tree
+// prefixes.
 func TestEngineLimitOfConstantMatchesReference(t *testing.T) {
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,20 +171,27 @@ func TestEngineSuccessorInnersMatchReference(t *testing.T) {
 	}
 }
 
-// TestEngineCacheEffectiveness asserts the transposition table actually
-// fires: a repeated Inner call must be answered from the root entry, and
-// the settle-chain pre-fill must produce limit hits within the first walk.
+// TestEngineCacheEffectiveness asserts the limit inheritance and the
+// transposition tables actually fire: a cold sequential walk answers
+// limits its nodes inherit (counted as limit hits) and stores one limit
+// entry per settle, and a repeated Inner call must be answered from the
+// root entry.
 func TestEngineCacheEffectiveness(t *testing.T) {
 	m := model.TwoAgent()
-	eng := valency.NewEngine(m, valency.DefaultParams(4, true))
+	p := valency.DefaultParams(4, true)
+	p.Workers = 1
+	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	first := eng.Inner(c)
 	s1 := eng.Stats()
 	if s1.LimitHits == 0 {
-		t.Fatalf("no limit-cache hits during first walk; stats %+v", s1)
+		t.Fatalf("no limit hits during first walk; stats %+v", s1)
 	}
 	if s1.LimitEntries == 0 || s1.InnerEntries == 0 {
 		t.Fatalf("empty transposition tables after walk; stats %+v", s1)
+	}
+	if uint64(s1.LimitEntries) != s1.LimitMisses {
+		t.Fatalf("cold walk stored %d limit entries for %d settles", s1.LimitEntries, s1.LimitMisses)
 	}
 	second := eng.Inner(c)
 	s2 := eng.Stats()
@@ -193,6 +200,43 @@ func TestEngineCacheEffectiveness(t *testing.T) {
 	}
 	if s2.InnerHits != s1.InnerHits+1 || s2.InnerMisses != s1.InnerMisses {
 		t.Fatalf("second call was not a pure root hit: before %+v, after %+v", s1, s2)
+	}
+}
+
+// TestEngineInheritanceBoundary pins the two settle outcomes a node must
+// not pass down to its child, on cold engines against the reference walk
+// (Inner, and every SuccessorInners entry against the reference Inner of
+// that successor): a convergence at round 0 (inputs within Tol, so every
+// settle from the root converges at once, while the children's hull
+// midpoints differ), and a failed settle (with Settle 3 the root's H1
+// settle fails, while its successor's converges at round 3).
+func TestEngineInheritanceBoundary(t *testing.T) {
+	m := model.TwoAgent()
+	cases := []struct {
+		name   string
+		inputs []float64
+		settle int
+	}{
+		{"round-0", []float64{0, 0.9e-9}, 512},
+		{"not-converged", []float64{0, 50e-9}, 3},
+	}
+	for _, tc := range cases {
+		for depth := 1; depth <= 3; depth++ {
+			t.Run(fmt.Sprintf("%s/depth-%d", tc.name, depth), func(t *testing.T) {
+				p := valency.Params{Depth: depth, Settle: tc.settle, Tol: 1e-9, Convex: true, Workers: 1}
+				est := valency.EstimatorFromEngine(valency.NewEngine(m, p))
+				c := core.NewConfig(algorithms.TwoThirds{}, tc.inputs)
+				if got, want := valency.NewEngine(m, p).Inner(c), est.ReferenceInner(c); got != want {
+					t.Fatalf("engine Inner = %v, reference = %v", got, want)
+				}
+				got := valency.NewEngine(m, p).SuccessorInners(c)
+				for k := range got {
+					if want := est.ReferenceInner(c.Step(m.Graph(k))); got[k] != want {
+						t.Fatalf("successor %d: engine %v, reference %v", k, got[k], want)
+					}
+				}
+			})
+		}
 	}
 }
 

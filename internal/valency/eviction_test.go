@@ -100,9 +100,11 @@ func TestEvictionIsTransparentToLowerBounds(t *testing.T) {
 
 // TestEngineMemoizesPastItsBudget is the regression test for the
 // saturation cliff: once more distinct entries went through the limit
-// table than it can hold, a walk from fresh inputs must still record the
-// limit hits a cold engine records (TestEngineCacheEffectiveness). A
-// table that stopped inserting when full would record none.
+// table than it can hold, a settle from a fresh configuration must still
+// be stored, so asking for the same limit again settles nothing. A table
+// that stopped inserting when full would settle it twice. (A fresh walk's
+// limit hits would prove nothing: inheritance supplies them without the
+// table.)
 func TestEngineMemoizesPastItsBudget(t *testing.T) {
 	p := valency.DefaultParams(4, true)
 	p.Workers = 1
@@ -117,11 +119,17 @@ func TestEngineMemoizesPastItsBudget(t *testing.T) {
 	for ; eng.Stats().LimitMisses <= capacity; i++ {
 		walk(i)
 	}
+	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1 + float64(i)})
 	before := eng.Stats()
-	walk(i)
+	eng.LimitOfConstant(c, 0)
+	settled := eng.Stats()
+	eng.LimitOfConstant(c, 0)
 	after := eng.Stats()
-	if after.LimitHits == before.LimitHits {
-		t.Fatalf("after %d limit misses, a fresh walk recorded no limit hits; stats %+v", before.LimitMisses, after)
+	if settled.LimitMisses != before.LimitMisses+1 {
+		t.Fatalf("a fresh configuration's limit was not settled; before %+v, after %+v", before, settled)
+	}
+	if after.LimitMisses != settled.LimitMisses {
+		t.Fatalf("after %d limit misses, a settled limit was settled again; stats %+v", before.LimitMisses, after)
 	}
 }
 

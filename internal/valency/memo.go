@@ -10,10 +10,12 @@ import (
 // plus key arena, in bytes. A table that would outgrow it evicts every
 // entry and starts over, so an engine never holds more than 3 ×
 // memoBudget of memoized results, whatever it is asked. 8 MiB holds
-// ~65k entries at the 47–65-byte keys of the lower-bound runs, twice the
-// largest working set of one 12-round greedy run, so eviction costs
-// those runs under 2% of their hits (see PERF.md, "Bounded valency
-// tables").
+// ~65k entries at the 47–65-byte keys of the lower-bound runs, about ten
+// times the limit entries (one per settle) of the largest 12-round
+// greedy run.
+// It was sized when limit entries were five times as many, keeping those
+// runs within 2% of an unbounded table's hits (see PERF.md, "Bounded
+// valency tables" and "Inherited settle limits").
 const memoBudget = 8 << 20
 
 const (
