@@ -335,6 +335,57 @@ func BenchmarkValencyOuter(b *testing.B) {
 	}
 }
 
+// genericSettle hides an algorithm's settle kernel: embedding only the
+// DenseAlgorithm interface promotes no DenseSettler method, so
+// core.Settle runs its generic loop on it.
+type genericSettle struct{ core.DenseAlgorithm }
+
+// BenchmarkSettle measures one constant-graph settle (engine defaults:
+// Settle 512, Tol 1e-9) on the four lower-bound models, each with its
+// algorithm's settle kernel and with the generic DenseStep + Hull loop.
+// An op settles the next of 64 seeded input vectors under the next model
+// graph, so ns/op is ns per settle.
+func BenchmarkSettle(b *testing.B) {
+	cases := []struct {
+		name string
+		m    *model.Model
+		alg  core.DenseAlgorithm
+	}{
+		{"twoagent", model.TwoAgent(), algorithms.TwoThirds{}},
+		{"deaf3", model.DeafModel(graph.Complete(3)), algorithms.Midpoint{}},
+		{"deaf4", model.DeafModel(graph.Complete(4)), algorithms.Midpoint{}},
+		{"psi5", model.PsiModel(5), algorithms.Midpoint{}},
+	}
+	p := valency.DefaultParams(0, true)
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(8))
+		n := tc.m.N()
+		inputs := make([][]float64, 64)
+		for i := range inputs {
+			inputs[i] = make([]float64, n)
+			for j := range inputs[i] {
+				inputs[i][j] = rng.Float64()
+			}
+		}
+		for _, side := range []struct {
+			name string
+			alg  core.DenseAlgorithm
+		}{{"kernel", tc.alg}, {"generic", genericSettle{tc.alg}}} {
+			b.Run(tc.name+"/"+side.name, func(b *testing.B) {
+				var st core.DenseState
+				var sc core.SettleScratch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st.Resize(n, 0)
+					copy(st.Y, inputs[i%len(inputs)])
+					g := tc.m.Graph(i % tc.m.Size())
+					core.Settle(side.alg, &st, g, p.Settle, p.Tol, &sc)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkGreedyAdversaryRound(b *testing.B) {
 	m := model.DeafModel(graph.Complete(3))
 	est := valency.NewEstimator(m, 3, true)

@@ -49,11 +49,11 @@ type Decision struct {
 // Next implements core.PatternSource. The valency exploration runs on the
 // estimator's persistent engine, and the next round's successors are this
 // round's level-2 nodes: when the next call re-explores the chosen
-// successor's subtree, the constant-graph settle loops — the dominant
-// cost — that ranking the candidates here ran are served from the
-// depth-independent limit table, and the limits passed down the walk are
-// passed down again. (Inner-table entries are keyed by remaining depth,
-// so the deeper re-exploration misses those.)
+// successor's subtree, the constant-graph settles that ranking the
+// candidates here ran — with the memo lookups, most of the cost — are
+// served from the depth-independent limit table, and the limits passed
+// down the walk are passed down again. (Inner-table entries are keyed by
+// remaining depth, so the deeper re-exploration misses those.)
 func (a *Greedy) Next(round int, c *core.Config) graph.Graph {
 	m := a.Est.Model
 	eng := a.Est.Engine()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -258,6 +259,142 @@ func DenseStep(alg DenseAlgorithm, dst, src *DenseState, g graph.Graph) {
 	dst.Resize(src.n, src.planes)
 	dst.round = src.round + 1
 	alg.StepDense(dst, src, g)
+}
+
+// DenseSettler is an optional DenseAlgorithm capability: a settle kernel
+// that runs a whole constant-graph continuation inside the algorithm —
+// repeat g from st until the output hull is at most tol wide, for at
+// most settle rounds. It must return exactly what Settle's generic loop
+// returns: the same round and ok, and when ok the same lo and hi bits;
+// when ok is false, round is settle and lo, hi are 0. It may overwrite
+// st and use sc's kernel storage (RowClasses, ClassValues). Settle
+// picks the kernel by this capability alone.
+type DenseSettler interface {
+	SettleDense(st *DenseState, g graph.Graph, settle int, tol float64, sc *SettleScratch) (lo, hi float64, round int, ok bool)
+}
+
+// Settle runs the continuation that repeats g from st until the
+// observable outputs span at most tol, for at most settle rounds. ok
+// reports convergence, at round round with output hull [lo, hi]; on
+// failure round is settle and lo, hi are 0. st is overwritten. An
+// algorithm with a DenseSettler kernel runs it; every other one runs the
+// generic loop: the hull of OutputsDense, then DenseStep, ping-ponging
+// st with the scratch's back buffer. Neither allocates once sc has
+// grown to the shape.
+func Settle(alg DenseAlgorithm, st *DenseState, g graph.Graph, settle int, tol float64, sc *SettleScratch) (lo, hi float64, round int, ok bool) {
+	if g.N() != st.n {
+		panic(fmt.Sprintf("core: graph on %d nodes applied to %d agents", g.N(), st.n))
+	}
+	if k, can := alg.(DenseSettler); can {
+		return k.SettleDense(st, g, settle, tol, sc)
+	}
+	if cap(sc.out) < st.n {
+		sc.out = make([]float64, st.n)
+	}
+	out := sc.out[:st.n]
+	cur, next := st, &sc.back
+	for r := 0; ; r++ {
+		alg.OutputsDense(cur, out)
+		if lo, hi = Hull(out); hi-lo <= tol {
+			return lo, hi, r, true
+		}
+		if r == settle {
+			return 0, 0, r, false
+		}
+		DenseStep(alg, next, cur, g)
+		cur, next = next, cur
+	}
+}
+
+// SettleScratch is Settle's reusable working memory: the generic loop's
+// back buffer and output slice, and the row classes and per-class values
+// of the kernels. Every part grows to the largest shape seen.
+type SettleScratch struct {
+	back    DenseState
+	out     []float64
+	classes RowClasses
+	vals    []float64
+}
+
+// RowClasses returns the receiver row classes of g, built in the
+// scratch's storage; they stay valid until its next RowClasses call.
+func (sc *SettleScratch) RowClasses(g graph.Graph) *RowClasses {
+	sc.classes.build(g)
+	return &sc.classes
+}
+
+// ClassValues returns two length-k slices of the scratch's storage, the
+// current and next generation of a kernel's per-class values.
+func (sc *SettleScratch) ClassValues(k int) (cur, next []float64) {
+	if cap(sc.vals) < 2*k {
+		sc.vals = make([]float64, 2*k)
+	}
+	return sc.vals[:k:k], sc.vals[k : 2*k : 2*k]
+}
+
+// RowClasses partitions a graph's receivers by in-row: receivers with
+// equal rows form one class, numbered in order of first occurrence.
+// Under a constant graph every receiver of a class computes the same
+// value from the first round on, so a kernel can step k ≤ n classes in
+// place of n receivers, each folding the distinct classes of its
+// senders. The arrays hold at most n classes and k² ≤ n² sender entries.
+type RowClasses struct {
+	// Rep[c] is class c's first receiver; its in-row is the class's row.
+	Rep []int32
+	// Senders[Start[c]:Start[c+1]] lists the distinct classes of class c's
+	// senders, in order of first occurrence in its row; the self-loop
+	// makes every list non-empty.
+	Start, Senders []int32
+	// of[i] is receiver i's class; mark[d] is the last class whose sender
+	// list took class d.
+	of, mark []int32
+}
+
+// build classifies g's receivers, reusing the arrays' storage. It
+// compares each row with one row per class found so far: O(n·k) row
+// compares.
+func (rc *RowClasses) build(g graph.Graph) {
+	n := g.N()
+	if cap(rc.of) < n {
+		rc.of = make([]int32, n)
+	}
+	rc.of = rc.of[:n]
+	rc.Rep = rc.Rep[:0]
+	for j := range rc.of {
+		row, c := g.InRow(j), int32(-1)
+		for ci, rep := range rc.Rep {
+			if graph.SetsEqual(row, g.InRow(int(rep))) {
+				c = int32(ci)
+				break
+			}
+		}
+		if c < 0 {
+			c = int32(len(rc.Rep))
+			rc.Rep = append(rc.Rep, int32(j))
+		}
+		rc.of[j] = c
+	}
+	k := len(rc.Rep)
+	if cap(rc.mark) < k {
+		rc.mark = make([]int32, k)
+	}
+	rc.mark = rc.mark[:k]
+	for d := range rc.mark {
+		rc.mark[d] = -1
+	}
+	rc.Start, rc.Senders = rc.Start[:0], rc.Senders[:0]
+	for c, rep := range rc.Rep {
+		rc.Start = append(rc.Start, int32(len(rc.Senders)))
+		for wi, m := range g.InRow(int(rep)) {
+			for ; m != 0; m &= m - 1 {
+				if d := rc.of[wi*64+bits.TrailingZeros64(m)]; rc.mark[d] != int32(c) {
+					rc.mark[d] = int32(c)
+					rc.Senders = append(rc.Senders, d)
+				}
+			}
+		}
+	}
+	rc.Start = append(rc.Start, int32(len(rc.Senders)))
 }
 
 // Outputs returns a fresh slice of the observable outputs.

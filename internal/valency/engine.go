@@ -73,6 +73,9 @@ func (s CacheStats) HitRate() float64 {
 //     from C that converges at round r ≥ 1 steps through G.C, so the
 //     child's own constant-G settle converges on the same configuration at
 //     round r−1, and the walk skips it;
+//   - settles dense-capable configurations through core.Settle, which
+//     runs the algorithm's settle kernel (core.DenseSettler) when it has
+//     one and the generic dense loop otherwise;
 //   - steps through the tree with core.StepInto on a per-walker arena of
 //     scratch configurations, allocating nothing per node after warm-up;
 //   - fans the top-level model branches out over a worker pool and merges
@@ -83,14 +86,15 @@ func (s CacheStats) HitRate() float64 {
 // outer, limits) persist across calls, which is what the greedy
 // adversaries exploit: the next round's successors are this round's
 // level-2 nodes, so when it re-explores the chosen successor's subtree
-// (one level deeper), the settle loops — the dominant cost — that this
-// round ran there hit the depth-independent limit table, which holds one
-// entry per settle. Identical repeated queries are answered from the
-// root entry of the inner/outer tables; deeper re-explorations miss
-// those, since their keys include the remaining depth. Each table is
-// bounded by memoBudget bytes and, when full, evicts every entry and
-// keeps memoizing. Every memoized value is a pure function of its key,
-// so eviction moves the cache counters but never a bound.
+// (one level deeper), the settles that this round ran there — with the
+// table lookups themselves, most of the cost — hit the depth-independent
+// limit table, which holds one entry per settle. Identical repeated
+// queries are answered from the root entry of the inner/outer tables;
+// deeper re-explorations miss those, since their keys include the
+// remaining depth. Each table is bounded by memoBudget bytes and, when
+// full, evicts every entry and keeps memoizing. Every memoized value is
+// a pure function of its key, so eviction moves the cache counters but
+// never a bound.
 //
 // Caches are only keyed by agent state, round, and depth — NOT by
 // algorithm identity — so an Engine must only ever see configurations of
@@ -414,10 +418,10 @@ type walker struct {
 	// levelKeys[i] holds level i's memo key across the recursion into its
 	// subtree (the key is needed again for the store after the walk).
 	levelKeys [][]byte
-	// denseA/denseB ping-pong through dense settle loops; denseOut is the
-	// observable-output scratch for their convergence checks.
-	denseA, denseB core.DenseState
-	denseOut       []float64
+	// dense is a configuration bridged into dense state for core.Settle;
+	// settle is that call's scratch.
+	dense  core.DenseState
+	settle core.SettleScratch
 	// limitsLv[i] holds tree level i's constant-graph limits across the
 	// recursion into its subtrees.
 	limitsLv [][]limitEntry
@@ -586,43 +590,21 @@ func (w *walker) agentLimit(c *core.Config, k int) limitEntry {
 	}
 }
 
-// denseLimit is the dense settle loop: the same convergence test as
-// agentLimit, but stepping flat struct-of-arrays state instead of cloning
-// and delivering messages. handled is false when the configuration must
-// take the Agent path: algorithm not dense-capable, or agents that cannot
+// denseLimit settles the constant-graph-k continuation from c on the
+// dense path: core.Settle runs the algorithm's settle kernel when it has
+// one and the generic dense loop otherwise, with the same convergence
+// test as agentLimit. handled is false when the configuration must take
+// the Agent path: algorithm not dense-capable, or agents that cannot
 // export their state.
 func (w *walker) denseLimit(c *core.Config, k int) (entry limitEntry, handled bool) {
-	alg := c.Algorithm()
-	if alg == nil {
-		return limitEntry{}, false
-	}
-	d, ok := core.AsDense(alg)
-	if !ok {
-		return limitEntry{}, false
-	}
-	if !c.WriteDense(&w.denseA) {
+	d, ok := core.AsDense(c.Algorithm())
+	if !ok || !c.WriteDense(&w.dense) {
 		return limitEntry{}, false
 	}
 	e := w.e
-	g := e.model.Graph(k)
-	n := c.N()
-	if cap(w.denseOut) < n {
-		w.denseOut = make([]float64, n)
+	lo, hi, r, ok := core.Settle(d, &w.dense, e.model.Graph(k), e.params.Settle, e.params.Tol, &w.settle)
+	if !ok {
+		return limitEntry{}, true
 	}
-	out := w.denseOut[:n]
-
-	settle, tol := e.params.Settle, e.params.Tol
-	cur, next := &w.denseA, &w.denseB
-	for r := 0; ; r++ {
-		d.OutputsDense(cur, out)
-		lo, hi := core.Hull(out)
-		if hi-lo <= tol {
-			return converged(lo, hi, r), true
-		}
-		if r == settle {
-			return limitEntry{}, true
-		}
-		core.DenseStep(d, next, cur, g)
-		cur, next = next, cur
-	}
+	return converged(lo, hi, r), true
 }

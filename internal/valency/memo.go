@@ -12,10 +12,13 @@ import (
 // memoBudget of memoized results, whatever it is asked. 8 MiB holds
 // ~65k entries at the 47–65-byte keys of the lower-bound runs, about ten
 // times the limit entries (one per settle) of the largest 12-round
-// greedy run.
-// It was sized when limit entries were five times as many, keeping those
-// runs within 2% of an unbounded table's hits (see PERF.md, "Bounded
-// valency tables" and "Inherited settle limits").
+// greedy run. It was sized when limit entries were five times as many
+// and settles took most of a run's time, keeping those runs within 2% of
+// an unbounded table's hits (see PERF.md, "Bounded valency tables" and
+// "Inherited settle limits"). Since the settle kernels, table lookups
+// and stores take about as much of a lower-bound run's CPU as the
+// settles themselves (PERF.md, "Settle kernels"), so the budget is worth
+// re-measuring.
 const memoBudget = 8 << 20
 
 const (
