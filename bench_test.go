@@ -42,7 +42,7 @@ func BenchmarkExperiment(b *testing.B) {
 
 func BenchmarkGraphProduct(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{8, 32, 64} {
+	for _, n := range []int{2, 8, 32, 64, 256} {
 		g := graph.Random(rng, n, 0.3)
 		h := graph.Random(rng, n, 0.3)
 		b.Run(sizeName(n), func(b *testing.B) {
@@ -54,14 +54,44 @@ func BenchmarkGraphProduct(b *testing.B) {
 	}
 }
 
-func BenchmarkGraphRoots(b *testing.B) {
+// rootsBenchGraph is one input of the root-set benchmarks.
+type rootsBenchGraph struct {
+	name string
+	g    graph.Graph
+}
+
+// rootsBenchGraphs returns, per size, a sparse random graph and the path
+// 0 -> ... -> n-1, whose DFS on the transpose runs n frames deep.
+func rootsBenchGraphs() []rootsBenchGraph {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{8, 32, 64} {
-		g := graph.Random(rng, n, 0.1)
-		b.Run(sizeName(n), func(b *testing.B) {
+	var gs []rootsBenchGraph
+	for _, n := range []int{2, 8, 32, 64, 256, 1024} {
+		gs = append(gs,
+			rootsBenchGraph{"random/" + sizeName(n), graph.Random(rng, n, 0.1)},
+			rootsBenchGraph{"path/" + sizeName(n), graph.PathGraph(n)})
+	}
+	return gs
+}
+
+func BenchmarkGraphRoots(b *testing.B) {
+	for _, c := range rootsBenchGraphs() {
+		g := c.g
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = g.Roots()
+				_ = g.RootsSet()
+			}
+		})
+	}
+}
+
+func BenchmarkGraphIsRooted(b *testing.B) {
+	for _, c := range rootsBenchGraphs() {
+		g := c.g
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = g.IsRooted()
 			}
 		})
 	}
@@ -69,7 +99,7 @@ func BenchmarkGraphRoots(b *testing.B) {
 
 func BenchmarkGraphNonSplit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{8, 32, 64} {
+	for _, n := range []int{2, 8, 32, 64, 256} {
 		g := graph.RandomNonSplit(rng, n, 0.3)
 		b.Run(sizeName(n), func(b *testing.B) {
 			b.ReportAllocs()

@@ -42,6 +42,11 @@ const (
 	// MaxSweepSpecs bounds one distributed sweep request.
 	MaxSweepSpecs = 4096
 
+	// MaxWorkers bounds the registered fleet. Every pending spec ranks
+	// the whole fleet (rankedFor), so an unbounded list of registrations
+	// would grow memory and slow every sweep.
+	MaxWorkers = 64
+
 	// probeTimeout bounds one worker health probe.
 	probeTimeout = 2 * time.Second
 
@@ -273,7 +278,8 @@ func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 func (c *Coordinator) Tracer() *obs.Tracer { return c.tracer }
 
 // AddWorker registers a worker base URL (idempotent) and probes it
-// synchronously, returning its health.
+// synchronously, returning its health. A new URL is refused once the
+// fleet holds MaxWorkers; a registered one is re-probed.
 func (c *Coordinator) AddWorker(rawURL string) (bool, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
@@ -286,6 +292,10 @@ func (c *Coordinator) AddWorker(rawURL string) (bool, error) {
 			c.mu.Unlock()
 			return c.probe(w), nil
 		}
+	}
+	if len(c.workers) >= MaxWorkers {
+		c.mu.Unlock()
+		return false, fmt.Errorf("distributed: worker fleet is full (%d workers); %q not registered", MaxWorkers, clean)
 	}
 	ws := &workerState{url: clean, sem: make(chan struct{}, DefaultWorkerInflight)}
 	c.workers = append(c.workers, ws)

@@ -555,6 +555,42 @@ func TestWorkerRegistrationEndpoint(t *testing.T) {
 	}
 }
 
+// TestWorkerRegistrationCap fills the fleet with MaxWorkers distinct URLs
+// whose probes fail fast, then checks that one more is refused with 400
+// and that a known URL still registers.
+func TestWorkerRegistrationCap(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	defer dead.Close()
+	coord := distributed.NewCoordinator(distributed.CoordinatorHealthInterval(0))
+	defer coord.Close()
+	ts := httptest.NewServer(coord)
+	defer ts.Close()
+	register := func(url string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/v1/workers", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"url":%q}`, url)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < distributed.MaxWorkers; i++ {
+		if code := register(fmt.Sprintf("%s/w%d", dead.URL, i)); code != http.StatusOK {
+			t.Fatalf("registration %d: status %d, want 200", i, code)
+		}
+	}
+	if code := register(dead.URL + "/extra"); code != http.StatusBadRequest {
+		t.Errorf("registration past the cap: status %d, want 400", code)
+	}
+	if got := coord.WorkerCount(); got != distributed.MaxWorkers {
+		t.Errorf("WorkerCount = %d, want the cap %d", got, distributed.MaxWorkers)
+	}
+	if code := register(dead.URL + "/w0"); code != http.StatusOK {
+		t.Errorf("re-registering a known URL at the cap: status %d, want 200", code)
+	}
+}
+
 func TestLocalClusterAndReplay(t *testing.T) {
 	lc, err := distributed.StartLocal(2,
 		[]distributed.CoordinatorOption{distributed.CoordinatorHealthInterval(0)}, nil)

@@ -120,6 +120,7 @@ func FuzzServerSweep(f *testing.F) {
 			`{"scenario":"eventuallyrooted:5,2","algorithm":"mean","rounds":10},` +
 			`{"model":"twoagent","algorithm":"twothirds","adversary":"greedy","rounds":3,"depth":1}]}`,
 		`{"specs":[{"algorithm":"midpoint","adversary":"randomrooted:0.4","inputs":[0,-0,1,0.25],"rounds":15}],"workers":2}`,
+		`{"specs":[{"algorithm":"midpoint","adversary":"randomrooted:1e-9","inputs":[0,1,2,3,4,5,6,7],"rounds":5}]}`,
 		`{"specs":[{"model":"psi:5","algorithm":"selfweighted:0.25","adversary":"blockgreedy","rounds":12,"depth":1}]}`,
 		`{"specs":[{"model":"deaf:4","algorithm":"nonsense"}]}`,
 		`{"specs":[]}`,

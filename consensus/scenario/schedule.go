@@ -170,10 +170,9 @@ func (s *Schedule) Equal(t *Schedule) bool {
 
 // graphMemoKey returns g's raw little-endian mask rows appended to
 // buf[:0] — the cheap per-graph memo key (the same representation the
-// codec dedups on; an order of magnitude cheaper than the fmt-formatted
-// graph.Key, which matters on million-round certifications). At any
-// width the key is the full row words, so multi-word graphs memo just
-// as cheaply.
+// codec dedups on), which matters on million-round certifications. At
+// any width the key is the full row words, so multi-word graphs memo
+// just as cheaply.
 func graphMemoKey(buf []byte, g graph.Graph) []byte {
 	return g.AppendMaskKey(buf[:0])
 }

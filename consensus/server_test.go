@@ -27,6 +27,18 @@ func postJSON(t *testing.T, ts *httptest.Server, path, body string) (*http.Respo
 	return resp, out
 }
 
+// TestServerRunRandomRootedTinyP: a run whose randomrooted edge
+// probability no random sample is rooted at still answers 200.
+func TestServerRunRandomRootedTinyP(t *testing.T) {
+	ts := httptest.NewServer(NewServer(ServerTimeout(10 * time.Second)))
+	defer ts.Close()
+	resp, body := postJSON(t, ts, "/api/v1/run",
+		`{"algorithm": "midpoint", "adversary": "randomrooted:1e-9", "inputs": [0, 1, 2, 3, 4, 5, 6, 7], "rounds": 5}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestServerRunValencyDecisionAsync(t *testing.T) {
 	ts := httptest.NewServer(NewServer(ServerTimeout(time.Minute)))
 	defer ts.Close()

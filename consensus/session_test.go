@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -220,6 +221,43 @@ func cancelAfterLibrary(t *testing.T, cancel context.CancelFunc, k int) *Library
 		t.Fatal(err)
 	}
 	return &Library{Adversaries: reg}
+}
+
+// TestSessionRandomRootedTinyP: under an edge probability no random
+// sample is rooted at, randomrooted plays graph.RandomRooted's rooted
+// fallback every round and the run finishes within its context.
+func TestSessionRandomRootedTinyP(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s, err := New(WithAlgorithm("midpoint"), WithAdversary("randomrooted:1e-9"),
+		WithInputs(0, 1, 2, 3, 4, 5, 6, 7), WithRounds(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := s.Run(ctx)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res == nil {
+			return
+		}
+		if len(res.tr.Graphs) != 5 {
+			t.Fatalf("played %d graphs, want 5", len(res.tr.Graphs))
+		}
+		for r, g := range res.tr.Graphs {
+			if !g.IsRooted() {
+				t.Errorf("round %d played unrooted %v", r+1, g)
+			}
+		}
+	case <-ctx.Done():
+		t.Fatal("randomrooted:1e-9 session did not finish within its context")
+	}
 }
 
 func TestSessionRunHonorsCancellationMidRun(t *testing.T) {

@@ -31,7 +31,7 @@ func TestGreedyCrossRoundReuseIsTransparent(t *testing.T) {
 	coldTrace := core.Run(algorithms.Midpoint{}, inputs, cold, rounds)
 
 	for r := 0; r < rounds; r++ {
-		if warmTrace.Graphs[r].Key() != coldTrace.Graphs[r].Key() {
+		if !warmTrace.Graphs[r].Equal(coldTrace.Graphs[r]) {
 			t.Fatalf("round %d: warm adversary played %v, cold played %v",
 				r+1, warmTrace.Graphs[r], coldTrace.Graphs[r])
 		}
@@ -74,7 +74,7 @@ func TestGreedyZeroDiameterFallback(t *testing.T) {
 			wantIdx, wantDiam = k, d
 		}
 	}
-	if got.Key() != m.Graph(wantIdx).Key() {
+	if !got.Equal(m.Graph(wantIdx)) {
 		t.Fatalf("fallback chose %v, reference ranking chose %v", got, m.Graph(wantIdx))
 	}
 }
@@ -114,7 +114,7 @@ func TestBlockGreedyMatchesStepAllReference(t *testing.T) {
 			}
 		}
 	}
-	if got.Key() != blocks[wantIdx][0].Key() {
+	if !got.Equal(blocks[wantIdx][0]) {
 		t.Fatalf("block greedy played %v, reference ranking starts block %d with %v",
 			got, wantIdx, blocks[wantIdx][0])
 	}

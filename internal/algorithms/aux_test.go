@@ -33,9 +33,8 @@ func stepRetaining(agents []core.Agent, round int, g graph.Graph) []core.Message
 	}
 	for j, a := range agents {
 		var inbox []core.Message
-		m := g.InMask(j)
 		for i := 0; i < n; i++ {
-			if m&(1<<uint(i)) != 0 {
+			if g.HasEdge(i, j) {
 				inbox = append(inbox, msgs[i])
 			}
 		}

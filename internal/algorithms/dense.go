@@ -154,7 +154,7 @@ func (TwoThirds) InitDense(st *core.DenseState) {
 func (TwoThirds) StepDense(dst, src *core.DenseState, g graph.Graph) {
 	for j := 0; j < 2; j++ {
 		o := 1 - j
-		if g.InMask(j)&(1<<uint(o)) != 0 {
+		if g.InRow(j)[0]&(1<<uint(o)) != 0 {
 			dst.Y[j] = src.Y[j]/3 + 2*src.Y[o]/3
 		} else {
 			dst.Y[j] = src.Y[j]

@@ -104,8 +104,10 @@ func TestFloodRootContractionZeroCell(t *testing.T) {
 	if b := m.ContractionLowerBound(); b.Rate != 0 {
 		t.Fatalf("bound = %v, want 0", b.Rate)
 	}
-	if roots := m.CommonRoots([]int{0, 1, 2}); roots&1 == 0 {
-		t.Fatal("agent 0 should be a common root")
+	for k := 0; k < m.Size(); k++ {
+		if m.Graph(k).RootsSet()[0]&1 == 0 {
+			t.Fatalf("agent 0 should be a root of graph %d", k)
+		}
 	}
 	// Exhaust all patterns of length n-1 = 3 over the model: exact
 	// agreement on agent 0's input in every one of them.

@@ -88,7 +88,7 @@ func (TwoThirds) SettleDense(st *core.DenseState, g graph.Graph, settle int, tol
 		panic(fmt.Sprintf("algorithms: TwoThirds requires n = 2, got %d", st.N()))
 	}
 	y0, y1 := st.Y[0], st.Y[1]
-	hears0, hears1 := g.InMask(0)&2 != 0, g.InMask(1)&1 != 0
+	hears0, hears1 := g.InRow(0)[0]&2 != 0, g.InRow(1)[0]&1 != 0
 	for r := 0; ; r++ {
 		if lo, hi = core.Fmin(y0, y1), core.Fmax(y0, y1); hi-lo <= tol {
 			return lo, hi, r, true

@@ -110,7 +110,7 @@ func settleGraph(rng *rand.Rand, n int, classed bool) graph.Graph {
 func twoAgentGraphs() []graph.Graph {
 	var gs []graph.Graph
 	for _, masks := range [][]uint64{{1, 2}, {3, 2}, {1, 3}, {3, 3}} {
-		g, err := graph.FromInMasks(2, masks)
+		g, err := graph.FromInWords(2, masks)
 		if err != nil {
 			panic(err)
 		}

@@ -19,7 +19,7 @@ func clusterGraph(t *testing.T, n, k int) graph.Graph {
 	for j := 0; j < n; j++ {
 		masks[j] = 1<<uint(j) | 1<<uint((j+k)%n)
 	}
-	g, err := graph.FromInMasks(n, masks)
+	g, err := graph.FromInWords(n, masks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -336,10 +336,10 @@ func TestAsyncRoundsRealizeNAGraphs(t *testing.T) {
 	// (from 0 only at 1.0): quorum {self, 2, 3}-ish, all values 1.
 	sync := core.NewConfig(async.AsCoreAlgorithm("rb-midpoint", async.MidpointUpdate), inputs)
 	wantCfg := sync.Step(graph.NewBuilder(n).
-		InMask(0, 0b0111).
-		InMask(1, 0b1110).
-		InMask(2, 0b1110).
-		InMask(3, 0b1110).
+		SetInRow(0, []uint64{0b0111}).
+		SetInRow(1, []uint64{0b1110}).
+		SetInRow(2, []uint64{0b1110}).
+		SetInRow(3, []uint64{0b1110}).
 		Graph())
 	for i := 0; i < n; i++ {
 		if got, want := procs[i].Output(), wantCfg.Output(i); got != want {

@@ -44,7 +44,7 @@ func mixedWorkload(t *testing.T, par int) {
 			masks[j] = full
 		}
 		masks[k%n] = 1<<uint(k%n) | 1<<uint((k+3)%n)
-		g, err := graph.FromInMasks(n, masks)
+		g, err := graph.FromInWords(n, masks)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func deafVariant(t *testing.T, n, k int) graph.Graph {
 		masks[j] = full
 	}
 	masks[k%n] = 1<<uint(k%n) | 1<<uint((k+1)%n)
-	g, err := graph.FromInMasks(n, masks)
+	g, err := graph.FromInWords(n, masks)
 	if err != nil {
 		t.Fatal(err)
 	}

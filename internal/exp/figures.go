@@ -51,7 +51,7 @@ func runF1() *Table {
 		Header: []string{"t", "graph played", "inner δ(C_t)", "floor 1/3^t", "floor holds"},
 	}
 	for k, g := range graph.HFamily() {
-		t.Notes = append(t.Notes, fmt.Sprintf("H%d = %v (roots %v)", k, g, graph.MaskToNodes(g.Roots())))
+		t.Notes = append(t.Notes, fmt.Sprintf("H%d = %v (roots %v)", k, g, graph.SetToNodes(g.RootsSet())))
 	}
 	m := model.TwoAgent()
 	est := valency.NewEstimator(m, 5, true)
@@ -80,7 +80,7 @@ func runF2() *Table {
 		rootedOK, deafOK := true, true
 		for i := 0; i < 3; i++ {
 			psi := graph.Psi(n, i)
-			if psi.Roots() != 1<<uint(i) {
+			if !graph.SetsEqual(psi.RootsSet(), graph.NodesToSet(n, []int{i})) {
 				rootedOK = false
 			}
 			if !psi.IsDeaf(i) {

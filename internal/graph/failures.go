@@ -70,7 +70,7 @@ func SynchronousCrashRound(n int, crashed uint64, crashing map[int]uint64) (Grap
 				mask |= 1 << uint(i)
 			}
 		}
-		b.InMask(j, mask)
+		b.SetInRow(j, []uint64{mask})
 	}
 	return b.Graph(), nil
 }
@@ -133,7 +133,7 @@ func SendOmissionRound(n int, omit map[int]uint64) (Graph, error) {
 				mask &^= 1 << uint(i)
 			}
 		}
-		b.InMask(j, mask)
+		b.SetInRow(j, []uint64{mask})
 	}
 	return b.Graph(), nil
 }
@@ -184,14 +184,14 @@ func (g Graph) CorrectCount() int {
 func minorityCrashQuorumGraph(rng *rand.Rand, n, f int, crashed uint64) Graph {
 	b := NewBuilder(n)
 	alive := fullMask(n) &^ crashed
-	aliveNodes := maskToNodes(alive)
+	aliveNodes := SetToNodes([]uint64{alive})
 	for j := 0; j < n; j++ {
 		// Each agent hears itself plus the first n-f round messages to
 		// arrive; crashed agents' messages may or may not be among them.
 		// Sample a quorum of size n-f containing j from alive ∪ (a random
 		// subset of crashed senders' last messages).
 		candidates := append([]int(nil), aliveNodes...)
-		crashedNodes := maskToNodes(crashed)
+		crashedNodes := SetToNodes([]uint64{crashed})
 		rng.Shuffle(len(crashedNodes), func(a, b int) {
 			crashedNodes[a], crashedNodes[b] = crashedNodes[b], crashedNodes[a]
 		})
@@ -203,7 +203,7 @@ func minorityCrashQuorumGraph(rng *rand.Rand, n, f int, crashed uint64) Graph {
 			}
 			mask |= 1 << uint(i)
 		}
-		b.InMask(j, mask)
+		b.SetInRow(j, []uint64{mask})
 	}
 	return b.Graph()
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -74,7 +75,7 @@ func TestDeaf(t *testing.T) {
 		t.Error("agent 2 should be deaf in Deaf(K4, 2)")
 	}
 	for i := 0; i < 4; i++ {
-		if i != 2 && f2.InMask(i) != g.InMask(i) {
+		if i != 2 && !RowsEqual(f2, g, i) {
 			t.Errorf("Deaf changed in-neighbors of %d", i)
 		}
 	}
@@ -116,7 +117,7 @@ func TestDeafFamilyPairwiseInNeighborStructure(t *testing.T) {
 				if j == i {
 					continue
 				}
-				if fam[j].InMask(i) != g.InMask(i) {
+				if !RowsEqual(fam[j], g, i) {
 					t.Fatalf("agent %d in-neighbors differ between G and F_%d", i, j)
 				}
 			}
@@ -131,8 +132,8 @@ func TestPsiStructure(t *testing.T) {
 			if !psi.IsDeaf(i) {
 				t.Errorf("n=%d: trio agent %d should be deaf in Psi_%d", n, i, i)
 			}
-			if psi.Roots() != 1<<uint(i) {
-				t.Errorf("n=%d: Psi_%d roots = %b, want only agent %d", n, i, psi.Roots(), i)
+			if got := rootNodes(psi); !slices.Equal(got, []int{i}) {
+				t.Errorf("n=%d: Psi_%d roots = %v, want only agent %d", n, i, got, i)
 			}
 			// All trio agents feed node 3.
 			for u := 0; u < 3; u++ {
@@ -208,23 +209,23 @@ func TestSilenceBlock(t *testing.T) {
 		if k.MinInDegree() < n-f {
 			t.Errorf("K_%d has min in-degree %d < n-f", r, k.MinInDegree())
 		}
-		blockMask := uint64(0b11) << uint(r*f)
-		if got, want := k.Roots(), fullMask(n)&^blockMask; got != want {
-			t.Errorf("K_%d roots = %b, want %b", r, got, want)
+		block := []int{r * f, r*f + 1}
+		want := slices.DeleteFunc(allNodes(n), func(i int) bool { return slices.Contains(block, i) })
+		if got := rootNodes(k); !slices.Equal(got, want) {
+			t.Errorf("K_%d roots = %v, want %v", r, got, want)
 		}
 		// Nobody outside the block hears the block.
-		for i := 0; i < n; i++ {
-			if blockMask&(1<<uint(i)) != 0 {
-				continue
-			}
-			if k.InMask(i)&blockMask != 0 {
-				t.Errorf("K_%d: node %d hears the silenced block", r, i)
+		for _, i := range want {
+			for _, b := range block {
+				if k.HasEdge(b, i) {
+					t.Errorf("K_%d: node %d hears the silenced block", r, i)
+				}
 			}
 		}
 	}
 	// Ragged last block: n=5, f=2 -> blocks {0,1},{2,3},{4}.
 	k2 := SilenceBlock(5, 2, 2)
-	if k2.InMask(0)&(1<<4) != 0 {
+	if k2.HasEdge(4, 0) {
 		t.Error("SilenceBlock(5,2,2): node 0 still hears node 4")
 	}
 }
@@ -254,8 +255,8 @@ func TestLemma24Chain(t *testing.T) {
 		// The alpha witness property: consecutive members agree on the
 		// in-neighborhoods of all roots of K_r.
 		for r := 1; r <= q; r++ {
-			roots := ks[r-1].Roots()
-			if !InsOn(hs[r-1], hs[r], roots) {
+			roots := ks[r-1].RootsSet()
+			if !InsOnSet(hs[r-1], hs[r], roots) {
 				t.Errorf("n=%d f=%d: H_%d and H_%d disagree on roots of K_%d", tc.n, tc.f, r-1, r, r)
 			}
 		}
@@ -285,10 +286,10 @@ func TestEnumerateCounts(t *testing.T) {
 	if err != nil || len(all3) != 64 {
 		t.Fatalf("EnumerateAll(3) = %d graphs, err %v; want 64", len(all3), err)
 	}
-	// Deduplicate by key to make sure enumeration has no repeats.
+	// Deduplicate by mask key to make sure enumeration has no repeats.
 	seen := map[string]bool{}
 	for _, g := range all3 {
-		k := g.Key()
+		k := string(g.AppendMaskKey(nil))
 		if seen[k] {
 			t.Fatalf("duplicate graph %v in enumeration", g)
 		}
@@ -336,6 +337,21 @@ func TestRandomGenerators(t *testing.T) {
 	b := Random(rand.New(rand.NewSource(42)), 5, 0.5)
 	if !a.Equal(b) {
 		t.Error("Random not deterministic under fixed seed")
+	}
+}
+
+// TestRandomRootedTinyP: under an edge probability no sample is rooted
+// at, RandomRooted roots its last sample once the coin budget is spent,
+// as a function of the RNG's state.
+func TestRandomRootedTinyP(t *testing.T) {
+	for _, n := range []int{2, 16, 64, 256} {
+		g := RandomRooted(rand.New(rand.NewSource(int64(n))), n, 1e-9)
+		if !g.IsRooted() {
+			t.Errorf("RandomRooted(%d, 1e-9) = %v is not rooted", n, g)
+		}
+		if again := RandomRooted(rand.New(rand.NewSource(int64(n))), n, 1e-9); !again.Equal(g) {
+			t.Errorf("n=%d: same seed, different graphs", n)
+		}
 	}
 }
 

@@ -2,36 +2,9 @@ package graph
 
 import (
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 )
-
-// FuzzFromKey checks that the Key parser never panics and that every
-// successfully parsed key round-trips. Run the corpus as a plain test via
-// `go test`; extend it with `go test -fuzz FuzzFromKey`.
-func FuzzFromKey(f *testing.F) {
-	f.Add("2:3,2")
-	f.Add("3:1,2,4")
-	f.Add("")
-	f.Add("64:" + strings.Repeat("ffffffffffffffff,", 63) + "ffffffffffffffff")
-	f.Add("1:0")
-	f.Add("2:zz,qq")
-	f.Add("-1:5")
-	f.Add("2:3")
-	f.Fuzz(func(t *testing.T, key string) {
-		g, err := FromKey(key)
-		if err != nil {
-			return
-		}
-		back, err := FromKey(g.Key())
-		if err != nil {
-			t.Fatalf("re-parse of canonical key %q failed: %v", g.Key(), err)
-		}
-		if !back.Equal(g) {
-			t.Fatalf("round trip changed graph: %v vs %v", g, back)
-		}
-	})
-}
 
 // FuzzProductInvariants checks product invariants on fuzzer-chosen seeds:
 // self-loops preserved, rooted*rooted stays rooted when sharing a root,
@@ -74,11 +47,11 @@ func FuzzProductInvariants(f *testing.F) {
 func TestMaxNodesBoundary(t *testing.T) {
 	// Everything must work at the n = 64 representation boundary.
 	g := Complete(64)
-	if !g.IsRooted() || !g.IsNonSplit() || g.Roots() != ^uint64(0) {
+	if !g.IsRooted() || !g.IsNonSplit() || !slices.Equal(rootNodes(g), allNodes(64)) {
 		t.Error("Complete(64) predicates wrong")
 	}
 	id := New(64)
-	if id.Roots() != 0 {
+	if id.IsRooted() || SetCount(id.RootsSet()) != 0 {
 		t.Error("New(64) should have no roots")
 	}
 	p := Product(g, id)
@@ -86,27 +59,23 @@ func TestMaxNodesBoundary(t *testing.T) {
 		t.Error("product with identity broken at n=64")
 	}
 	star := Star(64, 63)
-	if star.Roots() != 1<<63 {
-		t.Errorf("Star(64,63) roots = %x", star.Roots())
-	}
-	if star.ReachMask(63) != ^uint64(0) {
-		t.Error("ReachMask at the top bit broken")
+	if got := star.RootsSet(); !SetsEqual(got, []uint64{1 << 63}) {
+		t.Errorf("Star(64,63) roots = %x", got)
 	}
 	d := Deaf(g, 63)
 	if !d.IsDeaf(63) {
 		t.Error("Deaf at node 63 broken")
 	}
-	back, err := FromKey(g.Key())
+	back, err := FromInWords(64, g.in)
 	if err != nil || !back.Equal(g) {
-		t.Errorf("Key round trip at n=64: %v", err)
+		t.Errorf("FromInWords round trip at n=64: %v", err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	if rr := RandomRooted(rng, 64, 0.2); !rr.IsRooted() {
 		t.Error("RandomRooted(64) broken")
 	}
-	comps := Cycle(64).SCCs()
-	if len(comps) != 1 || len(comps[0]) != 64 {
-		t.Error("SCCs at n=64 broken")
+	if !slices.Equal(rootNodes(Cycle(64)), allNodes(64)) {
+		t.Error("Cycle(64) roots broken")
 	}
 }
 

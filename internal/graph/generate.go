@@ -30,8 +30,6 @@ func EnumerateAll(n int) ([]Graph, error) {
 	}
 	graphs := make([]Graph, 0, total)
 	masks := make([]uint64, n)
-	var build func(node int, code int)
-	_ = build
 	// Iterate a single code over all n*(n-1) optional edge bits.
 	for code := 0; code < total; code++ {
 		c := code
@@ -101,19 +99,61 @@ func Random(rng *rand.Rand, n int, p float64) Graph {
 	return b.Graph()
 }
 
+// rootedCoinBudget bounds the edge coins one RandomRooted call draws: 2^20
+// coins are 2^19 samples at n = 2 and 2 at n = 1024. A p under which
+// rooted samples are likely needs far fewer.
+const rootedCoinBudget = 1 << 20
+
 // RandomRooted returns a random rooted graph on n nodes. It samples
 // Random(n, p) until the result is rooted; for p >= 1/2 the expected number
-// of attempts is small. It panics if p <= 0 makes success impossible.
+// of attempts is small. Once the samples have drawn rootedCoinBudget edge
+// coins without a rooted one, as they would for a tiny p, it roots the last
+// sample instead: it draws an agent r uniformly and adds the edge r -> j for
+// every j that r does not reach. Either way the result is a function of the
+// RNG's state. It panics if p <= 0 makes success impossible.
 func RandomRooted(rng *rand.Rand, n int, p float64) Graph {
 	if p <= 0 {
 		panic("graph: RandomRooted requires p > 0")
 	}
-	for {
+	scratch := make([]int32, 5*n)
+	for coins := 0; ; {
 		g := Random(rng, n, p)
-		if g.IsRooted() {
+		if g.rootComponent(nil, scratch) {
 			return g
 		}
+		if coins += n * (n - 1); coins >= rootedCoinBudget {
+			return rootAt(g, rng.Intn(n))
+		}
 	}
+}
+
+// rootAt returns g plus the edge r -> j for every node j that r does not
+// reach in g, which makes r a root.
+func rootAt(g Graph, r int) Graph {
+	reach := NodesToSet(g.n, []int{r})
+	for grew := true; grew; {
+		grew = false
+		for j := 0; j < g.n; j++ {
+			if reach[j/wordBits]&(1<<uint(j%wordBits)) != 0 {
+				continue
+			}
+			for wi, m := range g.row(j) {
+				if m&reach[wi] != 0 {
+					reach[j/wordBits] |= 1 << uint(j%wordBits)
+					grew = true
+					break
+				}
+			}
+		}
+	}
+	b := NewBuilder(g.n)
+	copy(b.in, g.in)
+	for j := 0; j < g.n; j++ {
+		if reach[j/wordBits]&(1<<uint(j%wordBits)) == 0 {
+			b.Edge(r, j)
+		}
+	}
+	return b.Graph()
 }
 
 // RandomNonSplit returns a random non-split graph on n nodes: it samples

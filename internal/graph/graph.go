@@ -11,12 +11,9 @@
 // Graphs are represented by one in-neighbor bit row per node, sliced into
 // W = ⌈n/64⌉ machine words, which makes the graph product, root
 // computation, and the non-split predicate word-parallel. The number of
-// agents is capped at MaxNodes = 1024 (W <= 16). For n <= 64 the row is a
-// single word and the classic uint64 mask API (InMask, Roots, ReachMask,
-// ...) applies unchanged; for larger n those accessors panic and the
-// word-sliced API (InRow, RootsSet, ReachSet, ...) is the one to use.
-// The dense kernels read every width through InRow; only this package's
-// storage and its uint64 accessors know that a row of n <= 64 is one word.
+// agents is capped at MaxNodes = 1024 (W <= 16). Rows are word slices at
+// every width: InRow, SetInRow and FromInWords read and write them, and no
+// accessor knows that a row of n <= 64 is one word.
 //
 // A Graph value is immutable after construction. Use a Builder, one of the
 // named constructors (Complete, Cycle, ...), or the paper-specific families
@@ -79,14 +76,6 @@ func checkN(n int) {
 func checkNode(n, i int) {
 	if i < 0 || i >= n {
 		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", i, n))
-	}
-}
-
-// single panics unless the graph fits one mask word. It guards the legacy
-// uint64 accessors, which cannot express nodes >= 64.
-func (g Graph) single(op string) {
-	if g.Words() > 1 {
-		panic(fmt.Sprintf("graph: %s requires n <= 64, got n=%d; use the word-sliced API", op, g.n))
 	}
 }
 
@@ -158,36 +147,11 @@ func Star(n, c int) Graph {
 	return b.Graph()
 }
 
-// FromInMasks constructs a graph directly from single-word in-neighbor
-// bitmasks (n <= 64; larger graphs use FromInWords). It returns an error if
-// a mask references a node >= n or misses the mandatory self-loop.
-func FromInMasks(n int, masks []uint64) (Graph, error) {
-	checkN(n)
-	if n > wordBits {
-		return Graph{}, fmt.Errorf("graph: FromInMasks supports n <= 64, got %d; use FromInWords", n)
-	}
-	if len(masks) != n {
-		return Graph{}, fmt.Errorf("graph: got %d masks for %d nodes", len(masks), n)
-	}
-	all := fullMask(n)
-	in := make([]uint64, n)
-	for i, m := range masks {
-		if m&^all != 0 {
-			return Graph{}, fmt.Errorf("graph: mask of node %d references nodes >= %d", i, n)
-		}
-		if m&(1<<uint(i)) == 0 {
-			return Graph{}, fmt.Errorf("graph: node %d is missing its self-loop", i)
-		}
-		in[i] = m
-	}
-	return Graph{n: n, in: in}, nil
-}
-
 // FromInWords constructs a graph from row-major word-sliced in-rows: node
 // j's in-neighbors occupy words[j*W : (j+1)*W] with W = WordsFor(n),
 // little-endian within the row (bit i of word i/64). It returns an error
 // if a row references a node >= n (a set bit above the tail) or misses the
-// mandatory self-loop. For n <= 64 this is FromInMasks with W = 1.
+// mandatory self-loop.
 func FromInWords(n int, words []uint64) (Graph, error) {
 	checkN(n)
 	w := WordsFor(n)
@@ -264,18 +228,6 @@ func (b *Builder) Edge(from, to int) *Builder {
 	return b
 }
 
-// InMask sets the whole in-neighbor mask of node i from a single word (the
-// self-loop is forced back on) and returns the builder. It panics for
-// n > 64; use SetInRow there.
-func (b *Builder) InMask(i int, mask uint64) *Builder {
-	checkNode(b.n, i)
-	if b.w > 1 {
-		panic(fmt.Sprintf("graph: Builder.InMask requires n <= 64, got n=%d; use SetInRow", b.n))
-	}
-	b.in[i] = (mask & fullMask(b.n)) | 1<<uint(i)
-	return b
-}
-
 // SetInRow sets the whole in-neighbor row of node i from a word slice of
 // length WordsFor(n) (bits above n-1 are dropped, the self-loop is forced
 // back on) and returns the builder. The row is copied.
@@ -310,26 +262,6 @@ func (g Graph) N() int { return g.n }
 // small enough for the compiler to hold a Graph value in registers, so
 // the inlined accessors in the kernels' loops copy nothing.
 func (g Graph) Words() int { return int(uint(g.n+wordBits-1) / wordBits) }
-
-// inMaskPanic reports why an InMask call was illegal. Kept out of line so
-// InMask itself stays within the inlining budget — it is the hottest
-// accessor in the dense kernels.
-//
-//go:noinline
-func (g Graph) inMaskPanic(i int) uint64 {
-	checkNode(g.n, i)
-	g.single("InMask")
-	panic("unreachable")
-}
-
-// InMask returns the in-neighbor bitmask of node i (bit i always set) as a
-// single word. It panics for n > 64; use InRow there.
-func (g Graph) InMask(i int) uint64 {
-	if uint(i) >= uint(g.n) || g.n > wordBits {
-		return g.inMaskPanic(i)
-	}
-	return g.in[i]
-}
 
 // nodeRangeError is InRow's panic value for an out-of-range node. A
 // plain value, unlike checkNode's formatted string, keeps the range check
@@ -378,21 +310,6 @@ func (g Graph) Out(i int) []int {
 		}
 	}
 	return out
-}
-
-// OutMask returns the out-neighbor bitmask of node i as a single word. It
-// panics for n > 64; use Out or OutDegree there.
-func (g Graph) OutMask(i int) uint64 {
-	checkNode(g.n, i)
-	g.single("OutMask")
-	var m uint64
-	bit := uint64(1) << uint(i)
-	for j := 0; j < g.n; j++ {
-		if g.in[j]&bit != 0 {
-			m |= 1 << uint(j)
-		}
-	}
-	return m
 }
 
 // InDegree returns the in-degree of node i (counting the self-loop).
@@ -472,10 +389,10 @@ func (g Graph) Same(h Graph) bool {
 	return g.n == h.n && len(g.in) > 0 && len(h.in) > 0 && &g.in[0] == &h.in[0]
 }
 
-// AppendMaskKey appends the graph's raw little-endian mask rows to dst —
-// the cheap canonical byte identity (the representation the trace codec
-// dedups on, an order of magnitude cheaper than the formatted Key).
-// Equal graphs produce equal bytes; the node count is implied by the
+// AppendMaskKey appends the graph's raw little-endian mask rows to dst:
+// the canonical byte identity that the trace codec dedups on and the
+// model index keys on. Equal graphs produce equal bytes; the node count
+// is implied by the
 // length (8*W bytes per node, and n*WordsFor(n) is strictly increasing in
 // n, so graphs of different sizes never collide either).
 func (g Graph) AppendMaskKey(dst []byte) []byte {
@@ -483,60 +400,6 @@ func (g Graph) AppendMaskKey(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, m)
 	}
 	return dst
-}
-
-// Key returns a compact canonical string identifying the graph, suitable
-// for use as a map key. FromKey inverts it. Single-word graphs render one
-// hex mask per node ("3:7,7,7"); wider rows join their words little-endian
-// first with '-' ("65:1-1,...").
-func (g Graph) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:", g.n)
-	for i := 0; i < g.n; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		for wi, m := range g.row(i) {
-			if wi > 0 {
-				sb.WriteByte('-')
-			}
-			fmt.Fprintf(&sb, "%x", m)
-		}
-	}
-	return sb.String()
-}
-
-// FromKey parses a string produced by Key.
-func FromKey(key string) (Graph, error) {
-	colon := strings.IndexByte(key, ':')
-	if colon < 0 {
-		return Graph{}, fmt.Errorf("graph: malformed key %q", key)
-	}
-	var n int
-	if _, err := fmt.Sscanf(key[:colon], "%d", &n); err != nil {
-		return Graph{}, fmt.Errorf("graph: malformed key %q: %v", key, err)
-	}
-	if n < 1 || n > MaxNodes {
-		return Graph{}, fmt.Errorf("graph: key %q has invalid node count %d", key, n)
-	}
-	w := WordsFor(n)
-	parts := strings.Split(key[colon+1:], ",")
-	if len(parts) != n {
-		return Graph{}, fmt.Errorf("graph: key %q has %d masks, want %d", key, len(parts), n)
-	}
-	words := make([]uint64, n*w)
-	for i, p := range parts {
-		ws := strings.Split(p, "-")
-		if len(ws) != w {
-			return Graph{}, fmt.Errorf("graph: key row %q has %d words, want %d", p, len(ws), w)
-		}
-		for wi, s := range ws {
-			if _, err := fmt.Sscanf(s, "%x", &words[i*w+wi]); err != nil {
-				return Graph{}, fmt.Errorf("graph: malformed mask %q in key: %v", s, err)
-			}
-		}
-	}
-	return FromInWords(n, words)
 }
 
 // String renders the graph as an edge list, e.g. "G(3){0->1 1->2}"
@@ -576,20 +439,6 @@ func Product(g, h Graph) Graph {
 	if g.n != h.n {
 		panic(fmt.Sprintf("graph: product of mismatched sizes %d and %d", g.n, h.n))
 	}
-	if g.Words() == 1 {
-		in := make([]uint64, g.n)
-		for j := 0; j < g.n; j++ {
-			var m uint64
-			hm := h.in[j]
-			for hm != 0 {
-				k := bits.TrailingZeros64(hm)
-				hm &= hm - 1
-				m |= g.in[k]
-			}
-			in[j] = m
-		}
-		return Graph{n: g.n, in: in}
-	}
 	w := g.Words()
 	in := make([]uint64, g.n*w)
 	for j := 0; j < g.n; j++ {
@@ -622,112 +471,10 @@ func ProductAll(gs ...Graph) Graph {
 	return p
 }
 
-// ReachMask returns the bitmask of nodes reachable from i by directed paths
-// (including i itself) as a single word. It panics for n > 64; use
-// ReachSet there.
-func (g Graph) ReachMask(i int) uint64 {
-	checkNode(g.n, i)
-	g.single("ReachMask")
-	reach := uint64(1) << uint(i)
-	for {
-		next := reach
-		for j := 0; j < g.n; j++ {
-			if next&(1<<uint(j)) == 0 && g.in[j]&reach != 0 {
-				next |= 1 << uint(j)
-			}
-		}
-		if next == reach {
-			return reach
-		}
-		reach = next
-	}
-}
-
-// ReachSet returns the set of nodes reachable from i by directed paths
-// (including i itself) as a word-sliced node set of length WordsFor(n).
-func (g Graph) ReachSet(i int) []uint64 {
-	checkNode(g.n, i)
-	if g.Words() == 1 {
-		return []uint64{g.ReachMask(i)}
-	}
-	reach := make([]uint64, g.Words())
-	reach[i/wordBits] = 1 << uint(i%wordBits)
-	for {
-		grew := false
-		for j := 0; j < g.n; j++ {
-			if reach[j/wordBits]&(1<<uint(j%wordBits)) != 0 {
-				continue
-			}
-			row := g.row(j)
-			for wi, m := range row {
-				if m&reach[wi] != 0 {
-					reach[j/wordBits] |= 1 << uint(j%wordBits)
-					grew = true
-					break
-				}
-			}
-		}
-		if !grew {
-			return reach
-		}
-	}
-}
-
-// Roots returns the bitmask of roots — nodes with a directed path to every
-// other node — as a single word; the paper writes R(G). A graph is rooted
-// iff this is nonempty. It panics for n > 64; use RootsSet there.
-func (g Graph) Roots() uint64 {
-	g.single("Roots")
-	all := fullMask(g.n)
-	var roots uint64
-	for i := 0; i < g.n; i++ {
-		if g.ReachMask(i) == all {
-			roots |= 1 << uint(i)
-		}
-	}
-	return roots
-}
-
-// RootsSet returns the root set as a word-sliced node set of length
-// WordsFor(n). For multi-word graphs it goes through the condensation
-// (RootsViaSCC's characterization), which stays near-linear instead of
-// running one reachability closure per node.
-func (g Graph) RootsSet() []uint64 {
-	if g.Words() == 1 {
-		return []uint64{g.Roots()}
-	}
-	return g.sccRootsSet()
-}
-
-// IsRooted reports whether the graph contains a rooted spanning tree, i.e.
-// has at least one root. Asymptotic consensus is solvable in a network
-// model iff all its graphs are rooted (paper, Theorem 1 of Section 2.2).
-func (g Graph) IsRooted() bool {
-	if g.Words() == 1 {
-		return g.Roots() != 0
-	}
-	for _, m := range g.sccRootsSet() {
-		if m != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // IsNonSplit reports whether any two nodes have a common in-neighbor.
 // Non-split graphs arise as communication graphs of benign classical
 // failure models and admit the midpoint algorithm's 1/2 contraction.
 func (g Graph) IsNonSplit() bool {
-	if g.Words() == 1 {
-		for i := 0; i < g.n; i++ {
-			for j := i + 1; j < g.n; j++ {
-				if g.in[i]&g.in[j] == 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
 	for i := 0; i < g.n; i++ {
 		ri := g.row(i)
 		for j := i + 1; j < g.n; j++ {
@@ -750,37 +497,6 @@ func (g Graph) IsNonSplit() bool {
 // IsComplete reports whether every agent hears every agent.
 func (g Graph) IsComplete() bool {
 	return g.EdgeCount() == g.n*g.n
-}
-
-// InMaskSet returns the union of in-neighbor masks over the node set S
-// (given as a single-word bitmask); the paper writes In_S(G). It panics
-// for n > 64.
-func (g Graph) InMaskSet(s uint64) uint64 {
-	g.single("InMaskSet")
-	var m uint64
-	for i := 0; i < g.n; i++ {
-		if s&(1<<uint(i)) != 0 {
-			m |= g.in[i]
-		}
-	}
-	return m
-}
-
-// InsOn reports whether g and h assign identical in-neighborhoods to every
-// node in the set S (single-word bitmask). This is the building block of
-// the alpha relation of Coulouma et al. used in Section 7 of the paper. It
-// panics for n > 64; use InsOnSet there.
-func InsOn(g, h Graph, s uint64) bool {
-	if g.n != h.n {
-		return false
-	}
-	g.single("InsOn")
-	for i := 0; i < g.n; i++ {
-		if s&(1<<uint(i)) != 0 && g.in[i] != h.in[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // InsOnSet reports whether g and h assign identical in-neighborhoods to
@@ -822,21 +538,6 @@ func RowsEqual(g, h Graph, i int) bool {
 	}
 	return true
 }
-
-// maskToNodes expands a single-word bitmask into a sorted node slice.
-func maskToNodes(m uint64) []int {
-	nodes := make([]int, 0, bits.OnesCount64(m))
-	for m != 0 {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		nodes = append(nodes, i)
-	}
-	return nodes
-}
-
-// MaskToNodes expands a single-word node bitmask into a sorted node slice.
-// Exported for callers that work with Roots or ReachMask results.
-func MaskToNodes(m uint64) []int { return maskToNodes(m) }
 
 // NodesToMask packs a node slice into a single-word bitmask. Nodes must be
 // below 64; use NodesToSet for wider graphs.

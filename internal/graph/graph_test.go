@@ -2,19 +2,32 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// rootNodes lists g's roots in ascending order.
+func rootNodes(g Graph) []int { return SetToNodes(g.RootsSet()) }
+
+// allNodes lists 0..n-1.
+func allNodes(n int) []int {
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return nodes
+}
+
 func TestNewIsIdentity(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 64} {
+	for _, n := range []int{1, 2, 5, 64, 65} {
 		g := New(n)
 		if g.N() != n {
 			t.Fatalf("N() = %d, want %d", g.N(), n)
 		}
 		for i := 0; i < n; i++ {
-			if got := g.InMask(i); got != 1<<uint(i) {
-				t.Errorf("n=%d: InMask(%d) = %x, want self-loop only", n, i, got)
+			if got := g.InRow(i); !SetsEqual(got, NodesToSet(n, []int{i})) {
+				t.Errorf("n=%d: InRow(%d) = %x, want self-loop only", n, i, got)
 			}
 			if !g.HasEdge(i, i) {
 				t.Errorf("n=%d: missing self-loop at %d", n, i)
@@ -51,24 +64,24 @@ func TestCompleteProperties(t *testing.T) {
 		if !g.IsNonSplit() {
 			t.Errorf("Complete(%d) not non-split", n)
 		}
-		if g.Roots() != fullMask(n) {
-			t.Errorf("Complete(%d): Roots = %x, want all", n, g.Roots())
+		if got := rootNodes(g); !slices.Equal(got, allNodes(n)) {
+			t.Errorf("Complete(%d): roots = %v, want all", n, got)
 		}
 	}
 }
 
 func TestCyclePathStar(t *testing.T) {
 	c := Cycle(4)
-	if !c.IsRooted() || c.Roots() != fullMask(4) {
-		t.Errorf("Cycle(4): every node should be a root, got %x", c.Roots())
+	if got := rootNodes(c); !c.IsRooted() || !slices.Equal(got, allNodes(4)) {
+		t.Errorf("Cycle(4): every node should be a root, got %v", got)
 	}
 	p := PathGraph(4)
-	if p.Roots() != 1 {
-		t.Errorf("PathGraph(4): only node 0 should be a root, got %x", p.Roots())
+	if got := rootNodes(p); !slices.Equal(got, []int{0}) {
+		t.Errorf("PathGraph(4): only node 0 should be a root, got %v", got)
 	}
 	s := Star(5, 2)
-	if s.Roots() != 1<<2 {
-		t.Errorf("Star(5,2): only center should be a root, got %x", s.Roots())
+	if got := rootNodes(s); !slices.Equal(got, []int{2}) {
+		t.Errorf("Star(5,2): only center should be a root, got %v", got)
 	}
 	if s.IsNonSplit() != true {
 		t.Errorf("Star(5,2) should be non-split (center feeds everyone)")
@@ -94,42 +107,42 @@ func TestFromEdgesValidation(t *testing.T) {
 	}
 }
 
-func TestFromInMasksValidation(t *testing.T) {
-	if _, err := FromInMasks(2, []uint64{0b01, 0b01}); err == nil {
-		t.Error("FromInMasks accepted missing self-loop")
+func TestFromInWordsValidation(t *testing.T) {
+	if _, err := FromInWords(2, []uint64{0b01, 0b01}); err == nil {
+		t.Error("FromInWords accepted missing self-loop")
 	}
-	if _, err := FromInMasks(2, []uint64{0b101, 0b10}); err == nil {
-		t.Error("FromInMasks accepted out-of-range bit")
+	if _, err := FromInWords(2, []uint64{0b101, 0b10}); err == nil {
+		t.Error("FromInWords accepted a bit at node 2 of 2")
 	}
-	if _, err := FromInMasks(2, []uint64{0b01}); err == nil {
-		t.Error("FromInMasks accepted wrong mask count")
+	if _, err := FromInWords(2, []uint64{0b01}); err == nil {
+		t.Error("FromInWords accepted wrong word count")
 	}
-	g, err := FromInMasks(2, []uint64{0b11, 0b10})
+	g, err := FromInWords(2, []uint64{0b11, 0b10})
 	if err != nil {
-		t.Fatalf("FromInMasks: %v", err)
+		t.Fatalf("FromInWords: %v", err)
 	}
 	if !g.Equal(H(2)) {
-		t.Errorf("FromInMasks = %v, want H2", g)
+		t.Errorf("FromInWords = %v, want H2", g)
 	}
-}
-
-func TestKeyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(8)
-		g := Random(rng, n, 0.4)
-		back, err := FromKey(g.Key())
-		if err != nil {
-			t.Fatalf("FromKey(%q): %v", g.Key(), err)
-		}
-		if !back.Equal(g) {
-			t.Fatalf("round trip failed: %v -> %q -> %v", g, g.Key(), back)
-		}
+	// n = 65: two words per row, one live bit in the tail word.
+	words := make([]uint64, 65*2)
+	for i := 0; i < 65; i++ {
+		words[2*i+i/64] |= 1 << uint(i%64)
 	}
-	for _, bad := range []string{"", "3", "x:1,2,3", "2:1", "2:3,zz", "99:0,0"} {
-		if _, err := FromKey(bad); err == nil {
-			t.Errorf("FromKey(%q) succeeded, want error", bad)
-		}
+	if g, err := FromInWords(65, words); err != nil || !g.Equal(New(65)) {
+		t.Fatalf("FromInWords(65, identity rows) = %v, %v", g, err)
+	}
+	words[2*3+1] |= 1 << 1 // node 65 in row 3
+	if _, err := FromInWords(65, words); err == nil {
+		t.Error("FromInWords accepted a bit at node 65 of 65")
+	}
+	words[2*3+1] &^= 1 << 1
+	words[2*64+1] &^= 1 // row 64 loses its self-loop
+	if _, err := FromInWords(65, words); err == nil {
+		t.Error("FromInWords accepted a missing self-loop in the tail word")
+	}
+	if _, err := FromInWords(65, words[:65]); err == nil {
+		t.Error("FromInWords accepted one word per row at n=65")
 	}
 }
 
@@ -149,8 +162,8 @@ func TestInOutConsistency(t *testing.T) {
 					t.Fatalf("In(%d) lists %d but edge absent", i, j)
 				}
 			}
-			if g.OutMask(i) != NodesToMask(g.Out(i)) {
-				t.Fatalf("OutMask/Out mismatch at %d", i)
+			if g.OutDegree(i) != len(g.Out(i)) {
+				t.Fatalf("OutDegree/Out mismatch at %d", i)
 			}
 			if g.InDegree(i) != len(g.In(i)) {
 				t.Fatalf("InDegree/In mismatch at %d", i)
@@ -226,19 +239,22 @@ func TestRootsExamples(t *testing.T) {
 	tests := []struct {
 		name  string
 		g     Graph
-		roots uint64
+		roots []int
 	}{
-		{"identity2", New(2), 0},
-		{"H0", H(0), 0b11},
-		{"H1", H(1), 0b01},
-		{"H2", H(2), 0b10},
-		{"path3", PathGraph(3), 0b001},
-		{"two-cliques", MustFromEdges(4, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 3}, [2]int{3, 2}), 0},
+		{"identity2", New(2), []int{}},
+		{"H0", H(0), []int{0, 1}},
+		{"H1", H(1), []int{0}},
+		{"H2", H(2), []int{1}},
+		{"path3", PathGraph(3), []int{0}},
+		{"two-cliques", MustFromEdges(4, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 3}, [2]int{3, 2}), []int{}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.g.Roots(); got != tt.roots {
-				t.Errorf("Roots(%v) = %b, want %b", tt.g, got, tt.roots)
+			if got := rootNodes(tt.g); !slices.Equal(got, tt.roots) {
+				t.Errorf("roots of %v = %v, want %v", tt.g, got, tt.roots)
+			}
+			if tt.g.IsRooted() != (len(tt.roots) > 0) {
+				t.Errorf("IsRooted(%v) = %v", tt.g, tt.g.IsRooted())
 			}
 		})
 	}
@@ -287,34 +303,29 @@ func TestNonSplitImpliesRooted(t *testing.T) {
 	}
 }
 
-func TestReachMask(t *testing.T) {
-	g := PathGraph(4)
-	if got := g.ReachMask(0); got != 0b1111 {
-		t.Errorf("ReachMask(0) = %b, want 1111", got)
-	}
-	if got := g.ReachMask(2); got != 0b1100 {
-		t.Errorf("ReachMask(2) = %b, want 1100", got)
-	}
-	if got := g.ReachMask(3); got != 0b1000 {
-		t.Errorf("ReachMask(3) = %b, want 1000", got)
-	}
-}
-
-func TestInMaskSetAndInsOn(t *testing.T) {
+func TestInsOnSet(t *testing.T) {
 	g := MustFromEdges(3, [2]int{0, 1}, [2]int{2, 1})
-	// In_{1,2}(g) = in(1) ∪ in(2) = {0,1,2} ∪ {2} = {0,1,2}
-	if got := g.InMaskSet(0b110); got != 0b111 {
-		t.Errorf("InMaskSet = %b, want 111", got)
-	}
 	h := MustFromEdges(3, [2]int{0, 1}, [2]int{2, 1}, [2]int{1, 0})
-	if !InsOn(g, h, 0b110) {
-		t.Error("g,h agree on nodes 1,2 but InsOn says no")
+	if !InsOnSet(g, h, NodesToSet(3, []int{1, 2})) {
+		t.Error("g,h agree on nodes 1,2 but InsOnSet says no")
 	}
-	if InsOn(g, h, 0b001) {
-		t.Error("g,h differ on node 0 but InsOn says yes")
+	if InsOnSet(g, h, NodesToSet(3, []int{0})) {
+		t.Error("g,h differ on node 0 but InsOnSet says yes")
 	}
-	if InsOn(g, Complete(4), 0) {
-		t.Error("InsOn across sizes should be false")
+	if !InsOnSet(g, h, NodesToSet(3, nil)) {
+		t.Error("InsOnSet on the empty set should be true")
+	}
+	if InsOnSet(g, Complete(4), NodesToSet(4, nil)) {
+		t.Error("InsOnSet across sizes should be false")
+	}
+	// n = 130: the rows differ only at node 129, in the third word.
+	g = Star(130, 0)
+	h = MustFromEdges(130, append(g.Edges(), [2]int{128, 129})...)
+	if !InsOnSet(g, h, NodesToSet(130, []int{0, 64, 128})) {
+		t.Error("n=130: g,h agree off node 129 but InsOnSet says no")
+	}
+	if InsOnSet(g, h, NodesToSet(130, []int{129})) {
+		t.Error("n=130: g,h differ on node 129 but InsOnSet says yes")
 	}
 }
 

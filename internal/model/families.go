@@ -152,7 +152,7 @@ func FullAsyncRound(n, f int) (*Model, error) {
 	for {
 		b := graph.NewBuilder(n)
 		for i := 0; i < n; i++ {
-			b.InMask(i, ^perNode[i][choice[i]])
+			b.SetInRow(i, []uint64{^perNode[i][choice[i]]})
 		}
 		gs = append(gs, b.Graph())
 		pos := 0

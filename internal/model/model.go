@@ -27,7 +27,7 @@ import (
 type Model struct {
 	n      int
 	graphs []graph.Graph
-	index  map[string]int
+	index  map[string]int // keyed by Graph.AppendMaskKey
 }
 
 // New builds a model from the given graphs, deduplicating them and
@@ -43,7 +43,7 @@ func New(gs ...graph.Graph) (*Model, error) {
 		if g.N() != n {
 			return nil, fmt.Errorf("model: node count mismatch: %d vs %d", g.N(), n)
 		}
-		k := g.Key()
+		k := string(g.AppendMaskKey(nil))
 		if _, dup := m.index[k]; dup {
 			continue
 		}
@@ -80,13 +80,13 @@ func (m *Model) Graphs() []graph.Graph {
 
 // Contains reports whether g is a member of the model.
 func (m *Model) Contains(g graph.Graph) bool {
-	_, ok := m.index[g.Key()]
+	_, ok := m.index[string(g.AppendMaskKey(nil))]
 	return ok
 }
 
 // Index returns the position of g in the model, or -1.
 func (m *Model) Index(g graph.Graph) int {
-	if i, ok := m.index[g.Key()]; ok {
+	if i, ok := m.index[string(g.AppendMaskKey(nil))]; ok {
 		return i
 	}
 	return -1
@@ -366,20 +366,6 @@ func (m *Model) SourceIncompatible(indices []int) bool {
 	return graph.SetCount(inter) == 0
 }
 
-// CommonRoots returns the bitmask of agents that are roots of every graph
-// in the index set. Like every single-word mask API it is valid for
-// n <= 64 models only.
-func (m *Model) CommonRoots(indices []int) uint64 {
-	inter := ^uint64(0)
-	for _, i := range indices {
-		inter &= m.graphs[i].Roots()
-	}
-	if len(indices) == 0 {
-		return 0
-	}
-	return inter & rootUniverse(m.n)
-}
-
 // ExactConsensusSolvable decides exact consensus solvability in the model
 // via Theorem 19 (the generalization of Coulouma et al., Theorem 4.10):
 // exact consensus is solvable iff no beta-class is source-incompatible.
@@ -398,13 +384,6 @@ func (m *Model) allIndices() []int {
 		all[i] = i
 	}
 	return all
-}
-
-func rootUniverse(n int) uint64 {
-	if n == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
 }
 
 // components returns the connected components of an undirected adjacency

@@ -447,7 +447,7 @@ func TestSilencedBlocksModel(t *testing.T) {
 	}
 	// The union of silenced blocks covers [n], so the intersection of the
 	// root sets is empty.
-	if m.CommonRoots(m.allIndices()) != 0 {
+	if !m.SourceIncompatible(m.allIndices()) {
 		t.Error("silenced-block graphs should have no common root")
 	}
 	if _, err := SilencedBlocks(4, 4); err == nil {
@@ -490,7 +490,7 @@ func TestSilencedBlocksSolvable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CommonRoots(m.allIndices()) != 0 {
+	if !m.SourceIncompatible(m.allIndices()) {
 		t.Fatal("sanity: no common root across all blocks")
 	}
 	classes := m.BetaClasses()

@@ -17,21 +17,6 @@ func TestModelString(t *testing.T) {
 	}
 }
 
-func TestCommonRootsEdgeCases(t *testing.T) {
-	m := TwoAgent()
-	if got := m.CommonRoots(nil); got != 0 {
-		t.Errorf("CommonRoots(nil) = %b, want 0", got)
-	}
-	// H0 alone: both agents are roots.
-	if got := m.CommonRoots([]int{0}); got != 0b11 {
-		t.Errorf("CommonRoots([H0]) = %b, want 11", got)
-	}
-	// H0 ∩ H1: agent 0 only.
-	if got := m.CommonRoots([]int{0, 1}); got != 0b01 {
-		t.Errorf("CommonRoots([H0,H1]) = %b, want 01", got)
-	}
-}
-
 func TestGraphAccessor(t *testing.T) {
 	m := MustNew(graph.H(2), graph.H(0))
 	if !m.Graph(0).Equal(graph.H(2)) || !m.Graph(1).Equal(graph.H(0)) {

@@ -23,10 +23,10 @@
 //	n                                 agents (1..graph.MaxNodes)
 //	prefixLen loopLen                 round counts
 //	tableLen                          distinct graphs
-//	table[tableLen]                   in-neighbor rows, one per node:
-//	                                  one mask uvarint (RSC1) or
-//	                                  graph.WordsFor(n) word uvarints,
-//	                                  lowest word first (RSC2)
+//	table[tableLen]                   in-neighbor rows, one per node,
+//	                                  each graph.WordsFor(n) word
+//	                                  uvarints, lowest word first (one
+//	                                  word in RSC1)
 //	prefixIdx[prefixLen]              indices into the table
 //	loopIdx[loopLen]                  indices into the table
 //
@@ -67,11 +67,10 @@ func Encode(n int, prefix, loop []graph.Graph) []byte {
 		panic(fmt.Sprintf("scenario: invalid agent count %d", n))
 	}
 	// Deduplicate graphs in first-occurrence order across prefix then
-	// loop. The dedup key is the raw little-endian mask row — cheaper by
-	// an order of magnitude than graph.Key()'s formatted string, which
-	// matters because encoding (and therefore fingerprinting) sits on
-	// the session-construction path of scenario sweeps. Schedules hold
-	// one Graph value per round and epoch-style generators repeat it for
+	// loop, keyed by the raw little-endian mask rows. Keying cost matters
+	// because encoding (and therefore fingerprinting) sits on the
+	// session-construction path of scenario sweeps. Schedules hold one
+	// Graph value per round and epoch-style generators repeat it for
 	// whole stretches, so a constant-time identity check against the
 	// previous round (graph.Same) skips the keying entirely on the
 	// common consecutive-repeat case.
@@ -118,12 +117,6 @@ func Encode(n int, prefix, loop []graph.Graph) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(loopIdx)))
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	for _, g := range table {
-		if w == 1 {
-			for i := 0; i < n; i++ {
-				buf = binary.AppendUvarint(buf, g.InMask(i))
-			}
-			continue
-		}
 		for i := 0; i < n; i++ {
 			for _, word := range g.InRow(i) {
 				buf = binary.AppendUvarint(buf, word)
@@ -155,9 +148,9 @@ func (d *decoder) uvarint(what string) (uint64, error) {
 }
 
 // Decode parses an encoded trace back into (n, prefix, loop). Every mask
-// row is validated through graph.FromInMasks / graph.FromInWords
-// (self-loops mandatory, no bits beyond n), and trailing bytes after the
-// payload are rejected. The agent count must match the version's range —
+// row is validated through graph.FromInWords (self-loops mandatory, no
+// bits beyond n), and trailing bytes after the payload are rejected. The
+// agent count must match the version's range —
 // RSC1 carries n <= 64, RSC2 n > 64 — so every decodable trace is the
 // canonical encoding of its schedule and Encode(Decode(b)) == b.
 func Decode(data []byte) (n int, prefix, loop []graph.Graph, err error) {
@@ -223,12 +216,7 @@ func Decode(data []byte) (n int, prefix, loop []graph.Graph, err error) {
 			}
 			words[i] = m
 		}
-		var g graph.Graph
-		if v2 {
-			g, err = graph.FromInWords(n, words)
-		} else {
-			g, err = graph.FromInMasks(n, words)
-		}
+		g, err := graph.FromInWords(n, words)
 		if err != nil {
 			return 0, nil, nil, err
 		}

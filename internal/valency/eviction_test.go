@@ -83,7 +83,7 @@ func TestEvictionIsTransparentToLowerBounds(t *testing.T) {
 				t.Fatalf("decisions differ under eviction:\n tiny    %v\n default %v", gotDecisions, wantDecisions)
 			}
 			for i := range want.Graphs {
-				if got.Graphs[i].Key() != want.Graphs[i].Key() {
+				if !got.Graphs[i].Equal(want.Graphs[i]) {
 					t.Fatalf("round %d: played %v under eviction, %v by default", i+1, got.Graphs[i], want.Graphs[i])
 				}
 			}

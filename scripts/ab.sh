@@ -15,11 +15,17 @@
 # and the side that runs first alternates, base first in pair 0. It
 # prints one Markdown table row per end-to-end metric of BENCHMARK.json:
 # each side's median [Q1, Q3] (quartiles interpolated linearly between
-# order statistics), the ratio of the medians, the pairs the change won
-# (strictly better in the metric's direction), and whether the median
-# gap in that direction exceeds the base's IQR; then every metric's
-# per-pair values. It exits non-zero if any run is not correct or
-# reports failed requests. It needs bash, git, jq and awk.
+# order statistics), the ratio of the medians (change over base) with a
+# 95% percentile-bootstrap interval, the pairs the change won (strictly
+# better in the metric's direction), whether the median gap in that
+# direction exceeds the base's IQR, and whether the change is within the
+# metric's BENCHMARK.json bound: its median no worse than the base's by
+# more than bound times the base median. The interval resamples the pair
+# indices with replacement 2000 times from a fixed awk seed, so reruns on
+# the same values print the same interval. Then it prints every metric's
+# per-pair values. It exits non-zero if any run is not correct or reports
+# failed requests; the bound verdict does not change the exit status. It
+# needs bash, git, jq and awk.
 set -euo pipefail
 if [ $# -ne 4 ]; then
 	echo "usage: $0 <rev> <workload> <pairs> <first-seed>" >&2
@@ -58,11 +64,11 @@ for ((i = 0; i < pairs; i++)); do
 	fi
 done
 
-# One line per metric: name, direction, base values, change values.
-jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" |
-	while read -r name better; do
+# One line per metric: name, direction, bound, base values, change values.
+jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json" |
+	while read -r name better bound; do
 		values() { jq -s -r --arg m "$name" 'map(.metrics[$m].value | tostring) | join(",")' "$tmp/$1.jsonl"; }
-		echo "$name $better $(values base) $(values change)"
+		echo "$name $better $bound $(values base) $(values change)"
 	done |
 	awk -v rev="$rev" -v workload="$workload" -v seed0="$seed0" '
 	function num(v,    a) {
@@ -78,23 +84,37 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" |
 		lo = int(h)
 		return lo >= n ? s[n] : s[lo] + (h - lo) * (s[lo + 1] - s[lo])
 	}
-	function sorted(src, n, dst,    i, j, v) {
-		for (i = 1; i <= n; i++) dst[i] = src[i]
-		for (i = 2; i <= n; i++) {
-			v = dst[i]
-			for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
-			dst[j + 1] = v
+	# hsort sorts a[1..n] in place: a heapsort, since mawk caps recursion.
+	function hsort(a, n,    i, t) {
+		for (i = int(n / 2); i >= 1; i--) sift(a, i, n)
+		for (i = n; i > 1; i--) {
+			t = a[1]; a[1] = a[i]; a[i] = t
+			sift(a, 1, i - 1)
 		}
 	}
+	function sift(a, i, n,    c, t) {
+		while ((c = 2 * i) <= n) {
+			if (c < n && a[c + 1] > a[c]) c++
+			if (a[i] >= a[c]) return
+			t = a[i]; a[i] = a[c]; a[c] = t
+			i = c
+		}
+	}
+	function sorted(src, n, dst,    i) {
+		for (i = 1; i <= n; i++) dst[i] = src[i]
+		hsort(dst, n)
+	}
 	BEGIN {
+		srand(20261018)
+		resamples = 2000
 		printf "%s against %s, seeds %d onward\n\n", workload, rev, seed0
-		print "| metric | base | change | ratio | change won | gap > base IQR |"
-		print "|---|---|---|---|---|---|"
+		print "| metric | base | change | ratio [95% CI] | change won | gap > base IQR | within bound |"
+		print "|---|---|---|---|---|---|---|"
 	}
 	{
 		name[NR] = $1
-		n = split($3, b, ",")
-		split($4, c, ",")
+		n = split($4, b, ",")
+		split($5, c, ",")
 		sorted(b, n, bs)
 		sorted(c, n, cs)
 		bm = quantile(bs, n, 0.5); cm = quantile(cs, n, 0.5)
@@ -103,11 +123,30 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" |
 		wins = 0
 		for (i = 1; i <= n; i++) if (sign * (c[i] - b[i]) > 0) wins++
 		gap = sign * (cm - bm)
-		ratio = bm == 0 ? "n/a" : sprintf("%.2f×", cm / bm)
 		exceeds = gap > bq3 - bq1 ? "yes" : "no"
-		printf "| %s | %s [%s, %s] | %s [%s, %s] | %s | %d/%d | %s (%s vs %s) |\n",
+		within = -gap <= $3 * (bm < 0 ? -bm : bm) ? "yes" : "no"
+		ratio = "n/a"
+		if (bm != 0) {
+			# Paired percentile bootstrap of the ratio of medians.
+			k = 0
+			for (r = 1; r <= resamples; r++) {
+				for (i = 1; i <= n; i++) {
+					j = int(rand() * n) + 1
+					rb[i] = b[j]; rc[i] = c[j]
+				}
+				hsort(rb, n); hsort(rc, n)
+				m = quantile(rb, n, 0.5)
+				if (m != 0) ratios[++k] = quantile(rc, n, 0.5) / m
+			}
+			ratio = sprintf("%.2f×", cm / bm)
+			if (k > 0) {
+				hsort(ratios, k)
+				ratio = ratio sprintf(" [%.2f, %.2f]", quantile(ratios, k, 0.025), quantile(ratios, k, 0.975))
+			}
+		}
+		printf "| %s | %s [%s, %s] | %s [%s, %s] | %s | %d/%d | %s (%s vs %s) | %s |\n",
 			$1, num(bm), num(bq1), num(bq3), num(cm), num(quantile(cs, n, 0.25)), num(quantile(cs, n, 0.75)),
-			ratio, wins, n, exceeds, num(gap), num(bq3 - bq1)
+			ratio, wins, n, exceeds, num(gap), num(bq3 - bq1), within
 		pairs[NR] = num(b[1]) "→" num(c[1])
 		for (i = 2; i <= n; i++) pairs[NR] = pairs[NR] ", " num(b[i]) "→" num(c[i])
 	}
