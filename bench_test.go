@@ -7,11 +7,13 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/consensus"
 	"repro/internal/adversary"
 	"repro/internal/algorithms"
 	"repro/internal/approx"
@@ -105,6 +107,28 @@ func BenchmarkGraphNonSplit(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = g.IsNonSplit()
+			}
+		})
+	}
+}
+
+// BenchmarkCertify certifies one schedule per iteration: the per-round
+// predicates over its horizon and the eventually-rooted window search.
+// The eventually-rooted and partition-heal schedules need windows of 51
+// and 41 rounds; every churn round is rooted, so its window is 1.
+func BenchmarkCertify(b *testing.B) {
+	ctx := context.Background()
+	for _, spec := range []string{"eventuallyrooted:300,50", "partitionheal:200,4,40", "churn:70,3,5,20,10"} {
+		s, err := consensus.Scenarios.New(spec, consensus.ScenarioEnv{Models: consensus.Models, Scenarios: consensus.Scenarios})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(spec, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Certify(ctx, 0, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -313,19 +337,19 @@ func BenchmarkContractionDense(b *testing.B) {
 	}
 }
 
-// BenchmarkValencyInner measures the estimator's standard usage: one
-// persistent engine (as built by NewEstimator) queried repeatedly, so the
-// transposition table is warm after the first iteration — exactly the
-// adversaries' cross-round access pattern.
+// BenchmarkValencyInner measures the engine's standard usage: one
+// persistent engine queried repeatedly, so the transposition table is
+// warm after the first iteration — exactly the adversaries' cross-round
+// access pattern.
 func BenchmarkValencyInner(b *testing.B) {
 	m := model.TwoAgent()
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	for _, depth := range []int{2, 4, 6, 8} {
-		est := valency.NewEstimator(m, depth, true)
+		eng := valency.NewEngine(m, valency.DefaultParams(depth, true))
 		b.Run("depth-"+strconv.Itoa(depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = est.Inner(c)
+				_ = eng.Inner(c)
 			}
 		})
 	}
@@ -355,11 +379,11 @@ func BenchmarkValencyOuter(b *testing.B) {
 	m := model.TwoAgent()
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	for _, depth := range []int{4, 8} {
-		est := valency.NewEstimator(m, depth, true)
+		eng := valency.NewEngine(m, valency.DefaultParams(depth, true))
 		b.Run("depth-"+strconv.Itoa(depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = est.Outer(c)
+				_ = eng.Outer(c)
 			}
 		})
 	}
@@ -418,8 +442,8 @@ func BenchmarkSettle(b *testing.B) {
 
 func BenchmarkGreedyAdversaryRound(b *testing.B) {
 	m := model.DeafModel(graph.Complete(3))
-	est := valency.NewEstimator(m, 3, true)
-	adv := &adversary.Greedy{Est: est}
+	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
+	adv := &adversary.Greedy{Eng: eng}
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -441,13 +465,13 @@ func BenchmarkGreedyAdversaryRun(b *testing.B) {
 	b.ReportAllocs()
 	var stats valency.CacheStats
 	for i := 0; i < b.N; i++ {
-		est := valency.NewEstimator(m, 3, true)
-		adv := &adversary.Greedy{Est: est}
+		eng := valency.NewEngine(m, valency.DefaultParams(3, true))
+		adv := &adversary.Greedy{Eng: eng}
 		tr := core.Run(algorithms.Midpoint{}, inputs, adv, rounds)
 		if tr.Rounds() != rounds {
 			b.Fatal("short run")
 		}
-		stats = est.Engine().Stats()
+		stats = eng.Stats()
 	}
 	b.ReportMetric(stats.HitRate(), "hit-rate")
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 	"unicode"
+
+	"repro/consensus/scenario"
 )
 
 // maxFuzzSpecLen caps each fuzzed spec string.
@@ -230,4 +232,122 @@ func maxNumber(s string) int {
 		i = j
 	}
 	return largest
+}
+
+// Harness limits of FuzzServerScenario beyond FuzzServerSweep's: the
+// largest uploaded trace, and the agent count and horizon of the
+// schedule it decodes to.
+const (
+	maxFuzzTraceBytes   = 4 << 10
+	maxFuzzTraceAgents  = 16
+	maxFuzzTraceHorizon = 64
+)
+
+// FuzzServerScenario posts fuzzed JSON bodies to the Server's
+// /api/v1/scenario endpoint. The handler must never panic or answer
+// 500, and every 200 must decode into a report whose trace decodes to a
+// schedule with the reported fingerprint, whose rooted window lies in
+// [0, MaxRootedWindow], and, for Run requests, whose summary is finite
+// with one diameter per certified round plus the initial one. Bodies past
+// the harness limits (see fuzzScenarioBounded) are skipped, and a
+// one-second query timeout (a 504) cuts the slowest requests the limits
+// still admit.
+func FuzzServerScenario(f *testing.F) {
+	sch, err := Scenarios.New("eventuallyrooted:4,2", ScenarioEnv{Models: Models, Scenarios: Scenarios})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, req := range []ScenarioRequest{
+		{Scenario: "eventuallyrooted:16,16"},
+		{Scenario: "partitionheal:6,2,4"},
+		{Scenario: "churn:8,1,5,4,3"},
+		{Scenario: "concat:frommodel:psi:4;1;2+frommodel:psi:4;2;3"},
+		{Scenario: "interleave:[concat:frommodel:psi:4;1;2+frommodel:psi:4;2;3]+eventuallyrooted:4,3"},
+		{Scenario: "concat:[repeat:2;frommodel:psi:4;1;2]+[interleave:partitionheal:4,2,3+churn:4,1,2,2,1]"},
+		{Trace: sch.Encode()},
+		{Scenario: "eventuallyrooted:4,2", Trace: sch.Encode()},
+		{Scenario: "frommodel:psi:4;1;6", Model: "psi:4", Rounds: 8},
+		{Scenario: "churn:8,1,5,4,3", Run: true, Algorithm: "midpoint", Rounds: 12},
+		{Trace: sch.Encode(), Run: true, Algorithm: "amortized", Inputs: []float64{0, 1, 0.5, 0.25}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"scenario":"churn:8,1,5`))
+	srv := NewServer(ServerTimeout(time.Second))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ScenarioRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && !fuzzScenarioBounded(req) {
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/scenario", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusInternalServerError:
+			t.Fatalf("500 for %q: %s", body, rec.Body.Bytes())
+		case http.StatusOK:
+		default:
+			return
+		}
+		var rep ScenarioReport
+		if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+			t.Fatalf("200 body does not decode: %v: %s", err, rec.Body.Bytes())
+		}
+		sch, err := scenario.Decode(rep.Trace)
+		if err != nil {
+			t.Fatalf("reported trace does not decode: %v", err)
+		}
+		if fp := sch.Fingerprint(); fp != rep.Fingerprint {
+			t.Fatalf("reported fingerprint %s, trace fingerprint %s", rep.Fingerprint, fp)
+		}
+		if w := rep.Certificate.RootedWindow; w < 0 || w > scenario.MaxRootedWindow {
+			t.Fatalf("rooted window %d outside [0, %d]", w, scenario.MaxRootedWindow)
+		}
+		if req.Run {
+			if rep.Summary == nil {
+				t.Fatal("run request answered without a summary")
+			}
+			if err := rep.Summary.checkFinite(rep.Diameters...); err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Diameters) != rep.Certificate.Rounds+1 {
+				t.Fatalf("%d diameters for %d certified rounds", len(rep.Diameters), rep.Certificate.Rounds)
+			}
+		}
+	})
+}
+
+// fuzzScenarioBounded reports whether a decoded scenario body stays
+// inside the harness limits: FuzzServerSweep's limits on spec strings,
+// spec numbers, inputs and rounds, and an uploaded trace of at most
+// maxFuzzTraceBytes whose schedule, if it decodes, has at most
+// maxFuzzTraceAgents agents and a horizon of at most maxFuzzTraceHorizon.
+func fuzzScenarioBounded(req ScenarioRequest) bool {
+	for _, str := range []string{req.Scenario, req.Model, req.Algorithm} {
+		if len(str) > maxFuzzSpecLen {
+			return false
+		}
+	}
+	if req.Rounds > maxFuzzSweepRounds || len(req.Inputs) > maxFuzzSpecNumber {
+		return false
+	}
+	model := req.Model
+	if slices.Contains(oversizedModels, model) {
+		model = ""
+	}
+	if maxNumber(model) > maxFuzzSpecNumber || maxNumber(req.Scenario) > maxFuzzSpecNumber {
+		return false
+	}
+	if len(req.Trace) > maxFuzzTraceBytes {
+		return false
+	}
+	if req.Trace != nil {
+		if sch, err := scenario.Decode(req.Trace); err == nil && (sch.N() > maxFuzzTraceAgents || sch.Horizon() > maxFuzzTraceHorizon) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,9 +1,6 @@
 package consensus
 
 import (
-	"maps"
-	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -23,7 +20,7 @@ func copyLibrary(t testing.TB, wrap func(core.Algorithm) core.Algorithm) *Librar
 		Scenarios:   NewScenarioRegistry(),
 	}
 	var errs []error
-	for _, f := range factories(&Algorithms.mu, Algorithms.m) {
+	for _, f := range Algorithms.factories() {
 		if wrap != nil {
 			build := f.New
 			f.New = func(arg string, n int) (core.Algorithm, error) {
@@ -36,13 +33,13 @@ func copyLibrary(t testing.TB, wrap func(core.Algorithm) core.Algorithm) *Librar
 		}
 		errs = append(errs, lib.Algorithms.Register(f))
 	}
-	for _, f := range factories(&Models.mu, Models.m) {
+	for _, f := range Models.factories() {
 		errs = append(errs, lib.Models.Register(f))
 	}
-	for _, f := range factories(&Adversaries.mu, Adversaries.m) {
+	for _, f := range Adversaries.factories() {
 		errs = append(errs, lib.Adversaries.Register(f))
 	}
-	for _, f := range factories(&Scenarios.mu, Scenarios.m) {
+	for _, f := range Scenarios.factories() {
 		errs = append(errs, lib.Scenarios.Register(f))
 	}
 	for _, err := range errs {
@@ -54,10 +51,14 @@ func copyLibrary(t testing.TB, wrap func(core.Algorithm) core.Algorithm) *Librar
 }
 
 // factories snapshots a registry's factories under its lock.
-func factories[F any](mu *sync.RWMutex, m map[string]F) []F {
-	mu.RLock()
-	defer mu.RUnlock()
-	return slices.Collect(maps.Values(m))
+func (r *registry[F]) factories() []F {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]F, 0, len(r.m))
+	for _, e := range r.m {
+		out = append(out, e.f)
+	}
+	return out
 }
 
 // agentsOnlyLibrary returns a copy of the default library whose

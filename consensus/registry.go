@@ -39,6 +39,82 @@ type FactoryInfo struct {
 	Summary string `json:"summary"`
 }
 
+// registry is the body the four typed spec registries share: a kind
+// name for error messages, a process-unique identity, and a map from
+// entry name to its listing and factory. It is safe for concurrent use.
+type registry[F any] struct {
+	kind string
+	id   uint64
+	mu   sync.RWMutex
+	m    map[string]registryEntry[F]
+}
+
+// registryEntry is one registered factory with its listing.
+type registryEntry[F any] struct {
+	info FactoryInfo
+	f    F
+}
+
+// init readies an empty registry of the given kind.
+func (r *registry[F]) init(kind string) {
+	r.kind = kind
+	r.id = registryIDs.Add(1)
+	r.m = make(map[string]registryEntry[F])
+}
+
+// add registers f under info.Name; hasNew reports that f carries a
+// constructor. An empty name, a missing constructor or a duplicate name
+// errors.
+func (r *registry[F]) add(info FactoryInfo, f F, hasNew bool) error {
+	if info.Name == "" || !hasNew {
+		return fmt.Errorf("consensus: %s factory needs a name and a constructor", r.kind)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.m[info.Name]; dup {
+		return fmt.Errorf("consensus: %s %q already registered", r.kind, info.Name)
+	}
+	r.m[info.Name] = registryEntry[F]{info: info, f: f}
+	return nil
+}
+
+// lookup returns the factory for a spec string ("name" or "name:arg")
+// and the spec's argument part.
+func (r *registry[F]) lookup(spec string) (F, string, error) {
+	name, arg := splitSpec(spec)
+	r.mu.RLock()
+	e, ok := r.m[name]
+	r.mu.RUnlock()
+	if !ok {
+		return e.f, "", fmt.Errorf("consensus: unknown %s %q (have %s)", r.kind, name, strings.Join(r.Names(), ", "))
+	}
+	return e.f, arg, nil
+}
+
+// Names returns the sorted registered names.
+func (r *registry[F]) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(r.m))
+	for name := range r.m {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Describe returns the sorted entry descriptions.
+func (r *registry[F]) Describe() []FactoryInfo {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]FactoryInfo, 0, len(r.m))
+	for _, e := range r.m {
+		out = append(out, e.info)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // AlgorithmFactory builds a core algorithm from the argument part of a
 // spec string; n is the system size (used for validation).
 type AlgorithmFactory struct {
@@ -51,64 +127,28 @@ type AlgorithmFactory struct {
 // AlgorithmRegistry maps spec names to algorithm factories. It is safe
 // for concurrent use.
 type AlgorithmRegistry struct {
-	id uint64
-	mu sync.RWMutex
-	m  map[string]AlgorithmFactory
+	registry[AlgorithmFactory]
 }
 
 // NewAlgorithmRegistry returns an empty registry.
 func NewAlgorithmRegistry() *AlgorithmRegistry {
-	return &AlgorithmRegistry{id: registryIDs.Add(1), m: make(map[string]AlgorithmFactory)}
+	r := &AlgorithmRegistry{}
+	r.init("algorithm")
+	return r
 }
 
 // Register adds a factory; registering a duplicate or empty name errors.
 func (r *AlgorithmRegistry) Register(f AlgorithmFactory) error {
-	if f.Name == "" || f.New == nil {
-		return fmt.Errorf("consensus: algorithm factory needs a name and a constructor")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.m[f.Name]; dup {
-		return fmt.Errorf("consensus: algorithm %q already registered", f.Name)
-	}
-	r.m[f.Name] = f
-	return nil
+	return r.add(FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary}, f, f.New != nil)
 }
 
 // New resolves a spec string ("name" or "name:arg") to an algorithm.
 func (r *AlgorithmRegistry) New(spec string, n int) (core.Algorithm, error) {
-	name, arg := splitSpec(spec)
-	r.mu.RLock()
-	f, ok := r.m[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("consensus: unknown algorithm %q (have %s)", name, strings.Join(r.Names(), ", "))
+	f, arg, err := r.lookup(spec)
+	if err != nil {
+		return nil, err
 	}
 	return f.New(arg, n)
-}
-
-// Names returns the sorted registered names.
-func (r *AlgorithmRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.m))
-	for name := range r.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Describe returns the sorted entry descriptions.
-func (r *AlgorithmRegistry) Describe() []FactoryInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]FactoryInfo, 0, len(r.m))
-	for _, f := range r.m {
-		out = append(out, FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // ModelFactory builds a network model from the argument part of a spec
@@ -123,64 +163,28 @@ type ModelFactory struct {
 // ModelRegistry maps spec names to model factories. It is safe for
 // concurrent use.
 type ModelRegistry struct {
-	id uint64
-	mu sync.RWMutex
-	m  map[string]ModelFactory
+	registry[ModelFactory]
 }
 
 // NewModelRegistry returns an empty registry.
 func NewModelRegistry() *ModelRegistry {
-	return &ModelRegistry{id: registryIDs.Add(1), m: make(map[string]ModelFactory)}
+	r := &ModelRegistry{}
+	r.init("model")
+	return r
 }
 
 // Register adds a factory; registering a duplicate or empty name errors.
 func (r *ModelRegistry) Register(f ModelFactory) error {
-	if f.Name == "" || f.New == nil {
-		return fmt.Errorf("consensus: model factory needs a name and a constructor")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.m[f.Name]; dup {
-		return fmt.Errorf("consensus: model %q already registered", f.Name)
-	}
-	r.m[f.Name] = f
-	return nil
+	return r.add(FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary}, f, f.New != nil)
 }
 
 // New resolves a spec string to a model.
 func (r *ModelRegistry) New(spec string) (*model.Model, error) {
-	name, arg := splitSpec(spec)
-	r.mu.RLock()
-	f, ok := r.m[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("consensus: unknown model %q (have %s)", name, strings.Join(r.Names(), ", "))
+	f, arg, err := r.lookup(spec)
+	if err != nil {
+		return nil, err
 	}
 	return f.New(arg)
-}
-
-// Names returns the sorted registered names.
-func (r *ModelRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.m))
-	for name := range r.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Describe returns the sorted entry descriptions.
-func (r *ModelRegistry) Describe() []FactoryInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]FactoryInfo, 0, len(r.m))
-	for _, f := range r.m {
-		out = append(out, FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // AdversaryEnv is what an adversary factory gets to work with: the
@@ -214,40 +218,19 @@ type AdversaryFactory struct {
 // AdversaryRegistry maps spec names to adversary factories. It is safe
 // for concurrent use.
 type AdversaryRegistry struct {
-	id uint64
-	mu sync.RWMutex
-	m  map[string]AdversaryFactory
+	registry[AdversaryFactory]
 }
 
 // NewAdversaryRegistry returns an empty registry.
 func NewAdversaryRegistry() *AdversaryRegistry {
-	return &AdversaryRegistry{id: registryIDs.Add(1), m: make(map[string]AdversaryFactory)}
+	r := &AdversaryRegistry{}
+	r.init("adversary")
+	return r
 }
 
 // Register adds a factory; registering a duplicate or empty name errors.
 func (r *AdversaryRegistry) Register(f AdversaryFactory) error {
-	if f.Name == "" || f.New == nil {
-		return fmt.Errorf("consensus: adversary factory needs a name and a constructor")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.m[f.Name]; dup {
-		return fmt.Errorf("consensus: adversary %q already registered", f.Name)
-	}
-	r.m[f.Name] = f
-	return nil
-}
-
-// lookup returns the factory for a spec string.
-func (r *AdversaryRegistry) lookup(spec string) (AdversaryFactory, string, error) {
-	name, arg := splitSpec(spec)
-	r.mu.RLock()
-	f, ok := r.m[name]
-	r.mu.RUnlock()
-	if !ok {
-		return AdversaryFactory{}, "", fmt.Errorf("consensus: unknown adversary %q (have %s)", name, strings.Join(r.Names(), ", "))
-	}
-	return f, arg, nil
+	return r.add(FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary}, f, f.New != nil)
 }
 
 // New resolves a spec string to a fresh pattern source.
@@ -265,31 +248,7 @@ func (r *AdversaryRegistry) New(spec string, env AdversaryEnv) (core.PatternSour
 	return f.New(arg, env)
 }
 
-// Names returns the sorted registered names.
-func (r *AdversaryRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.m))
-	for name := range r.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Describe returns the sorted entry descriptions.
-func (r *AdversaryRegistry) Describe() []FactoryInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]FactoryInfo, 0, len(r.m))
-	for _, f := range r.m {
-		out = append(out, FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Library bundles the three registries a session resolves its specs
+// Library bundles the four registries a session resolves its specs
 // against. The zero fields of a Library fall back to the package-level
 // defaults.
 type Library struct {
@@ -340,20 +299,9 @@ var (
 	Adversaries = NewAdversaryRegistry()
 )
 
-func mustRegisterAlgorithm(f AlgorithmFactory) {
-	if err := Algorithms.Register(f); err != nil {
-		panic(err)
-	}
-}
-
-func mustRegisterModel(f ModelFactory) {
-	if err := Models.Register(f); err != nil {
-		panic(err)
-	}
-}
-
-func mustRegisterAdversary(f AdversaryFactory) {
-	if err := Adversaries.Register(f); err != nil {
+// must panics on a failed built-in registration.
+func must(err error) {
+	if err != nil {
 		panic(err)
 	}
 }
@@ -372,7 +320,7 @@ func init() {
 }
 
 func registerBuiltinAlgorithms() {
-	mustRegisterAlgorithm(AlgorithmFactory{
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "midpoint", Usage: "midpoint",
 		Summary: "midpoint rule (min+max)/2 — Algorithm 2, optimal 1/2 contraction on non-split models",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -381,8 +329,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return algorithms.Midpoint{}, nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "mean", Usage: "mean",
 		Summary: "arithmetic mean of the received values",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -391,8 +339,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return algorithms.Mean{}, nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "amortized", Usage: "amortized",
 		Summary: "amortized midpoint — Algorithm 3, halves the diameter every n-1 rounds on rooted models",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -401,8 +349,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return algorithms.AmortizedMidpoint{}, nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "twothirds", Usage: "twothirds",
 		Summary: "two-thirds rule — Algorithm 1, optimal 1/3 contraction at n = 2",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -414,8 +362,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return algorithms.TwoThirds{}, nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "selfweighted", Usage: "selfweighted:ALPHA",
 		Summary: "keep weight alpha on the own value, spread 1-alpha over the heard values",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -425,8 +373,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return algorithms.SelfWeighted{Alpha: a}, nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "quantized", Usage: "quantized:Q",
 		Summary: "quantized midpoint on the grid Q·Z — reference [9], exact termination on grid inputs",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -436,8 +384,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return algorithms.QuantizedMidpoint{Q: q}, nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "floodroot", Usage: "floodroot:ROOT",
 		Summary: "exact consensus by flooding the designated common root's value (Theorem 19 models)",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -454,8 +402,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return algorithms.FloodRoot{Root: root}, nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "rb-midpoint", Usage: "rb-midpoint",
 		Summary: "round-based asynchronous midpoint embedded in the Heard-Of model (Section 8.1)",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -464,8 +412,8 @@ func registerBuiltinAlgorithms() {
 			}
 			return async.AsCoreAlgorithm("rb-midpoint", async.MidpointUpdate), nil
 		},
-	})
-	mustRegisterAlgorithm(AlgorithmFactory{
+	}))
+	must(Algorithms.Register(AlgorithmFactory{
 		Name: "rb-selectedmean", Usage: "rb-selectedmean:F",
 		Summary: "Fekete-style selected mean for up to F crashes — the Theorem 6 round-based baseline",
 		New: func(arg string, n int) (core.Algorithm, error) {
@@ -475,7 +423,7 @@ func registerBuiltinAlgorithms() {
 			}
 			return async.AsCoreAlgorithm(fmt.Sprintf("rb-selected-mean(f=%d)", f), async.SelectedMeanUpdate(f)), nil
 		},
-	})
+	}))
 }
 
 // parseN parses a node count in 1..graph.MaxNodes, the range every graph
@@ -534,7 +482,7 @@ func parseGraphSpec(arg string) (graph.Graph, error) {
 }
 
 func registerBuiltinModels() {
-	mustRegisterModel(ModelFactory{
+	must(Models.Register(ModelFactory{
 		Name: "twoagent", Usage: "twoagent",
 		Summary: "the Figure 1 model {H0, H1, H2} on two agents",
 		New: func(arg string) (*model.Model, error) {
@@ -543,8 +491,8 @@ func registerBuiltinModels() {
 			}
 			return model.TwoAgent(), nil
 		},
-	})
-	mustRegisterModel(ModelFactory{
+	}))
+	must(Models.Register(ModelFactory{
 		Name: "deaf", Usage: "deaf:N",
 		Summary: "deaf(K_N): the complete graph with one agent's ears removed, per agent (Section 5)",
 		New: func(arg string) (*model.Model, error) {
@@ -554,8 +502,8 @@ func registerBuiltinModels() {
 			}
 			return model.DeafModel(graph.Complete(n)), nil
 		},
-	})
-	mustRegisterModel(ModelFactory{
+	}))
+	must(Models.Register(ModelFactory{
 		Name: "psi", Usage: "psi:N",
 		Summary: "the Figure 2 model {Psi_0, Psi_1, Psi_2} on N >= 4 nodes",
 		New: func(arg string) (*model.Model, error) {
@@ -568,8 +516,8 @@ func registerBuiltinModels() {
 			}
 			return model.PsiModel(n), nil
 		},
-	})
-	mustRegisterModel(ModelFactory{
+	}))
+	must(Models.Register(ModelFactory{
 		Name: "rooted", Usage: "rooted:N",
 		Summary: "all rooted graphs on N nodes (N <= 5)",
 		New: func(arg string) (*model.Model, error) {
@@ -579,8 +527,8 @@ func registerBuiltinModels() {
 			}
 			return model.AllRooted(n)
 		},
-	})
-	mustRegisterModel(ModelFactory{
+	}))
+	must(Models.Register(ModelFactory{
 		Name: "nonsplit", Usage: "nonsplit:N",
 		Summary: "all non-split graphs on N nodes (N <= 5)",
 		New: func(arg string) (*model.Model, error) {
@@ -590,8 +538,8 @@ func registerBuiltinModels() {
 			}
 			return model.AllNonSplit(n)
 		},
-	})
-	mustRegisterModel(ModelFactory{
+	}))
+	must(Models.Register(ModelFactory{
 		Name: "na", Usage: "na:N,F",
 		Summary: "the full asynchronous-round model N_A(N, F) (small N)",
 		New: func(arg string) (*model.Model, error) {
@@ -601,8 +549,8 @@ func registerBuiltinModels() {
 			}
 			return model.FullAsyncRound(n, f)
 		},
-	})
-	mustRegisterModel(ModelFactory{
+	}))
+	must(Models.Register(ModelFactory{
 		Name: "asyncchain", Usage: "asyncchain:N,F",
 		Summary: "the Lemma 24 chain sub-model of N_A(N, F)",
 		New: func(arg string) (*model.Model, error) {
@@ -612,8 +560,8 @@ func registerBuiltinModels() {
 			}
 			return model.AsyncChain(n, f)
 		},
-	})
-	mustRegisterModel(ModelFactory{
+	}))
+	must(Models.Register(ModelFactory{
 		Name: "edges", Usage: "edges:N;A>B,C>D",
 		Summary: "a singleton model with the given edge list",
 		New: func(arg string) (*model.Model, error) {
@@ -623,7 +571,7 @@ func registerBuiltinModels() {
 			}
 			return model.New(g)
 		},
-	})
+	}))
 }
 
 // parseProbability parses an edge probability in (0, 1].
@@ -636,7 +584,7 @@ func parseProbability(name, arg string) (float64, error) {
 }
 
 func registerBuiltinAdversaries() {
-	mustRegisterAdversary(AdversaryFactory{
+	must(Adversaries.Register(AdversaryFactory{
 		Name: "greedy", Usage: "greedy",
 		Summary:    "the valency-splitting adversary of Theorems 1, 2 and 5: always play the successor with the largest certified valency diameter",
 		NeedsModel: true, NeedsEngine: true,
@@ -644,10 +592,10 @@ func registerBuiltinAdversaries() {
 			if err := noArg("greedy", arg); err != nil {
 				return nil, err
 			}
-			return &adversary.Greedy{Est: valency.EstimatorFromEngine(env.Engine)}, nil
+			return &adversary.Greedy{Eng: env.Engine}, nil
 		},
-	})
-	mustRegisterAdversary(AdversaryFactory{
+	}))
+	must(Adversaries.Register(AdversaryFactory{
 		Name: "blockgreedy", Usage: "blockgreedy",
 		Summary:    "the Theorem 3 block adversary: choose among whole sigma_i blocks of n-2 Psi_i graphs (Psi models only)",
 		NeedsModel: true, NeedsEngine: true,
@@ -655,10 +603,10 @@ func registerBuiltinAdversaries() {
 			if err := noArg("blockgreedy", arg); err != nil {
 				return nil, err
 			}
-			return adversary.NewBlockGreedy(valency.EstimatorFromEngine(env.Engine), adversary.SigmaBlocks(env.N))
+			return adversary.NewBlockGreedy(env.Engine, adversary.SigmaBlocks(env.N))
 		},
-	})
-	mustRegisterAdversary(AdversaryFactory{
+	}))
+	must(Adversaries.Register(AdversaryFactory{
 		Name: "random", Usage: "random",
 		Summary:    "a uniformly random member of the model every round, from the session seed",
 		NeedsModel: true,
@@ -668,8 +616,8 @@ func registerBuiltinAdversaries() {
 			}
 			return core.RandomFromModel{Model: env.Model, Rng: rand.New(rand.NewSource(env.Seed))}, nil
 		},
-	})
-	mustRegisterAdversary(AdversaryFactory{
+	}))
+	must(Adversaries.Register(AdversaryFactory{
 		Name: "cycle", Usage: "cycle",
 		Summary:    "the model's graphs in round-robin order",
 		NeedsModel: true,
@@ -679,8 +627,8 @@ func registerBuiltinAdversaries() {
 			}
 			return core.Cycle{Graphs: env.Model.Graphs()}, nil
 		},
-	})
-	mustRegisterAdversary(AdversaryFactory{
+	}))
+	must(Adversaries.Register(AdversaryFactory{
 		Name: "fixed", Usage: "fixed:K",
 		Summary:    "the model's graph K every round (default 0) — the classical fixed-topology setting",
 		NeedsModel: true,
@@ -697,8 +645,8 @@ func registerBuiltinAdversaries() {
 			}
 			return core.Fixed{G: env.Model.Graph(k)}, nil
 		},
-	})
-	mustRegisterAdversary(AdversaryFactory{
+	}))
+	must(Adversaries.Register(AdversaryFactory{
 		Name: "randomrooted", Usage: "randomrooted:P",
 		Summary: "a fresh random rooted graph with edge probability P every round (model-free)",
 		New: func(arg string, env AdversaryEnv) (core.PatternSource, error) {
@@ -712,8 +660,8 @@ func registerBuiltinAdversaries() {
 				return graph.RandomRooted(rng, n, p)
 			}), nil
 		},
-	})
-	mustRegisterAdversary(AdversaryFactory{
+	}))
+	must(Adversaries.Register(AdversaryFactory{
 		Name: "randomnonsplit", Usage: "randomnonsplit:P",
 		Summary: "a fresh random non-split graph with edge probability P every round (model-free)",
 		New: func(arg string, env AdversaryEnv) (core.PatternSource, error) {
@@ -727,7 +675,7 @@ func registerBuiltinAdversaries() {
 				return graph.RandomNonSplit(rng, n, p)
 			}), nil
 		},
-	})
+	}))
 }
 
 // ParseFloats parses a comma-separated float list ("0, 1, 0.5").

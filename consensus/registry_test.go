@@ -1,7 +1,15 @@
 package consensus
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
+
+	"repro/consensus/scenario"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 func TestModelRegistrySpecs(t *testing.T) {
@@ -137,6 +145,191 @@ func TestRegistryRegistrationErrors(t *testing.T) {
 	ar := NewAdversaryRegistry()
 	if err := ar.Register(AdversaryFactory{}); err == nil {
 		t.Error("empty adversary factory accepted")
+	}
+}
+
+// contractRegistry adapts one typed registry to the contract every spec
+// registry shares: register names an entry whose Usage and Summary derive
+// from its name (with or without a constructor), and resolve resolves a
+// spec string.
+type contractRegistry struct {
+	register func(name string, withNew bool) error
+	resolve  func(spec string) error
+	names    func() []string
+	describe func() []FactoryInfo
+}
+
+// contractRegistries returns, per registry kind, a constructor of a new,
+// empty registry of that kind under the contract adapter.
+func contractRegistries() []struct {
+	kind  string
+	fresh func() contractRegistry
+} {
+	usage := func(name string) string { return name + ":ARG" }
+	summary := func(name string) string { return "the " + name + " entry" }
+	return []struct {
+		kind  string
+		fresh func() contractRegistry
+	}{
+		{"algorithm", func() contractRegistry {
+			r := NewAlgorithmRegistry()
+			build := func(string, int) (core.Algorithm, error) { return Algorithms.New("midpoint", 2) }
+			return contractRegistry{
+				register: func(name string, withNew bool) error {
+					f := AlgorithmFactory{Name: name, Usage: usage(name), Summary: summary(name)}
+					if withNew {
+						f.New = build
+					}
+					return r.Register(f)
+				},
+				resolve:  func(spec string) error { _, err := r.New(spec, 2); return err },
+				names:    r.Names,
+				describe: r.Describe,
+			}
+		}},
+		{"model", func() contractRegistry {
+			r := NewModelRegistry()
+			build := func(string) (*model.Model, error) { return model.TwoAgent(), nil }
+			return contractRegistry{
+				register: func(name string, withNew bool) error {
+					f := ModelFactory{Name: name, Usage: usage(name), Summary: summary(name)}
+					if withNew {
+						f.New = build
+					}
+					return r.Register(f)
+				},
+				resolve:  func(spec string) error { _, err := r.New(spec); return err },
+				names:    r.Names,
+				describe: r.Describe,
+			}
+		}},
+		{"adversary", func() contractRegistry {
+			r := NewAdversaryRegistry()
+			build := func(string, AdversaryEnv) (core.PatternSource, error) {
+				return core.Fixed{G: graph.Complete(2)}, nil
+			}
+			return contractRegistry{
+				register: func(name string, withNew bool) error {
+					f := AdversaryFactory{Name: name, Usage: usage(name), Summary: summary(name)}
+					if withNew {
+						f.New = build
+					}
+					return r.Register(f)
+				},
+				resolve:  func(spec string) error { _, err := r.New(spec, AdversaryEnv{N: 2}); return err },
+				names:    r.Names,
+				describe: r.Describe,
+			}
+		}},
+		{"scenario", func() contractRegistry {
+			r := NewScenarioRegistry()
+			build := func(string, ScenarioEnv) (*scenario.Schedule, error) { return scenario.EventuallyRooted(2, 1) }
+			return contractRegistry{
+				register: func(name string, withNew bool) error {
+					f := ScenarioFactory{Name: name, Usage: usage(name), Summary: summary(name)}
+					if withNew {
+						f.New = build
+					}
+					return r.Register(f)
+				},
+				resolve:  func(spec string) error { _, err := r.New(spec, ScenarioEnv{}); return err },
+				names:    r.Names,
+				describe: r.Describe,
+			}
+		}},
+	}
+}
+
+// TestRegistryContract holds all four spec registries to one contract,
+// error strings byte for byte: registration needs a name and a
+// constructor and rejects duplicates, an unknown spec names the kind and
+// lists what is registered, and Names and Describe list the entries
+// sorted, Describe with their Usage and Summary.
+func TestRegistryContract(t *testing.T) {
+	wantErr := func(t *testing.T, what string, err error, want string) {
+		t.Helper()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", what, err, want)
+		}
+	}
+	for _, tc := range contractRegistries() {
+		t.Run(tc.kind, func(t *testing.T) {
+			r := tc.fresh()
+			needs := fmt.Sprintf("consensus: %s factory needs a name and a constructor", tc.kind)
+			wantErr(t, "empty name", r.register("", true), needs)
+			wantErr(t, "nil constructor", r.register("a", false), needs)
+			for _, name := range []string{"b", "a", "c"} {
+				if err := r.register(name, true); err != nil {
+					t.Fatalf("register %q: %v", name, err)
+				}
+			}
+			wantErr(t, "duplicate", r.register("a", true), fmt.Sprintf("consensus: %s %q already registered", tc.kind, "a"))
+			wantErr(t, "unknown spec", r.resolve("nope:1"), fmt.Sprintf("consensus: unknown %s %q (have a, b, c)", tc.kind, "nope"))
+			if err := r.resolve("a:x"); err != nil {
+				t.Errorf("resolve a:x: %v", err)
+			}
+
+			names, infos := r.names(), r.describe()
+			if !slices.Equal(names, []string{"a", "b", "c"}) {
+				t.Errorf("Names() = %v, want [a b c]", names)
+			}
+			if len(infos) != len(names) {
+				t.Fatalf("Describe() lists %d entries, Names() %d", len(infos), len(names))
+			}
+			for i, info := range infos {
+				want := FactoryInfo{Name: names[i], Usage: names[i] + ":ARG", Summary: "the " + names[i] + " entry"}
+				if info != want {
+					t.Errorf("Describe()[%d] = %+v, want %+v", i, info, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRegistryConcurrentRegisterResolve registers entries while other
+// goroutines resolve specs and list the registry, for the race detector.
+func TestRegistryConcurrentRegisterResolve(t *testing.T) {
+	const writers, perWriter, readers = 4, 16, 4
+	for _, tc := range contractRegistries() {
+		t.Run(tc.kind, func(t *testing.T) {
+			r := tc.fresh()
+			if err := r.register("seed", true); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, writers*perWriter+readers*perWriter)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						errs <- r.register(fmt.Sprintf("w%d-%d", w, i), true)
+					}
+				}()
+			}
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						errs <- r.resolve("seed")
+						if len(r.describe()) < 1 {
+							errs <- fmt.Errorf("Describe lost the seed entry")
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := len(r.names()); got != 1+writers*perWriter {
+				t.Fatalf("%d entries after concurrent registration, want %d", got, 1+writers*perWriter)
+			}
+		})
 	}
 }
 

@@ -62,7 +62,7 @@ const MaxRootedWindow = 64
 // loop round — starts beyond that repeat by periodicity). Schedules
 // with larger lassos skip the k >= 2 search and report RootedWindow 0
 // (an under-claim, never a false certificate), which bounds the
-// worst-case certification cost at MaxRootedWindowStarts·MaxRootedWindow²/2
+// worst-case certification cost at MaxRootedWindowStarts·(MaxRootedWindow−1)
 // graph products regardless of the schedule or horizon a client
 // uploads.
 const MaxRootedWindowStarts = 4096
@@ -181,31 +181,31 @@ func (s *Schedule) rootedWindow(ctx context.Context) (window int, skipped bool, 
 	if starts > MaxRootedWindowStarts {
 		return 0, true, nil
 	}
+	// Each start's window grows one product at a time, and the first
+	// rooted length is that start's answer: every graph carries its
+	// self-loops, so G·H ⊇ G ∪ H and a rooted window stays rooted as it
+	// grows. The schedule's window is the largest answer over all starts.
 	done := ctx.Done()
-	for k := 2; k <= MaxRootedWindow; k++ {
-		ok := true
-		for start := 1; start <= starts; start++ {
-			if done != nil && start%256 == 0 {
+	products := 0
+	for start := 1; start <= starts; start++ {
+		p, k := s.At(start), 1
+		for !p.IsRooted() {
+			if k == MaxRootedWindow {
+				return 0, false, nil
+			}
+			if products++; done != nil && products%256 == 0 {
 				select {
 				case <-done:
 					return 0, false, ctx.Err()
 				default:
 				}
 			}
-			p := s.At(start)
-			for t := start + 1; t < start+k; t++ {
-				p = graph.Product(p, s.At(t))
-			}
-			if !p.IsRooted() {
-				ok = false
-				break
-			}
+			p = graph.Product(p, s.At(start+k))
+			k++
 		}
-		if ok {
-			return k, false, nil
-		}
+		window = max(window, k)
 	}
-	return 0, false, nil
+	return window, false, nil
 }
 
 // Summary renders the certificate as the human-readable lines the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,9 +75,7 @@ const (
 // the already-materialized schedule, with its fingerprint memo warm.
 // The cache is FIFO-bounded by entries and by total cached rounds.
 type ScenarioRegistry struct {
-	id uint64
-	mu sync.RWMutex
-	m  map[string]ScenarioFactory
+	registry[ScenarioFactory]
 
 	cacheMu      sync.Mutex
 	cache        map[string]*scenario.Schedule
@@ -91,21 +88,14 @@ type ScenarioRegistry struct {
 
 // NewScenarioRegistry returns an empty registry.
 func NewScenarioRegistry() *ScenarioRegistry {
-	return &ScenarioRegistry{id: registryIDs.Add(1), m: make(map[string]ScenarioFactory)}
+	r := &ScenarioRegistry{}
+	r.init("scenario")
+	return r
 }
 
 // Register adds a factory; registering a duplicate or empty name errors.
 func (r *ScenarioRegistry) Register(f ScenarioFactory) error {
-	if f.Name == "" || f.New == nil {
-		return fmt.Errorf("consensus: scenario factory needs a name and a constructor")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.m[f.Name]; dup {
-		return fmt.Errorf("consensus: scenario %q already registered", f.Name)
-	}
-	r.m[f.Name] = f
-	return nil
+	return r.add(FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary}, f, f.New != nil)
 }
 
 // New resolves a spec string ("name" or "name:arg") to a schedule.
@@ -128,12 +118,9 @@ func (r *ScenarioRegistry) New(spec string, env ScenarioEnv) (*scenario.Schedule
 		}
 		return s, nil
 	}
-	name, arg := splitSpec(spec)
-	r.mu.RLock()
-	f, ok := r.m[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("consensus: unknown scenario %q (have %s)", name, strings.Join(r.Names(), ", "))
+	f, arg, err := r.lookup(spec)
+	if err != nil {
+		return nil, err
 	}
 	s, err := f.New(arg, env)
 	if err != nil {
@@ -218,39 +205,9 @@ func (r *ScenarioRegistry) ResolveCacheStats() (hits, misses uint64, entries int
 	return r.cacheHits, r.cacheMisses, len(r.cache)
 }
 
-// Names returns the sorted registered names.
-func (r *ScenarioRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.m))
-	for name := range r.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Describe returns the sorted entry descriptions.
-func (r *ScenarioRegistry) Describe() []FactoryInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]FactoryInfo, 0, len(r.m))
-	for _, f := range r.m {
-		out = append(out, FactoryInfo{Name: f.Name, Usage: f.Usage, Summary: f.Summary})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Scenarios is the default scenario registry, pre-populated with the
 // built-in generators.
 var Scenarios = NewScenarioRegistry()
-
-func mustRegisterScenario(f ScenarioFactory) {
-	if err := Scenarios.Register(f); err != nil {
-		panic(err)
-	}
-}
 
 // TraceEncoding is the base64 alphabet of inline trace specs and JSON
 // trace fields. It is URL-safe and unpadded, so encoded traces survive
@@ -344,7 +301,7 @@ func init() {
 }
 
 func registerBuiltinScenarios() {
-	mustRegisterScenario(ScenarioFactory{
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "partitionheal", Usage: "partitionheal:N,BLOCKS,HEALAT",
 		Summary: "BLOCKS isolated complete clusters for HEALAT rounds, then the complete graph forever (eventually rooted)",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
@@ -354,8 +311,8 @@ func registerBuiltinScenarios() {
 			}
 			return scenario.PartitionHeal(int(v[0]), int(v[1]), int(v[2]))
 		},
-	})
-	mustRegisterScenario(ScenarioFactory{
+	}))
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "churn", Usage: "churn:N,SEED,PERIOD,EPOCHS,MAXDOWN",
 		Summary: "EPOCHS epochs of PERIOD rounds each with a random transmitter-down subset (<= MAXDOWN agents); rooted every round",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
@@ -365,8 +322,8 @@ func registerBuiltinScenarios() {
 			}
 			return scenario.Churn(int(v[0]), v[1], int(v[2]), int(v[3]), int(v[4]))
 		},
-	})
-	mustRegisterScenario(ScenarioFactory{
+	}))
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "eventuallyrooted", Usage: "eventuallyrooted:N,K",
 		Summary: "K silent (unrooted) rounds, then the complete graph forever — the minimal eventually-rooted(K) schedule",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
@@ -376,8 +333,8 @@ func registerBuiltinScenarios() {
 			}
 			return scenario.EventuallyRooted(int(v[0]), int(v[1]))
 		},
-	})
-	mustRegisterScenario(ScenarioFactory{
+	}))
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "frommodel", Usage: "frommodel:MODELSPEC;SEED;ROUNDS",
 		Summary: "ROUNDS uniform draws from the model, materialized — the recorded form of the random adversary",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
@@ -399,15 +356,15 @@ func registerBuiltinScenarios() {
 			}
 			return scenario.FromModel(m, seed, rounds)
 		},
-	})
-	mustRegisterScenario(ScenarioFactory{
+	}))
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "trace", Usage: "trace:BASE64URL",
 		Summary: "an inline encoded trace (base64url of the binary trace format)",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
 			return DecodeTraceString(arg)
 		},
-	})
-	mustRegisterScenario(ScenarioFactory{
+	}))
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "repeat", Usage: "repeat:K;SPEC",
 		Summary: "the operand scenario's prefix played K times (its loop preserved)",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
@@ -425,8 +382,8 @@ func registerBuiltinScenarios() {
 			}
 			return scenario.Repeat(s, k)
 		},
-	})
-	mustRegisterScenario(ScenarioFactory{
+	}))
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "concat", Usage: "concat:SPEC+SPEC+... (nested composites in [brackets])",
 		Summary: "the operand scenarios back to back (all but the last must be finite)",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
@@ -441,8 +398,8 @@ func registerBuiltinScenarios() {
 			}
 			return scenario.Concat(ss...)
 		},
-	})
-	mustRegisterScenario(ScenarioFactory{
+	}))
+	must(Scenarios.Register(ScenarioFactory{
 		Name: "interleave", Usage: "interleave:SPEC+SPEC (nested composites in [brackets])",
 		Summary: "alternate rounds of the two operand scenarios, each on its own clock",
 		New: func(arg string, env ScenarioEnv) (*scenario.Schedule, error) {
@@ -460,7 +417,7 @@ func registerBuiltinScenarios() {
 			}
 			return scenario.Interleave(a, b)
 		},
-	})
+	}))
 }
 
 // WithScenario pins the session's per-round communication graphs to the

@@ -513,16 +513,12 @@ func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 			yield(Snapshot{}, err)
 			return
 		}
-		var est valency.Estimator
-		if s.floor {
-			est = valency.EstimatorFromEngine(s.engine)
-		}
 		done := ctx.Done()
 
 		if core.IsOblivious(src) {
 			if d, ok := core.AsDense(s.alg); ok {
 				r := core.NewDenseRunner(d, s.inputs)
-				if !yield(s.denseSnapshot(r, 0, graph.Graph{}, est, nil), nil) {
+				if !yield(s.denseSnapshot(r, 0, graph.Graph{}, nil), nil) {
 					return
 				}
 				for t := 1; t <= s.rounds; t++ {
@@ -536,7 +532,7 @@ func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 					}
 					g := src.Next(t, nil)
 					r.Step(g)
-					if !yield(s.denseSnapshot(r, t, g, est, s.lastDecision(decs, t)), nil) {
+					if !yield(s.denseSnapshot(r, t, g, s.lastDecision(decs, t)), nil) {
 						return
 					}
 				}
@@ -545,7 +541,7 @@ func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 		}
 
 		c := core.NewConfig(s.alg, s.inputs)
-		if !yield(s.agentSnapshot(c, 0, graph.Graph{}, est, nil), nil) {
+		if !yield(s.agentSnapshot(c, 0, graph.Graph{}, nil), nil) {
 			return
 		}
 		for t := 1; t <= s.rounds; t++ {
@@ -559,7 +555,7 @@ func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 			}
 			g := src.Next(t, c)
 			c = c.Step(g)
-			if !yield(s.agentSnapshot(c, t, g, est, s.lastDecision(decs, t)), nil) {
+			if !yield(s.agentSnapshot(c, t, g, s.lastDecision(decs, t)), nil) {
 				return
 			}
 		}
@@ -601,33 +597,33 @@ func (s *Session) snapshotCommon(t int, g graph.Graph, dec *adversary.Decision) 
 	return snap
 }
 
-// floorOf computes the snapshot floor for a materialized configuration,
-// replicating the repository's printed tables: the initial configuration
-// always gets the certified bound, later rounds only for convex
-// combination algorithms (0 otherwise).
-func (s *Session) floorOf(est valency.Estimator, c *core.Config, t int) float64 {
+// floorOf computes the snapshot floor for a materialized configuration
+// on the session's engine, replicating the repository's printed tables:
+// the initial configuration always gets the certified bound, later
+// rounds only for convex combination algorithms (0 otherwise).
+func (s *Session) floorOf(c *core.Config, t int) float64 {
 	if t == 0 || s.alg.Convex() {
-		return est.DeltaLower(c)
+		return s.engine.DeltaLower(c)
 	}
 	return 0
 }
 
-func (s *Session) agentSnapshot(c *core.Config, t int, g graph.Graph, est valency.Estimator, dec *adversary.Decision) Snapshot {
+func (s *Session) agentSnapshot(c *core.Config, t int, g graph.Graph, dec *adversary.Decision) Snapshot {
 	snap := s.snapshotCommon(t, g, dec)
 	snap.Outputs = c.Outputs()
 	snap.Diameter = c.Diameter()
 	if s.floor {
-		snap.Floor = s.floorOf(est, c, t)
+		snap.Floor = s.floorOf(c, t)
 	}
 	return snap
 }
 
-func (s *Session) denseSnapshot(r *core.DenseRunner, t int, g graph.Graph, est valency.Estimator, dec *adversary.Decision) Snapshot {
+func (s *Session) denseSnapshot(r *core.DenseRunner, t int, g graph.Graph, dec *adversary.Decision) Snapshot {
 	snap := s.snapshotCommon(t, g, dec)
 	snap.Outputs = r.Outputs()
 	snap.Diameter = r.Diameter()
 	if s.floor {
-		snap.Floor = s.floorOf(est, r.Config(), t)
+		snap.Floor = s.floorOf(r.Config(), t)
 	}
 	return snap
 }

@@ -182,10 +182,10 @@ func TestSessionFloorAndEngineSharing(t *testing.T) {
 	// Replay directly against the engines.
 	m := model.TwoAgent()
 	alg, _ := Algorithms.New("twothirds", 2)
-	est := valency.NewEstimator(m, 4, alg.Convex())
+	eng := valency.NewEngine(m, valency.DefaultParams(4, alg.Convex()))
 	c := core.NewConfig(alg, []float64{0, 1})
-	if floors[0] != est.DeltaLower(c) {
-		t.Errorf("round-0 floor %v, estimator %v", floors[0], est.DeltaLower(c))
+	if floors[0] != eng.DeltaLower(c) {
+		t.Errorf("round-0 floor %v, estimator %v", floors[0], eng.DeltaLower(c))
 	}
 	// The greedy race decays by 1/3 per round for two-thirds (up to the
 	// estimator's settle tolerance).

@@ -30,7 +30,6 @@
 //	internal/adversary   the lower-bound pattern constructions
 //	internal/approx      approximate consensus: deciders and time bounds
 //	internal/async       asynchronous message passing with unclean crashes
-//	internal/pattern     Section 6.1 properties over communication patterns
 //	internal/vector      coordinate-wise lift to d-dimensional values
 //	internal/scenario    the binary trace codec for schedules
 //	internal/exp         the experiment registry regenerating every table

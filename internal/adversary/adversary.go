@@ -9,7 +9,7 @@
 // and 20). The adversary that always moves to the successor with the
 // largest valency diameter therefore maintains δ(C_t) >= δ(C_0)/(q+1)^t.
 //
-// Greedy is that adversary, instantiated with the valency estimator's
+// Greedy is that adversary, instantiated with the valency engine's
 // sound inner bounds: it maximizes a certified lower bound on δ(G.C), so
 // every decay floor it exhibits is genuine. BlockGreedy is the Theorem 3
 // variant that plays whole σ_i blocks of n-2 Ψ_i graphs between decisions,
@@ -28,12 +28,12 @@ import (
 // Greedy is a core.PatternSource that, in every round, plays the model
 // graph whose successor configuration has the largest certified (inner)
 // valency diameter, breaking ties toward the lowest model index for
-// determinism. When every successor's inner bound is zero (estimator too
+// determinism. When every successor's inner bound is zero (engine too
 // coarse to witness any spread), it falls back to maximizing the plain
 // value diameter of the successor.
 type Greedy struct {
-	// Est provides the model and the valency bounds.
-	Est valency.Estimator
+	// Eng provides the model and the valency bounds.
+	Eng *valency.Engine
 	// Trace, if non-nil, receives one record per decision.
 	Trace *[]Decision
 }
@@ -47,7 +47,7 @@ type Decision struct {
 }
 
 // Next implements core.PatternSource. The valency exploration runs on the
-// estimator's persistent engine, and the next round's successors are this
+// persistent engine, and the next round's successors are this
 // round's level-2 nodes: when the next call re-explores the chosen
 // successor's subtree, the constant-graph settles that ranking the
 // candidates here ran — with the memo lookups, most of the cost — are
@@ -55,8 +55,7 @@ type Decision struct {
 // down the walk are passed down again. (Inner-table entries are keyed by
 // remaining depth, so the deeper re-exploration misses those.)
 func (a *Greedy) Next(round int, c *core.Config) graph.Graph {
-	m := a.Est.Model
-	eng := a.Est.Engine()
+	eng := a.Eng
 	inners := eng.SuccessorInners(c)
 	best, bestDiam := 0, -1.0
 	for k, iv := range inners {
@@ -77,7 +76,7 @@ func (a *Greedy) Next(round int, c *core.Config) graph.Graph {
 	if a.Trace != nil {
 		*a.Trace = append(*a.Trace, Decision{Round: round, Chosen: best, Inner: inners})
 	}
-	return m.Graph(best)
+	return eng.Model().Graph(best)
 }
 
 // BlockGreedy is the Theorem 3 adversary: it decides once per block of
@@ -85,9 +84,9 @@ func (a *Greedy) Next(round int, c *core.Config) graph.Graph {
 // σ_i = Ψ_i^(n-2) sequences) the one whose end-of-block configuration has
 // the largest inner valency diameter, then plays that block out.
 type BlockGreedy struct {
-	// Est provides valency bounds; its model must contain every graph
+	// Eng provides valency bounds; its model must contain every graph
 	// appearing in Blocks.
-	Est valency.Estimator
+	Eng *valency.Engine
 	// Blocks are the candidate graph sequences; all must have equal,
 	// positive length.
 	Blocks [][]graph.Graph
@@ -97,7 +96,7 @@ type BlockGreedy struct {
 }
 
 // NewBlockGreedy validates the blocks and returns the adversary.
-func NewBlockGreedy(est valency.Estimator, blocks [][]graph.Graph) (*BlockGreedy, error) {
+func NewBlockGreedy(eng *valency.Engine, blocks [][]graph.Graph) (*BlockGreedy, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("adversary: no blocks")
 	}
@@ -110,12 +109,12 @@ func NewBlockGreedy(est valency.Estimator, blocks [][]graph.Graph) (*BlockGreedy
 			return nil, fmt.Errorf("adversary: ragged block lengths %d vs %d", len(b), length)
 		}
 		for _, g := range b {
-			if !est.Model.Contains(g) {
+			if !eng.Model().Contains(g) {
 				return nil, fmt.Errorf("adversary: block graph %v not in estimator model", g)
 			}
 		}
 	}
-	return &BlockGreedy{Est: est, Blocks: blocks}, nil
+	return &BlockGreedy{Eng: eng, Blocks: blocks}, nil
 }
 
 // BlockLen returns the common block length.
@@ -123,11 +122,10 @@ func (a *BlockGreedy) BlockLen() int { return len(a.Blocks[0]) }
 
 // Next implements core.PatternSource. Candidate blocks are played out on
 // a reused scratch configuration, and the end-of-block valencies come
-// from the estimator's persistent engine, whose caches carry the chosen
+// from the persistent engine, whose caches carry the chosen
 // block's exploration into the next decision.
 func (a *BlockGreedy) Next(round int, c *core.Config) graph.Graph {
 	if len(a.pending) == 0 {
-		eng := a.Est.Engine()
 		if a.scratch == nil {
 			a.scratch = &core.Config{}
 		}
@@ -141,7 +139,7 @@ func (a *BlockGreedy) Next(round int, c *core.Config) graph.Graph {
 		}
 		best, bestDiam := 0, -1.0
 		for k, block := range a.Blocks {
-			if d := eng.Inner(playBlock(block)).Diameter(); d > bestDiam {
+			if d := a.Eng.Inner(playBlock(block)).Diameter(); d > bestDiam {
 				best, bestDiam = k, d
 			}
 		}

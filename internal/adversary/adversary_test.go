@@ -16,14 +16,14 @@ import (
 // given rounds and returns the certified inner δ(C_t) for every t.
 func deltaFloorRun(t *testing.T, alg core.Algorithm, m *model.Model, inputs []float64, depth, rounds int) []float64 {
 	t.Helper()
-	est := valency.NewEstimator(m, depth, alg.Convex())
-	adv := &adversary.Greedy{Est: est}
+	eng := valency.NewEngine(m, valency.DefaultParams(depth, alg.Convex()))
+	adv := &adversary.Greedy{Eng: eng}
 	c := core.NewConfig(alg, inputs)
-	floors := []float64{est.DeltaLower(c)}
+	floors := []float64{eng.DeltaLower(c)}
 	for round := 1; round <= rounds; round++ {
 		g := adv.Next(round, c)
 		c = c.Step(g)
-		floors = append(floors, est.DeltaLower(c))
+		floors = append(floors, eng.DeltaLower(c))
 	}
 	return floors
 }
@@ -132,8 +132,8 @@ func TestMidpointTightInDeafModel(t *testing.T) {
 func TestTheorem3FloorPsiBlocks(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		m := model.PsiModel(n)
-		est := valency.NewEstimator(m, 1, true)
-		adv, err := adversary.NewBlockGreedy(est, adversary.SigmaBlocks(n))
+		eng := valency.NewEngine(m, valency.DefaultParams(1, true))
+		adv, err := adversary.NewBlockGreedy(eng, adversary.SigmaBlocks(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestTheorem3FloorPsiBlocks(t *testing.T) {
 		}
 		for _, alg := range []core.Algorithm{algorithms.AmortizedMidpoint{}, algorithms.Midpoint{}} {
 			c := core.NewConfig(alg, inputs)
-			if d0 := est.DeltaLower(c); math.Abs(d0-1) > 1e-6 {
+			if d0 := eng.DeltaLower(c); math.Abs(d0-1) > 1e-6 {
 				t.Fatalf("n=%d %s: δ(C0) = %v, want 1 (Lemma 13)", n, alg.Name(), d0)
 			}
 			blocks := 4
@@ -157,7 +157,7 @@ func TestTheorem3FloorPsiBlocks(t *testing.T) {
 					round++
 					c = c.Step(adv.Next(round, c))
 				}
-				floor := est.DeltaLower(c)
+				floor := eng.DeltaLower(c)
 				want := math.Pow(0.5, float64(b))
 				if floor < want-1e-5 {
 					t.Errorf("n=%d %s: δ after block %d = %v below Theorem 3 floor %v",
@@ -228,6 +228,77 @@ func TestLemma14Indistinguishability(t *testing.T) {
 	}
 }
 
+// TestLemma14FromReachedConfigurations checks Lemma 14 for snapshots S
+// reached after a prefix of σ blocks, not only the initial one:
+// σ_i.S ~_ℓ σ_j.S for the trio agent ℓ outside {i, j}. The starting points
+// are every concatenation of zero, one or two σ blocks.
+func TestLemma14FromReachedConfigurations(t *testing.T) {
+	for _, n := range []int{4, 6} {
+		inputs := make([]float64, n)
+		for i := range inputs {
+			inputs[i] = float64(i)
+		}
+		blocks := adversary.SigmaBlocks(n)
+		c0 := core.NewConfig(algorithms.AmortizedMidpoint{}, inputs)
+		starts := []*core.Config{c0}
+		for _, b1 := range blocks {
+			c1 := c0.StepAll(b1)
+			starts = append(starts, c1)
+			for _, b2 := range blocks {
+				starts = append(starts, c1.StepAll(b2))
+			}
+		}
+		for k, s := range starts {
+			var ends [3]*core.Config
+			for i := range ends {
+				ends[i] = s.StepAll(blocks[i])
+			}
+			for i := 0; i < 3; i++ {
+				for j := 0; j < 3; j++ {
+					for l := 0; l < 3; l++ {
+						if i == j || l == i || l == j {
+							continue
+						}
+						if ends[i].Output(l) != ends[j].Output(l) {
+							t.Errorf("n=%d start %d (round %d): agent %d distinguishes σ_%d from σ_%d: %v vs %v",
+								n, k, s.Round(), l, i, j, ends[i].Output(l), ends[j].Output(l))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSigmaConcatenationsAreRooted checks the observation opening
+// Section 6: any concatenation of σ blocks is a communication pattern of
+// the rooted network model, so every graph it plays is rooted. It covers
+// a fixed concatenation and the one BlockGreedy chooses.
+func TestSigmaConcatenationsAreRooted(t *testing.T) {
+	for _, n := range []int{4, 5, 6} {
+		blocks := adversary.SigmaBlocks(n)
+		for r := 0; r < 20; r++ {
+			block := blocks[(r/(n-2))%3]
+			if g := block[r%(n-2)]; !g.IsRooted() {
+				t.Fatalf("n=%d round %d: σ concatenation played unrooted graph %v", n, r+1, g)
+			}
+		}
+	}
+	n := 6
+	adv, err := adversary.NewBlockGreedy(valency.NewEngine(model.PsiModel(n), valency.DefaultParams(1, true)), adversary.SigmaBlocks(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25, 0.75, 0.5})
+	for round := 1; round <= 20; round++ {
+		g := adv.Next(round, c)
+		if !g.IsRooted() {
+			t.Fatalf("round %d: BlockGreedy played unrooted graph %v", round, g)
+		}
+		c = c.Step(g)
+	}
+}
+
 // TestTheorem5FloorAlphaDiameter reproduces the generic Theorem 5 bound on
 // the async-chain sub-model: the greedy adversary preserves
 // δ(C_t) >= δ(C_0)/(D+1)^t where D is the model's alpha-diameter.
@@ -245,17 +316,17 @@ func TestTheorem5FloorAlphaDiameter(t *testing.T) {
 		t.Fatal("sub-model alpha-diameter infinite")
 	}
 	bound := 1 / float64(d+1)
-	est := valency.NewEstimator(sub, 0, true)
-	adv := &adversary.Greedy{Est: est}
+	eng := valency.NewEngine(sub, valency.DefaultParams(0, true))
+	adv := &adversary.Greedy{Eng: eng}
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25})
-	d0 := est.DeltaLower(c)
+	d0 := eng.DeltaLower(c)
 	if d0 <= 0 {
 		t.Fatal("δ(C0) estimate is zero; estimator too coarse")
 	}
 	rounds := 4
 	for round := 1; round <= rounds; round++ {
 		c = c.Step(adv.Next(round, c))
-		floor := est.DeltaLower(c)
+		floor := eng.DeltaLower(c)
 		want := d0 * math.Pow(bound, float64(round))
 		if floor < want-1e-6 {
 			t.Errorf("δ(C_%d) = %v below Theorem 5 floor %v (D=%d)", round, floor, want, d)
@@ -268,10 +339,10 @@ func TestTheorem5FloorAlphaDiameter(t *testing.T) {
 // the adversary falls back to maximizing the successor value diameter.
 func TestGreedyFallbackOnBlindEstimator(t *testing.T) {
 	m := model.TwoAgent()
-	est := valency.NewEstimator(m, 1, true)
-	est.Settle = 1 // nothing converges within one round from diameter 1
-	est.Tol = 1e-12
-	adv := &adversary.Greedy{Est: est}
+	p := valency.DefaultParams(1, true)
+	p.Settle = 1 // nothing converges within one round from diameter 1
+	p.Tol = 1e-12
+	adv := &adversary.Greedy{Eng: valency.NewEngine(m, p)}
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1})
 	g := adv.Next(1, c)
 	// Fallback maximizes the successor diameter: H0 collapses to 0, H1/H2
@@ -286,9 +357,9 @@ func TestGreedyFallbackOnBlindEstimator(t *testing.T) {
 func TestBlockGreedyFallback(t *testing.T) {
 	n := 4
 	m := model.PsiModel(n)
-	est := valency.NewEstimator(m, 0, true)
-	est.Settle = 1
-	adv, err := adversary.NewBlockGreedy(est, adversary.SigmaBlocks(n))
+	p := valency.DefaultParams(0, true)
+	p.Settle = 1
+	adv, err := adversary.NewBlockGreedy(valency.NewEngine(m, p), adversary.SigmaBlocks(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,28 +378,28 @@ func TestBlockGreedyFallback(t *testing.T) {
 
 func TestBlockGreedyValidation(t *testing.T) {
 	m := model.PsiModel(5)
-	est := valency.NewEstimator(m, 1, true)
-	if _, err := adversary.NewBlockGreedy(est, nil); err == nil {
+	eng := valency.NewEngine(m, valency.DefaultParams(1, true))
+	if _, err := adversary.NewBlockGreedy(eng, nil); err == nil {
 		t.Error("accepted empty block set")
 	}
-	if _, err := adversary.NewBlockGreedy(est, [][]graph.Graph{{}}); err == nil {
+	if _, err := adversary.NewBlockGreedy(eng, [][]graph.Graph{{}}); err == nil {
 		t.Error("accepted empty block")
 	}
 	ragged := [][]graph.Graph{graph.SigmaBlock(5, 0), {graph.Psi(5, 1)}}
-	if _, err := adversary.NewBlockGreedy(est, ragged); err == nil {
+	if _, err := adversary.NewBlockGreedy(eng, ragged); err == nil {
 		t.Error("accepted ragged blocks")
 	}
 	alien := [][]graph.Graph{{graph.Complete(5), graph.Complete(5), graph.Complete(5)}}
-	if _, err := adversary.NewBlockGreedy(est, alien); err == nil {
+	if _, err := adversary.NewBlockGreedy(eng, alien); err == nil {
 		t.Error("accepted block with non-member graph")
 	}
 }
 
 func TestGreedyTraceRecording(t *testing.T) {
 	m := model.TwoAgent()
-	est := valency.NewEstimator(m, 3, true)
+	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
 	var decisions []adversary.Decision
-	adv := &adversary.Greedy{Est: est, Trace: &decisions}
+	adv := &adversary.Greedy{Eng: eng, Trace: &decisions}
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	for round := 1; round <= 3; round++ {
 		c = c.Step(adv.Next(round, c))

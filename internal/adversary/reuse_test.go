@@ -21,11 +21,11 @@ func TestGreedyCrossRoundReuseIsTransparent(t *testing.T) {
 	inputs := []float64{0, 1, 0.5}
 	const rounds = 6
 
-	warm := &adversary.Greedy{Est: valency.NewEstimator(m, 2, true)}
+	warm := &adversary.Greedy{Eng: valency.NewEngine(m, valency.DefaultParams(2, true))}
 	warmTrace := core.Run(algorithms.Midpoint{}, inputs, warm, rounds)
 
 	cold := core.Func(func(round int, c *core.Config) graph.Graph {
-		adv := &adversary.Greedy{Est: valency.NewEstimator(m, 2, true)}
+		adv := &adversary.Greedy{Eng: valency.NewEngine(m, valency.DefaultParams(2, true))}
 		return adv.Next(round, c)
 	})
 	coldTrace := core.Run(algorithms.Midpoint{}, inputs, cold, rounds)
@@ -44,7 +44,7 @@ func TestGreedyCrossRoundReuseIsTransparent(t *testing.T) {
 	}
 
 	// The warm run must actually have reused its tables across rounds.
-	stats := warm.Est.Engine().Stats()
+	stats := warm.Eng.Stats()
 	if stats.LimitHits == 0 && stats.InnerHits == 0 {
 		t.Fatalf("persistent engine recorded no cache hits across %d rounds: %+v", rounds, stats)
 	}
@@ -57,15 +57,16 @@ func TestGreedyCrossRoundReuseIsTransparent(t *testing.T) {
 // configurations, but identical to the materializing reference.
 func TestGreedyZeroDiameterFallback(t *testing.T) {
 	m := model.DeafModel(graph.Complete(3))
-	est := valency.NewEstimator(m, 1, true)
-	est.Settle = 0 // kill the inner bound: forces the fallback path
+	p := valency.DefaultParams(1, true)
+	p.Settle = 0 // kill the inner bound: forces the fallback path
+	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
 
-	if iv := est.Inner(c); iv.Diameter() != 0 {
+	if iv := eng.Inner(c); iv.Diameter() != 0 {
 		t.Fatalf("precondition failed: inner bound %v should be empty with Settle=0", iv)
 	}
 
-	adv := &adversary.Greedy{Est: est}
+	adv := &adversary.Greedy{Eng: eng}
 	got := adv.Next(1, c)
 
 	wantIdx, wantDiam := 0, -1.0
@@ -89,8 +90,8 @@ func TestBlockGreedyMatchesStepAllReference(t *testing.T) {
 		gs = append(gs, b...)
 	}
 	m := model.MustNew(gs...)
-	est := valency.NewEstimator(m, 1, true)
-	adv, err := adversary.NewBlockGreedy(est, blocks)
+	eng := valency.NewEngine(m, valency.DefaultParams(1, true))
+	adv, err := adversary.NewBlockGreedy(eng, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,10 @@ func TestBlockGreedyMatchesStepAllReference(t *testing.T) {
 
 	got := adv.Next(1, c)
 
-	refEst := valency.NewEstimator(m, 1, true)
 	wantIdx, wantDiam := 0, -1.0
 	for k, block := range blocks {
 		end := c.StepAll(block)
-		if d := refEst.ReferenceInner(end).Diameter(); d > wantDiam {
+		if d := valency.ReferenceInner(m, valency.DefaultParams(1, true), end).Diameter(); d > wantDiam {
 			wantIdx, wantDiam = k, d
 		}
 	}

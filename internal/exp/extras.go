@@ -93,16 +93,16 @@ func runAblationAdversary() *Table {
 	inputs := []float64{0, 1, 0.5}
 	want := math.Pow(0.5, 4)
 	run := func(name string, src core.PatternSource) {
-		est := valency.NewEstimator(m, 3, true)
+		eng := valency.NewEngine(m, valency.DefaultParams(3, true))
 		c := core.NewConfig(algorithms.Midpoint{}, inputs)
 		for round := 1; round <= 4; round++ {
 			c = c.Step(src.Next(round, c))
 		}
-		floor := est.DeltaLower(c)
+		floor := eng.DeltaLower(c)
 		t.AddRow(name, floor, want, floor >= want-1e-6)
 	}
-	est := valency.NewEstimator(m, 3, true)
-	run("greedy (proof adversary)", &adversary.Greedy{Est: est})
+	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
+	run("greedy (proof adversary)", &adversary.Greedy{Eng: eng})
 	run("round-robin", core.Cycle{Graphs: m.Graphs()})
 	run("random seed 1", core.RandomFromModel{Model: m, Rng: newRNG(1)})
 	run("random seed 2", core.RandomFromModel{Model: m, Rng: newRNG(2)})
@@ -127,9 +127,9 @@ func runAblationDepth() *Table {
 	m2 := model.TwoAgent()
 	c2 := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	for _, depth := range []int{0, 2, 4} {
-		est := valency.NewEstimator(m2, depth, true)
-		inner := est.Inner(c2).Diameter()
-		outer := est.Outer(c2).Diameter()
+		eng := valency.NewEngine(m2, valency.DefaultParams(depth, true))
+		inner := eng.Inner(c2).Diameter()
+		outer := eng.Outer(c2).Diameter()
 		t.AddRow("two-thirds/{H_k}, extremes deaf-able", depth, inner, outer, outer-inner)
 	}
 	// Case 2: extremes held by Psi path agents, which are never deaf —
@@ -139,9 +139,9 @@ func runAblationDepth() *Table {
 	m5 := model.PsiModel(5)
 	c5 := core.NewConfig(algorithms.Midpoint{}, []float64{0.5, 0.5, 0.5, 0, 1})
 	for _, depth := range []int{0, 1, 2, 3} {
-		est := valency.NewEstimator(m5, depth, true)
-		inner := est.Inner(c5).Diameter()
-		outer := est.Outer(c5).Diameter()
+		eng := valency.NewEngine(m5, valency.DefaultParams(depth, true))
+		inner := eng.Inner(c5).Diameter()
+		outer := eng.Outer(c5).Diameter()
 		t.AddRow("midpoint/Psi(5), extremes on path", depth, inner, outer, outer-inner)
 	}
 	t.Notes = append(t.Notes,

@@ -54,16 +54,16 @@ func runF1() *Table {
 		t.Notes = append(t.Notes, fmt.Sprintf("H%d = %v (roots %v)", k, g, graph.SetToNodes(g.RootsSet())))
 	}
 	m := model.TwoAgent()
-	est := valency.NewEstimator(m, 5, true)
+	eng := valency.NewEngine(m, valency.DefaultParams(5, true))
 	var decisions []adversary.Decision
-	adv := &adversary.Greedy{Est: est, Trace: &decisions}
+	adv := &adversary.Greedy{Eng: eng, Trace: &decisions}
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
-	t.AddRow(0, "-", est.DeltaLower(c), 1.0, true)
+	t.AddRow(0, "-", eng.DeltaLower(c), 1.0, true)
 	for round := 1; round <= 7; round++ {
 		g := adv.Next(round, c)
 		c = c.Step(g)
 		floor := math.Pow(1.0/3.0, float64(round))
-		inner := est.DeltaLower(c)
+		inner := eng.DeltaLower(c)
 		t.AddRow(round, fmt.Sprintf("H%d", m.Index(g)), inner, floor, inner >= floor-1e-6)
 	}
 	return t

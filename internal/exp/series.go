@@ -47,15 +47,15 @@ func runSeriesCurves() *Table {
 		{"deaf(K3)", model.DeafModel(graph.Complete(3)), algorithms.Mean{}, 0.5, 3, 5, []float64{0, 1, 0.5}},
 	}
 	for _, s := range settings {
-		est := valency.NewEstimator(s.m, s.depth, s.alg.Convex())
-		adv := &adversary.Greedy{Est: est}
+		eng := valency.NewEngine(s.m, valency.DefaultParams(s.depth, s.alg.Convex()))
+		adv := &adversary.Greedy{Eng: eng}
 		c := core.NewConfig(s.alg, s.inputs)
 		gammaT := 1.0
-		t.AddRow(s.name, s.alg.Name(), 0, c.Diameter(), est.DeltaLower(c), gammaT)
+		t.AddRow(s.name, s.alg.Name(), 0, c.Diameter(), eng.DeltaLower(c), gammaT)
 		for round := 1; round <= s.rounds; round++ {
 			c = c.Step(adv.Next(round, c))
 			gammaT *= s.gamma
-			t.AddRow(s.name, s.alg.Name(), round, c.Diameter(), est.DeltaLower(c), gammaT)
+			t.AddRow(s.name, s.alg.Name(), round, c.Diameter(), eng.DeltaLower(c), gammaT)
 		}
 	}
 	t.Notes = append(t.Notes,

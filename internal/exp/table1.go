@@ -55,13 +55,13 @@ func init() {
 // deltaFloor runs alg under the greedy adversary on m and returns the
 // certified inner δ(C_t) sequence.
 func deltaFloor(alg core.Algorithm, m *model.Model, inputs []float64, depth, rounds int) []float64 {
-	est := valency.NewEstimator(m, depth, alg.Convex())
-	adv := &adversary.Greedy{Est: est}
+	eng := valency.NewEngine(m, valency.DefaultParams(depth, alg.Convex()))
+	adv := &adversary.Greedy{Eng: eng}
 	c := core.NewConfig(alg, inputs)
-	floors := []float64{est.DeltaLower(c)}
+	floors := []float64{eng.DeltaLower(c)}
 	for round := 1; round <= rounds; round++ {
 		c = c.Step(adv.Next(round, c))
-		floors = append(floors, est.DeltaLower(c))
+		floors = append(floors, eng.DeltaLower(c))
 	}
 	return floors
 }
@@ -202,14 +202,14 @@ func runT1Rooted() *Table {
 		for i := 2; i < n; i++ {
 			inputs[i] = 0.5
 		}
-		est := valency.NewEstimator(m, 1, true)
+		eng := valency.NewEngine(m, valency.DefaultParams(1, true))
 		for _, alg := range []core.Algorithm{algorithms.AmortizedMidpoint{}, algorithms.Midpoint{}} {
-			adv, err := adversary.NewBlockGreedy(est, adversary.SigmaBlocks(n))
+			adv, err := adversary.NewBlockGreedy(eng, adversary.SigmaBlocks(n))
 			if err != nil {
 				panic(err)
 			}
 			c := core.NewConfig(alg, inputs)
-			d0 := est.DeltaLower(c)
+			d0 := eng.DeltaLower(c)
 			blocks := 3
 			round := 0
 			for b := 0; b < blocks; b++ {
@@ -218,7 +218,7 @@ func runT1Rooted() *Table {
 					c = c.Step(adv.Next(round, c))
 				}
 			}
-			dT := est.DeltaLower(c)
+			dT := eng.DeltaLower(c)
 			ratio, perRound := 0.0, 0.0
 			if d0 > 0 && dT > 0 {
 				ratio = math.Pow(dT/d0, 1/float64(blocks))

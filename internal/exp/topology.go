@@ -68,14 +68,14 @@ func runXTopology() *Table {
 // reachable limits (sorted).
 func sampleLimits(m *model.Model, alg core.Algorithm, inputs []float64, samples, prefixLen int) []float64 {
 	rng := rand.New(rand.NewSource(424242))
-	est := valency.NewEstimator(m, 0, alg.Convex())
+	eng := valency.NewEngine(m, valency.DefaultParams(0, alg.Convex()))
 	var out []float64
 	for s := 0; s < samples; s++ {
 		c := core.NewConfig(alg, inputs)
 		for r := 0; r < prefixLen; r++ {
 			c = c.Step(m.Graph(rng.Intn(m.Size())))
 		}
-		if limit, ok := est.LimitOfConstant(c, rng.Intn(m.Size())); ok {
+		if limit, ok := eng.LimitOfConstant(c, rng.Intn(m.Size())); ok {
 			out = append(out, limit)
 		}
 	}

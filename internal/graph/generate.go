@@ -115,10 +115,9 @@ func RandomRooted(rng *rand.Rand, n int, p float64) Graph {
 	if p <= 0 {
 		panic("graph: RandomRooted requires p > 0")
 	}
-	scratch := make([]int32, 5*n)
 	for coins := 0; ; {
 		g := Random(rng, n, p)
-		if g.rootComponent(nil, scratch) {
+		if g.IsRooted() {
 			return g
 		}
 		if coins += n * (n - 1); coins >= rootedCoinBudget {

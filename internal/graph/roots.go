@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // finished is the DFS number rootComponent gives a node once its strongly
@@ -15,7 +16,7 @@ const finished = math.MaxInt32
 // writes R(G). A graph is rooted iff the set is non-empty.
 func (g Graph) RootsSet() []uint64 {
 	roots := make([]uint64, g.Words())
-	if !g.rootComponent(roots, make([]int32, 5*g.n)) {
+	if !g.findRoots(roots) {
 		clear(roots)
 	}
 	return roots
@@ -24,12 +25,27 @@ func (g Graph) RootsSet() []uint64 {
 // IsRooted reports whether the graph contains a rooted spanning tree, i.e.
 // has at least one root. Asymptotic consensus is solvable in a network
 // model iff all its graphs are rooted (paper, Theorem 1 of Section 2.2).
-func (g Graph) IsRooted() bool { return g.rootComponent(nil, make([]int32, 5*g.n)) }
+func (g Graph) IsRooted() bool { return g.findRoots(nil) }
+
+// rootScratch pools rootComponent's scratch, so model predicates,
+// enumerations and certification test graph after graph without
+// allocating.
+var rootScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// findRoots runs rootComponent on scratch drawn from rootScratch.
+func (g Graph) findRoots(roots []uint64) bool {
+	s := rootScratch.Get().(*[]int32)
+	if cap(*s) < 5*g.n {
+		*s = make([]int32, 5*g.n)
+	}
+	found := g.rootComponent(roots, (*s)[:5*g.n])
+	rootScratch.Put(s)
+	return found
+}
 
 // rootComponent reports whether g has roots and, when roots is non-nil,
 // ORs the first source component it finds into roots (callers clear roots
-// on false). s is its scratch, of length at least 5n; a caller testing
-// many graphs, like RandomRooted, passes the same s to every call.
+// on false). s is its scratch, of length at least 5n.
 //
 // It runs Tarjan's strongly-connected-components algorithm once, on the
 // transpose of g, whose out-rows are exactly the stored in-rows. Tarjan

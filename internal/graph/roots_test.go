@@ -94,3 +94,44 @@ func TestRootsMatchReachability(t *testing.T) {
 		}
 	}
 }
+
+// TestRootsConcurrent calls IsRooted and RootsSet from 8 goroutines on
+// graphs of 2 to 1024 nodes, so calls of different widths share pooled
+// scratch, and requires every result to equal the sequential one.
+func TestRootsConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var gs []Graph
+	for _, n := range []int{2, 3, 8, 63, 64, 65, 130, 256, 1024} {
+		gs = append(gs, PathGraph(n), reversedPath(n), Random(rng, n, 0.02), Random(rng, n, 4/float64(n)))
+	}
+	wantRooted := make([]bool, len(gs))
+	wantRoots := make([][]uint64, len(gs))
+	for i, g := range gs {
+		wantRooted[i], wantRoots[i] = g.IsRooted(), g.RootsSet()
+	}
+	const workers, passes = 8, 4
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for p := 0; p < passes; p++ {
+				for j := range gs {
+					i := (j + w*len(gs)/workers) % len(gs) // each worker starts elsewhere
+					if got := gs[i].IsRooted(); got != wantRooted[i] {
+						errs <- fmt.Errorf("graph %d (n=%d): IsRooted = %v, sequential %v", i, gs[i].N(), got, wantRooted[i])
+						return
+					}
+					if got := gs[i].RootsSet(); !slices.Equal(got, wantRoots[i]) {
+						errs <- fmt.Errorf("graph %d (n=%d): RootsSet = %v, sequential %v", i, gs[i].N(), SetToNodes(got), SetToNodes(wantRoots[i]))
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -86,9 +86,9 @@ func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 func TestEngineDenseSettleMatchesReference(t *testing.T) {
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			est := valency.NewEstimator(tc.m, 2, tc.convex)
-			got := est.Inner(core.NewConfig(tc.alg, tc.inputs))
-			want := est.ReferenceInner(core.NewConfig(core.AgentsOnly(tc.alg), tc.inputs))
+			p := valency.DefaultParams(2, tc.convex)
+			got := valency.NewEngine(tc.m, p).Inner(core.NewConfig(tc.alg, tc.inputs))
+			want := valency.ReferenceInner(tc.m, p, core.NewConfig(core.AgentsOnly(tc.alg), tc.inputs))
 			if got != want {
 				t.Fatalf("dense engine Inner %v differs from naive reference %v", got, want)
 			}

@@ -12,7 +12,7 @@ import (
 )
 
 // Params bundles the tunables of a valency Engine. The zero value is not
-// useful; DefaultParams supplies the estimator defaults.
+// useful; DefaultParams supplies the defaults.
 type Params struct {
 	// Depth is the exhaustive exploration depth of the execution tree.
 	Depth int
@@ -63,7 +63,8 @@ func (s CacheStats) HitRate() float64 {
 
 // Engine is the memoized, zero-allocation, parallel valency exploration
 // engine. It computes the same certified Inner/Outer interval bounds as
-// the naive recursive walk (see Estimator.ReferenceInner) but
+// the naive recursive walks ReferenceInner and ReferenceOuter, its
+// differential-testing oracles, but
 //
 //   - memoizes Inner/Outer subtree results per (configuration
 //     fingerprint, remaining depth) and constant-graph limits per

@@ -46,16 +46,17 @@ func TestEngineMatchesReferenceInner(t *testing.T) {
 	for _, tc := range engineCases() {
 		for depth := 0; depth <= 3; depth++ {
 			t.Run(fmt.Sprintf("%s/depth-%d", tc.name, depth), func(t *testing.T) {
-				est := valency.NewEstimator(tc.m, depth, true)
+				p := valency.DefaultParams(depth, true)
+				eng := valency.NewEngine(tc.m, p)
 				c := core.NewConfig(tc.alg, tc.inputs)
-				want := est.ReferenceInner(c)
-				got := est.Inner(c)
+				want := valency.ReferenceInner(tc.m, p, c)
+				got := eng.Inner(c)
 				if got != want {
 					t.Fatalf("engine Inner = %v, reference = %v", got, want)
 				}
 				// A second call must serve the root from cache and still
 				// agree exactly.
-				if again := est.Inner(c); again != want {
+				if again := eng.Inner(c); again != want {
 					t.Fatalf("cached Inner = %v, reference = %v", again, want)
 				}
 			})
@@ -69,10 +70,10 @@ func TestEngineMatchesReferenceOuter(t *testing.T) {
 	for _, tc := range engineCases() {
 		for depth := 0; depth <= 3; depth++ {
 			t.Run(fmt.Sprintf("%s/depth-%d", tc.name, depth), func(t *testing.T) {
-				est := valency.NewEstimator(tc.m, depth, true)
+				p := valency.DefaultParams(depth, true)
 				c := core.NewConfig(tc.alg, tc.inputs)
-				want := est.ReferenceOuter(c)
-				got := est.Outer(c)
+				want := valency.ReferenceOuter(tc.m, p, c)
+				got := valency.NewEngine(tc.m, p).Outer(c)
 				if got != want {
 					t.Fatalf("engine Outer = %v, reference = %v", got, want)
 				}
@@ -87,12 +88,12 @@ func TestEngineMatchesReferenceOuter(t *testing.T) {
 func TestEngineLimitOfConstantMatchesReference(t *testing.T) {
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			est := valency.NewEstimator(tc.m, 2, true)
-			eng := est.Engine()
+			p := valency.DefaultParams(2, true)
+			eng := valency.NewEngine(tc.m, p)
 			var walk func(c *core.Config, depth int)
 			walk = func(c *core.Config, depth int) {
 				for k := 0; k < tc.m.Size(); k++ {
-					wantL, wantOK := referenceLimit(est, c, k)
+					wantL, wantOK := referenceLimit(tc.m, p, c, k)
 					gotL, gotOK := eng.LimitOfConstant(c, k)
 					if gotL != wantL || gotOK != wantOK {
 						t.Fatalf("limit(depth=%d, k=%d) = (%v, %v), reference (%v, %v)",
@@ -109,17 +110,17 @@ func TestEngineLimitOfConstantMatchesReference(t *testing.T) {
 }
 
 // referenceLimit mirrors the pre-engine LimitOfConstant implementation.
-func referenceLimit(est valency.Estimator, c *core.Config, k int) (float64, bool) {
-	g := est.Model.Graph(k)
+func referenceLimit(m *model.Model, p valency.Params, c *core.Config, k int) (float64, bool) {
+	g := m.Graph(k)
 	cur := c
-	for r := 0; r < est.Settle; r++ {
-		if cur.Diameter() <= est.Tol {
+	for r := 0; r < p.Settle; r++ {
+		if cur.Diameter() <= p.Tol {
 			lo, hi := core.Hull(cur.Outputs())
 			return (lo + hi) / 2, true
 		}
 		cur = cur.Step(g)
 	}
-	if cur.Diameter() <= est.Tol {
+	if cur.Diameter() <= p.Tol {
 		lo, hi := core.Hull(cur.Outputs())
 		return (lo + hi) / 2, true
 	}
@@ -158,11 +159,11 @@ func TestEngineParallelDeterminism(t *testing.T) {
 func TestEngineSuccessorInnersMatchReference(t *testing.T) {
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			est := valency.NewEstimator(tc.m, 2, true)
+			p := valency.DefaultParams(2, true)
 			c := core.NewConfig(tc.alg, tc.inputs)
-			got := est.SuccessorInners(c)
+			got := valency.NewEngine(tc.m, p).SuccessorInners(c)
 			for k := 0; k < tc.m.Size(); k++ {
-				want := est.ReferenceInner(c.Step(tc.m.Graph(k)))
+				want := valency.ReferenceInner(tc.m, p, c.Step(tc.m.Graph(k)))
 				if got[k] != want {
 					t.Fatalf("successor %d: engine %v, reference %v", k, got[k], want)
 				}
@@ -224,14 +225,13 @@ func TestEngineInheritanceBoundary(t *testing.T) {
 		for depth := 1; depth <= 3; depth++ {
 			t.Run(fmt.Sprintf("%s/depth-%d", tc.name, depth), func(t *testing.T) {
 				p := valency.Params{Depth: depth, Settle: tc.settle, Tol: 1e-9, Convex: true, Workers: 1}
-				est := valency.EstimatorFromEngine(valency.NewEngine(m, p))
 				c := core.NewConfig(algorithms.TwoThirds{}, tc.inputs)
-				if got, want := valency.NewEngine(m, p).Inner(c), est.ReferenceInner(c); got != want {
+				if got, want := valency.NewEngine(m, p).Inner(c), valency.ReferenceInner(m, p, c); got != want {
 					t.Fatalf("engine Inner = %v, reference = %v", got, want)
 				}
 				got := valency.NewEngine(m, p).SuccessorInners(c)
 				for k := range got {
-					if want := est.ReferenceInner(c.Step(m.Graph(k))); got[k] != want {
+					if want := valency.ReferenceInner(m, p, c.Step(m.Graph(k))); got[k] != want {
 						t.Fatalf("successor %d: engine %v, reference %v", k, got[k], want)
 					}
 				}
@@ -240,32 +240,15 @@ func TestEngineInheritanceBoundary(t *testing.T) {
 	}
 }
 
-// TestEstimatorFromEngineReusesWorkersEngine checks that an estimator
-// bound to a pooled engine with an explicit worker count keeps using that
-// engine, so its transposition tables carry over between calls.
-func TestEstimatorFromEngineReusesWorkersEngine(t *testing.T) {
-	p := valency.DefaultParams(3, true)
-	p.Workers = 2
-	eng := valency.NewEngine(model.TwoAgent(), p)
-	est := valency.EstimatorFromEngine(eng)
-	if est.Engine() != eng {
-		t.Fatal("EstimatorFromEngine(eng).Engine() built a fresh engine for Workers = 2")
-	}
-	est.Depth++
-	if est.Engine() == eng {
-		t.Fatal("an estimator with a changed depth must not reuse the bound engine")
-	}
-}
-
 // TestEngineUnfingerprintableFallback checks that an algorithm without
 // fingerprint support is still explored correctly, just without caching.
 func TestEngineUnfingerprintableFallback(t *testing.T) {
 	m := model.TwoAgent()
 	alg := opaqueAlg{algorithms.Midpoint{}}
-	est := valency.NewEstimator(m, 3, true)
+	p := valency.DefaultParams(3, true)
 	c := core.NewConfig(alg, []float64{0, 1})
-	want := est.ReferenceInner(c)
-	eng := est.Engine()
+	want := valency.ReferenceInner(m, p, c)
+	eng := valency.NewEngine(m, p)
 	if got := eng.Inner(c); got != want {
 		t.Fatalf("engine Inner = %v, reference = %v", got, want)
 	}

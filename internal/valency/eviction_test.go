@@ -39,16 +39,15 @@ func lowerBoundRuns() []lowerBoundRun {
 // adversary, whose choices show in the trace's graphs).
 func (r lowerBoundRun) play(t *testing.T, eng *valency.Engine, inputs []float64, rounds int) (*core.Trace, []adversary.Decision) {
 	t.Helper()
-	est := valency.EstimatorFromEngine(eng)
 	if r.block {
-		adv, err := adversary.NewBlockGreedy(est, adversary.SigmaBlocks(r.m.N()))
+		adv, err := adversary.NewBlockGreedy(eng, adversary.SigmaBlocks(r.m.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return core.Run(r.alg, inputs, adv, rounds), nil
 	}
 	var decisions []adversary.Decision
-	return core.Run(r.alg, inputs, &adversary.Greedy{Est: est, Trace: &decisions}, rounds), decisions
+	return core.Run(r.alg, inputs, &adversary.Greedy{Eng: eng, Trace: &decisions}, rounds), decisions
 }
 
 // TestEvictionIsTransparentToLowerBounds runs every lower-bound execution

@@ -27,10 +27,10 @@ func TestLemma5DiameterRealizingPair(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			est := valency.NewEstimator(tc.m, 3, true)
+			eng := valency.NewEngine(tc.m, valency.DefaultParams(3, true))
 			c := core.NewConfig(tc.alg, tc.in)
-			parent := est.Inner(c)
-			inners := est.SuccessorInners(c)
+			parent := eng.Inner(c)
+			inners := eng.SuccessorInners(c)
 			best := 0.0
 			for i := range inners {
 				for j := i; j < len(inners); j++ {
@@ -51,10 +51,10 @@ func TestLemma5DiameterRealizingPair(t *testing.T) {
 // estimates witness the intersection (they only contain genuine limits).
 func TestLemma20AlphaWitnessIntersection(t *testing.T) {
 	m := model.DeafModel(graph.Complete(3))
-	est := valency.NewEstimator(m, 3, true)
+	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
-	inners := est.SuccessorInners(c)
-	eps := 100 * est.Tol
+	inners := eng.SuccessorInners(c)
+	eps := 100 * eng.Params().Tol
 	checked := 0
 	for i := 0; i < m.Size(); i++ {
 		for j := i + 1; j < m.Size(); j++ {
@@ -93,10 +93,11 @@ func TestTheorem5ChainIntersections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := valency.NewEstimator(m, 0, true)
-	est.Settle = 256
+	p := valency.DefaultParams(0, true)
+	p.Settle = 256
+	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25})
-	inners := est.SuccessorInners(c)
+	inners := eng.SuccessorInners(c)
 	eps := 1e-6
 	pairs, intersecting := 0, 0
 	for i := 0; i < m.Size(); i++ {

@@ -60,11 +60,11 @@ func TestLemma8InitialValency(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			est := valency.NewEstimator(tc.m, 3, true)
+			eng := valency.NewEngine(tc.m, valency.DefaultParams(3, true))
 			c0 := core.NewConfig(tc.alg, tc.inputs)
 			want := core.Diameter(tc.inputs)
-			inner := est.Inner(c0)
-			outer := est.Outer(c0)
+			inner := eng.Inner(c0)
+			outer := eng.Outer(c0)
 			if math.Abs(inner.Diameter()-want) > 1e-6 {
 				t.Errorf("inner δ(C0) = %v, want %v (Lemma 8)", inner.Diameter(), want)
 			}
@@ -86,13 +86,13 @@ func TestLemma8InitialValency(t *testing.T) {
 func TestLemma7SuccessorIntersections(t *testing.T) {
 	m := model.TwoAgent()
 	for _, alg := range []core.Algorithm{algorithms.TwoThirds{}, algorithms.Midpoint{}} {
-		est := valency.NewEstimator(m, 4, true)
+		eng := valency.NewEngine(m, valency.DefaultParams(4, true))
 		c := core.NewConfig(alg, []float64{0, 1})
-		inners := est.SuccessorInners(c)
+		inners := eng.SuccessorInners(c)
 		// Endpoints carry the estimator tolerance; the true valencies touch
 		// exactly (e.g. at 1/3 for the two-thirds algorithm), so compare
 		// with a small expansion.
-		eps := 100 * est.Tol
+		eps := 100 * eng.Params().Tol
 		if !inners[0].Expand(eps).Intersects(inners[1]) {
 			t.Errorf("%s: Y*(H0.C) and Y*(H1.C) should intersect: %v vs %v",
 				alg.Name(), inners[0], inners[1])
@@ -109,12 +109,12 @@ func TestLemma7SuccessorIntersections(t *testing.T) {
 // bound of C (since Y*(C) = ∪_G Y*(G.C)).
 func TestLemma4Covering(t *testing.T) {
 	m := model.DeafModel(graph.Complete(3))
-	est := valency.NewEstimator(m, 3, true)
+	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
-	inner := est.Inner(c)
+	inner := eng.Inner(c)
 	union := valency.Interval{Lo: math.Inf(1), Hi: math.Inf(-1)}
 	for k := 0; k < m.Size(); k++ {
-		union = union.Union(est.Outer(c.Step(m.Graph(k))))
+		union = union.Union(eng.Outer(c.Step(m.Graph(k))))
 	}
 	if inner.Lo < union.Lo-1e-6 || inner.Hi > union.Hi+1e-6 {
 		t.Errorf("inner %v escapes successor-union %v", inner, union)
@@ -123,23 +123,23 @@ func TestLemma4Covering(t *testing.T) {
 
 func TestOuterPanicsForNonConvex(t *testing.T) {
 	m := model.TwoAgent()
-	est := valency.NewEstimator(m, 2, false)
+	eng := valency.NewEngine(m, valency.DefaultParams(2, false))
 	defer func() {
 		if recover() == nil {
 			t.Error("Outer on non-convex estimator did not panic")
 		}
 	}()
-	est.Outer(core.NewConfig(algorithms.Midpoint{}, []float64{0, 1}))
+	eng.Outer(core.NewConfig(algorithms.Midpoint{}, []float64{0, 1}))
 }
 
 func TestLimitOfConstant(t *testing.T) {
 	m := model.TwoAgent()
-	est := valency.NewEstimator(m, 0, true)
+	eng := valency.NewEngine(m, valency.DefaultParams(0, true))
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	// Constant H1: agent 0 deaf, limit = 0. Constant H2: limit = 1.
 	// Constant H0: symmetric averaging, limit = 1/2.
 	for k, want := range map[int]float64{1: 0, 2: 1, 0: 0.5} {
-		got, ok := est.LimitOfConstant(c, k)
+		got, ok := eng.LimitOfConstant(c, k)
 		if !ok {
 			t.Fatalf("constant H%d did not converge", k)
 		}
@@ -152,14 +152,15 @@ func TestLimitOfConstant(t *testing.T) {
 func TestLimitOfConstantNonConverging(t *testing.T) {
 	// An identity graph never contracts; the continuation must report !ok.
 	m := model.MustNew(graph.New(2))
-	est := valency.NewEstimator(m, 0, true)
-	est.Settle = 50
+	p := valency.DefaultParams(0, true)
+	p.Settle = 50
+	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1})
-	if _, ok := est.LimitOfConstant(c, 0); ok {
+	if _, ok := eng.LimitOfConstant(c, 0); ok {
 		t.Error("identity continuation should not converge")
 	}
 	// Inner over a model with no converging continuation is empty.
-	if iv := est.Inner(c); !iv.Empty() {
+	if iv := eng.Inner(c); !iv.Empty() {
 		t.Errorf("inner over identity-only model = %v, want empty", iv)
 	}
 }
@@ -183,7 +184,7 @@ func TestLemma21InitialValencyWithoutDeafGraphs(t *testing.T) {
 			}
 		}
 	}
-	est := valency.NewEstimator(m, 1, true)
+	eng := valency.NewEngine(m, valency.DefaultParams(1, true))
 	const delta = 1.0
 	best := 0.0
 	// The Lemma 21 construction: step inputs y_i = Δ for i < k, 0 else.
@@ -193,7 +194,7 @@ func TestLemma21InitialValencyWithoutDeafGraphs(t *testing.T) {
 			inputs[i] = delta
 		}
 		c := core.NewConfig(algorithms.Midpoint{}, inputs)
-		if d := est.DeltaLower(c); d > best {
+		if d := eng.DeltaLower(c); d > best {
 			best = d
 		}
 	}
@@ -207,12 +208,12 @@ func TestLemma21InitialValencyWithoutDeafGraphs(t *testing.T) {
 // bounds along a run shrink toward zero.
 func TestDeltaShrinksAlongExecutions(t *testing.T) {
 	m := model.TwoAgent()
-	est := valency.NewEstimator(m, 4, true)
+	eng := valency.NewEngine(m, valency.DefaultParams(4, true))
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
-	prev := est.DeltaUpper(c)
+	prev := eng.DeltaUpper(c)
 	for round := 1; round <= 8; round++ {
 		c = c.Step(graph.H(round % 3))
-		cur := est.DeltaUpper(c)
+		cur := eng.DeltaUpper(c)
 		if cur > prev+1e-12 {
 			t.Errorf("round %d: δ upper grew from %v to %v", round, prev, cur)
 		}
@@ -229,8 +230,8 @@ func TestDepthTightensOuter(t *testing.T) {
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	prev := math.Inf(1)
 	for depth := 0; depth <= 5; depth++ {
-		est := valency.NewEstimator(m, depth, true)
-		d := est.DeltaUpper(c)
+		eng := valency.NewEngine(m, valency.DefaultParams(depth, true))
+		d := eng.DeltaUpper(c)
 		if d > prev+1e-12 {
 			t.Errorf("depth %d: outer δ %v exceeds shallower %v", depth, d, prev)
 		}
