@@ -395,11 +395,18 @@ func BenchmarkValencyOuter(b *testing.B) {
 type genericSettle struct{ core.DenseAlgorithm }
 
 // BenchmarkSettle measures one constant-graph settle (engine defaults:
-// Settle 512, Tol 1e-9) on the four lower-bound models, each with its
-// algorithm's settle kernel and with the generic DenseStep + Hull loop.
-// An op settles the next of 64 seeded input vectors under the next model
-// graph, so ns/op is ns per settle.
+// Settle 512, Tol 1e-9) on the four lower-bound models and on nonsplit:3,
+// each with its algorithm's settle kernel and with the generic DenseStep
+// + Hull loop. An op settles the next of 64 seeded input vectors under
+// the next model graph, so ns/op is ns per settle. The valency engine
+// answers the self-rooted graphs of these models in closed form and
+// settles only the rest (twoagent's H0, most of nonsplit:3), but the
+// kernel is measured on every graph.
 func BenchmarkSettle(b *testing.B) {
+	nonsplit3, err := model.AllNonSplit(3)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		m    *model.Model
@@ -409,6 +416,7 @@ func BenchmarkSettle(b *testing.B) {
 		{"deaf3", model.DeafModel(graph.Complete(3)), algorithms.Midpoint{}},
 		{"deaf4", model.DeafModel(graph.Complete(4)), algorithms.Midpoint{}},
 		{"psi5", model.PsiModel(5), algorithms.Midpoint{}},
+		{"nonsplit3", nonsplit3, algorithms.Midpoint{}},
 	}
 	p := valency.DefaultParams(0, true)
 	for _, tc := range cases {

@@ -334,42 +334,68 @@ func TestTheorem5FloorAlphaDiameter(t *testing.T) {
 	}
 }
 
-// TestGreedyFallbackOnBlindEstimator forces the inner estimates to come
-// up empty (Settle too small for any continuation to converge) and checks
-// the adversary falls back to maximizing the successor value diameter.
+// TestGreedyFallbackOnBlindEstimator forces the inner estimates to
+// witness no spread (Settle too small for a spread-out continuation to
+// converge, and no agent of {K_3, C_3} hears only itself, so no limit
+// comes in closed form) and checks the adversary falls back to
+// maximizing the successor value diameter.
 func TestGreedyFallbackOnBlindEstimator(t *testing.T) {
-	m := model.TwoAgent()
+	m := model.MustNew(graph.Complete(3), graph.Cycle(3))
 	p := valency.DefaultParams(1, true)
-	p.Settle = 1 // nothing converges within one round from diameter 1
+	p.Settle = 1
 	p.Tol = 1e-12
-	adv := &adversary.Greedy{Eng: valency.NewEngine(m, p)}
-	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1})
-	g := adv.Next(1, c)
-	// Fallback maximizes the successor diameter: H0 collapses to 0, H1/H2
-	// keep 1/2; either one-sided graph is a correct choice.
-	if g.Equal(graph.H(0)) {
-		t.Errorf("fallback chose the diameter-collapsing graph H0")
+	eng := valency.NewEngine(m, p)
+	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
+	for k, iv := range eng.SuccessorInners(c) {
+		if iv.Diameter() > 0 {
+			t.Fatalf("precondition failed: successor %d has inner bound %v, so the fallback would not run", k, iv)
+		}
+	}
+	g := (&adversary.Greedy{Eng: eng}).Next(1, c)
+	// K_3 collapses the successor to consensus, C_3 keeps a spread of 1/2.
+	if !g.Equal(graph.Cycle(3)) {
+		t.Errorf("fallback chose %v, want the spread-keeping C_3", g)
 	}
 }
 
 // TestBlockGreedyFallback exercises the same fallback for the block
-// adversary.
+// adversary: mean has no closed-form limit, so with Settle 1 no
+// end-of-block inner bound on Psi(4) has a positive diameter, and each
+// decision must play the block whose end has the largest value diameter
+// (the lowest index on ties). From these inputs that is σ_2 every time,
+// so an adversary that skipped the fallback and kept σ_0 would fail.
 func TestBlockGreedyFallback(t *testing.T) {
 	n := 4
 	m := model.PsiModel(n)
 	p := valency.DefaultParams(0, true)
 	p.Settle = 1
-	adv, err := adversary.NewBlockGreedy(valency.NewEngine(m, p), adversary.SigmaBlocks(n))
+	eng := valency.NewEngine(m, p)
+	blocks := adversary.SigmaBlocks(n)
+	adv, err := adversary.NewBlockGreedy(eng, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.5})
-	for round := 1; round <= 2*(n-2); round++ {
-		g := adv.Next(round, c)
-		if !m.Contains(g) {
-			t.Fatalf("fallback left the model: %v", g)
+	c := core.NewConfig(algorithms.Mean{}, []float64{0, 0.5, 1, 0.25})
+	round := 0
+	for decision := 0; decision < 2; decision++ {
+		want, wantDiam := 0, -1.0
+		for k, block := range blocks {
+			end := c.StepAll(block)
+			if iv := eng.Inner(end); iv.Diameter() > 0 {
+				t.Fatalf("decision %d: precondition failed: block %d ends with inner bound %v, so the fallback would not run", decision, k, iv)
+			}
+			if d := end.Diameter(); d > wantDiam {
+				want, wantDiam = k, d
+			}
 		}
-		c = c.Step(g)
+		for _, wantG := range blocks[want] {
+			round++
+			g := adv.Next(round, c)
+			if !g.Equal(wantG) {
+				t.Fatalf("decision %d, round %d: fallback played %v, want block %d's %v", decision, round, g, want, wantG)
+			}
+			c = c.Step(g)
+		}
 	}
 	if c.Diameter() <= 0 {
 		t.Error("fallback adversary should preserve a positive diameter")

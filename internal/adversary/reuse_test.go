@@ -54,9 +54,11 @@ func TestGreedyCrossRoundReuseIsTransparent(t *testing.T) {
 // no constant continuation ever certifies a limit, every inner bound is
 // empty, and the adversary must fall back to maximizing the successor's
 // plain value diameter — computed without materializing successor
-// configurations, but identical to the materializing reference.
+// configurations, but identical to the materializing reference. The
+// model has no agent that hears only itself, so no limit comes in closed
+// form either.
 func TestGreedyZeroDiameterFallback(t *testing.T) {
-	m := model.DeafModel(graph.Complete(3))
+	m := model.MustNew(graph.Complete(3), graph.Cycle(3))
 	p := valency.DefaultParams(1, true)
 	p.Settle = 0 // kill the inner bound: forces the fallback path
 	eng := valency.NewEngine(m, p)

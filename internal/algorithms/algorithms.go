@@ -45,6 +45,14 @@ func (Midpoint) Name() string { return "midpoint" }
 // Convex implements core.Algorithm.
 func (Midpoint) Convex() bool { return true }
 
+// SelfRootKeeps implements core.SelfRootKeeper. An agent that hears only
+// itself computes (y+y)/2, which is y unless y+y overflows (|y| above
+// MaxFloat64/2), and midpoint converges under every constant rooted graph
+// (Charron-Bost, Függer, Nowak, ICALP'15).
+func (Midpoint) SelfRootKeeps(y float64) bool {
+	return !math.IsInf(y, 0) && (y+y)/2 == y
+}
+
 // NewAgent implements core.Algorithm.
 func (Midpoint) NewAgent(id, n int, initial float64) core.Agent {
 	return &midpointAgent{y: initial}
@@ -76,6 +84,14 @@ func (TwoThirds) Name() string { return "two-thirds" }
 
 // Convex implements core.Algorithm.
 func (TwoThirds) Convex() bool { return true }
+
+// SelfRootKeeps implements core.SelfRootKeeper. An agent that hears only
+// itself keeps y untouched, and every rooted two-agent graph shrinks the
+// output diameter by 1/3 per round (under H1 or H2 the hearing agent
+// moves two thirds of the way to the self-only one).
+func (TwoThirds) SelfRootKeeps(y float64) bool {
+	return !math.IsInf(y, 0) && !math.IsNaN(y)
+}
 
 // NewAgent implements core.Algorithm. It panics unless n == 2.
 func (TwoThirds) NewAgent(id, n int, initial float64) core.Agent {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/algorithms"
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/model"
@@ -380,6 +381,53 @@ func TestNamesAndConvexFlags(t *testing.T) {
 		}
 		if tc.alg.Convex() != tc.convex {
 			t.Errorf("%s: Convex = %v, want %v", tc.name, tc.alg.Convex(), tc.convex)
+		}
+	}
+}
+
+// TestSelfRootKeepsDeclarations pins who declares core.SelfRootKeeper
+// and what it answers: Midpoint and TwoThirds declare it, no other
+// algorithm does, and core.AgentsOnly forwards the answer (false for an
+// algorithm that does not declare). The deciding wrapper holds its
+// inner algorithm in a field, so it neither declares nor inherits it.
+func TestSelfRootKeepsDeclarations(t *testing.T) {
+	half := math.MaxFloat64 / 2
+	for _, tc := range []struct {
+		alg     core.Algorithm
+		y       float64
+		wantOK  bool
+		declare bool
+	}{
+		{algorithms.Midpoint{}, 0.25, true, true},
+		{algorithms.Midpoint{}, math.Copysign(0, -1), true, true},
+		{algorithms.Midpoint{}, half, true, true},
+		{algorithms.Midpoint{}, -half, true, true},
+		{algorithms.Midpoint{}, math.Nextafter(half, math.Inf(1)), false, true},
+		{algorithms.Midpoint{}, math.MaxFloat64, false, true},
+		{algorithms.Midpoint{}, math.Inf(1), false, true},
+		{algorithms.Midpoint{}, math.NaN(), false, true},
+		{algorithms.TwoThirds{}, math.MaxFloat64, true, true},
+		{algorithms.TwoThirds{}, 5e-324, true, true},
+		{algorithms.TwoThirds{}, math.Inf(-1), false, true},
+		{algorithms.TwoThirds{}, math.NaN(), false, true},
+		{algorithms.Mean{}, 0.25, false, false},
+		{algorithms.AmortizedMidpoint{}, 0.25, false, false},
+		{algorithms.QuantizedMidpoint{Q: 0.5}, 0.25, false, false},
+		{algorithms.SelfWeighted{Alpha: 0.5}, 0.25, false, false},
+		{algorithms.FlowSum{}, 0.25, false, false},
+		{approx.DecidingAlgorithm{Inner: algorithms.Midpoint{}, DecisionRound: 3}, 0.25, false, false},
+	} {
+		keeper, declared := tc.alg.(core.SelfRootKeeper)
+		if declared != tc.declare {
+			t.Fatalf("%s: declares SelfRootKeeper = %v, want %v", tc.alg.Name(), declared, tc.declare)
+		}
+		if declared {
+			if ok := keeper.SelfRootKeeps(tc.y); ok != tc.wantOK {
+				t.Fatalf("%s.SelfRootKeeps(%v) = %v, want %v", tc.alg.Name(), tc.y, ok, tc.wantOK)
+			}
+		}
+		if ok := core.AgentsOnly(tc.alg).(core.SelfRootKeeper).SelfRootKeeps(tc.y); ok != tc.wantOK {
+			t.Fatalf("AgentsOnly(%s).SelfRootKeeps(%v) = %v, want %v", tc.alg.Name(), tc.y, ok, tc.wantOK)
 		}
 	}
 }

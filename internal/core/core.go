@@ -78,6 +78,20 @@ type Algorithm interface {
 	Convex() bool
 }
 
+// SelfRootKeeper is an optional Algorithm capability that gives the
+// limit of a constant graph rooted at one self-only agent in closed
+// form. Declaring it asserts two things: an agent that hears only itself
+// keeps its output bit for bit, and every continuation that repeats one
+// rooted graph converges. Repeating a graph whose root component is the
+// single agent r, which hears only itself, then converges to exactly r's
+// output y. SelfRootKeeps(y) reports whether that holds for y: it is
+// false when the self-only step would not return y unchanged (a
+// non-finite y, or one the step overflows), and the limit must then be
+// found another way.
+type SelfRootKeeper interface {
+	SelfRootKeeps(y float64) bool
+}
+
 // StateCopier is an optional Agent capability: agents that can adopt the
 // state of another agent in place implement it so that configuration
 // scratch buffers can be refilled without allocating (see StepInto).

@@ -355,6 +355,35 @@ func TestRandomRootedTinyP(t *testing.T) {
 	}
 }
 
+// TestRandomRootedSampleBudget bounds the samples one call draws under a
+// p no sample is rooted at: each sample is charged its n(n-1) coins plus
+// rootedSampleCost, so at n = 2 a call stops after 15,888 samples where
+// charging coins alone took 2^19. A counting source sees every draw: n(n-1)
+// per sample, and one for the fallback's root.
+func TestRandomRootedSampleBudget(t *testing.T) {
+	for _, tc := range []struct{ n, samples int }{{2, 15888}, {3, 14980}, {8, 8739}, {64, 256}} {
+		src := &countingSource{Source: rand.NewSource(int64(tc.n))}
+		if g := RandomRooted(rand.New(src), tc.n, 1e-9); !g.IsRooted() {
+			t.Fatalf("RandomRooted(%d, 1e-9) = %v is not rooted", tc.n, g)
+		}
+		coins := tc.n * (tc.n - 1)
+		if samples := (src.draws - 1) / coins; samples != tc.samples || (src.draws-1)%coins != 0 {
+			t.Errorf("n=%d: %d draws, %d samples; want %d samples", tc.n, src.draws, samples, tc.samples)
+		}
+	}
+}
+
+// countingSource counts the draws made from a rand.Source.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 {
+	s.draws++
+	return s.Source.Int63()
+}
+
 func TestBuilderReuse(t *testing.T) {
 	b := NewBuilder(3)
 	g1 := b.Edge(0, 1).Graph()

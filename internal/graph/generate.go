@@ -99,28 +99,36 @@ func Random(rng *rand.Rand, n int, p float64) Graph {
 	return b.Graph()
 }
 
-// rootedCoinBudget bounds the edge coins one RandomRooted call draws: 2^20
-// coins are 2^19 samples at n = 2 and 2 at n = 1024. A p under which
+// rootedCoinBudget bounds the cost one RandomRooted call spends on
+// samples: each sample is charged its n(n-1) edge coins plus
+// rootedSampleCost for building and testing the graph, so the budget buys
+// 15,888 samples at n = 2, 256 at n = 64 and 2 at n = 1024. A p under which
 // rooted samples are likely needs far fewer.
 const rootedCoinBudget = 1 << 20
 
+// rootedSampleCost is the fixed part of one sample's charge, in coins: a
+// sample's graph build and root test cost about as much as 64 coins, which
+// dominates at small n, where a sample draws only n(n-1) coins.
+const rootedSampleCost = 64
+
 // RandomRooted returns a random rooted graph on n nodes. It samples
 // Random(n, p) until the result is rooted; for p >= 1/2 the expected number
-// of attempts is small. Once the samples have drawn rootedCoinBudget edge
-// coins without a rooted one, as they would for a tiny p, it roots the last
-// sample instead: it draws an agent r uniformly and adds the edge r -> j for
-// every j that r does not reach. Either way the result is a function of the
-// RNG's state. It panics if p <= 0 makes success impossible.
+// of attempts is small. Once the samples have been charged
+// rootedCoinBudget without a rooted one, as they would be for a tiny p, it
+// roots the last sample instead: it draws an agent r uniformly and adds the
+// edge r -> j for every j that r does not reach. Either way the result is a
+// function of the RNG's state. It panics if p <= 0 makes success
+// impossible.
 func RandomRooted(rng *rand.Rand, n int, p float64) Graph {
 	if p <= 0 {
 		panic("graph: RandomRooted requires p > 0")
 	}
-	for coins := 0; ; {
+	for charged := 0; ; {
 		g := Random(rng, n, p)
 		if g.IsRooted() {
 			return g
 		}
-		if coins += n * (n - 1); coins >= rootedCoinBudget {
+		if charged += n*(n-1) + rootedSampleCost; charged >= rootedCoinBudget {
 			return rootAt(g, rng.Intn(n))
 		}
 	}

@@ -15,7 +15,9 @@ import (
 // settle loops with and without auxiliary planes on every lower-bound
 // model (Theorems 1–3); wrapped in core.AgentsOnly they cover the
 // non-dense fallback (opaque agents built by hand are exercised
-// elsewhere).
+// elsewhere). On the lower-bound models every Midpoint limit comes in
+// closed form, so noSelfRoot3/midpoint is the case whose limits all go
+// through the Midpoint settle kernel.
 func settleCases() []struct {
 	name   string
 	m      *model.Model
@@ -35,6 +37,33 @@ func settleCases() []struct {
 		{"deafK3/amortized", model.DeafModel(graph.Complete(3)), algorithms.AmortizedMidpoint{}, []float64{0, 1, 0.5}, true},
 		{"deafK4/midpoint", model.DeafModel(graph.Complete(4)), algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25}, true},
 		{"psi5/midpoint", model.PsiModel(5), algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25, 0.75}, true},
+		{"noSelfRoot3/midpoint", noSelfRootModel(), algorithms.Midpoint{}, []float64{0, 1, 0.25}, true},
+	}
+}
+
+// noSelfRootModel returns three rooted non-split graphs on three agents,
+// none with an agent that hears only itself, so no limit in it has a
+// closed form: K_3 (one receiver row class), the cycle C_3 (three) and
+// the graph rooted at the pair {0, 1}, which agent 2 hears through 1
+// (two).
+func noSelfRootModel() *model.Model {
+	return model.MustNew(graph.Complete(3), graph.Cycle(3),
+		graph.MustFromEdges(3, [2]int{0, 1}, [2]int{1, 0}, [2]int{1, 2}))
+}
+
+// TestNoSelfRootModelSettles pins the premise of the noSelfRoot3 cases:
+// a Midpoint walk on that model settles limits (misses) and passes them
+// down or finds them in the limit table (hits). Closed-form answers
+// count as neither, so a model whose limits all came in closed form
+// would fail here.
+func TestNoSelfRootModelSettles(t *testing.T) {
+	m := noSelfRootModel()
+	p := valency.DefaultParams(2, true)
+	p.Workers = 1
+	eng := valency.NewEngine(m, p)
+	eng.SuccessorInners(core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.25}))
+	if s := eng.Stats(); s.LimitMisses == 0 || s.LimitHits == 0 {
+		t.Fatalf("want both settles and inherited or cached limits; stats %+v", s)
 	}
 }
 

@@ -66,6 +66,11 @@ func (s CacheStats) HitRate() float64 {
 // the naive recursive walks ReferenceInner and ReferenceOuter, its
 // differential-testing oracles, but
 //
+//   - answers the constant-graph limit in closed form where the graph is
+//     rooted at one agent r that hears only itself and the algorithm
+//     declares core.SelfRootKeeper: the limit is y_r, exact, read before
+//     any fingerprint, lock, table probe or settle (self roots are found
+//     once, in NewEngine; the capability once per query);
 //   - memoizes Inner/Outer subtree results per (configuration
 //     fingerprint, remaining depth) and constant-graph limits per
 //     (fingerprint, graph index), collapsing the many pattern prefixes
@@ -87,12 +92,12 @@ func (s CacheStats) HitRate() float64 {
 // outer, limits) persist across calls, which is what the greedy
 // adversaries exploit: the next round's successors are this round's
 // level-2 nodes, so when it re-explores the chosen successor's subtree
-// (one level deeper), the settles that this round ran there — with the
-// table lookups themselves, most of the cost — hit the depth-independent
-// limit table, which holds one entry per settle. Identical repeated
-// queries are answered from the root entry of the inner/outer tables;
-// deeper re-explorations miss those, since their keys include the
-// remaining depth. Each table is bounded by memoBudget bytes and, when
+// (one level deeper), the settles that this round ran there hit the
+// depth-independent limit table, which holds one entry per settle;
+// closed-form limits are neither stored nor counted as hits or misses.
+// Identical repeated queries are answered from the root entry of the
+// inner/outer tables; deeper re-explorations miss those, since their
+// keys include the remaining depth. Each table is bounded by memoBudget bytes and, when
 // full, evicts every entry and keeps memoizing. Every memoized value is
 // a pure function of its key, so eviction moves the cache counters but
 // never a bound.
@@ -107,6 +112,9 @@ func (s CacheStats) HitRate() float64 {
 type Engine struct {
 	model  *model.Model
 	params Params
+	// selfRoots[k] is the agent that model graph k is rooted at when it
+	// hears only itself, or -1 (see selfRoots).
+	selfRoots []int
 
 	// mu guards the memo tables and the walker free list.
 	mu      sync.Mutex
@@ -119,7 +127,7 @@ type Engine struct {
 // limitEntry is the outcome of one settle: the limit of the
 // constant-graph continuation and, when it converged (ok), the round at
 // which it did. The round saturates at MaxInt32, which can only stop
-// inheritance early.
+// inheritance early. A closed-form limit is an entry of round 0.
 type limitEntry struct {
 	limit float64
 	round int32
@@ -136,9 +144,9 @@ func converged(lo, hi float64, r int) limitEntry {
 // graph k, and whether there is one. Only a convergence at round r ≥ 1
 // passes down, as a convergence at round r−1: the child's own settle
 // under k visits the same configurations and converges on the same one.
-// A round-0 convergence does not, since the child's hull midpoint
-// differs; nor does a failed settle, since the child has its own full
-// Settle budget ahead.
+// A round-0 entry does not: after a round-0 convergence the child's hull
+// midpoint differs, and a closed form the child answers itself. Nor does
+// a failed settle, since the child has its own full Settle budget ahead.
 func (l limitEntry) passDown() (limitEntry, bool) {
 	if !l.ok || l.round < 1 {
 		return limitEntry{}, false
@@ -154,11 +162,12 @@ func NewEngine(m *model.Model, p Params) *Engine { return newEngine(m, p, memoBu
 
 func newEngine(m *model.Model, p Params, budget int) *Engine {
 	return &Engine{
-		model:  m,
-		params: p,
-		inner:  memoTable[Interval]{budget: budget},
-		outer:  memoTable[Interval]{budget: budget},
-		limits: memoTable[limitEntry]{budget: budget},
+		model:     m,
+		params:    p,
+		selfRoots: selfRoots(m),
+		inner:     memoTable[Interval]{budget: budget},
+		outer:     memoTable[Interval]{budget: budget},
+		limits:    memoTable[limitEntry]{budget: budget},
 	}
 }
 
@@ -215,8 +224,11 @@ func (e *Engine) workerCount(branches int) int {
 	return w
 }
 
-// Inner returns the inner valency bound: an interval spanned by genuine
-// members of Y*(C). Its diameter is a sound lower bound on δ(C).
+// Inner returns the inner valency bound: an interval spanned by limits of
+// eventually constant continuations from C. Closed-form limits are
+// genuine members of Y*(C); settled ones lie within Tol/2 of one. Its
+// diameter is a sound lower bound on δ(C) when both endpoints come in
+// closed form, and one up to Tol otherwise.
 func (e *Engine) Inner(c *core.Config) Interval {
 	return e.explore(c, e.innerBranch, &e.inner)
 }
@@ -241,7 +253,7 @@ func (e *Engine) DeltaUpper(c *core.Config) float64 { return e.Outer(c).Diameter
 // explore runs one top-level walk: a root-memo check in the given table,
 // then the per-branch work, then a model-index-order merge.
 func (e *Engine) explore(c *core.Config, branch func(w *walker, c *core.Config, k int) Interval, memo *memoTable[Interval]) Interval {
-	w := e.getWalker()
+	w := e.getWalker(nil)
 	defer e.putWalker(w)
 	key, memoize := c.AppendFingerprint(w.key[:0])
 	key = appendDepth(key, e.params.Depth)
@@ -252,7 +264,7 @@ func (e *Engine) explore(c *core.Config, branch func(w *walker, c *core.Config, 
 		}
 	}
 	results := make([]Interval, e.model.Size())
-	e.forEachBranch(func(bw *walker, k int) { results[k] = branch(bw, c, k) })
+	e.forEachBranch(selfRootKeeper(c), func(bw *walker, k int) { results[k] = branch(bw, c, k) })
 	iv := emptyInterval()
 	for _, r := range results {
 		iv = iv.Union(r)
@@ -264,12 +276,13 @@ func (e *Engine) explore(c *core.Config, branch func(w *walker, c *core.Config, 
 }
 
 // forEachBranch calls fn(w, k) once for every model index k, on pooled
-// walkers: sequentially, or fanned out over workerCount goroutines.
-func (e *Engine) forEachBranch(fn func(w *walker, k int)) {
+// walkers bound to the query's closed-form capability keeper:
+// sequentially, or fanned out over workerCount goroutines.
+func (e *Engine) forEachBranch(keeper core.SelfRootKeeper, fn func(w *walker, k int)) {
 	size := e.model.Size()
 	nw := e.workerCount(size)
 	if nw <= 1 {
-		w := e.getWalker()
+		w := e.getWalker(keeper)
 		defer e.putWalker(w)
 		for k := 0; k < size; k++ {
 			fn(w, k)
@@ -282,7 +295,7 @@ func (e *Engine) forEachBranch(fn func(w *walker, k int)) {
 	for i := 0; i < nw; i++ {
 		go func() {
 			defer wg.Done()
-			w := e.getWalker()
+			w := e.getWalker(keeper)
 			defer e.putWalker(w)
 			for {
 				k := int(atomic.AddInt64(&next, 1)) - 1
@@ -326,12 +339,16 @@ func (e *Engine) outerBranch(w *walker, c *core.Config, k int) Interval {
 	return w.outer(child, e.params.Depth-1, 1)
 }
 
-// LimitOfConstant runs the continuation that repeats model graph k
-// forever from c and returns the (approximate) common limit; memoized.
-// ok is false when the continuation did not contract below Tol within
-// Settle rounds.
+// LimitOfConstant returns the common limit of the continuation that
+// repeats model graph k forever from c. When graph k is rooted at one
+// agent r that hears only itself and c's algorithm declares
+// core.SelfRootKeeper, the limit is y_r, exact. Otherwise the
+// continuation is settled until its outputs span at most Tol, and the
+// limit is the midpoint of that hull, within Tol/2 of the true one;
+// settled limits are memoized. ok is false when the settle did not
+// contract below Tol within Settle rounds.
 func (e *Engine) LimitOfConstant(c *core.Config, k int) (limit float64, ok bool) {
-	w := e.getWalker()
+	w := e.getWalker(selfRootKeeper(c))
 	defer e.putWalker(w)
 	lim := w.limit(c, k)
 	return lim.limit, lim.ok
@@ -346,7 +363,7 @@ func (e *Engine) LimitOfConstant(c *core.Config, k int) (limit float64, ok bool)
 // next round cheap, since its successors are this round's level-2 nodes.
 func (e *Engine) SuccessorInners(c *core.Config) []Interval {
 	out := make([]Interval, e.model.Size())
-	e.forEachBranch(func(w *walker, k int) {
+	e.forEachBranch(selfRootKeeper(c), func(w *walker, k int) {
 		lim := w.limit(c, k)
 		child := w.level(0)
 		c.StepInto(child, e.model.Graph(k))
@@ -360,7 +377,7 @@ func (e *Engine) SuccessorInners(c *core.Config) []Interval {
 // materialization. It is the greedy adversary's zero-valency fallback
 // ranking.
 func (e *Engine) SuccessorValueDiameters(c *core.Config) []float64 {
-	w := e.getWalker()
+	w := e.getWalker(nil)
 	defer e.putWalker(w)
 	out := make([]float64, e.model.Size())
 	for k := range out {
@@ -371,17 +388,19 @@ func (e *Engine) SuccessorValueDiameters(c *core.Config) []float64 {
 	return out
 }
 
-// getWalker pops a walker arena from the free list, or builds one.
-func (e *Engine) getWalker() *walker {
+// getWalker pops a walker arena from the free list, or builds one, and
+// binds it to a query's closed-form capability keeper (nil for none).
+func (e *Engine) getWalker(keeper core.SelfRootKeeper) *walker {
 	e.mu.Lock()
 	if n := len(e.walkers); n > 0 {
 		w := e.walkers[n-1]
 		e.walkers = e.walkers[:n-1]
 		e.mu.Unlock()
+		w.keeper = keeper
 		return w
 	}
 	e.mu.Unlock()
-	return &walker{e: e}
+	return &walker{e: e, keeper: keeper}
 }
 
 // putWalker returns w to the free list and adds its inherited limits to
@@ -410,6 +429,9 @@ func appendGraph(key []byte, k int) []byte {
 // actually visited) and are recycled through the engine's free list.
 type walker struct {
 	e *Engine
+	// keeper is the closed-form capability of the query's algorithm,
+	// resolved once per query (nil when it declares none).
+	keeper core.SelfRootKeeper
 	// levels[i] is the scratch destination configuration of tree level i.
 	levels []*core.Config
 	// settleA/settleB ping-pong through the constant-graph continuation.
@@ -544,11 +566,17 @@ func (w *walker) outer(c *core.Config, depth, level int) Interval {
 	return iv
 }
 
-// limit returns the memoized limit of the constant-graph-k continuation
-// from c. On a miss it runs the settle loop, dense when it can, and
-// stores the outcome: one table entry per settle.
+// limit returns the limit of the constant-graph-k continuation from c.
+// When graph k has a self root and the algorithm answers its closed form,
+// that is the limit, before any fingerprint, lock or table probe; its
+// round 0 keeps it from passing down. Otherwise the limit is memoized: on
+// a miss it runs the settle loop, dense when it can, and stores the
+// outcome, one table entry per settle.
 func (w *walker) limit(c *core.Config, k int) limitEntry {
 	e := w.e
+	if y, ok := selfRootLimit(w.keeper, e.selfRoots[k], c); ok {
+		return limitEntry{limit: y, ok: true}
+	}
 	key, memo := c.AppendFingerprint(w.key[:0])
 	w.key = appendGraph(key, k)
 	if memo {

@@ -2,6 +2,7 @@ package valency_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -12,7 +13,8 @@ import (
 )
 
 // engineCase is one (model, algorithm, inputs) instance the differential
-// tests sweep over: the seed models of the paper experiments.
+// tests sweep over: the seed models of the paper experiments, and one
+// model with no self-rooted graph, whose Midpoint limits are all settled.
 type engineCase struct {
 	name   string
 	m      *model.Model
@@ -36,7 +38,7 @@ func engineCases() []engineCase {
 			engineCase{fmt.Sprintf("deafK%d/amortized", n), m, algorithms.AmortizedMidpoint{}, inputs},
 		)
 	}
-	return cases
+	return append(cases, engineCase{"noSelfRoot3/midpoint", noSelfRootModel(), algorithms.Midpoint{}, []float64{0, 1, 0.25}})
 }
 
 // TestEngineMatchesReferenceInner asserts bit-identical Inner intervals
@@ -82,9 +84,11 @@ func TestEngineMatchesReferenceOuter(t *testing.T) {
 	}
 }
 
-// TestEngineLimitOfConstantMatchesReference checks the memoized settle
-// loop against the reference on every model graph and several tree
-// prefixes.
+// TestEngineLimitOfConstantMatchesReference checks the engine's
+// constant-graph limits against the pre-engine settle loop on every model
+// graph and several tree prefixes: bit for bit where the engine settles.
+// Where it answers in closed form, the answer is y_r and the settle loop
+// is its oracle: it converges within Tol/2 of y_r.
 func TestEngineLimitOfConstantMatchesReference(t *testing.T) {
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,8 +98,14 @@ func TestEngineLimitOfConstantMatchesReference(t *testing.T) {
 			walk = func(c *core.Config, depth int) {
 				for k := 0; k < tc.m.Size(); k++ {
 					wantL, wantOK := referenceLimit(tc.m, p, c, k)
+					if y, ok := closedForm(c, tc.m.Graph(k)); ok {
+						if !wantOK || math.Abs(y-wantL) > p.Tol/2 {
+							t.Fatalf("limit(depth=%d, k=%d): closed form %v, settle (%v, %v)", depth, k, y, wantL, wantOK)
+						}
+						wantL = y
+					}
 					gotL, gotOK := eng.LimitOfConstant(c, k)
-					if gotL != wantL || gotOK != wantOK {
+					if math.Float64bits(gotL) != math.Float64bits(wantL) || gotOK != wantOK {
 						t.Fatalf("limit(depth=%d, k=%d) = (%v, %v), reference (%v, %v)",
 							depth, k, gotL, gotOK, wantL, wantOK)
 					}
@@ -109,20 +119,47 @@ func TestEngineLimitOfConstantMatchesReference(t *testing.T) {
 	}
 }
 
-// referenceLimit mirrors the pre-engine LimitOfConstant implementation.
+// referenceLimit mirrors the pre-engine LimitOfConstant implementation:
+// the midpoint of settleHull.
 func referenceLimit(m *model.Model, p valency.Params, c *core.Config, k int) (float64, bool) {
+	lo, hi, ok := settleHull(m, p, c, k)
+	return (lo + hi) / 2, ok
+}
+
+// settleHull is the pre-engine settle loop: it repeats graph k from c
+// until the outputs span at most Tol, for at most Settle rounds, and
+// returns that output hull (0, 0 when it did not converge).
+func settleHull(m *model.Model, p valency.Params, c *core.Config, k int) (lo, hi float64, ok bool) {
 	g := m.Graph(k)
 	cur := c
 	for r := 0; r < p.Settle; r++ {
 		if cur.Diameter() <= p.Tol {
 			lo, hi := core.Hull(cur.Outputs())
-			return (lo + hi) / 2, true
+			return lo, hi, true
 		}
 		cur = cur.Step(g)
 	}
 	if cur.Diameter() <= p.Tol {
 		lo, hi := core.Hull(cur.Outputs())
-		return (lo + hi) / 2, true
+		return lo, hi, true
+	}
+	return 0, 0, false
+}
+
+// closedForm is the test's own statement of the closed-form rule: when g
+// is rooted at an agent r that hears only itself and c's algorithm
+// declares core.SelfRootKeeper, the limit of repeating g is y_r whenever
+// the algorithm keeps it.
+func closedForm(c *core.Config, g graph.Graph) (float64, bool) {
+	keeper, ok := c.Algorithm().(core.SelfRootKeeper)
+	if !ok || !g.IsRooted() {
+		return 0, false
+	}
+	for r := 0; r < g.N(); r++ {
+		if g.IsDeaf(r) {
+			y := c.Output(r)
+			return y, keeper.SelfRootKeeps(y)
+		}
 	}
 	return 0, false
 }
@@ -209,8 +246,9 @@ func TestEngineCacheEffectiveness(t *testing.T) {
 // (Inner, and every SuccessorInners entry against the reference Inner of
 // that successor): a convergence at round 0 (inputs within Tol, so every
 // settle from the root converges at once, while the children's hull
-// midpoints differ), and a failed settle (with Settle 3 the root's H1
-// settle fails, while its successor's converges at round 3).
+// midpoints differ), and a failed settle (with Settle 3 the root's H0
+// settle fails, while its H0 successor's converges at round 3; H1 and H2
+// limits come in closed form).
 func TestEngineInheritanceBoundary(t *testing.T) {
 	m := model.TwoAgent()
 	cases := []struct {

@@ -13,9 +13,15 @@
 //   - Inner bound: limits of "eventually constant" continuations — play an
 //     arbitrary pattern prefix from the execution tree, then repeat a
 //     single model graph forever. Every such limit is, by definition, a
-//     member of Y*(C), so the returned interval's endpoints are genuine
-//     reachable limits (up to the configured numerical tolerance) and its
-//     diameter is a sound lower bound on δ(C).
+//     member of Y*(C). Where the repeated graph is rooted at one agent r
+//     that hears only itself and the algorithm declares
+//     core.SelfRootKeeper, the limit is y_r, exact: r keeps its value
+//     and the constant rooted continuation converges. Every other limit
+//     is settled: the continuation runs until its outputs span at most
+//     Tol, and its hull midpoint stands for the limit, within Tol/2. So
+//     the returned interval's endpoints are genuine reachable limits, up
+//     to Tol/2 where settled, and its diameter is a lower bound on δ(C),
+//     sound where both endpoints come in closed form.
 //   - Outer bound: the union over all depth-k reachable configurations of
 //     the convex hulls of their value vectors. For convex combination
 //     algorithms every limit reachable from a configuration lies in that
@@ -34,6 +40,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/model"
 )
 
@@ -100,28 +107,31 @@ func emptyInterval() Interval { return Interval{Lo: math.Inf(1), Hi: math.Inf(-1
 // ReferenceInner is the naive recursive inner-bound walk of m under p:
 // no memoization, no scratch arenas, no parallelism, one fresh
 // configuration per tree edge. It is the differential-testing oracle for
-// Engine.Inner, which must reproduce its intervals bit-identically.
+// Engine.Inner, which must reproduce its intervals bit-identically: it
+// takes a constant-graph limit in closed form wherever the engine does.
 // p.Workers is ignored.
 func ReferenceInner(m *model.Model, p Params, c *core.Config) Interval {
 	iv := emptyInterval()
-	walkInner(m, p, c, p.Depth, &iv)
+	walkInner(m, p, selfRoots(m), selfRootKeeper(c), c, p.Depth, &iv)
 	return iv
 }
 
-func walkInner(m *model.Model, p Params, c *core.Config, depth int, acc *Interval) {
+func walkInner(m *model.Model, p Params, roots []int, keeper core.SelfRootKeeper, c *core.Config, depth int, acc *Interval) {
 	for k := 0; k < m.Size(); k++ {
 		g := m.Graph(k)
-		if limit, ok := referenceLimitOfConstant(m, p, c, k); ok {
+		if limit, ok := referenceLimitOfConstant(p, roots[k], keeper, c, g); ok {
 			*acc = acc.Union(Interval{Lo: limit, Hi: limit})
 		}
 		if depth > 0 {
-			walkInner(m, p, c.Step(g), depth-1, acc)
+			walkInner(m, p, roots, keeper, c.Step(g), depth-1, acc)
 		}
 	}
 }
 
-func referenceLimitOfConstant(m *model.Model, p Params, c *core.Config, k int) (limit float64, ok bool) {
-	g := m.Graph(k)
+func referenceLimitOfConstant(p Params, root int, keeper core.SelfRootKeeper, c *core.Config, g graph.Graph) (limit float64, ok bool) {
+	if limit, ok := selfRootLimit(keeper, root, c); ok {
+		return limit, true
+	}
 	cur := c
 	for r := 0; r < p.Settle; r++ {
 		if cur.Diameter() <= p.Tol {
@@ -135,6 +145,52 @@ func referenceLimitOfConstant(m *model.Model, p Params, c *core.Config, k int) (
 		return (lo + hi) / 2, true
 	}
 	return 0, false
+}
+
+// selfRoots returns, for each graph of m, the agent that hears only
+// itself when the graph is rooted, or -1. Such an agent r is the graph's
+// only root: its component {r} hears no other, so it is a root component,
+// and a rooted graph has exactly one.
+func selfRoots(m *model.Model) []int {
+	roots := make([]int, m.Size())
+	for k := range roots {
+		roots[k] = -1
+		g := m.Graph(k)
+		for r := 0; r < g.N(); r++ {
+			if g.IsDeaf(r) {
+				if g.IsRooted() {
+					roots[k] = r
+				}
+				break
+			}
+		}
+	}
+	return roots
+}
+
+// selfRootKeeper returns the closed-form capability of c's algorithm, or
+// nil when it does not declare one. A query resolves it once, at its top.
+func selfRootKeeper(c *core.Config) core.SelfRootKeeper {
+	keeper, _ := c.Algorithm().(core.SelfRootKeeper)
+	return keeper
+}
+
+// selfRootLimit is the closed form of the limit of repeating a graph with
+// self root r (see selfRoots) from c: the output of r, which keeps it
+// while every other agent converges to it. ok is false when r is -1,
+// keeper is nil, or keeper does not keep r's output; the limit is then
+// settled.
+//
+// The closed form is taken whenever keeper keeps y_r, also where the
+// float settle would fail: at large magnitudes the hearing agents can
+// stall one ulp from y_r, more than Tol apart, while the real-arithmetic
+// limit, the one Y*(C) is defined by, is y_r.
+func selfRootLimit(keeper core.SelfRootKeeper, r int, c *core.Config) (float64, bool) {
+	if keeper == nil || r < 0 {
+		return 0, false
+	}
+	y := c.Output(r)
+	return y, keeper.SelfRootKeeps(y)
 }
 
 // ReferenceOuter is the naive recursive outer-bound walk, the

@@ -45,7 +45,9 @@ func TestIntervalBasics(t *testing.T) {
 // TestLemma8InitialValency machine-checks Lemma 8: when every agent is
 // deaf in some model graph, δ(C_0) equals the diameter of the initial
 // values. The inner estimate must witness the full initial spread and the
-// outer bound must not exceed it.
+// outer bound must not exceed it. Under the algorithms that declare
+// core.SelfRootKeeper each deaf agent's limit is its value, exact, so
+// Inner is the value hull bit for bit; Mean settles, within 1e-6.
 func TestLemma8InitialValency(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -65,7 +67,11 @@ func TestLemma8InitialValency(t *testing.T) {
 			want := core.Diameter(tc.inputs)
 			inner := eng.Inner(c0)
 			outer := eng.Outer(c0)
-			if math.Abs(inner.Diameter()-want) > 1e-6 {
+			if _, exact := tc.alg.(core.SelfRootKeeper); exact {
+				if lo, hi := core.Hull(tc.inputs); inner != (valency.Interval{Lo: lo, Hi: hi}) {
+					t.Errorf("inner Y*(C0) = %v, want the value hull [%v, %v] exactly (Lemma 8)", inner, lo, hi)
+				}
+			} else if math.Abs(inner.Diameter()-want) > 1e-6 {
 				t.Errorf("inner δ(C0) = %v, want %v (Lemma 8)", inner.Diameter(), want)
 			}
 			if outer.Diameter() > want+1e-9 {
@@ -74,6 +80,41 @@ func TestLemma8InitialValency(t *testing.T) {
 			if inner.Lo < outer.Lo-1e-9 || inner.Hi > outer.Hi+1e-9 {
 				t.Errorf("inner %v not contained in outer %v", inner, outer)
 			}
+		})
+	}
+}
+
+// TestLemma8AtEveryNode extends Lemma 8 down the execution tree: in a
+// model where every agent is deaf in some graph, Inner(C) is the value
+// hull of C bit for bit at every node to depth 3, since each deaf agent's
+// limit is its exact value and every other limit stays in the hull.
+func TestLemma8AtEveryNode(t *testing.T) {
+	cases := []struct {
+		name   string
+		m      *model.Model
+		alg    core.Algorithm
+		inputs []float64
+	}{
+		{"twoagent/two-thirds", model.TwoAgent(), algorithms.TwoThirds{}, []float64{0, 1}},
+		{"twoagent/midpoint", model.TwoAgent(), algorithms.Midpoint{}, []float64{0.3, -0.7}},
+		{"deaf:3/midpoint", model.DeafModel(graph.Complete(3)), algorithms.Midpoint{}, []float64{0, 1, 0.25}},
+		{"deaf:4/midpoint", model.DeafModel(graph.Complete(4)), algorithms.Midpoint{}, []float64{0.1, 0.9, 0.6, 0.35}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := valency.NewEngine(tc.m, valency.DefaultParams(2, true))
+			var walk func(c *core.Config, depth int)
+			walk = func(c *core.Config, depth int) {
+				if lo, hi := c.Hull(); eng.Inner(c) != (valency.Interval{Lo: lo, Hi: hi}) {
+					t.Fatalf("round %d, values %v: Inner %v is not the value hull [%v, %v]", c.Round(), c.Outputs(), eng.Inner(c), lo, hi)
+				}
+				if depth > 0 {
+					for _, g := range tc.m.Graphs() {
+						walk(c.Step(g), depth-1)
+					}
+				}
+			}
+			walk(core.NewConfig(tc.alg, tc.inputs), 3)
 		})
 	}
 }
