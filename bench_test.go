@@ -359,7 +359,7 @@ func BenchmarkValencyInner(b *testing.B) {
 // transposition table: every iteration pays the entire tree walk. This is
 // the honest single-shot speedup over the naive recursive reference
 // (limits inherited down the walk, within-walk memoization, arena
-// stepping, parallel fan-out — but no cross-call reuse).
+// stepping — but no cross-call reuse).
 func BenchmarkValencyInnerCold(b *testing.B) {
 	m := model.TwoAgent()
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})

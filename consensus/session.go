@@ -185,9 +185,9 @@ type Session struct {
 // The pool is bounded: past maxPooledEngines, engines are built
 // per-session (still correct, garbage-collected after use) so that a
 // long-lived server facing unbounded distinct specs cannot grow without
-// limit. Each engine's three memo tables are bounded too, at 8 MiB each,
-// and evict when full, so the pool's worst case is 64 engines × 24 MiB
-// = 1.5 GiB of memoized results, whatever the traffic.
+// limit. Each engine's three memo tables are bounded too, at 512 KiB
+// each, and evict when full, so the pool's worst case is 64 engines ×
+// 1.5 MiB = 96 MiB of memoized results, whatever the traffic.
 var (
 	engineMu   sync.Mutex
 	enginePool = map[engineKey]*valency.Engine{}

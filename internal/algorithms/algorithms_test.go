@@ -387,9 +387,10 @@ func TestNamesAndConvexFlags(t *testing.T) {
 
 // TestSelfRootKeepsDeclarations pins who declares core.SelfRootKeeper
 // and what it answers: Midpoint and TwoThirds declare it, no other
-// algorithm does, and core.AgentsOnly forwards the answer (false for an
-// algorithm that does not declare). The deciding wrapper holds its
-// inner algorithm in a field, so it neither declares nor inherits it.
+// algorithm does, and core.AgentsOnly declares it exactly when the
+// wrapped algorithm does, with the same answers. The deciding wrapper
+// holds its inner algorithm in a field, so it neither declares nor
+// inherits it.
 func TestSelfRootKeepsDeclarations(t *testing.T) {
 	half := math.MaxFloat64 / 2
 	for _, tc := range []struct {
@@ -426,8 +427,14 @@ func TestSelfRootKeepsDeclarations(t *testing.T) {
 				t.Fatalf("%s.SelfRootKeeps(%v) = %v, want %v", tc.alg.Name(), tc.y, ok, tc.wantOK)
 			}
 		}
-		if ok := core.AgentsOnly(tc.alg).(core.SelfRootKeeper).SelfRootKeeps(tc.y); ok != tc.wantOK {
-			t.Fatalf("AgentsOnly(%s).SelfRootKeeps(%v) = %v, want %v", tc.alg.Name(), tc.y, ok, tc.wantOK)
+		wrapped, wrappedDeclared := core.AgentsOnly(tc.alg).(core.SelfRootKeeper)
+		if wrappedDeclared != tc.declare {
+			t.Fatalf("AgentsOnly(%s): declares SelfRootKeeper = %v, want %v", tc.alg.Name(), wrappedDeclared, tc.declare)
+		}
+		if wrappedDeclared {
+			if ok := wrapped.SelfRootKeeps(tc.y); ok != tc.wantOK {
+				t.Fatalf("AgentsOnly(%s).SelfRootKeeps(%v) = %v, want %v", tc.alg.Name(), tc.y, ok, tc.wantOK)
+			}
 		}
 	}
 }

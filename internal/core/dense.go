@@ -118,23 +118,29 @@ func AsDense(alg Algorithm) (DenseAlgorithm, bool) {
 // AgentsOnly returns alg with its dense capability hidden: AsDense fails
 // on the result, so Run, the vector runner, the valency settle loops and
 // wrappers such as the deciding algorithm all step it on the Agent path.
-// Name, convexity, agents and any SelfRootKeeper answers are alg's own,
-// so fingerprints, traces and valency bounds are directly comparable with
-// the dense path's. Differential tests use it to reach the reference
-// oracle.
-func AgentsOnly(alg Algorithm) Algorithm { return agentsOnly{alg} }
+// Name, convexity and agents are alg's own, and the result declares
+// SelfRootKeeper exactly when alg does, with alg's answers: the
+// closed-form limit is a property of the algorithm's mathematics, not of
+// an execution path. So fingerprints, traces, valency bounds and the
+// valency engine's decisions are directly comparable with the dense
+// path's. Differential tests use it to reach the reference oracle.
+func AgentsOnly(alg Algorithm) Algorithm {
+	if k, ok := alg.(SelfRootKeeper); ok {
+		return agentsOnlyKeeper{agentsOnly{alg}, k}
+	}
+	return agentsOnly{alg}
+}
 
 // agentsOnly embeds only the Algorithm interface, so none of the wrapped
 // value's optional capabilities (DenseAlgorithm, DenseProvider) are
 // promoted.
 type agentsOnly struct{ Algorithm }
 
-// SelfRootKeeps forwards alg's answer: the closed-form limit is a
-// property of the algorithm's mathematics, not of an execution path. It
-// is false when alg does not declare SelfRootKeeper.
-func (a agentsOnly) SelfRootKeeps(y float64) bool {
-	k, ok := a.Algorithm.(SelfRootKeeper)
-	return ok && k.SelfRootKeeps(y)
+// agentsOnlyKeeper is agentsOnly for an algorithm that declares
+// SelfRootKeeper, which it forwards.
+type agentsOnlyKeeper struct {
+	agentsOnly
+	SelfRootKeeper
 }
 
 // DenseStateWriter is an optional Agent capability: the agent writes its

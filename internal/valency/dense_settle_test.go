@@ -59,7 +59,6 @@ func noSelfRootModel() *model.Model {
 func TestNoSelfRootModelSettles(t *testing.T) {
 	m := noSelfRootModel()
 	p := valency.DefaultParams(2, true)
-	p.Workers = 1
 	eng := valency.NewEngine(m, p)
 	eng.SuccessorInners(core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.25}))
 	if s := eng.Stats(); s.LimitMisses == 0 || s.LimitHits == 0 {
@@ -72,8 +71,7 @@ func TestNoSelfRootModelSettles(t *testing.T) {
 // by capability — and requires bit-identical intervals and successor
 // valencies: the dense settle loop must be transparent, down to the
 // entries, hits and misses of the three tables and the limits inherited
-// down the walk. One worker keeps the counters independent of branch
-// scheduling.
+// down the walk.
 func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,7 +79,6 @@ func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 			cD := core.NewConfig(tc.alg, tc.inputs)
 			for _, depth := range []int{0, 1, 2, 3} {
 				p := valency.DefaultParams(depth, tc.convex)
-				p.Workers = 1
 				engA := valency.NewEngine(tc.m, p)
 				innerA := engA.Inner(cA)
 				outerA := engA.Outer(cA)

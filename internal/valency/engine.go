@@ -3,9 +3,7 @@ package valency
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -24,16 +22,10 @@ type Params struct {
 	// Convex asserts the algorithm under analysis is a convex combination
 	// algorithm, enabling the outer bound.
 	Convex bool
-	// Workers bounds the goroutines used for the top-level branch fan-out;
-	// 0 means runtime.NumCPU(). 1 forces a sequential walk. Results are
-	// bit-identical for every worker count: branch results are merged in
-	// model-index order and every branch value is a pure function of the
-	// configuration.
-	Workers int
 }
 
 // DefaultParams returns the engine defaults for the given depth:
-// Settle = 512, Tol = 1e-9, Workers = NumCPU.
+// Settle = 512, Tol = 1e-9.
 func DefaultParams(depth int, convex bool) Params {
 	return Params{Depth: depth, Settle: 512, Tol: 1e-9, Convex: convex}
 }
@@ -61,9 +53,9 @@ func (s CacheStats) HitRate() float64 {
 	return float64(hits) / float64(total)
 }
 
-// Engine is the memoized, zero-allocation, parallel valency exploration
-// engine. It computes the same certified Inner/Outer interval bounds as
-// the naive recursive walks ReferenceInner and ReferenceOuter, its
+// Engine is the memoized, zero-allocation valency exploration engine. It
+// computes the same certified Inner/Outer interval bounds as the naive
+// recursive walks ReferenceInner and ReferenceOuter, its
 // differential-testing oracles, but
 //
 //   - answers the constant-graph limit in closed form where the graph is
@@ -75,6 +67,8 @@ func (s CacheStats) HitRate() float64 {
 //     fingerprint, remaining depth) and constant-graph limits per
 //     (fingerprint, graph index), collapsing the many pattern prefixes
 //     that reach identical configurations;
+//   - does not memoize an Inner leaf whose limits cost at most one
+//     limit-table probe (see walker.inner);
 //   - passes each node's constant-G limit down to its child G.C: a settle
 //     from C that converges at round r ≥ 1 steps through G.C, so the
 //     child's own constant-G settle converges on the same configuration at
@@ -83,10 +77,11 @@ func (s CacheStats) HitRate() float64 {
 //     runs the algorithm's settle kernel (core.DenseSettler) when it has
 //     one and the generic dense loop otherwise;
 //   - steps through the tree with core.StepInto on a per-walker arena of
-//     scratch configurations, allocating nothing per node after warm-up;
-//   - fans the top-level model branches out over a worker pool and merges
-//     the per-branch intervals in model-index order, so results are
-//     bit-identical to the sequential walk.
+//     scratch configurations, allocating nothing per node after warm-up.
+//
+// Each query walks its tree sequentially, in model-index order, on one
+// walker; callers that want parallelism run queries concurrently (one
+// per spec in a sweep, one per request in the server).
 //
 // An Engine is safe for concurrent use. Its three memo tables (inner,
 // outer, limits) persist across calls, which is what the greedy
@@ -115,6 +110,10 @@ type Engine struct {
 	// selfRoots[k] is the agent that model graph k is rooted at when it
 	// hears only itself, or -1 (see selfRoots).
 	selfRoots []int
+	// cheapLeaves is set when at most one model graph has no self root,
+	// so a leaf of a query with a closed-form keeper probes the limit
+	// table for at most one of its limits.
+	cheapLeaves bool
 
 	// mu guards the memo tables and the walker free list.
 	mu      sync.Mutex
@@ -137,7 +136,7 @@ type limitEntry struct {
 // converged is the entry of a settle whose outputs span [lo, hi] at
 // round r.
 func converged(lo, hi float64, r int) limitEntry {
-	return limitEntry{limit: (lo + hi) / 2, round: int32(min(r, math.MaxInt32)), ok: true}
+	return limitEntry{limit: hullMidpoint(lo, hi), round: int32(min(r, math.MaxInt32)), ok: true}
 }
 
 // passDown returns the entry that child G_k.C inherits from C's entry for
@@ -161,13 +160,21 @@ func (l limitEntry) passDown() (limitEntry, bool) {
 func NewEngine(m *model.Model, p Params) *Engine { return newEngine(m, p, memoBudget) }
 
 func newEngine(m *model.Model, p Params, budget int) *Engine {
+	roots := selfRoots(m)
+	rootless := 0
+	for _, r := range roots {
+		if r < 0 {
+			rootless++
+		}
+	}
 	return &Engine{
-		model:     m,
-		params:    p,
-		selfRoots: selfRoots(m),
-		inner:     memoTable[Interval]{budget: budget},
-		outer:     memoTable[Interval]{budget: budget},
-		limits:    memoTable[limitEntry]{budget: budget},
+		model:       m,
+		params:      p,
+		selfRoots:   roots,
+		cheapLeaves: rootless <= 1,
+		inner:       memoTable[Interval]{budget: budget},
+		outer:       memoTable[Interval]{budget: budget},
+		limits:      memoTable[limitEntry]{budget: budget},
 	}
 }
 
@@ -208,22 +215,6 @@ func memoPut[V any](e *Engine, t *memoTable[V], key []byte, v V) {
 	e.mu.Unlock()
 }
 
-// workerCount resolves the effective fan-out width for `branches`
-// top-level tasks.
-func (e *Engine) workerCount(branches int) int {
-	w := e.params.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > branches {
-		w = branches
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Inner returns the inner valency bound: an interval spanned by limits of
 // eventually constant continuations from C. Closed-form limits are
 // genuine members of Y*(C); settled ones lie within Tol/2 of one. Its
@@ -250,69 +241,35 @@ func (e *Engine) DeltaLower(c *core.Config) float64 { return e.Inner(c).Diameter
 // DeltaUpper returns a sound upper bound on δ(C) for convex algorithms.
 func (e *Engine) DeltaUpper(c *core.Config) float64 { return e.Outer(c).Diameter() }
 
-// explore runs one top-level walk: a root-memo check in the given table,
-// then the per-branch work, then a model-index-order merge.
-func (e *Engine) explore(c *core.Config, branch func(w *walker, c *core.Config, k int) Interval, memo *memoTable[Interval]) Interval {
-	w := e.getWalker(nil)
+// explore runs one top-level walk on one walker: a root-memo check in
+// the given table, then every branch in model-index order, folded into
+// one interval. The root key lives in levelKeys[0], which no tree level
+// uses, since the walk overwrites w.key. memoize, the root's
+// fingerprintability, tells each branch whether its limits count.
+func (e *Engine) explore(c *core.Config, branch func(w *walker, c *core.Config, k int, counted bool) Interval, memo *memoTable[Interval]) Interval {
+	w := e.getWalker(selfRootKeeper(c))
 	defer e.putWalker(w)
-	key, memoize := c.AppendFingerprint(w.key[:0])
-	key = appendDepth(key, e.params.Depth)
-	w.key = key
+	key, memoize := c.AppendFingerprint(w.levelKey(0))
 	if memoize {
-		if iv, hit := memoGet(e, memo, key); hit {
+		w.levelKeys[0] = appendDepth(key, e.params.Depth)
+		if iv, hit := memoGet(e, memo, w.levelKeys[0]); hit {
 			return iv
 		}
 	}
-	results := make([]Interval, e.model.Size())
-	e.forEachBranch(selfRootKeeper(c), func(bw *walker, k int) { results[k] = branch(bw, c, k) })
 	iv := emptyInterval()
-	for _, r := range results {
-		iv = iv.Union(r)
+	for k := 0; k < e.model.Size(); k++ {
+		iv = iv.Union(branch(w, c, k, memoize))
 	}
 	if memoize {
-		memoPut(e, memo, key, iv)
+		memoPut(e, memo, w.levelKeys[0], iv)
 	}
 	return iv
-}
-
-// forEachBranch calls fn(w, k) once for every model index k, on pooled
-// walkers bound to the query's closed-form capability keeper:
-// sequentially, or fanned out over workerCount goroutines.
-func (e *Engine) forEachBranch(keeper core.SelfRootKeeper, fn func(w *walker, k int)) {
-	size := e.model.Size()
-	nw := e.workerCount(size)
-	if nw <= 1 {
-		w := e.getWalker(keeper)
-		defer e.putWalker(w)
-		for k := 0; k < size; k++ {
-			fn(w, k)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for i := 0; i < nw; i++ {
-		go func() {
-			defer wg.Done()
-			w := e.getWalker(keeper)
-			defer e.putWalker(w)
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k >= size {
-					return
-				}
-				fn(w, k)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // innerBranch computes branch k's contribution to Inner(c): the limit of
 // the constant-k continuation from c, plus the whole subtree below the
 // successor G_k.C when depth remains.
-func (e *Engine) innerBranch(w *walker, c *core.Config, k int) Interval {
+func (e *Engine) innerBranch(w *walker, c *core.Config, k int, counted bool) Interval {
 	iv := emptyInterval()
 	lim := w.limit(c, k)
 	if lim.ok {
@@ -321,7 +278,7 @@ func (e *Engine) innerBranch(w *walker, c *core.Config, k int) Interval {
 	if e.params.Depth > 0 {
 		child := w.level(0)
 		c.StepInto(child, e.model.Graph(k))
-		iv = iv.Union(w.inner(child, e.params.Depth-1, 1, k, lim))
+		iv = iv.Union(w.inner(child, e.params.Depth-1, 1, k, lim, counted))
 	}
 	return iv
 }
@@ -329,7 +286,7 @@ func (e *Engine) innerBranch(w *walker, c *core.Config, k int) Interval {
 // outerBranch computes branch k's contribution to Outer(c). With Depth 0
 // the walk never branches: every branch returns the hull of c itself,
 // matching the reference recursion's base case.
-func (e *Engine) outerBranch(w *walker, c *core.Config, k int) Interval {
+func (e *Engine) outerBranch(w *walker, c *core.Config, k int, _ bool) Interval {
 	if e.params.Depth == 0 {
 		lo, hi := c.Hull()
 		return Interval{Lo: lo, Hi: hi}
@@ -362,13 +319,19 @@ func (e *Engine) LimitOfConstant(c *core.Config, k int) (limit float64, ok bool)
 // depth-independent limit table — the reuse that makes the adversary's
 // next round cheap, since its successors are this round's level-2 nodes.
 func (e *Engine) SuccessorInners(c *core.Config) []Interval {
+	w := e.getWalker(selfRootKeeper(c))
+	defer e.putWalker(w)
+	// Successors that are unmemoized leaves count their inherited limits
+	// by c's fingerprintability.
+	var counted bool
+	w.key, counted = c.AppendFingerprint(w.key[:0])
 	out := make([]Interval, e.model.Size())
-	e.forEachBranch(selfRootKeeper(c), func(w *walker, k int) {
+	for k := range out {
 		lim := w.limit(c, k)
 		child := w.level(0)
 		c.StepInto(child, e.model.Graph(k))
-		out[k] = w.inner(child, e.params.Depth, 1, k, lim)
-	})
+		out[k] = w.inner(child, e.params.Depth, 1, k, lim, counted)
+	}
 	return out
 }
 
@@ -423,10 +386,11 @@ func appendGraph(key []byte, k int) []byte {
 	return binary.LittleEndian.AppendUint32(key, uint32(k))
 }
 
-// walker is a per-goroutine exploration arena: scratch configurations for
+// walker is one query's exploration arena: scratch configurations for
 // every tree level and for the settle loop, plus reusable fingerprint
 // buffers. Walkers allocate only while warming up (growing to the depth
-// actually visited) and are recycled through the engine's free list.
+// actually visited) and are recycled through the engine's free list, so
+// concurrent queries on one engine each hold their own.
 type walker struct {
 	e *Engine
 	// keeper is the closed-form capability of the query's algorithm,
@@ -439,7 +403,8 @@ type walker struct {
 	// key is the general fingerprint scratch buffer.
 	key []byte
 	// levelKeys[i] holds level i's memo key across the recursion into its
-	// subtree (the key is needed again for the store after the walk).
+	// subtree (the key is needed again for the store after the walk);
+	// levelKeys[0] holds the root's.
 	levelKeys [][]byte
 	// dense is a configuration bridged into dense state for core.Settle;
 	// settle is that call's scratch.
@@ -472,23 +437,37 @@ func (w *walker) levelKey(i int) []byte {
 // inner is the memoized recursion behind Inner: the union of every
 // constant-graph limit from c and, while depth remains, of the subtrees
 // below every successor. level indexes the walker's scratch arena; c was
-// reached by graph from, and parent is its parent's limit entry for that
-// graph. The node's constant-graph limits are all resolved (allLimits)
-// before any subtree is walked, so each child G_k.C can inherit c's
-// limit for k.
-func (w *walker) inner(c *core.Config, depth, level, from int, parent limitEntry) Interval {
+// reached by graph from, parent is its parent's limit entry for that
+// graph, and counted is whether the parent was fingerprintable. The
+// node's constant-graph limits are all resolved (allLimits) before any
+// subtree is walked, so each child G_k.C can inherit c's limit for k.
+//
+// A leaf (depth 0) of a query with a closed-form keeper on an engine
+// with cheapLeaves is neither fingerprinted, probed nor stored: its
+// Inner is the hull of its limits, at most one of which needs a
+// limit-table probe (none when inherited), so a hit would save no more
+// than the probe and store cost. Its limits count as its parent's did:
+// fingerprintability follows the agents' types, which stepping keeps.
+// Where several graphs settle (nonsplit:3 has 27 of 39), a leaf hit
+// saves that many probes, and leaves stay memoized.
+func (w *walker) inner(c *core.Config, depth, level, from int, parent limitEntry, counted bool) Interval {
 	e := w.e
-	key, memo := c.AppendFingerprint(w.levelKey(level))
-	if memo {
-		key = appendDepth(key, depth)
-		w.levelKeys[level] = key
-		if iv, hit := memoGet(e, &e.inner, key); hit {
-			return iv
+	memo := false
+	if depth > 0 || w.keeper == nil || !e.cheapLeaves {
+		var key []byte
+		key, memo = c.AppendFingerprint(w.levelKey(level))
+		counted = memo
+		if memo {
+			key = appendDepth(key, depth)
+			w.levelKeys[level] = key
+			if iv, hit := memoGet(e, &e.inner, key); hit {
+				return iv
+			}
 		}
 	}
 	iv := emptyInterval()
 	size := e.model.Size()
-	lims := w.allLimits(c, level, from, parent, memo)
+	lims := w.allLimits(c, level, from, parent, counted)
 	for k := 0; k < size; k++ {
 		if lims[k].ok {
 			iv = iv.Union(Interval{Lo: lims[k].limit, Hi: lims[k].limit})
@@ -496,7 +475,7 @@ func (w *walker) inner(c *core.Config, depth, level, from int, parent limitEntry
 		if depth > 0 {
 			child := w.level(level)
 			c.StepInto(child, e.model.Graph(k))
-			iv = iv.Union(w.inner(child, depth-1, level+1, k, lims[k]))
+			iv = iv.Union(w.inner(child, depth-1, level+1, k, lims[k], counted))
 		}
 	}
 	if memo {

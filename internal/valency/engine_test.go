@@ -3,6 +3,8 @@ package valency_test
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -119,11 +121,47 @@ func TestEngineLimitOfConstantMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSettledLimitNearMaxFloat pins settles that converge above
+// MaxFloat64/2, where the sum of the hull's ends overflows: TwoThirds on
+// twoagent and Mean and Midpoint on deaf:3 (whose closed form refuses
+// such a y_r), each from inputs all 1.7e308. Every limit from the root,
+// settled at round 0 or in closed form, must be 1.7e308, not +Inf;
+// every successor overflows to +Inf where an agent hears another, and
+// contributes only closed-form limits. So Inner is [1.7e308, 1.7e308],
+// from the engine and from the reference walk alike.
+func TestSettledLimitNearMaxFloat(t *testing.T) {
+	const big = 1.7e308
+	deaf3 := model.DeafModel(graph.Complete(3))
+	for _, tc := range []engineCase{
+		{"twoagent/two-thirds", model.TwoAgent(), algorithms.TwoThirds{}, []float64{big, big}},
+		{"deafK3/mean", deaf3, algorithms.Mean{}, []float64{big, big, big}},
+		{"deafK3/midpoint", deaf3, algorithms.Midpoint{}, []float64{big, big, big}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := valency.DefaultParams(2, true)
+			c := core.NewConfig(tc.alg, tc.inputs)
+			eng := valency.NewEngine(tc.m, p)
+			for k := 0; k < tc.m.Size(); k++ {
+				if got, ok := eng.LimitOfConstant(c, k); !ok || got != big {
+					t.Fatalf("limit under graph %d = (%v, %v), want (%v, true)", k, got, ok, big)
+				}
+			}
+			want := valency.Interval{Lo: big, Hi: big}
+			if got := eng.Inner(c); got != want {
+				t.Fatalf("engine Inner = %v, want %v", got, want)
+			}
+			if got := valency.ReferenceInner(tc.m, p, c); got != want {
+				t.Fatalf("reference Inner = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 // referenceLimit mirrors the pre-engine LimitOfConstant implementation:
 // the midpoint of settleHull.
 func referenceLimit(m *model.Model, p valency.Params, c *core.Config, k int) (float64, bool) {
 	lo, hi, ok := settleHull(m, p, c, k)
-	return (lo + hi) / 2, ok
+	return valency.HullMidpoint(lo, hi), ok
 }
 
 // settleHull is the pre-engine settle loop: it repeats graph k from c
@@ -164,28 +202,53 @@ func closedForm(c *core.Config, g graph.Graph) (float64, bool) {
 	return 0, false
 }
 
-// TestEngineParallelDeterminism runs the parallel walk repeatedly with
-// varying worker counts and demands bit-identical intervals every time.
-func TestEngineParallelDeterminism(t *testing.T) {
+// TestEngineConcurrentCallers shares one engine among four goroutines,
+// on every engine case, both a default engine and a tiny one whose
+// tables evict while the others probe: each goroutine calls Inner,
+// Outer and SuccessorInners on the case's root and its successors,
+// starting at its own offset, and every answer must equal, bit for bit,
+// what a fresh engine with a single caller returns. With the walk
+// sequential per query, this is the test of the engine's mutex and
+// walker free list; run it under -race.
+func TestEngineConcurrentCallers(t *testing.T) {
+	const callers = 4
+	type answer struct {
+		inner, outer valency.Interval
+		succ         []valency.Interval
+	}
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			c := core.NewConfig(tc.alg, tc.inputs)
-			p := valency.DefaultParams(3, true)
-			p.Workers = 1
-			want := valency.NewEngine(tc.m, p).Inner(c)
-			wantOut := valency.NewEngine(tc.m, p).Outer(c)
-			for _, workers := range []int{0, 2, 3, 4, 8} {
-				for rep := 0; rep < 3; rep++ {
-					pp := p
-					pp.Workers = workers
-					eng := valency.NewEngine(tc.m, pp)
-					if got := eng.Inner(c); got != want {
-						t.Fatalf("workers=%d rep=%d: Inner = %v, sequential = %v", workers, rep, got, want)
-					}
-					if got := eng.Outer(c); got != wantOut {
-						t.Fatalf("workers=%d rep=%d: Outer = %v, sequential = %v", workers, rep, got, wantOut)
-					}
+			p := valency.DefaultParams(2, true)
+			root := core.NewConfig(tc.alg, tc.inputs)
+			configs := []*core.Config{root}
+			for k := 0; k < tc.m.Size(); k++ {
+				configs = append(configs, root.Step(tc.m.Graph(k)))
+			}
+			want := make([]answer, len(configs))
+			for i, c := range configs {
+				want[i] = answer{
+					valency.NewEngine(tc.m, p).Inner(c),
+					valency.NewEngine(tc.m, p).Outer(c),
+					valency.NewEngine(tc.m, p).SuccessorInners(c),
 				}
+			}
+			for _, shared := range []*valency.Engine{valency.NewEngine(tc.m, p), valency.NewTinyEngine(tc.m, p)} {
+				var wg sync.WaitGroup
+				wg.Add(callers)
+				for g := 0; g < callers; g++ {
+					go func(g int) {
+						defer wg.Done()
+						for j := range configs {
+							i := (g + j) % len(configs)
+							c := configs[i]
+							got := answer{shared.Inner(c), shared.Outer(c), shared.SuccessorInners(c)}
+							if got.inner != want[i].inner || got.outer != want[i].outer || !reflect.DeepEqual(got.succ, want[i].succ) {
+								t.Errorf("caller %d, config %d: got %+v, single caller %+v", g, i, got, want[i])
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
 			}
 		})
 	}
@@ -210,14 +273,13 @@ func TestEngineSuccessorInnersMatchReference(t *testing.T) {
 }
 
 // TestEngineCacheEffectiveness asserts the limit inheritance and the
-// transposition tables actually fire: a cold sequential walk answers
+// transposition tables actually fire: a cold walk answers
 // limits its nodes inherit (counted as limit hits) and stores one limit
 // entry per settle, and a repeated Inner call must be answered from the
 // root entry.
 func TestEngineCacheEffectiveness(t *testing.T) {
 	m := model.TwoAgent()
 	p := valency.DefaultParams(4, true)
-	p.Workers = 1
 	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	first := eng.Inner(c)
@@ -238,6 +300,38 @@ func TestEngineCacheEffectiveness(t *testing.T) {
 	}
 	if s2.InnerHits != s1.InnerHits+1 || s2.InnerMisses != s1.InnerMisses {
 		t.Fatalf("second call was not a pure root hit: before %+v, after %+v", s1, s2)
+	}
+}
+
+// TestEngineLeafEntries pins which Inner leaves are memoized. Where the
+// algorithm declares core.SelfRootKeeper and at most one model graph
+// has no self root, a leaf's limits cost at most one limit-table probe,
+// so no leaf is stored: a depth-1 Inner on deaf:3 under midpoint stores
+// one inner entry, the root's. Leaves are stored where the algorithm
+// does not declare the capability (mean on deaf:3) or where several
+// graphs settle (midpoint on noSelfRoot3): there the root and its three
+// distinct children.
+func TestEngineLeafEntries(t *testing.T) {
+	deaf3 := model.DeafModel(graph.Complete(3))
+	for _, tc := range []struct {
+		engineCase
+		entries int
+	}{
+		{engineCase{"deafK3/midpoint", deaf3, algorithms.Midpoint{}, []float64{0, 1, 0.5}}, 1},
+		{engineCase{"deafK3/mean", deaf3, algorithms.Mean{}, []float64{0, 1, 0.5}}, 4},
+		{engineCase{"noSelfRoot3/midpoint", noSelfRootModel(), algorithms.Midpoint{}, []float64{0, 1, 0.25}}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := valency.DefaultParams(1, true)
+			c := core.NewConfig(tc.alg, tc.inputs)
+			eng := valency.NewEngine(tc.m, p)
+			if got, want := eng.Inner(c), valency.ReferenceInner(tc.m, p, c); got != want {
+				t.Fatalf("engine Inner = %v, reference = %v", got, want)
+			}
+			if s := eng.Stats(); s.InnerEntries != tc.entries {
+				t.Fatalf("depth-1 Inner stored %d inner entries, want %d; stats %+v", s.InnerEntries, tc.entries, s)
+			}
+		})
 	}
 }
 
@@ -262,7 +356,7 @@ func TestEngineInheritanceBoundary(t *testing.T) {
 	for _, tc := range cases {
 		for depth := 1; depth <= 3; depth++ {
 			t.Run(fmt.Sprintf("%s/depth-%d", tc.name, depth), func(t *testing.T) {
-				p := valency.Params{Depth: depth, Settle: tc.settle, Tol: 1e-9, Convex: true, Workers: 1}
+				p := valency.Params{Depth: depth, Settle: tc.settle, Tol: 1e-9, Convex: true}
 				c := core.NewConfig(algorithms.TwoThirds{}, tc.inputs)
 				if got, want := valency.NewEngine(m, p).Inner(c), valency.ReferenceInner(m, p, c); got != want {
 					t.Fatalf("engine Inner = %v, reference = %v", got, want)

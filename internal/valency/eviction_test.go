@@ -34,6 +34,18 @@ func lowerBoundRuns() []lowerBoundRun {
 	}
 }
 
+// freshInputs draws a random affine image of the maximally spread
+// inputs, as the benchmark's lower-bound requests do: it keeps the
+// initial valency diameter equal to the value diameter.
+func freshInputs(rng *rand.Rand, n int) []float64 {
+	inputs := consensus.SpreadInputs(n)
+	lo, scale := rng.Float64(), 0.5+rng.Float64()
+	for i := range inputs {
+		inputs[i] = lo + scale*inputs[i]
+	}
+	return inputs
+}
+
 // play runs r for the given rounds from inputs with its adversary on eng,
 // returning the trace and the greedy decisions (nil for the block
 // adversary, whose choices show in the trace's graphs).
@@ -63,13 +75,7 @@ func TestEvictionIsTransparentToLowerBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(0))
 	for _, r := range lowerBoundRuns() {
 		t.Run(r.name, func(t *testing.T) {
-			// A random affine image of the maximally spread inputs keeps
-			// the initial valency diameter equal to the value diameter.
-			inputs := consensus.SpreadInputs(r.m.N())
-			lo, scale := rng.Float64(), 0.5+rng.Float64()
-			for i := range inputs {
-				inputs[i] = lo + scale*inputs[i]
-			}
+			inputs := freshInputs(rng, r.m.N())
 			p := valency.DefaultParams(r.depth, r.alg.Convex())
 			tiny := valency.NewTinyEngine(r.m, p)
 			got, gotDecisions := r.play(t, tiny, inputs, rounds)
@@ -97,6 +103,22 @@ func TestEvictionIsTransparentToLowerBounds(t *testing.T) {
 	}
 }
 
+// TestMemoBudgetHoldsOneRun pins the budget's sizing: one 12-round run
+// of each lower-bound execution, from fresh affine inputs on a fresh
+// engine, fits every table within MemoBudget, so nothing is evicted.
+func TestMemoBudgetHoldsOneRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range lowerBoundRuns() {
+		t.Run(r.name, func(t *testing.T) {
+			eng := valency.NewEngine(r.m, valency.DefaultParams(r.depth, r.alg.Convex()))
+			r.play(t, eng, freshInputs(rng, r.m.N()), 12)
+			if n := eng.Evictions(); n != 0 {
+				t.Fatalf("one run evicted %d times at %d bytes per table; stats %+v", n, valency.MemoBudget, eng.Stats())
+			}
+		})
+	}
+}
+
 // TestEngineMemoizesPastItsBudget is the regression test for the
 // saturation cliff: once more distinct entries went through the limit
 // table than it can hold, a settle from a fresh configuration must still
@@ -106,7 +128,6 @@ func TestEvictionIsTransparentToLowerBounds(t *testing.T) {
 // table.)
 func TestEngineMemoizesPastItsBudget(t *testing.T) {
 	p := valency.DefaultParams(4, true)
-	p.Workers = 1
 	eng := valency.NewEngine(model.TwoAgent(), p)
 	walk := func(i int) {
 		eng.Inner(core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1 + float64(i)}))

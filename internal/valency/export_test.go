@@ -20,3 +20,7 @@ func (e *Engine) Evictions() uint64 {
 	defer e.mu.Unlock()
 	return e.inner.evictions + e.outer.evictions + e.limits.evictions
 }
+
+// HullMidpoint is the midpoint a settle reports for a converged hull,
+// shared with the tests' settle oracles.
+var HullMidpoint = hullMidpoint

@@ -9,17 +9,16 @@ import (
 // memoBudget bounds each of an Engine's three memo tables: slot array
 // plus key arena, in bytes. A table that would outgrow it evicts every
 // entry and starts over, so an engine never holds more than 3 ×
-// memoBudget of memoized results, whatever it is asked. 8 MiB holds
-// ~65k entries at the 47–65-byte keys of the lower-bound runs, about ten
-// times the limit entries (one per settle) of the largest 12-round
-// greedy run. It was sized when limit entries were five times as many
-// and settles took most of a run's time, keeping those runs within 2% of
-// an unbounded table's hits (see PERF.md, "Bounded valency tables" and
-// "Inherited settle limits"). Since the settle kernels, table lookups
-// and stores take about as much of a lower-bound run's CPU as the
-// settles themselves (PERF.md, "Settle kernels"), so the budget is worth
-// re-measuring.
-const memoBudget = 8 << 20
+// memoBudget of memoized results, whatever it is asked. Fresh-input
+// requests share no entries across runs, so the budget is sized to one
+// run: 512 KiB holds the largest 12-round lower-bound run (twoagent,
+// ~2,000 limit and ~1,400 inner entries at 54-byte keys) without
+// evicting, and over 20 fresh-input runs per lower-bound spec on one
+// engine it keeps at least 98.5% of a never-full table's hits. 256 KiB
+// keeps 98% too, but slows a greedy run on nonsplit:3, whose settled
+// limits fill the tables fastest; 8 MiB tables only hold dead entries
+// longer (PERF.md, "One parallel axis").
+const memoBudget = 512 << 10
 
 const (
 	// memoMinSlots and memoMinArena size a table's first allocation,

@@ -226,7 +226,7 @@ func FuzzSelfRootLimit(f *testing.F) {
 		lo, hi, settledOK := settleHull(tc.m, p, c, tc.k)
 		want, wantOK := yr, ok
 		if !ok {
-			want, wantOK = (lo+hi)/2, settledOK
+			want, wantOK = valency.HullMidpoint(lo, hi), settledOK
 		}
 		got, gotOK := valency.NewEngine(tc.m, p).LimitOfConstant(c, tc.k)
 		if gotOK != wantOK || wantOK && math.Float64bits(got) != math.Float64bits(want) {

@@ -105,11 +105,10 @@ func (iv Interval) String() string {
 func emptyInterval() Interval { return Interval{Lo: math.Inf(1), Hi: math.Inf(-1)} }
 
 // ReferenceInner is the naive recursive inner-bound walk of m under p:
-// no memoization, no scratch arenas, no parallelism, one fresh
-// configuration per tree edge. It is the differential-testing oracle for
-// Engine.Inner, which must reproduce its intervals bit-identically: it
-// takes a constant-graph limit in closed form wherever the engine does.
-// p.Workers is ignored.
+// no memoization, no scratch arenas, one fresh configuration per tree
+// edge. It is the differential-testing oracle for Engine.Inner, which
+// must reproduce its intervals bit-identically: it takes a
+// constant-graph limit in closed form wherever the engine does.
 func ReferenceInner(m *model.Model, p Params, c *core.Config) Interval {
 	iv := emptyInterval()
 	walkInner(m, p, selfRoots(m), selfRootKeeper(c), c, p.Depth, &iv)
@@ -135,16 +134,26 @@ func referenceLimitOfConstant(p Params, root int, keeper core.SelfRootKeeper, c 
 	cur := c
 	for r := 0; r < p.Settle; r++ {
 		if cur.Diameter() <= p.Tol {
-			lo, hi := core.Hull(cur.Outputs())
-			return (lo + hi) / 2, true
+			return hullMidpoint(core.Hull(cur.Outputs())), true
 		}
 		cur = cur.Step(g)
 	}
 	if cur.Diameter() <= p.Tol {
-		lo, hi := core.Hull(cur.Outputs())
-		return (lo + hi) / 2, true
+		return hullMidpoint(core.Hull(cur.Outputs())), true
 	}
 	return 0, false
+}
+
+// hullMidpoint is the limit a settle reports for a converged hull
+// [lo, hi]: (lo+hi)/2, or lo/2 + hi/2 where the sum overflows, so a
+// continuation that converges near ±MaxFloat64 has a finite limit. The
+// fallback runs only where the sum is infinite, so no finite midpoint
+// changes.
+func hullMidpoint(lo, hi float64) float64 {
+	if m := (lo + hi) / 2; !math.IsInf(m, 0) {
+		return m
+	}
+	return lo/2 + hi/2
 }
 
 // selfRoots returns, for each graph of m, the agent that hears only
