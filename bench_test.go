@@ -395,56 +395,34 @@ func BenchmarkValencyOuter(b *testing.B) {
 type genericSettle struct{ core.DenseAlgorithm }
 
 // BenchmarkSettle measures one constant-graph settle (engine defaults:
-// Settle 512, Tol 1e-9) on the four lower-bound models and on nonsplit:3,
-// each with its algorithm's settle kernel and with the generic DenseStep
-// + Hull loop. An op settles the next of 64 seeded input vectors under
-// the next model graph, so ns/op is ns per settle. The valency engine
-// answers the self-rooted graphs of these models in closed form and
-// settles only the rest (twoagent's H0, most of nonsplit:3), but the
-// kernel is measured on every graph.
+// Settle 512, Tol 1e-9) of TwoThirds on the two-agent model, with its
+// settle kernel and with the generic DenseStep + Hull loop. An op
+// settles the next of 64 seeded input vectors under the next model
+// graph, so ns/op is ns per settle. The valency engine answers H1 and H2
+// in closed form and settles only H0, but the kernel is measured on
+// every graph.
 func BenchmarkSettle(b *testing.B) {
-	nonsplit3, err := model.AllNonSplit(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		m    *model.Model
-		alg  core.DenseAlgorithm
-	}{
-		{"twoagent", model.TwoAgent(), algorithms.TwoThirds{}},
-		{"deaf3", model.DeafModel(graph.Complete(3)), algorithms.Midpoint{}},
-		{"deaf4", model.DeafModel(graph.Complete(4)), algorithms.Midpoint{}},
-		{"psi5", model.PsiModel(5), algorithms.Midpoint{}},
-		{"nonsplit3", nonsplit3, algorithms.Midpoint{}},
-	}
+	m, alg := model.TwoAgent(), algorithms.TwoThirds{}
 	p := valency.DefaultParams(0, true)
-	for _, tc := range cases {
-		rng := rand.New(rand.NewSource(8))
-		n := tc.m.N()
-		inputs := make([][]float64, 64)
-		for i := range inputs {
-			inputs[i] = make([]float64, n)
-			for j := range inputs[i] {
-				inputs[i][j] = rng.Float64()
+	rng := rand.New(rand.NewSource(8))
+	inputs := make([][]float64, 64)
+	for i := range inputs {
+		inputs[i] = []float64{rng.Float64(), rng.Float64()}
+	}
+	for _, side := range []struct {
+		name string
+		alg  core.DenseAlgorithm
+	}{{"kernel", alg}, {"generic", genericSettle{alg}}} {
+		b.Run("twoagent/"+side.name, func(b *testing.B) {
+			var st core.DenseState
+			var sc core.SettleScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st.Resize(2, 0)
+				copy(st.Y, inputs[i%len(inputs)])
+				core.Settle(side.alg, &st, m.Graph(i%m.Size()), p.Settle, p.Tol, &sc)
 			}
-		}
-		for _, side := range []struct {
-			name string
-			alg  core.DenseAlgorithm
-		}{{"kernel", tc.alg}, {"generic", genericSettle{tc.alg}}} {
-			b.Run(tc.name+"/"+side.name, func(b *testing.B) {
-				var st core.DenseState
-				var sc core.SettleScratch
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					st.Resize(n, 0)
-					copy(st.Y, inputs[i%len(inputs)])
-					g := tc.m.Graph(i % tc.m.Size())
-					core.Settle(side.alg, &st, g, p.Settle, p.Tol, &sc)
-				}
-			})
-		}
+		})
 	}
 }
 

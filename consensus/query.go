@@ -257,8 +257,17 @@ type DecisionPoint struct {
 	OK         bool    `json:"ok"`
 }
 
-// DecisionSweep runs the optimal decider over the requested tolerances,
-// checking ctx between tolerance points.
+// DecisionSweep runs the optimal decider over the requested tolerances:
+// the decision for ε is the output vector at round
+// ⌈log_{1/γ}(Δ/ε)⌉ of one execution (the Dolev et al. run-then-decide
+// reduction), so the sweep runs that execution once, to the largest
+// decision round, and samples it at every tolerance's round. A valency
+// adversary ("greedy", "blockgreedy") explores on the shared engine of
+// the model and algorithm at DefaultDepth, as a Session's does. The
+// execution checks ctx between rounds; a cancelled sweep returns no
+// points, since they fill in decision-round order. Decision sweeps run
+// on core.Exec, not the batch plane, so they feed no batch-kernel
+// counters.
 func DecisionSweep(ctx context.Context, req DecisionRequest, opts ...QueryOption) ([]DecisionPoint, error) {
 	cfg := applyQueryOptions(opts)
 	m, err := withinCtx(ctx, func() (*model.Model, error) { return cfg.lib.models().New(req.Model) })
@@ -307,108 +316,54 @@ func DecisionSweep(ctx context.Context, req DecisionRequest, opts ...QueryOption
 	if seed == 0 {
 		seed = DefaultSeed
 	}
-	newSrc := func() (core.PatternSource, error) {
-		return cfg.lib.adversaries().New(advSpec, AdversaryEnv{
-			Model: m, Algorithm: alg, N: m.N(), Seed: seed, Depth: DefaultDepth,
-		})
+	fac, _, err := cfg.lib.adversaries().lookup(advSpec)
+	if err != nil {
+		return nil, err
 	}
-	src, err := newSrc()
+	env := AdversaryEnv{Model: m, Algorithm: alg, N: m.N(), Seed: seed, Depth: DefaultDepth}
+	if fac.NeedsEngine {
+		env.Engine = sharedEngine(cfg.lib.models(), req.Model, alg.Name(), m, DefaultDepth, alg.Convex())
+	}
+	src, err := cfg.lib.adversaries().New(advSpec, env)
 	if err != nil {
 		return nil, err
 	}
 
-	d := approx.Decider{Alg: alg, Contraction: req.Contraction}
-	if points, ok, err := denseDecisionPoints(ctx, d, alg, inputs, src, delta, req.Eps, lower); ok {
-		return points, err
-	}
-
-	points := make([]DecisionPoint, 0, len(req.Eps))
-	for _, eps := range req.Eps {
-		if err := ctx.Err(); err != nil {
-			return points, err
-		}
-		src, err := newSrc()
-		if err != nil {
-			return points, err
-		}
-		res := d.Run(inputs, src, delta, eps)
-		points = append(points, DecisionPoint{
-			Eps:        eps,
-			LowerBound: lower(eps),
-			Rounds:     res.DecisionRound,
-			Spread:     res.Spread,
-			OK:         res.EpsAgreement && res.Validity,
-		})
-	}
-	return points, nil
-}
-
-// denseDecisionPoints is the batch-plane decision sweep: the per-ε
-// deciding runs of a sweep share one trajectory whenever the adversary
-// is oblivious (fresh equal-seed sources replay the same graph
-// sequence) and the algorithm steps densely, so the batch degenerates
-// to one dense run sampled at every tolerance's decision round — the
-// decisions of an r-round run are exactly the outputs at round r of the
-// longer shared execution. Per-point numbers are bit-identical to the
-// sequential per-ε path (the differential test pins this); ok is false
-// when the request must take that path.
-func denseDecisionPoints(ctx context.Context, d approx.Decider, alg core.Algorithm, inputs []float64, src core.PatternSource, delta float64, epss []float64, lower func(eps float64) float64) ([]DecisionPoint, bool, error) {
-	da, denseOK := core.AsDense(alg)
-	if !denseOK || !core.IsOblivious(src) {
-		return nil, false, nil
-	}
-	rounds := make([]int, len(epss))
+	// Every registered source is deterministic and takes no round budget,
+	// so the run deciding at round r is a prefix of the longest run: one
+	// execution to the largest decision round, sampled at each
+	// tolerance's round, gives every point bit for bit.
+	rounds := make([]int, len(req.Eps))
 	maxRounds := 0
-	for i, eps := range epss {
-		rounds[i] = d.Rounds(delta, eps)
-		if rounds[i] > maxRounds {
-			maxRounds = rounds[i]
-		}
+	for i, eps := range req.Eps {
+		rounds[i] = approx.DecisionRounds(req.Contraction, delta, eps)
+		maxRounds = max(maxRounds, rounds[i])
 	}
-	br := core.NewBatchRunner(da, [][]float64{inputs})
-	out := make([]float64, len(inputs))
-	hullLo, hullHi := core.Hull(inputs)
-	points := make([]DecisionPoint, len(epss))
-	sample := func(t int) {
+	points := make([]DecisionPoint, len(req.Eps))
+	err = core.Exec(ctx, alg, inputs, src, maxRounds, func(t int, _ graph.Graph, v core.View) bool {
+		var decisions []float64
 		for i, r := range rounds {
 			if r != t {
 				continue
 			}
-			br.Outputs(0, out)
-			spread := core.Diameter(out)
-			validity := true
-			for _, v := range out {
-				if v < hullLo-1e-9 || v > hullHi+1e-9 {
-					validity = false
-				}
+			if decisions == nil {
+				decisions = v.Outputs()
 			}
+			res := approx.Decide(inputs, decisions, r, req.Eps[i])
 			points[i] = DecisionPoint{
-				Eps:        epss[i],
-				LowerBound: lower(epss[i]),
+				Eps:        req.Eps[i],
+				LowerBound: lower(req.Eps[i]),
 				Rounds:     r,
-				Spread:     spread,
-				OK:         spread <= epss[i]*(1+1e-9) && validity,
+				Spread:     res.Spread,
+				OK:         res.EpsAgreement && res.Validity,
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	sample(0)
-	done := ctx.Done()
-	for t := 1; t <= maxRounds; t++ {
-		if done != nil {
-			select {
-			case <-done:
-				// Unlike the sequential path's completed prefix, the
-				// shared trajectory fills points in decision-round
-				// order; return none rather than fabricated zeros.
-				return nil, true, ctx.Err()
-			default:
-			}
-		}
-		br.Step(src.Next(t, nil))
-		sample(t)
-	}
-	br.FlushMetrics()
-	return points, true, nil
+	return points, nil
 }
 
 // theoremLowerBound resolves a decision-time theorem name to its bound.

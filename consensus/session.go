@@ -502,9 +502,10 @@ type Snapshot struct {
 }
 
 // Rounds streams the execution one completed round at a time — snapshot 0
-// first — without materializing a trace, so arbitrarily long executions
-// run in constant memory. The iterator stops early when ctx is cancelled
-// (yielding the context error) or when the consumer breaks.
+// first — without materializing a trace: it observes core.Exec, which
+// steps one state in place on either execution path, so arbitrarily long
+// executions run in constant memory. The iterator stops early when ctx is
+// cancelled (yielding the context error) or when the consumer breaks.
 func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 	return func(yield func(Snapshot, error) bool) {
 		yield = observeContraction(yield)
@@ -513,51 +514,11 @@ func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 			yield(Snapshot{}, err)
 			return
 		}
-		done := ctx.Done()
-
-		if core.IsOblivious(src) {
-			if d, ok := core.AsDense(s.alg); ok {
-				r := core.NewDenseRunner(d, s.inputs)
-				if !yield(s.denseSnapshot(r, 0, graph.Graph{}, nil), nil) {
-					return
-				}
-				for t := 1; t <= s.rounds; t++ {
-					if done != nil {
-						select {
-						case <-done:
-							yield(Snapshot{}, ctx.Err())
-							return
-						default:
-						}
-					}
-					g := src.Next(t, nil)
-					r.Step(g)
-					if !yield(s.denseSnapshot(r, t, g, s.lastDecision(decs, t)), nil) {
-						return
-					}
-				}
-				return
-			}
-		}
-
-		c := core.NewConfig(s.alg, s.inputs)
-		if !yield(s.agentSnapshot(c, 0, graph.Graph{}, nil), nil) {
-			return
-		}
-		for t := 1; t <= s.rounds; t++ {
-			if done != nil {
-				select {
-				case <-done:
-					yield(Snapshot{}, ctx.Err())
-					return
-				default:
-				}
-			}
-			g := src.Next(t, c)
-			c = c.Step(g)
-			if !yield(s.agentSnapshot(c, t, g, s.lastDecision(decs, t)), nil) {
-				return
-			}
+		err = core.Exec(ctx, s.alg, s.inputs, src, s.rounds, func(t int, g graph.Graph, v core.View) bool {
+			return yield(s.snapshot(v, t, g, s.lastDecision(decs, t)), nil)
+		})
+		if err != nil {
+			yield(Snapshot{}, err)
 		}
 	}
 }
@@ -578,9 +539,14 @@ func (s *Session) lastDecision(decs *[]adversary.Decision, t int) *adversary.Dec
 	return &d
 }
 
-// snapshotCommon fills the round-independent snapshot fields.
-func (s *Session) snapshotCommon(t int, g graph.Graph, dec *adversary.Decision) Snapshot {
-	snap := Snapshot{Round: t, ModelIndex: -1, HasFloor: s.floor}
+// snapshot renders round t of the execution from the observer's view.
+// The floor replicates the repository's printed tables: the initial
+// configuration always gets the certified bound, later rounds only for
+// convex combination algorithms (0 otherwise).
+func (s *Session) snapshot(v core.View, t int, g graph.Graph, dec *adversary.Decision) Snapshot {
+	snap := Snapshot{Round: t, ModelIndex: -1, HasFloor: s.floor, Outputs: v.Outputs()}
+	lo, hi := v.Hull()
+	snap.Diameter = hi - lo
 	if t > 0 {
 		snap.Graph = g.String()
 		if s.model != nil {
@@ -594,36 +560,8 @@ func (s *Session) snapshotCommon(t int, g graph.Graph, dec *adversary.Decision) 
 			snap.Successors[i] = Interval{Lo: iv.Lo, Hi: iv.Hi}
 		}
 	}
-	return snap
-}
-
-// floorOf computes the snapshot floor for a materialized configuration
-// on the session's engine, replicating the repository's printed tables:
-// the initial configuration always gets the certified bound, later
-// rounds only for convex combination algorithms (0 otherwise).
-func (s *Session) floorOf(c *core.Config, t int) float64 {
-	if t == 0 || s.alg.Convex() {
-		return s.engine.DeltaLower(c)
-	}
-	return 0
-}
-
-func (s *Session) agentSnapshot(c *core.Config, t int, g graph.Graph, dec *adversary.Decision) Snapshot {
-	snap := s.snapshotCommon(t, g, dec)
-	snap.Outputs = c.Outputs()
-	snap.Diameter = c.Diameter()
-	if s.floor {
-		snap.Floor = s.floorOf(c, t)
-	}
-	return snap
-}
-
-func (s *Session) denseSnapshot(r *core.DenseRunner, t int, g graph.Graph, dec *adversary.Decision) Snapshot {
-	snap := s.snapshotCommon(t, g, dec)
-	snap.Outputs = r.Outputs()
-	snap.Diameter = r.Diameter()
-	if s.floor {
-		snap.Floor = s.floorOf(r.Config(), t)
+	if s.floor && (t == 0 || s.alg.Convex()) {
+		snap.Floor = s.engine.DeltaLower(v.Config())
 	}
 	return snap
 }

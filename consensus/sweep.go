@@ -274,13 +274,10 @@ func (c *SweepCache) Insert(key string, s RunSummary) { c.put(key, s) }
 // that can change the outcome — including the identity of the resolving
 // registries, because two libraries may map one spec name to different
 // engines. The execution path is deliberately absent — the dense and
-// Agent paths are differentially tested to be bit-identical. ok is false
-// for non-fingerprintable algorithms; those runs are never cached.
-func (s *Session) cacheKey() (string, bool) {
-	ck, ok := s.contentKey()
-	if !ok {
-		return "", false
-	}
+// Agent paths are differentially tested to be bit-identical. ck is the
+// session's contentKey; non-fingerprintable algorithms have none, and
+// their runs are never cached.
+func (s *Session) cacheKey(ck []byte) string {
 	key := make([]byte, 0, 32+len(ck))
 	key = strconv.AppendUint(key, s.lib.models().id, 10)
 	key = append(key, '/')
@@ -289,7 +286,7 @@ func (s *Session) cacheKey() (string, bool) {
 	key = strconv.AppendUint(key, s.lib.adversaries().id, 10)
 	key = append(key, '|')
 	key = append(key, ck...)
-	return string(key), true
+	return string(key)
 }
 
 // contentKey is the registry-independent part of cacheKey: the canonical
@@ -338,8 +335,13 @@ func (s *Session) Fingerprint() (string, bool) {
 	if !ok {
 		return "", false
 	}
+	return contentAddress(ck), true
+}
+
+// contentAddress is the hex SHA-256 of a contentKey.
+func contentAddress(ck []byte) string {
 	sum := sha256.Sum256(ck)
-	return hex.EncodeToString(sum[:]), true
+	return hex.EncodeToString(sum[:])
 }
 
 // SpecFingerprint resolves a spec into its content address (see
@@ -452,11 +454,9 @@ func SweepLibrary(lib *Library) SweepOption {
 
 // SweepBatchSize caps the runs stepped together per batch tile
 // (default DefaultSweepBatch). n <= 1 disables batching entirely — every
-// spec runs alone, as a leftover single of a batched sweep does: a
-// dense spec under an oblivious source steps its own trace-free
-// core.DenseRunner, anything else takes Session.Run's path. The
-// differential tests compare both against the tiles and against
-// Summarize(Session.Run).
+// spec runs alone, as a leftover single of a batched sweep does, on one
+// trace-free core.Exec run. The differential tests compare the singles
+// against the tiles and against Summarize(Session.Run).
 func SweepBatchSize(n int) SweepOption {
 	return func(c *sweepConfig) { c.batch = n }
 }
@@ -658,9 +658,9 @@ func (t *sweepTask) prepare(ctx context.Context, spec RunSpec, index int, cfg *s
 		return
 	}
 	t.session = session
-	t.key, t.cacheable = session.cacheKey()
-	if t.cacheable {
-		t.res.Fingerprint, _ = session.Fingerprint()
+	if ck, ok := session.contentKey(); ok {
+		t.key, t.cacheable = session.cacheKey(ck), true
+		t.res.Fingerprint = contentAddress(ck)
 		if summary, hit := cfg.cache.get(t.key); hit {
 			t.res.Cached = true
 			t.res.Summary = &summary
@@ -740,11 +740,8 @@ func (t *sweepTask) serveLate(cfg *sweepConfig) bool {
 }
 
 // runSingle executes one task on its own, reusing the already-built
-// source. A batchable task steps a core.DenseRunner and folds each
-// round's output hull into a runStats, so it keeps no trace and
-// allocates nothing per round; anything else (adaptive sources,
-// algorithms without a dense stepper) runs core.RunCtx and summarizes
-// the trace.
+// source: one core.Exec run whose observer folds each round's output
+// hull into a runStats, so it keeps no trace on either execution path.
 func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 	if err := ctx.Err(); err != nil {
 		t.fail(err)
@@ -754,40 +751,32 @@ func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 		return
 	}
 	s := t.session
-	if !t.batchable {
-		tr, err := core.RunCtx(ctx, s.alg, s.inputs, t.src, s.rounds)
-		if err != nil {
-			t.fail(err)
-			return
+	var st runStats
+	var final []float64
+	err := core.Exec(ctx, s.alg, s.inputs, t.src, s.rounds, func(round int, _ graph.Graph, v core.View) bool {
+		if round == 0 {
+			st = newRunStats(v.Hull())
+		} else {
+			st.observe(v.Hull())
 		}
-		t.finish(Summarize(&Result{tr: tr}), cfg)
+		if round == s.rounds {
+			final = v.Outputs()
+		}
+		return true
+	})
+	if err != nil {
+		t.fail(err)
 		return
 	}
-	d, _ := core.AsDense(s.alg)
-	r := core.NewDenseRunner(d, s.inputs)
-	st := newRunStats(r.Hull())
-	done := ctx.Done()
-	for round := 1; round <= s.rounds; round++ {
-		if done != nil {
-			select {
-			case <-done:
-				t.fail(ctx.Err())
-				return
-			default:
-			}
-		}
-		r.Step(t.src.Next(round, nil))
-		st.observe(r.Hull())
-	}
-	t.finish(st.summary(s.alg.Name(), r.Outputs()), cfg)
+	t.finish(st.summary(s.alg.Name(), final), cfg)
 }
 
-// runStats is the streaming summarizer behind every batchable sweep
-// summary: it folds one run's per-round output hulls into a RunSummary
-// in O(1) state. GeometricRate and WorstRoundRatio fold a diameter
-// series through the same fold, and the validity test is
-// Result.ValidityHolds' tolerance test applied to each round's exact
-// hull, so its summaries equal Summarize's bit for bit.
+// runStats is the streaming summarizer behind every sweep summary: it
+// folds one run's per-round output hulls into a RunSummary in O(1)
+// state. GeometricRate and WorstRoundRatio fold a diameter series
+// through the same fold, and the validity test is Result.ValidityHolds'
+// tolerance test applied to each round's exact hull, so its summaries
+// equal Summarize's bit for bit.
 type runStats struct {
 	lo0, hi0 float64 // initial hull, the validity reference
 	d0, last float64 // initial and latest diameter

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/approx"
+	"repro/internal/valency"
 )
 
 // batchSweepSpecs returns a spec mix exercising every sweep path: one
@@ -239,10 +242,9 @@ func TestSweepTileKeyDistinguishesParameterizations(t *testing.T) {
 	}
 }
 
-// TestDecisionSweepBatchParity compares the batch-plane decision sweep
-// (one shared trajectory sampled at every decision round) against the
-// sequential per-ε path on the Agent path (an AgentsOnly library): every
-// point must be deep-equal.
+// TestDecisionSweepBatchParity compares the decision sweep on the dense
+// path (the default library) with the same sweep on the Agent path (an
+// AgentsOnly library): every point must be deep-equal.
 func TestDecisionSweepBatchParity(t *testing.T) {
 	req := DecisionRequest{
 		Model:       "deaf:5",
@@ -252,16 +254,101 @@ func TestDecisionSweepBatchParity(t *testing.T) {
 		Theorem:     "T9",
 	}
 	ctx := context.Background()
-	batched, err := DecisionSweep(ctx, req)
+	dense, err := DecisionSweep(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, err := DecisionSweep(ctx, req, QueryLibrary(agentsOnlyLibrary(t)))
+	agents, err := DecisionSweep(ctx, req, QueryLibrary(agentsOnlyLibrary(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(batched, sequential) {
-		t.Fatalf("decision sweep differs across paths\nbatched:    %+v\nsequential: %+v", batched, sequential)
+	if !reflect.DeepEqual(dense, agents) {
+		t.Fatalf("decision sweep differs across paths\ndense:  %+v\nagents: %+v", dense, agents)
+	}
+}
+
+// TestDecisionSweepMatchesPerEpsRuns pins the one-execution decision
+// sweep against the definition, one fresh approx.Decider.Run per
+// tolerance on a fresh source (and, for the valency adversaries, a fresh
+// engine), bitwise, on oblivious and adaptive sources. A cancelled sweep
+// returns no points.
+func TestDecisionSweepMatchesPerEpsRuns(t *testing.T) {
+	eps := []float64{0.5, 0.1, 0.01, 0.1, 1e-3, 1}
+	for _, req := range []DecisionRequest{
+		{Model: "deaf:5", Algorithm: "midpoint", Adversary: "fixed:0", Contraction: 0.5},
+		{Model: "deaf:4", Algorithm: "mean", Adversary: "random", Seed: 7, Contraction: 0.75},
+		{Model: "twoagent", Algorithm: "twothirds", Adversary: "greedy", Contraction: 1.0 / 3},
+		{Model: "deaf:4", Algorithm: "midpoint", Adversary: "greedy", Contraction: 0.5},
+		{Model: "psi:5", Algorithm: "midpoint", Adversary: "blockgreedy", Contraction: 0.5},
+	} {
+		req.Eps = eps
+		name := req.Model + "/" + req.Algorithm + "/" + req.Adversary
+		got, err := DecisionSweep(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, err := Models.New(req.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, err := Algorithms.New(req.Algorithm, m.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := req.Seed
+		if seed == 0 {
+			seed = DefaultSeed
+		}
+		d := approx.Decider{Alg: alg, Contraction: req.Contraction}
+		want := make([]DecisionPoint, len(eps))
+		for i, e := range eps {
+			src, err := Adversaries.New(req.Adversary, AdversaryEnv{
+				Model: m, Algorithm: alg, N: m.N(), Seed: seed, Depth: DefaultDepth,
+				Engine: valency.NewEngine(m, valency.DefaultParams(DefaultDepth, alg.Convex())),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := d.Run(SpreadInputs(m.N()), src, 1, e)
+			want[i] = DecisionPoint{Eps: e, Rounds: res.DecisionRound, Spread: res.Spread, OK: res.EpsAgreement && res.Validity}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decision sweep differs from per-eps runs\nsweep:   %+v\nper-eps: %+v", name, got, want)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if points, err := DecisionSweep(ctx, req); err != context.Canceled || points != nil {
+			t.Fatalf("%s: cancelled sweep returned %v, %v; want no points and context.Canceled", name, points, err)
+		}
+	}
+}
+
+// TestDecisionSweepMonotone checks the two-thirds decider on the
+// two-agent model under H1 against Theorem 8: every point decides within
+// its tolerance, decision rounds do not decrease as ε falls, and none
+// beats the lower bound.
+func TestDecisionSweepMonotone(t *testing.T) {
+	eps := []float64{0.5, 0.1, 0.01, 1e-3, 1e-4}
+	pts, err := DecisionSweep(context.Background(), DecisionRequest{
+		Model: "twoagent", Algorithm: "twothirds", Adversary: "fixed:1",
+		Contraction: 1.0 / 3, Eps: eps, Theorem: "T8",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != len(eps) {
+		t.Fatalf("sweep returned %d points, want %d", len(pts), len(eps))
+	}
+	for i, p := range pts {
+		if !p.OK {
+			t.Errorf("eps=%v: run failed", p.Eps)
+		}
+		if i > 0 && p.Rounds < pts[i-1].Rounds {
+			t.Errorf("rounds not monotone in 1/eps: %v", pts)
+		}
+		if float64(p.Rounds) < p.LowerBound-1e-9 {
+			t.Errorf("eps=%v: rounds %d below lower bound %v", p.Eps, p.Rounds, p.LowerBound)
+		}
 	}
 }
 

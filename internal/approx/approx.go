@@ -110,7 +110,13 @@ func (d Decider) Run(inputs []float64, src core.PatternSource, delta, eps float6
 	}
 	rounds := d.Rounds(delta, eps)
 	tr := core.Run(d.Alg, inputs, src, rounds)
-	decisions := tr.Outputs[rounds]
+	return Decide(inputs, tr.Outputs[rounds], rounds, eps)
+}
+
+// Decide judges the decisions taken at the given round of a run from
+// inputs: their spread against eps, and validity against the inputs'
+// hull, both with floating-point slack.
+func Decide(inputs, decisions []float64, round int, eps float64) Result {
 	spread := core.Diameter(decisions)
 	lo, hi := core.Hull(inputs)
 	validity := true
@@ -120,36 +126,10 @@ func (d Decider) Run(inputs []float64, src core.PatternSource, delta, eps float6
 		}
 	}
 	return Result{
-		DecisionRound: rounds,
+		DecisionRound: round,
 		Decisions:     decisions,
 		Spread:        spread,
 		EpsAgreement:  spread <= eps*(1+1e-9),
 		Validity:      validity,
 	}
-}
-
-// SweepPoint is one (ε, rounds) sample of a decision-time sweep.
-type SweepPoint struct {
-	Eps        float64
-	Rounds     int
-	LowerBound float64
-	Spread     float64
-	OK         bool
-}
-
-// Sweep runs the decider over a list of tolerances against the pattern
-// produced by newSrc (a fresh source per run, so adversaries reset).
-func (d Decider) Sweep(inputs []float64, newSrc func() core.PatternSource, delta float64, epss []float64, lower func(eps float64) float64) []SweepPoint {
-	out := make([]SweepPoint, 0, len(epss))
-	for _, eps := range epss {
-		res := d.Run(inputs, newSrc(), delta, eps)
-		out = append(out, SweepPoint{
-			Eps:        eps,
-			Rounds:     res.DecisionRound,
-			LowerBound: lower(eps),
-			Spread:     res.Spread,
-			OK:         res.EpsAgreement && res.Validity,
-		})
-	}
-	return out
 }

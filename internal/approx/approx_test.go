@@ -173,29 +173,6 @@ func TestDeciderPanicsOnUndeclaredDiameter(t *testing.T) {
 	d.Run([]float64{0, 2}, core.Fixed{G: graph.H(0)}, 1, 0.1)
 }
 
-func TestSweepMonotone(t *testing.T) {
-	d := approx.Decider{Alg: algorithms.TwoThirds{}, Contraction: 1.0 / 3.0}
-	epss := []float64{0.5, 0.1, 0.01, 1e-3, 1e-4}
-	pts := d.Sweep([]float64{0, 1},
-		func() core.PatternSource { return core.Fixed{G: graph.H(1)} },
-		1, epss,
-		func(eps float64) float64 { return approx.Theorem8LowerBound(1, eps) })
-	if len(pts) != len(epss) {
-		t.Fatalf("sweep returned %d points, want %d", len(pts), len(epss))
-	}
-	for i, p := range pts {
-		if !p.OK {
-			t.Errorf("eps=%v: run failed", p.Eps)
-		}
-		if i > 0 && p.Rounds < pts[i-1].Rounds {
-			t.Errorf("rounds not monotone in 1/eps: %v", pts)
-		}
-		if float64(p.Rounds) < p.LowerBound-1e-9 {
-			t.Errorf("eps=%v: rounds %d below lower bound %v", p.Eps, p.Rounds, p.LowerBound)
-		}
-	}
-}
-
 // TestTheorem11Consistency cross-checks Theorem 11 against the computed
 // alpha-diameter of the two-agent model: with D = 2 the generic bound
 // log_3(Δ/(2ε)) must stay below the specialized Theorem 8 bound

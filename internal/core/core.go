@@ -183,6 +183,9 @@ func (c *Config) Diameter() float64 {
 	return hi - lo
 }
 
+// Config returns c itself, so that a configuration is an Exec View.
+func (c *Config) Config() *Config { return c }
+
 // Clone returns an independent deep copy of the configuration.
 func (c *Config) Clone() *Config {
 	agents := make([]Agent, c.n)

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -38,7 +40,10 @@ func TestObliviousSources(t *testing.T) {
 // every kind of oblivious source — the Agent path reached through
 // AgentsOnly, the dense path by capability — and checks that an adaptive
 // source safely takes the Agent path instead of receiving a nil
-// configuration.
+// configuration. It then drives Exec on both paths: every round's view
+// is bitwise equal, an observer returning false stops the run, a
+// mid-run cancel returns the context's error, and a zero-round run
+// observes round 0 alone and ends at the initial configuration.
 func TestRunPathsBitIdentical(t *testing.T) {
 	var alg core.Algorithm = algorithms.Midpoint{}
 	oracle := core.AgentsOnly(alg)
@@ -80,6 +85,66 @@ func TestRunPathsBitIdentical(t *testing.T) {
 	agents := core.Run(oracle, inputs, adaptive(), 20)
 	dense := core.Run(alg, inputs, adaptive(), 20)
 	assertTracesEqual(t, agents, dense)
+
+	// Exec itself, on both paths: execViews records each observed round
+	// as its outputs, hull, and the view's configuration (round and
+	// outputs), checks the graph played, stops the run after round stop
+	// and cancels the context after round cancel.
+	execViews := func(alg core.Algorithm, rounds, stop, cancel int) ([][]float64, error) {
+		ctx, cancelCtx := context.WithCancel(context.Background())
+		defer cancelCtx()
+		src := core.Cycle{Graphs: m.Graphs()}
+		var views [][]float64
+		err := core.Exec(ctx, alg, inputs, src, rounds, func(r int, g graph.Graph, v core.View) bool {
+			if r != len(views) {
+				t.Fatalf("%s: observed round %d after %d views", alg.Name(), r, len(views))
+			}
+			if r == 0 && g.N() != 0 || r > 0 && !g.Equal(src.Next(r, nil)) {
+				t.Fatalf("%s: round %d observed graph %v", alg.Name(), r, g)
+			}
+			lo, hi := v.Hull()
+			c := v.Config()
+			views = append(views, append(append(v.Outputs(), lo, hi, float64(c.Round())), c.Outputs()...))
+			if r == cancel {
+				cancelCtx()
+			}
+			return r != stop
+		})
+		return views, err
+	}
+	for _, tc := range []struct {
+		name                 string
+		rounds, stop, cancel int
+		views                int
+		err                  error
+	}{
+		{"full", 12, -1, -1, 13, nil},
+		{"stopped", 12, 3, -1, 4, nil},
+		{"cancelled", 12, -1, 2, 3, context.Canceled},
+		{"zero rounds", 0, -1, -1, 1, nil},
+	} {
+		viewsA, errA := execViews(oracle, tc.rounds, tc.stop, tc.cancel)
+		viewsD, errD := execViews(alg, tc.rounds, tc.stop, tc.cancel)
+		if errA != tc.err || errD != tc.err {
+			t.Fatalf("Exec %s: errors %v (agents), %v (dense), want %v", tc.name, errA, errD, tc.err)
+		}
+		if len(viewsA) != tc.views || len(viewsD) != tc.views {
+			t.Fatalf("Exec %s: %d (agents), %d (dense) views, want %d", tc.name, len(viewsA), len(viewsD), tc.views)
+		}
+		for r := range viewsA {
+			for i := range viewsA[r] {
+				if math.Float64bits(viewsA[r][i]) != math.Float64bits(viewsD[r][i]) {
+					t.Fatalf("Exec %s: round %d view entry %d: %v (agents) != %v (dense)", tc.name, r, i, viewsA[r][i], viewsD[r][i])
+				}
+			}
+		}
+	}
+	for _, a := range []core.Algorithm{oracle, alg} {
+		final := core.Run(a, inputs, core.Fixed{G: graph.Complete(5)}, 0).Final
+		if final.Round() != 0 || !reflect.DeepEqual(final.Outputs(), inputs) {
+			t.Fatalf("%T: a zero-round run's Final is at round %d with outputs %v, want the initial configuration", a, final.Round(), final.Outputs())
+		}
+	}
 }
 
 func assertTracesEqual(t *testing.T, a, b *core.Trace) {

@@ -30,16 +30,13 @@ type Oblivious interface {
 	ObliviousSource() bool
 }
 
-// obliviousSource reports whether src may be driven with a nil Config.
-func obliviousSource(src PatternSource) bool {
-	o, ok := src.(Oblivious)
-	return ok && o.ObliviousSource()
-}
-
 // IsOblivious reports whether src declares itself configuration-
 // independent (see Oblivious); only such sources can drive the dense
 // path.
-func IsOblivious(src PatternSource) bool { return obliviousSource(src) }
+func IsOblivious(src PatternSource) bool {
+	o, ok := src.(Oblivious)
+	return ok && o.ObliviousSource()
+}
 
 // Fixed is a PatternSource that plays the same graph every round — the
 // classical fixed-topology setting.
@@ -128,90 +125,109 @@ type Trace struct {
 }
 
 // Run executes alg from the given inputs for the given number of rounds,
-// drawing graphs from src, and returns the trace. A dense-capable
-// algorithm (AsDense) under an oblivious source runs on flat
-// struct-of-arrays state, anything else on the Agent path; the result is
-// bit-identical either way.
+// drawing graphs from src, and returns the trace. It is RunCtx under a
+// context that is never cancelled.
 func Run(alg Algorithm, inputs []float64, src PatternSource, rounds int) *Trace {
 	tr, _ := RunCtx(context.Background(), alg, inputs, src, rounds)
 	return tr
 }
 
-// RunCtx is Run with cooperative cancellation: the round loop checks ctx
-// between rounds and returns (nil, ctx.Err()) when the context is done.
-// A context that can never be cancelled (nil Done channel, e.g.
-// context.Background) adds no per-round work.
+// RunCtx is the tracing observer of Exec: it records every round's graph
+// and output vector, and the configuration after the last round as
+// Final. It returns (nil, ctx.Err()) when the context is done before the
+// last round.
 func RunCtx(ctx context.Context, alg Algorithm, inputs []float64, src PatternSource, rounds int) (*Trace, error) {
-	if obliviousSource(src) {
-		if d, ok := AsDense(alg); ok {
-			return runDense(ctx, alg.Name(), NewDenseRunner(d, inputs), src, rounds)
+	tr := &Trace{Algorithm: alg.Name()}
+	err := Exec(ctx, alg, inputs, src, rounds, func(t int, g graph.Graph, v View) bool {
+		if t == 0 {
+			tr.Inputs = v.Outputs()
+			tr.Graphs = make([]graph.Graph, 0, rounds)
+			tr.Outputs = make([][]float64, 0, rounds+1)
+		} else {
+			tr.Graphs = append(tr.Graphs, g)
 		}
+		tr.Outputs = append(tr.Outputs, v.Outputs())
+		if t == rounds {
+			// The last round: no later round overwrites the view.
+			tr.Final = v.Config()
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	return runAgents(ctx, alg.Name(), NewConfig(alg, inputs), src, rounds)
+	return tr, nil
 }
 
-// runAgents is the interface-based round loop — the reference path. It
-// steps c in place; pattern sources observe the live configuration
-// (read-only, per the PatternSource contract).
-func runAgents(ctx context.Context, name string, c *Config, src PatternSource, rounds int) (*Trace, error) {
+// View is a read-only view of an execution's state after a round, as
+// Exec hands it to its observer. *DenseRunner and *Config implement it.
+type View interface {
+	// Hull returns the convex hull [lo, hi] of the observable outputs
+	// without allocating.
+	Hull() (lo, hi float64)
+	// Outputs returns a fresh slice of the observable outputs.
+	Outputs() []float64
+	// Config returns the state as an agent configuration: the live one
+	// on the Agent path, a fresh materialization on the dense path.
+	Config() *Config
+}
+
+// Exec is the round loop of one execution, which traced runs, streamed
+// sessions, a sweep's one-run units and decision sweeps all observe
+// (batch tiles step many runs at once instead). It runs alg from the
+// given inputs for the given number of rounds, drawing graphs from src,
+// and calls observe with a view of the state at round 0 (with the zero
+// graph) and after every round t with the graph played. It chooses the
+// execution path once: a dense-capable algorithm (AsDense) under an
+// oblivious source runs on flat struct-of-arrays state, anything else on
+// the Agent path, stepping one Config in place; the views are
+// bit-identical either way.
+//
+// Exec checks ctx between rounds and returns ctx.Err() when it is done; a
+// context that can never be cancelled (nil Done channel, e.g.
+// context.Background) adds no per-round work. When observe returns false
+// the run stops and Exec returns nil. Observers must not keep the view
+// past the call: on the Agent path it is the live configuration, which
+// the next round overwrites.
+func Exec(ctx context.Context, alg Algorithm, inputs []float64, src PatternSource, rounds int, observe func(t int, g graph.Graph, v View) bool) error {
 	if rounds < 0 {
 		panic(fmt.Sprintf("core: negative round count %d", rounds))
 	}
-	tr := &Trace{
-		Algorithm: name,
-		Inputs:    c.Outputs(),
-		Graphs:    make([]graph.Graph, 0, rounds),
-		Outputs:   make([][]float64, 0, rounds+1),
+	var (
+		r *DenseRunner
+		c *Config // stays nil on the dense path, as oblivious sources expect
+		v View
+	)
+	if d, ok := AsDense(alg); ok && IsOblivious(src) {
+		r = NewDenseRunner(d, inputs)
+		v = r
+	} else {
+		c = NewConfig(alg, inputs)
+		v = c
 	}
-	tr.Outputs = append(tr.Outputs, c.Outputs())
+	if !observe(0, graph.Graph{}, v) {
+		return nil
+	}
 	done := ctx.Done()
 	for t := 1; t <= rounds; t++ {
 		if done != nil {
 			select {
 			case <-done:
-				return nil, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
-		g := src.Next(c.round+1, c)
-		c.StepInPlace(g)
-		tr.Graphs = append(tr.Graphs, g)
-		tr.Outputs = append(tr.Outputs, c.Outputs())
-	}
-	tr.Final = c
-	return tr, nil
-}
-
-// runDense is the dense round loop. src must be oblivious: it is handed a
-// nil configuration. The trace's Final configuration is materialized from
-// the dense state after the last round.
-func runDense(ctx context.Context, name string, r *DenseRunner, src PatternSource, rounds int) (*Trace, error) {
-	if rounds < 0 {
-		panic(fmt.Sprintf("core: negative round count %d", rounds))
-	}
-	tr := &Trace{
-		Algorithm: name,
-		Inputs:    r.Outputs(),
-		Graphs:    make([]graph.Graph, 0, rounds),
-		Outputs:   make([][]float64, 0, rounds+1),
-	}
-	tr.Outputs = append(tr.Outputs, r.Outputs())
-	done := ctx.Done()
-	for t := 1; t <= rounds; t++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
+		g := src.Next(t, c)
+		if r != nil {
+			r.Step(g)
+		} else {
+			c.StepInPlace(g)
 		}
-		g := src.Next(r.Round()+1, nil)
-		r.Step(g)
-		tr.Graphs = append(tr.Graphs, g)
-		tr.Outputs = append(tr.Outputs, r.Outputs())
+		if !observe(t, g, v) {
+			return nil
+		}
 	}
-	tr.Final = r.Config()
-	return tr, nil
+	return nil
 }
 
 // Rounds returns the number of executed rounds.

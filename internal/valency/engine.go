@@ -92,10 +92,13 @@ func (s CacheStats) HitRate() float64 {
 // closed-form limits are neither stored nor counted as hits or misses.
 // Identical repeated queries are answered from the root entry of the
 // inner/outer tables; deeper re-explorations miss those, since their
-// keys include the remaining depth. Each table is bounded by memoBudget bytes and, when
-// full, evicts every entry and keeps memoizing. Every memoized value is
-// a pure function of its key, so eviction moves the cache counters but
-// never a bound.
+// keys include the remaining depth. A query's root is walked as level 0
+// of the same recursion as every other node, so a depth-0 query follows
+// the leaf rules: an Inner root is stored only where walker.inner stores
+// leaves, and an Outer root is the hull, unprobed. Each table is bounded
+// by memoBudget bytes and, when full, evicts every entry and keeps
+// memoizing. Every memoized value is a pure function of its key, so
+// eviction moves the cache counters but never a bound.
 //
 // Caches are only keyed by agent state, round, and depth — NOT by
 // algorithm identity — so an Engine must only ever see configurations of
@@ -221,7 +224,9 @@ func memoPut[V any](e *Engine, t *memoTable[V], key []byte, v V) {
 // diameter is a sound lower bound on δ(C) when both endpoints come in
 // closed form, and one up to Tol otherwise.
 func (e *Engine) Inner(c *core.Config) Interval {
-	return e.explore(c, e.innerBranch, &e.inner)
+	w := e.getWalker(selfRootKeeper(c))
+	defer e.putWalker(w)
+	return w.inner(c, e.params.Depth, 0, -1, limitEntry{}, false)
 }
 
 // Outer returns the outer valency bound for convex combination
@@ -232,7 +237,9 @@ func (e *Engine) Outer(c *core.Config) Interval {
 	if !e.params.Convex {
 		panic("valency: Outer bound requires a convex combination algorithm")
 	}
-	return e.explore(c, e.outerBranch, &e.outer)
+	w := e.getWalker(nil)
+	defer e.putWalker(w)
+	return w.outer(c, e.params.Depth, 0)
 }
 
 // DeltaLower returns a sound lower bound on δ(C) = diam(Y*(C)).
@@ -240,61 +247,6 @@ func (e *Engine) DeltaLower(c *core.Config) float64 { return e.Inner(c).Diameter
 
 // DeltaUpper returns a sound upper bound on δ(C) for convex algorithms.
 func (e *Engine) DeltaUpper(c *core.Config) float64 { return e.Outer(c).Diameter() }
-
-// explore runs one top-level walk on one walker: a root-memo check in
-// the given table, then every branch in model-index order, folded into
-// one interval. The root key lives in levelKeys[0], which no tree level
-// uses, since the walk overwrites w.key. memoize, the root's
-// fingerprintability, tells each branch whether its limits count.
-func (e *Engine) explore(c *core.Config, branch func(w *walker, c *core.Config, k int, counted bool) Interval, memo *memoTable[Interval]) Interval {
-	w := e.getWalker(selfRootKeeper(c))
-	defer e.putWalker(w)
-	key, memoize := c.AppendFingerprint(w.levelKey(0))
-	if memoize {
-		w.levelKeys[0] = appendDepth(key, e.params.Depth)
-		if iv, hit := memoGet(e, memo, w.levelKeys[0]); hit {
-			return iv
-		}
-	}
-	iv := emptyInterval()
-	for k := 0; k < e.model.Size(); k++ {
-		iv = iv.Union(branch(w, c, k, memoize))
-	}
-	if memoize {
-		memoPut(e, memo, w.levelKeys[0], iv)
-	}
-	return iv
-}
-
-// innerBranch computes branch k's contribution to Inner(c): the limit of
-// the constant-k continuation from c, plus the whole subtree below the
-// successor G_k.C when depth remains.
-func (e *Engine) innerBranch(w *walker, c *core.Config, k int, counted bool) Interval {
-	iv := emptyInterval()
-	lim := w.limit(c, k)
-	if lim.ok {
-		iv = iv.Union(Interval{Lo: lim.limit, Hi: lim.limit})
-	}
-	if e.params.Depth > 0 {
-		child := w.level(0)
-		c.StepInto(child, e.model.Graph(k))
-		iv = iv.Union(w.inner(child, e.params.Depth-1, 1, k, lim, counted))
-	}
-	return iv
-}
-
-// outerBranch computes branch k's contribution to Outer(c). With Depth 0
-// the walk never branches: every branch returns the hull of c itself,
-// matching the reference recursion's base case.
-func (e *Engine) outerBranch(w *walker, c *core.Config, k int, _ bool) Interval {
-	if e.params.Depth == 0 {
-		lo, hi := c.Hull()
-		return Interval{Lo: lo, Hi: hi}
-	}
-	child := w.level(0)
-	c.StepInto(child, e.model.Graph(k))
-	return w.outer(child, e.params.Depth-1, 1)
-}
 
 // LimitOfConstant returns the common limit of the continuation that
 // repeats model graph k forever from c. When graph k is rooted at one
@@ -438,7 +390,9 @@ func (w *walker) levelKey(i int) []byte {
 // constant-graph limit from c and, while depth remains, of the subtrees
 // below every successor. level indexes the walker's scratch arena; c was
 // reached by graph from, parent is its parent's limit entry for that
-// graph, and counted is whether the parent was fingerprintable. The
+// graph, and counted is whether the parent was fingerprintable. A
+// query's root is level 0, reached by no graph (from −1), so it
+// inherits nothing. The
 // node's constant-graph limits are all resolved (allLimits) before any
 // subtree is walked, so each child G_k.C can inherit c's limit for k.
 //
@@ -517,7 +471,9 @@ func (w *walker) allLimits(c *core.Config, level, from int, parent limitEntry, c
 	return out
 }
 
-// outer is the memoized recursion behind Outer.
+// outer is the memoized recursion behind Outer: the union of the
+// subtrees below every successor while depth remains, and the hull of c
+// at a leaf, which is neither fingerprinted nor probed.
 func (w *walker) outer(c *core.Config, depth, level int) Interval {
 	if depth == 0 {
 		lo, hi := c.Hull()

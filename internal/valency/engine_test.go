@@ -310,26 +310,39 @@ func TestEngineCacheEffectiveness(t *testing.T) {
 // one inner entry, the root's. Leaves are stored where the algorithm
 // does not declare the capability (mean on deaf:3) or where several
 // graphs settle (midpoint on noSelfRoot3): there the root and its three
-// distinct children.
+// distinct children. A query's root is walked like any node, so at
+// depth 0 it is a leaf: not stored on deaf:3 under midpoint, stored on
+// noSelfRoot3; and a depth-0 Outer stores no outer entry.
 func TestEngineLeafEntries(t *testing.T) {
 	deaf3 := model.DeafModel(graph.Complete(3))
 	for _, tc := range []struct {
 		engineCase
-		entries int
+		depth, entries int
 	}{
-		{engineCase{"deafK3/midpoint", deaf3, algorithms.Midpoint{}, []float64{0, 1, 0.5}}, 1},
-		{engineCase{"deafK3/mean", deaf3, algorithms.Mean{}, []float64{0, 1, 0.5}}, 4},
-		{engineCase{"noSelfRoot3/midpoint", noSelfRootModel(), algorithms.Midpoint{}, []float64{0, 1, 0.25}}, 4},
+		{engineCase{"deafK3/midpoint", deaf3, algorithms.Midpoint{}, []float64{0, 1, 0.5}}, 1, 1},
+		{engineCase{"deafK3/mean", deaf3, algorithms.Mean{}, []float64{0, 1, 0.5}}, 1, 4},
+		{engineCase{"noSelfRoot3/midpoint", noSelfRootModel(), algorithms.Midpoint{}, []float64{0, 1, 0.25}}, 1, 4},
+		{engineCase{"depth-0/deafK3/midpoint", deaf3, algorithms.Midpoint{}, []float64{0, 1, 0.5}}, 0, 0},
+		{engineCase{"depth-0/noSelfRoot3/midpoint", noSelfRootModel(), algorithms.Midpoint{}, []float64{0, 1, 0.25}}, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := valency.DefaultParams(1, true)
+			p := valency.DefaultParams(tc.depth, true)
 			c := core.NewConfig(tc.alg, tc.inputs)
 			eng := valency.NewEngine(tc.m, p)
 			if got, want := eng.Inner(c), valency.ReferenceInner(tc.m, p, c); got != want {
 				t.Fatalf("engine Inner = %v, reference = %v", got, want)
 			}
 			if s := eng.Stats(); s.InnerEntries != tc.entries {
-				t.Fatalf("depth-1 Inner stored %d inner entries, want %d; stats %+v", s.InnerEntries, tc.entries, s)
+				t.Fatalf("depth-%d Inner stored %d inner entries, want %d; stats %+v", tc.depth, s.InnerEntries, tc.entries, s)
+			}
+			if tc.depth > 0 {
+				return
+			}
+			if got, want := eng.Outer(c), valency.ReferenceOuter(tc.m, p, c); got != want {
+				t.Fatalf("engine Outer = %v, reference = %v", got, want)
+			}
+			if s := eng.Stats(); s.OuterEntries != 0 || s.OuterHits+s.OuterMisses != 0 {
+				t.Fatalf("depth-0 Outer probed or stored the outer table; stats %+v", s)
 			}
 		})
 	}
