@@ -349,7 +349,7 @@ func BenchmarkValencyInner(b *testing.B) {
 		b.Run("depth-"+strconv.Itoa(depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = eng.Inner(c)
+				_, _ = eng.Inner(context.Background(), c)
 			}
 		})
 	}
@@ -368,7 +368,7 @@ func BenchmarkValencyInnerCold(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				eng := valency.NewEngine(m, valency.DefaultParams(depth, true))
-				_ = eng.Inner(c)
+				_, _ = eng.Inner(context.Background(), c)
 			}
 		})
 	}
@@ -383,7 +383,7 @@ func BenchmarkValencyOuter(b *testing.B) {
 		b.Run("depth-"+strconv.Itoa(depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = eng.Outer(c)
+				_, _ = eng.Outer(context.Background(), c)
 			}
 		})
 	}
@@ -460,6 +460,53 @@ func BenchmarkGreedyAdversaryRun(b *testing.B) {
 		stats = eng.Stats()
 	}
 	b.ReportMetric(stats.HitRate(), "hit-rate")
+}
+
+// BenchmarkLowerBoundSessions runs the four executions of the
+// ladderbench lower-bound workload (Theorems 1–3: twoagent two-thirds
+// greedy at depth 4, deaf:3 and deaf:4 midpoint greedy at depths 4 and
+// 3, psi:5 midpoint blockgreedy at depth 3; 12 rounds each) through
+// consensus.Session, each from fresh inputs on the pooled engines, and
+// reports ns per run-round: the in-process counterpart of the workload's
+// run_rounds_per_s. As in the workload, the inputs are a seeded random
+// affine image lo + scale·SpreadInputs(n), so every run explores new
+// configurations while the engines keep their tables across runs.
+func BenchmarkLowerBoundSessions(b *testing.B) {
+	const rounds = 12
+	specs := []struct {
+		model, alg, adv string
+		depth, n        int
+	}{
+		{"twoagent", "twothirds", "greedy", 4, 2},
+		{"deaf:3", "midpoint", "greedy", 4, 3},
+		{"deaf:4", "midpoint", "greedy", 3, 4},
+		{"psi:5", "midpoint", "blockgreedy", 3, 5},
+	}
+	rng := rand.New(rand.NewSource(1))
+	// A cancellable context, as a served request has, so the valency
+	// search polls it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range specs {
+			lo, scale := rng.Float64(), 0.5+rng.Float64()
+			inputs := consensus.SpreadInputs(sp.n)
+			for j := range inputs {
+				inputs[j] = lo + scale*inputs[j]
+			}
+			s, err := consensus.New(consensus.WithModel(sp.model), consensus.WithAlgorithm(sp.alg),
+				consensus.WithAdversary(sp.adv), consensus.WithDepth(sp.depth),
+				consensus.WithRounds(rounds), consensus.WithInputs(inputs...))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Run(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)*rounds), "ns/run-round")
 }
 
 func BenchmarkAlphaDiameter(b *testing.B) {

@@ -27,9 +27,12 @@ func (iv Interval) Diameter() float64 {
 }
 
 // withinCtx runs f honoring ctx: when ctx can be cancelled, f runs in a
-// goroutine and the call returns ctx.Err() on cancellation. The engines
-// have no internal preemption points, so an abandoned computation runs to
-// completion in the background (its engine-pool cache work is not lost).
+// goroutine and the call returns ctx.Err() on cancellation. The
+// computations it wraps (model construction, the solvability analysis,
+// an experiment table) have no preemption points, so an abandoned one
+// runs to completion in the background. The valency search is not run
+// under withinCtx: it polls its context itself and stops when it is done
+// (see valency.Engine).
 func withinCtx[T any](ctx context.Context, f func() (T, error)) (T, error) {
 	if ctx.Done() == nil {
 		return f()
@@ -208,24 +211,28 @@ func ValencyBounds(ctx context.Context, req ValencyRequest, opts ...QueryOption)
 		return nil, fmt.Errorf("consensus: negative valency depth %d", depth)
 	}
 	eng := sharedEngine(cfg.lib.models(), req.Model, alg.Name(), m, depth, alg.Convex())
-	return withinCtx(ctx, func() (*ValencyReport, error) {
-		c := core.NewConfig(alg, inputs)
-		inner := eng.Inner(c)
-		r := &ValencyReport{
-			Model:      req.Model,
-			Algorithm:  alg.Name(),
-			Depth:      depth,
-			Inner:      Interval{Lo: inner.Lo, Hi: inner.Hi},
-			DeltaLower: inner.Diameter(),
+	c := core.NewConfig(alg, inputs)
+	inner, err := eng.Inner(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	r := &ValencyReport{
+		Model:      req.Model,
+		Algorithm:  alg.Name(),
+		Depth:      depth,
+		Inner:      Interval{Lo: inner.Lo, Hi: inner.Hi},
+		DeltaLower: inner.Diameter(),
+	}
+	if alg.Convex() {
+		outer, err := eng.Outer(ctx, c)
+		if err != nil {
+			return nil, err
 		}
-		if alg.Convex() {
-			outer := eng.Outer(c)
-			r.Outer = &Interval{Lo: outer.Lo, Hi: outer.Hi}
-			r.DeltaUpper = outer.Diameter()
-		}
-		r.CacheHitRate = eng.Stats().HitRate()
-		return r, nil
-	})
+		r.Outer = &Interval{Lo: outer.Lo, Hi: outer.Hi}
+		r.DeltaUpper = outer.Diameter()
+	}
+	r.CacheHitRate = eng.Stats().HitRate()
+	return r, nil
 }
 
 // DecisionRequest asks for an approximate-consensus decision-time sweep:
@@ -320,7 +327,7 @@ func DecisionSweep(ctx context.Context, req DecisionRequest, opts ...QueryOption
 	if err != nil {
 		return nil, err
 	}
-	env := AdversaryEnv{Model: m, Algorithm: alg, N: m.N(), Seed: seed, Depth: DefaultDepth}
+	env := AdversaryEnv{Model: m, Algorithm: alg, N: m.N(), Seed: seed, Depth: DefaultDepth, Context: ctx}
 	if fac.NeedsEngine {
 		env.Engine = sharedEngine(cfg.lib.models(), req.Model, alg.Name(), m, DefaultDepth, alg.Convex())
 	}

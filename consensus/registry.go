@@ -1,8 +1,10 @@
 package consensus
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -166,10 +168,12 @@ type ModelRegistry struct {
 	registry[ModelFactory]
 }
 
-// NewModelRegistry returns an empty registry.
+// NewModelRegistry returns an empty registry. Once it is collected, the
+// valency engines pooled for its models are dropped.
 func NewModelRegistry() *ModelRegistry {
 	r := &ModelRegistry{}
 	r.init("model")
+	runtime.AddCleanup(r, dropEngines, r.id)
 	return r
 }
 
@@ -190,7 +194,8 @@ func (r *ModelRegistry) New(spec string) (*model.Model, error) {
 // AdversaryEnv is what an adversary factory gets to work with: the
 // session's model (nil for model-free schedulers), the algorithm under
 // attack, the system size, the RNG seed, the valency exploration depth,
-// and — for valency-driven adversaries — the session's shared engine.
+// and — for valency-driven adversaries — the session's shared engine and
+// the context that bounds its searches.
 type AdversaryEnv struct {
 	Model     *model.Model
 	Algorithm core.Algorithm
@@ -198,6 +203,10 @@ type AdversaryEnv struct {
 	Seed      int64
 	Depth     int
 	Engine    *valency.Engine
+	// Context is the context of the run the source is built for (nil:
+	// never cancelled). Valency-driven adversaries bound every search
+	// with it, so cancelling a run stops its adversary mid-round.
+	Context context.Context
 }
 
 // AdversaryFactory builds a pattern source (scheduler or adversary) from
@@ -592,7 +601,7 @@ func registerBuiltinAdversaries() {
 			if err := noArg("greedy", arg); err != nil {
 				return nil, err
 			}
-			return &adversary.Greedy{Eng: env.Engine}, nil
+			return &adversary.Greedy{Eng: env.Engine, Ctx: env.Context}, nil
 		},
 	}))
 	must(Adversaries.Register(AdversaryFactory{
@@ -603,7 +612,12 @@ func registerBuiltinAdversaries() {
 			if err := noArg("blockgreedy", arg); err != nil {
 				return nil, err
 			}
-			return adversary.NewBlockGreedy(env.Engine, adversary.SigmaBlocks(env.N))
+			b, err := adversary.NewBlockGreedy(env.Engine, adversary.SigmaBlocks(env.N))
+			if err != nil {
+				return nil, err
+			}
+			b.Ctx = env.Context
+			return b, nil
 		},
 	}))
 	must(Adversaries.Register(AdversaryFactory{

@@ -182,6 +182,12 @@ type Session struct {
 // libraries may resolve the same spec name to different models; model
 // factories are expected to be deterministic per registry.
 //
+// The key holds the registry's id, not the registry, so the pool does
+// not keep a library alive: when a model registry is collected, the
+// cleanup NewModelRegistry attached to it drops its engines
+// (dropEngines). A library built per request or per benchmark set-up
+// thus frees its engines with it.
+//
 // The pool is bounded: past maxPooledEngines, engines are built
 // per-session (still correct, garbage-collected after use) so that a
 // long-lived server facing unbounded distinct specs cannot grow without
@@ -196,15 +202,27 @@ var (
 const maxPooledEngines = 64
 
 type engineKey struct {
-	models *ModelRegistry
+	models uint64 // the model registry's id
 	model  string
 	alg    string
 	depth  int
 	convex bool
 }
 
+// dropEngines removes the pooled engines of the model registry with the
+// given id; it runs once that registry is collected.
+func dropEngines(models uint64) {
+	engineMu.Lock()
+	defer engineMu.Unlock()
+	for key := range enginePool {
+		if key.models == models {
+			delete(enginePool, key)
+		}
+	}
+}
+
 func sharedEngine(models *ModelRegistry, modelSpec, algName string, m *model.Model, depth int, convex bool) *valency.Engine {
-	key := engineKey{models: models, model: modelSpec, alg: algName, depth: depth, convex: convex}
+	key := engineKey{models: models.id, model: modelSpec, alg: algName, depth: depth, convex: convex}
 	engineMu.Lock()
 	defer engineMu.Unlock()
 	if e, ok := enginePool[key]; ok {
@@ -333,7 +351,7 @@ func New(opts ...Option) (*Session, error) {
 	if fac.NeedsEngine || s.floor {
 		s.engine = sharedEngine(s.lib.models(), s.modelSpec, alg.Name(), s.model, s.depth, alg.Convex())
 	}
-	if _, _, err := s.newSource(); err != nil {
+	if _, _, err := s.newSource(context.Background()); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -380,9 +398,10 @@ func (s *Session) ContractionBound() (rate float64, theorem, detail string, ok b
 	return b.Rate, b.Theorem, b.Detail, true
 }
 
-// newSource builds a fresh pattern source for one run, plus the greedy
-// decision trace sink when tracing is on.
-func (s *Session) newSource() (core.PatternSource, *[]adversary.Decision, error) {
+// newSource builds a fresh pattern source for one run under ctx, which
+// bounds a valency-driven adversary's searches, plus the greedy decision
+// trace sink when tracing is on.
+func (s *Session) newSource(ctx context.Context) (core.PatternSource, *[]adversary.Decision, error) {
 	if s.scenario != nil {
 		return s.scenario.Source(), nil, nil
 	}
@@ -393,6 +412,7 @@ func (s *Session) newSource() (core.PatternSource, *[]adversary.Decision, error)
 		Seed:      s.seed,
 		Depth:     s.depth,
 		Engine:    s.engine,
+		Context:   ctx,
 	}
 	src, err := s.lib.adversaries().New(s.advSpec, env)
 	if err != nil {
@@ -409,11 +429,12 @@ func (s *Session) newSource() (core.PatternSource, *[]adversary.Decision, error)
 }
 
 // Run executes the session from its initial inputs and returns the full
-// result. It honors ctx cancellation between rounds; a context that can
-// never be cancelled adds no per-round work, keeping the facade overhead
-// of long measurement runs in the noise (see BenchmarkSessionVsCore).
+// result. It honors ctx cancellation between rounds and inside a
+// valency-driven adversary's search; a context that can never be
+// cancelled adds no per-round work, keeping the facade overhead of long
+// measurement runs in the noise (see BenchmarkSessionVsCore).
 func (s *Session) Run(ctx context.Context) (*Result, error) {
-	src, _, err := s.newSource()
+	src, _, err := s.newSource(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -505,18 +526,28 @@ type Snapshot struct {
 // first — without materializing a trace: it observes core.Exec, which
 // steps one state in place on either execution path, so arbitrarily long
 // executions run in constant memory. The iterator stops early when ctx is
-// cancelled (yielding the context error) or when the consumer breaks.
+// cancelled (yielding the context error), also inside an adversary's or
+// the floor's valency search, or when the consumer breaks.
 func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 	return func(yield func(Snapshot, error) bool) {
 		yield = observeContraction(yield)
-		src, decs, err := s.newSource()
+		src, decs, err := s.newSource(ctx)
 		if err != nil {
 			yield(Snapshot{}, err)
 			return
 		}
+		var floorErr error
 		err = core.Exec(ctx, s.alg, s.inputs, src, s.rounds, func(t int, g graph.Graph, v core.View) bool {
-			return yield(s.snapshot(v, t, g, s.lastDecision(decs, t)), nil)
+			snap, err := s.snapshot(ctx, v, t, g, s.lastDecision(decs, t))
+			if err != nil {
+				floorErr = err
+				return false
+			}
+			return yield(snap, nil)
 		})
+		if err == nil {
+			err = floorErr
+		}
 		if err != nil {
 			yield(Snapshot{}, err)
 		}
@@ -542,8 +573,9 @@ func (s *Session) lastDecision(decs *[]adversary.Decision, t int) *adversary.Dec
 // snapshot renders round t of the execution from the observer's view.
 // The floor replicates the repository's printed tables: the initial
 // configuration always gets the certified bound, later rounds only for
-// convex combination algorithms (0 otherwise).
-func (s *Session) snapshot(v core.View, t int, g graph.Graph, dec *adversary.Decision) Snapshot {
+// convex combination algorithms (0 otherwise). Its search runs under
+// ctx, whose error snapshot returns when ctx is done first.
+func (s *Session) snapshot(ctx context.Context, v core.View, t int, g graph.Graph, dec *adversary.Decision) (Snapshot, error) {
 	snap := Snapshot{Round: t, ModelIndex: -1, HasFloor: s.floor, Outputs: v.Outputs()}
 	lo, hi := v.Hull()
 	snap.Diameter = hi - lo
@@ -561,7 +593,11 @@ func (s *Session) snapshot(v core.View, t int, g graph.Graph, dec *adversary.Dec
 		}
 	}
 	if s.floor && (t == 0 || s.alg.Convex()) {
-		snap.Floor = s.engine.DeltaLower(v.Config())
+		floor, err := s.engine.DeltaLower(ctx, v.Config())
+		if err != nil {
+			return Snapshot{}, err
+		}
+		snap.Floor = floor
 	}
-	return snap
+	return snap, nil
 }

@@ -184,8 +184,8 @@ func TestSessionFloorAndEngineSharing(t *testing.T) {
 	alg, _ := Algorithms.New("twothirds", 2)
 	eng := valency.NewEngine(m, valency.DefaultParams(4, alg.Convex()))
 	c := core.NewConfig(alg, []float64{0, 1})
-	if floors[0] != eng.DeltaLower(c) {
-		t.Errorf("round-0 floor %v, estimator %v", floors[0], eng.DeltaLower(c))
+	if floor, err := eng.DeltaLower(context.Background(), c); err != nil || floors[0] != floor {
+		t.Errorf("round-0 floor %v, estimator (%v, %v)", floors[0], floor, err)
 	}
 	// The greedy race decays by 1/3 per round for two-thirds (up to the
 	// estimator's settle tolerance).

@@ -669,7 +669,7 @@ func (t *sweepTask) prepare(ctx context.Context, spec RunSpec, index int, cfg *s
 			return
 		}
 	}
-	src, _, err := session.newSource()
+	src, _, err := session.newSource(ctx)
 	if err != nil {
 		t.fail(err)
 		return

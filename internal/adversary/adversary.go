@@ -18,6 +18,7 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -36,6 +37,19 @@ type Greedy struct {
 	Eng *valency.Engine
 	// Trace, if non-nil, receives one record per decision.
 	Trace *[]Decision
+	// Ctx bounds the valency search of every decision (nil: never
+	// cancelled). Once it is done, Next stops its search, records no
+	// decision and returns an arbitrary model graph, which core.Exec
+	// discards: it checks ctx after every Next.
+	Ctx context.Context
+}
+
+// searchContext returns ctx, or the background context for nil.
+func searchContext(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
 }
 
 // Decision records one greedy adversary choice.
@@ -56,7 +70,10 @@ type Decision struct {
 // so the deeper re-exploration misses those.)
 func (a *Greedy) Next(round int, c *core.Config) graph.Graph {
 	eng := a.Eng
-	inners := eng.SuccessorInners(c)
+	inners, err := eng.SuccessorInners(searchContext(a.Ctx), c)
+	if err != nil {
+		return eng.Model().Graph(0)
+	}
 	best, bestDiam := 0, -1.0
 	for k, iv := range inners {
 		if d := iv.Diameter(); d > bestDiam {
@@ -90,6 +107,9 @@ type BlockGreedy struct {
 	// Blocks are the candidate graph sequences; all must have equal,
 	// positive length.
 	Blocks [][]graph.Graph
+	// Ctx bounds the valency searches of every decision, as Greedy.Ctx
+	// does; a cancelled decision leaves no block pending.
+	Ctx context.Context
 
 	pending []graph.Graph
 	scratch *core.Config
@@ -139,7 +159,11 @@ func (a *BlockGreedy) Next(round int, c *core.Config) graph.Graph {
 		}
 		best, bestDiam := 0, -1.0
 		for k, block := range a.Blocks {
-			if d := a.Eng.Inner(playBlock(block)).Diameter(); d > bestDiam {
+			d, err := a.Eng.DeltaLower(searchContext(a.Ctx), playBlock(block))
+			if err != nil {
+				return a.Blocks[0][0]
+			}
+			if d > bestDiam {
 				best, bestDiam = k, d
 			}
 		}

@@ -1,6 +1,8 @@
 package adversary_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -12,6 +14,18 @@ import (
 	"repro/internal/valency"
 )
 
+// bg is the context of the tests' valency queries, which are never
+// cancelled.
+var bg = context.Background()
+
+// must returns v, panicking on err: a query under bg cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // deltaFloorRun drives alg from inputs under the greedy adversary for the
 // given rounds and returns the certified inner δ(C_t) for every t.
 func deltaFloorRun(t *testing.T, alg core.Algorithm, m *model.Model, inputs []float64, depth, rounds int) []float64 {
@@ -19,11 +33,11 @@ func deltaFloorRun(t *testing.T, alg core.Algorithm, m *model.Model, inputs []fl
 	eng := valency.NewEngine(m, valency.DefaultParams(depth, alg.Convex()))
 	adv := &adversary.Greedy{Eng: eng}
 	c := core.NewConfig(alg, inputs)
-	floors := []float64{eng.DeltaLower(c)}
+	floors := []float64{must(eng.DeltaLower(bg, c))}
 	for round := 1; round <= rounds; round++ {
 		g := adv.Next(round, c)
 		c = c.Step(g)
-		floors = append(floors, eng.DeltaLower(c))
+		floors = append(floors, must(eng.DeltaLower(bg, c)))
 	}
 	return floors
 }
@@ -147,7 +161,7 @@ func TestTheorem3FloorPsiBlocks(t *testing.T) {
 		}
 		for _, alg := range []core.Algorithm{algorithms.AmortizedMidpoint{}, algorithms.Midpoint{}} {
 			c := core.NewConfig(alg, inputs)
-			if d0 := eng.DeltaLower(c); math.Abs(d0-1) > 1e-6 {
+			if d0 := must(eng.DeltaLower(bg, c)); math.Abs(d0-1) > 1e-6 {
 				t.Fatalf("n=%d %s: δ(C0) = %v, want 1 (Lemma 13)", n, alg.Name(), d0)
 			}
 			blocks := 4
@@ -157,7 +171,7 @@ func TestTheorem3FloorPsiBlocks(t *testing.T) {
 					round++
 					c = c.Step(adv.Next(round, c))
 				}
-				floor := eng.DeltaLower(c)
+				floor := must(eng.DeltaLower(bg, c))
 				want := math.Pow(0.5, float64(b))
 				if floor < want-1e-5 {
 					t.Errorf("n=%d %s: δ after block %d = %v below Theorem 3 floor %v",
@@ -319,14 +333,14 @@ func TestTheorem5FloorAlphaDiameter(t *testing.T) {
 	eng := valency.NewEngine(sub, valency.DefaultParams(0, true))
 	adv := &adversary.Greedy{Eng: eng}
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25})
-	d0 := eng.DeltaLower(c)
+	d0 := must(eng.DeltaLower(bg, c))
 	if d0 <= 0 {
 		t.Fatal("δ(C0) estimate is zero; estimator too coarse")
 	}
 	rounds := 4
 	for round := 1; round <= rounds; round++ {
 		c = c.Step(adv.Next(round, c))
-		floor := eng.DeltaLower(c)
+		floor := must(eng.DeltaLower(bg, c))
 		want := d0 * math.Pow(bound, float64(round))
 		if floor < want-1e-6 {
 			t.Errorf("δ(C_%d) = %v below Theorem 5 floor %v (D=%d)", round, floor, want, d)
@@ -346,7 +360,7 @@ func TestGreedyFallbackOnBlindEstimator(t *testing.T) {
 	p.Tol = 1e-12
 	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
-	for k, iv := range eng.SuccessorInners(c) {
+	for k, iv := range must(eng.SuccessorInners(bg, c)) {
 		if iv.Diameter() > 0 {
 			t.Fatalf("precondition failed: successor %d has inner bound %v, so the fallback would not run", k, iv)
 		}
@@ -381,7 +395,7 @@ func TestBlockGreedyFallback(t *testing.T) {
 		want, wantDiam := 0, -1.0
 		for k, block := range blocks {
 			end := c.StepAll(block)
-			if iv := eng.Inner(end); iv.Diameter() > 0 {
+			if iv := must(eng.Inner(bg, end)); iv.Diameter() > 0 {
 				t.Fatalf("decision %d: precondition failed: block %d ends with inner bound %v, so the fallback would not run", decision, k, iv)
 			}
 			if d := end.Diameter(); d > wantDiam {
@@ -440,5 +454,34 @@ func TestGreedyTraceRecording(t *testing.T) {
 		if d.Chosen < 0 || d.Chosen >= 3 {
 			t.Errorf("decision %d chose out-of-range graph %d", i, d.Chosen)
 		}
+	}
+}
+
+// TestCancelledAdversariesPlayNothing runs both valency adversaries under
+// a context that is already cancelled: their searches stop at once, the
+// greedy adversary records no decision, and the run returns the
+// context's error without playing a round.
+func TestCancelledAdversariesPlayNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	m := model.PsiModel(5)
+	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
+	var decisions []adversary.Decision
+	block, err := adversary.NewBlockGreedy(eng, adversary.SigmaBlocks(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block.Ctx = ctx
+	for _, src := range []core.PatternSource{&adversary.Greedy{Eng: eng, Trace: &decisions, Ctx: ctx}, block} {
+		tr, err := core.RunCtx(ctx, algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25, 0.75}, src, 3)
+		if !errors.Is(err, context.Canceled) || tr != nil {
+			t.Fatalf("%T: run returned (%v, %v), want the cancellation", src, tr, err)
+		}
+	}
+	if len(decisions) != 0 {
+		t.Fatalf("a cancelled greedy search recorded decisions %v", decisions)
+	}
+	if s := eng.Stats(); s != (valency.CacheStats{}) {
+		t.Fatalf("cancelled searches touched the tables; stats %+v", s)
 	}
 }

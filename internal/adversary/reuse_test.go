@@ -64,7 +64,7 @@ func TestGreedyZeroDiameterFallback(t *testing.T) {
 	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
 
-	if iv := eng.Inner(c); iv.Diameter() != 0 {
+	if iv := must(eng.Inner(bg, c)); iv.Diameter() != 0 {
 		t.Fatalf("precondition failed: inner bound %v should be empty with Settle=0", iv)
 	}
 

@@ -69,6 +69,17 @@ func (st *DenseState) Resize(n, planes int) {
 	st.Aux = st.Aux[:planes*n]
 }
 
+// CopyFrom makes st an exact copy of src: agent count, completed round,
+// Y and every aux plane. It allocates only when st must grow. The round
+// is part of the copy because steppers may act by round (the amortized
+// midpoint's phase) and fingerprints encode it.
+func (st *DenseState) CopyFrom(src *DenseState) {
+	st.Resize(src.n, src.planes)
+	st.round = src.round
+	copy(st.Y, src.Y)
+	copy(st.Aux, src.Aux)
+}
+
 // DenseAlgorithm is the dense-path capability of an Algorithm: a
 // stepper over flat state. Implementations must be bit-identical to the
 // algorithm's Agent path — same float operations in the same order per
@@ -176,10 +187,17 @@ func AppendDenseFingerprint(alg DenseAlgorithm, st *DenseState, dst []byte) (fp 
 	if !can {
 		return dst, false
 	}
+	return st.AppendFingerprint(df, dst)
+}
+
+// AppendFingerprint is AppendDenseFingerprint with the capability already
+// resolved, for callers that fingerprint many states of one algorithm
+// (the valency engine resolves it once per query).
+func (st *DenseState) AppendFingerprint(df DenseFingerprinter, dst []byte) (fp []byte, ok bool) {
 	dst = AppendInt(dst, st.n)
 	dst = AppendInt(dst, st.round)
 	for i := 0; i < st.n; i++ {
-		if dst, can = df.AppendDenseFingerprint(dst, st, i); !can {
+		if dst, ok = df.AppendDenseFingerprint(dst, st, i); !ok {
 			return dst, false
 		}
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -143,6 +144,33 @@ func TestRunPathsBitIdentical(t *testing.T) {
 		final := core.Run(a, inputs, core.Fixed{G: graph.Complete(5)}, 0).Final
 		if final.Round() != 0 || !reflect.DeepEqual(final.Outputs(), inputs) {
 			t.Fatalf("%T: a zero-round run's Final is at round %d with outputs %v, want the initial configuration", a, final.Round(), final.Outputs())
+		}
+	}
+}
+
+// TestExecDiscardsGraphOfCancelledNext pins that a run never plays the
+// graph of a Next during which its context was cancelled: a source that
+// searches under the run's context (the valency adversaries) returns an
+// arbitrary graph when its search is cut, so Exec must check the context
+// after Next. Here the source cancels inside the last round's Next, on
+// both paths.
+func TestExecDiscardsGraphOfCancelledNext(t *testing.T) {
+	for _, alg := range []core.Algorithm{algorithms.Midpoint{}, core.AgentsOnly(algorithms.Midpoint{})} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := core.ObliviousFunc(func(round int) graph.Graph {
+			if round == 3 {
+				cancel()
+			}
+			return graph.Complete(2)
+		})
+		last := -1
+		err := core.Exec(ctx, alg, []float64{0, 1}, src, 3, func(t int, _ graph.Graph, _ core.View) bool {
+			last = t
+			return true
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || last != 2 {
+			t.Fatalf("%s: Exec returned %v after observing round %d, want the cancellation after round 2", alg.Name(), err, last)
 		}
 	}
 }

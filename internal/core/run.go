@@ -183,12 +183,15 @@ type View interface {
 // the Agent path, stepping one Config in place; the views are
 // bit-identical either way.
 //
-// Exec checks ctx between rounds and returns ctx.Err() when it is done; a
-// context that can never be cancelled (nil Done channel, e.g.
-// context.Background) adds no per-round work. When observe returns false
-// the run stops and Exec returns nil. Observers must not keep the view
-// past the call: on the Agent path it is the live configuration, which
-// the next round overwrites.
+// Exec checks ctx after every src.Next, before the round is played, and
+// returns ctx.Err() when it is done; a context that can never be
+// cancelled (nil Done channel, e.g. context.Background) adds no
+// per-round work. Checking after Next matters for sources that search
+// under the same context (the valency-driven adversaries): a search cut
+// short returns an arbitrary graph, which must not be played. When
+// observe returns false the run stops and Exec returns nil. Observers
+// must not keep the view past the call: on the Agent path it is the live
+// configuration, which the next round overwrites.
 func Exec(ctx context.Context, alg Algorithm, inputs []float64, src PatternSource, rounds int, observe func(t int, g graph.Graph, v View) bool) error {
 	if rounds < 0 {
 		panic(fmt.Sprintf("core: negative round count %d", rounds))
@@ -210,6 +213,7 @@ func Exec(ctx context.Context, alg Algorithm, inputs []float64, src PatternSourc
 	}
 	done := ctx.Done()
 	for t := 1; t <= rounds; t++ {
+		g := src.Next(t, c)
 		if done != nil {
 			select {
 			case <-done:
@@ -217,7 +221,6 @@ func Exec(ctx context.Context, alg Algorithm, inputs []float64, src PatternSourc
 			default:
 			}
 		}
-		g := src.Next(t, c)
 		if r != nil {
 			r.Step(g)
 		} else {

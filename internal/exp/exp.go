@@ -9,9 +9,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/core"
+	"repro/internal/valency"
 )
 
 // Table is a rendered experiment result: a header, rows, and free-form
@@ -161,4 +165,18 @@ func IDs() []string {
 		ids[i] = e.ID
 	}
 	return ids
+}
+
+// deltaLower and deltaUpper are the engine's certified bounds on δ(C)
+// for the experiment tables. An experiment runs to completion, so its
+// valency queries run under a context that is never cancelled and
+// return no error.
+func deltaLower(eng *valency.Engine, c *core.Config) float64 {
+	d, _ := eng.DeltaLower(context.Background(), c)
+	return d
+}
+
+func deltaUpper(eng *valency.Engine, c *core.Config) float64 {
+	d, _ := eng.DeltaUpper(context.Background(), c)
+	return d
 }

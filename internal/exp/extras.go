@@ -98,7 +98,7 @@ func runAblationAdversary() *Table {
 		for round := 1; round <= 4; round++ {
 			c = c.Step(src.Next(round, c))
 		}
-		floor := eng.DeltaLower(c)
+		floor := deltaLower(eng, c)
 		t.AddRow(name, floor, want, floor >= want-1e-6)
 	}
 	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
@@ -128,8 +128,8 @@ func runAblationDepth() *Table {
 	c2 := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
 	for _, depth := range []int{0, 2, 4} {
 		eng := valency.NewEngine(m2, valency.DefaultParams(depth, true))
-		inner := eng.Inner(c2).Diameter()
-		outer := eng.Outer(c2).Diameter()
+		inner := deltaLower(eng, c2)
+		outer := deltaUpper(eng, c2)
 		t.AddRow("two-thirds/{H_k}, extremes deaf-able", depth, inner, outer, outer-inner)
 	}
 	// Case 2: extremes held by Psi path agents, which are never deaf —
@@ -140,8 +140,8 @@ func runAblationDepth() *Table {
 	c5 := core.NewConfig(algorithms.Midpoint{}, []float64{0.5, 0.5, 0.5, 0, 1})
 	for _, depth := range []int{0, 1, 2, 3} {
 		eng := valency.NewEngine(m5, valency.DefaultParams(depth, true))
-		inner := eng.Inner(c5).Diameter()
-		outer := eng.Outer(c5).Diameter()
+		inner := deltaLower(eng, c5)
+		outer := deltaUpper(eng, c5)
 		t.AddRow("midpoint/Psi(5), extremes on path", depth, inner, outer, outer-inner)
 	}
 	t.Notes = append(t.Notes,

@@ -58,12 +58,12 @@ func runF1() *Table {
 	var decisions []adversary.Decision
 	adv := &adversary.Greedy{Eng: eng, Trace: &decisions}
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
-	t.AddRow(0, "-", eng.DeltaLower(c), 1.0, true)
+	t.AddRow(0, "-", deltaLower(eng, c), 1.0, true)
 	for round := 1; round <= 7; round++ {
 		g := adv.Next(round, c)
 		c = c.Step(g)
 		floor := math.Pow(1.0/3.0, float64(round))
-		inner := eng.DeltaLower(c)
+		inner := deltaLower(eng, c)
 		t.AddRow(round, fmt.Sprintf("H%d", m.Index(g)), inner, floor, inner >= floor-1e-6)
 	}
 	return t

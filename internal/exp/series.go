@@ -51,11 +51,11 @@ func runSeriesCurves() *Table {
 		adv := &adversary.Greedy{Eng: eng}
 		c := core.NewConfig(s.alg, s.inputs)
 		gammaT := 1.0
-		t.AddRow(s.name, s.alg.Name(), 0, c.Diameter(), eng.DeltaLower(c), gammaT)
+		t.AddRow(s.name, s.alg.Name(), 0, c.Diameter(), deltaLower(eng, c), gammaT)
 		for round := 1; round <= s.rounds; round++ {
 			c = c.Step(adv.Next(round, c))
 			gammaT *= s.gamma
-			t.AddRow(s.name, s.alg.Name(), round, c.Diameter(), eng.DeltaLower(c), gammaT)
+			t.AddRow(s.name, s.alg.Name(), round, c.Diameter(), deltaLower(eng, c), gammaT)
 		}
 	}
 	t.Notes = append(t.Notes,

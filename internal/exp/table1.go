@@ -58,10 +58,10 @@ func deltaFloor(alg core.Algorithm, m *model.Model, inputs []float64, depth, rou
 	eng := valency.NewEngine(m, valency.DefaultParams(depth, alg.Convex()))
 	adv := &adversary.Greedy{Eng: eng}
 	c := core.NewConfig(alg, inputs)
-	floors := []float64{eng.DeltaLower(c)}
+	floors := []float64{deltaLower(eng, c)}
 	for round := 1; round <= rounds; round++ {
 		c = c.Step(adv.Next(round, c))
-		floors = append(floors, eng.DeltaLower(c))
+		floors = append(floors, deltaLower(eng, c))
 	}
 	return floors
 }
@@ -209,7 +209,7 @@ func runT1Rooted() *Table {
 				panic(err)
 			}
 			c := core.NewConfig(alg, inputs)
-			d0 := eng.DeltaLower(c)
+			d0 := deltaLower(eng, c)
 			blocks := 3
 			round := 0
 			for b := 0; b < blocks; b++ {
@@ -218,7 +218,7 @@ func runT1Rooted() *Table {
 					c = c.Step(adv.Next(round, c))
 				}
 			}
-			dT := eng.DeltaLower(c)
+			dT := deltaLower(eng, c)
 			ratio, perRound := 0.0, 0.0
 			if d0 > 0 && dT > 0 {
 				ratio = math.Pow(dT/d0, 1/float64(blocks))

@@ -1,6 +1,7 @@
 package valency_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -13,6 +14,18 @@ import (
 	"repro/internal/model"
 	"repro/internal/valency"
 )
+
+// bg is the context of the tests' valency queries, which are never
+// cancelled.
+var bg = context.Background()
+
+// must returns v, panicking on err: a query under bg cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // engineCase is one (model, algorithm, inputs) instance the differential
 // tests sweep over: the seed models of the paper experiments, and one
@@ -54,13 +67,13 @@ func TestEngineMatchesReferenceInner(t *testing.T) {
 				eng := valency.NewEngine(tc.m, p)
 				c := core.NewConfig(tc.alg, tc.inputs)
 				want := valency.ReferenceInner(tc.m, p, c)
-				got := eng.Inner(c)
+				got := must(eng.Inner(bg, c))
 				if got != want {
 					t.Fatalf("engine Inner = %v, reference = %v", got, want)
 				}
 				// A second call must serve the root from cache and still
 				// agree exactly.
-				if again := eng.Inner(c); again != want {
+				if again := must(eng.Inner(bg, c)); again != want {
 					t.Fatalf("cached Inner = %v, reference = %v", again, want)
 				}
 			})
@@ -77,7 +90,7 @@ func TestEngineMatchesReferenceOuter(t *testing.T) {
 				p := valency.DefaultParams(depth, true)
 				c := core.NewConfig(tc.alg, tc.inputs)
 				want := valency.ReferenceOuter(tc.m, p, c)
-				got := valency.NewEngine(tc.m, p).Outer(c)
+				got := must(valency.NewEngine(tc.m, p).Outer(bg, c))
 				if got != want {
 					t.Fatalf("engine Outer = %v, reference = %v", got, want)
 				}
@@ -147,7 +160,7 @@ func TestSettledLimitNearMaxFloat(t *testing.T) {
 				}
 			}
 			want := valency.Interval{Lo: big, Hi: big}
-			if got := eng.Inner(c); got != want {
+			if got := must(eng.Inner(bg, c)); got != want {
 				t.Fatalf("engine Inner = %v, want %v", got, want)
 			}
 			if got := valency.ReferenceInner(tc.m, p, c); got != want {
@@ -227,9 +240,9 @@ func TestEngineConcurrentCallers(t *testing.T) {
 			want := make([]answer, len(configs))
 			for i, c := range configs {
 				want[i] = answer{
-					valency.NewEngine(tc.m, p).Inner(c),
-					valency.NewEngine(tc.m, p).Outer(c),
-					valency.NewEngine(tc.m, p).SuccessorInners(c),
+					must(valency.NewEngine(tc.m, p).Inner(bg, c)),
+					must(valency.NewEngine(tc.m, p).Outer(bg, c)),
+					must(valency.NewEngine(tc.m, p).SuccessorInners(bg, c)),
 				}
 			}
 			for _, shared := range []*valency.Engine{valency.NewEngine(tc.m, p), valency.NewTinyEngine(tc.m, p)} {
@@ -241,7 +254,7 @@ func TestEngineConcurrentCallers(t *testing.T) {
 						for j := range configs {
 							i := (g + j) % len(configs)
 							c := configs[i]
-							got := answer{shared.Inner(c), shared.Outer(c), shared.SuccessorInners(c)}
+							got := answer{must(shared.Inner(bg, c)), must(shared.Outer(bg, c)), must(shared.SuccessorInners(bg, c))}
 							if got.inner != want[i].inner || got.outer != want[i].outer || !reflect.DeepEqual(got.succ, want[i].succ) {
 								t.Errorf("caller %d, config %d: got %+v, single caller %+v", g, i, got, want[i])
 							}
@@ -261,7 +274,7 @@ func TestEngineSuccessorInnersMatchReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := valency.DefaultParams(2, true)
 			c := core.NewConfig(tc.alg, tc.inputs)
-			got := valency.NewEngine(tc.m, p).SuccessorInners(c)
+			got := must(valency.NewEngine(tc.m, p).SuccessorInners(bg, c))
 			for k := 0; k < tc.m.Size(); k++ {
 				want := valency.ReferenceInner(tc.m, p, c.Step(tc.m.Graph(k)))
 				if got[k] != want {
@@ -282,7 +295,7 @@ func TestEngineCacheEffectiveness(t *testing.T) {
 	p := valency.DefaultParams(4, true)
 	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
-	first := eng.Inner(c)
+	first := must(eng.Inner(bg, c))
 	s1 := eng.Stats()
 	if s1.LimitHits == 0 {
 		t.Fatalf("no limit hits during first walk; stats %+v", s1)
@@ -293,7 +306,7 @@ func TestEngineCacheEffectiveness(t *testing.T) {
 	if uint64(s1.LimitEntries) != s1.LimitMisses {
 		t.Fatalf("cold walk stored %d limit entries for %d settles", s1.LimitEntries, s1.LimitMisses)
 	}
-	second := eng.Inner(c)
+	second := must(eng.Inner(bg, c))
 	s2 := eng.Stats()
 	if second != first {
 		t.Fatalf("cached result %v differs from first %v", second, first)
@@ -329,7 +342,7 @@ func TestEngineLeafEntries(t *testing.T) {
 			p := valency.DefaultParams(tc.depth, true)
 			c := core.NewConfig(tc.alg, tc.inputs)
 			eng := valency.NewEngine(tc.m, p)
-			if got, want := eng.Inner(c), valency.ReferenceInner(tc.m, p, c); got != want {
+			if got, want := must(eng.Inner(bg, c)), valency.ReferenceInner(tc.m, p, c); got != want {
 				t.Fatalf("engine Inner = %v, reference = %v", got, want)
 			}
 			if s := eng.Stats(); s.InnerEntries != tc.entries {
@@ -338,7 +351,7 @@ func TestEngineLeafEntries(t *testing.T) {
 			if tc.depth > 0 {
 				return
 			}
-			if got, want := eng.Outer(c), valency.ReferenceOuter(tc.m, p, c); got != want {
+			if got, want := must(eng.Outer(bg, c)), valency.ReferenceOuter(tc.m, p, c); got != want {
 				t.Fatalf("engine Outer = %v, reference = %v", got, want)
 			}
 			if s := eng.Stats(); s.OuterEntries != 0 || s.OuterHits+s.OuterMisses != 0 {
@@ -371,10 +384,10 @@ func TestEngineInheritanceBoundary(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/depth-%d", tc.name, depth), func(t *testing.T) {
 				p := valency.Params{Depth: depth, Settle: tc.settle, Tol: 1e-9, Convex: true}
 				c := core.NewConfig(algorithms.TwoThirds{}, tc.inputs)
-				if got, want := valency.NewEngine(m, p).Inner(c), valency.ReferenceInner(m, p, c); got != want {
+				if got, want := must(valency.NewEngine(m, p).Inner(bg, c)), valency.ReferenceInner(m, p, c); got != want {
 					t.Fatalf("engine Inner = %v, reference = %v", got, want)
 				}
-				got := valency.NewEngine(m, p).SuccessorInners(c)
+				got := must(valency.NewEngine(m, p).SuccessorInners(bg, c))
 				for k := range got {
 					if want := valency.ReferenceInner(m, p, c.Step(m.Graph(k))); got[k] != want {
 						t.Fatalf("successor %d: engine %v, reference %v", k, got[k], want)
@@ -394,7 +407,7 @@ func TestEngineUnfingerprintableFallback(t *testing.T) {
 	c := core.NewConfig(alg, []float64{0, 1})
 	want := valency.ReferenceInner(m, p, c)
 	eng := valency.NewEngine(m, p)
-	if got := eng.Inner(c); got != want {
+	if got := must(eng.Inner(bg, c)); got != want {
 		t.Fatalf("engine Inner = %v, reference = %v", got, want)
 	}
 	if s := eng.Stats(); s.InnerEntries != 0 || s.LimitEntries != 0 {

@@ -46,20 +46,21 @@ func freshInputs(rng *rand.Rand, n int) []float64 {
 	return inputs
 }
 
-// play runs r for the given rounds from inputs with its adversary on eng,
-// returning the trace and the greedy decisions (nil for the block
-// adversary, whose choices show in the trace's graphs).
-func (r lowerBoundRun) play(t *testing.T, eng *valency.Engine, inputs []float64, rounds int) (*core.Trace, []adversary.Decision) {
+// play runs alg (r's algorithm, or a wrapping of it) for the given
+// rounds from inputs with r's adversary on eng, returning the trace and
+// the greedy decisions (nil for the block adversary, whose choices show
+// in the trace's graphs).
+func (r lowerBoundRun) play(t *testing.T, eng *valency.Engine, alg core.Algorithm, inputs []float64, rounds int) (*core.Trace, []adversary.Decision) {
 	t.Helper()
 	if r.block {
 		adv, err := adversary.NewBlockGreedy(eng, adversary.SigmaBlocks(r.m.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return core.Run(r.alg, inputs, adv, rounds), nil
+		return core.Run(alg, inputs, adv, rounds), nil
 	}
 	var decisions []adversary.Decision
-	return core.Run(r.alg, inputs, &adversary.Greedy{Eng: eng, Trace: &decisions}, rounds), decisions
+	return core.Run(alg, inputs, &adversary.Greedy{Eng: eng, Trace: &decisions}, rounds), decisions
 }
 
 // TestEvictionIsTransparentToLowerBounds runs every lower-bound execution
@@ -78,8 +79,8 @@ func TestEvictionIsTransparentToLowerBounds(t *testing.T) {
 			inputs := freshInputs(rng, r.m.N())
 			p := valency.DefaultParams(r.depth, r.alg.Convex())
 			tiny := valency.NewTinyEngine(r.m, p)
-			got, gotDecisions := r.play(t, tiny, inputs, rounds)
-			want, wantDecisions := r.play(t, valency.NewEngine(r.m, p), inputs, rounds)
+			got, gotDecisions := r.play(t, tiny, r.alg, inputs, rounds)
+			want, wantDecisions := r.play(t, valency.NewEngine(r.m, p), r.alg, inputs, rounds)
 
 			if tiny.Evictions() == 0 {
 				t.Fatalf("the tiny engine never evicted; stats %+v", tiny.Stats())
@@ -111,7 +112,7 @@ func TestMemoBudgetHoldsOneRun(t *testing.T) {
 	for _, r := range lowerBoundRuns() {
 		t.Run(r.name, func(t *testing.T) {
 			eng := valency.NewEngine(r.m, valency.DefaultParams(r.depth, r.alg.Convex()))
-			r.play(t, eng, freshInputs(rng, r.m.N()), 12)
+			r.play(t, eng, r.alg, freshInputs(rng, r.m.N()), 12)
 			if n := eng.Evictions(); n != 0 {
 				t.Fatalf("one run evicted %d times at %d bytes per table; stats %+v", n, valency.MemoBudget, eng.Stats())
 			}
@@ -130,7 +131,7 @@ func TestEngineMemoizesPastItsBudget(t *testing.T) {
 	p := valency.DefaultParams(4, true)
 	eng := valency.NewEngine(model.TwoAgent(), p)
 	walk := func(i int) {
-		eng.Inner(core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1 + float64(i)}))
+		must(eng.Inner(bg, core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1 + float64(i)})))
 	}
 	// Every limit miss stores its key, and every key takes a slot of at
 	// least 32 bytes, so this many misses overflow the table.
@@ -166,10 +167,10 @@ func TestEngineSharedAcrossAlgorithms(t *testing.T) {
 			for _, alg := range []core.Algorithm{algorithms.Midpoint{}, algorithms.AmortizedMidpoint{}} {
 				c := core.NewConfig(alg, inputs)
 				own := valency.NewEngine(m, p)
-				if got, want := shared.Inner(c), own.Inner(c); got != want {
+				if got, want := must(shared.Inner(bg, c)), must(own.Inner(bg, c)); got != want {
 					t.Fatalf("%s rep %d: shared Inner %v, dedicated %v", alg.Name(), rep, got, want)
 				}
-				if got, want := shared.Outer(c), own.Outer(c); got != want {
+				if got, want := must(shared.Outer(bg, c)), must(own.Outer(bg, c)); got != want {
 					t.Fatalf("%s rep %d: shared Outer %v, dedicated %v", alg.Name(), rep, got, want)
 				}
 			}

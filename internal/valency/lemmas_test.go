@@ -29,8 +29,8 @@ func TestLemma5DiameterRealizingPair(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := valency.NewEngine(tc.m, valency.DefaultParams(3, true))
 			c := core.NewConfig(tc.alg, tc.in)
-			parent := eng.Inner(c)
-			inners := eng.SuccessorInners(c)
+			parent := must(eng.Inner(bg, c))
+			inners := must(eng.SuccessorInners(bg, c))
 			best := 0.0
 			for i := range inners {
 				for j := i; j < len(inners); j++ {
@@ -53,7 +53,7 @@ func TestLemma20AlphaWitnessIntersection(t *testing.T) {
 	m := model.DeafModel(graph.Complete(3))
 	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
-	inners := eng.SuccessorInners(c)
+	inners := must(eng.SuccessorInners(bg, c))
 	eps := 100 * eng.Params().Tol
 	checked := 0
 	for i := 0; i < m.Size(); i++ {
@@ -97,7 +97,7 @@ func TestTheorem5ChainIntersections(t *testing.T) {
 	p.Settle = 256
 	eng := valency.NewEngine(m, p)
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5, 0.25})
-	inners := eng.SuccessorInners(c)
+	inners := must(eng.SuccessorInners(bg, c))
 	eps := 1e-6
 	pairs, intersecting := 0, 0
 	for i := 0; i < m.Size(); i++ {

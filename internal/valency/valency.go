@@ -61,7 +61,9 @@ func (iv Interval) Diameter() float64 {
 	return iv.Hi - iv.Lo
 }
 
-// Union returns the smallest interval containing both.
+// Union returns the smallest interval containing both. Its core.Fmin and
+// core.Fmax are bit-identical to math.Min and math.Max and, unlike them,
+// inline.
 func (iv Interval) Union(other Interval) Interval {
 	if iv.Empty() {
 		return other
@@ -69,7 +71,7 @@ func (iv Interval) Union(other Interval) Interval {
 	if other.Empty() {
 		return iv
 	}
-	return Interval{Lo: math.Min(iv.Lo, other.Lo), Hi: math.Max(iv.Hi, other.Hi)}
+	return Interval{Lo: core.Fmin(iv.Lo, other.Lo), Hi: core.Fmax(iv.Hi, other.Hi)}
 }
 
 // Intersects reports whether the intervals share a point.

@@ -65,8 +65,8 @@ func TestLemma8InitialValency(t *testing.T) {
 			eng := valency.NewEngine(tc.m, valency.DefaultParams(3, true))
 			c0 := core.NewConfig(tc.alg, tc.inputs)
 			want := core.Diameter(tc.inputs)
-			inner := eng.Inner(c0)
-			outer := eng.Outer(c0)
+			inner := must(eng.Inner(bg, c0))
+			outer := must(eng.Outer(bg, c0))
 			if _, exact := tc.alg.(core.SelfRootKeeper); exact {
 				if lo, hi := core.Hull(tc.inputs); inner != (valency.Interval{Lo: lo, Hi: hi}) {
 					t.Errorf("inner Y*(C0) = %v, want the value hull [%v, %v] exactly (Lemma 8)", inner, lo, hi)
@@ -105,8 +105,8 @@ func TestLemma8AtEveryNode(t *testing.T) {
 			eng := valency.NewEngine(tc.m, valency.DefaultParams(2, true))
 			var walk func(c *core.Config, depth int)
 			walk = func(c *core.Config, depth int) {
-				if lo, hi := c.Hull(); eng.Inner(c) != (valency.Interval{Lo: lo, Hi: hi}) {
-					t.Fatalf("round %d, values %v: Inner %v is not the value hull [%v, %v]", c.Round(), c.Outputs(), eng.Inner(c), lo, hi)
+				if lo, hi := c.Hull(); must(eng.Inner(bg, c)) != (valency.Interval{Lo: lo, Hi: hi}) {
+					t.Fatalf("round %d, values %v: Inner %v is not the value hull [%v, %v]", c.Round(), c.Outputs(), must(eng.Inner(bg, c)), lo, hi)
 				}
 				if depth > 0 {
 					for _, g := range tc.m.Graphs() {
@@ -129,7 +129,7 @@ func TestLemma7SuccessorIntersections(t *testing.T) {
 	for _, alg := range []core.Algorithm{algorithms.TwoThirds{}, algorithms.Midpoint{}} {
 		eng := valency.NewEngine(m, valency.DefaultParams(4, true))
 		c := core.NewConfig(alg, []float64{0, 1})
-		inners := eng.SuccessorInners(c)
+		inners := must(eng.SuccessorInners(bg, c))
 		// Endpoints carry the estimator tolerance; the true valencies touch
 		// exactly (e.g. at 1/3 for the two-thirds algorithm), so compare
 		// with a small expansion.
@@ -152,10 +152,10 @@ func TestLemma4Covering(t *testing.T) {
 	m := model.DeafModel(graph.Complete(3))
 	eng := valency.NewEngine(m, valency.DefaultParams(3, true))
 	c := core.NewConfig(algorithms.Midpoint{}, []float64{0, 1, 0.5})
-	inner := eng.Inner(c)
+	inner := must(eng.Inner(bg, c))
 	union := valency.Interval{Lo: math.Inf(1), Hi: math.Inf(-1)}
 	for k := 0; k < m.Size(); k++ {
-		union = union.Union(eng.Outer(c.Step(m.Graph(k))))
+		union = union.Union(must(eng.Outer(bg, c.Step(m.Graph(k)))))
 	}
 	if inner.Lo < union.Lo-1e-6 || inner.Hi > union.Hi+1e-6 {
 		t.Errorf("inner %v escapes successor-union %v", inner, union)
@@ -170,7 +170,7 @@ func TestOuterPanicsForNonConvex(t *testing.T) {
 			t.Error("Outer on non-convex estimator did not panic")
 		}
 	}()
-	eng.Outer(core.NewConfig(algorithms.Midpoint{}, []float64{0, 1}))
+	must(eng.Outer(bg, core.NewConfig(algorithms.Midpoint{}, []float64{0, 1})))
 }
 
 func TestLimitOfConstant(t *testing.T) {
@@ -201,7 +201,7 @@ func TestLimitOfConstantNonConverging(t *testing.T) {
 		t.Error("identity continuation should not converge")
 	}
 	// Inner over a model with no converging continuation is empty.
-	if iv := eng.Inner(c); !iv.Empty() {
+	if iv := must(eng.Inner(bg, c)); !iv.Empty() {
 		t.Errorf("inner over identity-only model = %v, want empty", iv)
 	}
 }
@@ -235,7 +235,7 @@ func TestLemma21InitialValencyWithoutDeafGraphs(t *testing.T) {
 			inputs[i] = delta
 		}
 		c := core.NewConfig(algorithms.Midpoint{}, inputs)
-		if d := eng.DeltaLower(c); d > best {
+		if d := must(eng.DeltaLower(bg, c)); d > best {
 			best = d
 		}
 	}
@@ -251,10 +251,10 @@ func TestDeltaShrinksAlongExecutions(t *testing.T) {
 	m := model.TwoAgent()
 	eng := valency.NewEngine(m, valency.DefaultParams(4, true))
 	c := core.NewConfig(algorithms.TwoThirds{}, []float64{0, 1})
-	prev := eng.DeltaUpper(c)
+	prev := must(eng.DeltaUpper(bg, c))
 	for round := 1; round <= 8; round++ {
 		c = c.Step(graph.H(round % 3))
-		cur := eng.DeltaUpper(c)
+		cur := must(eng.DeltaUpper(bg, c))
 		if cur > prev+1e-12 {
 			t.Errorf("round %d: δ upper grew from %v to %v", round, prev, cur)
 		}
@@ -272,7 +272,7 @@ func TestDepthTightensOuter(t *testing.T) {
 	prev := math.Inf(1)
 	for depth := 0; depth <= 5; depth++ {
 		eng := valency.NewEngine(m, valency.DefaultParams(depth, true))
-		d := eng.DeltaUpper(c)
+		d := must(eng.DeltaUpper(bg, c))
 		if d > prev+1e-12 {
 			t.Errorf("depth %d: outer δ %v exceeds shallower %v", depth, d, prev)
 		}
