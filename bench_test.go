@@ -22,6 +22,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/model"
+	codec "repro/internal/scenario"
 	"repro/internal/valency"
 	"repro/internal/vector"
 )
@@ -507,6 +508,28 @@ func BenchmarkLowerBoundSessions(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)*rounds), "ns/run-round")
+}
+
+// BenchmarkScheduleFingerprint fingerprints one churn:256,S,4,25,64
+// schedule, the scenario shape of every grid-wide spec: 25 distinct
+// near-full 256-agent graphs over 100 rounds, whose canonical encoding
+// is about 253 KB of ten-byte row words. A served sweep pays this once
+// per fresh spec, when the coordinator content-addresses it. The codec
+// is called directly, because a Schedule memoizes its fingerprint.
+func BenchmarkScheduleFingerprint(b *testing.B) {
+	s, err := consensus.Scenarios.New("churn:256,7,4,25,64", consensus.ScenarioEnv{Models: consensus.Models, Scenarios: consensus.Scenarios})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !s.Finite() {
+		b.Fatal("churn schedule has a loop")
+	}
+	prefix := s.Graphs(s.PrefixLen())
+	b.ReportAllocs()
+	b.SetBytes(int64(len(s.Encode())))
+	for b.Loop() {
+		codec.Fingerprint(s.N(), prefix, nil)
+	}
 }
 
 func BenchmarkAlphaDiameter(b *testing.B) {

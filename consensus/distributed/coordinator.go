@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,6 +23,7 @@ import (
 
 	"repro/consensus"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // Coordinator defaults. Shards are deliberately small relative to the
@@ -53,6 +55,9 @@ const (
 	// fpMemoCap bounds the canonical-spec -> fingerprint memo. The memo
 	// is reset, not evicted, past capacity: fingerprinting is cheap for
 	// everything but long scenarios, and those re-memoize on first use.
+	// Entries are keyed by the SHA-256 of the spec's JSON, so a full memo
+	// holds 8192 small entries however large the specs (a spec with 256
+	// inputs is about 5 KB of JSON).
 	fpMemoCap = 8192
 )
 
@@ -185,7 +190,7 @@ type Coordinator struct {
 	admitted int // shards admitted and not yet finished
 
 	fpMu   sync.Mutex
-	fpMemo map[string]fpEntry
+	fpMemo map[[sha256.Size]byte]fpEntry
 
 	// reg/met are the single source of truth for the coordinator's
 	// accounting: Status() reads these instruments back, so the
@@ -236,7 +241,7 @@ func NewCoordinator(opts ...CoordinatorOption) *Coordinator {
 		retryBase:      cfg.retryBase,
 		shardTimeout:   cfg.shardTimeout,
 		healthInterval: cfg.healthInterval,
-		fpMemo:         make(map[string]fpEntry),
+		fpMemo:         make(map[[sha256.Size]byte]fpEntry),
 		reg:            reg,
 		met:            newCoordMetrics(reg),
 		tracer:         obs.NewTracer(coordTracerCapacity),
@@ -386,13 +391,15 @@ func (c *Coordinator) Status() CoordinatorStatus {
 
 // fingerprint computes (and memoizes) the content fingerprint of one
 // spec. An empty fingerprint with nil error means the spec resolves but
-// is not content-addressable; it is computed but never stored.
+// is not content-addressable; it is computed but never stored. It is
+// safe for concurrent use: two goroutines may resolve equal specs at
+// once, and both store the same content hash.
 func (c *Coordinator) fingerprint(spec consensus.RunSpec) (string, error) {
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		return "", err
 	}
-	k := string(raw)
+	k := sha256.Sum256(raw)
 	c.fpMu.Lock()
 	if e, ok := c.fpMemo[k]; ok {
 		c.fpMu.Unlock()
@@ -406,7 +413,7 @@ func (c *Coordinator) fingerprint(spec consensus.RunSpec) (string, error) {
 	fp, ferr := consensus.SpecFingerprint(spec, opts...)
 	c.fpMu.Lock()
 	if len(c.fpMemo) >= fpMemoCap {
-		c.fpMemo = make(map[string]fpEntry, fpMemoCap)
+		c.fpMemo = make(map[[sha256.Size]byte]fpEntry, fpMemoCap)
 	}
 	c.fpMemo[k] = fpEntry{fp: fp, err: ferr}
 	c.fpMu.Unlock()
@@ -523,13 +530,27 @@ func (c *Coordinator) runSweep(ctx context.Context, req SweepRequest, emit func(
 		}
 	}
 
-	// Resolve fingerprints; serve what the store already has.
+	// Resolve and fingerprint every spec on up to GOMAXPROCS goroutines,
+	// handing out no spec once the request's context is done: a client
+	// that has gone away gets nothing admitted, dispatched or stored.
+	fps := make([]string, len(req.Specs))
+	errs := make([]error, len(req.Specs))
+	parallel.For(runtime.GOMAXPROCS(0), len(req.Specs), func(i int) {
+		if ctx.Err() == nil {
+			fps[i], errs[i] = c.fingerprint(req.Specs[i])
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Serve what the store already has, in spec order.
 	results := make([]consensus.SweepResult, len(req.Specs))
 	var initial []consensus.SweepResult
 	var toCompute []pending
 	storeHits, resolveErrs := 0, 0
 	for i, spec := range req.Specs {
-		fp, err := c.fingerprint(spec)
+		fp, err := fps[i], errs[i]
 		if err != nil {
 			results[i] = consensus.SweepResult{Index: i, Spec: spec, Err: err.Error()}
 			initial = append(initial, results[i])

@@ -16,6 +16,7 @@ import (
 	"repro/consensus/scenario"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // RunSpec is the declarative form of a session configuration — the batch
@@ -512,7 +513,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 	// Phase 1: resolve every spec, consult the cache, and build the
 	// fresh pattern source the run will consume — in parallel.
 	tasks := make([]sweepTask, len(specs))
-	runParallel(cfg.workers, len(specs), func(i int) {
+	parallel.For(cfg.workers, len(specs), func(i int) {
 		tasks[i].prepare(ctx, specs[i], i, &cfg)
 	})
 
@@ -571,7 +572,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 	}
 
 	// Phase 3: execute the units over the worker pool.
-	runParallel(execWorkers, len(units), func(u int) {
+	parallel.For(execWorkers, len(units), func(u int) {
 		if len(units[u]) == 1 {
 			units[u][0].runSingle(ctx, &cfg)
 		} else {
@@ -585,35 +586,6 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 	}
 	observeSweepOutcome(results)
 	return results, ctx.Err()
-}
-
-// runParallel fans f(0..n-1) out over at most workers goroutines.
-func runParallel(workers, n int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // sweepTask is one sweep entry moving through the phases.

@@ -38,10 +38,12 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 
 	"repro/internal/graph"
 )
@@ -63,6 +65,34 @@ const MaxRounds = 1 << 22
 // node count disagrees with n — schedules are validated at construction,
 // so a mismatch here is a programmer error.
 func Encode(n int, prefix, loop []graph.Graph) []byte {
+	var b bytes.Buffer
+	encodeTo(&b, n, prefix, loop)
+	return b.Bytes()
+}
+
+// chunkSize is the unit in which encodeTo hands the encoding to its
+// writer: every Write but the last carries exactly chunkSize bytes.
+const chunkSize = 8 << 10
+
+// chunker accumulates encoded bytes and writes them out in chunkSize
+// pieces. Its writers (a bytes.Buffer, a hash) cannot fail, so Write
+// errors are not checked.
+type chunker struct {
+	w   io.Writer
+	buf []byte // fewer than chunkSize bytes between calls
+}
+
+func (c *chunker) uvarint(v uint64) {
+	c.buf = binary.AppendUvarint(c.buf, v)
+	if len(c.buf) >= chunkSize {
+		c.w.Write(c.buf[:chunkSize])
+		c.buf = c.buf[:copy(c.buf, c.buf[chunkSize:])]
+	}
+}
+
+// encodeTo writes the canonical encoding of the schedule to w; Encode
+// and Fingerprint are its two sinks.
+func encodeTo(w io.Writer, n int, prefix, loop []graph.Graph) {
 	if n < 1 || n > graph.MaxNodes {
 		panic(fmt.Sprintf("scenario: invalid agent count %d", n))
 	}
@@ -105,31 +135,32 @@ func Encode(n int, prefix, loop []graph.Graph) []byte {
 		loopIdx[i] = lookup(g)
 	}
 
-	w := graph.WordsFor(n)
-	buf := make([]byte, 0, 16+len(table)*n*w+len(prefixIdx)+len(loopIdx))
-	if w == 1 {
-		buf = append(buf, magic...)
+	c := chunker{w: w, buf: make([]byte, 0, chunkSize+binary.MaxVarintLen64)}
+	if graph.WordsFor(n) == 1 {
+		c.buf = append(c.buf, magic...)
 	} else {
-		buf = append(buf, magicV2...)
+		c.buf = append(c.buf, magicV2...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(len(prefixIdx)))
-	buf = binary.AppendUvarint(buf, uint64(len(loopIdx)))
-	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	c.uvarint(uint64(n))
+	c.uvarint(uint64(len(prefixIdx)))
+	c.uvarint(uint64(len(loopIdx)))
+	c.uvarint(uint64(len(table)))
 	for _, g := range table {
 		for i := 0; i < n; i++ {
 			for _, word := range g.InRow(i) {
-				buf = binary.AppendUvarint(buf, word)
+				c.uvarint(word)
 			}
 		}
 	}
 	for _, i := range prefixIdx {
-		buf = binary.AppendUvarint(buf, uint64(i))
+		c.uvarint(uint64(i))
 	}
 	for _, i := range loopIdx {
-		buf = binary.AppendUvarint(buf, uint64(i))
+		c.uvarint(uint64(i))
 	}
-	return buf
+	if len(c.buf) > 0 {
+		c.w.Write(c.buf)
+	}
 }
 
 // decoder walks an encoded trace.
@@ -249,8 +280,12 @@ func Decode(data []byte) (n int, prefix, loop []graph.Graph, err error) {
 }
 
 // Fingerprint returns the hex SHA-256 digest of the canonical encoding —
-// the schedule's identity for caches and replay verification.
+// the schedule's identity for caches and replay verification. The
+// encoding is hashed chunk by chunk as it is produced, so no trace is
+// built: a 256-agent schedule's rows are near-full words of ten uvarint
+// bytes each, and its trace runs to hundreds of kilobytes.
 func Fingerprint(n int, prefix, loop []graph.Graph) string {
-	sum := sha256.Sum256(Encode(n, prefix, loop))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	encodeTo(h, n, prefix, loop)
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -72,6 +74,109 @@ func TestFingerprintIdentity(t *testing.T) {
 			t.Fatal("dropping a round did not change the fingerprint")
 		}
 	}
+}
+
+// TestFingerprintIsDigestOfEncoding pins the streamed Fingerprint to the
+// SHA-256 of Encode's bytes on encodings that fit one chunk, straddle a
+// chunk boundary, end exactly on one, or span many chunks, in both
+// format versions.
+func TestFingerprintIsDigestOfEncoding(t *testing.T) {
+	// check also decodes the encoding: Encode and Fingerprint share one
+	// chunked body, so only a round trip shows bytes lost or garbled at
+	// a chunk boundary.
+	check := func(what string, n int, prefix, loop []graph.Graph) string {
+		t.Helper()
+		enc := Encode(n, prefix, loop)
+		dn, dp, dl, err := Decode(enc)
+		if err != nil || dn != n || !sameGraphs(dp, prefix) || !sameGraphs(dl, loop) {
+			t.Errorf("%s, n=%d, %d bytes: the encoding does not decode to the schedule (err %v)", what, n, len(enc), err)
+		}
+		sum := sha256.Sum256(enc)
+		fp := Fingerprint(n, prefix, loop)
+		if want := hex.EncodeToString(sum[:]); fp != want {
+			t.Errorf("%s, n=%d, %d bytes: Fingerprint = %s, want sha256(Encode) = %s", what, n, len(enc), fp, want)
+		}
+		return fp
+	}
+	for _, n := range []int{1, 2, 64, 65, 256} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := graph.Random(rng, n, 0.5)
+		check("few rounds", n, []graph.Graph{g, graph.New(n), g}, []graph.Graph{graph.New(n)})
+		// One byte short of, on and past chunk boundaries.
+		for _, size := range []int{chunkSize - 1, chunkSize, chunkSize + 1, 2 * chunkSize, 5*chunkSize + 3} {
+			prefix, loop := scheduleOfSize(t, n, size)
+			check("padded to size", n, prefix, loop)
+		}
+		distinct := make([]graph.Graph, 40)
+		for i := range distinct {
+			distinct[i] = graph.Random(rng, n, rng.Float64())
+		}
+		var prefix []graph.Graph
+		for r := 0; r < 20000; r++ {
+			prefix = append(prefix, distinct[rng.Intn(len(distinct))])
+		}
+		check("many chunks", n, prefix, distinct[:7])
+	}
+	// Churn-like: 25 epochs of four rounds, each a distinct near-full
+	// 256-agent graph in which every agent hears the agents that are up.
+	const n = 256
+	rng := rand.New(rand.NewSource(1))
+	var prefix []graph.Graph
+	for e := 0; e < 25; e++ {
+		up := make([]uint64, graph.WordsFor(n))
+		for i := range up {
+			up[i] = ^uint64(0)
+		}
+		for _, i := range rng.Perm(n)[:rng.Intn(65)] {
+			up[i/64] &^= 1 << uint(i%64)
+		}
+		b := graph.NewBuilder(n)
+		for j := 0; j < n; j++ {
+			b.SetInRow(j, up)
+		}
+		g := b.Graph()
+		prefix = append(prefix, g, g, g, g)
+	}
+	// Pinned like the RSC1 golden trace: a fingerprint that moves
+	// invalidates every stored result of a 256-agent schedule.
+	const churnFP = "4167441e2942a6403aa779515f9b83efa09cc010c9cb3181a1eefdee4de1d2c1"
+	if fp := check("churn-like", n, prefix, nil); fp != churnFP {
+		t.Errorf("churn-like fingerprint %s, want %s", fp, churnFP)
+	}
+}
+
+// sameGraphs reports whether a and b hold equal graphs round by round.
+func sameGraphs(a, b []graph.Graph) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// scheduleOfSize returns an identity-graph schedule on n agents whose
+// encoding is exactly size bytes long. Every prefix round adds its
+// one-byte table index, and the prefix length's uvarint adds at most two
+// header bytes, so one of three prefix lengths fits.
+func scheduleOfSize(t *testing.T, n, size int) (prefix, loop []graph.Graph) {
+	t.Helper()
+	loop = []graph.Graph{graph.New(n)}
+	base := len(Encode(n, nil, loop))
+	for p := max(size-base-2, 0); p <= size-base; p++ {
+		prefix = make([]graph.Graph, p)
+		for i := range prefix {
+			prefix[i] = loop[0]
+		}
+		if len(Encode(n, prefix, loop)) == size {
+			return prefix, loop
+		}
+	}
+	t.Fatalf("n=%d: no identity-graph schedule encodes to exactly %d bytes", n, size)
+	return nil, nil
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {

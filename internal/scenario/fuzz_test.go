@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -72,6 +74,11 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		if Fingerprint(n, prefix, loop) != Fingerprint(n2, p2, l2) {
 			t.Fatal("fingerprint changed across the round trip")
+		}
+		// Fingerprint hashes the encoding as it streams; it must equal
+		// the digest of the whole encoding.
+		if sum := sha256.Sum256(enc); Fingerprint(n, prefix, loop) != hex.EncodeToString(sum[:]) {
+			t.Fatal("fingerprint is not the SHA-256 of the encoding")
 		}
 	})
 }
