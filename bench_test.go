@@ -7,13 +7,16 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/consensus"
+	"repro/consensus/distributed"
 	"repro/internal/adversary"
 	"repro/internal/algorithms"
 	"repro/internal/approx"
@@ -529,6 +532,53 @@ func BenchmarkScheduleFingerprint(b *testing.B) {
 	b.SetBytes(int64(len(s.Encode())))
 	for b.Loop() {
 		codec.Fingerprint(s.N(), prefix, nil)
+	}
+}
+
+// BenchmarkShardHop encodes one 16-spec churn:256 shard response as a
+// worker writes it and decodes it as the coordinator reads it: the JSON
+// each grid-wide shard pays on the hop. The results are computed once,
+// with the grid-wide shape (fresh inputs, 400 rounds, algorithms in
+// rotation); the encoder and decoder are the ones the two sides use.
+func BenchmarkShardHop(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	algs := []string{"midpoint", "amortized", "mean"}
+	specs := make([]consensus.RunSpec, distributed.DefaultShardSpecs)
+	for i := range specs {
+		inputs := make([]float64, 256)
+		for j := range inputs {
+			inputs[j] = rng.Float64()
+		}
+		specs[i] = consensus.RunSpec{Scenario: "churn:256," + strconv.Itoa(i) + ",4,25,64",
+			Algorithm: algs[i%len(algs)], Inputs: inputs, Rounds: 400}
+	}
+	results, err := consensus.Sweep(context.Background(), specs, consensus.WithSweepCache(consensus.NewSweepCache()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := distributed.ShardResponse{Shard: "bench", Results: make([]distributed.ShardResult, len(results))}
+	for i, r := range results {
+		if r.Err != "" {
+			b.Fatal(r.Err)
+		}
+		resp.Results[i] = distributed.ShardResult{Fingerprint: r.Fingerprint, Cached: r.Cached, Summary: r.Summary, Err: r.Err}
+	}
+	encode := func(buf *bytes.Buffer) {
+		if err := json.NewEncoder(buf).Encode(resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	encode(&buf)
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		encode(&buf)
+		var got distributed.ShardResponse
+		if err := json.NewDecoder(&buf).Decode(&got); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -671,9 +671,7 @@ func (c *Coordinator) runSweep(ctx context.Context, req SweepRequest, emit func(
 					})
 				}
 			} else {
-				for j := range out {
-					r := out[j]
-					r.Index = sh.indices[j]
+				for j, r := range out {
 					if sh.fps[j] != "" && r.Summary != nil {
 						if r.Fingerprint == sh.fps[j] {
 							c.store.Insert(sh.fps[j], *r.Summary)
@@ -686,7 +684,10 @@ func (c *Coordinator) runSweep(ctx context.Context, req SweepRequest, emit func(
 					} else {
 						c.met.specsComputed.Inc()
 					}
-					ev = append(ev, r)
+					ev = append(ev, consensus.SweepResult{
+						Index: sh.indices[j], Spec: sh.specs[j], Fingerprint: r.Fingerprint,
+						Cached: r.Cached, Summary: r.Summary, Err: r.Err,
+					})
 				}
 			}
 			resMu.Lock()
@@ -730,7 +731,7 @@ func (c *Coordinator) runSweep(ctx context.Context, req SweepRequest, emit func(
 // 4xx responses are terminal (re-sending the same bytes elsewhere
 // cannot help). Each attempt annotates the shard's span with the
 // worker it targeted.
-func (c *Coordinator) runShard(ctx context.Context, sh *shard, span obs.SpanID) ([]consensus.SweepResult, error) {
+func (c *Coordinator) runShard(ctx context.Context, sh *shard, span obs.SpanID) ([]ShardResult, error) {
 	c.met.shardsDispatched.Inc()
 	var lastErr error
 	for attempt := 1; attempt <= c.attempts; attempt++ {
@@ -786,8 +787,9 @@ func (c *Coordinator) runShard(ctx context.Context, sh *shard, span obs.SpanID) 
 
 // postShard performs one shard round-trip against one worker under its
 // in-flight cap. retryable reports whether another worker (or another
-// attempt) could still serve the shard.
-func (c *Coordinator) postShard(ctx context.Context, w *workerState, sh *shard) (res []consensus.SweepResult, retryable bool, err error) {
+// attempt) could still serve the shard. A response is accepted only
+// with one result per shard spec, each carrying a summary or an error.
+func (c *Coordinator) postShard(ctx context.Context, w *workerState, sh *shard) (res []ShardResult, retryable bool, err error) {
 	select {
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -834,6 +836,12 @@ func (c *Coordinator) postShard(ctx context.Context, w *workerState, sh *shard) 
 	if len(sr.Results) != len(sh.specs) {
 		return nil, true, fmt.Errorf("distributed: worker %s: shard returned %d results for %d specs",
 			w.url, len(sr.Results), len(sh.specs))
+	}
+	for j, r := range sr.Results {
+		if (r.Summary == nil) == (r.Err == "") {
+			return nil, true, fmt.Errorf("distributed: worker %s: shard result %d carries neither or both of a summary and an error",
+				w.url, j)
+		}
 	}
 	return sr.Results, false, nil
 }

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -155,6 +157,68 @@ func TestDistributedSweepMatchesSingleProcess(t *testing.T) {
 	}
 	if st.SpecsFailed != uint64(wantErrs) {
 		t.Errorf("specs failed = %d, want %d", st.SpecsFailed, wantErrs)
+	}
+}
+
+// TestMergedSweepBodyMatchesServer posts one mixed sweep to a
+// LocalCluster coordinator and to a single-process consensus.Server and
+// compares the two results arrays byte for byte once the
+// transport-dependent cached flags are dropped. Workers answer without
+// the specs and indices, so this pins the ones the coordinator attaches.
+func TestMergedSweepBodyMatchesServer(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	inputs := make([]float64, 256)
+	for i := range inputs {
+		inputs[i] = rng.Float64()
+	}
+	specs := []consensus.RunSpec{
+		{Model: "deaf:4", Algorithm: "midpoint", Adversary: "greedy", Depth: 2, Rounds: 6},
+		{Scenario: "churn:16,5,4,16,4", Algorithm: "mean", Rounds: 80},
+		{Scenario: "churn:256,7,4,25,64", Algorithm: "amortized", Inputs: inputs, Rounds: 120},
+		{Model: "deaf:4", Algorithm: "nonsense", Rounds: 4},
+	}
+	body, err := json.Marshal(distributed.SweepRequest{Specs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := distributed.StartLocal(2, []distributed.CoordinatorOption{
+		distributed.CoordinatorHealthInterval(0), distributed.CoordinatorShardSpecs(2),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	single := httptest.NewServer(consensus.NewServer())
+	defer single.Close()
+
+	results := func(baseURL string) []byte {
+		t.Helper()
+		resp, err := http.Post(baseURL+"/api/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, read error %v: %s", baseURL, resp.StatusCode, err, raw)
+		}
+		var env struct {
+			Results json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		for _, flag := range []string{`,"cached":false`, `,"cached":true`} {
+			env.Results = bytes.ReplaceAll(env.Results, []byte(flag), nil)
+		}
+		return env.Results
+	}
+	got, want := results(lc.BaseURL), results(single.URL)
+	if !bytes.Equal(got, want) {
+		t.Errorf("merged results differ from the single-process server's:\n got %s\nwant %s", got, want)
+	}
+	if !bytes.Contains(want, []byte(`"error":`)) || !bytes.Contains(want, []byte(`"inputs":[`)) {
+		t.Errorf("the sweep should carry a per-spec error and echo its inputs: %s", want)
 	}
 }
 

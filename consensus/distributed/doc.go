@@ -14,7 +14,12 @@
 // execution path, any worker, any machine running the same build. That
 // makes the merge trivial — results are position-independent values
 // addressed by fingerprint — and makes distributed execution
-// differentially testable against the single-process Sweep.
+// differentially testable against the single-process Sweep. A worker
+// answers a shard with only what it computed (ShardResult: fingerprint,
+// cached flag, summary or error); the coordinator attaches the spec and
+// request index it already holds, so each merged result is written
+// byte for byte as the single-process server writes it, cached flag
+// aside.
 //
 // Topology:
 //

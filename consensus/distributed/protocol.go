@@ -5,10 +5,13 @@ import (
 )
 
 // This file pins the coordinator/worker wire protocol. Everything is
-// JSON over HTTP; the result payloads are the same consensus.SweepResult
-// values the single-process /api/v1/sweep returns, so a client (and the
-// CI parity gate) can diff the two paths byte for byte after dropping
-// the transport-dependent Cached flag.
+// compact JSON over HTTP. The client-facing payloads carry the same
+// consensus.SweepResult values the single-process /api/v1/sweep
+// returns, so a client (and the CI parity gate) can diff the two paths
+// byte for byte after dropping the transport-dependent Cached flag. The
+// shard hop carries only what a worker computes (ShardResult): the
+// coordinator already holds each shard spec and its request index, and
+// attaches both when it merges.
 
 // SweepRequest is the body of the coordinator's POST /api/v1/sweep and
 // POST /api/v1/sweep/stream — the same shape as the single-process sweep
@@ -55,11 +58,23 @@ type ShardRequest struct {
 }
 
 // ShardResponse is the worker's answer: one result per shard spec, in
-// shard order, fingerprints included (the coordinator cross-checks them
-// against its own before feeding the store).
+// shard order. A result echoes neither its spec nor an index; the
+// coordinator pairs results with the specs it sent by position, and
+// cross-checks each fingerprint against its own before feeding the
+// store.
 type ShardResponse struct {
-	Shard   string                  `json:"shard"`
-	Results []consensus.SweepResult `json:"results"`
+	Shard   string        `json:"shard"`
+	Results []ShardResult `json:"results"`
+}
+
+// ShardResult is one shard spec's outcome as a worker computed it: the
+// consensus.SweepResult fields that the spec does not determine. It
+// carries exactly one of Summary and Err.
+type ShardResult struct {
+	Fingerprint string                `json:"fingerprint,omitempty"`
+	Cached      bool                  `json:"cached"`
+	Summary     *consensus.RunSummary `json:"summary,omitempty"`
+	Err         string                `json:"error,omitempty"`
 }
 
 // RegisterRequest is the body of the coordinator's POST

@@ -38,7 +38,7 @@ func WorkerTimeout(d time.Duration) WorkerOption {
 // consensus.Server surface (run, sweep, scenario, experiments, status,
 // ...) plus the shard execution endpoint the coordinator fans out to:
 //
-//	POST /api/v1/shard    ShardRequest -> ShardResponse
+//	POST /api/v1/shard    ShardRequest -> ShardResponse (ShardResults, no spec echo)
 //	GET  /api/v1/status   WorkerStatus (server caches + shard counters)
 //
 // Shards execute through the ordinary Sweep path against the worker's
@@ -143,7 +143,11 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.met.shards.Inc()
 	w.met.shardSpecs.Add(uint64(len(req.Specs)))
-	writeJSON(rw, http.StatusOK, ShardResponse{Shard: req.Shard, Results: results})
+	out := make([]ShardResult, len(results))
+	for i, r := range results {
+		out[i] = ShardResult{Fingerprint: r.Fingerprint, Cached: r.Cached, Summary: r.Summary, Err: r.Err}
+	}
+	writeJSON(rw, http.StatusOK, ShardResponse{Shard: req.Shard, Results: out})
 }
 
 func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {

@@ -207,9 +207,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -270,7 +268,7 @@ func (s *Server) cached(w http.ResponseWriter, key string, f func() (any, error)
 		writeError(w, statusOf(err), err)
 		return
 	}
-	body, err := json.MarshalIndent(v, "", "  ")
+	body, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

@@ -43,7 +43,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -70,6 +72,9 @@ func Encode(n int, prefix, loop []graph.Graph) []byte {
 	return b.Bytes()
 }
 
+// keySeed seeds the hash that encodeTo's graph table is indexed by.
+var keySeed = maphash.MakeSeed()
+
 // chunkSize is the unit in which encodeTo hands the encoding to its
 // writer: every Write but the last carries exactly chunkSize bytes.
 const chunkSize = 8 << 10
@@ -79,14 +84,46 @@ const chunkSize = 8 << 10
 // errors are not checked.
 type chunker struct {
 	w   io.Writer
-	buf []byte // fewer than chunkSize bytes between calls
+	buf []byte // chunkSize + binary.MaxVarintLen64 bytes long
+	n   int    // pending bytes in buf, fewer than chunkSize between calls
 }
 
-func (c *chunker) uvarint(v uint64) {
-	c.buf = binary.AppendUvarint(c.buf, v)
-	if len(c.buf) >= chunkSize {
-		c.w.Write(c.buf[:chunkSize])
-		c.buf = c.buf[:copy(c.buf, c.buf[chunkSize:])]
+// uvarints appends each word of vs in the encoding of
+// binary.AppendUvarint, written by index into the room buf keeps past
+// chunkSize, with no loop over a word's bytes: the low 56 bits are
+// spread into eight 7-bit groups, one per byte, and stored in one
+// 8-byte write that carries the continuation bits; a word of more than
+// 56 bits writes its ninth byte, and one with its top bit set, as most
+// row words of a near-full graph on 64 or more agents have, its tenth.
+// Encoders call it once per mask row.
+func (c *chunker) uvarints(vs ...uint64) {
+	for _, v := range vs {
+		b := c.buf[c.n : c.n+binary.MaxVarintLen64]
+		// Move 28-, then 14-, then 7-bit groups into 32-, 16- and
+		// 8-bit lanes.
+		x := v & (1<<56 - 1)
+		x = x&0x0FFFFFFF | (x&0x00FFFFFFF0000000)<<4
+		x = x&0x00003FFF00003FFF | (x&0x0FFFC0000FFFC000)<<2
+		x = x&0x007F007F007F007F | (x&0x3F803F803F803F80)<<1
+		k := binary.MaxVarintLen64
+		switch {
+		case v >= 1<<63:
+			binary.LittleEndian.PutUint64(b, x|0x8080808080808080)
+			b[8] = byte(v >> 56) // bit 7 is v's top bit: continued
+			b[9] = 1
+		case v >= 1<<56:
+			binary.LittleEndian.PutUint64(b, x|0x8080808080808080)
+			b[8] = byte(v >> 56)
+			k = 9
+		default: // k bytes, all but the last continued
+			k = (bits.Len64(v|1) + 6) / 7
+			binary.LittleEndian.PutUint64(b, x|0x8080808080808080&(1<<(8*k-8)-1))
+		}
+		c.n += k
+		if c.n >= chunkSize {
+			c.w.Write(c.buf[:chunkSize])
+			c.n = copy(c.buf, c.buf[chunkSize:c.n])
+		}
 	}
 }
 
@@ -97,16 +134,18 @@ func encodeTo(w io.Writer, n int, prefix, loop []graph.Graph) {
 		panic(fmt.Sprintf("scenario: invalid agent count %d", n))
 	}
 	// Deduplicate graphs in first-occurrence order across prefix then
-	// loop, keyed by the raw little-endian mask rows. Keying cost matters
-	// because encoding (and therefore fingerprinting) sits on the
-	// session-construction path of scenario sweeps. Schedules hold one
-	// Graph value per round and epoch-style generators repeat it for
-	// whole stretches, so a constant-time identity check against the
-	// previous round (graph.Same) skips the keying entirely on the
-	// common consecutive-repeat case.
+	// loop. Keying cost matters because encoding (and therefore
+	// fingerprinting) sits on the session-construction path of scenario
+	// sweeps. Schedules hold one Graph value per round and epoch-style
+	// generators repeat it for whole stretches, so a constant-time
+	// identity check against the previous round (graph.Same) skips the
+	// keying entirely on the common consecutive-repeat case. Otherwise
+	// the raw little-endian mask rows are hashed with a per-process seed
+	// and graph.Equal settles collisions, so no key is stored: a
+	// 256-agent graph's rows are 8 KiB.
 	table := make([]graph.Graph, 0, 8)
-	index := make(map[string]int, 8)
-	keyBuf := make([]byte, 0, n*8)
+	index := make(map[uint64][]int, 8)
+	keyBuf := make([]byte, 0, n*graph.WordsFor(n)*8)
 	var prev graph.Graph
 	prevIdx := -1
 	lookup := func(g graph.Graph) int {
@@ -117,10 +156,17 @@ func encodeTo(w io.Writer, n int, prefix, loop []graph.Graph) {
 			return prevIdx
 		}
 		keyBuf = g.AppendMaskKey(keyBuf[:0])
-		i, ok := index[string(keyBuf)]
-		if !ok {
+		h := maphash.Bytes(keySeed, keyBuf)
+		i := -1
+		for _, j := range index[h] {
+			if table[j].Equal(g) {
+				i = j
+				break
+			}
+		}
+		if i < 0 {
 			i = len(table)
-			index[string(keyBuf)] = i
+			index[h] = append(index[h], i)
 			table = append(table, g)
 		}
 		prev, prevIdx = g, i
@@ -135,31 +181,26 @@ func encodeTo(w io.Writer, n int, prefix, loop []graph.Graph) {
 		loopIdx[i] = lookup(g)
 	}
 
-	c := chunker{w: w, buf: make([]byte, 0, chunkSize+binary.MaxVarintLen64)}
+	c := chunker{w: w, buf: make([]byte, chunkSize+binary.MaxVarintLen64)}
 	if graph.WordsFor(n) == 1 {
-		c.buf = append(c.buf, magic...)
+		c.n = copy(c.buf, magic)
 	} else {
-		c.buf = append(c.buf, magicV2...)
+		c.n = copy(c.buf, magicV2)
 	}
-	c.uvarint(uint64(n))
-	c.uvarint(uint64(len(prefixIdx)))
-	c.uvarint(uint64(len(loopIdx)))
-	c.uvarint(uint64(len(table)))
+	c.uvarints(uint64(n), uint64(len(prefixIdx)), uint64(len(loopIdx)), uint64(len(table)))
 	for _, g := range table {
 		for i := 0; i < n; i++ {
-			for _, word := range g.InRow(i) {
-				c.uvarint(word)
-			}
+			c.uvarints(g.InRow(i)...)
 		}
 	}
 	for _, i := range prefixIdx {
-		c.uvarint(uint64(i))
+		c.uvarints(uint64(i))
 	}
 	for _, i := range loopIdx {
-		c.uvarint(uint64(i))
+		c.uvarints(uint64(i))
 	}
-	if len(c.buf) > 0 {
-		c.w.Write(c.buf)
+	if c.n > 0 {
+		c.w.Write(c.buf[:c.n])
 	}
 }
 

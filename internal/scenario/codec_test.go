@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -145,6 +147,135 @@ func TestFingerprintIsDigestOfEncoding(t *testing.T) {
 	}
 }
 
+// TestEncodeMatchesAppendUvarint holds the encoder's word emitter to
+// binary.AppendUvarint byte for byte. Table rows are drawn from the
+// words on either side of every varint length boundary and from random
+// words, in 128 seeded layouts at each of n = 65, 128 and 256, and every
+// boundary word must sit across an 8-KiB chunk boundary in some layout:
+// split by it, or, for a one-byte word, as a chunk's last byte.
+func TestEncodeMatchesAppendUvarint(t *testing.T) {
+	// The extremes, 1<<62, and the largest word of every varint length
+	// with the smallest of the next.
+	boundary := []uint64{0, 1 << 62, math.MaxUint64}
+	for k := 1; k <= 9; k++ {
+		boundary = append(boundary, 1<<(7*k)-1, 1<<(7*k))
+	}
+	across := make(map[uint64]bool, len(boundary))
+	for _, v := range boundary {
+		across[v] = false
+	}
+	for _, n := range []int{65, 128, 256} {
+		w := graph.WordsFor(n)
+		for layout := 0; layout < 128; layout++ {
+			rng := rand.New(rand.NewSource(int64(n<<16 + layout)))
+			// draw picks word k of row j, redrawing a few times for one
+			// that SetInRow keeps verbatim: it sets the row's self-loop
+			// bit and clears the bits past n.
+			draw := func(j, k int) uint64 {
+				var v uint64
+				for try := 0; try < 8; try++ {
+					if rng.Intn(4) != 0 {
+						v = boundary[rng.Intn(len(boundary))]
+					} else {
+						v = rng.Uint64()
+					}
+					fits := (k != j/64 || v&(1<<uint(j%64)) != 0) &&
+						(k < w-1 || n%64 == 0 || v>>uint(n%64) == 0)
+					if fits {
+						break
+					}
+				}
+				return v
+			}
+			// About three chunks of distinct graphs.
+			table := make([]graph.Graph, 1+3*chunkSize/(n*w*6))
+			row := make([]uint64, w)
+			for g := range table {
+				b := graph.NewBuilder(n)
+				for j := 0; j < n; j++ {
+					for k := range row {
+						row[k] = draw(j, k)
+					}
+					b.SetInRow(j, row)
+				}
+				table[g] = b.Graph()
+			}
+			// The loop replays a separately built copy of the first
+			// graph, which the encoder must find in its table by content.
+			first := graph.NewBuilder(n)
+			for j := 0; j < n; j++ {
+				first.SetInRow(j, table[0].InRow(j))
+			}
+			prefix, loop := table, []graph.Graph{first.Graph()}
+			want, words := appendUvarintEncoding(n, prefix, loop)
+			if got := Encode(n, prefix, loop); !bytes.Equal(got, want) {
+				t.Fatalf("n=%d, layout %d: Encode differs from the binary.AppendUvarint encoding (%d vs %d bytes)", n, layout, len(got), len(want))
+			}
+			sum := sha256.Sum256(want)
+			if fp := Fingerprint(n, prefix, loop); fp != hex.EncodeToString(sum[:]) {
+				t.Fatalf("n=%d, layout %d: Fingerprint %s is not sha256(Encode)", n, layout, fp)
+			}
+			for _, wd := range words {
+				if _, ok := across[wd.v]; ok && (wd.end%chunkSize == 0 || wd.start/chunkSize != (wd.end-1)/chunkSize) {
+					across[wd.v] = true
+				}
+			}
+		}
+	}
+	for _, v := range boundary {
+		if !across[v] {
+			t.Errorf("word %#x never sat across a chunk boundary", v)
+		}
+	}
+}
+
+// encodedWord is one table word of a reference encoding and the bytes
+// [start, end) it occupies.
+type encodedWord struct {
+	v          uint64
+	start, end int
+}
+
+// appendUvarintEncoding is the trace layout written one
+// binary.AppendUvarint call per integer, with the table deduplicated by
+// graph.Equal in first-occurrence order: a reference for Encode. It
+// also returns where each table word sits.
+func appendUvarintEncoding(n int, prefix, loop []graph.Graph) ([]byte, []encodedWord) {
+	var table []graph.Graph
+	var rounds []uint64
+	for _, g := range append(append([]graph.Graph(nil), prefix...), loop...) {
+		i := 0
+		for i < len(table) && !table[i].Equal(g) {
+			i++
+		}
+		if i == len(table) {
+			table = append(table, g)
+		}
+		rounds = append(rounds, uint64(i))
+	}
+	b := []byte(magic)
+	if graph.WordsFor(n) > 1 {
+		b = []byte(magicV2)
+	}
+	for _, v := range []uint64{uint64(n), uint64(len(prefix)), uint64(len(loop)), uint64(len(table))} {
+		b = binary.AppendUvarint(b, v)
+	}
+	var words []encodedWord
+	for _, g := range table {
+		for j := 0; j < n; j++ {
+			for _, v := range g.InRow(j) {
+				start := len(b)
+				b = binary.AppendUvarint(b, v)
+				words = append(words, encodedWord{v, start, len(b)})
+			}
+		}
+	}
+	for _, r := range rounds {
+		b = binary.AppendUvarint(b, r)
+	}
+	return b, words
+}
+
 // sameGraphs reports whether a and b hold equal graphs round by round.
 func sameGraphs(a, b []graph.Graph) bool {
 	if len(a) != len(b) {
@@ -199,10 +330,10 @@ func TestDecodeRejectsOversizedHeader(t *testing.T) {
 	// Header declaring MaxRounds+1 prefix rounds must be rejected before
 	// any allocation of that size.
 	buf := []byte(magic)
-	buf = appendUvarint(buf, 2)           // n
-	buf = appendUvarint(buf, MaxRounds+1) // prefixLen
-	buf = appendUvarint(buf, 0)           // loopLen
-	buf = appendUvarint(buf, 0)           // tableLen
+	buf = binary.AppendUvarint(buf, 2)           // n
+	buf = binary.AppendUvarint(buf, MaxRounds+1) // prefixLen
+	buf = binary.AppendUvarint(buf, 0)           // loopLen
+	buf = binary.AppendUvarint(buf, 0)           // tableLen
 	if _, _, _, err := Decode(buf); err == nil {
 		t.Fatal("oversized header accepted")
 	}
@@ -210,23 +341,14 @@ func TestDecodeRejectsOversizedHeader(t *testing.T) {
 
 func TestDecodeRejectsMissingSelfLoop(t *testing.T) {
 	buf := []byte(magic)
-	buf = appendUvarint(buf, 2) // n
-	buf = appendUvarint(buf, 1) // prefixLen
-	buf = appendUvarint(buf, 0) // loopLen
-	buf = appendUvarint(buf, 1) // tableLen
-	buf = appendUvarint(buf, 0) // node 0 mask: no self-loop
-	buf = appendUvarint(buf, 2) // node 1 mask
-	buf = appendUvarint(buf, 0) // prefix round 0
+	buf = binary.AppendUvarint(buf, 2) // n
+	buf = binary.AppendUvarint(buf, 1) // prefixLen
+	buf = binary.AppendUvarint(buf, 0) // loopLen
+	buf = binary.AppendUvarint(buf, 1) // tableLen
+	buf = binary.AppendUvarint(buf, 0) // node 0 mask: no self-loop
+	buf = binary.AppendUvarint(buf, 2) // node 1 mask
+	buf = binary.AppendUvarint(buf, 0) // prefix round 0
 	if _, _, _, err := Decode(buf); err == nil {
 		t.Fatal("graph without self-loop accepted")
 	}
-}
-
-// appendUvarint mirrors binary.AppendUvarint without the import noise.
-func appendUvarint(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
 }
