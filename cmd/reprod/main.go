@@ -1,8 +1,9 @@
 // Command reprod serves the public consensus facade as a long-lived JSON
 // query server: runs, sweeps, solvability and valency analysis,
 // asynchronous crash-fault simulations, and the paper-reproduction
-// experiments, with per-query timeouts and a response cache. It also
-// hosts both halves of the distributed sweep service (package
+// experiments, with per-query timeouts and one result cache, the sweep
+// cache, which memoizes swept runs by fingerprint. It also hosts both
+// halves of the distributed sweep service (package
 // repro/consensus/distributed): -worker adds the shard-execution
 // endpoint, -coordinator serves the fan-out side instead.
 //
@@ -73,11 +74,17 @@ func main() {
 
 // newServer builds the server exactly as main serves it; the handler
 // tests drive it directly.
-func newServer(queryTimeout time.Duration, cacheSize int) *consensus.Server {
-	return consensus.NewServer(
-		consensus.ServerTimeout(queryTimeout),
-		consensus.ServerCacheSize(cacheSize),
-	)
+func newServer(queryTimeout time.Duration) *consensus.Server {
+	return consensus.NewServer(consensus.ServerTimeout(queryTimeout))
+}
+
+// cacheKVs lists a result cache's counters as key=value pairs for the
+// startup and shutdown log lines.
+func cacheKVs(name string, c consensus.SweepCacheCounters) []any {
+	return []any{"cache", name,
+		"entries", c.Entries, "capacity", c.Capacity,
+		"hits", c.Hits, "misses", c.Misses,
+		"evictions", c.Evictions, "hit_rate", c.HitRate()}
 }
 
 func run(args []string, out io.Writer) error {
@@ -85,7 +92,6 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	addr := fs.String("addr", ":8080", "listen address")
 	queryTimeout := fs.Duration("query-timeout", 30*time.Second, "per-query computation budget")
-	cacheSize := fs.Int("cache", 1024, "response cache entries (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second,
 		"shutdown drain budget; past it in-flight queries are context-cancelled")
 	debugAddr := fs.String("debug-addr", "",
@@ -119,14 +125,12 @@ func run(args []string, out io.Writer) error {
 	logger := slog.New(slog.NewTextHandler(out, nil))
 
 	// Build the mode's handler and its startup/shutdown reporting.
-	// cacheKVs snapshots the mode's cache counters as key=value pairs
-	// for the startup and shutdown log lines.
+	// counters snapshots the mode's result cache for the startup and
+	// shutdown log lines.
 	var (
-		handler    http.Handler
-		mode       string
-		cacheKVs   func() []any
-		coord      *distributed.Coordinator
-		workerSide *distributed.Worker
+		handler  http.Handler
+		mode     string
+		counters func() []any
 	)
 	switch {
 	case *coordinator:
@@ -136,7 +140,7 @@ func run(args []string, out io.Writer) error {
 				urls = append(urls, u)
 			}
 		}
-		coord = distributed.NewCoordinator(
+		coord := distributed.NewCoordinator(
 			distributed.CoordinatorWorkers(urls...),
 			distributed.CoordinatorShardSpecs(*shardSpecs),
 			distributed.CoordinatorQueueCapacity(*queueCap),
@@ -148,36 +152,17 @@ func run(args []string, out io.Writer) error {
 		handler = coord
 		mode = fmt.Sprintf("coordinator (%d workers pinned, shard specs %d, queue cap %d)",
 			coord.WorkerCount(), *shardSpecs, *queueCap)
-		cacheKVs = func() []any {
-			st := coord.Status()
-			return []any{"cache", "result_store",
-				"entries", st.Store.Entries, "capacity", st.Store.Capacity,
-				"hits", st.Store.Hits, "misses", st.Store.Misses,
-				"evictions", st.Store.Evictions, "hit_rate", st.StoreHitRate}
-		}
+		counters = func() []any { return cacheKVs("result_store", coord.Status().Store) }
 	case *worker:
-		workerSide = distributed.NewWorker(distributed.WorkerTimeout(*queryTimeout))
+		workerSide := distributed.NewWorker(distributed.WorkerTimeout(*queryTimeout))
 		handler = workerSide
 		mode = "worker"
-		cacheKVs = func() []any {
-			sc := workerSide.SweepCacheCounters()
-			return []any{"cache", "sweep",
-				"entries", sc.Entries, "capacity", sc.Capacity,
-				"hits", sc.Hits, "misses", sc.Misses, "evictions", sc.Evictions}
-		}
+		counters = func() []any { return cacheKVs("sweep", workerSide.SweepCacheCounters()) }
 	default:
-		qs := newServer(*queryTimeout, *cacheSize)
+		qs := newServer(*queryTimeout)
 		handler = qs
 		mode = "server"
-		cacheKVs = func() []any {
-			st := qs.Status()
-			return []any{"cache", "response+sweep",
-				"response_entries", st.ResponseCache.Entries,
-				"response_capacity", st.ResponseCache.Capacity,
-				"sweep_entries", st.SweepCache.Entries,
-				"sweep_capacity", st.SweepCache.Capacity,
-				"sweep_hit_rate", st.SweepHitRate}
-		}
+		counters = func() []any { return cacheKVs("sweep", qs.SweepCacheCounters()) }
 	}
 
 	// Every request context derives from baseCtx so an expired drain can
@@ -198,7 +183,7 @@ func run(args []string, out io.Writer) error {
 	logger.Info("serving", "mode", mode, "addr", *addr,
 		"batch_parallelism", batchPar.Value(),
 		"query_timeout", *queryTimeout)
-	logger.Info("cache counters", append([]any{"phase", "startup"}, cacheKVs()...)...)
+	logger.Info("cache counters", append([]any{"phase", "startup"}, counters()...)...)
 
 	if *debugAddr != "" {
 		dmux := http.NewServeMux()
@@ -246,7 +231,7 @@ func run(args []string, out io.Writer) error {
 		logger.Warn("drain timed out, in-flight queries cancelled", "drain_timeout", *drainTimeout)
 		return nil
 	}
-	logger.Info("cache counters", append([]any{"phase", "shutdown"}, cacheKVs()...)...)
+	logger.Info("cache counters", append([]any{"phase", "shutdown"}, counters()...)...)
 	logger.Info("shut down")
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 // The acceptance path: the served handler answers a solvability query and
 // a sweep query end-to-end.
 func TestReprodSolvabilityAndSweepEndToEnd(t *testing.T) {
-	ts := httptest.NewServer(newServer(time.Minute, 64))
+	ts := httptest.NewServer(newServer(time.Minute))
 	defer ts.Close()
 
 	// Solvability of the two-agent model: rooted, 1/3 bound via Theorem 1.
@@ -45,7 +45,7 @@ func TestReprodSolvabilityAndSweepEndToEnd(t *testing.T) {
 		{"model": "twoagent", "algorithm": "twothirds", "adversary": "greedy", "rounds": 4, "depth": 4},
 		{"model": "twoagent", "algorithm": "midpoint", "adversary": "greedy", "rounds": 4, "depth": 4}
 	]}`
-	post := func() (cacheHeader string, results []struct {
+	post := func() (results []struct {
 		Cached  bool `json:"cached"`
 		Summary *struct {
 			Algorithm     string  `json:"algorithm"`
@@ -70,13 +70,26 @@ func TestReprodSolvabilityAndSweepEndToEnd(t *testing.T) {
 		if err := json.Unmarshal(payload.Results, &results); err != nil {
 			t.Fatal(err)
 		}
-		return resp.Header.Get("X-Repro-Cache"), results
+		return results
+	}
+	sweepCacheHits := func() uint64 {
+		resp, err := http.Get(ts.URL + "/api/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			SweepCache struct {
+				Hits uint64 `json:"hits"`
+			} `json:"sweep_cache"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.SweepCache.Hits
 	}
 
-	cacheHeader, results := post()
-	if cacheHeader != "miss" {
-		t.Errorf("first sweep X-Repro-Cache = %q, want miss", cacheHeader)
-	}
+	results := post()
 	if len(results) != 2 {
 		t.Fatalf("got %d sweep results, want 2", len(results))
 	}
@@ -86,6 +99,9 @@ func TestReprodSolvabilityAndSweepEndToEnd(t *testing.T) {
 		}
 		if r.Summary == nil {
 			t.Fatalf("sweep entry %d has no summary", i)
+		}
+		if r.Cached {
+			t.Errorf("first sweep entry %d came back cached", i)
 		}
 	}
 	// Two-thirds decays at the certified 1/3 optimum; midpoint is held at
@@ -97,15 +113,21 @@ func TestReprodSolvabilityAndSweepEndToEnd(t *testing.T) {
 		t.Errorf("midpoint geometric rate %v, want ~1/2", got)
 	}
 
-	// The identical query must be a response-cache hit.
-	cacheHeader, _ = post()
-	if cacheHeader != "hit" {
-		t.Errorf("second sweep X-Repro-Cache = %q, want hit", cacheHeader)
+	// The identical query is served by the server's sweep cache: every
+	// entry comes back cached, one hit per spec.
+	before := sweepCacheHits()
+	for i, r := range post() {
+		if !r.Cached {
+			t.Errorf("repeated sweep entry %d not cached", i)
+		}
+	}
+	if hits := sweepCacheHits() - before; hits != 2 {
+		t.Errorf("repeated sweep added %d sweep-cache hits, want 2 (one per spec)", hits)
 	}
 }
 
 func TestReprodRegistryAndErrors(t *testing.T) {
-	ts := httptest.NewServer(newServer(time.Minute, 0))
+	ts := httptest.NewServer(newServer(time.Minute))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/api/v1/registry")

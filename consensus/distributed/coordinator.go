@@ -52,6 +52,14 @@ const (
 	// probeTimeout bounds one worker health probe.
 	probeTimeout = 2 * time.Second
 
+	// DefaultStoreCapacity bounds the coordinator's result store.
+	DefaultStoreCapacity = 1 << 18
+
+	// shardResultBytes is what a shard response may add, per spec, to
+	// the length of the shard request: a summary of a 1024-agent run
+	// encodes in about 25 KB, and a longer response fails its attempt.
+	shardResultBytes = 64 << 10
+
 	// fpMemoCap bounds the canonical-spec -> fingerprint memo. The memo
 	// is reset, not evicted, past capacity: fingerprinting is cheap for
 	// everything but long scenarios, and those re-memoize on first use.
@@ -173,9 +181,14 @@ type fpEntry struct {
 //	POST /api/v1/sweep          SweepRequest -> SweepResponse (merged)
 //	POST /api/v1/sweep/stream   SweepRequest -> SSE "results" events + "done"
 type Coordinator struct {
-	mux    *http.ServeMux
-	lib    *consensus.Library
-	store  *Store
+	mux *http.ServeMux
+	lib *consensus.Library
+	// store is the content-addressed result store: completed summaries
+	// under their content fingerprint (consensus.Session.Fingerprint),
+	// which is process-independent, so any worker's result lands under
+	// the key the coordinator computed at submission and a re-submitted
+	// spec is a lookup, not a recompute.
+	store  *consensus.SweepCache
 	client *http.Client
 
 	shardSpecs     int
@@ -233,7 +246,7 @@ func NewCoordinator(opts ...CoordinatorOption) *Coordinator {
 	reg := obs.NewRegistry()
 	c := &Coordinator{
 		lib:            cfg.lib,
-		store:          NewStore(),
+		store:          consensus.NewSweepCacheSize(DefaultStoreCapacity),
 		client:         cfg.client,
 		shardSpecs:     cfg.shardSpecs,
 		queueCap:       cfg.queueCap,
@@ -788,7 +801,9 @@ func (c *Coordinator) runShard(ctx context.Context, sh *shard, span obs.SpanID) 
 // postShard performs one shard round-trip against one worker under its
 // in-flight cap. retryable reports whether another worker (or another
 // attempt) could still serve the shard. A response is accepted only
-// with one result per shard spec, each carrying a summary or an error.
+// with one result per shard spec, each carrying a summary or an error,
+// and is read no further than the request's length plus
+// shardResultBytes per spec.
 func (c *Coordinator) postShard(ctx context.Context, w *workerState, sh *shard) (res []ShardResult, retryable bool, err error) {
 	select {
 	case w.sem <- struct{}{}:
@@ -829,8 +844,14 @@ func (c *Coordinator) postShard(ctx context.Context, w *workerState, sh *shard) 
 		}
 		return nil, resp.StatusCode >= 500, fmt.Errorf("distributed: worker %s: %s", w.url, msg)
 	}
+	limit := int64(len(body)) + shardResultBytes*int64(len(sh.specs))
+	lr := &io.LimitedReader{R: resp.Body, N: limit + 1}
 	var sr ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	err = json.NewDecoder(lr).Decode(&sr)
+	if lr.N == 0 {
+		return nil, true, fmt.Errorf("distributed: worker %s: shard response exceeds its %d-byte bound", w.url, limit)
+	}
+	if err != nil {
 		return nil, true, fmt.Errorf("distributed: worker %s: bad shard response: %v", w.url, err)
 	}
 	if len(sr.Results) != len(sh.specs) {

@@ -1,11 +1,15 @@
 package distributed
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,5 +117,53 @@ func TestSweepPassResolvesConcurrently(t *testing.T) {
 	}
 	if !overlapped.Load() {
 		t.Error("no second resolution started while the first was in flight")
+	}
+}
+
+// TestShardResponseReadIsBounded: a worker answers a 2-spec shard with a
+// 64 MiB error string, streamed in small writes. The coordinator reads
+// no further than the shard's bound: every spec gets an error naming the
+// bound, nothing is stored, and the sweep allocates far less than the
+// string's size.
+func TestShardResponseReadIsBounded(t *testing.T) {
+	chunk := bytes.Repeat([]byte("x"), 4<<10)
+	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/v1/shard" {
+			return // health probe: 200
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `{"results":[{"error":"`)
+		for sent := 0; sent < 64<<20; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return // the coordinator hung up
+			}
+		}
+		_, _ = io.WriteString(w, `"},{"error":"y"}]}`)
+	}))
+	defer ws.Close()
+	c := NewCoordinator(CoordinatorWorkers(ws.URL), CoordinatorHealthInterval(0),
+		CoordinatorRetry(2, time.Millisecond))
+	defer c.Close()
+	specs := []consensus.RunSpec{
+		{Model: "deaf:4", Algorithm: "midpoint", Adversary: "cycle", Rounds: 8},
+		{Model: "psi:5", Algorithm: "mean", Adversary: "cycle", Rounds: 6},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := c.runSweep(context.Background(), SweepRequest{Specs: specs}, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("sweep failed as a whole: %v", err)
+	}
+	for j, r := range resp.Results {
+		if r.Summary != nil || !strings.Contains(r.Err, "-byte bound") {
+			t.Errorf("result %d: summary %v, error %.80q, want an error naming the bound", j, r.Summary != nil, r.Err)
+		}
+	}
+	if n := c.store.Counters().Entries; n != 0 {
+		t.Errorf("the store holds %d entries, want 0", n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 32<<20 {
+		t.Errorf("the sweep allocated %d MiB", alloc>>20)
 	}
 }

@@ -53,16 +53,18 @@
 //
 // # Batch and query APIs
 //
-// Sweep runs many sessions over a bounded worker pool with
-// fingerprint-keyed result caching; Solvability, ValencyBounds,
-// DecisionSweep, AsyncRun, and VectorRun expose the analysis engines,
-// the approximate-consensus deciders, the asynchronous crash-fault
-// simulator, and the multidimensional lift. Experiments lists and runs
+// Sweep runs many sessions over a bounded worker pool, memoizing runs
+// by fingerprint in a SweepCache (WithSweepCache; without one, within
+// the call only); Solvability, ValencyBounds, DecisionSweep, AsyncRun,
+// and VectorRun expose the analysis engines, the approximate-consensus
+// deciders, the asynchronous crash-fault simulator, and the
+// multidimensional lift. Experiments lists and runs
 // the paper-reproduction registry consumed by cmd/paperbench.
 //
 // # Serving
 //
 // Server is an http.Handler exposing run, sweep, solvability, valency,
 // async, scenario, and experiment queries as JSON endpoints with
-// per-query timeouts and a response cache; cmd/reprod serves it.
+// per-query timeouts. Each server holds one result cache, its sweep
+// cache; cmd/reprod serves it.
 package consensus

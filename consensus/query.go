@@ -112,8 +112,7 @@ func Solvability(ctx context.Context, modelSpec string, opts ...QueryOption) (*S
 		}
 		r.ExactConsensusSolvable = m.ExactConsensusSolvable()
 		// ContractionLowerBound re-derives parts of the analysis above (the
-		// model layer keeps its bound derivation self-contained); the server's
-		// response cache absorbs the cost for repeated queries.
+		// model layer keeps its bound derivation self-contained).
 		b := m.ContractionLowerBound()
 		r.BoundRate, r.BoundTheorem, r.BoundDetail = b.Rate, b.Theorem, b.Detail
 		r.GraphNames = make([]string, m.Size())

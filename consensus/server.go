@@ -1,11 +1,11 @@
 package consensus
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -19,19 +19,13 @@ func ServerTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.timeout = d }
 }
 
-// ServerCacheSize bounds the response cache entry count (default 1024;
-// 0 disables response caching).
-func ServerCacheSize(n int) ServerOption {
-	return func(s *Server) { s.cacheMax = n }
-}
-
 // ServerLibrary resolves every query against lib.
 func ServerLibrary(lib *Library) ServerOption {
 	return func(s *Server) { s.lib = lib }
 }
 
-// ServerSweepCache uses the given sweep cache instead of the shared
-// default.
+// ServerSweepCache memoizes the server's sweeps in c instead of in a
+// cache the server builds for itself.
 func ServerSweepCache(c *SweepCache) ServerOption {
 	return func(s *Server) { s.sweepCache = c }
 }
@@ -63,9 +57,10 @@ func ServerObsRegistry(r *obs.Registry) ServerOption {
 //	GET  /api/v1/experiments   experiment listing
 //	POST /api/v1/experiment    {"id": ...} -> table (+ rendered text)
 //
-// Every query runs under the server's per-query timeout. Successful
-// responses of deterministic endpoints are cached by canonical request
-// body; the X-Repro-Cache header reports hit or miss.
+// Every query runs under the server's per-query timeout. The server
+// holds one result cache: its sweep cache, which memoizes sweep runs by
+// fingerprint (a repeated sweep answers "cached": true). Every other
+// query is computed on each request.
 type Server struct {
 	mux        *http.ServeMux
 	timeout    time.Duration
@@ -78,33 +73,16 @@ type Server struct {
 	// series. Instance registries are deliberately not subject to
 	// REPRO_OBS: status endpoints read them.
 	reg *obs.Registry
-
-	cacheMu     sync.Mutex
-	cache       map[string][]byte
-	cacheMax    int
-	cacheBytes  int
-	cacheHits   uint64
-	cacheMisses uint64
 }
-
-// Response-cache byte bounds: the entry-count cap alone would not stop a
-// few maximum-size run responses (megabytes of diameters each) from
-// growing the cache without limit in bytes.
-const (
-	maxCacheTotalBytes = 64 << 20
-	maxCacheEntryBytes = 4 << 20
-)
 
 // NewServer builds the query server.
 func NewServer(opts ...ServerOption) *Server {
-	s := &Server{
-		timeout:    30 * time.Second,
-		cacheMax:   1024,
-		cache:      make(map[string][]byte),
-		sweepCache: defaultSweepCache,
-	}
+	s := &Server{timeout: 30 * time.Second}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.sweepCache == nil {
+		s.sweepCache = NewSweepCache()
 	}
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -157,17 +135,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // scrape-time gauges on the instance registry — the same numbers
 // /api/v1/status reports, in Prometheus form.
 func (s *Server) registerCacheGauges() {
-	respStat := func(pick func(ResponseCacheStats) float64) func() float64 {
-		return func() float64 { return pick(s.Status().ResponseCache) }
-	}
-	s.reg.GaugeFunc("repro_server_response_cache_hits",
-		"Response-cache hits (lifetime).", respStat(func(c ResponseCacheStats) float64 { return float64(c.Hits) }))
-	s.reg.GaugeFunc("repro_server_response_cache_misses",
-		"Response-cache misses (lifetime).", respStat(func(c ResponseCacheStats) float64 { return float64(c.Misses) }))
-	s.reg.GaugeFunc("repro_server_response_cache_entries",
-		"Response-cache entries resident.", respStat(func(c ResponseCacheStats) float64 { return float64(c.Entries) }))
-	s.reg.GaugeFunc("repro_server_response_cache_bytes",
-		"Response-cache resident bytes.", respStat(func(c ResponseCacheStats) float64 { return float64(c.Bytes) }))
 	s.reg.GaugeFunc("repro_server_sweep_cache_hits",
 		"Sweep-cache hits (lifetime).", func() float64 { return float64(s.sweepCache.Counters().Hits) })
 	s.reg.GaugeFunc("repro_server_sweep_cache_misses",
@@ -204,10 +171,19 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as the JSON body of a response with the given
+// status. The body is encoded before the status is written, so a value
+// JSON cannot carry is a 500, never a truncated 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		body.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(&body).Encode(errorBody{Error: err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -222,14 +198,22 @@ func statusOf(err error) int {
 	return http.StatusBadRequest
 }
 
-// queryCtx derives the per-query context.
-func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), s.timeout)
+// answer runs one query under the per-query timeout and writes its
+// result, or its error under the status statusOf maps it to.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, query func(ctx context.Context) (any, error)) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	v, err := query(ctx)
+	cancel()
+	if err != nil {
+		writeError(w, statusOf(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
 }
 
 // maxRequestBytes bounds a request body: the server caps its outputs
-// (MaxServedRounds, the cache byte bounds), so inputs must be bounded
-// too or one oversized POST buffers gigabytes before validation runs.
+// (MaxServedRounds), so inputs must be bounded too or one oversized
+// POST buffers gigabytes before validation runs.
 const maxRequestBytes = 8 << 20
 
 // decodeBody strictly decodes the size-limited JSON request body into v.
@@ -242,69 +226,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// cached serves the response for key from the cache, or computes it via
-// f, caching successes. The cache key must canonically determine the
-// response.
-func (s *Server) cached(w http.ResponseWriter, key string, f func() (any, error)) {
-	if s.cacheMax > 0 {
-		s.cacheMu.Lock()
-		body, hit := s.cache[key]
-		if hit {
-			s.cacheHits++
-		} else {
-			s.cacheMisses++
-		}
-		s.cacheMu.Unlock()
-		if hit {
-			w.Header().Set("X-Repro-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body)
-			return
-		}
-	}
-	v, err := f()
-	if err != nil {
-		writeError(w, statusOf(err), err)
-		return
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	body = append(body, '\n')
-	if s.cacheMax > 0 && len(body) <= maxCacheEntryBytes {
-		s.cacheMu.Lock()
-		for k, v := range s.cache {
-			if len(s.cache) < s.cacheMax && s.cacheBytes+len(body) <= maxCacheTotalBytes {
-				break
-			}
-			delete(s.cache, k)
-			s.cacheBytes -= len(v)
-		}
-		s.cache[key] = body
-		s.cacheBytes += len(body)
-		s.cacheMu.Unlock()
-	}
-	w.Header().Set("X-Repro-Cache", "miss")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// ResponseCacheStats is the /api/v1/status view of the server's
-// canonical-request response cache.
-type ResponseCacheStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Entries  int    `json:"entries"`
-	Bytes    int    `json:"bytes"`
-	Capacity int    `json:"capacity"`
 }
 
 // ScenarioCacheStats is the /api/v1/status view of the scenario
@@ -323,7 +246,6 @@ type StatusReport struct {
 	SweepCache    SweepCacheCounters `json:"sweep_cache"`
 	SweepHitRate  float64            `json:"sweep_cache_hit_rate"`
 	PlanCache     PlanCacheCounters  `json:"plan_cache"`
-	ResponseCache ResponseCacheStats `json:"response_cache"`
 	ScenarioCache ScenarioCacheStats `json:"scenario_cache"`
 }
 
@@ -335,15 +257,6 @@ func (s *Server) Status() StatusReport {
 		SweepHitRate: sc.HitRate(),
 		PlanCache:    PlanCacheTotals(),
 	}
-	s.cacheMu.Lock()
-	rep.ResponseCache = ResponseCacheStats{
-		Hits:     s.cacheHits,
-		Misses:   s.cacheMisses,
-		Entries:  len(s.cache),
-		Bytes:    s.cacheBytes,
-		Capacity: s.cacheMax,
-	}
-	s.cacheMu.Unlock()
 	h, m, n := s.lib.scenarios().ResolveCacheStats()
 	rep.ScenarioCache = ScenarioCacheStats{Hits: h, Misses: m, Entries: n}
 	return rep
@@ -409,10 +322,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := cacheKeyOf("run", spec)
-	s.cached(w, key, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
+	s.answer(w, r, func(ctx context.Context) (any, error) {
 		session, err := NewSession(spec, WithLibrary(s.lib))
 		if err != nil {
 			return nil, err
@@ -456,10 +366,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	key := cacheKeyOf("sweep", req)
-	s.cached(w, key, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
+	s.answer(w, r, func(ctx context.Context) (any, error) {
 		opts := []SweepOption{WithSweepCache(s.sweepCache)}
 		if s.lib != nil {
 			opts = append(opts, SweepLibrary(s.lib))
@@ -481,9 +388,7 @@ func (s *Server) handleSolvability(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("consensus: solvability needs a ?model= spec"))
 		return
 	}
-	s.cached(w, "solvability|"+modelSpec, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
+	s.answer(w, r, func(ctx context.Context) (any, error) {
 		return Solvability(ctx, modelSpec, s.queryOptions()...)
 	})
 }
@@ -494,18 +399,8 @@ func (s *Server) handleValency(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := cacheKeyOf("valency", req)
-	s.cached(w, key, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
-		rep, err := ValencyBounds(ctx, req, s.queryOptions()...)
-		if err != nil {
-			return nil, err
-		}
-		// The hit rate depends on query order, not on the query itself;
-		// zero it so cached responses are canonical.
-		rep.CacheHitRate = 0
-		return rep, nil
+	s.answer(w, r, func(ctx context.Context) (any, error) {
+		return ValencyBounds(ctx, req, s.queryOptions()...)
 	})
 }
 
@@ -520,10 +415,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := cacheKeyOf("decision", req)
-	s.cached(w, key, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
+	s.answer(w, r, func(ctx context.Context) (any, error) {
 		points, err := DecisionSweep(ctx, req, s.queryOptions()...)
 		if err != nil {
 			return nil, err
@@ -538,10 +430,7 @@ func (s *Server) handleAsync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := cacheKeyOf("async", spec)
-	s.cached(w, key, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
+	s.answer(w, r, func(ctx context.Context) (any, error) {
 		return AsyncRun(ctx, spec, s.queryOptions()...)
 	})
 }
@@ -556,10 +445,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := cacheKeyOf("scenario", req)
-	s.cached(w, key, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
+	s.answer(w, r, func(ctx context.Context) (any, error) {
 		sch, err := resolveScenarioRequest(req, s.lib)
 		if err != nil {
 			return nil, err
@@ -599,9 +485,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.cached(w, "experiment|"+req.ID, func() (any, error) {
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
+	s.answer(w, r, func(ctx context.Context) (any, error) {
 		res, err := RunExperiment(ctx, req.ID)
 		if err != nil {
 			return nil, err
@@ -616,13 +500,4 @@ func (s *Server) queryOptions() []QueryOption {
 		return nil
 	}
 	return []QueryOption{QueryLibrary(s.lib)}
-}
-
-// cacheKeyOf canonicalizes a request into a cache key.
-func cacheKeyOf(endpoint string, v any) string {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return endpoint + "|uncacheable"
-	}
-	return endpoint + "|" + string(body)
 }

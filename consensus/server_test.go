@@ -1,8 +1,10 @@
 package consensus
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -190,7 +192,7 @@ func TestServerErrorsAndTimeout(t *testing.T) {
 	}
 
 	// A server with an expired per-query budget answers 504.
-	slow := httptest.NewServer(NewServer(ServerTimeout(time.Nanosecond), ServerCacheSize(0)))
+	slow := httptest.NewServer(NewServer(ServerTimeout(time.Nanosecond)))
 	defer slow.Close()
 	r3, err := http.Get(slow.URL + "/api/v1/solvability?model=deaf:4")
 	if err != nil {
@@ -290,6 +292,46 @@ func TestServerOverflowIsPerSpecError(t *testing.T) {
 	scen := `{"scenario": "eventuallyrooted:3,2", "run": true, "rounds": 6, "inputs": [1.7e308, -1.7e308, 0]}`
 	if resp, out := postJSON(t, ts, "/api/v1/scenario", scen); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("scenario run status %d, want 400: %s", resp.StatusCode, out)
+	}
+}
+
+// TestServersDoNotShareResults: each NewServer holds its own sweep
+// cache, so a sweep one server has computed is computed again by a
+// second server in the same process.
+func TestServersDoNotShareResults(t *testing.T) {
+	body := `{"specs": [{"model": "deaf:5", "algorithm": "mean", "adversary": "cycle", "rounds": 9}]}`
+	for i, srv := range []*Server{NewServer(), NewServer()} {
+		ts := httptest.NewServer(srv)
+		resp, out := postJSON(t, ts, "/api/v1/sweep", body)
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: sweep status %d: %s", i, resp.StatusCode, out)
+		}
+		var got struct {
+			Results []SweepResult `json:"results"`
+		}
+		if err := json.Unmarshal(out, &got); err != nil {
+			t.Fatal(err)
+		}
+		if r := got.Results[0]; r.Err != "" || r.Cached {
+			t.Errorf("server %d: %+v, want a computed summary", i, r)
+		}
+		if c := srv.SweepCacheCounters(); c.Hits != 0 || c.Misses != 1 || c.Entries != 1 {
+			t.Errorf("server %d: sweep cache %+v, want one miss and one entry", i, c)
+		}
+	}
+}
+
+// TestAnswerUnencodableIs500: a query result JSON cannot carry is
+// answered 500 with an error body, never a truncated 200.
+func TestAnswerUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	NewServer().answer(rec, httptest.NewRequest(http.MethodGet, "/", nil), func(context.Context) (any, error) {
+		return math.Inf(1), nil
+	})
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+		t.Errorf("status %d, body %q, want 500 with an error body", rec.Code, rec.Body)
 	}
 }
 

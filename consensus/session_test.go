@@ -364,9 +364,8 @@ func TestConcurrentSessionsSharedRegistriesAndCache(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	hits, misses, entries := cache.Stats()
-	if entries == 0 || hits == 0 {
-		t.Errorf("shared cache unused: hits=%d misses=%d entries=%d", hits, misses, entries)
+	if c := cache.Counters(); c.Entries == 0 || c.Hits == 0 {
+		t.Errorf("shared cache unused: %+v", c)
 	}
 }
 

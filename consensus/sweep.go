@@ -115,9 +115,10 @@ func (s *RunSummary) checkFinite(diameters ...float64) error {
 
 // SweepCache memoizes run summaries by configuration fingerprint. It is
 // safe for concurrent use and shareable across Sweep calls and servers.
-// The cache is bounded: past its entry capacity (NewSweepCacheSize)
-// insertions evict the oldest entries first, so a long-lived server facing unbounded distinct specs
-// holds at most Capacity summaries.
+// The cache is bounded by entry count: past its capacity
+// (NewSweepCacheSize) insertions evict the oldest entries first, so a
+// long-lived server facing unbounded distinct specs holds at most that
+// many summaries.
 type SweepCache struct {
 	mu        sync.Mutex
 	m         map[string]RunSummary
@@ -144,12 +145,9 @@ func NewSweepCacheSize(max int) *SweepCache {
 	return &SweepCache{m: make(map[string]RunSummary), max: max}
 }
 
-// defaultSweepCache is the cache Sweep uses when the caller supplies
-// none, so independent sweeps of identical work share results.
-var defaultSweepCache = NewSweepCache()
-
-// get looks up a summary.
-func (c *SweepCache) get(key string) (RunSummary, bool) {
+// Lookup returns the summary stored under key, counting a hit or a
+// miss.
+func (c *SweepCache) Lookup(key string) (RunSummary, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.m[key]
@@ -159,16 +157,6 @@ func (c *SweepCache) get(key string) (RunSummary, bool) {
 		c.misses++
 	}
 	return s, ok
-}
-
-// Capacity returns the entry bound.
-func (c *SweepCache) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max <= 0 {
-		return defaultSweepCacheSize
-	}
-	return c.max
 }
 
 // evictLocked drops oldest entries until the cache fits max minus room.
@@ -186,9 +174,11 @@ func (c *SweepCache) evictLocked(room int) {
 	}
 }
 
-// put stores a summary, evicting the oldest entries when full. It
-// tolerates a zero-value SweepCache by lazily adopting the defaults.
-func (c *SweepCache) put(key string, s RunSummary) {
+// Insert stores a summary under key, evicting the oldest entries when
+// full; re-inserting a resident key replaces its summary and evicts
+// nothing. It tolerates a zero-value SweepCache by lazily adopting the
+// defaults.
+func (c *SweepCache) Insert(key string, s RunSummary) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
@@ -215,13 +205,6 @@ func (c *SweepCache) lateGet(key string) (RunSummary, bool) {
 		c.hits++
 	}
 	return s, ok
-}
-
-// Stats returns (hits, misses, entries).
-func (c *SweepCache) Stats() (hits, misses uint64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.m)
 }
 
 // SweepCacheCounters is a cache's lifetime accounting snapshot, as the
@@ -258,16 +241,6 @@ func (c *SweepCache) Counters() SweepCacheCounters {
 		Capacity:  max,
 	}
 }
-
-// Lookup returns the summary stored under key, counting a hit or a
-// miss — the exported form of the sweep's internal lookup, for callers
-// (the distributed result store) addressing the cache by their own
-// fingerprint keys.
-func (c *SweepCache) Lookup(key string) (RunSummary, bool) { return c.get(key) }
-
-// Insert stores a summary under key, evicting oldest-first past the
-// capacity — the exported counterpart of Lookup.
-func (c *SweepCache) Insert(key string, s RunSummary) { c.put(key, s) }
 
 // cacheKey derives the fingerprint key of a session: the canonical
 // initial-configuration fingerprint (the same encoding the valency
@@ -443,7 +416,9 @@ func SweepWorkers(n int) SweepOption {
 	return func(c *sweepConfig) { c.workers = n }
 }
 
-// WithSweepCache uses the given cache instead of the shared default.
+// WithSweepCache memoizes the sweep's runs in cache, so sweeps given
+// the same cache serve each other's runs. Without it a sweep memoizes
+// within the call only.
 func WithSweepCache(cache *SweepCache) SweepOption {
 	return func(c *sweepConfig) { c.cache = cache }
 }
@@ -465,10 +440,10 @@ func SweepBatchSize(n int) SweepOption {
 // Sweep runs every spec and returns one result per spec, in input
 // order. Individual failures land in the result's Err field; the
 // returned error is non-nil only when ctx is cancelled, in which case
-// unprocessed entries carry the context error. Results are memoized in
-// the (shared, bounded, fingerprint-keyed) sweep cache, so repeated and
-// overlapping sweeps do not recompute identical runs; valency-driven
-// entries additionally share the per-model engine pool.
+// unprocessed entries carry the context error. Results are memoized by
+// fingerprint in the sweep's cache (WithSweepCache), so sweeps sharing
+// a cache do not recompute identical runs; valency-driven entries
+// additionally share the per-model engine pool.
 //
 // Execution is tiled onto the batch plane: after a parallel
 // resolve-and-cache-check pass, specs that share a (model, algorithm,
@@ -507,7 +482,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 		}
 	}
 	if cfg.cache == nil {
-		cfg.cache = defaultSweepCache
+		cfg.cache = NewSweepCache()
 	}
 
 	// Phase 1: resolve every spec, consult the cache, and build the
@@ -633,7 +608,7 @@ func (t *sweepTask) prepare(ctx context.Context, spec RunSpec, index int, cfg *s
 	if ck, ok := session.contentKey(); ok {
 		t.key, t.cacheable = session.cacheKey(ck), true
 		t.res.Fingerprint = contentAddress(ck)
-		if summary, hit := cfg.cache.get(t.key); hit {
+		if summary, hit := cfg.cache.Lookup(t.key); hit {
 			t.res.Cached = true
 			t.res.Summary = &summary
 			t.done = true
@@ -669,7 +644,7 @@ func (t *sweepTask) finish(summary RunSummary, cfg *sweepConfig) {
 		return
 	}
 	if t.cacheable {
-		cfg.cache.put(t.key, summary)
+		cfg.cache.Insert(t.key, summary)
 	}
 	t.res.Summary = &summary
 	t.done = true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -356,27 +357,87 @@ func TestDecisionSweepMonotone(t *testing.T) {
 func TestSweepCacheBounded(t *testing.T) {
 	cache := NewSweepCacheSize(3)
 	for i := 0; i < 10; i++ {
-		cache.put(fmt.Sprintf("key-%d", i), RunSummary{Rounds: i})
+		cache.Insert(fmt.Sprintf("key-%d", i), RunSummary{Rounds: i})
 	}
-	if _, _, entries := cache.Stats(); entries != 3 {
+	if entries := cache.Counters().Entries; entries != 3 {
 		t.Fatalf("cache holds %d entries, cap is 3", entries)
 	}
 	// The three newest survive.
 	for i := 7; i < 10; i++ {
-		if s, hit := cache.get(fmt.Sprintf("key-%d", i)); !hit || s.Rounds != i {
+		if s, hit := cache.Lookup(fmt.Sprintf("key-%d", i)); !hit || s.Rounds != i {
 			t.Fatalf("newest entry key-%d missing after eviction", i)
 		}
 	}
-	if _, hit := cache.get("key-0"); hit {
+	if _, hit := cache.Lookup("key-0"); hit {
 		t.Fatal("oldest entry survived eviction")
 	}
-	if cache.Capacity() != 3 {
-		t.Fatalf("Capacity() = %d, want 3", cache.Capacity())
+	if c := cache.Counters().Capacity; c != 3 {
+		t.Fatalf("Counters().Capacity = %d, want 3", c)
+	}
+}
+
+// TestSweepCacheMatchesFIFOModel drives caches of capacity 1, 3 and 64
+// through 10,000 random inserts and lookups each, drawn from a
+// zero-seeded source and biased toward recently drawn keys, and holds
+// the cache after every step to a reference FIFO model: a lookup hits
+// or misses as the model does and a hit returns the latest value,
+// Entries and Evictions equal the model's, Hits+Misses counts the
+// lookups, and re-inserting a resident key evicts nothing.
+func TestSweepCacheMatchesFIFOModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(0))
+	for _, capacity := range []int{1, 3, 64} {
+		cache := NewSweepCacheSize(capacity)
+		model := make(map[string]int) // resident key -> latest value
+		var fifo []string             // resident keys, oldest first
+		var evictions, lookups uint64
+		drawn := 0 // keys drawn so far: key-0 ... key-(drawn-1)
+		for step := 0; step < 10000; step++ {
+			k := drawn
+			if drawn > 0 && rng.Intn(8) != 0 {
+				k = max(0, drawn-1-rng.Intn(1+rng.Intn(64)))
+			} else {
+				drawn++
+			}
+			key := fmt.Sprintf("key-%d", k)
+			_, resident := model[key]
+			if rng.Intn(2) == 0 {
+				before := cache.Counters().Evictions
+				cache.Insert(key, RunSummary{Rounds: step})
+				if resident {
+					if after := cache.Counters().Evictions; after != before {
+						t.Fatalf("cap %d step %d: re-inserting resident %s evicted %d entries", capacity, step, key, after-before)
+					}
+				} else {
+					if len(fifo) == capacity {
+						delete(model, fifo[0])
+						fifo = fifo[1:]
+						evictions++
+					}
+					fifo = append(fifo, key)
+				}
+				model[key] = step
+			} else {
+				lookups++
+				got, hit := cache.Lookup(key)
+				if hit != resident || (hit && got.Rounds != model[key]) {
+					t.Fatalf("cap %d step %d: Lookup(%s) = (%d, %v), model holds (%d, %v)",
+						capacity, step, key, got.Rounds, hit, model[key], resident)
+				}
+			}
+			if c := cache.Counters(); c.Entries != len(model) || c.Evictions != evictions ||
+				c.Hits+c.Misses != lookups || c.Capacity != capacity {
+				t.Fatalf("cap %d step %d: counters %+v, model has %d entries, %d evictions, %d lookups",
+					capacity, step, c, len(model), evictions, lookups)
+			}
+		}
+		if evictions == 0 {
+			t.Errorf("cap %d: the run never evicted", capacity)
+		}
 	}
 }
 
 // TestSweepCacheCapacityOption hands concurrent sweeps one cache bounded
-// at construction and checks the bound holds and Stats accounting stays
+// at construction and checks the bound holds and its accounting stays
 // consistent while they share it (run with -race).
 func TestSweepCacheCapacityOption(t *testing.T) {
 	cache := NewSweepCacheSize(4)
@@ -411,7 +472,8 @@ func TestSweepCacheCapacityOption(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, misses, entries := cache.Stats()
+	c := cache.Counters()
+	hits, misses, entries := c.Hits, c.Misses, c.Entries
 	if entries > 4 {
 		t.Fatalf("bounded cache grew to %d entries, cap is 4", entries)
 	}

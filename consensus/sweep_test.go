@@ -57,9 +57,8 @@ func TestSweepOrderErrorsAndCaching(t *testing.T) {
 			t.Errorf("cached summary diverged: %+v vs %+v", a, b)
 		}
 	}
-	hits, misses, entries := cache.Stats()
-	if hits < 2 || entries < 2 {
-		t.Errorf("cache stats hits=%d misses=%d entries=%d", hits, misses, entries)
+	if c := cache.Counters(); c.Hits < 2 || c.Entries < 2 {
+		t.Errorf("cache counters %+v", c)
 	}
 }
 
@@ -95,8 +94,23 @@ func TestSweepSeedsDiffer(t *testing.T) {
 	if results[0].Cached || results[1].Cached {
 		t.Error("distinct seeds served from one cache entry")
 	}
-	if _, _, entries := cache.Stats(); entries != 2 {
+	if entries := cache.Counters().Entries; entries != 2 {
 		t.Errorf("cache entries = %d, want 2", entries)
+	}
+}
+
+// TestBareSweepsEachCompute: a Sweep given no cache memoizes within the
+// call only, so a second bare sweep of the same spec computes it again.
+func TestBareSweepsEachCompute(t *testing.T) {
+	specs := []RunSpec{{Model: "deaf:5", Algorithm: "mean", Adversary: "cycle", Rounds: 7}}
+	for pass := 0; pass < 2; pass++ {
+		results, err := Sweep(context.Background(), specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := results[0]; r.Err != "" || r.Summary == nil || r.Cached {
+			t.Errorf("bare sweep %d: %+v, want a computed summary", pass, r)
+		}
 	}
 }
 
@@ -164,7 +178,7 @@ func TestSweepOverflowIsPerSpecError(t *testing.T) {
 		if r := results[1]; r.Err != "" || r.Summary == nil {
 			t.Errorf("%s: neighbour not served: %+v", name, r)
 		}
-		if _, _, entries := cache.Stats(); entries != 1 {
+		if entries := cache.Counters().Entries; entries != 1 {
 			t.Errorf("%s: cache holds %d entries, want only the neighbour", name, entries)
 		}
 	}

@@ -464,7 +464,7 @@ func (r *BatchRunner) SetPlanCacheCap(n int) {
 // about-to-be-built plan), misses (plans built), evictions, deferrals
 // (first-sight single-run graphs stepped through the per-run path
 // without building a plan), and the current entry count — the batch
-// plane's counterpart of SweepCache.Stats, so benches can report plan
+// plane's counterpart of SweepCache.Counters, so benches can report plan
 // reuse rates.
 func (r *BatchRunner) PlanCacheStats() (hits, misses, evictions, deferrals uint64, entries int) {
 	return r.planHits, r.planMisses, r.planEvicts, r.planDefers, len(r.plans)
