@@ -9,15 +9,18 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
-// This file measures the raw batch kernel on the large-n workload the
-// parallel step is built for, bypassing the sweep machinery so the
-// numbers isolate core.BatchRunner stepping. The dense plane encodes
-// in-neighbor sets as word-sliced bitmasks (W = ⌈n/64⌉ words per row),
-// so n is no longer capped at one machine word; the series runs at
-// n = 256 (four words per row) to exercise the folds over wide rows,
-// while B carries the batch scale.
+// This file measures the raw batch kernel on a large-n workload,
+// bypassing the sweep machinery so the numbers isolate core.BatchRunner
+// stepping: at w workers the batch is cut into w contiguous tiles of
+// sequential runners stepped on w goroutines, as Sweep runs a tile
+// group, against one runner of the whole batch on one goroutine. The
+// dense plane encodes in-neighbor sets as word-sliced bitmasks
+// (W = ⌈n/64⌉ words per row), so n is no longer capped at one machine
+// word; the series runs at n = 256 (four words per row) to exercise the
+// folds over wide rows, while B carries the batch scale.
 const (
 	largeN     = 256
 	largeBatch = 1024
@@ -42,8 +45,8 @@ type parallelReport struct {
 	Batch  int             `json:"batch"`
 	Rounds int             `json:"rounds"`
 	Series []parallelEntry `json:"series"`
-	// StepEachSpeedup4W is the churn StepEach workload's sequential
-	// median over its 4-worker median — the multi-core CI gate. 0 when
+	// StepEachSpeedup4W is the churn StepEach workload's one-runner
+	// median over its four-tile median — the multi-core CI gate. 0 when
 	// the machine has fewer than 4 schedulable CPUs (the series then
 	// carries no 4-worker point; single-CPU baselines stay honest).
 	StepEachSpeedup4W float64 `json:"largen_stepeach_speedup_4w"`
@@ -115,7 +118,8 @@ func workerSeries(maxProcs int) []int {
 }
 
 // benchLargeN measures the large-n kernel at every worker count of the
-// series and returns the report section. Two workloads:
+// series, one tile per worker, and returns the report section. Two
+// workloads:
 //
 //   - step/amortized: every run steps under one shared per-round graph
 //     (cycling through the pool) with the 3-plane amortized-midpoint
@@ -139,31 +143,48 @@ func benchLargeN(out io.Writer, samples, rounds, n, maxProcs int) (*parallelRepo
 	gs := make([]graph.Graph, b)
 	los, his := make([]float64, b), make([]float64, b)
 
-	stepOnce := func(workers int) time.Duration {
-		br := core.NewBatchRunner(algorithms.AmortizedMidpoint{}, inputs)
-		br.SetParallelism(workers)
-		start := time.Now()
-		for round := 0; round < rounds; round++ {
-			br.StepWithHulls(pool[round%len(pool)], los, his)
+	// cut builds the tiles, before the clock starts: contiguous runs,
+	// ceil(b/workers) per tile, as Sweep cuts a tile group. lo[k] is
+	// tile k's first run.
+	cut := func(alg core.DenseAlgorithm, workers int) (tiles []*core.BatchRunner, lo []int) {
+		size := (b + workers - 1) / workers
+		for first := 0; first < b; first += size {
+			tiles = append(tiles, core.NewBatchRunner(alg, inputs[first:min(first+size, b)]))
+			lo = append(lo, first)
 		}
+		return tiles, lo
+	}
+	stepOnce := func(workers int) time.Duration {
+		tiles, lo := cut(algorithms.AmortizedMidpoint{}, workers)
+		start := time.Now()
+		parallel.For(workers, len(tiles), func(k int) {
+			br := tiles[k]
+			tl, th := los[lo[k]:lo[k]+br.B()], his[lo[k]:lo[k]+br.B()]
+			for round := 0; round < rounds; round++ {
+				br.StepWithHulls(pool[round%len(pool)], tl, th)
+			}
+		})
 		return time.Since(start)
 	}
 	stepEachOnce := func(workers int) time.Duration {
-		br := core.NewBatchRunner(algorithms.Midpoint{}, inputs)
-		br.SetParallelism(workers)
+		tiles, lo := cut(algorithms.Midpoint{}, workers)
 		start := time.Now()
-		for round := 0; round < rounds; round++ {
-			for i := 0; i < b; i++ {
-				gs[i] = pool[(i/16+round)%len(pool)]
+		parallel.For(workers, len(tiles), func(k int) {
+			br := tiles[k]
+			tgs := gs[lo[k] : lo[k]+br.B()]
+			for round := 0; round < rounds; round++ {
+				for i := range tgs {
+					tgs[i] = pool[((lo[k]+i)/16+round)%len(pool)]
+				}
+				br.StepEach(tgs)
 			}
-			br.StepEach(gs)
-		}
+		})
 		return time.Since(start)
 	}
 
 	measure := func(f func(int) time.Duration) map[int]int64 {
 		durs := make(map[int][]time.Duration, len(series))
-		f(series[0]) // warm the pool, the plan caches' allocator, and the CPU
+		f(series[0]) // warm the plan caches' allocator and the CPU
 		for s := 0; s < samples; s++ {
 			for _, w := range series {
 				durs[w] = append(durs[w], f(w))

@@ -65,15 +65,11 @@ func run(args []string, out io.Writer) error {
 	largenRounds := fs.Int("benchlargenrounds", 200, "with -bench: rounds per large-n kernel sample (0 disables the large-n series)")
 	largenN := fs.Int("benchlargenn", largeN, "with -bench: agents in the large-n kernel series (> 64 gives rows of several words; 64 runs the same kernel on one-word rows)")
 	distRequests := fs.Int("benchdist", 24, "with -bench: requests in the distributed series (0 disables it)")
-	batchPar := consensus.BatchParallelismFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *format != "table" && *format != "csv" {
 		return fmt.Errorf("unknown format %q", *format)
-	}
-	if err := batchPar.Install(); err != nil {
-		return err
 	}
 
 	if *bench {
@@ -155,9 +151,9 @@ type benchReport struct {
 	// worst case for clustered stepping.
 	ScenarioDiverseSpeedup float64 `json:"scenario_diverse_speedup_batch_vs_single"`
 	// Parallel is the large-n kernel series: the raw batch kernel at
-	// n=64 (the bitmask-adjacency ceiling), B=1024, stepped at every
-	// worker count of the machine's series — the intra-step parallelism
-	// trajectory alongside the batch-vs-single ratios above.
+	// n=256 (or -benchlargenn), B=1024, cut into one sequential tile per
+	// worker at every worker count of the machine's series — the tile
+	// axis's trajectory alongside the batch-vs-single ratios above.
 	Parallel *parallelReport `json:"parallel,omitempty"`
 	// Distributed is the coordinator/worker series: a deterministic
 	// synthetic request stream replayed through an in-process cluster at

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 
@@ -52,12 +51,13 @@ type obsReport struct {
 	Overhead float64 `json:"overhead"`
 }
 
-// benchObs measures the n=64, B=512 churn StepEach pair.
+// benchObs measures the n=64, B=512 churn StepEach pair, stepped
+// sequentially.
 func benchObs(out io.Writer, samples, rounds int) *obsReport {
 	b := obsBatch
 	pool := largeGraphs(obsN)[:16]
 	gs := make([]graph.Graph, b)
-	return measureObs(out, "obs", obsN, b, min(4, runtime.GOMAXPROCS(0)), samples, rounds,
+	return measureObs(out, "obs", obsN, b, samples, rounds,
 		func(br *core.BatchRunner, round int) {
 			for i := 0; i < b; i++ {
 				gs[i] = pool[(i/16+round)%len(pool)]
@@ -74,7 +74,7 @@ func benchObsSmall(out io.Writer, samples, rounds int) *obsReport {
 	pool := largeGraphs(obsSmallN)
 	gs := make([]graph.Graph, b)
 	los, his := make([]float64, b), make([]float64, b)
-	return measureObs(out, "obs-small", obsSmallN, b, 1, samples*obsSmallSampleScale, rounds*obsSmallRoundScale,
+	return measureObs(out, "obs-small", obsSmallN, b, samples*obsSmallSampleScale, rounds*obsSmallRoundScale,
 		func(br *core.BatchRunner, round int) {
 			for i := 0; i < b; i++ {
 				gs[i] = pool[(round+5*i)%len(pool)]
@@ -87,7 +87,7 @@ func benchObsSmall(out io.Writer, samples, rounds int) *obsReport {
 // runner per sample, flushing its metrics as a sweep tile does. The
 // instrumented and detached variants alternate within each sample so
 // machine-load drift lands on both sides of the ratio.
-func measureObs(out io.Writer, name string, n, b, par, samples, rounds int, step func(br *core.BatchRunner, round int)) *obsReport {
+func measureObs(out io.Writer, name string, n, b, samples, rounds int, step func(br *core.BatchRunner, round int)) *obsReport {
 	if rounds < 1 {
 		rounds = 1
 	}
@@ -97,7 +97,6 @@ func measureObs(out io.Writer, name string, n, b, par, samples, rounds int, step
 	stepOnce := func(reg *obs.Registry) time.Duration {
 		core.SetObsRegistry(reg)
 		br := core.NewBatchRunner(algorithms.Midpoint{}, inputs)
-		br.SetParallelism(par)
 		start := time.Now()
 		for round := 0; round < rounds; round++ {
 			step(br, round)
@@ -109,7 +108,7 @@ func measureObs(out io.Writer, name string, n, b, par, samples, rounds int, step
 	// A fresh live registry rather than obs.Default(), so the series
 	// measures the instrumented path even under REPRO_OBS=off.
 	live := obs.NewRegistry()
-	stepOnce(live) // warm the pool, the plan caches' allocator, and the CPU
+	stepOnce(live) // warm the plan caches' allocator and the CPU
 	var on, off []time.Duration
 	for s := 0; s < samples; s++ {
 		off = append(off, stepOnce(nil))

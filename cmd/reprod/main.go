@@ -109,15 +109,11 @@ func run(args []string, out io.Writer) error {
 	shardRetries := fs.Int("shard-retries", distributed.DefaultShardAttempts,
 		"coordinator: attempts per shard (reroutes across workers)")
 
-	batchPar := consensus.BatchParallelismFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *worker && *coordinator {
 		return fmt.Errorf("-worker and -coordinator are mutually exclusive")
-	}
-	if err := batchPar.Install(); err != nil {
-		return err
 	}
 
 	// Structured logger for the daemon's own reporting; the coordinator
@@ -181,7 +177,6 @@ func run(args []string, out io.Writer) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("serving", "mode", mode, "addr", *addr,
-		"batch_parallelism", batchPar.Value(),
 		"query_timeout", *queryTimeout)
 	logger.Info("cache counters", append([]any{"phase", "startup"}, counters()...)...)
 

@@ -161,8 +161,8 @@ func TestReprodRegistryAndErrors(t *testing.T) {
 func TestReprodFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-worker", "-coordinator"},
-		{"-batch-parallelism", "bogus"},
-		{"-backend", "agents"}, // the execution path is chosen by capability
+		{"-batch-parallelism", "2"}, // runs spread over cores as sweep tiles
+		{"-backend", "agents"},      // the execution path is chosen by capability
 	} {
 		var sb strings.Builder
 		if err := run(args, &sb); err == nil {

@@ -42,9 +42,9 @@ func WorkerTimeout(d time.Duration) WorkerOption {
 //	GET  /api/v1/status   WorkerStatus (server caches + shard counters)
 //
 // Shards execute through the ordinary Sweep path against the worker's
-// own fingerprint-keyed sweep cache, so the batch plane (tiling, plan
-// caching, intra-step parallelism) is fully engaged per worker and a
-// re-routed or re-submitted shard re-serves cached runs locally.
+// own fingerprint-keyed sweep cache, so the batch plane (tiles spread
+// over the worker's cores, plan caching) is fully engaged per worker and
+// a re-routed or re-submitted shard re-serves cached runs locally.
 type Worker struct {
 	mux     *http.ServeMux
 	inner   *consensus.Server

@@ -264,12 +264,13 @@ func TestScenarioSweepBatchParityBlended(t *testing.T) {
 	assertSweepBatchParity(t, specs)
 }
 
-// TestScenarioSweepBatchParityParallel exercises the intra-step
-// parallel path through the public sweep surface: the same blended
-// shared/per-run schedule mix as the Blended parity test, swept under
-// the process default pinned at several levels (including workers above
-// the tile sizes). Summaries must stay bit-identical to the sequential
-// per-session path at every level.
+// TestScenarioSweepBatchParityParallel exercises the tile axis through
+// the public sweep surface: the same blended shared/per-run schedule
+// mix as the Blended parity test, swept at 1, 2, 3 and 17 workers and at
+// the default (GOMAXPROCS), so the 48-run tile group is cut into one
+// tile of 48, two of 24, three of 16 and sixteen of 3 runs, stepped
+// concurrently. Every cut must stay bit-identical to SweepBatchSize(1)
+// and to Summarize(Session.Run).
 func TestScenarioSweepBatchParityParallel(t *testing.T) {
 	const rounds = 40
 	shared, err := Scenarios.New("churn:16,5,5,8,4", ScenarioEnv{Models: Models, Scenarios: Scenarios})
@@ -290,16 +291,12 @@ func TestScenarioSweepBatchParityParallel(t *testing.T) {
 		}
 		specs = append(specs, RunSpec{Scenario: spec, Algorithm: "midpoint", Rounds: rounds})
 	}
-	for _, par := range []int{2, 3, 17} {
-		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			prev := SetProcessBatchParallelism(par)
-			defer SetProcessBatchParallelism(prev)
-			assertSweepBatchParity(t, specs)
+	for _, w := range []int{1, 2, 3, 17} {
+		t.Run(fmt.Sprintf("par%d", w), func(t *testing.T) {
+			assertSweepBatchParity(t, specs, SweepWorkers(w))
 		})
 	}
 	t.Run("process-default", func(t *testing.T) {
-		prev := SetProcessBatchParallelism(3)
-		defer SetProcessBatchParallelism(prev)
 		assertSweepBatchParity(t, specs)
 	})
 }

@@ -348,9 +348,6 @@ type sweepConfig struct {
 	cache   *SweepCache
 	lib     *Library
 	batch   int
-	// intra is the per-tile intra-step worker count: the process default
-	// (REPRO_BATCH_PARALLELISM / SetProcessBatchParallelism).
-	intra int
 
 	// scenMemo shares resolved schedules across the sweep's specs:
 	// schedules are immutable and content-addressed, so a grid of one
@@ -411,7 +408,12 @@ const DefaultSweepBatch = 64
 // SweepOption configures Sweep.
 type SweepOption func(*sweepConfig)
 
-// SweepWorkers bounds the worker pool (default: GOMAXPROCS).
+// maxSweepWorkers is how many workers a sweep may run on a host with
+// fewer CPUs.
+const maxSweepWorkers = 64
+
+// SweepWorkers bounds the worker pool (default: GOMAXPROCS). A sweep
+// runs at most one worker per spec and at most max(GOMAXPROCS, 64).
 func SweepWorkers(n int) SweepOption {
 	return func(c *sweepConfig) { c.workers = n }
 }
@@ -461,26 +463,9 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
-	if cfg.workers > len(specs) {
-		cfg.workers = len(specs)
-	}
-	// Split the worker budget: with n-way stepping inside each tile
-	// (the process default), about workers/n tile-level workers keep
-	// total parallelism near the configured budget — tile fan-out times
-	// intra-tile stepping stays near the machine size instead of
-	// oversubscribing it (the shared step pool bounds the whole process
-	// as a backstop).
-	cfg.intra = core.DefaultBatchParallelism()
-	execWorkers := cfg.workers
-	if cfg.intra > 1 {
-		execWorkers = cfg.workers / cfg.intra
-		if execWorkers < 1 {
-			execWorkers = 1
-		}
-	}
+	// A request picks its worker count: run at most one worker per spec,
+	// and at most the host's CPUs or maxSweepWorkers, whichever is more.
+	cfg.workers = max(min(cfg.workers, len(specs), max(runtime.GOMAXPROCS(0), maxSweepWorkers)), 1)
 	if cfg.cache == nil {
 		cfg.cache = NewSweepCache()
 	}
@@ -525,11 +510,10 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 			return group[i].session.advSpec < group[j].session.advSpec
 		})
 		// Split large tiles so one tile cannot serialize the pool: at
-		// most cfg.batch runs per tile, and at least one tile per
-		// tile-level worker when the group is large enough (intra-tile
-		// parallelism shrinks that layer, leaving larger tiles for the
-		// in-step workers to shard).
-		tile := (len(group) + execWorkers - 1) / execWorkers
+		// most cfg.batch runs per tile, and at least one tile per worker
+		// when the group is large enough. Each tile steps on the
+		// goroutine that runs it.
+		tile := (len(group) + cfg.workers - 1) / cfg.workers
 		if tile > cfg.batch {
 			tile = cfg.batch
 		}
@@ -547,7 +531,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]SweepRe
 	}
 
 	// Phase 3: execute the units over the worker pool.
-	parallel.For(execWorkers, len(units), func(u int) {
+	parallel.For(cfg.workers, len(units), func(u int) {
 		if len(units[u]) == 1 {
 			units[u][0].runSingle(ctx, &cfg)
 		} else {
@@ -877,7 +861,6 @@ func runSweepTile(ctx context.Context, tile []*sweepTask, cfg *sweepConfig) {
 			sweepObs.tileSeconds.Observe(time.Since(tileStart).Seconds())
 		}
 	}()
-	br.SetParallelism(cfg.intra)
 	// Scenario sweeps revisit graphs heavily (lassos, churn epochs, and
 	// generators drawing from small graph populations), so size the plan
 	// cache by a byte budget instead of the flat default: small-n plans

@@ -3,9 +3,13 @@ package consensus
 import (
 	"context"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -111,6 +115,43 @@ func TestBareSweepsEachCompute(t *testing.T) {
 		if r := results[0]; r.Err != "" || r.Summary == nil || r.Cached {
 			t.Errorf("bare sweep %d: %+v, want a computed summary", pass, r)
 		}
+	}
+}
+
+// TestSweepWorkersAreBounded: a request picks its sweep's worker count,
+// so a 128-spec sweep asking for 1<<20 workers must resolve at most
+// max(GOMAXPROCS, 64) specs at once, not one per spec.
+func TestSweepWorkersAreBounded(t *testing.T) {
+	var inside, peak atomic.Int64
+	models := NewModelRegistry()
+	if err := models.Register(ModelFactory{Name: "counted", Usage: "counted",
+		New: func(string) (*model.Model, error) {
+			n := inside.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			// Hold the call long enough for every running worker to
+			// enter one.
+			time.Sleep(2 * time.Millisecond)
+			inside.Add(-1)
+			return Models.New("deaf:3")
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]RunSpec, 128)
+	for i := range specs {
+		specs[i] = RunSpec{Model: "counted", Algorithm: "midpoint", Adversary: "cycle", Rounds: 2}
+	}
+	results, err := Sweep(context.Background(), specs, SweepLibrary(&Library{Models: models}), SweepWorkers(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err != "" {
+			t.Fatalf("spec %d: %s", r.Index, r.Err)
+		}
+	}
+	if limit := int64(max(runtime.GOMAXPROCS(0), 64)); peak.Load() > limit {
+		t.Errorf("%d specs resolved at once, want at most %d", peak.Load(), limit)
 	}
 }
 

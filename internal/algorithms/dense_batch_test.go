@@ -9,6 +9,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // randomBatchGraph draws graphs biased towards the paper's shared-mask
@@ -34,9 +35,10 @@ func batchParityCheck(t *testing.T, alg core.Algorithm, n, b, rounds int, rng *r
 	batchParityCheckPar(t, alg, n, b, rounds, rng, perRunGraphs, 1)
 }
 
-// batchParityCheckPar is batchParityCheck with the batch runner's
-// intra-step parallelism pinned to par workers; the single runners stay
-// the sequential reference, so any par proves parallel == sequential.
+// batchParityCheckPar is batchParityCheck with the batch cut as a sweep
+// cuts a tile group: par contiguous tiles of ceil(b/par) runs, each a
+// BatchRunner stepped on its own goroutine. The single runners stay the
+// sequential reference, so any par proves the cut changes no bit.
 func batchParityCheckPar(t *testing.T, alg core.Algorithm, n, b, rounds int, rng *rand.Rand, perRunGraphs bool, par int) {
 	t.Helper()
 	d, ok := core.AsDense(alg)
@@ -50,8 +52,11 @@ func batchParityCheckPar(t *testing.T, alg core.Algorithm, n, b, rounds int, rng
 			inputs[r][i] = rng.Float64()*2 - 1
 		}
 	}
-	batch := core.NewBatchRunner(d, inputs)
-	batch.SetParallelism(par)
+	size := (b + par - 1) / par
+	var tiles []*core.BatchRunner
+	for first := 0; first < b; first += size {
+		tiles = append(tiles, core.NewBatchRunner(d, inputs[first:min(first+size, b)]))
+	}
 	singles := make([]*core.DenseRunner, b)
 	for r := range singles {
 		singles[r] = core.NewDenseRunner(d, inputs[r])
@@ -64,17 +69,24 @@ func batchParityCheckPar(t *testing.T, alg core.Algorithm, n, b, rounds int, rng
 			for r := range gs {
 				gs[r] = randomBatchGraph(rng, n)
 			}
-			batch.StepEach(gs)
 		} else {
 			g := randomBatchGraph(rng, n)
 			for r := range gs {
 				gs[r] = g
 			}
-			batch.Step(g)
 		}
+		parallel.For(len(tiles), len(tiles), func(k int) {
+			tile := gs[k*size : k*size+tiles[k].B()]
+			if perRunGraphs {
+				tiles[k].StepEach(tile)
+			} else {
+				tiles[k].Step(tile[0])
+			}
+		})
 		for r := 0; r < b; r++ {
+			batch, ti := tiles[r/size], r%size
 			singles[r].Step(gs[r])
-			batch.Outputs(r, out)
+			batch.Outputs(ti, out)
 			for i := 0; i < n; i++ {
 				want, got := singles[r].Output(i), out[i]
 				if math.Float64bits(want) != math.Float64bits(got) {
@@ -83,7 +95,7 @@ func batchParityCheckPar(t *testing.T, alg core.Algorithm, n, b, rounds int, rng
 				}
 			}
 			wantFP, okW := core.AppendDenseFingerprint(d, singles[r].State(), nil)
-			batch.State().View(r, &view)
+			batch.State().View(ti, &view)
 			gotFP, okG := core.AppendDenseFingerprint(d, &view, nil)
 			if okW != okG {
 				t.Fatalf("round %d run %d: fingerprint support differs: single %v, batch %v", round, r, okW, okG)
@@ -92,7 +104,7 @@ func batchParityCheckPar(t *testing.T, alg core.Algorithm, n, b, rounds int, rng
 				t.Fatalf("round %d run %d: batch fingerprint differs from single\nsingle: %x\nbatch:  %x",
 					round, r, wantFP, gotFP)
 			}
-			if hw, hg := singlesDiameter(singles[r]), batch.Diameter(r); math.Float64bits(hw) != math.Float64bits(hg) {
+			if hw, hg := singlesDiameter(singles[r]), batch.Diameter(ti); math.Float64bits(hw) != math.Float64bits(hg) {
 				t.Fatalf("round %d run %d: batch diameter %v != single diameter %v", round, r, hg, hw)
 			}
 		}

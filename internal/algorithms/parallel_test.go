@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// TestBatchParallelMatchesSequential is the parallel kernel's
-// differential gate across every dense algorithm: a BatchRunner
-// stepping with intra-step workers must be bit-identical — outputs,
-// diameters, and full hidden state via the fingerprints — to the
-// independent sequential runners, under shared and per-run graph
-// sequences, at worker counts spanning 1, a modest pool, workers close
-// to B, and workers far beyond B.
+// TestBatchParallelMatchesSequential is the tile axis's differential
+// gate across every dense algorithm: a batch cut into tiles stepped on
+// their own goroutines, as a sweep runs a tile group, must be
+// bit-identical — outputs, diameters, and full hidden state via the
+// fingerprints — to the independent sequential runners, under shared
+// and per-run graph sequences, at tile counts spanning 1 (one runner of
+// the whole batch), a few, about B, and far beyond B (one run per
+// tile).
 func TestBatchParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7777))
 	for _, tc := range denseCases(rng) {

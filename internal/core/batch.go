@@ -352,8 +352,7 @@ type BatchRunner struct {
 	// per-round clustering scratch. lastG/lastPlan are the per-run
 	// identity memo: run i stepping the same graph.Graph value as last
 	// round reuses its plan without touching the key buffer or the map.
-	// allRuns is the precomputed 0..B-1 subset stepRuns shards, and
-	// shared the runner-owned graph slice a Step round fills.
+	// shared is the runner-owned graph slice a Step round fills.
 	plans      map[string]*planEntry
 	planOrder  []*planEntry
 	planHead   int
@@ -367,7 +366,6 @@ type BatchRunner struct {
 	keyBuf     []byte
 	stepSeq    uint64
 	clusters   []planCluster
-	allRuns    []int
 	shared     []graph.Graph
 	lastG      []graph.Graph
 	lastPlan   []*planEntry
@@ -376,16 +374,6 @@ type BatchRunner struct {
 	// recently seen graph hashes that grants admission on second sight.
 	pending    []*planEntry
 	doorkeeper []uint64
-
-	// Intra-step parallelism (parallel.go): par is the configured worker
-	// count (0 = inherit the process default), job the pooled per-round
-	// task list, and arena the coordinator's own executor scratch.
-	// shardTasks counts the tasks of every parallel round, for the obs
-	// series (obs.go).
-	par        int
-	job        stepJob
-	arena      stepArena
-	shardTasks uint64
 
 	// tally holds the kernel metric counts not yet published (obs.go).
 	tally kernelTally
@@ -406,11 +394,9 @@ func NewBatchRunner(alg DenseAlgorithm, inputs [][]float64) *BatchRunner {
 	r.next.Resize(b, n, alg.DensePlanes())
 	r.viewsCur = make([]DenseState, b)
 	r.viewsNext = make([]DenseState, b)
-	r.allRuns = make([]int, b)
 	for i := 0; i < b; i++ {
 		r.cur.View(i, &r.viewsCur[i])
 		r.next.View(i, &r.viewsNext[i])
-		r.allRuns[i] = i
 	}
 	r.lastG = make([]graph.Graph, b)
 	r.lastPlan = make([]*planEntry, b)
@@ -458,6 +444,20 @@ func (r *BatchRunner) SetPlanCacheCap(n int) {
 	r.planCap = n
 	r.evictPlans(0)
 }
+
+// DefaultBatchParallelism returns 1.
+//
+// Deprecated: a runner always steps on its caller's goroutine, and runs
+// spread over cores as sweep tiles. It stays only because ladderbench
+// calls it.
+func DefaultBatchParallelism() int { return 1 }
+
+// SetParallelism does nothing.
+//
+// Deprecated: a runner always steps on its caller's goroutine, and runs
+// spread over cores as sweep tiles. It stays only because ladderbench
+// calls it.
+func (r *BatchRunner) SetParallelism(int) {}
 
 // PlanCacheStats returns the plan cache's lifetime accounting: hits
 // (per-run identity memo and key lookups served by an existing or
@@ -798,40 +798,26 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 	}
 	r.pending = r.pending[:0]
 	hullDone = true
-	if par := r.Parallelism(); par > 1 && r.cur.b > 1 {
-		// Parallel round: shard every cluster into run-range tasks and
-		// fan out. The clustering and admission above stay
-		// coordinator-only, so the plan cache is never touched
-		// concurrently.
-		r.beginTasks(gs, r.hull.want)
-		for ci := range clusters {
-			c := &clusters[ci]
-			r.addClusterTasks(c.e, c.runs, par, r.cur.b)
-			c.e = nil
-		}
-		hullDone = r.runTasks(par)
-	} else {
-		for ci := range clusters {
-			c := &clusters[ci]
-			if c.e == nil {
-				// Deferred singleton: step through the per-run views and,
-				// when hulls were requested, scan this run's outputs right
-				// here — the same OutputsDense+Hull sequence the post-swap
-				// scan would run, so the round's hull delivery stays intact
-				// for the clustered runs.
-				i := c.runs[0]
-				r.stepRun(i, gs[i])
-				if r.hull.want {
-					r.alg.OutputsDense(&r.viewsNext[i], r.outScratch)
-					r.hull.lo[i], r.hull.hi[i] = Hull(r.outScratch)
-				}
-				continue
+	for ci := range clusters {
+		c := &clusters[ci]
+		if c.e == nil {
+			// Deferred singleton: step through the per-run views and, when
+			// hulls were requested, scan this run's outputs right here —
+			// the same OutputsDense+Hull sequence the post-swap scan would
+			// run, so the round's hull delivery stays intact for the
+			// clustered runs.
+			i := c.runs[0]
+			r.stepRun(i, gs[i])
+			if r.hull.want {
+				r.alg.OutputsDense(&r.viewsNext[i], r.outScratch)
+				r.hull.lo[i], r.hull.hi[i] = Hull(r.outScratch)
 			}
-			if !r.stepCluster(c.e, c.runs) {
-				hullDone = false
-			}
-			c.e = nil
+			continue
 		}
+		if !r.stepCluster(c.e, c.runs) {
+			hullDone = false
+		}
+		c.e = nil
 	}
 	r.clusters = clusters[:0]
 	r.swap()
@@ -848,14 +834,8 @@ func (r *BatchRunner) stepRuns(gs []graph.Graph) {
 			panic(fmt.Sprintf("core: graph on %d nodes applied to batch of %d agents", gs[i].N(), r.cur.n))
 		}
 	}
-	if par := r.Parallelism(); par > 1 && r.cur.b > 1 {
-		r.beginTasks(gs, false)
-		r.addClusterTasks(nil, r.allRuns, par, len(r.allRuns))
-		r.runTasks(par)
-	} else {
-		for i := 0; i < r.cur.b; i++ {
-			r.stepRun(i, gs[i])
-		}
+	for i := 0; i < r.cur.b; i++ {
+		r.stepRun(i, gs[i])
 	}
 	r.swap()
 }

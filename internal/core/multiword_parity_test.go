@@ -13,88 +13,17 @@ import (
 )
 
 // Multi-word parity: the n > 64 kernels (word-sliced masks, delta-arena
-// folds) must be bit-identical to both the sequential batch path and the
-// per-run dense path, at every worker count. These are the wide-graph counterparts of TestParallelStepParity
-// and the batch-vs-single differential gates.
+// folds) must be bit-identical to one runner of the whole batch however
+// the batch is cut into tiles, and to the per-run dense path. These are
+// the wide-graph counterparts of TestParallelStepParity and the
+// batch-vs-single differential gates.
 
-// wideChurn is deafVariant for any width: everyone hears everyone except
-// agent k, who hears only itself and its successor.
-func wideChurn(t *testing.T, n, k int) graph.Graph {
-	t.Helper()
-	k %= n
-	b := graph.NewBuilder(n)
-	for j := 0; j < n; j++ {
-		if j == k {
-			b.Edge((k+1)%n, j)
-			continue
-		}
-		for i := 0; i < n; i++ {
-			b.Edge(i, j)
-		}
-	}
-	return b.Graph()
-}
-
-// wideShift is shiftGraph for any width: agent j hears itself and j+s.
-func wideShift(n, s int) graph.Graph {
-	b := graph.NewBuilder(n)
-	for j := 0; j < n; j++ {
-		b.Edge((j+s)%n, j)
-	}
-	return b.Graph()
-}
-
-// stepBothMixedWide mirrors stepBothMixed with word-safe generators, so
-// the same mixed round schedule (shared, hulls, clustered per-run,
-// per-run with distinct graphs) exercises the multi-word plan builder
-// and the delta arena.
-func stepBothMixedWide(t *testing.T, d core.DenseAlgorithm, seq, par *core.BatchRunner, n, rounds int) {
-	t.Helper()
-	b := seq.B()
-	gs := make([]graph.Graph, b)
-	loS, hiS := make([]float64, b), make([]float64, b)
-	loP, hiP := make([]float64, b), make([]float64, b)
-	for round := 0; round < rounds; round++ {
-		switch round % 4 {
-		case 0:
-			g := wideChurn(t, n, round)
-			seq.Step(g)
-			par.Step(g)
-		case 1:
-			g := wideShift(n, 1+round%(n-1))
-			seq.StepWithHulls(g, loS, hiS)
-			par.StepWithHulls(g, loP, hiP)
-			for i := 0; i < b; i++ {
-				if math.Float64bits(loS[i]) != math.Float64bits(loP[i]) ||
-					math.Float64bits(hiS[i]) != math.Float64bits(hiP[i]) {
-					t.Fatalf("round %d run %d: hulls diverged: [%v,%v] vs [%v,%v]",
-						round, i, loS[i], hiS[i], loP[i], hiP[i])
-				}
-			}
-		case 2:
-			for i := range gs {
-				gs[i] = wideChurn(t, n, i/3+round)
-			}
-			seq.StepEach(gs)
-			par.StepEach(gs)
-		case 3:
-			for i := range gs {
-				gs[i] = wideShift(n, 1+(i+round)%(n-1))
-			}
-			seq.StepEach(gs)
-			par.StepEach(gs)
-		}
-		assertRunnersEqual(t, fmt.Sprintf("round %d", round), d, seq, par)
-	}
-}
-
-// TestMultiWordParallelParity pins worker-count invariance past the word
-// boundary: n = 128 at 3 and 8 workers (the issue's differential axis)
-// and n = 256 at 4 workers (the acceptance fingerprint axis), each
-// against the 1-worker runner, for a min/max single-plane stepper, the
-// 3-plane amortized stepper, and an order-sensitive sum stepper. B = 1
-// steps sequentially at every worker count, and B = 6 shards into at
-// most six whole-run tasks.
+// TestMultiWordParallelParity pins the tile axis past the word
+// boundary: n = 128 cut into 3 and 8 tiles and n = 256 into 4, each
+// against one runner of the whole batch, for a min/max single-plane
+// stepper, the 3-plane amortized stepper, and an order-sensitive sum
+// stepper. B = 1 is one tile however many are asked for, and B = 6
+// makes at most six.
 func TestMultiWordParallelParity(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -117,11 +46,8 @@ func TestMultiWordParallelParity(t *testing.T) {
 			for _, b := range []int{1, 6} {
 				for _, par := range tc.pars {
 					t.Run(fmt.Sprintf("n%d/%s/b%d/par%d", tc.n, alg.Name(), b, par), func(t *testing.T) {
-						seq := core.NewBatchRunner(d, testInputs(tc.n, b))
-						seq.SetParallelism(1)
-						prl := core.NewBatchRunner(d, testInputs(tc.n, b))
-						prl.SetParallelism(par)
-						stepBothMixedWide(t, d, seq, prl, tc.n, 8)
+						whole := core.NewBatchRunner(d, testInputs(tc.n, b))
+						stepBothMixed(t, d, whole, cutTiles(d, testInputs(tc.n, b), par), tc.n, 8)
 					})
 				}
 			}
@@ -155,9 +81,9 @@ func TestMultiWordAgentsVsDense(t *testing.T) {
 				for round := 1; round <= 6; round++ {
 					var g graph.Graph
 					if round%2 == 0 {
-						g = wideChurn(t, n, round)
+						g = deafVariant(n, round)
 					} else {
-						g = wideShift(n, 1+round%(n-1))
+						g = shiftGraph(n, 1+round%(n-1))
 					}
 					c = c.Step(g)
 					r.Step(g)
@@ -176,9 +102,10 @@ func TestMultiWordAgentsVsDense(t *testing.T) {
 }
 
 // TestMultiWordBatchVsSingleDense runs the third leg of the triangle:
-// the batched multi-word kernel (at 1, 3, and 8 workers) against B
-// independent per-run DenseRunners, per-run graphs every round, with
-// output and fingerprint equality after each of 12 rounds at n = 128.
+// the batched multi-word kernel (the batch cut into 1, 3, and 8 tiles)
+// against B independent per-run DenseRunners, per-run graphs every
+// round, with output and fingerprint equality after each of 12 rounds
+// at n = 128.
 func TestMultiWordBatchVsSingleDense(t *testing.T) {
 	const n, b, rounds = 128, 6, 12
 	algs := []core.Algorithm{algorithms.Midpoint{}, algorithms.Mean{}}
@@ -190,8 +117,7 @@ func TestMultiWordBatchVsSingleDense(t *testing.T) {
 		for _, par := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("%s/par%d", alg.Name(), par), func(t *testing.T) {
 				inputs := testInputs(n, b)
-				batch := core.NewBatchRunner(d, inputs)
-				batch.SetParallelism(par)
+				cut := cutTiles(d, inputs, par)
 				singles := make([]*core.DenseRunner, b)
 				for i := range singles {
 					singles[i] = core.NewDenseRunner(d, inputs[i])
@@ -201,17 +127,18 @@ func TestMultiWordBatchVsSingleDense(t *testing.T) {
 				for round := 0; round < rounds; round++ {
 					for i := range gs {
 						if (round+i)%3 == 0 {
-							gs[i] = wideChurn(t, n, i+round)
+							gs[i] = deafVariant(n, i+round)
 						} else {
-							gs[i] = wideShift(n, 1+(i*5+round)%(n-1))
+							gs[i] = shiftGraph(n, 1+(i*5+round)%(n-1))
 						}
 					}
-					batch.StepEach(gs)
+					cut.step(func(br *core.BatchRunner, lo, hi int) { br.StepEach(gs[lo:hi]) })
 					for i, s := range singles {
 						s.Step(gs[i])
 					}
 					for i, s := range singles {
-						batch.Outputs(i, out)
+						batch, bi := cut.run(i)
+						batch.Outputs(bi, out)
 						st := s.State()
 						for j := 0; j < n; j++ {
 							if math.Float64bits(out[j]) != math.Float64bits(st.Y[j]) {
@@ -219,7 +146,7 @@ func TestMultiWordBatchVsSingleDense(t *testing.T) {
 									round, i, j, out[j], st.Y[j])
 							}
 						}
-						bfp, okB := runFingerprint(d, batch, i)
+						bfp, okB := runFingerprint(d, batch, bi)
 						sfp, okS := core.AppendDenseFingerprint(d, st, nil)
 						if okB != okS || (okB && !bytes.Equal(bfp, sfp)) {
 							t.Fatalf("round %d run %d: batch and single fingerprints diverged", round, i)

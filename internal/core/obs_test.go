@@ -8,14 +8,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
-// kernelSeries lists the kernel metric names whose values must be
-// bitwise parallelism-invariant: clustering, admission, eviction, and
-// deferral all run on the coordinating goroutine before tasks launch
-// (the determinism contract in parallel.go), so the flushed plan
-// series cannot depend on the worker count. The shard-task counter is
-// deliberately absent — it measures the fan-out itself.
+// kernelSeries lists the kernel's counter series.
 var kernelSeries = []string{
 	"repro_kernel_stepeach_rounds_total",
 	"repro_kernel_plan_cache_hits_total",
@@ -24,17 +20,20 @@ var kernelSeries = []string{
 	"repro_kernel_plan_cache_deferrals_total",
 }
 
-// mixedWorkload steps a fresh runner through a mixed Step/StepEach
-// schedule designed to move every plan-cache counter: a tight cap
-// forces evictions, singleton first-sight graphs force deferrals, and
-// pool revisits force doorkeeper admissions and memo hits. It flushes
-// the runner's tally at the end, as a sweep tile does.
-func mixedWorkload(t *testing.T, par int) {
+// mixedWorkload cuts 16 fresh runs into k contiguous tiles (k = 1: one
+// runner), steps the tiles on `workers` goroutines, and drives each
+// through a mixed Step/StepEach schedule designed to move every
+// plan-cache counter: a tight cap forces evictions, singleton
+// first-sight graphs force deferrals, and pool revisits force
+// doorkeeper admissions and memo hits. A run draws the same graphs in
+// every cut. Each tile flushes its runner's tally at the end, as a
+// sweep tile does.
+func mixedWorkload(t *testing.T, k, workers int) {
 	t.Helper()
 	const n, b, rounds = 32, 16, 40
 	pool := make([]graph.Graph, 64)
 	for k := range pool {
-		pool[k] = deafVariant(t, n, k%n)
+		pool[k] = deafVariant(n, k%n)
 	}
 	// deafVariant repeats past n; make the tail distinct by rotation.
 	for k := n; k < len(pool); k++ {
@@ -51,27 +50,65 @@ func mixedWorkload(t *testing.T, par int) {
 		pool[k] = g
 	}
 	d, _ := core.AsDense(algorithms.Midpoint{})
-	br := core.NewBatchRunner(d, testInputs(n, b))
-	br.SetParallelism(par)
-	br.SetPlanCacheCap(4)
-	gs := make([]graph.Graph, b)
-	for round := 0; round < rounds; round++ {
-		switch round % 3 {
-		case 0: // shared-graph round
-			br.Step(pool[round%len(pool)])
-		case 1: // clustered round, 4 runs per graph
-			for i := range gs {
-				gs[i] = pool[(i/4+round)%len(pool)]
+	ts := cutTiles(d, testInputs(n, b), k)
+	parallel.For(workers, len(ts.rs), func(tile int) {
+		br, lo := ts.rs[tile], ts.lo[tile]
+		br.SetPlanCacheCap(4)
+		gs := make([]graph.Graph, br.B())
+		for round := 0; round < rounds; round++ {
+			switch round % 3 {
+			case 0: // shared-graph round
+				br.Step(pool[round%len(pool)])
+			case 1: // clustered round, 4 runs per graph
+				for i := range gs {
+					gs[i] = pool[((lo+i)/4+round)%len(pool)]
+				}
+				br.StepEach(gs)
+			default: // singleton round: every run a first-sight graph
+				for i := range gs {
+					gs[i] = pool[(round*b+lo+i)%len(pool)]
+				}
+				br.StepEach(gs)
 			}
-			br.StepEach(gs)
-		default: // singleton round: every run a first-sight graph
-			for i := range gs {
-				gs[i] = pool[(round*b+i)%len(pool)]
-			}
-			br.StepEach(gs)
+		}
+		br.FlushMetrics()
+	})
+}
+
+// TestParallelKernelMetricsParity runs under -race in CI: the mixed
+// workload cut into four tiles publishes the same kernel series and
+// round-latency sample count whether its tiles step one after another
+// on one goroutine or each on its own goroutine, all flushing into one
+// registry as a sweep's tile group does, and the cut moves the round,
+// eviction and deferral series.
+func TestParallelKernelMetricsParity(t *testing.T) {
+	defer core.SetObsRegistry(obs.Default())
+	read := func(workers int) (vals map[string]uint64, histCount uint64) {
+		r := obs.NewRegistry()
+		core.SetObsRegistry(r)
+		mixedWorkload(t, 4, workers)
+		vals = make(map[string]uint64, len(kernelSeries))
+		for _, name := range kernelSeries {
+			vals[name] = r.CounterValue(name)
+		}
+		h := r.Histogram("repro_kernel_stepeach_round_seconds", "", obs.DurationBuckets())
+		return vals, h.Count()
+	}
+	seq, seqHist := read(1)
+	par, parHist := read(4)
+	for _, name := range kernelSeries {
+		if seq[name] != par[name] {
+			t.Errorf("%s: par1 %d vs par4 %d", name, seq[name], par[name])
 		}
 	}
-	br.FlushMetrics()
+	if seqHist != parHist {
+		t.Errorf("round latency histogram counts: par1 %d vs par4 %d", seqHist, parHist)
+	}
+	if seq["repro_kernel_stepeach_rounds_total"] == 0 ||
+		seq["repro_kernel_plan_cache_evictions_total"] == 0 ||
+		seq["repro_kernel_plan_cache_deferrals_total"] == 0 {
+		t.Fatalf("workload did not move the counters it is built to move: %v", seq)
+	}
 }
 
 // TestKernelMetricsPublishedPerWindow pins the publication contract:
@@ -87,7 +124,7 @@ func TestKernelMetricsPublishedPerWindow(t *testing.T) {
 	const n, b, rounds = 16, 2, 100
 	pool := make([]graph.Graph, 16)
 	for k := range pool {
-		pool[k] = deafVariant(t, n, k)
+		pool[k] = deafVariant(n, k)
 	}
 	d, _ := core.AsDense(algorithms.Midpoint{})
 	br := core.NewBatchRunner(d, testInputs(n, b))
@@ -131,61 +168,27 @@ func TestKernelMetricsPublishedPerWindow(t *testing.T) {
 	}
 }
 
-// TestParallelKernelMetricsParity runs under -race in CI (the
-// TestParallel glob): the kernel's flushed metric series must agree
-// bitwise between sequential and 4-worker stepping, and histogram
-// observation counts must match even though the observed latencies
-// differ.
-func TestParallelKernelMetricsParity(t *testing.T) {
-	defer core.SetObsRegistry(obs.Default())
-	read := func(par int) (vals map[string]uint64, histCount uint64, shards uint64) {
-		r := obs.NewRegistry()
-		core.SetObsRegistry(r)
-		mixedWorkload(t, par)
-		vals = make(map[string]uint64, len(kernelSeries))
-		for _, name := range kernelSeries {
-			vals[name] = r.CounterValue(name)
-		}
-		h := r.Histogram("repro_kernel_stepeach_round_seconds", "", obs.DurationBuckets())
-		return vals, h.Count(), r.CounterValue("repro_kernel_step_shards_total")
-	}
-	seq, seqHist, _ := read(1)
-	par, parHist, parShards := read(4)
-	for _, name := range kernelSeries {
-		if seq[name] != par[name] {
-			t.Errorf("%s: par1 %d vs par4 %d", name, seq[name], par[name])
-		}
-	}
-	if seqHist != parHist {
-		t.Errorf("round latency histogram counts: par1 %d vs par4 %d", seqHist, parHist)
-	}
-	if seq["repro_kernel_stepeach_rounds_total"] == 0 ||
-		seq["repro_kernel_plan_cache_evictions_total"] == 0 ||
-		seq["repro_kernel_plan_cache_deferrals_total"] == 0 {
-		t.Fatalf("workload did not move the counters it is built to move: %v", seq)
-	}
-	if parShards == 0 {
-		t.Error("4-worker run recorded no worker-pool shards")
-	}
-}
-
 // TestKernelNoopRegistryRecordsNothing binds the kernel to a live
-// registry, detaches it (the REPRO_OBS=off state), steps more rounds,
-// and verifies the detached period left no trace.
+// registry, checks the mixed workload moved the round, eviction and
+// deferral series, detaches it (the REPRO_OBS=off state), steps more
+// rounds on four concurrent tiles, and verifies the detached period
+// left no trace.
 func TestKernelNoopRegistryRecordsNothing(t *testing.T) {
 	defer core.SetObsRegistry(obs.Default())
 	r := obs.NewRegistry()
 	core.SetObsRegistry(r)
-	mixedWorkload(t, 1)
+	mixedWorkload(t, 1, 1)
 	before := make(map[string]uint64, len(kernelSeries))
 	for _, name := range kernelSeries {
 		before[name] = r.CounterValue(name)
 	}
-	if before["repro_kernel_stepeach_rounds_total"] == 0 {
-		t.Fatal("instrumented workload recorded nothing")
+	if before["repro_kernel_stepeach_rounds_total"] == 0 ||
+		before["repro_kernel_plan_cache_evictions_total"] == 0 ||
+		before["repro_kernel_plan_cache_deferrals_total"] == 0 {
+		t.Fatalf("workload did not move the counters it is built to move: %v", before)
 	}
 	core.SetObsRegistry(nil)
-	mixedWorkload(t, 4)
+	mixedWorkload(t, 4, 4)
 	core.SetObsRegistry(r)
 	for _, name := range kernelSeries {
 		if got := r.CounterValue(name); got != before[name] {
@@ -204,12 +207,11 @@ func TestInstrumentedSteppingZeroAlloc(t *testing.T) {
 	const n, b = 64, 256
 	pool := make([]graph.Graph, 8)
 	for k := range pool {
-		pool[k] = deafVariant(t, n, k)
+		pool[k] = deafVariant(n, k)
 	}
 	gs := make([]graph.Graph, b)
 	d, _ := core.AsDense(algorithms.Midpoint{})
 	br := core.NewBatchRunner(d, testInputs(n, b))
-	br.SetParallelism(4)
 	round := 0
 	stepOnce := func() {
 		for i := range gs {

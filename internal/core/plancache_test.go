@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -12,17 +14,30 @@ import (
 // shiftGraph returns the n-node graph in which agent j listens to itself
 // and to agent (j+k) mod n — n distinct graphs as k varies, cheap to
 // enumerate in bulk for cache-thrash tests.
-func shiftGraph(t *testing.T, n, k int) graph.Graph {
-	t.Helper()
-	masks := make([]uint64, n)
+func shiftGraph(n, k int) graph.Graph {
+	b := graph.NewBuilder(n)
 	for j := 0; j < n; j++ {
-		masks[j] = 1<<uint(j) | 1<<uint((j+k)%n)
+		b.Edge((j+k)%n, j)
 	}
-	g, err := graph.FromInWords(n, masks)
-	if err != nil {
-		t.Fatal(err)
+	return b.Graph()
+}
+
+// deafVariant returns the n-node graph where everyone hears everyone
+// except agent k mod n, who hears only itself and its successor —
+// churn-style graphs with few segments and heavy fold sharing.
+func deafVariant(n, k int) graph.Graph {
+	k %= n
+	b := graph.NewBuilder(n)
+	for j := 0; j < n; j++ {
+		if j == k {
+			b.Edge((k+1)%n, j)
+			continue
+		}
+		for i := 0; i < n; i++ {
+			b.Edge(i, j)
+		}
 	}
-	return g
+	return b.Graph()
 }
 
 func testInputs(n, b int) [][]float64 {
@@ -57,7 +72,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 	br := core.NewBatchRunner(algorithms.Midpoint{}, testInputs(n, B))
 	wantStats(t, br, 0, 0, 0, 0, 0)
 
-	shared := shiftGraph(t, n, 1)
+	shared := shiftGraph(n, 1)
 	gs := []graph.Graph{shared, shared, shared, shared}
 
 	// All runs play one graph: the first-sight cluster is multi-run, so
@@ -71,7 +86,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 
 	// Per-run distinct first-sight graphs: four singleton clusters, all
 	// deferred — stepped per-run, no plans built or cached.
-	each := []graph.Graph{shiftGraph(t, n, 0), shiftGraph(t, n, 2), shiftGraph(t, n, 3), shiftGraph(t, n, 4)}
+	each := []graph.Graph{shiftGraph(n, 0), shiftGraph(n, 2), shiftGraph(n, 3), shiftGraph(n, 4)}
 	br.StepEach(each)
 	wantStats(t, br, 7, 1, 0, 4, 1)
 
@@ -114,8 +129,8 @@ func TestPlanCacheThrashParity(t *testing.T) {
 	srcs := make([]core.PatternSource, B)
 	for i := 0; i < B; i++ {
 		srcs[i] = core.Schedule{
-			Prefix: []graph.Graph{shiftGraph(t, n, i%n), graph.Cycle(n)},
-			Loop:   []graph.Graph{shiftGraph(t, n, (i+1)%n), graph.Star(n, i%n), shiftGraph(t, n, (i+2)%n)},
+			Prefix: []graph.Graph{shiftGraph(n, i%n), graph.Cycle(n)},
+			Loop:   []graph.Graph{shiftGraph(n, (i+1)%n), graph.Star(n, i%n), shiftGraph(n, (i+2)%n)},
 		}
 	}
 
@@ -148,5 +163,63 @@ func TestPlanCacheThrashParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlanCacheStaysWithinCap is the plan cache's bounded-structure
+// property: over thousands of StepEach rounds, each run drawing its
+// graph with repeats (or replaying its last graph value) from a pool
+// four times the cap, the cache holds at most cap plans after every
+// round and every plan built is either still held or evicted (misses −
+// evictions = entries), and every run ends bit-identical to a per-run
+// DenseRunner.
+func TestPlanCacheStaysWithinCap(t *testing.T) {
+	const n, b, rounds = 128, 6, 2000
+	var all []graph.Graph
+	for k := 0; k < n; k++ {
+		all = append(all, shiftGraph(n, k), deafVariant(n, k))
+	}
+	d, _ := core.AsDense(algorithms.Midpoint{})
+	for _, capacity := range []int{1, 3, 64} {
+		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(0))
+			pool := all[:4*capacity]
+			inputs := testInputs(n, b)
+			br := core.NewBatchRunner(d, inputs)
+			br.SetPlanCacheCap(capacity)
+			singles := make([]*core.DenseRunner, b)
+			gs := make([]graph.Graph, b)
+			for i := range singles {
+				singles[i] = core.NewDenseRunner(d, inputs[i])
+				gs[i] = pool[rng.Intn(len(pool))]
+			}
+			for round := 0; round < rounds; round++ {
+				for i := range gs {
+					if rng.Intn(4) != 0 {
+						gs[i] = pool[rng.Intn(len(pool))]
+					}
+				}
+				br.StepEach(gs)
+				for i, s := range singles {
+					s.Step(gs[i])
+				}
+				_, misses, evicts, _, entries := br.PlanCacheStats()
+				if entries > capacity || misses-evicts != uint64(entries) {
+					t.Fatalf("round %d: %d entries (cap %d), %d misses − %d evictions", round, entries, capacity, misses, evicts)
+				}
+			}
+			if _, _, evicts, _, _ := br.PlanCacheStats(); evicts == 0 {
+				t.Fatal("the workload never evicted a plan")
+			}
+			out := make([]float64, n)
+			for i, s := range singles {
+				br.Outputs(i, out)
+				for j, y := range s.State().Y {
+					if math.Float64bits(out[j]) != math.Float64bits(y) {
+						t.Fatalf("run %d agent %d: batch %v, single %v", i, j, out[j], y)
+					}
+				}
+			}
+		})
 	}
 }
