@@ -17,6 +17,7 @@ import (
 
 	"repro/consensus"
 	"repro/consensus/distributed"
+	"repro/consensus/scenario"
 	"repro/internal/adversary"
 	"repro/internal/algorithms"
 	"repro/internal/approx"
@@ -244,6 +245,54 @@ func BenchmarkBatchStep(b *testing.B) {
 				br.Step(g)
 			}
 		})
+	}
+}
+
+// BenchmarkChurnRounds steps 16 runs, each on its own churn schedule
+// (25 epochs, at most n/4 agents down per epoch), through one
+// BatchRunner's StepEachWithHulls as a sweep tile does, and reports the
+// cost per run-round, runner set-up included. Period 1 plays a new graph
+// every round, so every round is a first sight on a one-shot run;
+// period 4 holds each epoch's graph for four rounds, so one round in four
+// is a first sight on a replaying run.
+func BenchmarkChurnRounds(b *testing.B) {
+	const runs, epochs = 16, 25
+	for _, alg := range []core.Algorithm{algorithms.Midpoint{}, algorithms.AmortizedMidpoint{}, algorithms.Mean{}} {
+		d, _ := core.AsDense(alg)
+		for _, n := range []int{16, 64, 256} {
+			for _, period := range []int{1, 4} {
+				rng := rand.New(rand.NewSource(int64(n + period)))
+				inputs := make([][]float64, runs)
+				schedules := make([][]graph.Graph, runs)
+				for r := range inputs {
+					inputs[r] = make([]float64, n)
+					for i := range inputs[r] {
+						inputs[r][i] = rng.Float64()
+					}
+					s, err := scenario.Churn(n, rng.Int63(), period, epochs, n/4)
+					if err != nil {
+						b.Fatal(err)
+					}
+					schedules[r] = s.Graphs(period * epochs)
+				}
+				rounds := period * epochs
+				name := alg.Name() + "/n" + strconv.Itoa(n) + "/period" + strconv.Itoa(period)
+				b.Run(name, func(b *testing.B) {
+					gs := make([]graph.Graph, runs)
+					los, his := make([]float64, runs), make([]float64, runs)
+					for i := 0; i < b.N; i++ {
+						br := core.NewBatchRunner(d, inputs)
+						for t := 0; t < rounds; t++ {
+							for r := range gs {
+								gs[r] = schedules[r][t]
+							}
+							br.StepEachWithHulls(gs, los, his)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs*rounds), "ns/run-round")
+				})
+			}
+		}
 	}
 }
 

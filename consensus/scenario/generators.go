@@ -106,33 +106,20 @@ func Churn(n int, seed int64, period, epochs, maxDown int) (*Schedule, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	prefix := make([]graph.Graph, 0, period*epochs)
-	down := make([]bool, n)
 	upRow := make([]uint64, graph.WordsFor(n))
 	for e := 0; e < epochs; e++ {
 		downCount := rng.Intn(maxDown + 1)
-		for i := range down {
-			down[i] = false
-		}
-		for _, i := range rng.Perm(n)[:downCount] {
-			down[i] = true
-		}
 		// Edge i -> j: i transmits to j. Down agents do not transmit;
 		// everyone (down agents included) hears every up agent. Every
 		// receiver therefore shares the all-up in-row, plus its own
-		// self-loop (restored by SetInRow).
+		// self-loop: the broadcast of the up set.
 		for w := range upRow {
-			upRow[w] = 0
+			upRow[w] = ^uint64(0)
 		}
-		for i := 0; i < n; i++ {
-			if !down[i] {
-				upRow[i/64] |= 1 << uint(i%64)
-			}
+		for _, i := range rng.Perm(n)[:downCount] {
+			upRow[i/64] &^= 1 << uint(i%64)
 		}
-		b := graph.NewBuilder(n)
-		for j := 0; j < n; j++ {
-			b.SetInRow(j, upRow)
-		}
-		g := b.Graph()
+		g := graph.Broadcast(n, upRow)
 		for t := 0; t < period; t++ {
 			prefix = append(prefix, g)
 		}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -188,6 +189,61 @@ func TestGeneratorsRejectHostileArguments(t *testing.T) {
 				t.Fatal("hostile arguments accepted")
 			}
 		})
+	}
+}
+
+// churnViaBuilder is Churn as it was built before graph.Broadcast: one
+// graph.Builder per epoch, every row set through SetInRow. It draws from
+// the seeded source exactly as Churn does.
+func churnViaBuilder(n int, seed int64, period, epochs, maxDown int) (*Schedule, error) {
+	rng := rand.New(rand.NewSource(seed))
+	prefix := make([]graph.Graph, 0, period*epochs)
+	down := make([]bool, n)
+	upRow := make([]uint64, graph.WordsFor(n))
+	for e := 0; e < epochs; e++ {
+		downCount := rng.Intn(maxDown + 1)
+		for i := range down {
+			down[i] = false
+		}
+		for _, i := range rng.Perm(n)[:downCount] {
+			down[i] = true
+		}
+		for w := range upRow {
+			upRow[w] = 0
+		}
+		for i := 0; i < n; i++ {
+			if !down[i] {
+				upRow[i/64] |= 1 << uint(i%64)
+			}
+		}
+		b := graph.NewBuilder(n)
+		for j := 0; j < n; j++ {
+			b.SetInRow(j, upRow)
+		}
+		g := b.Graph()
+		for t := 0; t < period; t++ {
+			prefix = append(prefix, g)
+		}
+	}
+	return New(n, prefix...)
+}
+
+// TestChurnMatchesBuilderConstruction holds Churn's broadcast rows to
+// the Builder construction it replaced: equal graphs in every round and
+// equal fingerprints, over random seeds, periods and down counts at
+// widths on both sides of the word boundaries and at the node cap.
+func TestChurnMatchesBuilderConstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 63, 64, 65, 256, 1024} {
+		for trial := 0; trial < 6; trial++ {
+			seed, period, epochs := rng.Int63(), 1+rng.Intn(4), 1+rng.Intn(6)
+			maxDown := rng.Intn(n)
+			got := mk(t)(Churn(n, seed, period, epochs, maxDown))
+			want := mk(t)(churnViaBuilder(n, seed, period, epochs, maxDown))
+			if !got.Equal(want) || got.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("churn:%d,%d,%d,%d,%d differs from the Builder construction", n, seed, period, epochs, maxDown)
+			}
+		}
 	}
 }
 

@@ -242,24 +242,26 @@ func (c *SweepCache) Counters() SweepCacheCounters {
 	}
 }
 
-// cacheKey derives the fingerprint key of a session: the canonical
-// initial-configuration fingerprint (the same encoding the valency
-// engine's transposition tables are keyed by) plus every run parameter
-// that can change the outcome — including the identity of the resolving
-// registries, because two libraries may map one spec name to different
-// engines. The execution path is deliberately absent — the dense and
-// Agent paths are differentially tested to be bit-identical. ck is the
-// session's contentKey; non-fingerprintable algorithms have none, and
-// their runs are never cached.
-func (s *Session) cacheKey(ck []byte) string {
-	key := make([]byte, 0, 32+len(ck))
+// cacheKey derives the result-cache key of a session: the identity of
+// the resolving registries, because two libraries may map one spec name
+// to different engines, plus addr, the session's content address
+// (Fingerprint: the SHA-256 of its contentKey, which holds the canonical
+// initial-configuration fingerprint and every run parameter that can
+// change the outcome). The key is a few dozen bytes at any agent count,
+// where the content key itself grows with the inputs (about 5.5 KB at
+// n = 256). The execution path is deliberately absent — the dense and
+// Agent paths are differentially tested to be bit-identical.
+// Non-fingerprintable algorithms have no content key, and their runs are
+// never cached.
+func (s *Session) cacheKey(addr string) string {
+	key := make([]byte, 0, 32+len(addr))
 	key = strconv.AppendUint(key, s.lib.models().id, 10)
 	key = append(key, '/')
 	key = strconv.AppendUint(key, s.lib.algorithms().id, 10)
 	key = append(key, '/')
 	key = strconv.AppendUint(key, s.lib.adversaries().id, 10)
 	key = append(key, '|')
-	key = append(key, ck...)
+	key = append(key, addr...)
 	return string(key)
 }
 
@@ -590,8 +592,8 @@ func (t *sweepTask) prepare(ctx context.Context, spec RunSpec, index int, cfg *s
 	}
 	t.session = session
 	if ck, ok := session.contentKey(); ok {
-		t.key, t.cacheable = session.cacheKey(ck), true
 		t.res.Fingerprint = contentAddress(ck)
+		t.key, t.cacheable = session.cacheKey(t.res.Fingerprint), true
 		if summary, hit := cfg.cache.Lookup(t.key); hit {
 			t.res.Cached = true
 			t.res.Summary = &summary

@@ -353,6 +353,41 @@ func TestDecisionSweepMonotone(t *testing.T) {
 	}
 }
 
+// TestSweepCacheKeyIsFixedWidth pins the sweep cache's key to the
+// registries plus the content address: a 1024-agent run's key is as long
+// as a 4-agent run's (the full content key embeds the initial
+// configuration's fingerprint, several KB at n = 1024), and a repeated
+// sweep is served from the cache under it.
+func TestSweepCacheKeyIsFixedWidth(t *testing.T) {
+	cache := NewSweepCache()
+	var specs []RunSpec
+	for _, n := range []int{4, 1024} {
+		in := make([]float64, n)
+		for i := range in {
+			in[i] = float64(i) / float64(n)
+		}
+		specs = append(specs, RunSpec{Scenario: fmt.Sprintf("churn:%d,1,1,1,0", n), Algorithm: "midpoint", Inputs: in, Rounds: 1})
+	}
+	for pass := 0; pass < 2; pass++ {
+		results, err := Sweep(context.Background(), specs, WithSweepCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Err != "" || r.Cached != (pass == 1) {
+				t.Fatalf("pass %d, spec %d: error %q, cached %v", pass, r.Index, r.Err, r.Cached)
+			}
+		}
+	}
+	var lens []int
+	for key := range cache.m {
+		lens = append(lens, len(key))
+	}
+	if len(lens) != 2 || lens[0] != lens[1] {
+		t.Fatalf("cache key lengths %v, want two equal lengths", lens)
+	}
+}
+
 // TestSweepCacheBounded pins the entry cap and oldest-first eviction.
 func TestSweepCacheBounded(t *testing.T) {
 	cache := NewSweepCacheSize(3)

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -21,8 +22,10 @@ import (
 // extend an earlier fold by the mask difference. Both are transparent
 // for min/max folds because core.Fmin/Fmax are exact multiset selections —
 // the result does not depend on association order, NaN and signed-zero
-// cases included. The order-sensitive fold (Mean's sum) ignores seg.Base
-// and folds its rows in StepDense's index order. Segment rows come from
+// cases included. The order-sensitive fold (Mean's sum) shares only a
+// prefix with its base: the base row's partial sum before the delta's
+// first bit, which is the segment's own partial sum there, and it adds
+// the rest of its row in StepDense's index order. Segment rows come from
 // the plan (StepPlan.MaskRow, StepPlan.DeltaRow), one body for every
 // width. The randomized differential tests in dense_batch_test.go pin
 // batch-vs-single equivalence for every dense algorithm, batched stepper
@@ -92,20 +95,66 @@ func (Midpoint) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 	plan.HullDone = plan.WantHull
 }
 
-// StepDenseBatch implements core.BatchStepper.
+// meanSpan continues a Mean fold over the row's set bits in [from, to),
+// in ascending index, from the sum and count of the bits below from —
+// foldMean's additions, resumed at from. from < to <= 64*len(row).
+func meanSpan(y []float64, row []uint64, from, to int, sum float64, count int) (float64, int) {
+	wi, last := from>>6, (to-1)>>6
+	m := row[wi] &^ (1<<uint(from&63) - 1)
+	for {
+		if wi == last && to&63 != 0 {
+			m &= 1<<uint(to&63) - 1
+		}
+		base := wi * 64
+		for ; m != 0; m &= m - 1 {
+			sum += y[base+bits.TrailingZeros64(m)]
+			count++
+		}
+		if wi == last {
+			return sum, count
+		}
+		wi++
+		m = row[wi]
+	}
+}
+
+// StepDenseBatch implements core.BatchStepper. A distinct fold with a
+// subset base (MaskSeg.Base) starts from the base row's partial sum
+// before the delta's first bit d: below d the two rows hold the same
+// bits, so that partial sum is the segment's own, and the fold adds its
+// row's bits from d on in index order — foldMean's additions in
+// foldMean's order, bit-identical. A cursor walks the base row up to d
+// and keeps its place, so a run of segments on one base at increasing d
+// (the down agents of a churn round) walks the base once.
 func (Mean) StepDenseBatch(dst, src *core.BatchState, plan *core.StepPlan) {
 	means := plan.F0
+	n := src.N()
 	for _, r := range plan.Runs {
 		y, out := src.RunY(r), dst.RunY(r)
 		var hull hullAcc
+		// The cursor: the sum and count of base row cb's bits below cpos.
+		cb, cpos, csum, ccount := -1, 0, 0.0, 0
 		for si := range plan.Segs {
 			seg := &plan.Segs[si]
 			var mean float64
-			if seg.Fold == si {
+			switch {
+			case seg.Fold != si:
+				mean = means[seg.Fold]
+			case seg.Base >= 0:
+				d, _, _ := firstBit(plan.DeltaRow(seg))
+				if seg.Base != cb || d < cpos {
+					cb, cpos, csum, ccount = seg.Base, 0, 0, 0
+				}
+				if cpos < d {
+					csum, ccount = meanSpan(y, plan.MaskRow(&plan.Segs[cb]), cpos, d, csum, ccount)
+					cpos = d
+				}
+				sum, count := meanSpan(y, plan.MaskRow(seg), d, n, csum, ccount)
+				mean = sum / float64(count)
+				means[si] = mean
+			default:
 				mean = foldMean(y, plan.MaskRow(seg))
 				means[si] = mean
-			} else {
-				mean = means[seg.Fold]
 			}
 			if plan.WantHull {
 				hull.add(mean)

@@ -151,3 +151,105 @@ func TestBatchStepperResolution(t *testing.T) {
 		t.Fatal("FlowSum unexpectedly claims a dense stepper")
 	}
 }
+
+// deltaRows draws a graph whose plan carries subset-delta segments: a
+// chain of nested sets S0 ⊂ S1 ⊂ ... (so a base can itself be a delta
+// segment), every agent hearing one of them plus itself, and now and
+// then a few extra bits anywhere — one-bit and multi-bit deltas in any
+// word. One level and no extras is a churn round.
+func deltaRows(rng *rand.Rand, n int) graph.Graph {
+	w := graph.WordsFor(n)
+	levels := make([][]uint64, 1+rng.Intn(4))
+	cur := make([]uint64, w)
+	for k := range levels {
+		for add := 1 + rng.Intn(n/2+1); add > 0; add-- {
+			i := rng.Intn(n)
+			cur[i/64] |= 1 << uint(i%64)
+		}
+		levels[k] = append([]uint64(nil), cur...)
+	}
+	extra := rng.Intn(3)
+	b := graph.NewBuilder(n)
+	row := make([]uint64, w)
+	for j := 0; j < n; j++ {
+		copy(row, levels[rng.Intn(len(levels))])
+		for k := 0; k < extra; k++ {
+			if rng.Intn(4) == 0 {
+				i := rng.Intn(n)
+				row[i/64] |= 1 << uint(i%64)
+			}
+		}
+		b.SetInRow(j, row)
+	}
+	return b.Graph()
+}
+
+// sameBitsOrNaN reports whether a and b carry the same bits or are both
+// NaN.
+func sameBitsOrNaN(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// FuzzMeanDeltaFold holds Mean's prefix-shared delta folds to its
+// single-run fold bit for bit: a two-run batch (so the graph is stepped
+// through a shared plan) and two DenseRunners step the same delta-row
+// graphs from inputs drawn from a palette of the fuzzed values, ±0, NaN,
+// ±Inf, subnormals and ordinary numbers, and every output must carry the
+// same bits, as must every hull that is not NaN.
+func FuzzMeanDeltaFold(f *testing.F) {
+	f.Add(int64(1), uint16(5), 0.0, math.Copysign(0, -1))
+	f.Add(int64(2), uint16(63), math.NaN(), math.Inf(1))
+	f.Add(int64(3), uint16(64), math.Inf(-1), math.SmallestNonzeroFloat64)
+	f.Add(int64(4), uint16(200), 1e308, -1e308)
+	f.Add(int64(5), uint16(129), 0x1p-1030, -0x1p-1074)
+	f.Add(int64(6), uint16(255), 0.1, 1e-300)
+	f.Add(int64(5), uint16(64), math.Inf(-1), math.SmallestNonzeroFloat64)
+	alg := algorithms.Mean{}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, a, b float64) {
+		n := 1 + int(size)%256
+		rng := rand.New(rand.NewSource(seed))
+		palette := []float64{a, b, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+			math.SmallestNonzeroFloat64, -0x1p-1070, 1, -1.5, 1e300}
+		inputs := make([][]float64, 2)
+		for r := range inputs {
+			// A uniform run (every agent at one palette value, say -0)
+			// makes the sum's leading zero and its sign observable.
+			uniform := rng.Intn(3) == 0
+			inputs[r] = make([]float64, n)
+			for i := range inputs[r] {
+				switch {
+				case uniform:
+					inputs[r][i] = palette[int(seed&0x7fff)%len(palette)]
+				case rng.Intn(2) == 0:
+					inputs[r][i] = palette[rng.Intn(len(palette))]
+				default:
+					inputs[r][i] = rng.NormFloat64()
+				}
+			}
+		}
+		br := core.NewBatchRunner(alg, inputs)
+		singles := []*core.DenseRunner{core.NewDenseRunner(alg, inputs[0]), core.NewDenseRunner(alg, inputs[1])}
+		los, his := make([]float64, 2), make([]float64, 2)
+		out := make([]float64, n)
+		for round := 1; round <= 3; round++ {
+			g := deltaRows(rng, n)
+			br.StepWithHulls(g, los, his)
+			for r, s := range singles {
+				s.Step(g)
+				br.Outputs(r, out)
+				for j, want := range s.Outputs() {
+					if math.Float64bits(out[j]) != math.Float64bits(want) {
+						t.Fatalf("round %d run %d agent %d: batch %v, single %v", round, r, j, out[j], want)
+					}
+				}
+				// A NaN hull's payload is left out: the batch hull visits a
+				// segment's value once, core.Hull every receiver's, and
+				// Fmin/Fmax return the canonical NaN only from a second visit.
+				lo, hi := s.Hull()
+				if !sameBitsOrNaN(los[r], lo) || !sameBitsOrNaN(his[r], hi) {
+					t.Fatalf("round %d run %d: batch hull [%v, %v], single [%v, %v]", round, r, los[r], his[r], lo, hi)
+				}
+			}
+		}
+	})
+}

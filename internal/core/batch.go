@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -121,8 +122,12 @@ func (st *BatchState) View(r int, view *DenseState) {
 // signed-zero cases) may extend the base fold by the delta's bits
 // instead of refolding the whole row — bit-identical, and on
 // churn-style graphs (each down agent's row is the all-up row plus its
-// self bit) it turns O(n) refolds into O(1) extensions. Order-sensitive
-// folds (sums) must ignore Base and fold the row directly.
+// self bit) it turns O(n) refolds into O(1) extensions. An
+// order-sensitive fold (a sum) may use Base only as a shared prefix: the
+// base row and this segment's row hold the same bits below the delta's
+// first bit, so the sum may resume from the base row's partial sum
+// before that bit and add the rest of its own row in index order — the
+// same additions in the same order.
 type MaskSeg struct {
 	Start, End int
 	Fold       int
@@ -196,12 +201,46 @@ func rowSubset(sub, super []uint64) bool {
 	return true
 }
 
+// distinctFold is build's record of one distinct fold: its segment and
+// the hash (a one-word row is its own) and popcount of its row. A new
+// segment is matched against these alone — never against the segments
+// that reuse a fold — and the popcount screens out every row that can
+// be neither equal (another count) nor a strict subset worth basing on
+// (not between the best base so far and the new row).
+type distinctFold struct {
+	hash uint64
+	bits int32
+	seg  int32
+}
+
+// rowHash returns a multi-word mask row's hash for build's equality
+// screen (FNV-1a over words) and its popcount, in one pass. Equal hashes
+// are confirmed word by word.
+func rowHash(row []uint64) (h uint64, count int32) {
+	h = 14695981039346656037
+	for _, m := range row {
+		h ^= m
+		h *= 1099511628211
+		count += int32(bits.OnesCount64(m))
+	}
+	return h, count
+}
+
 // build computes the segmentation of g. Segment rows stay in the graph's
 // immutable storage (MaskRow derives them from Start); deltas are
 // materialized into the plan's arena, which is sized so appends never
 // reallocate (each distinct fold contributes at most one row-wide
 // delta), and referenced by offset through Delta.
-func (p *StepPlan) build(g graph.Graph) {
+//
+// Each new segment reuses the distinct fold with an equal row, if any;
+// otherwise it is a distinct fold itself, based on the widest earlier
+// distinct fold whose row is a strict subset of its own (the earliest
+// among equally wide ones). A base of one bit saves nothing (the
+// extension costs one combine per delta bit), so only bases of two or
+// more bits count. folds is the caller's scratch, returned grown to at
+// least one slot per node so later builds of the same width never
+// reallocate it.
+func (p *StepPlan) build(g graph.Graph, folds []distinctFold) []distinctFold {
 	p.G = g
 	p.Segs = p.Segs[:0]
 	n, w := g.N(), g.Words()
@@ -209,40 +248,14 @@ func (p *StepPlan) build(g graph.Graph) {
 		p.deltaArena = make([]uint64, 0, n*w)
 	}
 	p.deltaArena = p.deltaArena[:0]
-	for j := 0; j < n; {
-		row := g.InRow(j)
-		end := j + 1
-		for end < n && graph.SetsEqual(g.InRow(end), row) {
-			end++
-		}
-		fold := len(p.Segs)
-		// While scanning for an equal row, also track the widest earlier
-		// distinct fold whose row is a strict subset of this one: a base
-		// of one bit saves nothing (the extension costs one combine per
-		// delta bit), so only bases of two or more count.
-		base, baseBits := -1, 1
-		for i := range p.Segs {
-			s := &p.Segs[i]
-			srow := g.InRow(s.Start)
-			if graph.SetsEqual(srow, row) {
-				fold = i
-				break
-			}
-			if s.Fold == i && rowSubset(srow, row) {
-				if pc := graph.SetCount(srow); pc > baseBits {
-					base, baseBits = i, pc
-				}
-			}
-		}
-		seg := MaskSeg{Start: j, End: end, Fold: fold, Base: -1}
-		if fold == len(p.Segs) && base >= 0 {
-			seg.Base, seg.Delta = base, len(p.deltaArena)
-			for x, bm := range g.InRow(p.Segs[base].Start) {
-				p.deltaArena = append(p.deltaArena, row[x]&^bm)
-			}
-		}
-		p.Segs = append(p.Segs, seg)
-		j = end
+	if cap(folds) < n {
+		folds = make([]distinctFold, 0, n)
+	}
+	folds = folds[:0]
+	if w == 1 {
+		folds = p.buildWord(g, folds)
+	} else {
+		folds = p.buildWords(g, folds)
 	}
 	if cap(p.F0) < len(p.Segs) {
 		p.F0 = make([]float64, len(p.Segs))
@@ -250,6 +263,81 @@ func (p *StepPlan) build(g graph.Graph) {
 	}
 	p.F0 = p.F0[:len(p.Segs)]
 	p.F1 = p.F1[:len(p.Segs)]
+	return folds
+}
+
+// buildWord is build's segment scan for one-word rows, each its own
+// hash: the equality and subset tests are one word operation each.
+func (p *StepPlan) buildWord(g graph.Graph, folds []distinctFold) []distinctFold {
+	n := g.N()
+	for j := 0; j < n; {
+		row := g.InRow(j)[0]
+		end := j + 1
+		for end < n && g.InRow(end)[0] == row {
+			end++
+		}
+		pc := int32(bits.OnesCount64(row))
+		fold, base, baseBits, baseRow := len(p.Segs), -1, int32(1), uint64(0)
+		for _, f := range folds {
+			if f.hash == row {
+				fold = int(f.seg)
+				break
+			}
+			if f.bits > baseBits && f.bits < pc && f.hash&^row == 0 {
+				base, baseBits, baseRow = int(f.seg), f.bits, f.hash
+			}
+		}
+		seg := MaskSeg{Start: j, End: end, Fold: fold, Base: -1}
+		if fold == len(p.Segs) {
+			folds = append(folds, distinctFold{hash: row, bits: pc, seg: int32(fold)})
+			if base >= 0 {
+				seg.Base, seg.Delta = base, len(p.deltaArena)
+				p.deltaArena = append(p.deltaArena, row&^baseRow)
+			}
+		}
+		p.Segs = append(p.Segs, seg)
+		j = end
+	}
+	return folds
+}
+
+// buildWords is build's segment scan for multi-word rows: a distinct
+// fold's hash and popcount screen it, and only a matching hash or a
+// candidate base's count reads its row.
+func (p *StepPlan) buildWords(g graph.Graph, folds []distinctFold) []distinctFold {
+	n := g.N()
+	for j := 0; j < n; {
+		row := g.InRow(j)
+		end := j + 1
+		for end < n && graph.SetsEqual(g.InRow(end), row) {
+			end++
+		}
+		h, pc := rowHash(row)
+		fold, base, baseBits := len(p.Segs), -1, int32(1)
+		for _, f := range folds {
+			if f.bits == pc {
+				if f.hash == h && graph.SetsEqual(g.InRow(p.Segs[f.seg].Start), row) {
+					fold = int(f.seg)
+					break
+				}
+			} else if f.bits > baseBits && f.bits < pc && rowSubset(g.InRow(p.Segs[f.seg].Start), row) {
+				base, baseBits = int(f.seg), f.bits
+			}
+		}
+		seg := MaskSeg{Start: j, End: end, Fold: fold, Base: -1}
+		if fold == len(p.Segs) {
+			folds = append(folds, distinctFold{hash: h, bits: pc, seg: int32(fold)})
+			if base >= 0 {
+				seg.Base, seg.Delta = base, len(p.deltaArena)
+				for x, bm := range g.InRow(p.Segs[base].Start) {
+					p.deltaArena = append(p.deltaArena, row[x]&^bm)
+				}
+			}
+		}
+		p.Segs = append(p.Segs, seg)
+		j = end
+	}
+	return folds
 }
 
 // BatchStepper is an optional DenseAlgorithm capability: step every run
@@ -260,7 +348,8 @@ func (p *StepPlan) build(g graph.Graph) {
 // segment discovery), a stepper may also reassociate folds whose result
 // is an exact multiset selection (min/max), e.g. via MaskSeg.Base;
 // order-sensitive arithmetic (sums, averages) must keep StepDense's
-// operation order exactly.
+// operation order exactly, and may share only a prefix of it: the
+// partial sum of a base row before the segment's first delta bit.
 type BatchStepper interface {
 	StepDenseBatch(dst, src *BatchState, plan *StepPlan)
 }
@@ -294,8 +383,12 @@ func AsBatchStepper(alg Algorithm) (BatchStepper, bool) {
 // yet built. Pending entries are admitted — built, string-keyed, and
 // inserted into the cache — only when the round shows the plan will be
 // shared (a multi-run cluster) or the doorkeeper shows the graph has
-// been seen before; otherwise the run steps through the per-run path
-// and the entry is returned to the free list untouched.
+// been seen before. Otherwise a run that replays its graph values (one
+// its identity memo has served) gets the plan built private: no key
+// string, no cache slot, born dead so that only the run's memo holds it
+// and the graveyard recycles it once the run moves on. A one-shot run
+// steps through the per-run path and the entry is returned to the free
+// list untouched.
 type planEntry struct {
 	plan     StepPlan
 	key      string
@@ -327,7 +420,8 @@ const DefaultPlanCacheCap = 512
 // Every round is stepped clustered: runs are grouped by graph identity —
 // the raw mask bytes, with constant-time fast paths when a run replays
 // the same graph.Graph value as last round or as the run before it — and
-// each cluster steps through one shared, cached StepPlan. A shared-graph
+// each cluster steps through one StepPlan: a cached one, or a private
+// one held by the memo of the one run that replays it. A shared-graph
 // round (Step) is the one-cluster case. The plan cache is bounded
 // (SetPlanCacheCap) and instrumented (PlanCacheStats).
 type BatchRunner struct {
@@ -352,23 +446,29 @@ type BatchRunner struct {
 	// per-round clustering scratch. lastG/lastPlan are the per-run
 	// identity memo: run i stepping the same graph.Graph value as last
 	// round reuses its plan without touching the key buffer or the map.
-	// shared is the runner-owned graph slice a Step round fills.
-	plans      map[string]*planEntry
-	planOrder  []*planEntry
-	planHead   int
-	planCap    int
-	planFree   []*planEntry
-	planDead   []*planEntry
-	planHits   uint64
-	planMisses uint64
-	planEvicts uint64
-	planDefers uint64
-	keyBuf     []byte
-	stepSeq    uint64
-	clusters   []planCluster
-	shared     []graph.Graph
-	lastG      []graph.Graph
-	lastPlan   []*planEntry
+	// replays marks the runs that memo has served a replayed graph value,
+	// whose first-sight plans are built private (planPrivate counts those
+	// builds, which planMisses includes). shared is the runner-owned graph
+	// slice a Step round fills; folds is StepPlan.build's scratch.
+	plans       map[string]*planEntry
+	planOrder   []*planEntry
+	planHead    int
+	planCap     int
+	planFree    []*planEntry
+	planDead    []*planEntry
+	planHits    uint64
+	planMisses  uint64
+	planEvicts  uint64
+	planDefers  uint64
+	planPrivate uint64
+	keyBuf      []byte
+	stepSeq     uint64
+	clusters    []planCluster
+	shared      []graph.Graph
+	lastG       []graph.Graph
+	lastPlan    []*planEntry
+	replays     []bool
+	folds       []distinctFold
 	// pending is the per-round list of first-sight entries awaiting the
 	// admission decision; doorkeeper is the direct-mapped table of
 	// recently seen graph hashes that grants admission on second sight.
@@ -400,6 +500,7 @@ func NewBatchRunner(alg DenseAlgorithm, inputs [][]float64) *BatchRunner {
 	}
 	r.lastG = make([]graph.Graph, b)
 	r.lastPlan = make([]*planEntry, b)
+	r.replays = make([]bool, b)
 	r.shared = make([]graph.Graph, b)
 	r.outScratch = make([]float64, n)
 	for i, in := range inputs {
@@ -461,11 +562,12 @@ func (r *BatchRunner) SetParallelism(int) {}
 
 // PlanCacheStats returns the plan cache's lifetime accounting: hits
 // (per-run identity memo and key lookups served by an existing or
-// about-to-be-built plan), misses (plans built), evictions, deferrals
-// (first-sight single-run graphs stepped through the per-run path
-// without building a plan), and the current entry count — the batch
-// plane's counterpart of SweepCache.Counters, so benches can report plan
-// reuse rates.
+// about-to-be-built plan), misses (plans built, admitted to the cache or
+// private to a replaying run), evictions (FIFO, past the cap), deferrals
+// (first-sight graphs of one-shot runs stepped through the per-run path
+// without building a plan), and the current entry count, which private
+// plans never raise — the batch plane's counterpart of
+// SweepCache.Counters, so benches can report plan reuse rates.
 func (r *BatchRunner) PlanCacheStats() (hits, misses, evictions, deferrals uint64, entries int) {
 	return r.planHits, r.planMisses, r.planEvicts, r.planDefers, len(r.plans)
 }
@@ -523,10 +625,23 @@ func (r *BatchRunner) findPlan(g graph.Graph) *planEntry {
 func (r *BatchRunner) admitPlan(e *planEntry) {
 	r.planMisses++
 	e.key = string(e.keyBytes)
-	e.plan.build(e.plan.G)
+	r.folds = e.plan.build(e.plan.G, r.folds)
 	r.evictPlans(1)
 	r.plans[e.key] = e
 	r.planOrder = append(r.planOrder, e)
+}
+
+// buildPrivate builds a pending entry's plan for the one run that holds
+// it, outside the cache: no key string, no map slot, no eviction. The
+// entry is born dead, so it parks in the graveyard and collectPlans
+// recycles it once the run's memo lets go. Counts as a miss.
+func (r *BatchRunner) buildPrivate(e *planEntry) {
+	r.planMisses++
+	r.planPrivate++
+	e.key = ""
+	r.folds = e.plan.build(e.plan.G, r.folds)
+	e.dead = true
+	r.planDead = append(r.planDead, e)
 }
 
 // maskHash hashes the graph's in-mask rows (FNV-1a over words) for the
@@ -749,6 +864,7 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 			e = ne
 		} else {
 			r.planHits++
+			r.replays[i] = true
 		}
 		prev = e
 		if e.mark != r.stepSeq {
@@ -768,12 +884,15 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 	}
 	// Admission: a first-sight graph gets a built, cached plan only if
 	// several runs share it this round or the doorkeeper has seen it
-	// before (a lasso or epoch revisiting its graph). A transient
-	// singleton — the common case under high-diversity schedules, where
-	// every plan would be built once and thrown away — is deferred: its
-	// run steps through the per-run views (bit-identical by the
-	// BatchStepper contract) and no key string, map traffic, or plan
-	// build happens at all.
+	// before (a lasso or epoch revisiting its graph). A singleton of a
+	// run that replays its graph values (a churn epoch held for several
+	// rounds) gets a private plan, which the run steps again through its
+	// memo, with no key string or cache slot. A singleton of a one-shot
+	// run — the common case under high-diversity schedules, where every
+	// plan would be built once and thrown away — is deferred: its run
+	// steps through the per-run views (bit-identical by the BatchStepper
+	// contract) and no key string, map traffic, or plan build happens at
+	// all.
 	for _, e := range r.pending {
 		c := &clusters[e.slot]
 		if len(c.runs) > 1 || r.doorkeeperSeen(e.hash) {
@@ -781,8 +900,12 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 			continue
 		}
 		r.doorkeeperRecord(e.hash)
-		r.planDefers++
 		i := c.runs[0]
+		if r.replays[i] {
+			r.buildPrivate(e)
+			continue
+		}
+		r.planDefers++
 		e.refs--
 		r.lastPlan[i] = nil
 		c.e = nil

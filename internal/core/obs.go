@@ -61,11 +61,11 @@ func SetObsRegistry(r *obs.Registry) {
 		planHits: r.Counter("repro_kernel_plan_cache_hits_total",
 			"Step-plan cache hits (identity memo and key lookups)."),
 		planMisses: r.Counter("repro_kernel_plan_cache_misses_total",
-			"Step-plan cache misses (plans built)."),
+			"Step-plan cache misses: plans built, for the cache or private to one replaying run."),
 		planEvicts: r.Counter("repro_kernel_plan_cache_evictions_total",
 			"Step plans evicted FIFO past the cache cap."),
 		planDefers: r.Counter("repro_kernel_plan_cache_deferrals_total",
-			"First-sight single-run graphs stepped without building a plan."),
+			"First-sight graphs of one-shot runs stepped per run, without building a plan."),
 	})
 }
 

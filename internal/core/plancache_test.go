@@ -64,9 +64,11 @@ func wantStats(t *testing.T, r *core.BatchRunner, hits, misses, evicts, defers u
 // TestPlanCacheAccounting pins the exact hit/miss/eviction/deferral
 // accounting of the clustered stepping paths: runs joining an existing
 // plan count as hits, replayed graph values hit the per-run identity
-// memo, a first-sight single-run graph is deferred (no plan built) and
-// admitted on second sight, a shared-graph round counts one hit per
-// run, and evicted plans keep serving the memos that still hold them.
+// memo, a one-shot run's first-sight single-run graph is deferred (no
+// plan built) and admitted on second sight, a replaying run's
+// first-sight graph gets a private plan (a miss that never enters the
+// cache), a shared-graph round counts one hit per run, and evicted plans
+// keep serving the memos that still hold them.
 func TestPlanCacheAccounting(t *testing.T) {
 	const n, B = 5, 4
 	br := core.NewBatchRunner(algorithms.Midpoint{}, testInputs(n, B))
@@ -76,45 +78,128 @@ func TestPlanCacheAccounting(t *testing.T) {
 	gs := []graph.Graph{shared, shared, shared, shared}
 
 	// All runs play one graph: the first-sight cluster is multi-run, so
-	// it is admitted immediately — run 0 builds the plan, the rest hit it.
+	// it is admitted immediately. Hits 3: runs 1-3 join run 0's entry;
+	// misses 1: run 0 builds the plan; entries 1.
 	br.StepEach(gs)
 	wantStats(t, br, 3, 1, 0, 0, 1)
 
-	// Replaying the same graph values hits the per-run memo for every run.
-	br.StepEach(gs)
-	wantStats(t, br, 7, 1, 0, 0, 1)
-
-	// Per-run distinct first-sight graphs: four singleton clusters, all
-	// deferred — stepped per-run, no plans built or cached.
+	// Per-run distinct first-sight graphs on runs that have replayed
+	// nothing yet: four singleton clusters, all deferred. Defers 4: each
+	// run steps per run; misses and entries stay: no plan is built.
 	each := []graph.Graph{shiftGraph(n, 0), shiftGraph(n, 2), shiftGraph(n, 3), shiftGraph(n, 4)}
 	br.StepEach(each)
-	wantStats(t, br, 7, 1, 0, 4, 1)
+	wantStats(t, br, 3, 1, 0, 4, 1)
 
-	// Second sight: the doorkeeper admits each graph, four plans built.
+	// Second sight: the doorkeeper admits each graph. Misses 5: four
+	// plans built; entries 5: all four cached.
+	br.StepEach(each)
+	wantStats(t, br, 3, 5, 0, 4, 5)
+
+	// Third sight replays the same graph values. Hits 7: one memo hit per
+	// run — and from now on every run counts as replaying.
 	br.StepEach(each)
 	wantStats(t, br, 7, 5, 0, 4, 5)
 
-	// Third sight replays the same graph values: memo hits for every run.
-	br.StepEach(each)
-	wantStats(t, br, 11, 5, 0, 4, 5)
+	// Fresh distinct graphs on replaying runs: four singleton clusters,
+	// each built private. Misses 9: four plans built; defers stay 4 and
+	// entries stay 5: private plans are not cached.
+	fresh := []graph.Graph{deafVariant(n, 0), deafVariant(n, 1), deafVariant(n, 2), deafVariant(n, 3)}
+	br.StepEach(fresh)
+	wantStats(t, br, 7, 9, 0, 4, 5)
+
+	// Replaying them steps the private plans through the memos. Hits 11:
+	// one per run; nothing is built.
+	br.StepEach(fresh)
+	wantStats(t, br, 11, 9, 0, 4, 5)
 
 	// A Step round is a StepEach round in which every run plays the same
 	// graph value: run 0 looks the plan up by key and runs 1-3 join it
-	// through the previous-run check without building a key, so the
-	// round counts one hit per run. It also moves every run's memo to
-	// the shared plan.
+	// through the previous-run check without building a key. Hits 15: one
+	// per run. It also moves every run's memo to the shared plan, which
+	// lets go of the private ones.
 	br.Step(shared)
-	wantStats(t, br, 15, 5, 0, 4, 5)
+	wantStats(t, br, 15, 9, 0, 4, 5)
 
 	// Shrinking the cap evicts oldest-first immediately, the shared plan
-	// first...
+	// first. Evictions 3, entries 2.
 	br.SetPlanCacheCap(2)
-	wantStats(t, br, 15, 5, 3, 4, 2)
+	wantStats(t, br, 15, 9, 3, 4, 2)
 
 	// ...but the per-run memos still hold the (now evicted) plan, so
 	// replaying the same graph value stays hit-only and rebuilds nothing.
+	// Hits 19: one memo hit per run.
 	br.Step(shared)
-	wantStats(t, br, 19, 5, 3, 4, 2)
+	wantStats(t, br, 19, 9, 3, 4, 2)
+}
+
+// TestPrivateFirstSightPlans pins the first-sight policy on its own
+// runners: a one-shot run (a new graph every round) steps per run and
+// builds no plan; a replaying run (each graph held for an epoch of four
+// rounds) builds each epoch's plan once, at its first sight, never adds
+// it to the cache, and recycles its storage once the run moves on.
+func TestPrivateFirstSightPlans(t *testing.T) {
+	const n, epochs = 64, 24
+	pool := make([]graph.Graph, epochs+9)
+	for k := range pool {
+		pool[k] = deafVariant(n, k)
+	}
+	d, _ := core.AsDense(algorithms.Midpoint{})
+	inputs := testInputs(n, 1)
+
+	oneShot := core.NewBatchRunner(d, inputs)
+	for round, g := range pool[:epochs] {
+		oneShot.Step(g)
+		wantStats(t, oneShot, 0, 0, 0, uint64(round+1), 0)
+	}
+
+	br := core.NewBatchRunner(d, inputs)
+	single := core.NewDenseRunner(d, inputs[0])
+	step := func(g graph.Graph) {
+		br.Step(g)
+		single.Step(g)
+	}
+	// Epoch 0: the run has replayed nothing yet, so its first round is
+	// deferred and the doorkeeper admits the graph on second sight; the
+	// next two rounds are memo hits, which mark the run as replaying.
+	for r := 0; r < 4; r++ {
+		step(pool[0])
+	}
+	wantStats(t, br, 2, 1, 0, 1, 1)
+	for e := 1; e < epochs; e++ {
+		step(pool[e])
+		if private, _, _ := core.PlanPool(br); private != uint64(e) {
+			t.Fatalf("epoch %d: %d private plans built, want %d", e, private, e)
+		}
+		for r := 1; r < 4; r++ {
+			step(pool[e])
+		}
+		wantStats(t, br, uint64(2+3*e), uint64(1+e), 0, 1, 1)
+		// The run holds this epoch's plan, the one dead entry; from epoch
+		// 2 on, the previous epoch's plan has left the graveyard for the
+		// free list, where the next epoch's build will take it.
+		if _, free, dead := core.PlanPool(br); dead != 1 || free != min(e-1, 1) {
+			t.Fatalf("epoch %d: %d free and %d dead entries, want %d and 1", e, free, dead, min(e-1, 1))
+		}
+	}
+	// Nine more epochs on graphs never seen before: every plan is a
+	// private build on recycled storage.
+	next := epochs
+	allocs := testing.AllocsPerRun(8, func() {
+		for r := 0; r < 4; r++ {
+			step(pool[next])
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("an epoch allocates %.1f times, want 0", allocs)
+	}
+	out := make([]float64, n)
+	br.Outputs(0, out)
+	for j := range out {
+		if got, want := out[j], single.Output(j); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("agent %d: batch %v, single %v", j, got, want)
+		}
+	}
 }
 
 // TestPlanCacheThrashParity steps per-run lasso schedules through a
@@ -170,9 +255,9 @@ func TestPlanCacheThrashParity(t *testing.T) {
 // property: over thousands of StepEach rounds, each run drawing its
 // graph with repeats (or replaying its last graph value) from a pool
 // four times the cap, the cache holds at most cap plans after every
-// round and every plan built is either still held or evicted (misses −
-// evictions = entries), and every run ends bit-identical to a per-run
-// DenseRunner.
+// round and every plan built for the cache is either still held or
+// evicted (misses − private builds − evictions = entries), and every
+// run ends bit-identical to a per-run DenseRunner.
 func TestPlanCacheStaysWithinCap(t *testing.T) {
 	const n, b, rounds = 128, 6, 2000
 	var all []graph.Graph
@@ -204,8 +289,9 @@ func TestPlanCacheStaysWithinCap(t *testing.T) {
 					s.Step(gs[i])
 				}
 				_, misses, evicts, _, entries := br.PlanCacheStats()
-				if entries > capacity || misses-evicts != uint64(entries) {
-					t.Fatalf("round %d: %d entries (cap %d), %d misses − %d evictions", round, entries, capacity, misses, evicts)
+				private, _, _ := core.PlanPool(br)
+				if entries > capacity || misses-private-evicts != uint64(entries) {
+					t.Fatalf("round %d: %d entries (cap %d), %d misses − %d private − %d evictions", round, entries, capacity, misses, private, evicts)
 				}
 			}
 			if _, _, evicts, _, _ := br.PlanCacheStats(); evicts == 0 {

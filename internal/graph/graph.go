@@ -147,6 +147,34 @@ func Star(n, c int) Graph {
 	return b.Graph()
 }
 
+// Broadcast returns the graph on n nodes in which every node hears the
+// senders and itself: node j's in-row is senders ∪ {j}. Complete(n) is
+// the broadcast of every node, and a churn round (every up agent heard by
+// all) the broadcast of the up set. senders is a set of WordsFor(n) words;
+// bits above n-1 are dropped. The rows are written straight into the
+// graph's storage.
+func Broadcast(n int, senders []uint64) Graph {
+	checkN(n)
+	w := WordsFor(n)
+	if len(senders) != w {
+		panic(fmt.Sprintf("graph: Broadcast got %d words, want %d", len(senders), w))
+	}
+	var row [MaxNodes / wordBits]uint64
+	copy(row[:w], senders)
+	if tail := n % wordBits; tail != 0 {
+		row[w-1] &= fullMask(tail)
+	}
+	in := make([]uint64, n*w)
+	for j := 0; j < n; j++ {
+		dst := in[j*w : (j+1)*w : (j+1)*w]
+		for x := range dst {
+			dst[x] = row[x]
+		}
+		dst[j/wordBits] |= 1 << uint(j%wordBits)
+	}
+	return Graph{n: n, in: in}
+}
+
 // FromInWords constructs a graph from row-major word-sliced in-rows: node
 // j's in-neighbors occupy words[j*W : (j+1)*W] with W = WordsFor(n),
 // little-endian within the row (bit i of word i/64). It returns an error
