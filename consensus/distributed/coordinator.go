@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/consensus"
+	"repro/internal/httpjson"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -267,7 +268,7 @@ func NewCoordinator(opts ...CoordinatorOption) *Coordinator {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		httpjson.Write(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /api/v1/status", c.handleStatus)
 	mux.HandleFunc("GET /api/v1/spans", c.handleSpans)
@@ -838,7 +839,7 @@ func (c *Coordinator) postShard(ctx context.Context, w *workerState, sh *shard) 
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg := resp.Status
-		var eb errorBody
+		var eb httpjson.ErrorBody
 		if derr := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb); derr == nil && eb.Error != "" {
 			msg = eb.Error
 		}
@@ -881,8 +882,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp, err := c.runSweep(r.Context(), req, nil)
@@ -890,7 +891,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		c.writeSweepError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) writeSweepError(w http.ResponseWriter, err error) {
@@ -902,30 +903,30 @@ func (c *Coordinator) writeSweepError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		writeError(w, http.StatusTooManyRequests, err)
+		httpjson.WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, errNoWorkers):
-		writeError(w, http.StatusServiceUnavailable, err)
+		httpjson.WriteError(w, http.StatusServiceUnavailable, err)
 	default:
-		writeError(w, statusOf(err), err)
+		httpjson.WriteError(w, httpjson.StatusOf(err), err)
 	}
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	httpjson.Write(w, http.StatusOK, c.Status())
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	healthy, err := c.AddWorker(req.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	httpjson.Write(w, http.StatusOK, RegisterResponse{
 		URL:     strings.TrimRight(req.URL, "/"),
 		Healthy: healthy,
 		Workers: c.WorkerCount(),

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/consensus"
+	"repro/internal/httpjson"
 )
 
 // StreamEntry is one recorded sweep request: its offset from the start
@@ -29,7 +30,7 @@ type StreamEntry struct {
 func ReadStream(r io.Reader) ([]StreamEntry, error) {
 	var entries []StreamEntry
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxRequestBytes)
+	sc.Buffer(make([]byte, 0, 64*1024), httpjson.MaxRequestBytes)
 	line := 0
 	for sc.Scan() {
 		line++

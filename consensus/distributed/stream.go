@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"repro/internal/httpjson"
 )
 
 // sseWriter serializes Server-Sent Events onto one response. Callers
@@ -35,13 +37,13 @@ func (s *sseWriter) event(name string, v any) error {
 // "done" is the error signal.
 func (c *Coordinator) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	f, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError,
+		httpjson.WriteError(w, http.StatusInternalServerError,
 			fmt.Errorf("distributed: connection does not support streaming"))
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/consensus"
+	"repro/internal/httpjson"
 	"repro/internal/obs"
 )
 
@@ -103,26 +104,26 @@ func (w *Worker) Registry() *obs.Registry { return w.reg }
 
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	if err := decodeBody(rw, r, &req); err != nil {
+	if err := httpjson.Decode(rw, r, &req); err != nil {
 		w.met.shardErrors.Inc()
-		writeError(rw, http.StatusBadRequest, err)
+		httpjson.WriteError(rw, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Specs) == 0 {
 		w.met.shardErrors.Inc()
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("distributed: shard needs at least one spec"))
+		httpjson.WriteError(rw, http.StatusBadRequest, fmt.Errorf("distributed: shard needs at least one spec"))
 		return
 	}
 	if len(req.Specs) > DefaultMaxShardSpecs {
 		w.met.shardErrors.Inc()
-		writeError(rw, http.StatusBadRequest,
+		httpjson.WriteError(rw, http.StatusBadRequest,
 			fmt.Errorf("distributed: shard carries %d specs, worker cap is %d", len(req.Specs), DefaultMaxShardSpecs))
 		return
 	}
 	for _, spec := range req.Specs {
 		if err := consensus.CheckServedRounds(spec.Rounds); err != nil {
 			w.met.shardErrors.Inc()
-			writeError(rw, http.StatusBadRequest, err)
+			httpjson.WriteError(rw, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -138,7 +139,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	results, err := consensus.Sweep(ctx, req.Specs, opts...)
 	if err != nil {
 		w.met.shardErrors.Inc()
-		writeError(rw, statusOf(err), err)
+		httpjson.WriteError(rw, httpjson.StatusOf(err), err)
 		return
 	}
 	w.met.shards.Inc()
@@ -147,11 +148,11 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	for i, r := range results {
 		out[i] = ShardResult{Fingerprint: r.Fingerprint, Cached: r.Cached, Summary: r.Summary, Err: r.Err}
 	}
-	writeJSON(rw, http.StatusOK, ShardResponse{Shard: req.Shard, Results: out})
+	httpjson.Write(rw, http.StatusOK, ShardResponse{Shard: req.Shard, Results: out})
 }
 
 func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
-	writeJSON(rw, http.StatusOK, WorkerStatus{
+	httpjson.Write(rw, http.StatusOK, WorkerStatus{
 		StatusReport: w.inner.Status(),
 		Shards:       w.met.shards.Value(),
 		ShardSpecs:   w.met.shardSpecs.Value(),

@@ -1,13 +1,12 @@
 package consensus
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/obs"
 )
 
@@ -166,68 +165,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeJSON writes v as the JSON body of a response with the given
-// status. The body is encoded before the status is written, so a value
-// JSON cannot carry is a 500, never a truncated 200.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(v); err != nil {
-		body.Reset()
-		status = http.StatusInternalServerError
-		_ = json.NewEncoder(&body).Encode(errorBody{Error: err.Error()})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body.Bytes())
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-// statusOf maps a query error to an HTTP status.
-func statusOf(err error) int {
-	if err == context.DeadlineExceeded || err == context.Canceled {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusBadRequest
-}
-
 // answer runs one query under the per-query timeout and writes its
-// result, or its error under the status statusOf maps it to.
+// result, or its error under the status httpjson.StatusOf maps it to.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, query func(ctx context.Context) (any, error)) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	v, err := query(ctx)
 	cancel()
 	if err != nil {
-		writeError(w, statusOf(err), err)
+		httpjson.WriteError(w, httpjson.StatusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// maxRequestBytes bounds a request body: the server caps its outputs
-// (MaxServedRounds), so inputs must be bounded too or one oversized
-// POST buffers gigabytes before validation runs.
-const maxRequestBytes = 8 << 20
-
-// decodeBody strictly decodes the size-limited JSON request body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("consensus: bad request body: %v", err)
-	}
-	return nil
+	httpjson.Write(w, http.StatusOK, v)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpjson.Write(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // ScenarioCacheStats is the /api/v1/status view of the scenario
@@ -267,7 +219,7 @@ func (s *Server) Status() StatusReport {
 func (s *Server) SweepCacheCounters() SweepCacheCounters { return s.sweepCache.Counters() }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
+	httpjson.Write(w, http.StatusOK, s.Status())
 }
 
 // registryResponse is the /api/v1/registry payload.
@@ -280,7 +232,7 @@ type registryResponse struct {
 }
 
 func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, registryResponse{
+	httpjson.Write(w, http.StatusOK, registryResponse{
 		Algorithms:  s.lib.algorithms().Describe(),
 		Models:      s.lib.models().Describe(),
 		Adversaries: s.lib.adversaries().Describe(),
@@ -314,12 +266,12 @@ func CheckServedRounds(rounds int) error {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	if err := decodeBody(w, r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &spec); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := CheckServedRounds(spec.Rounds); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answer(w, r, func(ctx context.Context) (any, error) {
@@ -352,17 +304,17 @@ type sweepResponse struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("consensus: sweep needs at least one spec"))
+		httpjson.WriteError(w, http.StatusBadRequest, fmt.Errorf("consensus: sweep needs at least one spec"))
 		return
 	}
 	for _, spec := range req.Specs {
 		if err := CheckServedRounds(spec.Rounds); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpjson.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -385,7 +337,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolvability(w http.ResponseWriter, r *http.Request) {
 	modelSpec := r.URL.Query().Get("model")
 	if modelSpec == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("consensus: solvability needs a ?model= spec"))
+		httpjson.WriteError(w, http.StatusBadRequest, fmt.Errorf("consensus: solvability needs a ?model= spec"))
 		return
 	}
 	s.answer(w, r, func(ctx context.Context) (any, error) {
@@ -395,8 +347,8 @@ func (s *Server) handleSolvability(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleValency(w http.ResponseWriter, r *http.Request) {
 	var req ValencyRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answer(w, r, func(ctx context.Context) (any, error) {
@@ -411,8 +363,8 @@ type decisionResponse struct {
 
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 	var req DecisionRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answer(w, r, func(ctx context.Context) (any, error) {
@@ -426,8 +378,8 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAsync(w http.ResponseWriter, r *http.Request) {
 	var spec AsyncSpec
-	if err := decodeBody(w, r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &spec); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answer(w, r, func(ctx context.Context) (any, error) {
@@ -437,12 +389,12 @@ func (s *Server) handleAsync(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := CheckServedRounds(req.Rounds); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answer(w, r, func(ctx context.Context) (any, error) {
@@ -465,7 +417,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": Experiments()})
+	httpjson.Write(w, http.StatusOK, map[string]any{"experiments": Experiments()})
 }
 
 // experimentRequest is the /api/v1/experiment body.
@@ -481,8 +433,8 @@ type experimentResponse struct {
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req experimentRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := httpjson.Decode(w, r, &req); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answer(w, r, func(ctx context.Context) (any, error) {

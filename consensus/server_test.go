@@ -13,6 +13,7 @@ import (
 
 	"repro/consensus/scenario"
 	"repro/internal/graph"
+	"repro/internal/httpjson"
 )
 
 func postJSON(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, []byte) {
@@ -329,7 +330,7 @@ func TestAnswerUnencodableIs500(t *testing.T) {
 	NewServer().answer(rec, httptest.NewRequest(http.MethodGet, "/", nil), func(context.Context) (any, error) {
 		return math.Inf(1), nil
 	})
-	var body errorBody
+	var body httpjson.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
 		t.Errorf("status %d, body %q, want 500 with an error body", rec.Code, rec.Body)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/algorithms"
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/model"
@@ -388,9 +387,7 @@ func TestNamesAndConvexFlags(t *testing.T) {
 // TestSelfRootKeepsDeclarations pins who declares core.SelfRootKeeper
 // and what it answers: Midpoint and TwoThirds declare it, no other
 // algorithm does, and core.AgentsOnly declares it exactly when the
-// wrapped algorithm does, with the same answers. The deciding wrapper
-// holds its inner algorithm in a field, so it neither declares nor
-// inherits it.
+// wrapped algorithm does, with the same answers.
 func TestSelfRootKeepsDeclarations(t *testing.T) {
 	half := math.MaxFloat64 / 2
 	for _, tc := range []struct {
@@ -416,7 +413,6 @@ func TestSelfRootKeepsDeclarations(t *testing.T) {
 		{algorithms.QuantizedMidpoint{Q: 0.5}, 0.25, false, false},
 		{algorithms.SelfWeighted{Alpha: 0.5}, 0.25, false, false},
 		{algorithms.FlowSum{}, 0.25, false, false},
-		{approx.DecidingAlgorithm{Inner: algorithms.Midpoint{}, DecisionRound: 3}, 0.25, false, false},
 	} {
 		keeper, declared := tc.alg.(core.SelfRootKeeper)
 		if declared != tc.declare {

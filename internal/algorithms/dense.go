@@ -118,9 +118,6 @@ func (Midpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
 	}
 }
 
-// OutputsDense implements core.DenseAlgorithm.
-func (Midpoint) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
-
 // AppendDenseFingerprint implements core.DenseFingerprinter.
 func (Midpoint) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {
 	dst = append(dst, tagMidpoint)
@@ -161,9 +158,6 @@ func (TwoThirds) StepDense(dst, src *core.DenseState, g graph.Graph) {
 		}
 	}
 }
-
-// OutputsDense implements core.DenseAlgorithm.
-func (TwoThirds) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
 
 // AppendDenseFingerprint implements core.DenseFingerprinter.
 func (TwoThirds) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {
@@ -221,9 +215,6 @@ func (Mean) StepDense(dst, src *core.DenseState, g graph.Graph) {
 	}
 }
 
-// OutputsDense implements core.DenseAlgorithm.
-func (Mean) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
-
 // AppendDenseFingerprint implements core.DenseFingerprinter.
 func (Mean) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {
 	dst = append(dst, tagMean)
@@ -274,9 +265,6 @@ func (s SelfWeighted) StepDense(dst, src *core.DenseState, g graph.Graph) {
 		out[j] = s.Alpha*y[j] + (1-s.Alpha)*sum/float64(count)
 	}
 }
-
-// OutputsDense implements core.DenseAlgorithm.
-func (SelfWeighted) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
 
 // AppendDenseFingerprint implements core.DenseFingerprinter.
 func (s SelfWeighted) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {
@@ -343,9 +331,6 @@ func (AmortizedMidpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
 		}
 	}
 }
-
-// OutputsDense implements core.DenseAlgorithm.
-func (AmortizedMidpoint) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
 
 // AppendDenseFingerprint implements core.DenseFingerprinter.
 func (AmortizedMidpoint) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {
@@ -437,9 +422,6 @@ func (a QuantizedMidpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
 	}
 }
 
-// OutputsDense implements core.DenseAlgorithm.
-func (QuantizedMidpoint) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
-
 // AppendDenseFingerprint implements core.DenseFingerprinter.
 func (a QuantizedMidpoint) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {
 	dst = append(dst, tagQuantized)
@@ -517,9 +499,6 @@ func scanInformed(inf0, rv0 []float64, row []uint64) (heard bool, value float64)
 	}
 	return false, 0
 }
-
-// OutputsDense implements core.DenseAlgorithm.
-func (FloodRoot) OutputsDense(st *core.DenseState, out []float64) { copy(out, st.Y) }
 
 // AppendDenseFingerprint implements core.DenseFingerprinter.
 func (FloodRoot) AppendDenseFingerprint(dst []byte, st *core.DenseState, i int) ([]byte, bool) {

@@ -138,13 +138,14 @@ func TestBatchMatchesSinglesRandomized(t *testing.T) {
 }
 
 // TestBatchStepperResolution pins which algorithms advertise the batched
-// stepper capability through core.AsBatchStepper, and that FlowSum runs
-// on the Agent path only.
+// stepper capability (core.BatchStepper), and that FlowSum runs on the
+// Agent path only.
 func TestBatchStepperResolution(t *testing.T) {
-	if _, ok := core.AsBatchStepper(algorithms.Midpoint{}); !ok {
+	var mid, sw core.Algorithm = algorithms.Midpoint{}, algorithms.SelfWeighted{Alpha: 0.5}
+	if _, ok := mid.(core.BatchStepper); !ok {
 		t.Fatal("Midpoint lost its batched stepper")
 	}
-	if _, ok := core.AsBatchStepper(algorithms.SelfWeighted{Alpha: 0.5}); ok {
+	if _, ok := sw.(core.BatchStepper); ok {
 		t.Fatal("SelfWeighted unexpectedly claims a batched stepper")
 	}
 	if _, ok := core.AsDense(algorithms.NewFlowSum([]int{1, 1})); ok {

@@ -10,10 +10,10 @@ import (
 // This file implements the TwoThirds settle kernel (core.DenseSettler):
 // the whole constant-graph continuation "repeat g until the output hull
 // is at most tol wide, for at most settle rounds" run on two scalars, in
-// place of core.Settle's generic DenseStep + OutputsDense + Hull loop.
-// It steps them with the StepDense expressions verbatim, and its hull is
-// the two-element Hull, so every round's convergence test and the hull
-// of the converging round match the generic loop's bit for bit.
+// place of core.Settle's generic DenseStep + Hull loop. It steps them
+// with the StepDense expressions verbatim, and its hull is the
+// two-element Hull, so every round's convergence test and the hull of
+// the converging round match the generic loop's bit for bit.
 // TestSettleKernelsMatchGenericLoop and FuzzSettleKernels pin it.
 
 // SettleDense implements core.DenseSettler on two scalars. It panics

@@ -4,10 +4,11 @@
 // hull of the initial values, knowing an a-priori bound Δ on the initial
 // diameter.
 //
-// The package provides the deciding versions of the paper's asymptotic
-// consensus algorithms — run for ⌈log_{1/γ}(Δ/ε)⌉ rounds, then decide the
-// current output — together with the decision-time lower-bound formulas of
-// Theorems 8-11 they are matched against.
+// The package provides the run-then-decide reduction from the paper's
+// asymptotic consensus algorithms (Decider and Decide: run for
+// ⌈log_{1/γ}(Δ/ε)⌉ rounds, then decide the current outputs), together
+// with the decision-time lower-bound formulas of Theorems 8-11 it is
+// matched against.
 package approx
 
 import (

@@ -2,6 +2,7 @@ package approx_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -66,6 +67,13 @@ func TestLowerBoundFormulas(t *testing.T) {
 	}
 }
 
+// decideAt runs alg from inputs against src for the given number of
+// rounds and judges the outputs it decides then, as DecisionSweep does.
+func decideAt(alg core.Algorithm, inputs []float64, src core.PatternSource, rounds int, eps float64) approx.Result {
+	tr := core.Run(alg, inputs, src, rounds)
+	return approx.Decide(inputs, tr.Outputs[rounds], rounds, eps)
+}
+
 // TestTwoThirdsDeciderMatchesTheorem8 checks the tight pair for n = 2: the
 // two-thirds decider achieves ε-agreement against the *worst* constant
 // pattern in exactly ⌈log3(Δ/ε)⌉ rounds, and its decision round never
@@ -91,17 +99,40 @@ func TestTwoThirdsDeciderMatchesTheorem8(t *testing.T) {
 		}
 		// Tightness: one round earlier the worst pattern still violates ε.
 		if res.DecisionRound > 0 {
-			tr := core.Run(algorithms.TwoThirds{}, []float64{0, 1}, core.Fixed{G: graph.H(1)}, res.DecisionRound-1)
-			if tr.DiameterAt(res.DecisionRound-1) <= eps {
+			early := decideAt(d.Alg, []float64{0, 1}, core.Fixed{G: graph.H(1)}, res.DecisionRound-1, eps)
+			if early.EpsAgreement {
 				t.Errorf("eps=%v: ε-agreement already holds one round early — decision time not tight", eps)
 			}
 		}
 	}
 }
 
+// TestDecidingUnderAdversarialPerturbation checks decision stability: the
+// two-thirds decider, deciding at its round for Δ = 1 and ε = 0.05 against
+// every length-3 pattern prefix over {H0, H1, H2} (then H1), always
+// agrees within ε and stays valid.
+func TestDecidingUnderAdversarialPerturbation(t *testing.T) {
+	eps := 0.05
+	rounds := approx.DecisionRounds(1.0/3.0, 1, eps)
+	var walk func(prefix []graph.Graph)
+	walk = func(prefix []graph.Graph) {
+		if len(prefix) == 3 {
+			src := core.Sequence{Graphs: append(append([]graph.Graph{}, prefix...), graph.H(1))}
+			if res := decideAt(algorithms.TwoThirds{}, []float64{0, 1}, src, rounds, eps); !res.EpsAgreement || !res.Validity {
+				t.Fatalf("prefix %v: decided %v (spread %v, valid %v)", prefix, res.Decisions, res.Spread, res.Validity)
+			}
+			return
+		}
+		for k := 0; k < 3; k++ {
+			walk(append(prefix, graph.H(k)))
+		}
+	}
+	walk(nil)
+}
+
 // TestMidpointDeciderMatchesTheorem9 checks the non-split pair: the
 // midpoint decider needs exactly ⌈log2(Δ/ε)⌉ rounds against the worst
-// deaf(K_n) pattern.
+// deaf(K_n) pattern: it meets ε then and misses it one round earlier.
 func TestMidpointDeciderMatchesTheorem9(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		d := approx.Decider{Alg: algorithms.Midpoint{}, Contraction: 0.5}
@@ -125,6 +156,45 @@ func TestMidpointDeciderMatchesTheorem9(t *testing.T) {
 				t.Errorf("n=%d eps=%v: decision round %d more than a round above optimum %v",
 					n, eps, res.DecisionRound, lb)
 			}
+			if res.DecisionRound > 0 {
+				if early := decideAt(d.Alg, inputs, worst, res.DecisionRound-1, eps); early.EpsAgreement {
+					t.Errorf("n=%d eps=%v: ε-agreement already holds one round early (spread %v)", n, eps, early.Spread)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckRunVerdicts checks the verdicts Decide gives on decisions it
+// is handed: it reports the round and the spread, accepts a spread up to
+// ε (with its relative slack) and rejects one past it, and judges
+// validity against the inputs' hull — decisions that agree exactly but
+// leave the hull are invalid, ones within 1e-9 of it are not.
+func TestCheckRunVerdicts(t *testing.T) {
+	inputs := []float64{0, 1, 0.5}
+	cases := []struct {
+		name            string
+		decisions       []float64
+		eps, spread     float64
+		agreement, hull bool
+	}{
+		{"within", []float64{0.25, 0.3, 0.26}, 0.1, 0.05, true, true},
+		{"exactly-eps", []float64{0.25, 0.5, 0.375}, 0.25, 0.25, true, true},
+		{"past-eps", []float64{0.25, 0.5, 0.375}, 0.25 * (1 - 1e-6), 0.25, false, true},
+		{"above-hull", []float64{1.5, 1.5, 1.5}, 0.1, 0, true, false},
+		{"below-hull", []float64{-0.01, 0, 0}, 0.1, 0.01, true, false},
+		{"hull-slack", []float64{-1e-10, 1 + 1e-10, 0.5}, 2, 1 + 2e-10, true, true},
+	}
+	for _, tc := range cases {
+		res := approx.Decide(inputs, tc.decisions, 7, tc.eps)
+		if res.DecisionRound != 7 || !slices.Equal(res.Decisions, tc.decisions) {
+			t.Errorf("%s: round %d and decisions %v not reported as given", tc.name, res.DecisionRound, res.Decisions)
+		}
+		if math.Abs(res.Spread-tc.spread) > 1e-15 {
+			t.Errorf("%s: spread %v, want %v", tc.name, res.Spread, tc.spread)
+		}
+		if res.EpsAgreement != tc.agreement || res.Validity != tc.hull {
+			t.Errorf("%s: ε-agreement %v validity %v, want %v %v", tc.name, res.EpsAgreement, res.Validity, tc.agreement, tc.hull)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package approx_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -26,18 +25,19 @@ func clusterGraph(t *testing.T, n, k int) graph.Graph {
 	return g
 }
 
-// TestDecidingBatchClusteredParity steps a deciding batch through an
-// adversarial clustered workload — per-run graph sequences that blend
-// shared and distinct graphs under a plan cache too small to hold them —
-// and asserts per-round parity against both single-run backends:
-// bit-identical outputs and configuration fingerprints every round, for
-// every run.
+// TestDecidingBatchClusteredParity decides a batch of midpoint runs
+// stepped through an adversarial clustered workload — per-run graph
+// sequences that blend shared and distinct graphs under a plan cache too
+// small to hold them — and checks that, at every run's decision round,
+// Decide on the batch outputs gives bit for bit the decisions, spread and
+// verdicts that Decider.Run gives on that run alone, on the dense path
+// and on the Agent path.
 func TestDecidingBatchClusteredParity(t *testing.T) {
-	const n, B, rounds, decideAt = 5, 6, 14, 4
-	alg := approx.DecidingAlgorithm{Inner: algorithms.Midpoint{}, DecisionRound: decideAt}
-	d, ok := core.AsDense(alg)
-	if !ok {
-		t.Fatal("deciding midpoint is not dense-capable")
+	const n, B, rounds = 5, 6, 14
+	alg := algorithms.Midpoint{}
+	deciders := []approx.Decider{
+		{Alg: alg, Contraction: 0.5},
+		{Alg: core.AgentsOnly(alg), Contraction: 0.5},
 	}
 
 	inputs := make([][]float64, B)
@@ -58,52 +58,54 @@ func TestDecidingBatchClusteredParity(t *testing.T) {
 		}
 		return clusterGraph(t, n, (round+i)%n)
 	}
+	schedules := make([]core.Sequence, B)
+	for i := range schedules {
+		for round := 1; round <= rounds; round++ {
+			schedules[i].Graphs = append(schedules[i].Graphs, graphAt(i, round))
+		}
+	}
+	// Run i decides at round 2+i: ε = 2^-(2+i) with Δ = 1.
+	eps := make([]float64, B)
+	for i := range eps {
+		eps[i] = math.Ldexp(1, -(2 + i))
+	}
 
-	br := core.NewBatchRunner(d, inputs)
+	br := core.NewBatchRunner(alg, inputs)
 	br.SetPlanCacheCap(2)
-
-	// References: a dense runner and an agent configuration per run.
-	denseRuns := make([]*core.DenseRunner, B)
-	agentRuns := make([]*core.Config, B)
-	for i := 0; i < B; i++ {
-		denseRuns[i] = core.NewDenseRunner(d, inputs[i])
-		agentRuns[i] = core.NewConfig(alg, inputs[i])
-	}
-
-	var view core.DenseState
-	checkRun := func(round, i int) {
-		t.Helper()
-		out := make([]float64, n)
-		br.Outputs(i, out)
-		want := denseRuns[i].Outputs()
-		for j := range want {
-			if math.Float64bits(out[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("round %d run %d agent %d: batch %v != dense %v", round, i, j, out[j], want[j])
-			}
-		}
-		br.State().View(i, &view)
-		bfp, bok := core.AppendDenseFingerprint(d, &view, nil)
-		dfp, dok := core.AppendDenseFingerprint(d, denseRuns[i].State(), nil)
-		afp, aok := agentRuns[i].AppendFingerprint(nil)
-		if !bok || !dok || !aok {
-			t.Fatalf("round %d run %d: fingerprint unavailable (batch %v dense %v agents %v)", round, i, bok, dok, aok)
-		}
-		if !bytes.Equal(bfp, dfp) || !bytes.Equal(bfp, afp) {
-			t.Fatalf("round %d run %d: fingerprints diverge across backends", round, i)
-		}
-	}
-
 	gs := make([]graph.Graph, B)
+	out := make([]float64, n)
+	decided := 0
 	for round := 1; round <= rounds; round++ {
 		for i := range gs {
-			gs[i] = graphAt(i, round)
+			gs[i] = schedules[i].Graphs[round-1]
 		}
 		br.StepEach(gs)
 		for i := 0; i < B; i++ {
-			denseRuns[i].Step(gs[i])
-			agentRuns[i] = agentRuns[i].Step(gs[i])
-			checkRun(round, i)
+			if deciders[0].Rounds(1, eps[i]) != round {
+				continue
+			}
+			decided++
+			br.Outputs(i, out)
+			got := approx.Decide(inputs[i], out, round, eps[i])
+			if !got.Validity {
+				t.Fatalf("run %d: decided %v outside the initial hull", i, got.Decisions)
+			}
+			for k, d := range deciders {
+				want := d.Run(inputs[i], schedules[i], 1, eps[i])
+				if got.DecisionRound != want.DecisionRound || got.EpsAgreement != want.EpsAgreement ||
+					got.Validity != want.Validity || math.Float64bits(got.Spread) != math.Float64bits(want.Spread) {
+					t.Fatalf("run %d (%s path): batch decision %+v, single-run decider %+v", i, [...]string{"dense", "agents"}[k], got, want)
+				}
+				for j := range want.Decisions {
+					if math.Float64bits(got.Decisions[j]) != math.Float64bits(want.Decisions[j]) {
+						t.Fatalf("run %d agent %d (%s path): batch decided %v, single-run decider %v", i, j, [...]string{"dense", "agents"}[k], got.Decisions[j], want.Decisions[j])
+					}
+				}
+			}
 		}
+	}
+	if decided != B {
+		t.Fatalf("%d of %d runs reached their decision round", decided, B)
 	}
 
 	if _, misses, evicts, defers, entries := br.PlanCacheStats(); evicts == 0 || entries > 2 || misses+defers < uint64(rounds) {

@@ -354,21 +354,6 @@ type BatchStepper interface {
 	StepDenseBatch(dst, src *BatchState, plan *StepPlan)
 }
 
-// AsBatchStepper returns the batch-stepping view of alg, unwrapping
-// DenseProvider indirections.
-func AsBatchStepper(alg Algorithm) (BatchStepper, bool) {
-	if bs, ok := alg.(BatchStepper); ok {
-		return bs, true
-	}
-	if p, ok := alg.(DenseProvider); ok {
-		if d, dok := p.Dense(); dok {
-			bs, bok := d.(BatchStepper)
-			return bs, bok
-		}
-	}
-	return nil, false
-}
-
 // planEntry is one cached StepPlan plus its cache bookkeeping: the
 // owned mask-byte key, the step stamp/slot that assign the entry to a
 // cluster during one clustered round, and the recycling state — refs
@@ -438,9 +423,8 @@ type BatchRunner struct {
 	// swapped alongside the buffers, so the per-run paths pay two round
 	// refreshes per step instead of rebuilding slice headers per use.
 	// They stay valid across steps because the backing arrays are stable.
-	viewsCur   []DenseState
-	viewsNext  []DenseState
-	outScratch []float64
+	viewsCur  []DenseState
+	viewsNext []DenseState
 
 	// Plan cache: mask-byte key -> entry, FIFO-bounded, plus the pooled
 	// per-round clustering scratch. lastG/lastPlan are the per-run
@@ -489,7 +473,7 @@ func NewBatchRunner(alg DenseAlgorithm, inputs [][]float64) *BatchRunner {
 	}
 	b, n := len(inputs), len(inputs[0])
 	r := &BatchRunner{alg: alg, cur: &BatchState{}, next: &BatchState{}}
-	r.bs, _ = AsBatchStepper(alg)
+	r.bs, _ = alg.(BatchStepper)
 	r.cur.Resize(b, n, alg.DensePlanes())
 	r.next.Resize(b, n, alg.DensePlanes())
 	r.viewsCur = make([]DenseState, b)
@@ -502,7 +486,6 @@ func NewBatchRunner(alg DenseAlgorithm, inputs [][]float64) *BatchRunner {
 	r.lastPlan = make([]*planEntry, b)
 	r.replays = make([]bool, b)
 	r.shared = make([]graph.Graph, b)
-	r.outScratch = make([]float64, n)
 	for i, in := range inputs {
 		if len(in) != n {
 			panic(fmt.Sprintf("core: batch run %d has %d agents, want %d", i, len(in), n))
@@ -926,14 +909,12 @@ func (r *BatchRunner) stepEachRaw(gs []graph.Graph) (hullDone bool) {
 		if c.e == nil {
 			// Deferred singleton: step through the per-run views and, when
 			// hulls were requested, scan this run's outputs right here —
-			// the same OutputsDense+Hull sequence the post-swap scan would
-			// run, so the round's hull delivery stays intact for the
-			// clustered runs.
+			// the same Hull of Y the post-swap scan would run, so the
+			// round's hull delivery stays intact for the clustered runs.
 			i := c.runs[0]
 			r.stepRun(i, gs[i])
 			if r.hull.want {
-				r.alg.OutputsDense(&r.viewsNext[i], r.outScratch)
-				r.hull.lo[i], r.hull.hi[i] = Hull(r.outScratch)
+				r.hull.lo[i], r.hull.hi[i] = Hull(r.viewsNext[i].Y)
 			}
 			continue
 		}
@@ -973,14 +954,13 @@ func (r *BatchRunner) stepRun(i int, g graph.Graph) {
 
 // Outputs writes run i's observable outputs into out (length N).
 func (r *BatchRunner) Outputs(i int, out []float64) {
-	r.alg.OutputsDense(r.runView(i), out)
+	copy(out, r.cur.RunY(i))
 }
 
 // Hull returns the convex hull [lo, hi] of run i's observable outputs
 // without allocating.
 func (r *BatchRunner) Hull(i int) (lo, hi float64) {
-	r.Outputs(i, r.outScratch)
-	return Hull(r.outScratch)
+	return Hull(r.cur.RunY(i))
 }
 
 // Diameter returns the output diameter of run i without allocating.

@@ -23,9 +23,9 @@ type DenseState struct {
 	n      int
 	round  int
 	planes int
-	// Y is the consensus variable vector y. For algorithms with internal
-	// state beyond y (e.g. a decision wrapper), Y holds the broadcast
-	// variable and the observable output is defined by OutputsDense.
+	// Y is the consensus variable vector y: Y[i] is agent i's
+	// Agent.Output(), bit for bit, so runners and the valency walk read
+	// outputs straight from it.
 	Y []float64
 	// Aux holds the auxiliary planes, plane-major.
 	Aux []float64
@@ -84,7 +84,8 @@ func (st *DenseState) CopyFrom(src *DenseState) {
 // stepper over flat state. Implementations must be bit-identical to the
 // algorithm's Agent path — same float operations in the same order per
 // agent, with senders visited in ascending index (the order Deliver
-// receives the inbox in).
+// receives the inbox in). Y[i] of every state they produce is agent i's
+// Agent.Output(), bit for bit: the dense path has no other output.
 type DenseAlgorithm interface {
 	Algorithm
 	// DensePlanes returns the number of auxiliary float64 planes the
@@ -99,35 +100,17 @@ type DenseAlgorithm interface {
 	// src.round + 1; the implementation must fully overwrite dst.Y and
 	// every aux plane it owns. dst never aliases src.
 	StepDense(dst, src *DenseState, g graph.Graph)
-	// OutputsDense writes each agent's observable output (Agent.Output)
-	// into out, which has length N. It must not read from out.
-	OutputsDense(st *DenseState, out []float64)
 }
 
-// DenseProvider is an optional Algorithm capability for wrappers whose
-// dense support depends on the wrapped algorithm (e.g. the deciding
-// wrapper in internal/approx): Dense returns the dense view when
-// available.
-type DenseProvider interface {
-	Dense() (DenseAlgorithm, bool)
-}
-
-// AsDense returns the dense view of alg: alg itself when it implements
-// DenseAlgorithm directly, the provided view for DenseProvider wrappers,
-// and ok = false otherwise.
+// AsDense returns alg's dense stepper, and ok = false when it has none.
 func AsDense(alg Algorithm) (DenseAlgorithm, bool) {
-	if d, ok := alg.(DenseAlgorithm); ok {
-		return d, true
-	}
-	if p, ok := alg.(DenseProvider); ok {
-		return p.Dense()
-	}
-	return nil, false
+	d, ok := alg.(DenseAlgorithm)
+	return d, ok
 }
 
 // AgentsOnly returns alg with its dense capability hidden: AsDense fails
-// on the result, so Run, the vector runner, the valency settle loops and
-// wrappers such as the deciding algorithm all step it on the Agent path.
+// on the result, so Run, the vector runner and the valency settle loops
+// all step it on the Agent path.
 // Name, convexity and agents are alg's own, and the result declares
 // SelfRootKeeper exactly when alg does, with alg's answers: the
 // closed-form limit is a property of the algorithm's mathematics, not of
@@ -142,7 +125,7 @@ func AgentsOnly(alg Algorithm) Algorithm {
 }
 
 // agentsOnly embeds only the Algorithm interface, so none of the wrapped
-// value's optional capabilities (DenseAlgorithm, DenseProvider) are
+// value's optional capabilities (DenseAlgorithm, BatchStepper) are
 // promoted.
 type agentsOnly struct{ Algorithm }
 
@@ -246,9 +229,8 @@ func MaterializeDense(alg DenseAlgorithm, st *DenseState) *Config {
 // computes the successor into the back buffer and swaps, allocating
 // nothing after construction.
 type DenseRunner struct {
-	alg        DenseAlgorithm
-	cur, next  *DenseState
-	outScratch []float64
+	alg       DenseAlgorithm
+	cur, next *DenseState
 }
 
 // NewDenseRunner builds a runner from raw inputs (one per agent).
@@ -260,7 +242,7 @@ func NewDenseRunner(alg DenseAlgorithm, inputs []float64) *DenseRunner {
 	alg.InitDense(st)
 	back := &DenseState{}
 	back.Resize(n, st.planes)
-	return &DenseRunner{alg: alg, cur: st, next: back, outScratch: make([]float64, n)}
+	return &DenseRunner{alg: alg, cur: st, next: back}
 }
 
 // N returns the number of agents.
@@ -309,9 +291,9 @@ type DenseSettler interface {
 // reports convergence, at round round with output hull [lo, hi]; on
 // failure round is settle and lo, hi are 0. st is overwritten. An
 // algorithm with a DenseSettler kernel runs it; every other one runs the
-// generic loop: the hull of OutputsDense, then DenseStep, ping-ponging
-// st with the scratch's back buffer. Neither allocates once sc has
-// grown to the shape.
+// generic loop: the hull of Y, then DenseStep, ping-ponging st with the
+// scratch's back buffer. Neither allocates once sc has grown to the
+// shape.
 func Settle(alg DenseAlgorithm, st *DenseState, g graph.Graph, settle int, tol float64, sc *SettleScratch) (lo, hi float64, round int, ok bool) {
 	if g.N() != st.n {
 		panic(fmt.Sprintf("core: graph on %d nodes applied to %d agents", g.N(), st.n))
@@ -319,14 +301,9 @@ func Settle(alg DenseAlgorithm, st *DenseState, g graph.Graph, settle int, tol f
 	if k, can := alg.(DenseSettler); can {
 		return k.SettleDense(st, g, settle, tol)
 	}
-	if cap(sc.out) < st.n {
-		sc.out = make([]float64, st.n)
-	}
-	out := sc.out[:st.n]
 	cur, next := st, &sc.back
 	for r := 0; ; r++ {
-		alg.OutputsDense(cur, out)
-		if lo, hi = Hull(out); hi-lo <= tol {
+		if lo, hi = Hull(cur.Y); hi-lo <= tol {
 			return lo, hi, r, true
 		}
 		if r == settle {
@@ -338,24 +315,22 @@ func Settle(alg DenseAlgorithm, st *DenseState, g graph.Graph, settle int, tol f
 }
 
 // SettleScratch is Settle's reusable working memory: the generic loop's
-// back buffer and output slice. Both grow to the largest shape seen.
+// back buffer, grown to the largest shape seen.
 type SettleScratch struct {
 	back DenseState
-	out  []float64
 }
 
 // Outputs returns a fresh slice of the observable outputs.
 func (r *DenseRunner) Outputs() []float64 {
 	out := make([]float64, r.cur.n)
-	r.alg.OutputsDense(r.cur, out)
+	copy(out, r.cur.Y)
 	return out
 }
 
 // Hull returns the convex hull [lo, hi] of the observable outputs without
 // allocating.
 func (r *DenseRunner) Hull() (lo, hi float64) {
-	r.alg.OutputsDense(r.cur, r.outScratch)
-	return Hull(r.outScratch)
+	return Hull(r.cur.Y)
 }
 
 // Diameter returns the diameter of the observable outputs without
@@ -366,10 +341,7 @@ func (r *DenseRunner) Diameter() float64 {
 }
 
 // Output returns agent i's observable output.
-func (r *DenseRunner) Output(i int) float64 {
-	r.alg.OutputsDense(r.cur, r.outScratch)
-	return r.outScratch[i]
-}
+func (r *DenseRunner) Output(i int) float64 { return r.cur.Y[i] }
 
 // Config materializes the runner's state as an agent configuration.
 func (r *DenseRunner) Config() *Config { return MaterializeDense(r.alg, r.cur) }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/algorithms"
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -58,15 +57,12 @@ func TestMultiWordParallelParity(t *testing.T) {
 // TestMultiWordAgentsVsDense checks the two execution backends agree
 // past the word boundary: the agent oracle (message inboxes driven by
 // InRow popcount iteration) and the dense kernel produce bit-identical
-// fingerprints after every round at n = 128 and n = 256 — including the
-// deciding wrapper, whose dense view appends a decision plane after the
-// inner stepper's and decides mid-run.
+// fingerprints after every round at n = 128 and n = 256.
 func TestMultiWordAgentsVsDense(t *testing.T) {
 	algs := []core.Algorithm{
 		algorithms.Midpoint{},
 		algorithms.AmortizedMidpoint{},
 		algorithms.Mean{},
-		approx.DecidingAlgorithm{Inner: algorithms.AmortizedMidpoint{}, DecisionRound: 3},
 	}
 	for _, n := range []int{128, 256} {
 		for _, alg := range algs {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -204,12 +205,15 @@ func TestPrivateFirstSightPlans(t *testing.T) {
 
 // TestPlanCacheThrashParity steps per-run lasso schedules through a
 // deliberately tiny plan cache — every round churns builds, evictions,
-// and storage recycling — and checks the outputs stay bit-identical to
-// single runs on both paths. This is the hostile many-distinct-graph case
-// the cache bound exists for.
+// and storage recycling, and most rounds step a multi-run cluster beside
+// singleton clusters — and checks every run after every round against a
+// per-run DenseRunner and an Agent configuration: bit-identical outputs
+// and configuration fingerprints, for a stepper without aux planes
+// (Midpoint) and one with two (AmortizedMidpoint). At the end each run
+// also matches core.Run on both paths. This is the hostile
+// many-distinct-graph case the cache bound exists for.
 func TestPlanCacheThrashParity(t *testing.T) {
 	const n, B, rounds = 5, 6, 24
-	alg := algorithms.Midpoint{}
 	inputs := testInputs(n, B)
 	srcs := make([]core.PatternSource, B)
 	for i := 0; i < B; i++ {
@@ -218,36 +222,66 @@ func TestPlanCacheThrashParity(t *testing.T) {
 			Loop:   []graph.Graph{shiftGraph(n, (i+1)%n), graph.Star(n, i%n), shiftGraph(n, (i+2)%n)},
 		}
 	}
-
-	br := core.NewBatchRunner(alg, inputs)
-	br.SetPlanCacheCap(2)
-	gs := make([]graph.Graph, B)
-	for round := 1; round <= rounds; round++ {
-		for i, src := range srcs {
-			gs[i] = src.Next(round, nil)
-		}
-		br.StepEach(gs)
-	}
-	_, misses, evicts, _, entries := br.PlanCacheStats()
-	if entries > 2 {
-		t.Fatalf("cache holds %d entries, cap is 2", entries)
-	}
-	if evicts == 0 || misses <= 2 {
-		t.Fatalf("thrash workload must churn the cache, got misses=%d evicts=%d", misses, evicts)
-	}
-
-	out := make([]float64, n)
-	for i := 0; i < B; i++ {
-		br.Outputs(i, out)
-		for k, single := range []core.Algorithm{core.AgentsOnly(alg), alg} {
-			tr := core.Run(single, inputs[i], srcs[i], rounds)
-			got := tr.Outputs[rounds]
-			for j := range got {
-				if math.Float64bits(got[j]) != math.Float64bits(out[j]) {
-					t.Fatalf("run %d agent %d (%s path): single %v != batch %v", i, j, [...]string{"agents", "dense"}[k], got[j], out[j])
+	for _, alg := range []core.DenseAlgorithm{algorithms.Midpoint{}, algorithms.AmortizedMidpoint{}} {
+		t.Run(alg.Name(), func(t *testing.T) {
+			br := core.NewBatchRunner(alg, inputs)
+			br.SetPlanCacheCap(2)
+			dense := make([]*core.DenseRunner, B)
+			agents := make([]*core.Config, B)
+			for i := range dense {
+				dense[i] = core.NewDenseRunner(alg, inputs[i])
+				agents[i] = core.NewConfig(alg, inputs[i])
+			}
+			gs := make([]graph.Graph, B)
+			out := make([]float64, n)
+			var view core.DenseState
+			for round := 1; round <= rounds; round++ {
+				for i, src := range srcs {
+					gs[i] = src.Next(round, nil)
+				}
+				br.StepEach(gs)
+				for i, g := range gs {
+					dense[i].Step(g)
+					agents[i] = agents[i].Step(g)
+					br.Outputs(i, out)
+					for j := range out {
+						if b, d, a := out[j], dense[i].Output(j), agents[i].Output(j); math.Float64bits(b) != math.Float64bits(d) || math.Float64bits(b) != math.Float64bits(a) {
+							t.Fatalf("round %d run %d agent %d: batch %v, dense %v, agents %v", round, i, j, b, d, a)
+						}
+					}
+					br.State().View(i, &view)
+					bfp, bok := core.AppendDenseFingerprint(alg, &view, nil)
+					dfp, dok := core.AppendDenseFingerprint(alg, dense[i].State(), nil)
+					afp, aok := agents[i].AppendFingerprint(nil)
+					if !bok || !dok || !aok {
+						t.Fatalf("round %d run %d: fingerprint unavailable (batch %v, dense %v, agents %v)", round, i, bok, dok, aok)
+					}
+					if !bytes.Equal(bfp, dfp) || !bytes.Equal(bfp, afp) {
+						t.Fatalf("round %d run %d: fingerprints diverge across backends", round, i)
+					}
 				}
 			}
-		}
+			_, misses, evicts, _, entries := br.PlanCacheStats()
+			if entries > 2 {
+				t.Fatalf("cache holds %d entries, cap is 2", entries)
+			}
+			if evicts == 0 || misses <= 2 {
+				t.Fatalf("thrash workload must churn the cache, got misses=%d evicts=%d", misses, evicts)
+			}
+
+			for i := 0; i < B; i++ {
+				br.Outputs(i, out)
+				for k, single := range []core.Algorithm{core.AgentsOnly(alg), alg} {
+					tr := core.Run(single, inputs[i], srcs[i], rounds)
+					got := tr.Outputs[rounds]
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(out[j]) {
+							t.Fatalf("run %d agent %d (%s path): single %v != batch %v", i, j, [...]string{"agents", "dense"}[k], got[j], out[j])
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -212,5 +216,101 @@ func TestTracerRingAndJSON(t *testing.T) {
 	nilT.End(1)
 	if s := nilT.Snapshot(); s != nil {
 		t.Fatal("nil tracer snapshot non-nil")
+	}
+}
+
+// TestTracerRingMatchesModel is the span ring's bounded-structure
+// property: zero-seeded random Begin/End/Annotate sequences at
+// capacities 1, 3 and 64, on ids that are live, evicted, never issued
+// or 0, hold the tracer after every step to a reference ring that keeps
+// the newest capacity spans. Snapshot returns the model's spans oldest
+// first, with matching ids, parents, names, ended flags and attrs, and
+// an End or Annotate on an id the ring does not hold leaves the
+// snapshot unchanged, timestamps included.
+func TestTracerRingMatchesModel(t *testing.T) {
+	type modelSpan struct {
+		id, parent SpanID
+		name       string
+		ended      bool
+		attrs      []Attr
+	}
+	rng := rand.New(rand.NewSource(0))
+	for _, capacity := range []int{1, 3, 64} {
+		tr := NewTracer(capacity)
+		var ring []modelSpan // retained spans, oldest first
+		var issued SpanID
+		var kinds [4]int // ops on live, evicted, never-issued and 0 ids
+		// pick draws an id and the kind of id it is; live ids come with
+		// their index in ring.
+		pick := func() (id SpanID, kind, live int) {
+			switch k := rng.Intn(8); {
+			case k < 4 && len(ring) > 0:
+				i := rng.Intn(len(ring))
+				return ring[i].id, 0, i
+			case k < 6 && issued > SpanID(len(ring)):
+				return 1 + SpanID(rng.Int63n(int64(issued)-int64(len(ring)))), 1, -1
+			case k < 7:
+				return issued + 1 + SpanID(rng.Intn(3*capacity)), 2, -1
+			}
+			return 0, 3, -1
+		}
+		for step := 0; step < 5000; step++ {
+			before := tr.Snapshot()
+			unheld := false // an End or Annotate on an id the ring does not hold
+			switch rng.Intn(3) {
+			case 0:
+				parent, _, _ := pick()
+				name := "op-" + strconv.Itoa(rng.Intn(4))
+				var attrs []Attr
+				if rng.Intn(2) == 0 {
+					attrs = []Attr{{Key: "step", Value: strconv.Itoa(step)}}
+				}
+				id := tr.Begin(name, parent, attrs...)
+				if issued++; id != issued {
+					t.Fatalf("cap %d step %d: Begin returned id %d, want %d", capacity, step, id, issued)
+				}
+				ring = append(ring, modelSpan{id: id, parent: parent, name: name, attrs: append([]Attr(nil), attrs...)})
+				if len(ring) > capacity {
+					ring = ring[1:]
+				}
+			case 1:
+				id, kind, i := pick()
+				tr.End(id)
+				kinds[kind]++
+				if unheld = i < 0; !unheld {
+					ring[i].ended = true
+				}
+			case 2:
+				id, kind, i := pick()
+				attrs := make([]Attr, rng.Intn(3))
+				for j := range attrs {
+					attrs[j] = Attr{Key: fmt.Sprintf("a%d", j), Value: strconv.Itoa(step)}
+				}
+				tr.Annotate(id, attrs...)
+				kinds[kind]++
+				if unheld = i < 0; !unheld {
+					ring[i].attrs = append(ring[i].attrs, attrs...)
+				}
+			}
+			got := tr.Snapshot()
+			if unheld && !reflect.DeepEqual(got, before) {
+				t.Fatalf("cap %d step %d: an operation on an id the ring does not hold changed it", capacity, step)
+			}
+			if len(got) > capacity || len(got) != len(ring) {
+				t.Fatalf("cap %d step %d: %d spans retained, model holds %d", capacity, step, len(got), len(ring))
+			}
+			for i, sp := range got {
+				m := ring[i]
+				if sp.ID != m.id || sp.Parent != m.parent || sp.Name != m.name || (sp.EndUnix != 0) != m.ended ||
+					len(sp.Attrs) != len(m.attrs) || (len(m.attrs) > 0 && !reflect.DeepEqual(sp.Attrs, m.attrs)) {
+					t.Fatalf("cap %d step %d: span %d is %+v, model holds %+v", capacity, step, i, sp, m)
+				}
+			}
+		}
+		for kind, n := range kinds {
+			if n == 0 {
+				t.Errorf("cap %d: no operation on a %s id", capacity, [...]string{"live", "evicted", "never-issued", "zero"}[kind])
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/algorithms"
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/model"
@@ -22,14 +21,9 @@ import (
 // noSelfRoot3/midpoint is the case whose limits all go through the
 // generic settle loop. The specials cases start from ±0, NaN and ±Inf:
 // no hull containing them converges, so their settles fail, and their
-// outer hulls carry NaN. The amortized midpoint and the deciding wrapper
-// step by round, and the walk must carry every node's round into its
-// fingerprints and settles: the deciding case fails when a settle's copy
-// of a node loses the round (its decisions freeze the outputs after
-// round 1, so a settle that decides at the wrong step converges
-// elsewhere). Its outputs are its decisions, not its broadcast variable
-// Y, so it also fails when the walk reads Y for the outputs (its outer
-// leaf hulls move).
+// outer hulls carry NaN. The amortized midpoint steps by round (its
+// phase), so the walk must carry every node's round into its
+// fingerprints and settles.
 func settleCases() []struct {
 	name   string
 	m      *model.Model
@@ -57,7 +51,6 @@ func settleCases() []struct {
 		{"deafK3/quantized", deaf3, algorithms.QuantizedMidpoint{Q: 1.0 / 64}, []float64{0, 1, 0.5}, true},
 		{"noSelfRoot3/floodroot", noSelfRootModel(), algorithms.FloodRoot{Root: 1}, []float64{0, 1, 0.25}, true},
 		{"noSelfRoot3/amortized", noSelfRootModel(), algorithms.AmortizedMidpoint{}, []float64{0, 1, 0.25}, true},
-		{"noSelfRoot3/deciding", noSelfRootModel(), approx.DecidingAlgorithm{Inner: algorithms.Midpoint{}, DecisionRound: 1}, []float64{0, 1, 0.25}, true},
 		{"twoagent/twothirds/specials", model.TwoAgent(), algorithms.TwoThirds{}, []float64{-inf, inf}, true},
 		{"deafK3/midpoint/specials", deaf3, algorithms.Midpoint{}, []float64{negZero, nan, 0}, true},
 		{"deafK3/mean/specials", deaf3, algorithms.Mean{}, []float64{inf, negZero, 0}, true},

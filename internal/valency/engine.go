@@ -79,7 +79,7 @@ func (s CacheStats) HitRate() float64 {
 //     core.DenseState once (core.AsDense and Config.WriteDense), and
 //     every node below it is stepped (core.DenseStep), fingerprinted
 //     (the dense fingerprint, byte-identical to the Agent one), read
-//     (OutputsDense, once per node) and settled (core.Settle, on a copy
+//     (its Y, which is its outputs) and settled (core.Settle, on a copy
 //     of the node) on the dense path;
 //   - walks a root that cannot bridge (an algorithm without a dense
 //     stepper, such as core.AgentsOnly's and the rb-* algorithms, or
@@ -438,7 +438,7 @@ type node struct {
 	// root, own below it.
 	cfg *core.Config
 	own core.Config
-	// out holds the outputs once read (outRead).
+	// out holds the Agent path's outputs once read (outRead).
 	out     []float64
 	outRead bool
 	// key holds the node's inner or outer memo key across the recursion
@@ -501,17 +501,16 @@ func (w *walker) fingerprint(n *node, dst []byte) ([]byte, bool) {
 	return n.st.AppendFingerprint(w.df, dst)
 }
 
-// outputs returns n's observable outputs, read once per configuration.
+// outputs returns n's observable outputs: its Y on the dense path, and
+// on the Agent path the agents' outputs, read once per configuration.
 func (w *walker) outputs(n *node) []float64 {
+	if w.dense != nil {
+		return n.st.Y
+	}
 	if !n.outRead {
-		if w.dense != nil {
-			n.out = grow(n.out, n.st.N())
-			w.dense.OutputsDense(&n.st, n.out)
-		} else {
-			n.out = grow(n.out, n.cfg.N())
-			for i := range n.out {
-				n.out[i] = n.cfg.Output(i)
-			}
+		n.out = grow(n.out, n.cfg.N())
+		for i := range n.out {
+			n.out[i] = n.cfg.Output(i)
 		}
 		n.outRead = true
 	}
