@@ -20,7 +20,10 @@ import (
 // n=64 with B=512 runs, where a round's fixed cost spreads over many
 // runs, and the shape of grid-narrow's small sweep tiles — two runs at
 // n=16 stepped with hulls — where a round costs well under a
-// microsecond and any per-round instrumentation shows most.
+// microsecond and any per-round instrumentation shows most. Each series
+// times the kernel bound to a registry against the kernel detached from
+// every registry; the rest of the metrics plane has no off state, so
+// the kernel's detach is the one baseline there is.
 const (
 	obsN     = 64
 	obsBatch = 512
@@ -36,14 +39,15 @@ const (
 )
 
 // obsReport is one BENCH obs series: the same kernel workload stepped
-// with a live metrics registry bound and with the registry detached
-// (the REPRO_OBS=off state), interleaved samples, medians.
+// with a live metrics registry bound and with the kernel detached
+// (core.SetObsRegistry(nil), the kernel's only uninstrumented state),
+// interleaved samples, medians.
 type obsReport struct {
 	N      int `json:"n"`
 	Batch  int `json:"batch"`
 	Rounds int `json:"rounds"`
 	// InstrumentedNs / DetachedNs are the median workload wall times
-	// with obs on and off.
+	// with the registry bound and detached.
 	InstrumentedNs int64 `json:"instrumented_median_ns"`
 	DetachedNs     int64 `json:"detached_median_ns"`
 	// Overhead is instrumented/detached — the CI gate holds it at or
@@ -105,8 +109,8 @@ func measureObs(out io.Writer, name string, n, b, samples, rounds int, step func
 		return time.Since(start)
 	}
 
-	// A fresh live registry rather than obs.Default(), so the series
-	// measures the instrumented path even under REPRO_OBS=off.
+	// A fresh registry rather than obs.Default(), so the benchmark's
+	// rounds stay out of the process-wide series.
 	live := obs.NewRegistry()
 	stepOnce(live) // warm the plan caches' allocator and the CPU
 	var on, off []time.Duration

@@ -7,11 +7,11 @@ import (
 )
 
 // This file binds the distributed plane to per-instance obs
-// registries. Unlike the kernel and sweep series (which ride
-// obs.Default() and vanish under REPRO_OBS=off), the coordinator and
-// worker registries are always on: they are the single source of
-// truth behind /api/v1/status, so disabling them would change the
-// service's wire behaviour, not just its telemetry.
+// registries, beside the process-wide obs.Default() that carries the
+// kernel and sweep series. The coordinator's registry and the worker's
+// (its embedded server's) are the single source of truth behind
+// /api/v1/status: the status endpoints read their counters back from
+// the instruments /metrics exposes.
 
 // coordTracerCapacity bounds the coordinator's span ring: one root
 // span per sweep plus one child per shard, oldest evicted first.

@@ -53,11 +53,10 @@ type Worker struct {
 	cache   *consensus.SweepCache
 	timeout time.Duration
 
-	// reg is shared with the embedded server, so the server's GET
+	// met lives on the embedded server's registry, so the server's GET
 	// /metrics (reached through the catch-all route) exposes the shard
-	// counters alongside the request and cache series. Status() reads
-	// the counters back from these instruments.
-	reg *obs.Registry
+	// counters alongside the request and cache series. The status
+	// endpoint reads the counters back from these instruments.
 	met *workerMetrics
 }
 
@@ -67,22 +66,21 @@ func NewWorker(opts ...WorkerOption) *Worker {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	cache, reg := consensus.NewSweepCache(), obs.NewRegistry()
+	cache := consensus.NewSweepCache()
 	serverOpts := []consensus.ServerOption{
 		consensus.ServerTimeout(cfg.timeout),
 		consensus.ServerSweepCache(cache),
-		consensus.ServerObsRegistry(reg),
 	}
 	if cfg.lib != nil {
 		serverOpts = append(serverOpts, consensus.ServerLibrary(cfg.lib))
 	}
+	inner := consensus.NewServer(serverOpts...)
 	w := &Worker{
-		inner:   consensus.NewServer(serverOpts...),
+		inner:   inner,
 		lib:     cfg.lib,
 		cache:   cache,
 		timeout: cfg.timeout,
-		reg:     reg,
-		met:     newWorkerMetrics(reg),
+		met:     newWorkerMetrics(inner.Registry()),
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", w.inner)
@@ -98,9 +96,9 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.Serv
 // SweepCacheCounters returns the worker's sweep-cache accounting.
 func (w *Worker) SweepCacheCounters() consensus.SweepCacheCounters { return w.cache.Counters() }
 
-// Registry exposes the worker's always-on metrics registry (shared
-// with the embedded server).
-func (w *Worker) Registry() *obs.Registry { return w.reg }
+// Registry exposes the worker's metrics registry: the embedded
+// server's, which also holds the shard counters.
+func (w *Worker) Registry() *obs.Registry { return w.inner.Registry() }
 
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest

@@ -8,16 +8,13 @@ import (
 )
 
 // This file binds the sweep plane and the paper-level convergence
-// instrument to the process-wide obs registry. Everything here rides
-// obs.Default(): with REPRO_OBS=off every instrument is nil and the
-// recording calls are no-ops. Sampling stays coarse by design — per
-// sweep, per tile, per streamed round — never inside the kernel's
-// fold loops (those series live in internal/core/obs.go).
+// instrument to the process-wide obs registry, obs.Default(), which
+// always records. Sampling stays coarse by design — per sweep, per
+// tile, per streamed round — never inside the kernel's fold loops
+// (those series live in internal/core/obs.go, and the server's status
+// reads their plan-cache counters back through core.PlanCacheCounts).
 var sweepObs = func() *sweepMetrics {
 	r := obs.Default()
-	if r == nil {
-		return nil
-	}
 	m := &sweepMetrics{
 		sweeps: r.Counter("repro_sweep_sweeps_total",
 			"Sweep invocations (local execution, including worker shards)."),
@@ -91,11 +88,8 @@ func registerValencyGauges(r *obs.Registry) {
 }
 
 // observeSweepOutcome records a finished local sweep's spec-level
-// accounting. No-op when obs is off.
+// accounting.
 func observeSweepOutcome(results []SweepResult) {
-	if sweepObs == nil {
-		return
-	}
 	var cached, failed uint64
 	for i := range results {
 		if results[i].Cached {
@@ -115,11 +109,8 @@ func observeSweepOutcome(results []SweepResult) {
 // diameter pair feeds the contraction-rate histogram — the ICALP'15
 // convergence quantity: rate 1.0 means the round contracted nothing,
 // +Inf (rate > 1) means expansion. Runs already at diameter 0 stop
-// observing. When obs is off the original yield is returned untouched.
+// observing.
 func observeContraction(yield func(Snapshot, error) bool) func(Snapshot, error) bool {
-	if sweepObs == nil {
-		return yield
-	}
 	prev := math.NaN()
 	return func(snap Snapshot, err error) bool {
 		if err == nil {

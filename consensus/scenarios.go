@@ -572,13 +572,11 @@ func runScenarioResolved(ctx context.Context, sch *scenario.Schedule, req Scenar
 	if err != nil {
 		return nil, err
 	}
-	res, err := session.Run(ctx)
+	summary, diameters, err := session.summarize(ctx, sch.Source(), true)
 	if err != nil {
 		return nil, err
 	}
-	summary := Summarize(res)
-	rep.Summary = &summary
-	rep.Diameters = res.Diameters()
+	rep.Summary, rep.Diameters = &summary, diameters
 	if err := summary.checkFinite(rep.Diameters...); err != nil {
 		return nil, err
 	}

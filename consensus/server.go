@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/httpjson"
 	"repro/internal/obs"
 )
@@ -27,14 +28,6 @@ func ServerLibrary(lib *Library) ServerOption {
 // cache the server builds for itself.
 func ServerSweepCache(c *SweepCache) ServerOption {
 	return func(s *Server) { s.sweepCache = c }
-}
-
-// ServerObsRegistry backs the server's request metrics and cache
-// gauges with the given registry instead of a private one — the
-// distributed worker shares its registry with its embedded server so
-// one /metrics scrape covers both.
-func ServerObsRegistry(r *obs.Registry) ServerOption {
-	return func(s *Server) { s.reg = r }
 }
 
 // Server is the query server over the engines: an http.Handler exposing
@@ -66,25 +59,20 @@ type Server struct {
 	lib        *Library
 	sweepCache *SweepCache
 
-	// reg is the server's always-on instance metrics registry (per-
-	// endpoint request counters and latency histograms, cache gauges),
-	// served by GET /metrics alongside the process-wide obs.Default()
-	// series. Instance registries are deliberately not subject to
-	// REPRO_OBS: status endpoints read them.
+	// reg is the server's instance metrics registry (per-endpoint
+	// request counters and latency histograms, cache gauges), served by
+	// GET /metrics alongside the process-wide obs.Default() series.
 	reg *obs.Registry
 }
 
 // NewServer builds the query server.
 func NewServer(opts ...ServerOption) *Server {
-	s := &Server{timeout: 30 * time.Second}
+	s := &Server{timeout: 30 * time.Second, reg: obs.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
 	}
 	if s.sweepCache == nil {
 		s.sweepCache = NewSweepCache()
-	}
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
 	}
 	s.registerCacheGauges()
 	mux := http.NewServeMux()
@@ -156,7 +144,7 @@ func (s *Server) registerCacheGauges() {
 
 // handleMetrics serves the Prometheus text exposition: the server's
 // instance registry followed by the process-wide hot-path series
-// (kernel, sweep, valency, convergence — absent under REPRO_OBS=off).
+// (kernel, sweep, valency, convergence).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = obs.WriteAllPrometheus(w, s.reg, obs.Default())
@@ -190,6 +178,17 @@ type ScenarioCacheStats struct {
 	Entries int    `json:"entries"`
 }
 
+// PlanCacheCounters is the /api/v1/status view of the kernel's
+// step-plan cache accounting: the process's
+// repro_kernel_plan_cache_*_total series (see
+// core.BatchRunner.PlanCacheStats for the per-field semantics).
+type PlanCacheCounters struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Deferrals uint64 `json:"deferrals"`
+}
+
 // StatusReport is the /api/v1/status payload: the serving caches'
 // hit/miss/eviction accounting. The same report (extended with shard
 // and queue sections) backs the distributed coordinator and worker
@@ -201,14 +200,14 @@ type StatusReport struct {
 	ScenarioCache ScenarioCacheStats `json:"scenario_cache"`
 }
 
-// Status returns the server's cache accounting snapshot.
+// Status returns the server's cache accounting snapshot. The plan
+// cache is read from the kernel's registry series, so it agrees with
+// GET /metrics.
 func (s *Server) Status() StatusReport {
 	sc := s.sweepCache.Counters()
-	rep := StatusReport{
-		SweepCache:   sc,
-		SweepHitRate: sc.HitRate(),
-		PlanCache:    PlanCacheTotals(),
-	}
+	rep := StatusReport{SweepCache: sc, SweepHitRate: sc.HitRate()}
+	pc := &rep.PlanCache
+	pc.Hits, pc.Misses, pc.Evictions, pc.Deferrals = core.PlanCacheCounts()
 	h, m, n := s.lib.scenarios().ResolveCacheStats()
 	rep.ScenarioCache = ScenarioCacheStats{Hits: h, Misses: m, Entries: n}
 	return rep
@@ -248,12 +247,13 @@ type runResponse struct {
 	Diameters []float64  `json:"diameters"`
 }
 
-// MaxServedRounds bounds a single served run: the run endpoint
-// materializes one value vector per round (and JSON-encodes the diameter
-// series), so unbounded client-chosen round counts would trade the
-// per-query CPU timeout for unbounded memory. Longer executions belong
-// in-process on the constant-memory Rounds iterator. The distributed
-// coordinator and workers enforce the same cap per shard spec.
+// MaxServedRounds bounds a single served run: the run and scenario
+// endpoints keep and JSON-encode one diameter per round (8 MiB of
+// float64s at the cap, before encoding), so unbounded client-chosen
+// round counts would trade the per-query CPU timeout for unbounded
+// memory. Longer executions belong in-process on the constant-memory
+// Rounds iterator. The distributed coordinator and workers enforce the
+// same cap per shard spec.
 const MaxServedRounds = 1 << 20
 
 // CheckServedRounds rejects round budgets past MaxServedRounds.
@@ -279,11 +279,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := session.Run(ctx)
+		src, _, err := session.newSource(ctx)
 		if err != nil {
 			return nil, err
 		}
-		resp := runResponse{Spec: spec, Summary: Summarize(res), Diameters: res.Diameters()}
+		resp := runResponse{Spec: spec}
+		if resp.Summary, resp.Diameters, err = session.summarize(ctx, src, true); err != nil {
+			return nil, err
+		}
 		if err := resp.Summary.checkFinite(resp.Diameters...); err != nil {
 			return nil, err
 		}

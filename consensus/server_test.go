@@ -1,19 +1,25 @@
 package consensus
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/consensus/scenario"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/httpjson"
+	"repro/internal/obs"
 )
 
 func postJSON(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, []byte) {
@@ -319,6 +325,152 @@ func TestServersDoNotShareResults(t *testing.T) {
 		}
 		if c := srv.SweepCacheCounters(); c.Hits != 0 || c.Misses != 1 || c.Entries != 1 {
 			t.Errorf("server %d: sweep cache %+v, want one miss and one entry", i, c)
+		}
+	}
+}
+
+// TestServedRunMatchesTrace: every /api/v1/run answer, status and body
+// byte for byte, is the one built from Summarize(Session.Run) and
+// Result.Diameters — on the dense and the Agent path, under oblivious,
+// valency-driven and scenario sources, at zero rounds, and for a run
+// that overflows the float range (a 400).
+func TestServedRunMatchesTrace(t *testing.T) {
+	srv := NewServer(ServerTimeout(time.Minute))
+	overflows := 0
+	for _, spec := range []RunSpec{
+		{Model: "deaf:8", Algorithm: "midpoint", Adversary: "cycle", Rounds: 30},
+		{Model: "deaf:5", Algorithm: "mean", Adversary: "random", Seed: 7, Rounds: 20},
+		{Model: "psi:4", Algorithm: "amortized", Adversary: "cycle", Rounds: 25},
+		{Model: "deaf:4", Algorithm: "selfweighted:0.25", Adversary: "fixed:2", Rounds: 0},
+		{Model: "twoagent", Algorithm: "twothirds", Adversary: "greedy", Rounds: 12},
+		{Model: "psi:4", Algorithm: "midpoint", Adversary: "blockgreedy", Depth: 2, Rounds: 8},
+		{Model: "deaf:4", Algorithm: "rb-midpoint", Adversary: "cycle", Rounds: 10},
+		{Scenario: "churn:8,3,2,4,2", Algorithm: "midpoint", Rounds: 40},
+		{Model: "deaf:3", Algorithm: "midpoint", Adversary: "cycle", Inputs: []float64{-1.7e308, 1.7e308, 0}, Rounds: 3},
+	} {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := httptest.NewRecorder()
+		srv.ServeHTTP(got, httptest.NewRequest(http.MethodPost, "/api/v1/run", bytes.NewReader(body)))
+
+		want := httptest.NewRecorder()
+		session, err := NewSession(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		res, err := session.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		resp := runResponse{Spec: spec, Summary: Summarize(res), Diameters: res.Diameters()}
+		if err := resp.Summary.checkFinite(resp.Diameters...); err != nil {
+			httpjson.WriteError(want, http.StatusBadRequest, err)
+			overflows++
+		} else {
+			httpjson.Write(want, http.StatusOK, resp)
+		}
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: served %d %s, the trace builds %d %s", body, got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+	if overflows != 1 {
+		t.Errorf("%d runs overflowed, want the one built to", overflows)
+	}
+}
+
+// TestServedRunKeepsNoTrace: a served run keeps its diameter series and
+// no trace, so going from 40 to 4000 rounds grows its allocation by
+// about that series and its JSON only — within 64 bytes a round, where
+// a trace of deaf:64's outputs costs 512.
+func TestServedRunKeepsNoTrace(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	srv := NewServer()
+	alloc := func(rounds int) uint64 {
+		body := fmt.Sprintf(`{"model": "deaf:64", "algorithm": "midpoint", "adversary": "cycle", "rounds": %d}`, rounds)
+		serve := func() uint64 {
+			var before, after runtime.MemStats
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/api/v1/run", strings.NewReader(body))
+			runtime.ReadMemStats(&before)
+			srv.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("run status %d: %s", rec.Code, rec.Body)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		serve() // warm-up
+		least := serve()
+		for range 2 {
+			least = min(least, serve())
+		}
+		return least
+	}
+	const short, long = 40, 4000
+	a, b := alloc(short), alloc(long)
+	if perRound := float64(b-a) / (long - short); b < a || perRound > 64 {
+		t.Fatalf("a served run allocates %d bytes at %d rounds and %d at %d: %.0f bytes a round, want at most 64",
+			a, short, b, long, perRound)
+	}
+}
+
+// TestServerStatusPlanCacheIsKernelSeries: with the kernel bound to the
+// process registry, a sweep that steps a tile moves the kernel's
+// plan-cache series, and /api/v1/status reports exactly the
+// repro_kernel_plan_cache_*_total values /metrics serves.
+func TestServerStatusPlanCacheIsKernelSeries(t *testing.T) {
+	core.SetObsRegistry(obs.Default())
+	ts := httptest.NewServer(NewServer())
+	defer ts.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return out
+	}
+	status := func() PlanCacheCounters {
+		var rep StatusReport
+		if err := json.Unmarshal(get("/api/v1/status"), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep.PlanCache
+	}
+	before := status()
+	resp, out := postJSON(t, ts, "/api/v1/sweep", `{"workers": 1, "specs": [
+		{"model": "deaf:6", "algorithm": "midpoint", "adversary": "random", "seed": 1, "rounds": 50},
+		{"model": "deaf:6", "algorithm": "midpoint", "adversary": "random", "seed": 2, "rounds": 50}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, out)
+	}
+	after := status()
+	if after.Hits == before.Hits {
+		t.Fatalf("the sweep's tile moved no plan-cache hits: %+v", after)
+	}
+	series := make(map[string]string)
+	for _, line := range strings.Split(string(get("/metrics")), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "repro_kernel_plan_cache_") {
+			series[name] = value
+		}
+	}
+	for name, want := range map[string]uint64{
+		"repro_kernel_plan_cache_hits_total":      after.Hits,
+		"repro_kernel_plan_cache_misses_total":    after.Misses,
+		"repro_kernel_plan_cache_evictions_total": after.Evictions,
+		"repro_kernel_plan_cache_deferrals_total": after.Deferrals,
+	} {
+		if got := series[name]; got != strconv.FormatUint(want, 10) {
+			t.Errorf("/metrics %s = %q, /api/v1/status says %d", name, got, want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/consensus/scenario"
@@ -673,8 +672,7 @@ func (t *sweepTask) serveLate(cfg *sweepConfig) bool {
 }
 
 // runSingle executes one task on its own, reusing the already-built
-// source: one core.Exec run whose observer folds each round's output
-// hull into a runStats, so it keeps no trace on either execution path.
+// source.
 func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 	if err := ctx.Err(); err != nil {
 		t.fail(err)
@@ -683,14 +681,35 @@ func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 	if t.serveLate(cfg) {
 		return
 	}
-	s := t.session
+	summary, _, err := t.session.summarize(ctx, t.src, false)
+	if err != nil {
+		t.fail(err)
+		return
+	}
+	t.finish(summary, cfg)
+}
+
+// summarize runs the session once from src: one core.Exec run whose
+// observer folds each round's output hull into a runStats, so it keeps
+// no trace on either execution path. With diameters set it also returns
+// Δ(y(t)) for t = 0..rounds, the one per-round series a served run
+// answers with. Its summary and series equal Summarize(Session.Run) and
+// Result.Diameters bit for bit.
+func (s *Session) summarize(ctx context.Context, src core.PatternSource, diameters bool) (RunSummary, []float64, error) {
 	var st runStats
-	var final []float64
-	err := core.Exec(ctx, s.alg, s.inputs, t.src, s.rounds, func(round int, _ graph.Graph, v core.View) bool {
+	var final, ds []float64
+	if diameters {
+		ds = make([]float64, 0, s.rounds+1)
+	}
+	err := core.Exec(ctx, s.alg, s.inputs, src, s.rounds, func(round int, _ graph.Graph, v core.View) bool {
+		lo, hi := v.Hull()
 		if round == 0 {
-			st = newRunStats(v.Hull())
+			st = newRunStats(lo, hi)
 		} else {
-			st.observe(v.Hull())
+			st.observe(lo, hi)
+		}
+		if diameters {
+			ds = append(ds, hi-lo)
 		}
 		if round == s.rounds {
 			final = v.Outputs()
@@ -698,10 +717,9 @@ func (t *sweepTask) runSingle(ctx context.Context, cfg *sweepConfig) {
 		return true
 	})
 	if err != nil {
-		t.fail(err)
-		return
+		return RunSummary{}, nil, err
 	}
-	t.finish(st.summary(s.alg.Name(), final), cfg)
+	return st.summary(s.alg.Name(), final), ds, nil
 }
 
 // runStats is the streaming summarizer behind every sweep summary: it
@@ -793,34 +811,6 @@ func sweepPlanCacheCap(n int) int {
 	return c
 }
 
-// planCacheTotals aggregates every sweep tile's step-plan cache
-// accounting process-wide. Per-runner counters are plain fields on the
-// hot path; each tile flushes them here once, on completion, so the
-// status endpoints can report plan reuse without slowing stepping.
-var planCacheTotals struct {
-	hits, misses, evictions, deferrals atomic.Uint64
-}
-
-// PlanCacheCounters is the process-wide step-plan cache accounting
-// (see core.BatchRunner.PlanCacheStats for the per-field semantics),
-// summed over every completed sweep tile.
-type PlanCacheCounters struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Deferrals uint64 `json:"deferrals"`
-}
-
-// PlanCacheTotals returns the process-wide plan-cache counters.
-func PlanCacheTotals() PlanCacheCounters {
-	return PlanCacheCounters{
-		Hits:      planCacheTotals.hits.Load(),
-		Misses:    planCacheTotals.misses.Load(),
-		Evictions: planCacheTotals.evictions.Load(),
-		Deferrals: planCacheTotals.deferrals.Load(),
-	}
-}
-
 // runSweepTile steps every task of one tile together on the batch
 // plane, folding each round's per-run output hulls into one runStats
 // per run — no trace and no per-round series are kept.
@@ -853,15 +843,8 @@ func runSweepTile(ctx context.Context, tile []*sweepTask, cfg *sweepConfig) {
 	tileStart := time.Now()
 	defer func() {
 		br.FlushMetrics()
-		h, m, e, df, _ := br.PlanCacheStats()
-		planCacheTotals.hits.Add(h)
-		planCacheTotals.misses.Add(m)
-		planCacheTotals.evictions.Add(e)
-		planCacheTotals.deferrals.Add(df)
-		if sweepObs != nil {
-			sweepObs.tiles.Inc()
-			sweepObs.tileSeconds.Observe(time.Since(tileStart).Seconds())
-		}
+		sweepObs.tiles.Inc()
+		sweepObs.tileSeconds.Observe(time.Since(tileStart).Seconds())
 	}()
 	// Scenario sweeps revisit graphs heavily (lassos, churn epochs, and
 	// generators drawing from small graph populations), so size the plan

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -255,18 +256,18 @@ func TestSweepSingleRunAllocsFlat(t *testing.T) {
 // TestSweepTileFlushesKernelMetrics checks the tile-end flush: after a
 // sweep of one 100-round tile — not a multiple of the kernel's publish
 // window — the kernel's round series counts every round stepped, and
-// its plan-cache series equal the plan-cache accounting the tile
-// reported.
+// its plan-cache series equal the accounting of the same tile replayed
+// on a hand-built runner: the four specs' inputs and sources in the
+// tile's order, stepped with hulls under the sweep's plan-cache cap.
 func TestSweepTileFlushesKernelMetrics(t *testing.T) {
 	defer core.SetObsRegistry(obs.Default())
 	reg := obs.NewRegistry()
 	core.SetObsRegistry(reg)
-	const rounds = 100
+	const rounds, n = 100, 6
 	specs := make([]RunSpec, 4)
 	for i := range specs {
 		specs[i] = RunSpec{Model: "deaf:6", Algorithm: "midpoint", Adversary: "random", Seed: int64(i + 1), Rounds: rounds}
 	}
-	before := PlanCacheTotals()
 	results, err := Sweep(context.Background(), specs, WithSweepCache(NewSweepCache()), SweepWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -276,21 +277,47 @@ func TestSweepTileFlushesKernelMetrics(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	after := PlanCacheTotals()
+	core.SetObsRegistry(nil)
 	if got := reg.CounterValue("repro_kernel_stepeach_rounds_total"); got != rounds {
 		t.Errorf("kernel round series reads %d after the sweep, want %d", got, rounds)
 	}
+
+	inputs := make([][]float64, len(specs))
+	srcs := make([]core.PatternSource, len(specs))
+	var alg core.DenseAlgorithm
+	for i, spec := range specs {
+		s, err := NewSession(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srcs[i], _, err = s.newSource(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		inputs[i] = s.inputs
+		alg, _ = core.AsDense(s.alg)
+	}
+	br := core.NewBatchRunner(alg, inputs)
+	br.SetPlanCacheCap(sweepPlanCacheCap(n))
+	gs := make([]graph.Graph, len(specs))
+	los, his := make([]float64, len(specs)), make([]float64, len(specs))
+	for round := 1; round <= rounds; round++ {
+		for i, src := range srcs {
+			gs[i] = src.Next(round, nil)
+		}
+		br.StepEachWithHulls(gs, los, his)
+	}
+	hits, misses, evictions, deferrals, _ := br.PlanCacheStats()
 	for name, want := range map[string]uint64{
-		"repro_kernel_plan_cache_hits_total":      after.Hits - before.Hits,
-		"repro_kernel_plan_cache_misses_total":    after.Misses - before.Misses,
-		"repro_kernel_plan_cache_evictions_total": after.Evictions - before.Evictions,
-		"repro_kernel_plan_cache_deferrals_total": after.Deferrals - before.Deferrals,
+		"repro_kernel_plan_cache_hits_total":      hits,
+		"repro_kernel_plan_cache_misses_total":    misses,
+		"repro_kernel_plan_cache_evictions_total": evictions,
+		"repro_kernel_plan_cache_deferrals_total": deferrals,
 	} {
 		if got := reg.CounterValue(name); got != want {
-			t.Errorf("%s = %d, the tile's plan-cache accounting says %d", name, got, want)
+			t.Errorf("%s = %d, the replayed tile's plan cache says %d", name, got, want)
 		}
 	}
-	if after.Hits == before.Hits {
+	if hits == 0 {
 		t.Fatal("the tile recorded no plan-cache hits")
 	}
 }

@@ -22,9 +22,11 @@ import (
 // histogram times one round in obsPublishEvery, chosen by the runner's
 // own round count.
 //
-// With REPRO_OBS=off (or SetObsRegistry(nil)) the kernel holds a nil
-// metrics bundle and every round skips straight to the raw step —
-// there is no clock read, no tally and no atomic traffic at all.
+// The kernel is bound to obs.Default() from init. SetObsRegistry(nil)
+// detaches it: the kernel then holds a nil metrics bundle and every
+// round skips straight to the raw step, with no clock read, no tally
+// and no atomic traffic at all. That detached kernel is the baseline
+// of the instrumentation overhead gates (paperbench's obs series).
 
 // kernelMetrics bundles the kernel's process-wide instruments. One
 // bundle per registry; resolved once in SetObsRegistry so rounds pay a
@@ -43,7 +45,7 @@ var kernelObs atomic.Pointer[kernelMetrics]
 func init() { SetObsRegistry(obs.Default()) }
 
 // SetObsRegistry (re)binds the kernel's metrics to a registry — nil
-// disables kernel instrumentation entirely. The process default is
+// detaches kernel instrumentation entirely. The process default is
 // obs.Default(); tests bind private registries to isolate counts, and
 // paperbench toggles nil/fresh to measure instrumentation overhead.
 // Not safe to call while another goroutine is mid-step.
@@ -67,6 +69,19 @@ func SetObsRegistry(r *obs.Registry) {
 		planDefers: r.Counter("repro_kernel_plan_cache_deferrals_total",
 			"First-sight graphs of one-shot runs stepped per run, without building a plan."),
 	})
+}
+
+// PlanCacheCounts reads the plan-cache series of the registry the
+// kernel is bound to — what every runner has published there, which
+// after a runner's FlushMetrics includes all it stepped — and zeros
+// while the kernel is detached. The server's status endpoint reports
+// these numbers, so its JSON and /metrics read one set of counters.
+func PlanCacheCounts() (hits, misses, evictions, deferrals uint64) {
+	m := kernelObs.Load()
+	if m == nil {
+		return 0, 0, 0, 0
+	}
+	return m.planHits.Value(), m.planMisses.Value(), m.planEvicts.Value(), m.planDefers.Value()
 }
 
 // obsPublishEvery is how many instrumented rounds a runner tallies

@@ -170,9 +170,10 @@ func TestKernelMetricsPublishedPerWindow(t *testing.T) {
 
 // TestKernelNoopRegistryRecordsNothing binds the kernel to a live
 // registry, checks the mixed workload moved the round, eviction and
-// deferral series, detaches it (the REPRO_OBS=off state), steps more
-// rounds on four concurrent tiles, and verifies the detached period
-// left no trace.
+// deferral series and that PlanCacheCounts reads the bound plan-cache
+// series, detaches it (the overhead gates' baseline), steps more rounds
+// on four concurrent tiles, and verifies the detached period left no
+// trace and PlanCacheCounts read zeros meanwhile.
 func TestKernelNoopRegistryRecordsNothing(t *testing.T) {
 	defer core.SetObsRegistry(obs.Default())
 	r := obs.NewRegistry()
@@ -187,8 +188,21 @@ func TestKernelNoopRegistryRecordsNothing(t *testing.T) {
 		before["repro_kernel_plan_cache_deferrals_total"] == 0 {
 		t.Fatalf("workload did not move the counters it is built to move: %v", before)
 	}
+	counts := func() [4]uint64 {
+		h, m, e, d := core.PlanCacheCounts()
+		return [4]uint64{h, m, e, d}
+	}
+	if got, want := counts(), [4]uint64{
+		before["repro_kernel_plan_cache_hits_total"], before["repro_kernel_plan_cache_misses_total"],
+		before["repro_kernel_plan_cache_evictions_total"], before["repro_kernel_plan_cache_deferrals_total"],
+	}; got != want {
+		t.Errorf("PlanCacheCounts = %v, the bound registry holds %v", got, want)
+	}
 	core.SetObsRegistry(nil)
 	mixedWorkload(t, 4, 4)
+	if got := counts(); got != [4]uint64{} {
+		t.Errorf("PlanCacheCounts = %v while detached, want zeros", got)
+	}
 	core.SetObsRegistry(r)
 	for _, name := range kernelSeries {
 		if got := r.CounterValue(name); got != before[name] {

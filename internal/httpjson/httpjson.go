@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -53,12 +54,16 @@ func StatusOf(err error) int {
 }
 
 // Decode strictly decodes the size-limited JSON request body into v:
-// unknown fields and bodies past MaxRequestBytes are errors.
+// unknown fields, bodies past MaxRequestBytes and anything but
+// whitespace after the one JSON value are errors.
 func Decode(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("bad request body: data after the JSON value")
 	}
 	return nil
 }

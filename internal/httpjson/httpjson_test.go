@@ -48,8 +48,9 @@ func TestStatusOfWrappedContextErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeIsStrictAndBounded: unknown fields and bodies past
-// MaxRequestBytes are errors.
+// TestDecodeIsStrictAndBounded: unknown fields, bodies past
+// MaxRequestBytes and data after the JSON value are errors; trailing
+// whitespace is not.
 func TestDecodeIsStrictAndBounded(t *testing.T) {
 	var v struct {
 		Model string `json:"model"`
@@ -57,14 +58,20 @@ func TestDecodeIsStrictAndBounded(t *testing.T) {
 	for _, body := range []string{
 		`{"model":"deaf:3","extra":1}`,
 		`{"model":"` + strings.Repeat("x", MaxRequestBytes) + `"}`,
+		`{"model":"a"}{"model":"b"}`,
+		`{"model":"a"} trailing garbage`,
+		`{"model":"a"}]`,
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
 		if err := Decode(httptest.NewRecorder(), r, &v); err == nil {
-			t.Errorf("body of %d bytes accepted", len(body))
+			t.Errorf("body of %d bytes (%.40q) accepted", len(body), body)
 		}
 	}
-	r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(`{"model":"deaf:3"}`))
-	if err := Decode(httptest.NewRecorder(), r, &v); err != nil || v.Model != "deaf:3" {
-		t.Errorf("Decode = %v, model %q", err, v.Model)
+	for _, body := range []string{`{"model":"deaf:3"}`, "{\"model\":\"deaf:3\"}\n", "{\"model\":\"deaf:3\"} \r\n\t "} {
+		v.Model = ""
+		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
+		if err := Decode(httptest.NewRecorder(), r, &v); err != nil || v.Model != "deaf:3" {
+			t.Errorf("Decode(%q) = %v, model %q", body, err, v.Model)
+		}
 	}
 }

@@ -4,77 +4,54 @@
 // tracer (trace.go).
 //
 // The design contract is "allocation-free on the hot path": every
-// instrument is a concrete struct whose methods are no-ops on a nil
-// receiver, so callers hold plain pointers and never pay an interface
-// dispatch or a nil-check branch beyond the one inlined into the
-// method. Disabling observability is therefore free — a nil *Registry
-// hands out nil instruments and the recording calls compile down to a
-// predicted-not-taken branch.
+// instrument is a concrete struct, so callers hold plain pointers and a
+// recording call is one or a few atomic operations, never an interface
+// dispatch or an allocation.
 //
-// Two registries coexist by convention:
+// Two kinds of registry coexist by convention, and both always record:
 //
-//   - Default() is the process-wide registry backing hot-path series
-//     (kernel, sweep, valency, convergence). REPRO_OBS=off turns it
-//     into nil, making every Default-backed instrument a no-op.
+//   - Default() is the one process-wide registry, backing the hot-path
+//     series (kernel, sweep, valency, convergence). The kernel alone can
+//     be detached from it (core.SetObsRegistry(nil)), which is the
+//     baseline the instrumentation overhead gates measure against.
 //   - Per-instance registries (one per Server / Coordinator / Worker)
-//     back request counters and status endpoints. They are always on:
-//     /api/v1/status reads them, so they must record regardless of
-//     REPRO_OBS.
+//     back request counters and status endpoints.
 package obs
 
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Counter is a monotonically increasing uint64. The zero value is
-// ready to use; a nil *Counter records nothing.
+// ready to use.
 type Counter struct {
 	v atomic.Uint64
 }
 
-// Add increments the counter by n. No-op on a nil receiver.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Inc increments the counter by one. No-op on a nil receiver.
+// Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count; 0 on a nil receiver.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a float64 that can go up and down. The zero value is ready
-// to use; a nil *Gauge records nothing.
+// to use.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set replaces the gauge value. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
+// Set replaces the gauge value.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the gauge by delta. No-op on a nil receiver.
+// Add shifts the gauge by delta.
 func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
@@ -84,18 +61,13 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Value returns the current gauge value; 0 on a nil receiver.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
+// Value returns the current gauge value.
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative-export histogram. Buckets are
 // the sorted upper bounds passed at registration; an implicit +Inf
 // bucket catches the tail. Observe is lock-free: one binary search plus
-// three atomic adds. A nil *Histogram records nothing.
+// three atomic adds.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64 // len(bounds)+1; [i] counts v <= bounds[i], last is +Inf
@@ -103,11 +75,8 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// Observe records one value. No-op on a nil receiver.
+// Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
@@ -120,29 +89,16 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations; 0 on a nil receiver.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of observed values; 0 on a nil receiver.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
+// Sum returns the sum of observed values.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // BucketCounts returns a snapshot of the per-bucket counts, one per
-// bound plus a final +Inf bucket; nil on a nil receiver. The snapshot
-// is not atomic across buckets.
+// bound plus a final +Inf bucket. The snapshot is not atomic across
+// buckets.
 func (h *Histogram) BucketCounts() []uint64 {
-	if h == nil {
-		return nil
-	}
 	out := make([]uint64, len(h.buckets))
 	for i := range h.buckets {
 		out[i] = h.buckets[i].Load()
@@ -198,9 +154,6 @@ type metric struct {
 // under a different kind panics — that is a programming error, not a
 // runtime condition.
 //
-// A nil *Registry is the disabled registry: every constructor returns
-// nil (a no-op instrument) and exposition writes nothing.
-//
 // Names follow Prometheus conventions and may carry a fixed label set
 // inline: `repro_server_requests_total{endpoint="run"}`. The exporter
 // groups such series under one HELP/TYPE header per base name.
@@ -209,16 +162,13 @@ type Registry struct {
 	metrics map[string]*metric
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*metric)}
 }
 
-// Counter registers (or finds) a counter. Nil registry → nil counter.
+// Counter registers (or finds) a counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
 	m := r.lookup(name, help, kindCounter)
 	if m.counter == nil {
 		m.counter = &Counter{}
@@ -228,11 +178,8 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers (or finds) a gauge. Nil registry → nil gauge.
+// Gauge registers (or finds) a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	m := r.lookup(name, help, kindGauge)
 	if m.gauge == nil {
 		m.gauge = &Gauge{}
@@ -245,11 +192,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time — for quantities that already live elsewhere (cache sizes,
 // queue depths under someone else's lock). First registration wins;
-// fn must be safe to call from any goroutine. No-op on nil registry.
+// fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
 	m := r.lookup(name, help, kindGaugeFunc)
 	if m.gaugeFn == nil {
 		m.gaugeFn = fn
@@ -258,12 +202,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 }
 
 // Histogram registers (or finds) a histogram with the given sorted
-// bucket upper bounds (+Inf is implicit). Nil registry → nil
-// histogram. Bounds are only consulted on first registration.
+// bucket upper bounds (+Inf is implicit). Bounds are only consulted
+// on first registration.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	m := r.lookup(name, help, kindHistogram)
 	if m.histogram == nil {
 		if !sort.Float64sAreSorted(bounds) {
@@ -298,9 +239,6 @@ func (r *Registry) lookup(name, help string, kind metricKind) *metric {
 // CounterValue returns the named counter's value, or 0 if absent.
 // Convenience for status endpoints reading back their own registry.
 func (r *Registry) CounterValue(name string) uint64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	m := r.metrics[name]
 	r.mu.Unlock()
@@ -313,9 +251,6 @@ func (r *Registry) CounterValue(name string) uint64 {
 // GaugeValue returns the named gauge's current value (including
 // GaugeFunc gauges, which are evaluated), or 0 if absent.
 func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	m := r.metrics[name]
 	r.mu.Unlock()
@@ -331,18 +266,8 @@ func (r *Registry) GaugeValue(name string) float64 {
 	return 0
 }
 
-// defaultRegistry backs the process-wide hot-path series. REPRO_OBS=off
-// replaces it with nil at startup, turning every Default-registered
-// instrument into a no-op without touching call sites.
-var defaultRegistry atomic.Pointer[Registry]
+// defaultRegistry backs the process-wide hot-path series.
+var defaultRegistry = NewRegistry()
 
-func init() {
-	if os.Getenv("REPRO_OBS") != "off" {
-		defaultRegistry.Store(NewRegistry())
-	}
-}
-
-// Default returns the process-wide registry, or nil when REPRO_OBS=off.
-func Default() *Registry {
-	return defaultRegistry.Load()
-}
+// Default returns the process-wide registry.
+func Default() *Registry { return defaultRegistry }

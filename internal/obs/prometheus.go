@@ -12,11 +12,8 @@ import (
 // text exposition format (version 0.0.4), sorted by name so output is
 // stable across scrapes. Series whose name carries an inline label set
 // (`name{label="v"}`) are grouped under one HELP/TYPE header per base
-// name. A nil registry writes nothing.
+// name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.metrics))
 	for name := range r.metrics {
@@ -57,7 +54,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // WriteAllPrometheus writes several registries' series to one stream —
 // the /metrics handlers use it to combine an instance registry with
-// the process-wide Default() registry. Nil registries are skipped.
+// the process-wide Default() registry.
 func WriteAllPrometheus(w io.Writer, regs ...*Registry) error {
 	for _, r := range regs {
 		if err := r.WritePrometheus(w); err != nil {

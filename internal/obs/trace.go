@@ -8,8 +8,7 @@ import (
 )
 
 // SpanID identifies one span within a Tracer. IDs are assigned
-// monotonically from 1; 0 means "no span" (no parent, or a Begin on a
-// nil tracer).
+// monotonically from 1; 0 means "no span" (no parent).
 type SpanID uint64
 
 // Attr is one key=value annotation on a span. Values are strings so
@@ -36,7 +35,7 @@ type Span struct {
 // long-running coordinator keeps the most recent window of work.
 // All methods are mutex-guarded — spans mark coarse operations
 // (sweeps, shards, requests), never per-fold kernel work, so the lock
-// is uncontended in practice. A nil *Tracer records nothing.
+// is uncontended in practice.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []Span
@@ -53,11 +52,7 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Begin starts a span and returns its ID. parent is 0 for a root span.
-// No-op (returning 0) on a nil tracer.
 func (t *Tracer) Begin(name string, parent SpanID, attrs ...Attr) SpanID {
-	if t == nil {
-		return 0
-	}
 	now := time.Now().UnixNano()
 	t.mu.Lock()
 	t.seq++
@@ -72,9 +67,9 @@ func (t *Tracer) Begin(name string, parent SpanID, attrs ...Attr) SpanID {
 }
 
 // End closes the span. Ending an already-evicted (ring-overwritten) or
-// unknown ID is a silent no-op, as is a nil tracer or id 0.
+// unknown ID is a silent no-op, as is id 0.
 func (t *Tracer) End(id SpanID) {
-	if t == nil || id == 0 {
+	if id == 0 {
 		return
 	}
 	now := time.Now().UnixNano()
@@ -88,7 +83,7 @@ func (t *Tracer) End(id SpanID) {
 // Annotate appends attributes to a live (or finished, not-yet-evicted)
 // span — retry counts, the worker that finally served a shard.
 func (t *Tracer) Annotate(id SpanID, attrs ...Attr) {
-	if t == nil || id == 0 || len(attrs) == 0 {
+	if id == 0 || len(attrs) == 0 {
 		return
 	}
 	t.mu.Lock()
@@ -108,12 +103,8 @@ func (t *Tracer) slot(id SpanID) *Span {
 	return nil
 }
 
-// Snapshot returns the retained spans ordered oldest-first. Nil tracer
-// returns nil.
+// Snapshot returns the retained spans ordered oldest-first.
 func (t *Tracer) Snapshot() []Span {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Span, 0, len(t.ring))
@@ -133,15 +124,10 @@ func (t *Tracer) Snapshot() []Span {
 	return out
 }
 
-// WriteJSON writes {"spans":[...]} oldest-first. Nil tracer writes an
-// empty span list.
+// WriteJSON writes {"spans":[...]} oldest-first.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	spans := t.Snapshot()
-	if spans == nil {
-		spans = []Span{}
-	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {
 		Spans []Span `json:"spans"`
-	}{Spans: spans})
+	}{Spans: t.Snapshot()})
 }
